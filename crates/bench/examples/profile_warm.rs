@@ -1,12 +1,15 @@
 //! Component-level timing of the warm `iis serve` reply path: store open,
-//! content-address derivation, record fetch, JSON parse, witness
-//! revalidation (arena rebuild + map check), and the full cached solve.
+//! content-address derivation (from scratch and through the spec
+//! interner), record fetch, JSON parse, witness revalidation (arena
+//! rebuild + map check), and the full cached solve.
 //!
 //! Not a calibrated benchmark — a quick probe for attributing the warm
 //! latency budget when tuning `iis_core::cache`. Run with
 //! `cargo run --release -p iis-bench --example profile_warm`.
 
-use iis_core::cache::{cache_key, report_from_json, solve_up_to_cached, SolveCache};
+use iis_core::cache::{
+    cache_key, intern_spec, report_from_json, solve_up_to_cached, validate_record, SolveCache,
+};
 use iis_core::solvability::SolveOptions;
 use iis_obs::Json;
 use iis_store::Store;
@@ -38,6 +41,9 @@ fn main() {
 
     time("store_open", n, || Store::open(&dir).expect("reopen").len());
     time("cache_key", n, || cache_key(&task, 2));
+    time("interned_key", n, || {
+        intern_spec("eps:1:9").expect("spec").key(2)
+    });
     let key = cache_key(&task, 2);
     time("open+get", n, || {
         let mut s = Store::open(&dir).expect("reopen");
@@ -49,6 +55,10 @@ fn main() {
     let v = Json::parse(&text).expect("parse");
     time("report_from_json", n, || {
         report_from_json(&task, &v).expect("valid record")
+    });
+    let keyed = intern_spec("eps:1:9").expect("spec");
+    time("validate_record", n, || {
+        validate_record(&keyed, &v).expect("valid record")
     });
     time("arena_tower", n, || {
         iis_topology::arena::arena_sds_tower(task.input(), 2)

@@ -12,7 +12,8 @@
 //!
 //! - `POST /solve` — body `{"spec": "consensus:2" | "task": {…},
 //!   "max_rounds": B, "budget": N, "jobs": J, "kernel": "compiled",
-//!   "wait": true}` (everything but the task optional). Answers from the
+//!   "wait": true}` (everything but the task optional; a spec is a
+//!   library spec — `@file` specs are for the CLI only). Answers from the
 //!   store when the record exists (`"cached": true`, counted by
 //!   `serve.cache_hits`); otherwise runs the sweep on the worker pool.
 //!   With `"wait": false` replies `202 Accepted` with a job id instead of
@@ -56,14 +57,15 @@
 //! replies replay the stored bytes — across restarts too, when `--store`
 //! points at the same directory.
 
-use crate::{err, flag_value, parse_kernel, parse_task, CliError};
-use iis_core::cache::{cache_key, report_from_json, solve_up_to_cached, SolveCache};
+use crate::{err, flag_value, parse_kernel, CliError};
+use iis_core::cache::{
+    intern_spec, question_rounds, question_task, solve_keyed, validate_record, KeyedTask,
+    QuestionTask, SolveCache,
+};
 use iis_core::solvability::SolveOptions;
 use iis_obs::http::{serve_with, Handler, Request, Response};
-use iis_obs::json::FromJson as _;
 use iis_obs::{Json, ToJson as _};
 use iis_store::Store;
-use iis_tasks::Task;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -72,7 +74,8 @@ use std::time::{Duration, Instant};
 /// One accepted solve question and its lifecycle.
 struct Job {
     spec: String,
-    task: Task,
+    task: Arc<KeyedTask>,
+    key: u64,
     max_rounds: usize,
     opts: SolveOptions,
     status: Status,
@@ -182,7 +185,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// The parsed body of a `POST /solve`.
 struct SolveRequest {
     spec: String,
-    task: Task,
+    task: Arc<KeyedTask>,
     max_rounds: usize,
     opts: SolveOptions,
     wait: bool,
@@ -195,20 +198,20 @@ fn parse_solve_request(body: &str) -> Result<SolveRequest, String> {
 
 /// [`parse_solve_request`] on an already-parsed value — the batch route
 /// hands each array element here directly instead of re-serializing it.
+///
+/// A spec resolves only as a library spec, through the process-wide
+/// interner (`iis_core::cache::intern_spec`): a network question can never
+/// make the shard read a file, and a repeated spec rebuilds neither its
+/// task nor its key.
 fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
-    let (spec, task) = match (v.get("spec"), v.get("task")) {
-        (Some(s), None) => {
-            let s = s.as_str().ok_or("\"spec\" must be a string")?;
-            let task = parse_task(s).map_err(|e| e.to_string())?;
-            (s.to_string(), task)
-        }
-        (None, Some(t)) => {
-            let task = Task::from_json(t).map_err(|e| format!("bad \"task\": {e}"))?;
-            (format!("@inline:{}", task.name()), task)
-        }
-        (Some(_), Some(_)) => return Err("give \"spec\" or \"task\", not both".to_string()),
-        (None, None) => return Err("body needs a \"spec\" or a \"task\"".to_string()),
+    let (spec, task) = match question_task(v)? {
+        QuestionTask::Spec(s) => (s.to_string(), intern_spec(s)?),
+        QuestionTask::Inline(task) => (
+            format!("@inline:{}", task.name()),
+            Arc::new(KeyedTask::new(*task)),
+        ),
     };
+    let max_rounds = question_rounds(v)?;
     let num = |key: &str, default: f64| -> Result<f64, String> {
         match v.get(key) {
             None | Some(Json::Null) => Ok(default),
@@ -217,7 +220,6 @@ fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
                 .ok_or_else(|| format!("\"{key}\" must be a number")),
         }
     };
-    let max_rounds = num("max_rounds", 2.0)? as usize;
     let mut opts = SolveOptions::new()
         .budget(num("budget", 1_000_000.0)? as u64)
         .jobs(num("jobs", 1.0)? as usize);
@@ -279,7 +281,13 @@ impl SolveService {
         degraded: Option<Arc<AtomicBool>>,
     ) -> SolveService {
         // register at zero so the serve counters scrape before first use
-        for name in ["serve.rejected", "serve.timeouts", "serve.batch_requests"] {
+        for name in [
+            "serve.rejected",
+            "serve.timeouts",
+            "serve.batch_requests",
+            "cache.spec_hits",
+            "cache.spec_builds",
+        ] {
             iis_obs::metrics::Counter::handle(name);
         }
         SolveService {
@@ -309,7 +317,7 @@ impl SolveService {
     fn worker_loop(&self) {
         let _alive = AliveGuard::enroll(&self.workers_alive);
         loop {
-            let (id, task, max_rounds, opts) = {
+            let (id, task, key, max_rounds, opts) = {
                 let mut st = lock(&self.state);
                 loop {
                     if self.stop_workers.load(Ordering::Acquire) {
@@ -319,7 +327,7 @@ impl SolveService {
                         let info = {
                             let job = st.jobs.get_mut(&id).expect("queued job exists");
                             job.status = Status::Running;
-                            (id, job.task.clone(), job.max_rounds, job.opts)
+                            (id, Arc::clone(&job.task), job.key, job.max_rounds, job.opts)
                         };
                         st.active += 1;
                         iis_obs::metrics::gauge_set("serve.jobs_active", st.active);
@@ -333,7 +341,7 @@ impl SolveService {
                 }
             };
             let started = Instant::now();
-            let out = solve_up_to_cached(&task, max_rounds, &opts, &mut SharedCache(&self.store));
+            let out = solve_keyed(&task, max_rounds, &opts, &mut SharedCache(&self.store));
             let status =
                 if out.report.witness().is_some() || out.report.results().len() == max_rounds + 1 {
                     Status::Done {
@@ -359,7 +367,6 @@ impl SolveService {
                     ))
                 };
             let mut st = lock(&self.state);
-            let key = cache_key(&task, max_rounds);
             st.inflight.remove(&key);
             if let Some(job) = st.jobs.get_mut(&id) {
                 job.status = status;
@@ -471,11 +478,11 @@ impl SolveService {
     /// batch route admits *everything* before waiting on *anything*, so a
     /// batch keeps the whole worker pool busy.
     fn admit(&self, req: &SolveRequest) -> Admission {
-        let key = cache_key(&req.task, req.max_rounds);
+        let key = req.task.key(req.max_rounds);
         // fast path: the store already holds a validated record
         if let Some(text) = SharedCache(&self.store).get(key) {
             if let Ok(json) = Json::parse(&text) {
-                if report_from_json(&req.task, &json).is_ok() {
+                if validate_record(&req.task, &json).is_ok() {
                     iis_obs::metrics::add("serve.cache_hits", 1);
                     return Admission::Ready(Response::json(
                         Json::obj([
@@ -526,7 +533,8 @@ impl SolveService {
             id,
             Job {
                 spec: req.spec.clone(),
-                task: req.task.clone(),
+                task: Arc::clone(&req.task),
+                key,
                 max_rounds: req.max_rounds,
                 opts: req.opts,
                 status: Status::Queued,
@@ -1217,6 +1225,41 @@ mod tests {
             "{:?}",
             answers[1]
         );
+    }
+
+    #[test]
+    fn file_specs_are_refused_alike_by_shard_and_gateway() {
+        // a readable, valid task file: `iis solve @file` loads it, but a
+        // network question naming it must not make the shard read it
+        let dir = std::env::temp_dir().join(format!("iis_serve_at_spec_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("task.json");
+        std::fs::write(&path, iis_tasks::library::trivial(1).to_json().to_string()).unwrap();
+        let spec = format!("@{}", path.display());
+        assert!(
+            crate::parse_task(&spec).is_ok(),
+            "the CLI still reads files"
+        );
+        let body = Json::obj([("spec", Json::Str(spec.clone()))]).to_string();
+        let shard = stalled_service(4, None).handle_solve(&body);
+        assert_eq!(shard.status, "400 Bad Request");
+        let gateway = iis_cluster::Gateway::new(
+            Arc::new(iis_cluster::HttpTransport::new(Duration::from_secs(1))),
+            iis_cluster::GatewayConfig {
+                backends: Vec::new(),
+                replicas: 1,
+                workers: 1,
+            },
+        );
+        let (status, gateway_body) = gateway.solve_one(&body);
+        assert_eq!(status, 400);
+        assert_eq!(shard.body, gateway_body, "same refusal at both hops");
+        let error = Json::parse(&shard.body).unwrap();
+        assert_eq!(
+            error.get("error").and_then(Json::as_str),
+            Some(format!("unknown task spec: {spec}").as_str())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

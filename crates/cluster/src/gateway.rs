@@ -25,13 +25,14 @@
 
 use crate::health::{HealthRegistry, ShardHealth};
 use crate::transport::Transport;
-use iis_core::cache::cache_key;
+use iis_core::cache::{
+    finish_key, fnv1a64, key_prefix, question_rounds, question_task, KeyedTask, Lru, QuestionTask,
+};
 use iis_obs::{Json, ToJson as _};
 use iis_tasks::library::parse_spec;
-use iis_tasks::Task;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Gateway configuration.
 pub struct GatewayConfig {
@@ -52,16 +53,6 @@ pub struct Gateway {
     salts: Vec<u64>,
     replicas: usize,
     workers: usize,
-}
-
-/// FNV-1a over a byte string, the same construction the store keys use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix64 finalizer: the rendezvous weight of (key, salt).
@@ -108,30 +99,45 @@ pub fn batch_envelope(answers: &[Answer]) -> String {
     .to_string()
 }
 
+/// Library specs whose key prefix the gateway remembers. An entry is the
+/// spec string and 64 bits, so the cap can sit far above the shards'
+/// task interner and still cost only tens of KB.
+const SPEC_PREFIX_CAP: usize = 1024;
+
+fn spec_prefixes() -> &'static Lru<String, u64> {
+    static PREFIXES: OnceLock<Lru<String, u64>> = OnceLock::new();
+    PREFIXES.get_or_init(|| Lru::new(SPEC_PREFIX_CAP))
+}
+
+/// The key prefix of a library spec, memoized: the task is built once to
+/// find it and then dropped — routing needs 64 bits, not the task.
+fn spec_prefix(spec: &str) -> Result<u64, String> {
+    let prefixes = spec_prefixes();
+    if let Some(prefix) = prefixes.get(spec) {
+        return Ok(prefix);
+    }
+    let prefix = KeyedTask::new(parse_spec(spec)?).key_prefix();
+    prefixes.insert(spec.to_string(), prefix);
+    Ok(prefix)
+}
+
 /// The routing-relevant reading of one question body: enough to compute
 /// its cache key. Everything else is forwarded verbatim.
+///
+/// The task half is read by the same parser the shard uses
+/// (`iis_core::cache::question_task`), and a spec resolves only as a
+/// library spec, so a question the gateway refuses gets the message the
+/// shard would have given.
 ///
 /// # Errors
 ///
 /// Returns a message when the question names no task or a malformed one.
 pub fn question_key(q: &Json) -> Result<u64, String> {
-    let task: Task = match (q.get("spec"), q.get("task")) {
-        (Some(s), None) => {
-            let s = s.as_str().ok_or("\"spec\" must be a string")?;
-            parse_spec(s)?
-        }
-        (None, Some(t)) => {
-            use iis_obs::json::FromJson as _;
-            Task::from_json(t).map_err(|e| format!("bad \"task\": {e}"))?
-        }
-        (Some(_), Some(_)) => return Err("give \"spec\" or \"task\", not both".to_string()),
-        (None, None) => return Err("body needs a \"spec\" or a \"task\"".to_string()),
+    let prefix = match question_task(q)? {
+        QuestionTask::Spec(s) => spec_prefix(s)?,
+        QuestionTask::Inline(task) => key_prefix(&task),
     };
-    let max_rounds = match q.get("max_rounds") {
-        None | Some(Json::Null) => 2,
-        Some(j) => j.as_f64().ok_or("\"max_rounds\" must be a number")? as usize,
-    };
-    Ok(cache_key(&task, max_rounds))
+    Ok(finish_key(prefix, question_rounds(q)?))
 }
 
 impl Gateway {
@@ -146,12 +152,11 @@ impl Gateway {
             "gateway.retries",
             "gateway.failovers",
             "gateway.shard_down",
-            "gateway.hedges",
             "gateway.unroutable",
         ] {
             iis_obs::metrics::Counter::handle(name);
         }
-        let salts = cfg.backends.iter().map(|a| fnv64(a.as_bytes())).collect();
+        let salts = cfg.backends.iter().map(|a| fnv1a64(a.as_bytes())).collect();
         Gateway {
             health: HealthRegistry::new(&cfg.backends),
             salts,
@@ -509,6 +514,7 @@ pub fn merge_prometheus(texts: &[String]) -> String {
 mod tests {
     use super::*;
     use crate::transport::TransportResponse;
+    use iis_core::cache::cache_key;
 
     #[test]
     fn rendezvous_is_stable_and_balanced() {
@@ -612,6 +618,62 @@ mod tests {
         assert_eq!(question_key(&inline).unwrap(), by_spec);
         assert!(question_key(&Json::parse("{}").unwrap()).is_err());
         assert!(question_key(&Json::parse(r#"{"spec": "nope:1"}"#).unwrap()).is_err());
+        // an `@file` spec is not a library spec at the gateway either
+        assert_eq!(
+            question_key(&Json::parse(r#"{"spec": "@/etc/hostname"}"#).unwrap()).unwrap_err(),
+            "unknown task spec: @/etc/hostname"
+        );
+    }
+
+    #[test]
+    fn spec_and_inline_forms_share_a_key_in_every_family() {
+        for spec in [
+            "trivial:2",
+            "consensus:1",
+            "kset:2:2",
+            "renaming:2:5",
+            "eps:1:81",
+            "oneshot:2",
+        ] {
+            let task = parse_spec(spec).unwrap();
+            for b in 0..=6usize {
+                let rounds = Json::Num(b as f64);
+                let by_spec = Json::obj([
+                    ("spec", Json::Str(spec.into())),
+                    ("max_rounds", rounds.clone()),
+                ]);
+                let inline = Json::obj([("task", task.to_json()), ("max_rounds", rounds)]);
+                let key = question_key(&by_spec).unwrap();
+                assert_eq!(key, cache_key(&task, b), "{spec} b={b}");
+                assert_eq!(question_key(&inline).unwrap(), key, "{spec} b={b}");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_memo_evicts_lru_instead_of_clearing() {
+        // more distinct specs than the cap, one hot spec asked between
+        // every two others: bounded, and the hot entry survives. Leading
+        // zeros make distinct spec strings that all name the tiny trivial:1.
+        let hot = "consensus:1";
+        for k in 0..SPEC_PREFIX_CAP + 16 {
+            spec_prefix(hot).unwrap();
+            spec_prefix(&format!("trivial:{}1", "0".repeat(k))).unwrap();
+        }
+        let memo = spec_prefixes();
+        assert!(
+            memo.len() <= SPEC_PREFIX_CAP,
+            "prefix memo exceeded its cap: {}",
+            memo.len()
+        );
+        assert!(
+            memo.contains_key(hot),
+            "the constantly-reused spec must survive eviction pressure"
+        );
+        assert_eq!(
+            spec_prefix(hot).unwrap(),
+            key_prefix(&parse_spec(hot).unwrap())
+        );
     }
 
     #[test]

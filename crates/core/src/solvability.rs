@@ -23,29 +23,42 @@ use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
 use iis_topology::{sds_iterated, sds_next, Color, Simplex, SimplicialMap, Subdivision, VertexId};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A witness that a task is solvable in `b` IIS rounds: the decision map
 /// `δ : SDS^b(I) → O` together with the subdivision it lives on.
 #[derive(Clone, Debug)]
 pub struct DecisionMap {
     b: usize,
-    // shared, not owned: warm cache replays hand out one memoized
+    // set on construction by the search; for a witness replayed from the
+    // cache, converted from `arena` on the first `subdivision()` call
+    subdivision: OnceLock<Arc<Subdivision>>,
+    // shared, not owned: warm cache replays hand out one memoized arena
     // `SDS^b(I)` to every witness loaded against it
-    subdivision: Arc<Subdivision>,
+    arena: Option<Arc<ArenaSds>>,
     map: SimplicialMap,
 }
 
 impl DecisionMap {
-    /// Reassembles a witness from its parts (the persistent-cache load
-    /// path). The caller is responsible for semantic validation — see
-    /// [`crate::cache::report_from_json`], which rebuilds the subdivision
-    /// from the task itself and re-validates the map, so a corrupted store
-    /// can never smuggle in an ill-formed witness.
-    pub(crate) fn from_parts(b: usize, subdivision: Arc<Subdivision>, map: SimplicialMap) -> Self {
+    fn new(b: usize, subdivision: Subdivision, map: SimplicialMap) -> Self {
         DecisionMap {
             b,
-            subdivision,
+            subdivision: OnceLock::from(Arc::new(subdivision)),
+            arena: None,
+            map,
+        }
+    }
+
+    /// Reassembles a witness from its parts (the persistent-cache load
+    /// path). The caller is responsible for semantic validation — see
+    /// [`crate::cache::report_from_json`], which rebuilds the tower from
+    /// the task itself and re-validates the map, so a corrupted store can
+    /// never smuggle in an ill-formed witness.
+    pub(crate) fn from_arena(b: usize, arena: Arc<ArenaSds>, map: SimplicialMap) -> Self {
+        DecisionMap {
+            b,
+            subdivision: OnceLock::new(),
+            arena: Some(arena),
             map,
         }
     }
@@ -55,9 +68,14 @@ impl DecisionMap {
         self.b
     }
 
-    /// The subdivision `SDS^b(I)` the map is defined on.
+    /// The subdivision `SDS^b(I)` the map is defined on. A witness loaded
+    /// from the cache converts its arena tower (bit-identically) on the
+    /// first call; callers that never ask pay nothing.
     pub fn subdivision(&self) -> &Subdivision {
-        &self.subdivision
+        self.subdivision.get_or_init(|| {
+            let arena = self.arena.as_ref().expect("a witness without a tower");
+            Arc::new(arena.to_subdivision())
+        })
     }
 
     /// The vertex map `δ`.
@@ -517,11 +535,7 @@ fn solve_on(
     match result {
         Ok(Some(map)) => {
             debug_assert!(validate_decision_map(task, sub, &map).is_ok());
-            BoundedOutcome::Solvable(Box::new(DecisionMap {
-                b,
-                subdivision: Arc::new(sub.clone()),
-                map,
-            }))
+            BoundedOutcome::Solvable(Box::new(DecisionMap::new(b, sub.clone(), map)))
         }
         Ok(None) => BoundedOutcome::Unsolvable,
         Err(Halt::Timeout) => BoundedOutcome::TimedOut,
@@ -658,11 +672,7 @@ pub fn lift_decision_map(task: &Task, dm: &DecisionMap) -> DecisionMap {
     });
     let lifted = forget.then(&translated);
     debug_assert!(validate_decision_map(task, &finer, &lifted).is_ok());
-    DecisionMap {
-        b: dm.rounds() + 1,
-        subdivision: Arc::new(finer),
-        map: lifted,
-    }
+    DecisionMap::new(dm.rounds() + 1, finer, lifted)
 }
 
 /// An executable protocol induced by a [`DecisionMap`]: run the map's

@@ -29,8 +29,10 @@
 //! listener.
 //!
 //! Request reads are hardened: the whole head+body must arrive within
-//! [`Options::read_deadline`] (anti-slowloris — a stalled client is
-//! disconnected, never pinning a worker), bodies are capped at
+//! [`Options::read_deadline`] of its first byte (anti-slowloris — a
+//! stalled client is disconnected, never pinning a worker), an idle
+//! connection is closed once it has waited that long for a first byte,
+//! bodies are capped at
 //! [`Options::max_body`], and protocol violations (missing, malformed or
 //! oversized `Content-Length`; a body shorter than declared) are answered
 //! with a structured `400` rather than silently dropped. Wrong methods on
@@ -372,17 +374,22 @@ fn read_chunk(
 
 /// Reads one request (head + `Content-Length` body) off `stream`.
 ///
-/// The whole read — however slowly the peer trickles bytes — must fit in
-/// `deadline`. Requests that violate the protocol (unparseable or missing
-/// `Content-Length` on a method that carries a body, declared length over
-/// `max_body`, body shorter than declared) are rejected with a structured
-/// `400` instead of being silently dropped.
+/// Two waits are bounded by `deadline`, each on its own clock: the idle
+/// wait for the request's first byte (a keep-alive connection nobody uses
+/// is closed), and the request itself, from its first byte to its last —
+/// however slowly the peer trickles bytes. Timing the request from its
+/// first byte matters on pooled connections: a request that arrives just
+/// before the idle limit still gets the whole deadline to finish. Requests
+/// that violate the protocol (unparseable or missing `Content-Length` on a
+/// method that carries a body, declared length over `max_body`, body
+/// shorter than declared) are rejected with a structured `400` instead of
+/// being silently dropped.
 fn read_request(
     stream: &mut TcpStream,
     deadline: Duration,
     max_body: usize,
 ) -> Result<(Request, bool), ReadFailure> {
-    let start = Instant::now();
+    let mut start = Instant::now();
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
     let head_end = loop {
@@ -396,7 +403,13 @@ fn read_request(
         }
         match read_chunk(stream, &mut chunk, start, deadline) {
             Ok(0) | Err(_) => return Err(ReadFailure::Disconnect),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                if buf.is_empty() {
+                    // the idle wait is over: the request's own clock starts
+                    start = Instant::now();
+                }
+                buf.extend_from_slice(&chunk[..n]);
+            }
         }
     };
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
@@ -1238,6 +1251,64 @@ mod tests {
         }
         body.truncate(len);
         (head, String::from_utf8_lossy(&body).to_string())
+    }
+
+    #[test]
+    fn request_deadline_starts_at_the_first_byte_not_the_idle_wait() {
+        // a pooled connection idles just under the read deadline, then a
+        // POST arrives whose body trails its head: the request gets the
+        // whole deadline from its first byte, so it must be answered
+        let handler: Arc<Handler> = Arc::new(|req: &Request| {
+            (req.path == "/echo").then(|| Response::json(req.body_utf8().unwrap_or("").to_string()))
+        });
+        let server = serve_with("127.0.0.1:0", handler).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+        write!(stream, "GET / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let (head, _) = read_one_response(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        std::thread::sleep(DEFAULT_READ_DEADLINE - Duration::from_millis(100));
+        let body = "{\"late\": true}";
+        write!(
+            stream,
+            "POST /echo HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        stream.write_all(body.as_bytes()).unwrap();
+        let (head, echoed) = read_one_response(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(echoed, body);
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_keep_alive_connections_close_at_the_read_deadline() {
+        let server = serve_opts(
+            "127.0.0.1:0",
+            Options {
+                read_deadline: Duration::from_millis(150),
+                ..Options::default()
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+        write!(stream, "GET / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let (head, _) = read_one_response(&mut stream);
+        assert!(head.contains("Connection: keep-alive"), "{head}");
+        // nothing more is sent: the worker hangs up instead of waiting on
+        let start = Instant::now();
+        let mut rest = Vec::new();
+        let _ = stream.read_to_end(&mut rest);
+        assert!(rest.is_empty());
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            start.elapsed()
+        );
+        server.shutdown();
     }
 
     #[test]

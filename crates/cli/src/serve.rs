@@ -55,15 +55,20 @@
 //! Identical questions get bit-identical answers: records are canonical
 //! (see `iis_core::cache`), the store is first-write-wins, and cached
 //! replies replay the stored bytes — across restarts too, when `--store`
-//! points at the same directory.
+//! points at the same directory. A reply *splices* the record text into
+//! its envelope ([`ObjectWriter`], `iis_cluster::splice_envelope`) rather
+//! than re-rendering a parsed tree: every hit is still parsed and
+//! revalidated, but the bytes sent are the bytes stored.
 
 use crate::{err, flag_value, parse_kernel, CliError};
+use iis_cluster::splice_envelope;
 use iis_core::cache::{
     intern_spec, question_rounds, question_task, solve_keyed, validate_record, KeyedTask,
     QuestionTask, SolveCache,
 };
 use iis_core::solvability::SolveOptions;
 use iis_obs::http::{serve_with, Handler, Request, Response};
+use iis_obs::json::ObjectWriter;
 use iis_obs::{Json, ToJson as _};
 use iis_store::Store;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -74,7 +79,9 @@ use std::time::{Duration, Instant};
 /// One accepted solve question and its lifecycle.
 struct Job {
     spec: String,
-    task: Arc<KeyedTask>,
+    /// The question's task until a worker takes it to solve; a settled job
+    /// keeps only its record text.
+    task: Option<Arc<KeyedTask>>,
     key: u64,
     max_rounds: usize,
     opts: SolveOptions,
@@ -85,10 +92,10 @@ struct Job {
 enum Status {
     Queued,
     Running,
-    /// `result` is the canonical record; `cached` is whether the worker
-    /// found it already stored (e.g. written by a coalesced sibling).
+    /// `result` is the canonical record text; `cached` is whether the
+    /// worker found it already stored (e.g. written by a coalesced sibling).
     Done {
-        result: Json,
+        result: String,
         cached: bool,
     },
     Failed(String),
@@ -191,13 +198,8 @@ struct SolveRequest {
     wait: bool,
 }
 
-fn parse_solve_request(body: &str) -> Result<SolveRequest, String> {
-    let v = Json::parse(body).map_err(|e| format!("bad JSON body: {e}"))?;
-    solve_request_from_json(&v)
-}
-
-/// [`parse_solve_request`] on an already-parsed value — the batch route
-/// hands each array element here directly instead of re-serializing it.
+/// Reads one parsed question body (a single-question body, or one element
+/// of a batch's `"questions"`).
 ///
 /// A spec resolves only as a library spec, through the process-wide
 /// interner (`iis_core::cache::intern_spec`): a network question can never
@@ -248,6 +250,21 @@ fn key_hex(key: u64) -> Json {
     Json::Str(format!("{key:016x}"))
 }
 
+/// The reply for a settled record: `{["coalesced":true,]"cached":…,
+/// ["job":id,]"key":"<hex>","result":<record>}` with the stored record
+/// text spliced in verbatim.
+fn record_reply(coalesced: bool, cached: bool, job: Option<u64>, key: u64, record: &str) -> String {
+    let mut w = ObjectWriter::with_capacity(record.len() + 64);
+    if coalesced {
+        w = w.field("coalesced", &Json::Bool(true));
+    }
+    w = w.field("cached", &Json::Bool(cached));
+    if let Some(id) = job {
+        w = w.field("job", &Json::Num(id as f64));
+    }
+    w.field("key", &key_hex(key)).raw("result", record).finish()
+}
+
 /// Most questions accepted in one batch body. Past this the request is
 /// malformed rather than shed: a well-behaved client splits its sweep.
 const MAX_BATCH: usize = 256;
@@ -260,17 +277,15 @@ enum Admission {
     Pending { id: u64, key: u64, coalesced: bool },
 }
 
-/// One batch-envelope element: the response a question would have gotten
-/// standalone, as `{"status": N, "body": {…}}`.
-fn answer_json(resp: &Response) -> Json {
-    let status: u16 = resp
-        .status
-        .split(' ')
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500);
-    let body = Json::parse(&resp.body).unwrap_or_else(|_| Json::Str(resp.body.clone()));
-    Json::obj([("status", Json::Num(f64::from(status))), ("body", body)])
+/// One batch-envelope element's body: the response a question would have
+/// gotten standalone. Every JSON response here is a compact rendering, so
+/// it is spliced as is; any other body travels as a JSON string.
+fn answer_body(resp: Response) -> String {
+    if resp.content_type == "application/json" {
+        resp.body
+    } else {
+        Json::Str(resp.body).to_string()
+    }
 }
 
 impl SolveService {
@@ -327,7 +342,8 @@ impl SolveService {
                         let info = {
                             let job = st.jobs.get_mut(&id).expect("queued job exists");
                             job.status = Status::Running;
-                            (id, Arc::clone(&job.task), job.key, job.max_rounds, job.opts)
+                            let task = job.task.take().expect("a queued job holds its task");
+                            (id, task, job.key, job.max_rounds, job.opts)
                         };
                         st.active += 1;
                         iis_obs::metrics::gauge_set("serve.jobs_active", st.active);
@@ -345,7 +361,7 @@ impl SolveService {
             let status =
                 if out.report.witness().is_some() || out.report.results().len() == max_rounds + 1 {
                     Status::Done {
-                        result: iis_core::cache::report_to_json(&out.report),
+                        result: iis_core::cache::report_to_json(&out.report).to_string(),
                         cached: out.hit,
                     }
                 } else if self
@@ -387,20 +403,11 @@ impl SolveService {
         loop {
             match st.jobs.get(&id).map(|j| &j.status) {
                 Some(Status::Done { result, cached }) => {
-                    let mut fields = vec![
-                        ("cached", Json::Bool(*cached)),
-                        ("job", Json::Num(id as f64)),
-                        ("key", key_hex(key)),
-                        ("result", result.clone()),
-                    ];
-                    if coalesced {
-                        fields.insert(0, ("coalesced", Json::Bool(true)));
-                    }
-                    return Response::json(Json::obj(fields).to_string());
+                    return Response::json(record_reply(coalesced, *cached, Some(id), key, result));
                 }
                 Some(Status::Failed(e)) => {
                     return Response::json_status(
-                        "500 Internal Server Error",
+                        500,
                         Json::obj([
                             ("error", Json::Str(e.clone())),
                             ("job", Json::Num(id as f64)),
@@ -447,7 +454,7 @@ impl SolveService {
 
     fn gateway_timeout(id: u64, key: u64, error: String, status: &str) -> Response {
         Response::json_status(
-            "504 Gateway Timeout",
+            504,
             Json::obj([
                 ("error", Json::Str(error)),
                 ("job", Json::Num(id as f64)),
@@ -458,19 +465,15 @@ impl SolveService {
         )
     }
 
-    /// Parses one question body, applying the service-wide deadline.
-    fn prepare(&self, body: &str) -> Result<SolveRequest, Response> {
-        let req = parse_solve_request(body).map_err(|e| Response::bad_request(&e))?;
-        Ok(self.apply_deadline(req))
-    }
-
-    fn apply_deadline(&self, mut req: SolveRequest) -> SolveRequest {
+    /// Reads one parsed question, applying the service-wide deadline.
+    fn prepare(&self, question: &Json) -> Result<SolveRequest, Response> {
+        let mut req = solve_request_from_json(question).map_err(|e| Response::bad_request(&e))?;
         if let Some(deadline) = self.timeout {
             // the search honors the request deadline too, so a worker is
             // never pinned long past the 504 its waiter already received
             req.opts = req.opts.timeout(deadline);
         }
-        req
+        Ok(req)
     }
 
     /// Admits one parsed question: answers immediately from the store,
@@ -479,19 +482,15 @@ impl SolveService {
     /// batch keeps the whole worker pool busy.
     fn admit(&self, req: &SolveRequest) -> Admission {
         let key = req.task.key(req.max_rounds);
-        // fast path: the store already holds a validated record
+        // fast path: the store already holds a record that revalidates;
+        // the reply carries its stored bytes
         if let Some(text) = SharedCache(&self.store).get(key) {
             if let Ok(json) = Json::parse(&text) {
                 if validate_record(&req.task, &json).is_ok() {
                     iis_obs::metrics::add("serve.cache_hits", 1);
-                    return Admission::Ready(Response::json(
-                        Json::obj([
-                            ("cached", Json::Bool(true)),
-                            ("key", key_hex(key)),
-                            ("result", json),
-                        ])
-                        .to_string(),
-                    ));
+                    return Admission::Ready(Response::json(record_reply(
+                        false, true, None, key, &text,
+                    )));
                 }
             }
         }
@@ -499,7 +498,7 @@ impl SolveService {
         let mut st = lock(&self.state);
         if st.shutdown {
             return Admission::Ready(Response::json_status(
-                "503 Service Unavailable",
+                503,
                 Json::obj([("error", Json::Str("shutting down".to_string()))]).to_string(),
             ));
         }
@@ -517,7 +516,7 @@ impl SolveService {
             iis_obs::metrics::add("serve.rejected", 1);
             return Admission::Ready(
                 Response::json_status(
-                    "503 Service Unavailable",
+                    503,
                     Json::obj([
                         ("error", Json::Str("queue full".to_string())),
                         ("queue", self.max_queue.to_json()),
@@ -533,7 +532,7 @@ impl SolveService {
             id,
             Job {
                 spec: req.spec.clone(),
-                task: Arc::clone(&req.task),
+                task: Some(Arc::clone(&req.task)),
                 key,
                 max_rounds: req.max_rounds,
                 opts: req.opts,
@@ -566,20 +565,22 @@ impl SolveService {
         if coalesced {
             fields.insert(0, ("coalesced", Json::Bool(true)));
         }
-        Response::json_status("202 Accepted", Json::obj(fields).to_string())
+        Response::json_status(202, Json::obj(fields).to_string())
     }
 
     /// `POST /solve`: the batch form when the body carries `"questions"`,
-    /// the single-question form otherwise.
+    /// the single-question form otherwise. The body is parsed once.
     fn handle_solve(&self, body: &str) -> Response {
-        if let Ok(v) = Json::parse(body) {
-            match v.get("questions") {
-                Some(Json::Arr(questions)) => return self.handle_batch(questions),
-                Some(_) => return Response::bad_request("\"questions\" must be an array"),
-                None => {}
-            }
+        let v = match Json::parse(body) {
+            Ok(v) => v,
+            Err(e) => return Response::bad_request(&format!("bad JSON body: {e}")),
+        };
+        match v.get("questions") {
+            Some(Json::Arr(questions)) => return self.handle_batch(questions),
+            Some(_) => return Response::bad_request("\"questions\" must be an array"),
+            None => {}
         }
-        match self.prepare(body) {
+        match self.prepare(&v) {
             Err(resp) => resp,
             Ok(req) => match self.admit(&req) {
                 Admission::Ready(resp) => resp,
@@ -604,20 +605,15 @@ impl SolveService {
         iis_obs::metrics::add("serve.batch_requests", 1);
         let admitted: Vec<(bool, Admission)> = questions
             .iter()
-            .map(|q| {
-                let prepared = solve_request_from_json(q)
-                    .map_err(|e| Response::bad_request(&e))
-                    .map(|req| self.apply_deadline(req));
-                match prepared {
-                    Ok(req) => {
-                        let wait = req.wait;
-                        (wait, self.admit(&req))
-                    }
-                    Err(resp) => (true, Admission::Ready(resp)),
+            .map(|q| match self.prepare(q) {
+                Ok(req) => {
+                    let wait = req.wait;
+                    (wait, self.admit(&req))
                 }
+                Err(resp) => (true, Admission::Ready(resp)),
             })
             .collect();
-        let answers: Vec<Json> = admitted
+        let answers: Vec<(u16, String)> = admitted
             .into_iter()
             .map(|(wait, adm)| {
                 let resp = match adm {
@@ -626,46 +622,47 @@ impl SolveService {
                         self.respond(wait, id, key, coalesced)
                     }
                 };
-                answer_json(&resp)
+                (resp.status, answer_body(resp))
             })
             .collect();
-        Response::json(Json::obj([("answers", Json::Arr(answers))]).to_string())
+        Response::json(splice_envelope(
+            answers
+                .iter()
+                .map(|(status, body)| (*status, body.as_str())),
+        ))
     }
 
-    fn job_json(id: u64, job: &Job) -> Json {
-        let mut fields = vec![
-            ("job", Json::Num(id as f64)),
-            ("spec", Json::Str(job.spec.clone())),
-            ("max_rounds", job.max_rounds.to_json()),
-            ("status", Json::Str(job.status.name().to_string())),
-        ];
+    /// One job's `GET /jobs` entry, with a settled record spliced in.
+    fn job_json(id: u64, job: &Job) -> String {
+        let w = ObjectWriter::new()
+            .field("job", &Json::Num(id as f64))
+            .field("spec", &Json::Str(job.spec.clone()))
+            .field("max_rounds", &job.max_rounds.to_json())
+            .field("status", &Json::Str(job.status.name().to_string()));
         match &job.status {
-            Status::Done { result, cached } => {
-                fields.push(("cached", Json::Bool(*cached)));
-                fields.push(("result", result.clone()));
-            }
-            Status::Failed(e) | Status::TimedOut(e) => {
-                fields.push(("error", Json::Str(e.clone())));
-            }
-            _ => {}
+            Status::Done { result, cached } => w
+                .field("cached", &Json::Bool(*cached))
+                .raw("result", result),
+            Status::Failed(e) | Status::TimedOut(e) => w.field("error", &Json::Str(e.clone())),
+            _ => w,
         }
-        Json::obj(fields)
+        .finish()
     }
 
     /// `GET /jobs` and `GET /jobs/<id>`.
     fn handle_jobs(&self, path: &str) -> Response {
         let st = lock(&self.state);
         if path == "/jobs" {
-            let jobs: Vec<Json> = st
+            let jobs: Vec<String> = st
                 .jobs
                 .iter()
                 .map(|(&id, job)| Self::job_json(id, job))
                 .collect();
-            return Response::json(Json::obj([("jobs", Json::Arr(jobs))]).to_string());
+            return Response::json(format!("{{\"jobs\":[{}]}}", jobs.join(",")));
         }
         let id = path.strip_prefix("/jobs/").and_then(|s| s.parse().ok());
         match id.and_then(|id: u64| st.jobs.get(&id).map(|j| (id, j))) {
-            Some((id, job)) => Response::json(Self::job_json(id, job).to_string()),
+            Some((id, job)) => Response::json(Self::job_json(id, job)),
             None => Response::not_found(),
         }
     }
@@ -704,7 +701,7 @@ impl SolveService {
         if ready {
             Response::json(body)
         } else {
-            Response::json_status("503 Service Unavailable", body)
+            Response::json_status(503, body)
         }
     }
 
@@ -860,6 +857,7 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         let abandoned: Vec<u64> = st.queue.drain(..).collect();
         for id in abandoned {
             if let Some(job) = st.jobs.get_mut(&id) {
+                job.task = None;
                 job.status =
                     Status::Failed("server shut down before the job could run".to_string());
             }
@@ -1197,22 +1195,22 @@ mod tests {
     fn batch_cap_and_empty_batch() {
         let svc = stalled_service(4096, None);
         let r = svc.handle_solve(r#"{"questions": []}"#);
-        assert_eq!(r.status, "200 OK");
+        assert_eq!(r.status, 200);
         assert_eq!(r.body, "{\"answers\":[]}");
         let r = svc.handle_solve(r#"{"questions": 3}"#);
-        assert_eq!(r.status, "400 Bad Request");
+        assert_eq!(r.status, 400);
         let many: Vec<String> = (0..=MAX_BATCH)
             .map(|_| r#"{"spec": "trivial:1", "wait": false}"#.to_string())
             .collect();
         let r = svc.handle_solve(&format!("{{\"questions\": [{}]}}", many.join(",")));
-        assert_eq!(r.status, "400 Bad Request");
+        assert_eq!(r.status, 400);
         assert!(r.body.contains("cap"), "{}", r.body);
         // non-waiting questions come back as 202 elements in the envelope
         let r = svc.handle_solve(
             r#"{"questions": [{"spec": "trivial:1", "wait": false},
                               {"spec": "trivial:1", "wait": false}]}"#,
         );
-        assert_eq!(r.status, "200 OK");
+        assert_eq!(r.status, 200);
         let v = Json::parse(&r.body).unwrap();
         let Some(Json::Arr(answers)) = v.get("answers") else {
             panic!("{}", r.body);
@@ -1242,7 +1240,7 @@ mod tests {
         );
         let body = Json::obj([("spec", Json::Str(spec.clone()))]).to_string();
         let shard = stalled_service(4, None).handle_solve(&body);
-        assert_eq!(shard.status, "400 Bad Request");
+        assert_eq!(shard.status, 400);
         let gateway = iis_cluster::Gateway::new(
             Arc::new(iis_cluster::HttpTransport::new(Duration::from_secs(1))),
             iis_cluster::GatewayConfig {
@@ -1279,20 +1277,126 @@ mod tests {
         SolveService::new(Box::new(HashMap::new()), max_queue, timeout, None)
     }
 
+    /// The reply as the shard rendered it before splicing: parse every
+    /// spliced piece back into a tree and render the whole thing.
+    fn rerendered(reply: &str) -> String {
+        Json::parse(reply).unwrap().to_string()
+    }
+
+    #[test]
+    fn spliced_replies_equal_the_parse_render_construction() {
+        let specs = ["eps:1:3", "trivial:1", "consensus:1", "oneshot:1"];
+        let mut store = HashMap::new();
+        let mut records = Vec::new();
+        for spec in specs {
+            let keyed = intern_spec(spec).unwrap();
+            solve_keyed(&keyed, 2, &SolveOptions::new(), &mut store);
+            let key = keyed.key(2);
+            records.push((key, store.get(&key).cloned().unwrap()));
+        }
+        let svc = SolveService::new(Box::new(store), 8, None, None);
+        for (spec, (key, record)) in specs.iter().zip(&records) {
+            let reply = svc.handle_solve(&format!(r#"{{"spec": "{spec}", "max_rounds": 2}}"#));
+            assert_eq!(reply.status, 200);
+            let old = Json::obj([
+                ("cached", Json::Bool(true)),
+                ("key", key_hex(*key)),
+                ("result", Json::parse(record).unwrap()),
+            ])
+            .to_string();
+            assert_eq!(reply.body, old, "{spec}");
+        }
+        // a batch mixing hits, a refusal and a queued question
+        let batch = r#"{"questions": [
+            {"spec": "eps:1:3", "max_rounds": 2},
+            {"spec": "nope:1"},
+            {"spec": "oneshot:1", "max_rounds": 2},
+            {"spec": "trivial:2", "wait": false},
+            {"spec": "eps:1:3", "max_rounds": 2}
+        ]}"#;
+        let reply = svc.handle_solve(batch);
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.body, rerendered(&reply.body));
+        let v = Json::parse(&reply.body).unwrap();
+        let statuses: Vec<u64> = v
+            .get("answers")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|a| a.get("status").and_then(Json::as_u64).unwrap())
+            .collect();
+        assert_eq!(statuses, [200, 400, 200, 202, 200]);
+        let element = |i: usize| v.get("answers").unwrap().as_array().unwrap()[i].clone();
+        assert_eq!(
+            element(0).get("body").unwrap().to_string(),
+            svc.handle_solve(r#"{"spec": "eps:1:3", "max_rounds": 2}"#)
+                .body
+        );
+    }
+
+    #[test]
+    fn settled_jobs_keep_their_bytes_and_drop_their_task() {
+        let svc = Arc::new(stalled_service(8, None));
+        let worker = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.worker_loop())
+        };
+        let solved = svc.handle_solve(r#"{"spec": "eps:1:3", "max_rounds": 2}"#);
+        assert_eq!(solved.status, 200);
+        let record = Json::parse(&solved.body)
+            .unwrap()
+            .get("result")
+            .unwrap()
+            .clone();
+        // the reply the waiter got, as the tree construction rendered it
+        let key = intern_spec("eps:1:3").unwrap().key(2);
+        let old_reply = Json::obj([
+            ("cached", Json::Bool(false)),
+            ("job", Json::Num(1.0)),
+            ("key", key_hex(key)),
+            ("result", record.clone()),
+        ])
+        .to_string();
+        assert_eq!(solved.body, old_reply);
+        let old_job = Json::obj([
+            ("job", Json::Num(1.0)),
+            ("spec", Json::Str("eps:1:3".into())),
+            ("max_rounds", Json::Num(2.0)),
+            ("status", Json::Str("done".into())),
+            ("cached", Json::Bool(false)),
+            ("result", record),
+        ]);
+        let one = svc.handle_jobs("/jobs/1");
+        assert_eq!(one.body, old_job.to_string());
+        let all = svc.handle_jobs("/jobs");
+        assert_eq!(
+            all.body,
+            Json::obj([("jobs", Json::Arr(vec![old_job]))]).to_string()
+        );
+        // the settled job holds its record text, not its task
+        assert!(lock(&svc.state).jobs[&1].task.is_none());
+        svc.stop_workers.store(true, Ordering::Release);
+        svc.changed.notify_all();
+        worker.join().unwrap();
+        // an empty registry lists no jobs
+        let r = stalled_service(8, None).handle_jobs("/jobs");
+        assert_eq!(r.body, "{\"jobs\":[]}");
+    }
+
     #[test]
     fn full_queue_answers_503_with_retry_after() {
         let svc = stalled_service(1, None);
         // first job occupies the whole queue (no worker ever pops it)
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "wait": false}"#);
-        assert_eq!(r.status, "202 Accepted");
+        assert_eq!(r.status, 202);
         // a different key is shed with 503 + Retry-After
         let r = svc.handle_solve(r#"{"spec": "trivial:2", "wait": false}"#);
-        assert_eq!(r.status, "503 Service Unavailable");
+        assert_eq!(r.status, 503);
         assert!(r.headers.iter().any(|(n, _)| *n == "Retry-After"), "{r:?}");
         assert!(r.body.contains("queue full"), "{}", r.body);
         // the same key coalesces instead of being rejected
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "wait": false}"#);
-        assert_eq!(r.status, "202 Accepted");
+        assert_eq!(r.status, 202);
         assert!(r.body.contains("coalesced"), "{}", r.body);
     }
 
@@ -1301,14 +1405,14 @@ mod tests {
         let svc = stalled_service(8, Some(Duration::from_millis(80)));
         let start = Instant::now();
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "max_rounds": 1}"#);
-        assert_eq!(r.status, "504 Gateway Timeout");
+        assert_eq!(r.status, 504);
         assert!(start.elapsed() >= Duration::from_millis(80));
         let v = Json::parse(&r.body).unwrap();
         assert!(matches!(v.get("error"), Some(Json::Str(_))), "{}", r.body);
         // the job is still pollable after the waiter gave up
         let id = v.get("job").unwrap().as_f64().unwrap() as u64;
         let r = svc.handle_jobs(&format!("/jobs/{id}"));
-        assert_eq!(r.status, "200 OK");
+        assert_eq!(r.status, 200);
         assert!(r.body.contains("queued"), "{}", r.body);
     }
 
@@ -1317,11 +1421,11 @@ mod tests {
         let svc = stalled_service(8, None);
         svc.request_shutdown();
         let r = svc.handle_solve(r#"{"spec": "trivial:1"}"#);
-        assert_eq!(r.status, "503 Service Unavailable");
+        assert_eq!(r.status, 503);
         assert!(r.body.contains("shutting down"), "{}", r.body);
         // and /readyz reports the drain
         let r = svc.handle_ready();
-        assert_eq!(r.status, "503 Service Unavailable");
+        assert_eq!(r.status, 503);
         let v = Json::parse(&r.body).unwrap();
         assert_eq!(v.get("draining"), Some(&Json::Bool(true)), "{}", r.body);
     }
@@ -1342,7 +1446,7 @@ mod tests {
                 body: Vec::new(),
             };
             let r = svc.handle(&req).expect("service owns the route");
-            assert_eq!(r.status, "405 Method Not Allowed", "{method} {path}");
+            assert_eq!(r.status, 405, "{method} {path}");
             assert_eq!(
                 r.headers.iter().find(|(n, _)| *n == "Allow"),
                 Some(&("Allow", allow.to_string())),

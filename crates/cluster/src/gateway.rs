@@ -22,15 +22,25 @@
 //! handful of round trips, not 100. Answers return as one array in
 //! question order; per-question failures fail over individually without
 //! disturbing the rest of the batch.
+//!
+//! **Bytes, not trees.** Answers travel as the text the shard wrote. The
+//! gateway parses each *question* (it must read the task to route it), but
+//! never an answer: a single reply is relayed verbatim after a validity
+//! scan, a shard's batch envelope is cut into `(status, body)` spans by
+//! [`iis_obs::json::layout`], and the client's envelope is spliced around
+//! those bodies by [`splice_envelope`]. Upstream batch bodies are spliced
+//! from the question texts as the client sent them.
 
 use crate::health::{HealthRegistry, ShardHealth};
 use crate::transport::Transport;
 use iis_core::cache::{
     finish_key, fnv1a64, key_prefix, question_rounds, question_task, KeyedTask, Lru, QuestionTask,
 };
+use iis_obs::json::{self, Layout};
 use iis_obs::{Json, ToJson as _};
 use iis_tasks::library::parse_spec;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -74,13 +84,6 @@ pub struct Answer {
 }
 
 impl Answer {
-    fn error(status: u16, msg: &str) -> Answer {
-        Answer {
-            status,
-            body: Json::obj([("error", Json::Str(msg.to_string()))]),
-        }
-    }
-
     /// Renders the batch-envelope element `{"status": N, "body": …}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -90,13 +93,67 @@ impl Answer {
     }
 }
 
-/// Renders a batch envelope `{"answers": […]}` from per-question answers.
+/// Renders a batch envelope `{"answers": […]}` from per-question answers:
+/// [`splice_envelope`] over each body's compact rendering.
 pub fn batch_envelope(answers: &[Answer]) -> String {
-    Json::obj([(
-        "answers",
-        Json::Arr(answers.iter().map(Answer::to_json).collect()),
-    )])
-    .to_string()
+    let bodies: Vec<String> = answers.iter().map(|a| a.body.to_string()).collect();
+    splice_envelope(
+        answers
+            .iter()
+            .zip(&bodies)
+            .map(|(a, body)| (a.status, body.as_str())),
+    )
+}
+
+/// Writes the batch envelope `{"answers":[{"status":N,"body":…},…]}`
+/// around answer bodies that are already compact JSON text — the one
+/// envelope writer, used by the shards, the gateway and [`batch_envelope`].
+/// Each body is copied verbatim, so the output equals rendering the same
+/// envelope as a `Json` tree whenever every body is compact JSON.
+pub fn splice_envelope<'a>(answers: impl IntoIterator<Item = (u16, &'a str)>) -> String {
+    let mut out = String::from("{\"answers\":[");
+    for (i, (status, body)) in answers.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"status\":{status},\"body\":");
+        out.push_str(body);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
+}
+
+/// One answer as the gateway carries it: the status plus the body as
+/// compact JSON text, never re-parsed on its way to the client.
+#[derive(Clone)]
+struct Reply {
+    status: u16,
+    body: String,
+}
+
+impl Reply {
+    fn error(status: u16, msg: &str) -> Reply {
+        Reply {
+            status,
+            body: error_body(msg),
+        }
+    }
+}
+
+/// `{"error": msg}`, compact.
+fn error_body(msg: &str) -> String {
+    Json::obj([("error", Json::Str(msg.to_string()))]).to_string()
+}
+
+/// An upstream reply body as an answer body: verbatim when it is JSON (a
+/// validity scan, no tree), otherwise wrapped as a JSON string.
+fn relay_body(text: String) -> String {
+    if json::validate(&text).is_ok() {
+        text
+    } else {
+        Json::Str(text).to_string()
+    }
 }
 
 /// Library specs whose key prefix the gateway remembers. An entry is the
@@ -202,7 +259,7 @@ impl Gateway {
     /// Answers one question by trying its replicas in order. 4xx answers
     /// relay as-is (the question itself is bad — no replica will disagree);
     /// transport errors and 5xx answers fail over to the next replica.
-    fn solve_via_replicas(&self, body: &str, replicas: &[usize], skip: Option<usize>) -> Answer {
+    fn solve_via_replicas(&self, body: &str, replicas: &[usize], skip: Option<usize>) -> Reply {
         let mut attempts = 0u32;
         for &idx in replicas {
             if Some(idx) == skip {
@@ -218,15 +275,45 @@ impl Gateway {
                     if attempts > 1 || skip.is_some() {
                         iis_obs::metrics::add("gateway.failovers", 1);
                     }
-                    return Answer {
+                    return Reply {
                         status: r.status,
-                        body: Json::parse(&r.body).unwrap_or_else(|_| Json::Str(r.body.clone())),
+                        body: relay_body(r.body),
                     };
                 }
                 Ok(_) | Err(_) => self.health.report_failure(idx),
             }
         }
-        Answer::error(503, "no replica answered")
+        Reply::error(503, "no replica answered")
+    }
+
+    /// `POST /solve` as `iis gateway` serves it: a `{"questions": […]}`
+    /// body scatter-gathers (the envelope status is always `200`),
+    /// anything else relays as one question. The batch is split into
+    /// question texts by one scan of the body; no question is re-rendered.
+    pub fn solve(&self, body: &str) -> (u16, String) {
+        let Ok(Layout::Object(members)) = json::layout(body) else {
+            return self.solve_one(body);
+        };
+        let Some((_, span)) = members.iter().find(|(k, _)| k == "questions") else {
+            return self.solve_one(body);
+        };
+        let array = &body[span.clone()];
+        match json::layout(array) {
+            Ok(Layout::Array(items)) => {
+                let questions = items
+                    .iter()
+                    .map(|span| {
+                        let text = &array[span.clone()];
+                        let key = Json::parse(text)
+                            .map_err(|e| e.to_string())
+                            .and_then(|q| question_key(&q));
+                        (text, key)
+                    })
+                    .collect();
+                (200, self.scatter_gather(questions))
+            }
+            _ => (400, error_body("\"questions\" must be an array")),
+        }
     }
 
     /// `POST /solve` with a single-question object body: route and relay,
@@ -235,50 +322,55 @@ impl Gateway {
         iis_obs::metrics::add("gateway.requests", 1);
         let q = match Json::parse(body) {
             Ok(q) => q,
-            Err(e) => {
-                return (
-                    400,
-                    Json::obj([("error", Json::Str(format!("bad JSON body: {e}")))]).to_string(),
-                )
-            }
+            Err(e) => return (400, error_body(&format!("bad JSON body: {e}"))),
         };
         let key = match question_key(&q) {
             Ok(k) => k,
-            Err(e) => return (400, Json::obj([("error", Json::Str(e))]).to_string()),
+            Err(e) => return (400, error_body(&e)),
         };
         let replicas = self.replicas_for(key);
         if replicas.is_empty() {
             iis_obs::metrics::add("gateway.unroutable", 1);
-            return (
-                503,
-                Json::obj([("error", Json::Str("no backends configured".into()))]).to_string(),
-            );
+            return (503, error_body("no backends configured"));
         }
-        let answer = self.solve_via_replicas(body, &replicas, None);
-        (answer.status, answer.body.to_string())
+        let reply = self.solve_via_replicas(body, &replicas, None);
+        (reply.status, reply.body)
     }
 
-    /// `POST /solve` with a `{"questions": […]}` batch body: scatter by
-    /// primary shard, coalesce same-shard questions into one upstream
-    /// batch call, gather one ordered answer array.
+    /// The batch form on already-parsed questions: each is rendered once
+    /// to the text its upstream call carries. [`Gateway::solve`] takes the
+    /// client's own question texts instead.
     pub fn solve_batch(&self, questions: &[Json]) -> String {
+        let texts: Vec<String> = questions.iter().map(Json::to_string).collect();
+        let questions = questions
+            .iter()
+            .zip(&texts)
+            .map(|(q, t)| (t.as_str(), question_key(q)))
+            .collect();
+        self.scatter_gather(questions)
+    }
+
+    /// Scatters `(question text, routing key)` pairs by primary shard,
+    /// coalesces same-shard questions into one upstream batch call, and
+    /// gathers one ordered answer envelope.
+    fn scatter_gather(&self, questions: Vec<(&str, Result<u64, String>)>) -> String {
         iis_obs::metrics::add("gateway.batch_requests", 1);
         iis_obs::metrics::add("gateway.requests", questions.len() as u64);
-        let mut answers: Vec<Option<Answer>> = vec![None; questions.len()];
+        let mut answers: Vec<Option<Reply>> = vec![None; questions.len()];
         // route every question; invalid ones answer 400 without a trip
-        let mut routed: Vec<(usize, u64, Vec<usize>)> = Vec::new();
-        for (i, q) in questions.iter().enumerate() {
-            match question_key(q) {
+        let mut routed: Vec<(usize, &str, Vec<usize>)> = Vec::new();
+        for (i, (text, key)) in questions.into_iter().enumerate() {
+            match key {
                 Ok(key) => {
                     let replicas = self.replicas_for(key);
                     if replicas.is_empty() {
                         iis_obs::metrics::add("gateway.unroutable", 1);
-                        answers[i] = Some(Answer::error(503, "no backends configured"));
+                        answers[i] = Some(Reply::error(503, "no backends configured"));
                     } else {
-                        routed.push((i, key, replicas));
+                        routed.push((i, text, replicas));
                     }
                 }
-                Err(e) => answers[i] = Some(Answer::error(400, &e)),
+                Err(e) => answers[i] = Some(Reply::error(400, &e)),
             }
         }
         // group by primary shard
@@ -295,7 +387,7 @@ impl Gateway {
             let Some((shard, members)) = groups.get(g) else {
                 return;
             };
-            let got = self.dispatch_group(questions, &routed, *shard, members);
+            let got = self.dispatch_group(&routed, *shard, members);
             let mut slots = answers.lock().unwrap_or_else(PoisonError::into_inner);
             for (pos, answer) in members.iter().zip(got) {
                 slots[routed[*pos].0] = Some(answer);
@@ -315,13 +407,13 @@ impl Gateway {
                 drain();
             });
         }
-        let answers: Vec<Answer> = answers
+        let answers: Vec<Reply> = answers
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
             .into_iter()
-            .map(|a| a.unwrap_or_else(|| Answer::error(500, "answer lost")))
+            .map(|a| a.unwrap_or_else(|| Reply::error(500, "answer lost")))
             .collect();
-        batch_envelope(&answers)
+        splice_envelope(answers.iter().map(|a| (a.status, a.body.as_str())))
     }
 
     /// Sends one group's questions to its primary shard (one coalesced
@@ -329,29 +421,20 @@ impl Gateway {
     /// per question on shard or per-question failure.
     fn dispatch_group(
         &self,
-        questions: &[Json],
-        routed: &[(usize, u64, Vec<usize>)],
+        routed: &[(usize, &str, Vec<usize>)],
         shard: usize,
         members: &[usize],
-    ) -> Vec<Answer> {
+    ) -> Vec<Reply> {
         let failover = |pos: usize| {
-            let (qi, _, replicas) = &routed[pos];
-            self.solve_via_replicas(&questions[*qi].to_string(), replicas, Some(shard))
+            let (_, question, replicas) = &routed[pos];
+            self.solve_via_replicas(question, replicas, Some(shard))
         };
         if members.len() == 1 {
-            let (qi, _, replicas) = &routed[members[0]];
-            return vec![self.solve_via_replicas(&questions[*qi].to_string(), replicas, None)];
+            let (_, question, replicas) = &routed[members[0]];
+            return vec![self.solve_via_replicas(question, replicas, None)];
         }
-        let body = Json::obj([(
-            "questions",
-            Json::Arr(
-                members
-                    .iter()
-                    .map(|&p| questions[routed[p].0].clone())
-                    .collect(),
-            ),
-        )])
-        .to_string();
+        let texts: Vec<&str> = members.iter().map(|&p| routed[p].1).collect();
+        let body = format!("{{\"questions\":[{}]}}", texts.join(","));
         let upstream = match self.transport.post(&self.backends[shard], "/solve", &body) {
             Ok(r) if r.status == 200 => parse_batch_answers(&r.body, members.len()),
             Ok(_) | Err(_) => None,
@@ -432,25 +515,43 @@ impl Gateway {
     }
 }
 
-/// Parses a backend batch envelope into per-question [`Answer`]s; `None`
-/// when the body is not a well-formed envelope of exactly `expect`
-/// answers (a truncated or garbled reply must trigger failover, never a
-/// misaligned answer array).
-fn parse_batch_answers(body: &str, expect: usize) -> Option<Vec<Answer>> {
-    let v = Json::parse(body).ok()?;
-    let Some(Json::Arr(items)) = v.get("answers") else {
+/// Splits a backend batch envelope into per-question `(status, body
+/// text)` replies with the span scanner; `None` when the body is not a
+/// well-formed envelope of exactly `expect` answers (a truncated or
+/// garbled reply must trigger failover, never a misaligned answer array).
+/// Each body is the shard's text, cut out rather than re-rendered.
+fn parse_batch_answers(body: &str, expect: usize) -> Option<Vec<Reply>> {
+    let Layout::Object(members) = json::layout(body).ok()? else {
+        return None;
+    };
+    let (_, span) = members.iter().find(|(k, _)| k == "answers")?;
+    let array = &body[span.clone()];
+    let Layout::Array(items) = json::layout(array).ok()? else {
         return None;
     };
     if items.len() != expect {
         return None;
     }
-    let mut answers = Vec::with_capacity(items.len());
-    for item in items {
-        let status = item.get("status")?.as_f64()? as u16;
-        let body = item.get("body")?.clone();
-        answers.push(Answer { status, body });
-    }
-    Some(answers)
+    items
+        .iter()
+        .map(|item| {
+            let item = &array[item.clone()];
+            let Layout::Object(fields) = json::layout(item).ok()? else {
+                return None;
+            };
+            let field = |name: &str| {
+                fields
+                    .iter()
+                    .find(|(k, _)| k == name)
+                    .map(|(_, span)| &item[span.clone()])
+            };
+            let status = Json::parse(field("status")?).ok()?.as_f64()? as u16;
+            Some(Reply {
+                status,
+                body: field("body")?.to_string(),
+            })
+        })
+        .collect()
 }
 
 /// Merges Prometheus text expositions by summing series with identical
@@ -880,6 +981,90 @@ mod tests {
         assert_eq!(answers.len(), 3);
         for a in answers {
             assert_eq!(a.get("status"), Some(&Json::Num(503.0)), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn spliced_envelopes_equal_the_parse_render_construction() {
+        let gw = Gateway::new(
+            Arc::new(FakeCluster { dead: vec![] }),
+            GatewayConfig {
+                backends: vec!["a:1".into(), "b:1".into(), "c:1".into()],
+                replicas: 2,
+                workers: 2,
+            },
+        );
+        let qs = questions(9);
+        // the client's own spacing; the gateway splits, never re-renders
+        let texts: Vec<String> = qs.iter().map(Json::to_string_pretty).collect();
+        let body = format!("{{ \"questions\" : [ {} ] }}", texts.join(" ,\n"));
+        let (status, envelope) = gw.solve(&body);
+        assert_eq!(status, 200);
+        let old = Json::obj([(
+            "answers",
+            Json::Arr(
+                qs.iter()
+                    .map(|q| Json::obj([("status", Json::Num(200.0)), ("body", canned_answer(q))]))
+                    .collect(),
+            ),
+        )])
+        .to_string();
+        assert_eq!(envelope, old);
+        // the pre-parsed entry point builds the same bytes
+        assert_eq!(gw.solve_batch(&qs), old);
+        // a single question relays the shard's bytes
+        assert_eq!(
+            gw.solve(&texts[0]),
+            (200, canned_answer(&qs[0]).to_string())
+        );
+        // batch_envelope keeps its bytes: the tree rendering, element by element
+        let answers = [
+            Answer {
+                status: 200,
+                body: canned_answer(&qs[1]),
+            },
+            Answer {
+                status: 503,
+                body: Json::Str("no \"replica\"\n".into()),
+            },
+        ];
+        let tree = Json::obj([(
+            "answers",
+            Json::Arr(answers.iter().map(Answer::to_json).collect()),
+        )]);
+        assert_eq!(batch_envelope(&answers), tree.to_string());
+        assert_eq!(batch_envelope(&[]), "{\"answers\":[]}");
+        assert_eq!(
+            gw.solve(r#"{"questions": 3}"#),
+            (
+                400,
+                r#"{"error":"\"questions\" must be an array"}"#.to_string()
+            )
+        );
+    }
+
+    #[test]
+    fn batch_answer_split_keeps_its_strictness() {
+        let good = r#"{"answers":[{"status":200,"body":{"a":[1,2]}},{"body":"x","status":503.0}]}"#;
+        let got = parse_batch_answers(good, 2).unwrap();
+        assert_eq!(
+            (got[0].status, got[0].body.as_str()),
+            (200, r#"{"a":[1,2]}"#)
+        );
+        assert_eq!((got[1].status, got[1].body.as_str()), (503, r#""x""#));
+        for bad in [
+            // wrong count, truncation, missing members, wrong types
+            r#"{"answers":[{"status":200,"body":{}}]}"#,
+            &good[..good.len() - 1],
+            r#"{"answers":[{"status":200,"body":1},{"status":200}]}"#,
+            r#"{"answers":[{"status":"200","body":1},{"status":200,"body":2}]}"#,
+            r#"{"answers":[{"status":200,"body":1},[200,2]]}"#,
+            r#"{"answers":{"status":200}}"#,
+            r#"{"other":[]}"#,
+            "[]",
+            "not json",
+        ] {
+            assert!(parse_batch_answers(bad, 2).is_none(), "accepted {bad}");
         }
     }
 

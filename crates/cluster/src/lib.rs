@@ -32,6 +32,8 @@ pub mod gateway;
 pub mod health;
 pub mod transport;
 
-pub use gateway::{batch_envelope, merge_prometheus, question_key, Answer, Gateway, GatewayConfig};
+pub use gateway::{
+    batch_envelope, merge_prometheus, question_key, splice_envelope, Answer, Gateway, GatewayConfig,
+};
 pub use health::{HealthRegistry, ShardHealth, ShardStatus};
 pub use transport::{HttpTransport, Transport, TransportError, TransportResponse};

@@ -840,6 +840,34 @@ mod tests {
     }
 
     #[test]
+    fn records_rerender_byte_for_byte_in_every_family() {
+        // the shard splices stored records verbatim; that is the old
+        // parse-then-render reply only if rendering a parsed record gives
+        // back its exact bytes — checked for each library family, b ≤ 3
+        for spec in [
+            "trivial:1",
+            "trivial:2",
+            "consensus:1",
+            "kset:1:2",
+            "renaming:1:3",
+            "eps:1:9",
+            "oneshot:1",
+            "oneshot:2",
+        ] {
+            let task = iis_tasks::library::parse_spec(spec).unwrap();
+            for b in 0..=3 {
+                let report = solve_up_to_opts(&task, b, &SolveOptions::new());
+                let record = report_to_json(&report).to_string();
+                assert_eq!(
+                    Json::parse(&record).unwrap().to_string(),
+                    record,
+                    "{spec} b={b}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn record_roundtrip_preserves_the_witness() {
         let t = approximate_agreement(1, 3);
         let report = solve_up_to_opts(&t, 2, &SolveOptions::new());

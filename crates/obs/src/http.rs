@@ -58,6 +58,7 @@
 //! traffic is counted by `http.client_requests`, `http.client_reused` and
 //! `http.client_retries`.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,8 +105,9 @@ impl Request {
 /// A response for a [`serve_with`] handler to return.
 #[derive(Clone, Debug)]
 pub struct Response {
-    /// Status line tail, e.g. `"200 OK"`.
-    pub status: &'static str,
+    /// Numeric status code; the reason phrase comes from
+    /// [`reason_phrase`] when the status line is written.
+    pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
     /// Extra response headers (e.g. `Retry-After`, `Allow`), emitted after
@@ -118,11 +120,11 @@ pub struct Response {
 impl Response {
     /// A `200 OK` JSON response.
     pub fn json(body: impl Into<String>) -> Response {
-        Response::json_status("200 OK", body)
+        Response::json_status(200, body)
     }
 
-    /// A JSON response with an explicit status line (e.g. `"202 Accepted"`).
-    pub fn json_status(status: &'static str, body: impl Into<String>) -> Response {
+    /// A JSON response with an explicit status (e.g. `202`).
+    pub fn json_status(status: u16, body: impl Into<String>) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -131,8 +133,8 @@ impl Response {
         }
     }
 
-    /// A plain-text response with an explicit status line.
-    pub fn text(status: &'static str, body: impl Into<String>) -> Response {
+    /// A plain-text response with an explicit status.
+    pub fn text(status: u16, body: impl Into<String>) -> Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -150,19 +152,19 @@ impl Response {
 
     /// The stock `404 Not Found` response.
     pub fn not_found() -> Response {
-        Response::text("404 Not Found", "not found\n")
+        Response::text(404, "not found\n")
     }
 
     /// The stock `405 Method Not Allowed` response, advertising the methods
     /// the route does accept via the `Allow` header.
     pub fn method_not_allowed(allow: &'static str) -> Response {
-        Response::text("405 Method Not Allowed", "method not allowed\n").with_header("Allow", allow)
+        Response::text(405, "method not allowed\n").with_header("Allow", allow)
     }
 
     /// A `400 Bad Request` JSON error body: `{"error": msg}`.
     pub fn bad_request(msg: &str) -> Response {
         Response::json_status(
-            "400 Bad Request",
+            400,
             crate::json::Json::obj([("error", crate::json::Json::Str(msg.to_string()))])
                 .to_string(),
         )
@@ -468,11 +470,47 @@ fn read_request(
     Ok((Request { method, path, body }, keep_alive))
 }
 
+/// The reason phrase of `status` — the one table every status line the
+/// server writes comes from. A code outside it keeps its number and gets
+/// an empty phrase (RFC 9110 §15: clients ignore the phrase), so a relayed
+/// status is never rewritten.
+pub fn reason_phrase(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        201 => "Created",
+        202 => "Accepted",
+        204 => "No Content",
+        301 => "Moved Permanently",
+        302 => "Found",
+        304 => "Not Modified",
+        400 => "Bad Request",
+        401 => "Unauthorized",
+        403 => "Forbidden",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        408 => "Request Timeout",
+        409 => "Conflict",
+        413 => "Payload Too Large",
+        415 => "Unsupported Media Type",
+        422 => "Unprocessable Content",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        501 => "Not Implemented",
+        502 => "Bad Gateway",
+        503 => "Service Unavailable",
+        504 => "Gateway Timeout",
+        _ => "",
+    }
+}
+
 fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool) {
-    let mut reply = format!(
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\n\
+    let mut reply = String::with_capacity(160 + response.body.len());
+    let _ = write!(
+        reply,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n\
          Content-Length: {}\r\nConnection: {}\r\n",
         response.status,
+        reason_phrase(response.status),
         response.content_type,
         response.body.len(),
         if keep_alive { "keep-alive" } else { "close" },
@@ -538,7 +576,7 @@ fn route(request: &Request, handler: Option<&Handler>) -> Response {
     }
     match request.path.as_str() {
         "/metrics" => Response {
-            status: "200 OK",
+            status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
             headers: Vec::new(),
             body: prometheus_text(&metrics::snapshot()),
@@ -546,7 +584,7 @@ fn route(request: &Request, handler: Option<&Handler>) -> Response {
         "/progress" => Response::json(progress::snapshot().to_json().to_string_pretty()),
         "/snapshot" => Response::json(metrics::snapshot().to_json().to_string_pretty()),
         "/" => Response::text(
-            "200 OK",
+            200,
             "iis scrape endpoint\nroutes: /metrics /progress /snapshot\n",
         ),
         _ => Response::not_found(),
@@ -1050,7 +1088,7 @@ mod tests {
                 req.method,
                 req.body_utf8().unwrap_or("")
             ))),
-            "/accepted" => Some(Response::json_status("202 Accepted", "{}")),
+            "/accepted" => Some(Response::json_status(202, "{}")),
             _ => None,
         });
         let server = serve_with("127.0.0.1:0", handler).unwrap();
@@ -1089,7 +1127,7 @@ mod tests {
                 while !*open {
                     open = cv.wait(open).unwrap();
                 }
-                return Some(Response::text("200 OK", "unblocked\n"));
+                return Some(Response::text(200, "unblocked\n"));
             }
             None
         });
@@ -1207,10 +1245,8 @@ mod tests {
     #[test]
     fn extra_response_headers_are_emitted() {
         let handler: Arc<Handler> = Arc::new(|req: &Request| {
-            (req.path == "/busy").then(|| {
-                Response::json_status("503 Service Unavailable", "{}")
-                    .with_header("Retry-After", "1")
-            })
+            (req.path == "/busy")
+                .then(|| Response::json_status(503, "{}").with_header("Retry-After", "1"))
         });
         let server = serve_with("127.0.0.1:0", handler).unwrap();
         let addr = server.addr();

@@ -8,13 +8,19 @@
 //! simplicial complex produces. Parsing is recursive-descent with a depth
 //! limit; writing offers compact and pretty forms.
 //!
+//! Text that is already compact JSON can travel without a tree: the
+//! parser's skip mode ([`validate`], [`layout`]) checks a document and
+//! cuts it into byte spans, and [`ObjectWriter`] splices such text into a
+//! new object — how stored records reach the socket unchanged.
+//!
 //! Conversions go through [`ToJson`] / [`FromJson`], the local analogue of
 //! `Serialize` / `Deserialize`. `FromJson` impls are expected to
 //! re-validate: a `Complex` parsed from JSON goes back through the same
 //! invariant checks as one built programmatically.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// Maximum nesting depth accepted by the parser.
 const MAX_DEPTH: usize = 128;
@@ -72,16 +78,10 @@ pub trait FromJson: Sized {
 impl Json {
     /// Parses a JSON document from `text`.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::<true>::new(text);
         p.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        p.finish()?;
         Ok(v)
     }
 
@@ -243,36 +243,234 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Inf; null is the least-surprising degradation.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-        out.push_str(&format!("{}", n as i64));
+        write_int(out, n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Decimal digits of `v` from a stack buffer — the bytes `format!("{v}")`
+/// gives, without a heap string per number.
+fn write_int(out: &mut String, v: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut m = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
         }
     }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Quotes `s`, pushing each run that needs no escape as one slice (a
+/// string with nothing to escape is pushed whole).
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-struct Parser<'a> {
+/// A compact JSON object written member by member, where a member's value
+/// may be text that is *already* compact JSON. This is the splicing writer
+/// behind replies that carry a stored record verbatim: the output is
+/// byte-identical to building the `Json::obj` and calling `to_string`,
+/// provided every spliced text is itself the compact rendering of its
+/// value (as every `to_string` output is).
+///
+/// # Examples
+///
+/// ```
+/// use iis_obs::json::{Json, ObjectWriter};
+/// let record = Json::parse(r#"{"ok":true}"#).unwrap();
+/// let spliced = ObjectWriter::new()
+///     .field("cached", &Json::Bool(true))
+///     .raw("result", &record.to_string())
+///     .finish();
+/// let rendered = Json::obj([("cached", Json::Bool(true)), ("result", record)]).to_string();
+/// assert_eq!(spliced, rendered);
+/// ```
+#[derive(Debug)]
+pub struct ObjectWriter {
+    out: String,
+}
+
+impl Default for ObjectWriter {
+    fn default() -> Self {
+        ObjectWriter::new()
+    }
+}
+
+impl ObjectWriter {
+    /// An empty object.
+    pub fn new() -> ObjectWriter {
+        ObjectWriter::with_capacity(0)
+    }
+
+    /// An empty object whose buffer holds `bytes` without reallocating.
+    pub fn with_capacity(bytes: usize) -> ObjectWriter {
+        let mut out = String::with_capacity(bytes + 2);
+        out.push('{');
+        ObjectWriter { out }
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        write_string(&mut self.out, key);
+        self.out.push(':');
+    }
+
+    /// Appends member `key` with `value` rendered compactly.
+    #[must_use]
+    pub fn field(mut self, key: &str, value: &Json) -> ObjectWriter {
+        self.key(key);
+        value.write(&mut self.out, None, 0);
+        self
+    }
+
+    /// Appends member `key` whose value is `json`, copied verbatim. The
+    /// caller vouches that `json` is one compact JSON value.
+    #[must_use]
+    pub fn raw(mut self, key: &str, json: &str) -> ObjectWriter {
+        self.key(key);
+        self.out.push_str(json);
+        self
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+}
+
+/// The top level of a valid document, as byte spans into its text: what a
+/// relay needs to cut a document into pieces without building a tree.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// An object: each member's decoded key and the span of its value, in
+    /// document order (duplicates kept).
+    Object(Vec<(String, Range<usize>)>),
+    /// An array: the span of each item.
+    Array(Vec<Range<usize>>),
+    /// A string, number, literal or `null`.
+    Scalar,
+}
+
+/// Checks that `text` is a document [`Json::parse`] accepts — the same
+/// grammar, depth limit and error messages — without building a tree.
+///
+/// # Errors
+///
+/// The error `Json::parse` would return.
+pub fn validate(text: &str) -> Result<(), JsonError> {
+    let mut p = Parser::<false>::new(text);
+    p.skip_ws();
+    p.value(0)?;
+    p.finish()
+}
+
+/// Validates `text` exactly as [`validate`] does and returns its top-level
+/// [`Layout`]: member or item spans, so `&text[span]` is each child's text.
+///
+/// # Errors
+///
+/// The error `Json::parse` would return.
+///
+/// # Examples
+///
+/// ```
+/// use iis_obs::json::{layout, Layout};
+/// let text = r#"{"a": [1, 2], "b": "x"}"#;
+/// let Layout::Object(members) = layout(text).unwrap() else { panic!() };
+/// assert_eq!(members[0].0, "a");
+/// assert_eq!(&text[members[0].1.clone()], "[1, 2]");
+/// assert!(layout("[1,").is_err());
+/// ```
+pub fn layout(text: &str) -> Result<Layout, JsonError> {
+    let mut p = Parser::<false>::new(text);
+    p.skip_ws();
+    let layout = match p.peek() {
+        Some(b'{') => {
+            let mut members = Vec::new();
+            p.object(0, Some(&mut members))?;
+            Layout::Object(members)
+        }
+        Some(b'[') => {
+            let mut items = Vec::new();
+            p.array(0, Some(&mut items))?;
+            Layout::Array(items)
+        }
+        _ => {
+            p.value(0)?;
+            Layout::Scalar
+        }
+    };
+    p.finish()?;
+    Ok(layout)
+}
+
+/// Integers with at most this many digits (and no fraction or exponent)
+/// are accumulated exactly in a `u64`: every such value is below 2^53, so
+/// the `f64` equals what `str::parse::<f64>` returns.
+const FAST_INT_DIGITS: usize = 15;
+
+/// The one JSON grammar. With `BUILD` it produces a [`Json`] tree; without
+/// it, it only validates (returning `Json::Null` placeholders, allocating
+/// nothing) — the skip mode behind [`validate`] and [`layout`].
+struct Parser<'a, const BUILD: bool> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, const BUILD: bool> Parser<'a, BUILD> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError::new(format!("{msg} at byte {}", self.pos))
+    }
+
+    /// Accepts only trailing whitespace after the document.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -315,16 +513,26 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'"') if BUILD => {
+                let mut s = String::new();
+                self.string(Some(&mut s))?;
+                Ok(Json::Str(s))
+            }
+            Some(b'"') => self.string(None).map(|()| Json::Null),
+            Some(b'[') => self.array(depth, None),
+            Some(b'{') => self.object(depth, None),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// An array; `spans` (top level only) collects each item's span.
+    fn array(
+        &mut self,
+        depth: usize,
+        mut spans: Option<&mut Vec<Range<usize>>>,
+    ) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -334,7 +542,14 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let start = self.pos;
+            let item = self.value(depth + 1)?;
+            if BUILD {
+                items.push(item);
+            }
+            if let Some(spans) = spans.as_deref_mut() {
+                spans.push(start..self.pos);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -347,7 +562,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// An object; `spans` (top level only) collects each member's key and
+    /// value span.
+    fn object(
+        &mut self,
+        depth: usize,
+        mut spans: Option<&mut Vec<(String, Range<usize>)>>,
+    ) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -357,12 +578,19 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let mut key = String::new();
+            let keep_key = BUILD || spans.is_some();
+            self.string(keep_key.then_some(&mut key))?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
-            members.push((key, value));
+            match spans.as_deref_mut() {
+                Some(spans) => spans.push((key, start..self.pos)),
+                None if BUILD => members.push((key, value)),
+                None => {}
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -375,72 +603,79 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, decoded into `out` when given. Runs without escapes are
+    /// copied as one slice of the (valid UTF-8) source.
+    fn string(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
-            match self.peek() {
+            let run = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(&self.text[run..self.pos]);
+            }
+            let escaped = match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(cp)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
+                            let c = self.unicode_escape()?;
+                            if let Some(out) = out.as_deref_mut() {
+                                out.push(c);
                             }
                             continue; // hex4 advanced pos already
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
-                    self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one full UTF-8 scalar from the (valid) source str.
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("control character in string")),
+            };
+            if let Some(out) = out.as_deref_mut() {
+                out.push(escaped);
             }
+            self.pos += 1;
         }
+    }
+
+    /// The scalar of a `\u` escape whose `\u` has been consumed, joining a
+    /// surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&hi) {
+            // Surrogate pair: expect \uXXXX low half.
+            if self.bytes[self.pos..].starts_with(b"\\u") {
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                char::from_u32(cp)
+            } else {
+                None
+            }
+        } else {
+            char::from_u32(hi)
+        };
+        c.ok_or_else(|| self.err("invalid unicode escape"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -460,18 +695,21 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        let mut digits = 0;
+        let int_start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
-            digits += 1;
         }
+        let digits = self.pos - int_start;
         if digits == 0 {
             return Err(self.err("expected digits"));
         }
+        let mut integral = true;
         if self.peek() == Some(b'.') {
+            integral = false;
             self.pos += 1;
             let mut frac = 0;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -483,6 +721,7 @@ impl<'a> Parser<'a> {
             }
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+            integral = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
@@ -496,9 +735,19 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
-        text.parse::<f64>()
+        if !BUILD {
+            return Ok(Json::Null);
+        }
+        if integral && digits <= FAST_INT_DIGITS {
+            let magnitude = self.bytes[int_start..self.pos]
+                .iter()
+                .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+            // exact below 2^53; `-0` stays negative zero, as parse gives
+            let n = magnitude as f64;
+            return Ok(Json::Num(if negative { -n } else { n }));
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -670,20 +919,23 @@ mod tests {
         assert_eq!(Json::Num(1.5).to_string(), "1.5");
     }
 
+    /// Documents every parser must refuse.
+    const MALFORMED: [&str; 10] = [
+        "",
+        "{",
+        "[1,",
+        "{\"a\":}",
+        "[1 2]",
+        "tru",
+        "01x",
+        "\"abc",
+        "{\"a\":1,}",
+        "1 2",
+    ];
+
     #[test]
     fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "[1 2]",
-            "tru",
-            "01x",
-            "\"abc",
-            "{\"a\":1,}",
-            "1 2",
-        ] {
+        for bad in MALFORMED {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
     }
@@ -713,6 +965,254 @@ mod tests {
             FromJson::from_json(&Json::parse("[[1,2],[3,4]]").unwrap()).unwrap();
         assert_eq!(v, vec![(1, 2), (3, 4)]);
         assert_eq!(v.to_json().to_string(), "[[1,2],[3,4]]");
+    }
+
+    /// The writer before its fast paths, kept as the byte-level oracle.
+    fn reference_number(n: f64) -> String {
+        if !n.is_finite() {
+            "null".to_string()
+        } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
+            format!("{}", n as i64)
+        } else {
+            format!("{n}")
+        }
+    }
+
+    fn reference_string(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A numeric literal of every shape the grammar allows.
+    fn random_number_text(rng: &mut crate::Rng) -> String {
+        let digits = rng.random_range(1usize..21);
+        let mut text = String::new();
+        if rng.random_bool(0.4) {
+            text.push('-');
+        }
+        for _ in 0..digits {
+            text.push(char::from(b'0' + rng.random_range(0u8..10)));
+        }
+        if rng.random_bool(0.2) {
+            text.push('.');
+            for _ in 0..rng.random_range(1usize..6) {
+                text.push(char::from(b'0' + rng.random_range(0u8..10)));
+            }
+        }
+        if rng.random_bool(0.15) {
+            text.push(*rng.choose(&['e', 'E']).unwrap());
+            if rng.random_bool(0.5) {
+                text.push(*rng.choose(&['+', '-']).unwrap());
+            }
+            text.push_str(&rng.random_range(0u32..40).to_string());
+        }
+        text
+    }
+
+    #[test]
+    fn integer_fast_path_equals_str_parse() {
+        let mut texts: Vec<String> = [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "000123",
+            "-000",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "9999999999999999",
+            "12345678901234567",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-99999999999999999999",
+            "9007199254740991",
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740993",
+            "1.5",
+            "-0.0",
+            "1e3",
+            "-2E-2",
+            "123456789012345.5",
+        ]
+        .iter()
+        .map(|t| t.to_string())
+        .collect();
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0001);
+        texts.extend((0..20_000).map(|_| random_number_text(&mut rng)));
+        for text in &texts {
+            let expected = text.parse::<f64>().unwrap();
+            match Json::parse(text) {
+                Ok(Json::Num(got)) => assert_eq!(
+                    got.to_bits(),
+                    expected.to_bits(),
+                    "{text}: {got} vs {expected}"
+                ),
+                other => panic!("{text}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn writer_is_byte_identical_to_the_format_path() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0002);
+        let mut numbers = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9_007_199_254_740_992.0,
+            -9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            1e300,
+            0.1,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            i64::MAX as f64,
+        ];
+        for _ in 0..20_000 {
+            numbers.push(random_number_text(&mut rng).parse().unwrap());
+            numbers.push(f64::from_bits(rng.next_u64()));
+            numbers.push(rng.next_u64() as i64 as f64 / 1024.0);
+        }
+        for n in numbers {
+            assert_eq!(Json::Num(n).to_string(), reference_number(n), "{n:?}");
+        }
+        let alphabet: Vec<char> = "ab\"\\/\n\r\t\u{0}\u{1f}\u{7f} é🦀\u{8}\u{c}"
+            .chars()
+            .collect();
+        for _ in 0..5_000 {
+            let len = rng.random_range(0usize..12);
+            let s: String = (0..len).map(|_| *rng.choose(&alphabet).unwrap()).collect();
+            let written = Json::Str(s.clone()).to_string();
+            assert_eq!(written, reference_string(&s), "{s:?}");
+            assert_eq!(Json::parse(&written).unwrap(), Json::Str(s));
+        }
+    }
+
+    /// A random document, rendered compactly or pretty.
+    fn random_value(rng: &mut crate::Rng, depth: usize) -> Json {
+        match rng.random_range(0u32..if depth > 3 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.random_bool(0.5)),
+            2 => Json::Num(random_number_text(rng).parse().unwrap()),
+            3 => Json::Str(
+                (0..rng.random_range(0usize..5))
+                    .map(|_| *rng.choose(&['a', '"', '\\', '\n', 'é', '\u{1}']).unwrap())
+                    .collect(),
+            ),
+            4 => Json::Arr(
+                (0..rng.random_range(0usize..4))
+                    .map(|_| random_value(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.random_range(0usize..4))
+                    .map(|i| (format!("k{i}"), random_value(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// `text` with one random edit: a cut, a dropped byte, or an inserted
+    /// JSON-ish byte.
+    fn mutate(rng: &mut crate::Rng, text: &str) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        let at = rng.random_range(0usize..bytes.len() + 1);
+        match rng.random_range(0u32..3) {
+            0 => bytes.truncate(at),
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, *rng.choose(b"{}[]:,\"\\ -.e0u1tfn").unwrap()),
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn span_scanner_accepts_exactly_what_parse_accepts() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0003);
+        let mut docs: Vec<String> = MALFORMED.iter().map(|d| d.to_string()).collect();
+        docs.push("[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2));
+        docs.push("[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1));
+        docs.push(r#""\ud800""#.to_string());
+        docs.push(r#""\ud800\u0041""#.to_string());
+        docs.push(r#""\udc00""#.to_string());
+        docs.push(r#" {"a" : [1, {"b": "\u00e9\ud83e\udd80"}] , "c":-0.5e+3 } "#.to_string());
+        for _ in 0..3_000 {
+            let v = random_value(&mut rng, 0);
+            let text = if rng.random_bool(0.5) {
+                v.to_string()
+            } else {
+                v.to_string_pretty()
+            };
+            docs.push(mutate(&mut rng, &text));
+            docs.push(text);
+        }
+        for doc in &docs {
+            let parsed = Json::parse(doc);
+            assert_eq!(
+                validate(doc).err(),
+                parsed.clone().err(),
+                "validate disagrees on {doc:?}"
+            );
+            let Ok(value) = parsed else {
+                assert!(layout(doc).is_err(), "layout accepted {doc:?}");
+                continue;
+            };
+            // every span is exactly the text of the child it names
+            match (layout(doc).unwrap(), &value) {
+                (Layout::Object(spans), Json::Obj(members)) => {
+                    assert_eq!(spans.len(), members.len(), "{doc:?}");
+                    for ((key, span), (k, v)) in spans.iter().zip(members) {
+                        assert_eq!(key, k, "{doc:?}");
+                        assert_eq!(&Json::parse(&doc[span.clone()]).unwrap(), v, "{doc:?}");
+                    }
+                }
+                (Layout::Array(spans), Json::Arr(items)) => {
+                    assert_eq!(spans.len(), items.len(), "{doc:?}");
+                    for (span, v) in spans.iter().zip(items) {
+                        assert_eq!(&Json::parse(&doc[span.clone()]).unwrap(), v, "{doc:?}");
+                    }
+                }
+                (Layout::Scalar, v) => {
+                    assert!(!matches!(v, Json::Obj(_) | Json::Arr(_)), "{doc:?}");
+                }
+                (l, v) => panic!("layout {l:?} for {v:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn object_writer_equals_rendering_the_tree() {
+        assert_eq!(ObjectWriter::new().finish(), Json::obj([]).to_string());
+        let record = Json::parse(r#"{"results":[[0,false],[1,true]],"task":"t\"1"}"#).unwrap();
+        let spliced = ObjectWriter::with_capacity(8)
+            .field("cached", &Json::Bool(true))
+            .field("key", &Json::Str("00ff".into()))
+            .raw("result", &record.to_string())
+            .finish();
+        let rendered = Json::obj([
+            ("cached", Json::Bool(true)),
+            ("key", Json::Str("00ff".into())),
+            ("result", record),
+        ])
+        .to_string();
+        assert_eq!(spliced, rendered);
     }
 
     #[test]

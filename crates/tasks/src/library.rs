@@ -25,6 +25,7 @@ where
     let mut output = Complex::new();
     type Tuples = Vec<Vec<(Color, Label)>>;
     let mut entries: Vec<(Simplex, Tuples)> = Vec::new();
+    let mut tuple_simplices = Vec::new();
     for si in input.simplices() {
         let tuples = spec(&input, &si);
         for tuple in &tuples {
@@ -32,10 +33,11 @@ where
                 .iter()
                 .map(|(c, l)| output.ensure_vertex(*c, l.clone()))
                 .collect();
-            output.add_facet(ids);
+            tuple_simplices.push(Simplex::new(ids));
         }
         entries.push((si, tuples));
     }
+    output.add_facets(tuple_simplices);
     let mut b = TaskBuilder::new(name, input, output);
     for (si, tuples) in entries {
         for tuple in tuples {
@@ -361,6 +363,27 @@ pub fn parse_spec(spec: &str) -> Result<Task, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_family_round_trips_through_its_json() {
+        use iis_obs::{FromJson as _, ToJson as _};
+        for spec in [
+            "trivial:2",
+            "consensus:2",
+            "kset:2:2",
+            "renaming:2:5",
+            "eps:1:64",
+            "eps:2:3",
+            "oneshot:2",
+        ] {
+            let task = parse_spec(spec).unwrap();
+            let text = task.to_json().to_string();
+            let back = Task::from_json(&iis_obs::Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.to_json().to_string(), text, "{spec}");
+            assert_eq!(back.input().num_facets(), task.input().num_facets());
+            assert_eq!(back.output().num_facets(), task.output().num_facets());
+        }
+    }
 
     #[test]
     fn trivial_shapes() {

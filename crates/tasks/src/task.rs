@@ -228,8 +228,10 @@ impl TaskBuilder {
         if !self.output.is_chromatic() {
             return Err(TaskError::OutputNotChromatic);
         }
+        let inputs = self.input.facet_index();
+        let outputs = self.output.facet_index();
         for (si, outs) in &mut self.delta {
-            if !self.input.contains_simplex(si) || si.is_empty() {
+            if !inputs.contains_simplex(si) || si.is_empty() {
                 return Err(TaskError::DeltaKeyNotInput(si.clone()));
             }
             outs.sort();
@@ -239,7 +241,7 @@ impl TaskBuilder {
             }
             let in_colors: BTreeSet<Color> = si.iter().map(|v| self.input.color(v)).collect();
             for so in outs.iter() {
-                if !self.output.contains_simplex(so) {
+                if !outputs.contains_simplex(so) {
                     return Err(TaskError::DeltaValueNotOutput(so.clone()));
                 }
                 let out_colors: BTreeSet<Color> = so.iter().map(|w| self.output.color(w)).collect();

@@ -4,6 +4,46 @@ use crate::{Color, Label, Simplex, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
+/// A vertex → facet incidence index: answers "is `s` a face of some
+/// facet?" by checking only the facets through `s`'s rarest vertex, where
+/// [`Complex::contains_simplex`] scans them all. Built by
+/// [`Complex::facet_index`]; [`Complex::add_facets`] grows one as it
+/// decides which simplices are maximal.
+pub struct FacetIndex<'a> {
+    facets: Vec<&'a Simplex>,
+    /// Per vertex index, the positions in `facets` of the facets through it.
+    through: Vec<Vec<u32>>,
+}
+
+impl<'a> FacetIndex<'a> {
+    fn with_vertices(n: usize) -> FacetIndex<'a> {
+        FacetIndex {
+            facets: Vec::new(),
+            through: vec![Vec::new(); n],
+        }
+    }
+
+    fn push(&mut self, facet: &'a Simplex) {
+        let at = self.facets.len() as u32;
+        for v in facet.iter() {
+            self.through[v.index()].push(at);
+        }
+        self.facets.push(facet);
+    }
+
+    /// `true` iff `s` is a face of an indexed facet (the empty simplex
+    /// always is) — the same answer as [`Complex::contains_simplex`].
+    pub fn contains_simplex(&self, s: &Simplex) -> bool {
+        let incident = |v: VertexId| self.through.get(v.index()).map_or(&[][..], Vec::as_slice);
+        match s.iter().min_by_key(|&v| incident(v).len()) {
+            None => true,
+            Some(rarest) => incident(rarest)
+                .iter()
+                .any(|&f| s.is_face_of(self.facets[f as usize])),
+        }
+    }
+}
+
 /// A finite simplicial complex whose vertices carry a [`Color`] and a
 /// [`Label`].
 ///
@@ -150,6 +190,63 @@ impl Complex {
         self.facets.retain(|f| !f.is_face_of(&s));
         self.facets.insert(s.clone());
         s
+    }
+
+    /// Adds many simplices at once. The facet set ends up exactly as
+    /// folding [`Complex::add_facet`] over `simplices` would leave it — the
+    /// inclusion-maximal members of the existing facets and the new
+    /// (non-empty) simplices — but is computed in bulk: candidates are
+    /// visited largest first, and each is kept unless a kept facet
+    /// contains it, found through a [`FacetIndex`] rather than a scan of
+    /// every facet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any vertex id is out of range.
+    pub fn add_facets<I: IntoIterator<Item = Simplex>>(&mut self, simplices: I) {
+        let n = self.vertices.len();
+        let mut candidates: Vec<Simplex> = simplices
+            .into_iter()
+            .filter(|s| {
+                for v in s.iter() {
+                    assert!(v.index() < n, "vertex {v} not in complex");
+                }
+                !s.is_empty()
+            })
+            .collect();
+        candidates.extend(std::mem::take(&mut self.facets));
+        // a simplex can only be a face of one at least as large, and an
+        // equally large one only if equal — which dedup removes
+        candidates.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        candidates.dedup();
+        let keep: Vec<bool> = {
+            let mut kept = FacetIndex::with_vertices(n);
+            candidates
+                .iter()
+                .map(|s| {
+                    let maximal = !kept.contains_simplex(s);
+                    if maximal {
+                        kept.push(s);
+                    }
+                    maximal
+                })
+                .collect()
+        };
+        self.facets = candidates
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(s, maximal)| maximal.then_some(s))
+            .collect();
+    }
+
+    /// A vertex → facet incidence index over the current facets, for many
+    /// [`FacetIndex::contains_simplex`] queries in a row.
+    pub fn facet_index(&self) -> FacetIndex<'_> {
+        let mut index = FacetIndex::with_vertices(self.vertices.len());
+        for f in &self.facets {
+            index.push(f);
+        }
+        index
     }
 
     /// Inserts `s` directly into the facet set, skipping the antichain
@@ -596,6 +693,51 @@ impl fmt::Debug for Complex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bulk_insertion_equals_folding_add_facet() {
+        let mut rng = iis_obs::Rng::seed_from_u64(0xface_0075);
+        for case in 0..400 {
+            let n = rng.random_range(1usize..9);
+            let mut base = Complex::new();
+            for i in 0..n {
+                base.ensure_vertex(Color((i % 3) as u32), Label::scalar(i as u64));
+            }
+            let random_simplex = |rng: &mut iis_obs::Rng| {
+                let len = rng.random_range(0usize..n.min(5) + 1);
+                Simplex::new((0..len).map(|_| VertexId(rng.random_range(0..n as u32))))
+            };
+            // a few facets already present, then a batch with duplicates,
+            // nested faces, supersets of existing facets and empties
+            let mut folded = base.clone();
+            for _ in 0..rng.random_range(0usize..4) {
+                folded.add_facet(random_simplex(&mut rng).iter());
+            }
+            let mut bulk = folded.clone();
+            let batch: Vec<Simplex> = (0..rng.random_range(0usize..30))
+                .map(|_| random_simplex(&mut rng))
+                .collect();
+            for s in &batch {
+                folded.add_facet(s.iter());
+            }
+            bulk.add_facets(batch.clone());
+            let facets = |c: &Complex| c.facets().cloned().collect::<Vec<_>>();
+            assert_eq!(facets(&bulk), facets(&folded), "case {case}: {batch:?}");
+            // the incidence index answers membership like the facet scan
+            let index = bulk.facet_index();
+            for _ in 0..20 {
+                let s = random_simplex(&mut rng);
+                assert_eq!(
+                    index.contains_simplex(&s),
+                    bulk.contains_simplex(&s),
+                    "{s:?}"
+                );
+            }
+            let stranger = Simplex::new([VertexId(n as u32)]);
+            assert!(!index.contains_simplex(&stranger));
+            assert!(index.contains_simplex(&Simplex::empty()));
+        }
+    }
 
     fn triangle() -> Complex {
         Complex::standard_simplex(2)

@@ -10,7 +10,7 @@
 //! - `Subdivision` — `{"base", "subdivided", "vertex_carriers"}`.
 //!
 //! Deserialization re-validates: the `(color, label) → id` index is rebuilt,
-//! facets re-pass through [`Complex::add_facet`] so the facet antichain
+//! facets re-pass through [`Complex::add_facets`] so the facet antichain
 //! invariant survives hand-edited input, and a subdivision must carry
 //! exactly one carrier per subdivided vertex.
 
@@ -88,12 +88,10 @@ impl FromJson for Complex {
             c.ensure_vertex(color, label);
         }
         let n = c.num_vertices() as u32;
-        for f in facets {
-            if f.iter().any(|v| v.0 >= n) {
-                return Err(JsonError::new("facet references unknown vertex"));
-            }
-            c.add_facet(f.iter());
+        if facets.iter().any(|f| f.iter().any(|v| v.0 >= n)) {
+            return Err(JsonError::new("facet references unknown vertex"));
         }
+        c.add_facets(facets);
         Ok(c)
     }
 }

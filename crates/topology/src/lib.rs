@@ -51,7 +51,7 @@ pub mod manifold;
 pub mod sperner;
 pub mod template;
 
-pub use complex::Complex;
+pub use complex::{Complex, FacetIndex};
 pub use maps::{MapError, SimplicialMap};
 pub use sds::{
     for_each_ordered_partition, ordered_bell, ordered_partitions, path_subdivision, sds,

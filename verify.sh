@@ -8,6 +8,10 @@ cargo fmt --all -- --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 cargo build --offline --release --workspace
+# The benchmark package links the service crates' public API (Answer,
+# batch_envelope, report_from_json, Store, obs::http::Client, …); compile
+# it so an API break fails here rather than in a benchmark run.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo test --offline --workspace -q
 
 # Fixed-seed adversary smoke sweep: every runtime layer under crash

@@ -269,12 +269,12 @@ pub fn cmd_check_lemmas(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses a `--kernel` / `"kernel"` value (`compiled|reference`).
+/// Parses a `--kernel` value (`compiled|reference`).
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] naming the accepted engines.
-pub(crate) fn parse_kernel(s: &str) -> Result<Kernel, CliError> {
+fn parse_kernel(s: &str) -> Result<Kernel, CliError> {
     match s {
         "compiled" => Ok(Kernel::Compiled),
         "reference" => Ok(Kernel::Reference),

@@ -11,9 +11,12 @@
 //! Routes:
 //!
 //! - `POST /solve` — body `{"spec": "consensus:2" | "task": {…},
-//!   "max_rounds": B, "budget": N, "jobs": J, "kernel": "compiled",
-//!   "wait": true}` (everything but the task optional; a spec is a
-//!   library spec — `@file` specs are for the CLI only). Answers from the
+//!   "max_rounds": B, "budget": N, "jobs": J, "wait": true}` (everything
+//!   but the task optional; a spec is a library spec — `@file` specs are
+//!   for the CLI only). The service always runs the compiled kernel: the
+//!   kernel cannot change an answer, so it is not a request field (a
+//!   `"kernel"` member is ignored), and `iis solve --kernel` stays the
+//!   place for local differential runs. Answers from the
 //!   store when the record exists (`"cached": true`, counted by
 //!   `serve.cache_hits`); otherwise runs the sweep on the worker pool.
 //!   With `"wait": false` replies `202 Accepted` with a job id instead of
@@ -60,7 +63,7 @@
 //! than re-rendering a parsed tree: every hit is still parsed and
 //! revalidated, but the bytes sent are the bytes stored.
 
-use crate::{err, flag_value, parse_kernel, CliError};
+use crate::{err, flag_value, CliError};
 use iis_cluster::splice_envelope;
 use iis_core::cache::{
     intern_spec, question_rounds, question_task, solve_keyed, validate_record, KeyedTask,
@@ -222,13 +225,9 @@ fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
                 .ok_or_else(|| format!("\"{key}\" must be a number")),
         }
     };
-    let mut opts = SolveOptions::new()
+    let opts = SolveOptions::new()
         .budget(num("budget", 1_000_000.0)? as u64)
         .jobs(num("jobs", 1.0)? as usize);
-    if let Some(k) = v.get("kernel") {
-        let k = k.as_str().ok_or("\"kernel\" must be a string")?;
-        opts = opts.kernel(parse_kernel(k).map_err(|e| e.to_string())?);
-    }
     let wait = match v.get("wait") {
         None | Some(Json::Null) => true,
         Some(Json::Bool(b)) => *b,
@@ -934,6 +933,35 @@ mod tests {
         let (head, _) = request(addr, "POST", "/shutdown", "");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         handle.join().unwrap().unwrap()
+    }
+
+    /// The inline-task question the CI smokes send: the committed fixture
+    /// is `eps:1:3` as JSON, and asking it inline files it under the
+    /// spec's key.
+    #[test]
+    fn inline_task_fixture_is_the_library_task() {
+        use iis_obs::ToJson;
+        let text = include_str!("../tests/golden/inline_task_eps_1_3.json").trim_end();
+        let task = iis_tasks::library::parse_spec("eps:1:3").unwrap();
+        assert_eq!(text, task.to_json().to_string());
+        let body = format!(r#"{{"task": {text}, "max_rounds": 1}}"#);
+        let req = solve_request_from_json(&Json::parse(&body).unwrap()).unwrap();
+        assert_eq!(req.task.key(1), intern_spec("eps:1:3").unwrap().key(1));
+    }
+
+    #[test]
+    fn kernel_is_not_a_request_field() {
+        // once a 400 ("bad --kernel"), and `reference` once switched the
+        // engine; the service now never reads the member
+        for kernel in ["reference", "turbo"] {
+            let body = format!(r#"{{"spec": "trivial:1", "kernel": "{kernel}"}}"#);
+            let req = solve_request_from_json(&Json::parse(&body).unwrap()).unwrap();
+            assert!(
+                format!("{:?}", req.opts).contains("kernel: Compiled"),
+                "{:?}",
+                req.opts
+            );
+        }
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! - **Trail-based undo** (`SearchState`): `propagate`/`backtrack`
 //!   mutate one domain state in place, recording overwritten words on a
 //!   trail and rewinding to a mark on backtrack.
-//! - **CSR adjacency**: the vertex → constraints map and the compilation
-//!   itself stream over [`iis_topology::Complex::for_each_simplex`] instead
-//!   of materializing the `BTreeSet<Simplex>` face poset.
+//! - **Compiled from the arena**: constraints come straight from the
+//!   label-free [`ArenaSds`] tower's CSR facets and carriers
+//!   ([`ArenaSds::for_each_simplex`], the reference tower's simplex order),
+//!   never from a `BTreeSet<Simplex>` face poset, and the vertex →
+//!   constraints map is a CSR too.
 //!
 //! **Determinism.** The kernel preserves the reference engine's variable
 //! order (lowest index among smallest domains > 1), value order (ascending
@@ -39,7 +41,8 @@
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
 use crate::solvability::{Halt, SearchCtx, SearchStrategy, SolveOptions};
 use iis_tasks::Task;
-use iis_topology::{Color, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
+use iis_topology::arena::ArenaSds;
+use iis_topology::{Color, Complex, Simplex, SimplicialMap, VertexId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -196,18 +199,20 @@ impl CompiledTable {
     }
 }
 
+/// The compiled tables of one carrier, by the colors of the simplex.
+type TablesByColors = HashMap<Box<[Color]>, Arc<CompiledTable>>;
+
 /// Memoized compiled tables, keyed by `(carrier, colors)` — the only inputs
 /// a table depends on. Carriers are simplices of the *base* complex and
 /// tuples are vertices of the output complex, both fixed for the life of a
 /// task, so a [`crate::solvability::Solver`] carries one cache across its
 /// whole round sweep (`solve.constraint_cache_hits`).
 ///
-/// The map is two-level (`carrier → colors → table`), so the hit path is
-/// two borrowed lookups — no `(carrier.clone(), colors.to_vec())` composite
-/// key, no allocation.
+/// The map is two-level (`carrier ids → colors → table`), so the hit path
+/// is two borrowed slice lookups — no composite key, no allocation.
 #[derive(Default)]
 pub(crate) struct ConstraintCache {
-    tables: HashMap<Simplex, HashMap<Box<[Color]>, Arc<CompiledTable>>>,
+    tables: HashMap<Box<[u32]>, TablesByColors>,
     encoder: Option<Arc<OutputEncoder>>,
 }
 
@@ -219,11 +224,12 @@ impl ConstraintCache {
             .get_or_insert_with(|| Arc::new(OutputEncoder::new(task.output())))
     }
 
-    /// The compiled table for a simplex with the given carrier and colors.
+    /// The compiled table for a simplex whose carrier has the given sorted
+    /// base vertex ids and whose vertices have the given colors.
     pub(crate) fn table(
         &mut self,
         task: &Task,
-        carrier: &Simplex,
+        carrier: &[u32],
         colors: &[Color],
     ) -> Arc<CompiledTable> {
         if let Some(hit) = self.tables.get(carrier).and_then(|m| m.get(colors)) {
@@ -232,8 +238,9 @@ impl ConstraintCache {
             return Arc::clone(hit);
         }
         iis_obs::progress::cache_lookup(false);
+        let carrier_simplex = Simplex::new(carrier.iter().map(|&u| VertexId(u)));
         let mut allowed: Vec<Vec<VertexId>> = Vec::new();
-        for so in task.delta(carrier) {
+        for so in task.delta(&carrier_simplex) {
             let mut tuple = Vec::with_capacity(colors.len());
             let mut ok = true;
             for &col in colors {
@@ -254,7 +261,7 @@ impl ConstraintCache {
         let enc = Arc::clone(self.encoder(task));
         let table = Arc::new(CompiledTable::new(allowed, colors.len(), &enc));
         self.tables
-            .entry(carrier.clone())
+            .entry(carrier.into())
             .or_default()
             .insert(colors.into(), Arc::clone(&table));
         table
@@ -269,7 +276,7 @@ pub(crate) struct BitsetCsp {
     /// Flat constraint variable lists (CSR via `coff`).
     cvar: Vec<u32>,
     coff: Vec<u32>,
-    tables: Vec<Arc<CompiledTable>>,
+    pub(crate) tables: Vec<Arc<CompiledTable>>,
     /// CSR adjacency: for each variable, the constraints containing it.
     cont: Vec<u32>,
     cont_off: Vec<u32>,
@@ -330,7 +337,7 @@ impl BitsetCsp {
     }
 
     /// The variable indices of constraint `ci`.
-    fn verts(&self, ci: usize) -> &[u32] {
+    pub(crate) fn verts(&self, ci: usize) -> &[u32] {
         &self.cvar[self.coff[ci] as usize..self.coff[ci + 1] as usize]
     }
 
@@ -719,16 +726,19 @@ impl BitsetCsp {
     }
 }
 
-/// Compiles the CSP for `sub` into the flat kernel representation, plus the
-/// initial domain words from the unary constraints. `None` means a
-/// constraint admits no tuple or a domain starts empty — provably
+/// Compiles the CSP for `tower` (= `SDS^b(I)`) into the flat kernel
+/// representation, plus the initial domain words from the unary
+/// constraints: one constraint per simplex, in the reference tower's
+/// simplex order, so constraint indices (and with them the propagation
+/// order and every counter) match the reference `compile_csp`'s. `None`
+/// means a constraint admits no tuple or a domain starts empty — provably
 /// unsolvable, exactly as in the reference `compile_csp`.
-fn compile(
+pub(crate) fn compile(
     task: &Task,
-    sub: &Subdivision,
+    tower: &ArenaSds,
     cache: &mut ConstraintCache,
 ) -> Option<(BitsetCsp, Vec<u64>)> {
-    let c = sub.complex();
+    let c = tower.complex();
     let nv = c.num_vertices();
     let encoder = Arc::clone(cache.encoder(task));
     let words = encoder.words;
@@ -737,19 +747,18 @@ fn compile(
     let mut tables: Vec<Arc<CompiledTable>> = Vec::new();
     let mut empty_table = false;
     let mut colors: Vec<Color> = Vec::new();
-    c.for_each_simplex(|s| {
+    tower.for_each_simplex(|s, carrier| {
         if empty_table {
             return;
         }
         colors.clear();
-        colors.extend(s.iter().map(|v| c.color(v)));
-        let carrier = sub.carrier_of_simplex(s);
-        let table = cache.table(task, &carrier, &colors);
+        colors.extend(s.iter().map(|&v| c.color(v)));
+        let table = cache.table(task, carrier, &colors);
         if table.allowed.is_empty() {
             empty_table = true;
             return;
         }
-        cvar.extend(s.iter().map(|v| v.0));
+        cvar.extend_from_slice(s);
         coff.push(cvar.len() as u32);
         tables.push(table);
     });
@@ -790,7 +799,7 @@ fn compile(
     }
     let var_color: Vec<u32> = (0..nv)
         .map(|vi| {
-            let col = c.color(VertexId(vi as u32));
+            let col = c.color(vi as u32);
             encoder
                 .colors
                 .binary_search(&col)
@@ -849,7 +858,7 @@ fn compile(
 /// reference engine's `search_map` line by line.
 pub(crate) fn search_map(
     task: &Task,
-    sub: &Subdivision,
+    tower: &ArenaSds,
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
     opts: &SolveOptions,
@@ -857,7 +866,7 @@ pub(crate) fn search_map(
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
     let compile_t0 = crate::solvability::profile_now();
-    let compiled = compile(task, sub, cache);
+    let compiled = compile(task, tower, cache);
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
     }
@@ -988,15 +997,15 @@ fn search_parallel(
 mod tests {
     use super::*;
     use iis_tasks::library::k_set_consensus;
-    use iis_topology::sds_iterated;
+    use iis_topology::arena::arena_sds_tower;
 
     /// The support CSR must index exactly the tuples a linear scan finds.
     #[test]
     fn support_lists_match_linear_scan() {
         let task = k_set_consensus(2, 2);
-        let sub = sds_iterated(task.input(), 1);
+        let tower = arena_sds_tower(task.input(), 1);
         let mut cache = ConstraintCache::default();
-        let (csp, _) = compile(&task, &sub, &mut cache).expect("compiles");
+        let (csp, _) = compile(&task, &tower, &mut cache).expect("compiles");
         for t in &csp.tables {
             for pos in 0..t.arity {
                 for val in 0..t.val_stride as u32 {
@@ -1014,9 +1023,9 @@ mod tests {
     #[test]
     fn trail_undo_restores_domains() {
         let task = k_set_consensus(2, 2);
-        let sub = sds_iterated(task.input(), 1);
+        let tower = arena_sds_tower(task.input(), 1);
         let mut cache = ConstraintCache::default();
-        let (csp, root) = compile(&task, &sub, &mut cache).expect("compiles");
+        let (csp, root) = compile(&task, &tower, &mut cache).expect("compiles");
         let mut st = csp.new_state(root);
         assert!(csp.propagate(&mut st, None));
         let snapshot = st.dom.clone();

@@ -20,8 +20,8 @@ pub use crate::csp::Kernel;
 use crate::csp::{CompiledTable, ConstraintCache};
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
 use iis_tasks::Task;
-use iis_topology::arena::ArenaSds;
-use iis_topology::{sds_iterated, sds_next, Color, Simplex, SimplicialMap, Subdivision, VertexId};
+use iis_topology::arena::{arena_sds_tower, ArenaSds};
+use iis_topology::{sds_next, Color, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -30,27 +30,29 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone, Debug)]
 pub struct DecisionMap {
     b: usize,
-    // set on construction by the search; for a witness replayed from the
-    // cache, converted from `arena` on the first `subdivision()` call
+    // set on construction by the reference kernel and by lifting; for a
+    // witness on an arena tower, converted on the first `subdivision()` call
     subdivision: OnceLock<Arc<Subdivision>>,
-    // shared, not owned: warm cache replays hand out one memoized arena
-    // `SDS^b(I)` to every witness loaded against it
+    // shared, not owned: the search hands its round's tower to the witness,
+    // and warm cache replays hand out one memoized arena `SDS^b(I)` to
+    // every witness loaded against it
     arena: Option<Arc<ArenaSds>>,
     map: SimplicialMap,
 }
 
 impl DecisionMap {
-    fn new(b: usize, subdivision: Subdivision, map: SimplicialMap) -> Self {
+    fn new(b: usize, subdivision: Arc<Subdivision>, map: SimplicialMap) -> Self {
         DecisionMap {
             b,
-            subdivision: OnceLock::from(Arc::new(subdivision)),
+            subdivision: OnceLock::from(subdivision),
             arena: None,
             map,
         }
     }
 
-    /// Reassembles a witness from its parts (the persistent-cache load
-    /// path). The caller is responsible for semantic validation — see
+    /// A witness on an arena tower: a search result, or a record loaded
+    /// from the persistent cache. On the load path the caller is
+    /// responsible for semantic validation — see
     /// [`crate::cache::report_from_json`], which rebuilds the tower from
     /// the task itself and re-validates the map, so a corrupted store can
     /// never smuggle in an ill-formed witness.
@@ -68,9 +70,10 @@ impl DecisionMap {
         self.b
     }
 
-    /// The subdivision `SDS^b(I)` the map is defined on. A witness loaded
-    /// from the cache converts its arena tower (bit-identically) on the
-    /// first call; callers that never ask pay nothing.
+    /// The subdivision `SDS^b(I)` the map is defined on. A witness on an
+    /// arena tower (every compiled-kernel search result and every cache
+    /// replay) converts it (bit-identically) on the first call; callers
+    /// that never ask pay nothing.
     pub fn subdivision(&self) -> &Subdivision {
         self.subdivision.get_or_init(|| {
             let arena = self.arena.as_ref().expect("a witness without a tower");
@@ -470,15 +473,71 @@ impl SolveOptions {
 /// [`solve_at_bounded`] with full [`SolveOptions`] control (budget,
 /// strategy, and parallelism).
 pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutcome {
-    let sub = sds_iterated(task.input(), b);
-    solve_on(task, &sub, b, opts, &mut ConstraintCache::default())
+    let mut tower = Tower::base(task.input(), opts.kernel);
+    for level in 1..=b {
+        tower = tower.next(level);
+    }
+    solve_on(task, &tower, b, opts, &mut ConstraintCache::default())
 }
 
-/// The shared per-round body: search `sub` (= `SDS^b(I)`) under `opts`,
+/// The `SDS^b(I)` a round searches. The compiled kernel searches the
+/// label-free arena and hands it to its witness; [`Kernel::Reference`]
+/// keeps a `Subdivision` tower grown by the reference builder, so the
+/// differential oracle shares no tower code with the kernel it checks.
+enum Tower {
+    Arena(Arc<ArenaSds>),
+    Reference(Arc<Subdivision>),
+}
+
+impl Tower {
+    /// `SDS^0(I) = I` in `kernel`'s representation.
+    fn base(input: &Complex, kernel: Kernel) -> Tower {
+        match kernel {
+            Kernel::Compiled => Tower::Arena(Arc::new(arena_sds_tower(input, 0))),
+            Kernel::Reference => Tower::Reference(Arc::new(Subdivision::identity(input.clone()))),
+        }
+    }
+
+    /// `SDS^level(I)` from this `SDS^{level-1}(I)` by one subdivision
+    /// (Lemma 3.3). An arena level counts `sds.builds`, `sds.facets` and
+    /// `sds.vertices` as the reference builder counts its own, and either
+    /// kind emits an `sds.level` trace event.
+    fn next(&self, level: usize) -> Tower {
+        let (next, facets, vertices) = match self {
+            Tower::Arena(arena) => {
+                let next = arena.next();
+                let (f, v) = (next.complex().num_facets(), next.complex().num_vertices());
+                iis_obs::metrics::add("sds.builds", 1);
+                iis_obs::metrics::add("sds.facets", f as u64);
+                iis_obs::metrics::add("sds.vertices", v as u64);
+                (Tower::Arena(Arc::new(next)), f, v)
+            }
+            Tower::Reference(sub) => {
+                let next = sds_next(sub);
+                let (f, v) = (next.complex().num_facets(), next.complex().num_vertices());
+                (Tower::Reference(Arc::new(next)), f, v)
+            }
+        };
+        if iis_obs::trace::active() {
+            iis_obs::trace::event(
+                "sds.level",
+                "sds.level",
+                &[
+                    ("level", iis_obs::Json::Num(level as f64)),
+                    ("facets", iis_obs::Json::Num(facets as f64)),
+                    ("vertices", iis_obs::Json::Num(vertices as f64)),
+                ],
+            );
+        }
+        next
+    }
+}
+
+/// The shared per-round body: search `tower` (= `SDS^b(I)`) under `opts`,
 /// with instrumentation.
 fn solve_on(
     task: &Task,
-    sub: &Subdivision,
+    tower: &Tower,
     b: usize,
     opts: &SolveOptions,
     cache: &mut ConstraintCache,
@@ -492,7 +551,7 @@ fn solve_on(
     let profile_t0 = profile_now();
     let budget = SharedBudget::new(opts.max_nodes);
     let deadline = opts.timeout.map(|t| std::time::Instant::now() + t);
-    let result = search_map(task, sub, &budget, deadline, opts, cache, round_span);
+    let result = search_map(task, tower, &budget, deadline, opts, cache, round_span);
     if let Some(t0) = profile_t0 {
         iis_obs::profile::sample(
             round_span,
@@ -533,10 +592,16 @@ fn solve_on(
     }
     drop(timer);
     match result {
-        Ok(Some(map)) => {
-            debug_assert!(validate_decision_map(task, sub, &map).is_ok());
-            BoundedOutcome::Solvable(Box::new(DecisionMap::new(b, sub.clone(), map)))
-        }
+        Ok(Some(map)) => BoundedOutcome::Solvable(Box::new(match tower {
+            Tower::Arena(arena) => {
+                debug_assert!(validate_decision_map_arena(task, arena, &map).is_ok());
+                DecisionMap::from_arena(b, Arc::clone(arena), map)
+            }
+            Tower::Reference(sub) => {
+                debug_assert!(validate_decision_map(task, sub, &map).is_ok());
+                DecisionMap::new(b, Arc::clone(sub), map)
+            }
+        })),
         Ok(None) => BoundedOutcome::Unsolvable,
         Err(Halt::Timeout) => BoundedOutcome::TimedOut,
         Err(_) => BoundedOutcome::Exhausted,
@@ -545,9 +610,10 @@ fn solve_on(
 
 /// An incremental round-by-round solver: each [`step`](Solver::step)
 /// decides one more round count, extending `SDS^b(I)` to `SDS^{b+1}(I)` by
-/// a *single* subdivision (Lemma 3.3 via [`iis_topology::sds_next`]) and
-/// reusing compiled constraint tables whose carriers are unchanged —
-/// instead of rebuilding everything from scratch per round the way repeated
+/// a *single* subdivision (Lemma 3.3 via [`ArenaSds::next`], or
+/// [`iis_topology::sds_next`] for [`Kernel::Reference`]) and reusing
+/// compiled constraint tables whose carriers are unchanged — instead of
+/// rebuilding everything from scratch per round the way repeated
 /// [`solve_at`] calls would.
 ///
 /// The node budget in the options applies per round.
@@ -567,7 +633,7 @@ fn solve_on(
 pub struct Solver<'t> {
     task: &'t Task,
     opts: SolveOptions,
-    acc: Subdivision,
+    tower: Tower,
     b: usize,
     started: bool,
     cache: ConstraintCache,
@@ -579,7 +645,7 @@ impl<'t> Solver<'t> {
         Solver {
             task,
             opts,
-            acc: Subdivision::identity(task.input().clone()),
+            tower: Tower::base(task.input(), opts.kernel),
             b: 0,
             started: false,
             cache: ConstraintCache::default(),
@@ -595,12 +661,12 @@ impl<'t> Solver<'t> {
     /// Decides the next round count and returns its outcome.
     pub fn step(&mut self) -> BoundedOutcome {
         if self.started {
-            self.acc = sds_next(&self.acc);
             self.b += 1;
+            self.tower = self.tower.next(self.b);
         } else {
             self.started = true;
         }
-        solve_on(self.task, &self.acc, self.b, &self.opts, &mut self.cache)
+        solve_on(self.task, &self.tower, self.b, &self.opts, &mut self.cache)
     }
 }
 
@@ -672,7 +738,7 @@ pub fn lift_decision_map(task: &Task, dm: &DecisionMap) -> DecisionMap {
     });
     let lifted = forget.then(&translated);
     debug_assert!(validate_decision_map(task, &finer, &lifted).is_ok());
-    DecisionMap::new(dm.rounds() + 1, finer, lifted)
+    DecisionMap::new(dm.rounds() + 1, Arc::new(finer), lifted)
 }
 
 /// An executable protocol induced by a [`DecisionMap`]: run the map's
@@ -878,7 +944,7 @@ fn compile_csp(
         }
         let verts: Vec<VertexId> = s.iter().collect();
         let colors: Vec<Color> = verts.iter().map(|&v| c.color(v)).collect();
-        let carrier = sub.carrier_of_simplex(s);
+        let carrier: Vec<u32> = sub.carrier_of_simplex(s).iter().map(|u| u.0).collect();
         let table = cache.table(task, &carrier, &colors);
         if table.allowed.is_empty() {
             empty_table = true;
@@ -920,21 +986,24 @@ fn compile_csp(
     Some((csp, domains))
 }
 
-/// Dispatches the search to the selected engine. Both paths explore the
-/// same tree in the same order; see [`crate::csp`] for the determinism
-/// argument.
+/// Dispatches the search to the engine that owns `tower`. Both paths
+/// explore the same tree in the same order; see [`crate::csp`] for the
+/// determinism argument.
 fn search_map(
     task: &Task,
-    sub: &Subdivision,
+    tower: &Tower,
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
     opts: &SolveOptions,
     cache: &mut ConstraintCache,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
-    if opts.kernel == Kernel::Compiled {
-        return crate::csp::search_map(task, sub, budget, deadline, opts, cache, round);
-    }
+    let sub = match tower {
+        Tower::Arena(arena) => {
+            return crate::csp::search_map(task, arena, budget, deadline, opts, cache, round)
+        }
+        Tower::Reference(sub) => sub,
+    };
     let compile_t0 = profile_now();
     let compiled = compile_csp(task, sub, cache);
     if let Some(t0) = compile_t0 {
@@ -1428,6 +1497,46 @@ mod tests {
         let w0 = solve_at(&t, 0).unwrap();
         let w1 = lift_decision_map(&t, &w0);
         validate_decision_map(&t, w1.subdivision(), w1.map()).unwrap();
+    }
+
+    /// The compiled kernel compiles from the arena tower, the reference
+    /// engine from the labelled `Subdivision`: per round, the constraints
+    /// must be the same vertex lists in the same order with the same
+    /// allowed tuples.
+    #[test]
+    fn arena_compile_matches_reference_compile() {
+        let cases = [
+            (trivial(2), 1usize),
+            (consensus(2, &[0, 1]), 1),
+            (k_set_consensus(2, 2), 2),
+            (renaming(1, 3), 2),
+            (approximate_agreement(1, 9), 2),
+            (one_shot_immediate_snapshot_task(2), 1),
+        ];
+        for (task, max_b) in cases {
+            let mut arena_cache = ConstraintCache::default();
+            let mut reference_cache = ConstraintCache::default();
+            for b in 0..=max_b {
+                let arena = iis_topology::arena::arena_sds_tower(task.input(), b);
+                let sub = iis_topology::sds_iterated(task.input(), b);
+                let compiled = crate::csp::compile(&task, &arena, &mut arena_cache);
+                let reference = compile_csp(&task, &sub, &mut reference_cache);
+                let (Some((k, _)), Some((r, _))) = (compiled, reference) else {
+                    panic!("{} b={b}: only one side compiled", task.name());
+                };
+                assert_eq!(k.tables.len(), r.constraints.len(), "{} b={b}", task.name());
+                for (ci, con) in r.constraints.iter().enumerate() {
+                    let verts: Vec<u32> = con.verts.iter().map(|v| v.0).collect();
+                    assert_eq!(
+                        k.verts(ci),
+                        &verts[..],
+                        "{} b={b} constraint {ci}",
+                        task.name()
+                    );
+                    assert_eq!(k.tables[ci].allowed, con.table.allowed);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! cancelled, so the lowest-indexed solution is the sequential solution).
 
 use iis_core::{
-    solvability::validate_decision_map, solve_at_opts, BoundedOutcome, DecisionMap, Kernel,
-    SearchStrategy, SolveOptions,
+    solvability::validate_decision_map, solve_at_opts, solve_up_to_opts, BoundedOutcome,
+    DecisionMap, Kernel, SearchStrategy, SolveOptions,
 };
 use iis_tasks::library::{
     approximate_agreement, chromatic_simplex_agreement, consensus, k_set_consensus,
@@ -117,6 +117,47 @@ fn compiled_kernel_matches_reference_engine_across_library() {
                             task.name()
                         ),
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The compiled kernel searches the label-free arena tower and the
+/// reference kernel the labelled `Subdivision` tower; the sweep records
+/// they produce must still be byte-identical at every thread count and
+/// under both strategies, and a witness's subdivision must be exactly the
+/// reference `SDS^b(I)`.
+#[test]
+fn sweep_records_are_identical_across_kernels_jobs_and_strategies() {
+    use iis_core::cache::report_to_json;
+
+    for (task, max_b) in library() {
+        let baseline = solve_up_to_opts(&task, max_b, &SolveOptions::new());
+        let bytes = report_to_json(&baseline).to_string();
+        if let Some(w) = baseline.witness() {
+            let reference = iis_topology::sds_iterated(task.input(), w.rounds());
+            let sub = w.subdivision();
+            assert!(sub.complex().same_labeled(reference.complex()));
+            assert!(sub.complex().facets().eq(reference.complex().facets()));
+            for v in reference.complex().vertex_ids() {
+                assert_eq!(sub.complex().label(v), reference.complex().label(v));
+                assert_eq!(sub.carrier_of_vertex(v), reference.carrier_of_vertex(v));
+            }
+        }
+        for kernel in [Kernel::Compiled, Kernel::Reference] {
+            for strategy in [SearchStrategy::Mac, SearchStrategy::PlainBacktracking] {
+                for jobs in [1usize, 2, 4] {
+                    let opts = SolveOptions::new()
+                        .kernel(kernel)
+                        .strategy(strategy)
+                        .jobs(jobs);
+                    assert_eq!(
+                        report_to_json(&solve_up_to_opts(&task, max_b, &opts)).to_string(),
+                        bytes,
+                        "{} {kernel:?} {strategy:?} jobs={jobs}",
+                        task.name()
+                    );
                 }
             }
         }

@@ -249,9 +249,11 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-/// Decimal digits of `v` from a stack buffer — the bytes `format!("{v}")`
-/// gives, without a heap string per number.
-fn write_int(out: &mut String, v: i64) {
+/// Appends the decimal digits of `v` from a stack buffer — the bytes
+/// `format!("{v}")` gives, without a heap string per number. For an
+/// integer `|v| ≤ 2⁵³` this is exactly how `Json::Num(v as f64)` renders,
+/// so callers writing JSON text directly stay byte-identical to the tree.
+pub fn write_int(out: &mut String, v: i64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     let mut m = v.unsigned_abs();
@@ -269,9 +271,10 @@ fn write_int(out: &mut String, v: i64) {
     out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
 }
 
-/// Quotes `s`, pushing each run that needs no escape as one slice (a
-/// string with nothing to escape is pushed whole).
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, exactly as `Json::Str` renders it:
+/// each run that needs no escape is pushed as one slice (a string with
+/// nothing to escape is pushed whole).
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
@@ -294,6 +297,34 @@ fn write_string(out: &mut String, s: &str) {
     }
     out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Appends a compact JSON array with one item per element of `items`, each
+/// written by `item` — the text `Json::Arr(..).to_string()` gives when
+/// `item` writes what the element's compact rendering would be.
+///
+/// # Examples
+///
+/// ```
+/// use iis_obs::json::{write_array, write_int, Json};
+/// let mut out = String::new();
+/// write_array(&mut out, [1i64, 2, 3], |out, v| write_int(out, v));
+/// let tree = Json::Arr(vec![Json::Num(1.0), Json::Num(2.0), Json::Num(3.0)]);
+/// assert_eq!(out, tree.to_string());
+/// ```
+pub fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
 /// A compact JSON object written member by member, where a member's value

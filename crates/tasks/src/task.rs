@@ -112,10 +112,30 @@ impl Task {
     ///
     /// Structurally equal tasks produce identical strings — `delta` is
     /// BTreeMap-ordered and the complexes serialize in construction order —
-    /// so this is a valid content-address preimage.
+    /// so this is a valid content-address preimage. The text is written
+    /// directly, with no `Json` tree in between, and is byte-identical to
+    /// `self.to_json().to_string()`.
     pub fn canonical_json(&self) -> &str {
-        use iis_obs::ToJson;
-        self.canonical.get_or_init(|| self.to_json().to_string())
+        use iis_obs::json::{write_array, write_string};
+        self.canonical.get_or_init(|| {
+            let mut out = String::new();
+            out.push_str("{\"name\":");
+            write_string(&mut out, &self.name);
+            out.push_str(",\"input\":");
+            self.input.write_json(&mut out);
+            out.push_str(",\"output\":");
+            self.output.write_json(&mut out);
+            out.push_str(",\"delta\":");
+            write_array(&mut out, &self.delta, |out, (si, outs)| {
+                out.push('[');
+                si.write_json(out);
+                out.push(',');
+                write_array(out, outs, |out, so| so.write_json(out));
+                out.push(']');
+            });
+            out.push('}');
+            out
+        })
     }
 
     /// `true` iff `Δ` is *monotone*: for every input face `sq ⊆ si`, every

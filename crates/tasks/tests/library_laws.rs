@@ -207,3 +207,31 @@ fn csass_outputs_form_simplices_of_the_target() {
         }
     }
 }
+
+/// `Task::canonical_json` writes its text directly; it must be the exact
+/// bytes of rendering the `Json` tree, since it is the content-address
+/// preimage every stored record and every routing decision hangs on.
+#[test]
+fn canonical_text_is_the_rendered_tree() {
+    use iis_obs::{Json, ToJson};
+    let mut tasks = all_library_tasks();
+    tasks.push(approximate_agreement(1, 64));
+    // a name that needs escaping
+    let renamed = trivial(1)
+        .to_json()
+        .to_string()
+        .replace(r#""trivial""#, r#""tab\tquote\"é""#);
+    tasks.push(Json::parse_as(&renamed).unwrap());
+    for task in tasks {
+        let rendered = task.to_json().to_string();
+        assert_eq!(task.canonical_json(), rendered, "{}", task.name());
+        // an inline question decodes the task from its JSON on each hop
+        let decoded: Task = Json::parse_as(&rendered).unwrap();
+        assert_eq!(
+            decoded.canonical_json(),
+            rendered,
+            "decoded {}",
+            task.name()
+        );
+    }
+}

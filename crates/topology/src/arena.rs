@@ -1,111 +1,50 @@
 //! Flat integer-id arena form of the `SDS^b` tower.
 //!
-//! [`crate::Complex`] is the reference representation: labels are compared
-//! through a two-level `Color → Label → VertexId` hash index and facets
-//! live in a `BTreeSet<Simplex>`. That is the right shape for the
-//! differential oracle, but the hot paths — rebuilding `SDS^b(I)` to
-//! revalidate a stored witness, and bulk carrier queries — only need
-//! integer ids and contiguous slices. This module provides that form:
+//! [`crate::Complex`] is the reference representation: vertices carry
+//! nested view [`crate::Label`]s, are found through a `Color → Label →
+//! VertexId` hash index, and facets live in a `BTreeSet<Simplex>`. That is
+//! the right shape for the differential oracle and for callers that run
+//! protocols against labels, but the hot paths — rebuilding `SDS^b(I)` to
+//! revalidate a stored witness, and compiling the decision-map CSP for the
+//! search — only need integer ids and contiguous slices. This module
+//! provides that form:
 //!
-//! - [`LabelInterner`] hash-conses [`Label`]s to dense `u32` ids, so
-//!   label equality is an integer compare and vertex lookup is a single
-//!   `(color, label id)` hash probe;
-//! - [`ArenaComplex`] stores facets as sorted `u32` slices in one CSR
-//!   (compressed sparse row) arena instead of a facet `BTreeSet`;
+//! - [`ArenaComplex`] stores per-vertex colors and the facets as sorted
+//!   `u32` slices in one CSR (compressed sparse row) arena, with no labels;
 //! - [`ArenaSds`] is the iterated-subdivision tower built level by level
 //!   with carriers composed straight down to the base, stored CSR.
 //!
-//! The arena is **id-compatible** with the reference path: vertex `i` of
-//! [`ArenaSds::complex`] is vertex `i` of [`crate::sds_iterated`]'s
-//! complex, with the same color, label, and base carrier, and
-//! [`ArenaSds::to_subdivision`] reproduces the reference [`Subdivision`]
-//! exactly (enforced by tests here and the differential suite in
-//! `iis-core`). This is what lets `iis_core::cache` validate a stored
-//! witness against the arena and still hand back a witness bit-identical
-//! to one computed fresh.
+//! A vertex of `SDS^{b+1}` is a process together with the level-`b`
+//! vertices it saw, so the arena names it by `(color, sorted ids of the
+//! level-b vertices in its view)` instead of by its nested view label.
+//! The two names pick out the same vertices (DESIGN.md, "Why ids name the
+//! same vertices as labels"), and ids are assigned in first-encounter order
+//! over the previous level's lexicographic facet order, exactly as
+//! [`crate::sds_iterated`] assigns them. So the arena is **id-compatible**
+//! with the reference path: vertex `i` of [`ArenaSds::complex`] is vertex
+//! `i` of `sds_iterated`'s complex, with the same color and base carrier,
+//! and the facet sets agree ([`ArenaSds::agrees_with`], enforced by tests
+//! here and the differential suites in `iis-core`). This is what lets
+//! `iis_core::cache` validate a stored witness against the arena, and the
+//! search return a witness on it, and still hand back exactly the answer
+//! the reference tower gives.
 
 use crate::template;
-use crate::{Color, Complex, Label, Simplex, Subdivision, VertexId};
+use crate::{sds_iterated, Color, Complex, Subdivision};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Hash-consing table assigning dense `u32` ids to [`Label`]s.
+/// A chromatic complex as per-vertex colors plus CSR facet storage.
 ///
-/// Interning a label clones its `Arc` at most once; subsequent interns of
-/// an equal label return the existing id without allocating.
-///
-/// # Examples
-///
-/// ```
-/// use iis_topology::arena::LabelInterner;
-/// use iis_topology::Label;
-/// let mut t = LabelInterner::new();
-/// let a = t.intern(&Label::scalar(7));
-/// let b = t.intern(&Label::scalar(7));
-/// assert_eq!(a, b);
-/// assert_eq!(t.get(a), &Label::scalar(7));
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct LabelInterner {
-    ids: HashMap<Label, u32>,
-    labels: Vec<Label>,
-}
-
-impl LabelInterner {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The id for `label`, assigning the next dense id if unseen.
-    pub fn intern(&mut self, label: &Label) -> u32 {
-        if let Some(&id) = self.ids.get(label) {
-            return id;
-        }
-        let id = self.labels.len() as u32;
-        self.ids.insert(label.clone(), id);
-        self.labels.push(label.clone());
-        id
-    }
-
-    /// The id for `label` if it has been interned.
-    pub fn lookup(&self, label: &Label) -> Option<u32> {
-        self.ids.get(label).copied()
-    }
-
-    /// The label with id `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by [`LabelInterner::intern`].
-    pub fn get(&self, id: u32) -> &Label {
-        &self.labels[id as usize]
-    }
-
-    /// Number of distinct labels interned.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// `true` iff nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-}
-
-/// A chromatic complex over interned labels with CSR facet storage.
-///
-/// Vertex ids are assigned in insertion order (matching
-/// [`Complex::ensure_vertex`]); facets are sorted `u32` slices appended to
-/// one flat arena. Unlike [`Complex`], facet insertion does **not**
-/// maintain an antichain — the subdivision builders guarantee it
-/// structurally, and [`ArenaComplex::from_complex`] starts from one.
-#[derive(Debug, Default, Clone)]
+/// Vertex ids are dense and assigned in insertion order; facets are sorted
+/// `u32` slices appended to one flat arena. Unlike [`Complex`], facet
+/// insertion does **not** maintain an antichain — the subdivision builder
+/// guarantees it structurally, and [`ArenaComplex::from_complex`] starts
+/// from one.
+#[derive(Debug, Clone)]
 pub struct ArenaComplex {
-    interner: LabelInterner,
-    /// Per-vertex `(color, label id)`, indexed by vertex id.
-    vertices: Vec<(Color, u32)>,
-    /// `(color, label id) → vertex id`.
-    index: HashMap<(u32, u32), u32>,
+    /// Per-vertex color, indexed by vertex id.
+    colors: Vec<Color>,
     /// CSR facet offsets (length `num_facets + 1`).
     facet_offsets: Vec<u32>,
     /// Concatenated facet vertex ids, sorted within each facet.
@@ -113,11 +52,11 @@ pub struct ArenaComplex {
 }
 
 impl ArenaComplex {
-    /// An empty complex.
-    pub fn new() -> Self {
+    fn new() -> Self {
         ArenaComplex {
+            colors: Vec::new(),
             facet_offsets: vec![0],
-            ..Default::default()
+            facet_verts: Vec::new(),
         }
     }
 
@@ -125,9 +64,7 @@ impl ArenaComplex {
     /// reference complex's sorted order. Vertex ids coincide with `c`'s.
     pub fn from_complex(c: &Complex) -> Self {
         let mut a = ArenaComplex::new();
-        for v in c.vertex_ids() {
-            a.ensure_vertex(c.color(v), c.label(v));
-        }
+        a.colors.extend(c.vertex_ids().map(|v| c.color(v)));
         let mut buf = Vec::new();
         for f in c.facets() {
             buf.clear();
@@ -137,45 +74,21 @@ impl ArenaComplex {
         a
     }
 
-    /// The id for the vertex `(color, label)`, inserting it if new.
-    pub fn ensure_vertex(&mut self, color: Color, label: &Label) -> u32 {
-        let lid = self.interner.intern(label);
-        match self.index.entry((color.0, lid)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let id = self.vertices.len() as u32;
-                e.insert(id);
-                self.vertices.push((color, lid));
-                id
-            }
-        }
-    }
-
-    /// Looks up a vertex id by `(color, label)` without inserting.
-    pub fn vertex_id(&self, color: Color, label: &Label) -> Option<u32> {
-        let lid = self.interner.lookup(label)?;
-        self.index.get(&(color.0, lid)).copied()
-    }
-
     /// Appends a facet given as strictly increasing vertex ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `verts` is empty, unsorted, or out of range.
-    pub fn push_facet_sorted(&mut self, verts: &[u32]) {
+    fn push_facet_sorted(&mut self, verts: &[u32]) {
         debug_assert!(!verts.is_empty(), "facets are non-empty");
         debug_assert!(
             verts.windows(2).all(|w| w[0] < w[1]),
             "facet must be strictly increasing"
         );
-        debug_assert!(verts.iter().all(|&v| (v as usize) < self.vertices.len()));
+        debug_assert!(verts.iter().all(|&v| (v as usize) < self.colors.len()));
         self.facet_verts.extend_from_slice(verts);
         self.facet_offsets.push(self.facet_verts.len() as u32);
     }
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.vertices.len()
+        self.colors.len()
     }
 
     /// Number of facets.
@@ -191,31 +104,17 @@ impl ArenaComplex {
 
     /// The color of vertex `v`.
     pub fn color(&self, v: u32) -> Color {
-        self.vertices[v as usize].0
-    }
-
-    /// The label of vertex `v`.
-    pub fn label(&self, v: u32) -> &Label {
-        self.interner.get(self.vertices[v as usize].1)
-    }
-
-    /// The interned label id of vertex `v`.
-    pub fn label_id(&self, v: u32) -> u32 {
-        self.vertices[v as usize].1
-    }
-
-    /// The label table.
-    pub fn interner(&self) -> &LabelInterner {
-        &self.interner
+        self.colors[v as usize]
     }
 }
 
 /// The `b`-fold iterated standard chromatic subdivision of a base complex
 /// in arena form, with per-vertex carriers (sorted base vertex ids) stored
-/// CSR. Built by [`arena_sds_tower`].
+/// CSR. Built by [`arena_sds_tower`] or, one level at a time, by
+/// [`ArenaSds::next`].
 #[derive(Debug)]
 pub struct ArenaSds {
-    base: Complex,
+    base: Arc<Complex>,
     complex: ArenaComplex,
     /// Permutation of facet indices putting facets in lexicographic
     /// (= reference `BTreeSet<Simplex>`) order.
@@ -258,25 +157,135 @@ impl ArenaSds {
         &self.facet_order
     }
 
-    /// Materializes the reference [`Subdivision`] — bit-identical to
-    /// `sds_iterated(base, b)`: same vertex ids in the same order, same
-    /// facet set, same carriers.
-    pub fn to_subdivision(&self) -> Subdivision {
+    /// `SDS^{b+1}(C)` from this `SDS^b(C)`: one more subdivision level,
+    /// carriers composed to the base (Lemma 3.3) — the arena twin of
+    /// [`crate::sds_next`], timed into `sds.arena_build_ns`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_topology::arena::arena_sds_tower;
+    /// use iis_topology::Complex;
+    /// let base = Complex::standard_simplex(1);
+    /// let two = arena_sds_tower(&base, 1).next();
+    /// assert_eq!(two.rounds(), 2);
+    /// assert!(two.agrees_with(&arena_sds_tower(&base, 2).to_subdivision()).is_ok());
+    /// ```
+    pub fn next(&self) -> ArenaSds {
+        let _timer = iis_obs::span::span("sds.arena_build_ns");
+        arena_sds_level(self)
+    }
+
+    /// Visits every distinct simplex of the subdivided complex, as its
+    /// sorted vertex ids together with its carrier (sorted base vertex
+    /// ids, the union of its vertices' carriers), in the order
+    /// [`Complex::for_each_simplex`] visits them on the reference tower.
+    ///
+    /// Each facet's faces are enumerated by bitmask, then sorted and
+    /// deduplicated as fixed-width keys: ids shifted up by one and
+    /// zero-padded, so a proper prefix sorts first — the lexicographic
+    /// order of [`crate::Simplex`].
+    pub fn for_each_simplex<F: FnMut(&[u32], &[u32])>(&self, mut f: F) {
         let c = &self.complex;
-        let mut sub = Complex::new();
-        for v in 0..c.num_vertices() as u32 {
-            let id = sub.ensure_vertex(c.color(v), c.label(v).clone());
-            debug_assert_eq!(id.0, v, "arena vertices are distinct by construction");
+        let width = (0..c.num_facets())
+            .map(|i| c.facet(i).len())
+            .max()
+            .unwrap_or(0);
+        if width == 0 {
+            return;
         }
+        let mut keys: Vec<u32> = Vec::new();
         for i in 0..c.num_facets() {
-            sub.insert_facet_unchecked(Simplex::from_sorted(
-                c.facet(i).iter().map(|&v| VertexId(v)).collect(),
+            let fv = c.facet(i);
+            for mask in 1..(1u32 << fv.len()) {
+                let start = keys.len();
+                keys.extend(set_bits(mask as u16).map(|k| fv[k] + 1));
+                keys.resize(start + width, 0);
+            }
+        }
+        let key = |i: u32| &keys[i as usize * width..(i as usize + 1) * width];
+        let mut order: Vec<u32> = (0..(keys.len() / width) as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        order.dedup_by(|a, b| key(*a) == key(*b));
+        let mut verts: Vec<u32> = Vec::with_capacity(width);
+        let mut carrier: Vec<u32> = Vec::new();
+        for i in order {
+            verts.clear();
+            verts.extend(key(i).iter().take_while(|&&v| v != 0).map(|&v| v - 1));
+            carrier.clear();
+            for &v in &verts {
+                carrier.extend_from_slice(self.carrier(v));
+            }
+            carrier.sort_unstable();
+            carrier.dedup();
+            f(&verts, &carrier);
+        }
+    }
+
+    /// Checks that this tower is the reference tower `sub` with its labels
+    /// forgotten: the same base, the same vertex colors in the same id
+    /// order, the same per-vertex carriers, and the same facets, with
+    /// [`ArenaSds::facet_order`] reproducing `sub`'s sorted facet order.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first disagreement.
+    pub fn agrees_with(&self, sub: &Subdivision) -> Result<(), String> {
+        let (ac, rc) = (&self.complex, sub.complex());
+        if !sub.base().same_labeled(&self.base) {
+            return Err("different base complexes".to_string());
+        }
+        if ac.num_vertices() != rc.num_vertices() {
+            return Err(format!(
+                "{} vertices vs {} in the reference",
+                ac.num_vertices(),
+                rc.num_vertices()
             ));
         }
-        let carriers = (0..c.num_vertices() as u32)
-            .map(|v| Simplex::from_sorted(self.carrier(v).iter().map(|&u| VertexId(u)).collect()))
-            .collect();
-        Subdivision::from_parts(self.base.clone(), sub, carriers)
+        for v in rc.vertex_ids() {
+            if ac.color(v.0) != rc.color(v) {
+                return Err(format!("color of vertex {v}"));
+            }
+            if !self
+                .carrier(v.0)
+                .iter()
+                .copied()
+                .eq(sub.carrier_of_vertex(v).iter().map(|u| u.0))
+            {
+                return Err(format!("carrier of vertex {v}"));
+            }
+        }
+        if ac.num_facets() != rc.num_facets() || self.facet_order.len() != ac.num_facets() {
+            return Err(format!(
+                "{} facets vs {} in the reference",
+                ac.num_facets(),
+                rc.num_facets()
+            ));
+        }
+        for (k, (&i, f)) in self.facet_order.iter().zip(rc.facets()).enumerate() {
+            if !ac
+                .facet(i as usize)
+                .iter()
+                .copied()
+                .eq(f.iter().map(|v| v.0))
+            {
+                return Err(format!("facet {k} in sorted order"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Materializes the reference [`Subdivision`] — bit-identical to
+    /// `sds_iterated(base, b)`, which is how it is built: the arena keeps
+    /// no labels, and the reference builder is the one place that makes
+    /// them. Debug builds check that the result [`agrees_with`] this
+    /// tower.
+    ///
+    /// [`agrees_with`]: ArenaSds::agrees_with
+    pub fn to_subdivision(&self) -> Subdivision {
+        let sub = sds_iterated(&self.base, self.rounds);
+        debug_assert_eq!(self.agrees_with(&sub), Ok(()));
+        sub
     }
 }
 
@@ -296,10 +305,7 @@ impl ArenaSds {
 /// let base = Complex::standard_simplex(1);
 /// let arena = arena_sds_tower(&base, 2);
 /// assert_eq!(arena.complex().num_facets(), 9);
-/// assert!(arena
-///     .to_subdivision()
-///     .complex()
-///     .same_labeled(sds_iterated(&base, 2).complex()));
+/// assert!(arena.agrees_with(&sds_iterated(&base, 2)).is_ok());
 /// ```
 pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
     assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
@@ -309,7 +315,7 @@ pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
     let complex = ArenaComplex::from_complex(base);
     let nv = complex.num_vertices();
     let mut tower = ArenaSds {
-        base: base.clone(),
+        base: Arc::new(base.clone()),
         facet_order: (0..complex.num_facets() as u32).collect(),
         carrier_offsets: (0..=nv as u32).collect(),
         carrier_verts: (0..nv as u32).collect(),
@@ -317,45 +323,56 @@ pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
         rounds: 0,
     };
     for _ in 0..b {
-        tower = arena_sds_level(tower);
+        tower = arena_sds_level(&tower);
     }
     tower
 }
 
 /// One subdivision level: `SDS^{b+1}(C)` from `SDS^b(C)`, carriers
 /// composed to the base.
-fn arena_sds_level(prev: ArenaSds) -> ArenaSds {
+///
+/// A new vertex is named by its color and the sorted ids of the
+/// previous-level vertices in its view; the first time a name is met it
+/// gets the next id. Facets are subdivided in lexicographic order — the
+/// order `sds` walks the reference `BTreeSet` — which pins ids to the
+/// reference path's.
+fn arena_sds_level(prev: &ArenaSds) -> ArenaSds {
     let pc = &prev.complex;
     let mut next = ArenaComplex::new();
     let mut carrier_offsets: Vec<u32> = vec![0];
     let mut carrier_verts: Vec<u32> = Vec::new();
-    // Scratch, reused across facets: per view mask the canonical label and
-    // the composed base carrier.
-    let mut labels: Vec<Option<Label>> = Vec::new();
+    // `[color, view ids…] → vertex id`; looked up through a reused buffer,
+    // so only a vertex met for the first time allocates its key
+    let mut ids: HashMap<Box<[u32]>, u32> = HashMap::new();
+    let mut name: Vec<u32> = Vec::new();
+    // Scratch, reused across facets: the composed base carrier per view mask.
     let mut carriers: Vec<Vec<u32>> = Vec::new();
     let mut concrete: Vec<u32> = Vec::new();
     let mut facet_buf: Vec<u32> = Vec::new();
-    // Subdivide facets in lexicographic order — the order `sds` walks the
-    // reference `BTreeSet`, which pins vertex ids to the reference path's.
+    // The templates by width, fetched from the process-wide cache once per
+    // level; every later facet of a cached width is one more template hit.
+    let mut templates: Vec<Option<Arc<template::SdsTemplate>>> = Vec::new();
+    let mut reused = 0u64;
     for &fi in &prev.facet_order {
         let fv = pc.facet(fi as usize);
         let n = fv.len();
-        let tpl = template::template_any_width(n);
-        labels.clear();
-        labels.resize(1 << n, None);
+        if templates.len() <= n {
+            templates.resize(n + 1, None);
+        }
+        let tpl = match &mut templates[n] {
+            Some(t) => {
+                reused += u64::from(n <= template::MAX_TEMPLATE_WIDTH);
+                t
+            }
+            slot => slot.insert(template::template_any_width(n)),
+        };
         if carriers.len() < 1 << n {
             carriers.resize(1 << n, Vec::new());
         }
-        // Every non-empty mask occurs as some vertex's view; fill labels
-        // and composed carriers for all of them, in increasing mask order
-        // so the carrier recurrence `c[m] = c[m \ low] ∪ c[low]` only reads
-        // already-filled entries.
+        // Every non-empty mask occurs as some vertex's view; compose the
+        // carriers of all of them, in increasing mask order so the
+        // recurrence `c[m] = c[m \ low] ∪ c[low]` only reads filled entries.
         for m in 1usize..(1 << n) {
-            let mask = m as u16;
-            labels[m] = Some(Label::view(set_bits(mask).map(|k| {
-                let u = fv[k];
-                (pc.color(u), pc.label(u))
-            })));
             let low = m & m.wrapping_neg();
             let rest = m & (m - 1);
             let lowv = fv[low.trailing_zeros() as usize];
@@ -367,15 +384,25 @@ fn arena_sds_level(prev: ArenaSds) -> ArenaSds {
             }
         }
         concrete.clear();
+        let full = ((1u32 << n) - 1) as u16;
         for &(pos, mask) in tpl.vertices() {
-            let m = mask as usize;
-            let before = next.num_vertices();
-            let id = next.ensure_vertex(pc.color(fv[pos as usize]), labels[m].as_ref().unwrap());
-            if next.num_vertices() > before {
-                carrier_verts.extend_from_slice(&carriers[m]);
-                carrier_offsets.push(carrier_verts.len() as u32);
+            let color = pc.color(fv[pos as usize]);
+            // a vertex that saw the whole facet occurs in no other facet
+            // (facets are maximal), so only partial views are looked up
+            if mask != full {
+                name.clear();
+                name.push(color.0);
+                name.extend(set_bits(mask).map(|k| fv[k]));
+                if let Some(&id) = ids.get(name.as_slice()) {
+                    concrete.push(id);
+                    continue;
+                }
+                ids.insert(name.as_slice().into(), next.colors.len() as u32);
             }
-            concrete.push(id);
+            concrete.push(next.colors.len() as u32);
+            next.colors.push(color);
+            carrier_verts.extend_from_slice(&carriers[mask as usize]);
+            carrier_offsets.push(carrier_verts.len() as u32);
         }
         for tuple in tpl.facet_tuples().chunks(n) {
             facet_buf.clear();
@@ -384,10 +411,13 @@ fn arena_sds_level(prev: ArenaSds) -> ArenaSds {
             next.push_facet_sorted(&facet_buf);
         }
     }
+    if reused > 0 {
+        iis_obs::metrics::add("sds.template_hits", reused);
+    }
     let mut order: Vec<u32> = (0..next.num_facets() as u32).collect();
     order.sort_unstable_by(|&a, &b| next.facet(a as usize).cmp(next.facet(b as usize)));
     ArenaSds {
-        base: prev.base,
+        base: Arc::clone(&prev.base),
         complex: next,
         facet_order: order,
         carrier_offsets,
@@ -453,17 +483,16 @@ mod tests {
         base
     }
 
-    #[test]
-    fn interner_dedups() {
-        let mut t = LabelInterner::new();
-        assert!(t.is_empty());
-        let a = t.intern(&Label::scalar(1));
-        let b = t.intern(&Label::scalar(2));
-        assert_ne!(a, b);
-        assert_eq!(t.intern(&Label::scalar(1)), a);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.lookup(&Label::scalar(2)), Some(b));
-        assert_eq!(t.lookup(&Label::scalar(9)), None);
+    /// A mixed-width, non-pure base: a triangle with a dangling edge.
+    fn kite() -> Complex {
+        let mut base = Complex::new();
+        let a = base.ensure_vertex(Color(0), Label::scalar(0));
+        let b = base.ensure_vertex(Color(1), Label::scalar(1));
+        let c = base.ensure_vertex(Color(2), Label::scalar(2));
+        let d = base.ensure_vertex(Color(0), Label::scalar(3));
+        base.add_facet([a, b, c]);
+        base.add_facet([c, d]);
+        base
     }
 
     #[test]
@@ -474,11 +503,6 @@ mod tests {
         assert_eq!(a.num_facets(), c.complex().num_facets());
         for v in c.complex().vertex_ids() {
             assert_eq!(a.color(v.0), c.complex().color(v));
-            assert_eq!(a.label(v.0), c.complex().label(v));
-            assert_eq!(
-                a.vertex_id(c.complex().color(v), c.complex().label(v)),
-                Some(v.0)
-            );
         }
         for (i, f) in c.complex().facets().enumerate() {
             let ids: Vec<u32> = f.iter().map(|v| v.0).collect();
@@ -491,29 +515,63 @@ mod tests {
         for (base, b) in [
             (Complex::standard_simplex(1), 3usize),
             (Complex::standard_simplex(2), 2),
-            (butterfly(), 1),
+            (butterfly(), 3),
+            (kite(), 2),
         ] {
             let arena = arena_sds_tower(&base, b);
             let reference = sds_iterated(&base, b);
-            let (ac, rc) = (arena.complex(), reference.complex());
-            assert_eq!(ac.num_vertices(), rc.num_vertices());
-            for v in rc.vertex_ids() {
-                assert_eq!(ac.color(v.0), rc.color(v), "color of {v}");
-                assert_eq!(ac.label(v.0), rc.label(v), "label of {v}");
-                let want: Vec<u32> = reference.carrier_of_vertex(v).iter().map(|u| u.0).collect();
-                assert_eq!(arena.carrier(v.0), &want[..], "carrier of {v}");
+            assert_eq!(arena.agrees_with(&reference), Ok(()), "b = {b}");
+            // and the comparison itself is not vacuous
+            assert_eq!(
+                arena.complex().num_vertices(),
+                reference.complex().num_vertices()
+            );
+            assert!(arena.complex().num_facets() > 0);
+        }
+    }
+
+    #[test]
+    fn stepping_equals_building_at_once() {
+        for base in [Complex::standard_simplex(2), butterfly(), kite()] {
+            let mut stepped = arena_sds_tower(&base, 0);
+            for b in 1..=2 {
+                stepped = stepped.next();
+                assert_eq!(stepped.rounds(), b);
+                assert_eq!(stepped.agrees_with(&sds_iterated(&base, b)), Ok(()));
             }
-            // facet sets equal, and facet_order reproduces BTreeSet order
-            let ref_facets: Vec<Vec<u32>> = rc
-                .facets()
-                .map(|f| f.iter().map(|v| v.0).collect())
-                .collect();
-            let arena_facets: Vec<Vec<u32>> = arena
-                .facet_order()
-                .iter()
-                .map(|&i| ac.facet(i as usize).to_vec())
-                .collect();
-            assert_eq!(arena_facets, ref_facets);
+        }
+    }
+
+    #[test]
+    fn agreement_notices_a_difference() {
+        let base = Complex::standard_simplex(1);
+        let arena = arena_sds_tower(&base, 2);
+        assert!(arena.agrees_with(&sds_iterated(&base, 1)).is_err());
+        assert!(arena
+            .agrees_with(&sds_iterated(&Complex::standard_simplex(2), 2))
+            .is_err());
+    }
+
+    #[test]
+    fn simplices_stream_in_reference_order_with_carriers() {
+        for (base, b) in [
+            (Complex::standard_simplex(2), 1usize),
+            (butterfly(), 1),
+            (kite(), 2),
+        ] {
+            let arena = arena_sds_tower(&base, b);
+            let reference = sds_iterated(&base, b);
+            let mut want: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+            reference.complex().for_each_simplex(|s| {
+                let carrier = reference.carrier_of_simplex(s);
+                want.push((
+                    s.iter().map(|v| v.0).collect(),
+                    carrier.iter().map(|v| v.0).collect(),
+                ));
+            });
+            let mut got: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+            arena.for_each_simplex(|s, carrier| got.push((s.to_vec(), carrier.to_vec())));
+            assert_eq!(got, want);
         }
     }
 

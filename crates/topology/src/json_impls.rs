@@ -15,7 +15,7 @@
 //! exactly one carrier per subdivided vertex.
 
 use crate::{Color, Complex, Label, Simplex, SimplicialMap, Subdivision, VertexId};
-use iis_obs::json::{FromJson, Json, JsonError, ToJson};
+use iis_obs::json::{write_array, write_int, FromJson, Json, JsonError, ToJson};
 
 impl ToJson for Color {
     fn to_json(&self) -> Json {
@@ -62,6 +62,40 @@ impl ToJson for Simplex {
 impl FromJson for Simplex {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(Simplex::new(Vec::<VertexId>::from_json(v)?))
+    }
+}
+
+impl Label {
+    /// Appends the compact JSON text of this label — the bytes
+    /// `self.to_json().to_string()` gives, without building the tree.
+    pub fn write_json(&self, out: &mut String) {
+        write_array(out, self.bytes(), |out, &b| write_int(out, b as i64));
+    }
+}
+
+impl Simplex {
+    /// Appends the compact JSON text of this simplex — the bytes
+    /// `self.to_json().to_string()` gives, without building the tree.
+    pub fn write_json(&self, out: &mut String) {
+        write_array(out, self.iter(), |out, v| write_int(out, v.0 as i64));
+    }
+}
+
+impl Complex {
+    /// Appends the compact JSON text of this complex — the bytes
+    /// `self.to_json().to_string()` gives, without building the tree.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"vertices\":");
+        write_array(out, self.vertex_ids(), |out, v| {
+            out.push('[');
+            write_int(out, self.color(v).0 as i64);
+            out.push(',');
+            self.label(v).write_json(out);
+            out.push(']');
+        });
+        out.push_str(",\"facets\":");
+        write_array(out, self.facets(), |out, f| f.write_json(out));
+        out.push('}');
     }
 }
 
@@ -144,6 +178,18 @@ impl FromJson for Subdivision {
 mod tests {
     use super::*;
     use crate::{sds, sds_iterated};
+
+    #[test]
+    fn written_text_equals_rendered_tree() {
+        let mut c = sds(&Complex::standard_simplex(2)).complex().clone();
+        c.ensure_vertex(Color(7), Label::scalar(300)); // an isolated vertex
+        let mut out = String::new();
+        c.write_json(&mut out);
+        assert_eq!(out, c.to_json().to_string());
+        let mut empty = String::new();
+        Complex::new().write_json(&mut empty);
+        assert_eq!(empty, Complex::new().to_json().to_string());
+    }
 
     #[test]
     fn complex_roundtrip() {

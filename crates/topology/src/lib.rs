@@ -10,7 +10,7 @@
 //! - [`sds`], [`sds_iterated`] — the standard chromatic subdivision and its
 //!   iterates (Lemmas 3.2/3.3), instantiated from a per-dimension
 //!   [`template`] and differentially checked against [`sds_reference`],
-//! - [`arena`] — the same towers as flat CSR arrays with interned labels,
+//! - [`arena`] — the same towers as flat CSR arrays, vertices named by ids,
 //!   for validation-speed consumers,
 //! - [`bsd`] — barycentric subdivision (used by Lemma 5.3),
 //! - [`SimplicialMap`] — simpliciality / color / carrier preservation checks,

@@ -99,11 +99,9 @@ fn arena_tower_matches_reference_on_random_complexes() {
         let b = rng.random_range(0..3usize);
         let arena = arena_sds_tower(&base, b);
         let reference = sds_iterated(&base, b);
+        // colors, carriers, facets and facet order, read off the arena
+        // itself (it keeps no labels to compare)
+        assert_eq!(arena.agrees_with(&reference), Ok(()));
         assert_identical(&arena.to_subdivision(), &reference);
-        // CSR carriers agree with the materialized ones without conversion
-        for v in reference.complex().vertex_ids() {
-            let want: Vec<u32> = reference.carrier_of_vertex(v).iter().map(|u| u.0).collect();
-            assert_eq!(arena.carrier(v.0), &want[..]);
-        }
     }
 }

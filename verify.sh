@@ -66,9 +66,11 @@ echo "serve smoke: ok"
 # Solve-service smoke: start `iis serve` with a persistent store on an
 # ephemeral port, POST the same task twice, and require the second reply
 # to come from the store ("cached": true) with a byte-identical witness
-# and serve_cache_hits_total = 1; probe /healthz and /readyz; accept an
-# async job and POST /shutdown while it may still be running — the drain
-# must finish it (summary says so) and the exit must be clean.
+# and serve_cache_hits_total = 1; probe /healthz and /readyz; ask an
+# inline-task question ({"task": …}, the committed eps:1:3 fixture) twice
+# with the same requirements; accept an async job and POST /shutdown while
+# it may still be running — the drain must finish it (summary says so) and
+# the exit must be clean.
 serve_log=$(mktemp)
 serve_out=$(mktemp)
 store_dir=$(mktemp -d)
@@ -113,13 +115,26 @@ scrape /healthz | grep -q '"ok": true' \
   || { echo "solve service smoke: /healthz not ok"; exit 1; }
 scrape /readyz | grep -q '"ready":true' \
   || { echo "solve service smoke: /readyz not ready"; exit 1; }
+# an inline task, at a round bound the spec questions above did not use
+inline_task=$(cat crates/cli/tests/golden/inline_task_eps_1_3.json)
+body="{\"task\": $inline_task, \"max_rounds\": 1}"
+first=$(post /solve "$body")
+echo "$first" | grep -q '"cached":false' \
+  || { echo "solve service smoke: first inline reply should be a miss"; echo "$first"; exit 1; }
+second=$(post /solve "$body")
+echo "$second" | grep -q '"cached":true' \
+  || { echo "solve service smoke: second inline reply should be a store hit"; echo "$second"; exit 1; }
+wit1=$(printf '%s' "$first"  | sed 's/.*"witness"://')
+wit2=$(printf '%s' "$second" | sed 's/.*"witness"://')
+[ -n "$wit1" ] && [ "$wit1" = "$wit2" ] \
+  || { echo "solve service smoke: inline witnesses differ"; echo "$wit1"; echo "$wit2"; exit 1; }
 # drain path: accept an async job, then shut down while it may be running
 accepted=$(post /solve '{"spec": "trivial:2", "max_rounds": 1, "wait": false}')
 echo "$accepted" | grep -q '"job":' \
   || { echo "solve service smoke: async solve not accepted"; echo "$accepted"; exit 1; }
 post /shutdown '' >/dev/null
 wait "$serve_pid" || { echo "solve service smoke: serve exited nonzero"; cat "$serve_log"; exit 1; }
-grep -q '2 jobs accepted, 2 completed' "$serve_out" \
+grep -q '3 jobs accepted, 3 completed' "$serve_out" \
   || { echo "solve service smoke: drain did not finish the accepted job"; cat "$serve_out"; exit 1; }
 rm -rf "$serve_log" "$serve_out" "$store_dir"
 echo "solve service smoke: ok"
@@ -128,8 +143,9 @@ echo "solve service smoke: ok"
 # no question answered wrongly or misaligned, only late or 503.
 "$IIS" fuzz --layer gateway --seed 7 --cases 300 --shrink
 
-# Gateway smoke: two shards behind `iis gateway`; a 12-question batch is
-# scattered, coalesced, and gathered; then one shard is killed and the
+# Gateway smoke: two shards behind `iis gateway`; a 13-question batch (12
+# library specs and the inline eps:1:3 fixture) is scattered, coalesced,
+# and gathered; then one shard is killed and the
 # same batch must come back with every answer byte-identical (purity makes
 # any replica's answer THE answer) and gateway_failovers_total >= 1. The
 # prober interval is set far out so the dead shard is discovered on the
@@ -166,7 +182,8 @@ qs=""
 for s in trivial:1 trivial:2 eps:1:3 eps:1:5 eps:1:9 oneshot:1; do
   for b in 1 2; do qs="$qs{\"spec\": \"$s\", \"max_rounds\": $b},"; done
 done
-batch="{\"questions\": [${qs%,}]}"
+qs="$qs{\"task\": $(cat crates/cli/tests/golden/inline_task_eps_1_3.json), \"max_rounds\": 2}"
+batch="{\"questions\": [$qs]}"
 # warm both shards, then take the all-cached envelope as the baseline
 req "$portG" POST /solve "$batch" >/dev/null
 baseline=$(req "$portG" POST /solve "$batch")

@@ -486,7 +486,9 @@ impl SolveService {
         if let Some(text) = SharedCache(&self.store).get(key) {
             if let Ok(json) = Json::parse(&text) {
                 if validate_record(&req.task, &json).is_ok() {
-                    iis_obs::metrics::add("serve.cache_hits", 1);
+                    static CACHE_HITS: iis_obs::metrics::StaticCounter =
+                        iis_obs::metrics::StaticCounter::new("serve.cache_hits");
+                    CACHE_HITS.incr();
                     return Admission::Ready(Response::json(record_reply(
                         false, true, None, key, &text,
                     )));

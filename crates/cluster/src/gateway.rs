@@ -161,6 +161,10 @@ fn relay_body(text: String) -> String {
 /// task interner and still cost only tens of KB.
 const SPEC_PREFIX_CAP: usize = 1024;
 
+/// `gateway.requests`: one per question, single or batched.
+static GATEWAY_REQUESTS: iis_obs::metrics::StaticCounter =
+    iis_obs::metrics::StaticCounter::new("gateway.requests");
+
 fn spec_prefixes() -> &'static Lru<String, u64> {
     static PREFIXES: OnceLock<Lru<String, u64>> = OnceLock::new();
     PREFIXES.get_or_init(|| Lru::new(SPEC_PREFIX_CAP))
@@ -319,7 +323,7 @@ impl Gateway {
     /// `POST /solve` with a single-question object body: route and relay,
     /// preserving the backend's schema byte-for-byte.
     pub fn solve_one(&self, body: &str) -> (u16, String) {
-        iis_obs::metrics::add("gateway.requests", 1);
+        GATEWAY_REQUESTS.incr();
         let q = match Json::parse(body) {
             Ok(q) => q,
             Err(e) => return (400, error_body(&format!("bad JSON body: {e}"))),
@@ -355,7 +359,7 @@ impl Gateway {
     /// gathers one ordered answer envelope.
     fn scatter_gather(&self, questions: Vec<(&str, Result<u64, String>)>) -> String {
         iis_obs::metrics::add("gateway.batch_requests", 1);
-        iis_obs::metrics::add("gateway.requests", questions.len() as u64);
+        GATEWAY_REQUESTS.add(questions.len() as u64);
         let mut answers: Vec<Option<Reply>> = vec![None; questions.len()];
         // route every question; invalid ones answer 400 without a trip
         let mut routed: Vec<(usize, &str, Vec<usize>)> = Vec::new();

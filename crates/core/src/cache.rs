@@ -31,32 +31,46 @@
 //!
 //! Records store only the data that cannot be recomputed cheaply: the
 //! per-round verdict vector and the witness's round count and vertex map.
-//! The subdivision the witness lives on is **rebuilt from the task** (as a
-//! flat arena, memoized process-wide — Lemma 3.3 makes `SDS^b(I)` a pure
-//! function of `(I, b)`) and the map is re-validated against Proposition
-//! 3.1's three conditions, so a corrupted or adversarial store entry is
-//! detected and treated as a miss rather than trusted.
+//! The subdivision the witness lives on is **rebuilt from the task's
+//! input** and the map is re-validated against Proposition 3.1's
+//! conditions, so a corrupted or adversarial store entry is detected and
+//! treated as a miss rather than trusted.
+//!
+//! The rebuild is shared. Lemma 3.3 makes `SDS^b(I)` a pure function of
+//! `(I, b)`, and the label-free arena reads only `I`'s shape — its colors
+//! in id order and its facets in order — so the tower and its compiled
+//! constraint skeleton (one constraint per simplex, classed by
+//! `(carrier, colors)`) are memoized once per `(shape, b)` ([`shape_key`])
+//! for every task over inputs of that shape, and the solver's round sweep
+//! takes its levels from the same memo. All 81 `eps:1:k` tasks, for
+//! instance, share one skeleton per `b`. A task contributes only its `Δ`
+//! tables, one per class, which an interned task ([`KeyedTask`]) keeps for
+//! life; checking a stored witness is then one table probe per simplex
+//! (DESIGN.md, "Why checking the compiled constraints is Proposition
+//! 3.1's check").
 //!
 //! # Interning
 //!
 //! A library spec (`"eps:1:9"`) determines its task, and the task
 //! determines the round-independent part of its key ([`key_prefix`]), so
 //! [`intern_spec`] builds both once per process and shares them: a
-//! repeated question rebuilds neither the task nor its canonical JSON.
-//! The interner, the tower memo and the gateway's prefix memo are all
-//! bounded by one [`Lru`]. None of this weakens integrity: every warm hit
-//! still revalidates the stored witness; interning only skips rebuilding
-//! a task that is already known.
+//! repeated question rebuilds neither the task, nor its canonical JSON,
+//! nor its `Δ` tables. The interner, the skeleton memo and the gateway's
+//! prefix memo are all bounded by one [`Lru`]. None of this weakens
+//! integrity: every warm hit still revalidates the stored witness;
+//! interning only skips rebuilding a task that is already known.
 
+use crate::csp::{Skeleton, TaskTables};
 use crate::solvability::{
-    solve_up_to_opts, validate_decision_map_arena, DecisionMap, SolvabilityReport, SolveOptions,
+    check_decision_map, solve_up_to_with, DecisionMap, SolvabilityReport, SolveOptions,
 };
 use iis_obs::json::FromJson;
+use iis_obs::metrics::StaticCounter;
 use iis_obs::{Json, ToJson};
 use iis_tasks::library::parse_spec;
 use iis_tasks::Task;
 use iis_topology::arena::{arena_sds_tower, ArenaSds};
-use iis_topology::SimplicialMap;
+use iis_topology::{Complex, SimplicialMap};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -129,7 +143,7 @@ pub fn cache_key(task: &Task, max_rounds: usize) -> u64 {
 
 /// A bounded map that evicts its least-recently-used entry, behind a
 /// poison-safe lock — the one eviction policy behind every process-wide
-/// memo of pure functions (the tower memo, the spec interner, the
+/// memo of pure functions (the skeleton memo, the spec interner, the
 /// gateway's prefix memo).
 ///
 /// Entries carry the logical clock tick of their last use; eviction is an
@@ -223,28 +237,39 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
 }
 
 /// Entries each process-wide memo of this module holds before the
-/// least-recently-used one is evicted: the tower memo and the spec
+/// least-recently-used one is evicted: the skeleton memo and the spec
 /// interner. The towers and tasks a serve process answers repeatedly fit
 /// easily; a workload cycling through more sheds the coldest entry per
 /// insert instead of cliff-dropping the whole memo.
 pub const TOWER_CACHE_CAP: usize = 64;
 
 /// A task together with the round-independent part of its content
-/// address ([`key_prefix`]) — what a question needs to be keyed and
-/// answered, computed once.
+/// address ([`key_prefix`]), its input's [`shape_key`], and its compiled
+/// `Δ` tables — what a question needs to be keyed and answered, computed
+/// once. The tables are compiled lazily, one per `(carrier, colors)`
+/// class a skeleton asks for, and shared by the task's searches and its
+/// stored-witness checks.
 #[derive(Debug)]
 pub struct KeyedTask {
     task: Task,
     key_prefix: u64,
+    shape: u64,
+    tables: TaskTables,
 }
 
 impl KeyedTask {
-    /// Keys `task`. The canonical JSON is rendered once for the prefix and
+    /// Keys `task`. The canonical JSON is written once for the prefix and
     /// dropped, not memoized in the task: an interned task never keeps
     /// its (up to tens of KB) preimage.
     pub fn new(task: Task) -> KeyedTask {
-        let key_prefix = prefix_of_canonical(&task.to_json().to_string());
-        KeyedTask { task, key_prefix }
+        let mut canonical = String::new();
+        task.write_canonical(&mut canonical);
+        KeyedTask {
+            key_prefix: prefix_of_canonical(&canonical),
+            shape: shape_key(task.input()),
+            task,
+            tables: TaskTables::default(),
+        }
     }
 
     /// The task.
@@ -284,9 +309,10 @@ fn spec_interner() -> &'static Lru<String, Arc<KeyedTask>> {
 /// Returns [`parse_spec`]'s message for anything that is not a library
 /// spec (unknown family, bad number, an `@file`).
 pub fn intern_spec(spec: &str) -> Result<Arc<KeyedTask>, String> {
+    static SPEC_HITS: StaticCounter = StaticCounter::new("cache.spec_hits");
     let specs = spec_interner();
     if let Some(keyed) = specs.get(spec) {
-        iis_obs::metrics::add("cache.spec_hits", 1);
+        SPEC_HITS.incr();
         return Ok(keyed);
     }
     let keyed = Arc::new(KeyedTask::new(parse_spec(spec)?));
@@ -336,33 +362,97 @@ pub fn question_rounds(q: &Json) -> Result<usize, String> {
     }
 }
 
-fn tower_memo() -> &'static Lru<(u64, usize), Arc<ArenaSds>> {
-    static TOWERS: OnceLock<Lru<(u64, usize), Arc<ArenaSds>>> = OnceLock::new();
-    TOWERS.get_or_init(|| Lru::new(TOWER_CACHE_CAP))
+/// The shape of an input complex as a 64-bit key: FNV-1a over its vertex
+/// count, its vertex colors in id order, and its facets in sorted order
+/// (each as its size and its vertex ids) — exactly what
+/// [`arena_sds_tower`] reads, and nothing it does not (labels).
+///
+/// Lemma 3.3 makes `SDS^b(I)` a function of `I` alone, and the label-free
+/// arena makes it a function of this shape alone, so `(shape, b)` keys
+/// the skeleton memo: tasks over inputs of equal shape and different
+/// labels share one tower. A memo hit is confirmed against the input's
+/// actual shape, so a hash collision costs a rebuild, never a wrong tower.
+///
+/// # Examples
+///
+/// ```
+/// use iis_core::cache::shape_key;
+/// use iis_tasks::library::approximate_agreement;
+/// // ε-agreement inputs differ in their labels (the grid), not in shape
+/// assert_eq!(
+///     shape_key(approximate_agreement(1, 3).input()),
+///     shape_key(approximate_agreement(1, 9).input())
+/// );
+/// ```
+pub fn shape_key(input: &Complex) -> u64 {
+    let word = |h: u64, x: u32| fnv1a64_from(h, &x.to_le_bytes());
+    let mut h = word(FNV_OFFSET, input.num_vertices() as u32);
+    for v in input.vertex_ids() {
+        h = word(h, input.color(v).0);
+    }
+    for f in input.facets() {
+        h = word(h, f.len() as u32);
+        for v in f.iter() {
+            h = word(h, v.0);
+        }
+    }
+    h
 }
 
-/// `SDS^b(I)` for `task` as a flat arena, memoized process-wide with LRU
-/// eviction under the task's [`key_prefix`].
-///
-/// Lemma 3.3 makes the tower a pure function of `(I, b)`, and the arena
-/// construction is deterministic, so sharing one instance across requests
-/// changes no observable bytes — it only deletes the rebuild from every
-/// warm reply after the first. Keyed by the task's content address (tasks
-/// sharing an input complex but differing in `Δ` rebuild redundantly;
-/// the cap bounds that waste). Evictions are counted in
-/// `cache.tower_evictions`.
-fn rebuilt_tower(task: &Task, key_prefix: u64, b: usize) -> Arc<ArenaSds> {
-    let towers = tower_memo();
-    if let Some(tower) = towers.get(&(key_prefix, b)) {
-        iis_obs::metrics::add("cache.tower_hits", 1);
-        return tower;
+fn skeleton_memo() -> &'static Lru<(u64, usize), Arc<Skeleton>> {
+    static SKELETONS: OnceLock<Lru<(u64, usize), Arc<Skeleton>>> = OnceLock::new();
+    SKELETONS.get_or_init(|| Lru::new(TOWER_CACHE_CAP))
+}
+
+/// The memoized constraint skeleton of `SDS^b(input)`, if any, where
+/// `shape` is [`shape_key`] of `input`. A hit is counted in
+/// `cache.tower_hits`; an entry under the same key but of another shape
+/// (a hash collision) is not a hit.
+pub(crate) fn memoized_skeleton(input: &Complex, shape: u64, b: usize) -> Option<Arc<Skeleton>> {
+    static TOWER_HITS: StaticCounter = StaticCounter::new("cache.tower_hits");
+    let skel = skeleton_memo().get(&(shape, b))?;
+    if !skel.tower().base().same_shape(input) {
+        return None;
     }
-    let tower = Arc::new(arena_sds_tower(task.input(), b));
+    TOWER_HITS.incr();
+    Some(skel)
+}
+
+/// The constraint skeleton of `tower`, counted in `cache.tower_builds`.
+pub(crate) fn build_skeleton(tower: ArenaSds) -> Arc<Skeleton> {
     iis_obs::metrics::add("cache.tower_builds", 1);
-    if towers.insert((key_prefix, b), Arc::clone(&tower)) {
+    Arc::new(Skeleton::new(tower))
+}
+
+/// Memoizes `skel` as the skeleton of `(shape, b)`, evicting the least
+/// recently used entry at [`TOWER_CACHE_CAP`] (counted in
+/// `cache.tower_evictions`).
+pub(crate) fn keep_skeleton(shape: u64, b: usize, skel: &Arc<Skeleton>) {
+    if skeleton_memo().insert((shape, b), Arc::clone(skel)) {
         iis_obs::metrics::add("cache.tower_evictions", 1);
     }
-    tower
+}
+
+/// The constraint skeleton of `SDS^b(input)` a stored witness is checked
+/// against, memoized process-wide with LRU eviction under `(shape, b)`,
+/// where `shape` is [`shape_key`] of `input`.
+///
+/// The tower and its skeleton are a pure function of the shape and `b`,
+/// and both are built deterministically, so sharing one instance across
+/// tasks and requests changes no observable byte — it only deletes the
+/// rebuild (and the simplex enumeration) from every later check of a
+/// witness of any task of that shape, and from every search round that
+/// reaches that level. The memo holds only levels some witness lives on:
+/// these, and the levels the solver finds a witness on
+/// ([`crate::solvability`]); a refuted or undecided round's level is
+/// dropped with its sweep.
+fn witness_skeleton(input: &Complex, shape: u64, b: usize) -> Arc<Skeleton> {
+    if let Some(skel) = memoized_skeleton(input, shape, b) {
+        return skel;
+    }
+    let skel = build_skeleton(arena_sds_tower(input, b));
+    keep_skeleton(shape, b, &skel);
+    skel
 }
 
 /// A key-value cache of serialized solvability records.
@@ -423,12 +513,13 @@ pub fn report_to_json(report: &SolvabilityReport) -> Json {
 struct Record {
     results: Vec<(usize, bool)>,
     name: String,
-    witness: Option<(usize, Arc<ArenaSds>, SimplicialMap)>,
+    witness: Option<(usize, Arc<Skeleton>, SimplicialMap)>,
 }
 
-/// Decodes a [`report_to_json`] record and revalidates its witness on the
-/// memoized arena tower under `key_prefix` (which must be `task`'s).
-fn decode_record(task: &Task, key_prefix: u64, v: &Json) -> Result<Record, String> {
+/// Decodes a [`report_to_json`] record and revalidates its witness against
+/// the memoized skeleton under `shape` (which must be `task`'s input's),
+/// with `task`'s `Δ` tables from `tables`.
+fn decode_record(task: &Task, shape: u64, tables: &TaskTables, v: &Json) -> Result<Record, String> {
     let results = Vec::<(usize, bool)>::from_json(v.field("results").map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
     let name = String::from_json(v.field("task").map_err(|e| e.to_string())?)
@@ -441,13 +532,13 @@ fn decode_record(task: &Task, key_prefix: u64, v: &Json) -> Result<Record, Strin
             let map = SimplicialMap::from_json(w.field("map").map_err(|e| e.to_string())?)
                 .map_err(|e| e.to_string())?;
             let _timer = iis_obs::span::span("cache.revalidate_ns");
-            let tower = rebuilt_tower(task, key_prefix, b);
-            validate_decision_map_arena(task, &tower, &map)
+            let skel = witness_skeleton(task.input(), shape, b);
+            check_decision_map(task, &skel, tables, &map)
                 .map_err(|e| format!("stored witness invalid: {e}"))?;
             if results.last() != Some(&(b, true)) {
                 return Err("witness round disagrees with verdict vector".to_string());
             }
-            Some((b, tower, map))
+            Some((b, skel, map))
         }
     };
     if witness.is_none() && results.iter().any(|(_, ok)| *ok) {
@@ -460,11 +551,16 @@ fn decode_record(task: &Task, key_prefix: u64, v: &Json) -> Result<Record, Strin
     })
 }
 
-fn decode_report(task: &Task, key_prefix: u64, v: &Json) -> Result<SolvabilityReport, String> {
-    let rec = decode_record(task, key_prefix, v)?;
+fn decode_report(
+    task: &Task,
+    shape: u64,
+    tables: &TaskTables,
+    v: &Json,
+) -> Result<SolvabilityReport, String> {
+    let rec = decode_record(task, shape, tables, v)?;
     let witness = rec
         .witness
-        .map(|(b, tower, map)| DecisionMap::from_arena(b, tower, map));
+        .map(|(b, skel, map)| DecisionMap::from_skeleton(b, skel, task.input(), map));
     Ok(SolvabilityReport::from_parts(
         rec.name,
         rec.results,
@@ -474,38 +570,41 @@ fn decode_report(task: &Task, key_prefix: u64, v: &Json) -> Result<SolvabilityRe
 
 /// Decodes and **re-validates** a record produced by [`report_to_json`].
 ///
-/// The witness's subdivision is rebuilt from `task` (Lemma 3.3: `SDS^b(I)`
-/// is canonical) in flat arena form — `iis_topology::arena` — and the
-/// stored vertex map must pass
-/// [`validate_decision_map_arena`] on it: the same Proposition 3.1
-/// conditions as the reference validator (simpliciality, color
-/// preservation, `δ(s) ∈ Δ(carrier(s))` for every simplex), checked
-/// against CSR facet slices instead of a materialized `BTreeSet` face
-/// poset. Only the arena is memoized; the returned witness's
-/// [`DecisionMap`] converts it to the reference `Subdivision`
-/// (bit-identically) on its first `subdivision()` call, so a caller that
-/// only reads the verdict or the map never pays for the conversion. The
-/// rebuild+revalidate is timed into the `cache.revalidate_ns` histogram —
-/// the dominant cost of a warm `iis serve` reply.
+/// The witness's subdivision `SDS^b(I)` is taken from the process-wide
+/// skeleton memo under `task`'s input shape (built on a miss — Lemma 3.3:
+/// `SDS^b(I)` is canonical), and the stored vertex map must pass the same
+/// Proposition 3.1 conditions as the reference
+/// [`validate_decision_map`](crate::solvability::validate_decision_map)
+/// (simpliciality, color preservation, `δ(s) ∈ Δ(carrier(s))` for every
+/// simplex), checked as one `Δ`-table probe per simplex of the skeleton. A
+/// bare task compiles its `Δ` tables for this call; an interned one
+/// ([`validate_record`]) keeps them. The returned witness's
+/// [`DecisionMap`] converts the tower to the reference `Subdivision` over
+/// `task`'s own labels (bit-identically) on its first `subdivision()`
+/// call, so a caller that only reads the verdict or the map never pays
+/// for the conversion. The check is timed into the `cache.revalidate_ns`
+/// histogram.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural or semantic defect; the
 /// caller should treat any error as a cache miss.
 pub fn report_from_json(task: &Task, v: &Json) -> Result<SolvabilityReport, String> {
-    decode_report(task, key_prefix(task), v)
+    let tables = TaskTables::default();
+    decode_report(task, shape_key(task.input()), &tables, v)
 }
 
 /// Checks a stored record exactly as [`report_from_json`] does — the same
-/// decoding and the same [`validate_decision_map_arena`] revalidation —
-/// without assembling a report: the warm path of a service that replays
-/// the stored bytes instead of re-rendering a decoded report.
+/// decoding and the same revalidation — without assembling a report: the
+/// warm path of a service that replays the stored bytes instead of
+/// re-rendering a decoded report. The check reads the keyed task's own
+/// `Δ` tables, compiled on its first check or search and kept.
 ///
 /// # Errors
 ///
 /// As [`report_from_json`].
 pub fn validate_record(keyed: &KeyedTask, v: &Json) -> Result<(), String> {
-    decode_record(&keyed.task, keyed.key_prefix, v).map(|_| ())
+    decode_record(&keyed.task, keyed.shape, &keyed.tables, v).map(|_| ())
 }
 
 /// `true` iff the sweep reached a verdict that may be persisted: a witness,
@@ -545,33 +644,56 @@ pub fn solve_up_to_cached(
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
-    solve_cached(task, key_prefix(task), max_rounds, opts, cache)
+    let tables = TaskTables::default();
+    let question = Question {
+        task,
+        key_prefix: key_prefix(task),
+        shape: shape_key(task.input()),
+        tables: &tables,
+    };
+    solve_cached(&question, max_rounds, opts, cache)
 }
 
 /// [`solve_up_to_cached`] for an already-keyed task (an interned spec or
 /// a keyed inline task): the same sweep, with no re-serialization of the
-/// task to find its key.
+/// task to find its key, compiled against — and a stored witness checked
+/// with — the task's own `Δ` tables.
 pub fn solve_keyed(
     keyed: &KeyedTask,
     max_rounds: usize,
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
-    solve_cached(&keyed.task, keyed.key_prefix, max_rounds, opts, cache)
+    let question = Question {
+        task: &keyed.task,
+        key_prefix: keyed.key_prefix,
+        shape: keyed.shape,
+        tables: &keyed.tables,
+    };
+    solve_cached(&question, max_rounds, opts, cache)
+}
+
+/// What a cached sweep needs of its task: the task, its key prefix and
+/// input shape, and the `Δ` tables to compile and check against (an
+/// interned task's own, or a bare task's for this one call).
+struct Question<'a> {
+    task: &'a Task,
+    key_prefix: u64,
+    shape: u64,
+    tables: &'a TaskTables,
 }
 
 fn solve_cached(
-    task: &Task,
-    key_prefix: u64,
+    q: &Question<'_>,
     max_rounds: usize,
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
-    let key = finish_key(key_prefix, max_rounds);
+    let key = finish_key(q.key_prefix, max_rounds);
     if let Some(text) = cache.get(key) {
         match Json::parse(&text)
             .map_err(|e| e.to_string())
-            .and_then(|v| decode_report(task, key_prefix, &v))
+            .and_then(|v| decode_report(q.task, q.shape, q.tables, &v))
         {
             Ok(report) => {
                 iis_obs::metrics::add("solve.cache_store_hits", 1);
@@ -587,14 +709,14 @@ fn solve_cached(
                 // silently; the trace records what happened
                 iis_obs::trace::event(
                     "cache.invalid_record",
-                    task.name(),
+                    q.task.name(),
                     &[("error", Json::Str(e))],
                 );
             }
         }
     }
     iis_obs::metrics::add("solve.cache_store_misses", 1);
-    let report = solve_up_to_opts(task, max_rounds, opts);
+    let report = solve_up_to_with(q.task, max_rounds, opts, q.tables);
     if decided(&report, max_rounds) {
         cache.put(key, &report_to_json(&report).to_string());
     }
@@ -608,6 +730,7 @@ fn solve_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solvability::solve_up_to_opts;
     use iis_tasks::library::{approximate_agreement, consensus, trivial};
 
     #[test]
@@ -689,29 +812,132 @@ mod tests {
         assert!(!out.hit, "invalid witness must be a miss");
     }
 
+    /// A one-color input of `k` isolated vertices: `k` distinct shapes
+    /// for `k` distinct values, each with a trivially cheap tower.
+    fn isolated_points(k: u64) -> Complex {
+        let mut c = Complex::new();
+        for i in 0..k {
+            let v = c.ensure_vertex(iis_topology::Color(0), iis_topology::Label::scalar(i));
+            c.add_facet([v]);
+        }
+        c
+    }
+
+    fn skeleton_of(input: &Complex, b: usize) -> Arc<Skeleton> {
+        witness_skeleton(input, shape_key(input), b)
+    }
+
     #[test]
     fn tower_memo_evicts_lru_instead_of_clearing() {
-        // cycle more distinct (task, b) keys than the cap: the memo must
+        // cycle more distinct (shape, b) keys than the cap: the memo must
         // stay bounded and keep the recently-used entries, evicting only
         // the coldest. b=0 towers are cheap, so the pressure is realistic.
-        let tasks: Vec<_> = (2..2 + TOWER_CACHE_CAP as u64 + 8)
-            .map(|k| approximate_agreement(1, k))
+        let inputs: Vec<Complex> = (1..=TOWER_CACHE_CAP as u64 + 8)
+            .map(isolated_points)
             .collect();
         let hot = trivial(1);
-        for t in &tasks {
-            rebuilt_tower(&hot, key_prefix(&hot), 0); // keep one entry hot throughout
-            rebuilt_tower(t, key_prefix(t), 0);
+        for input in &inputs {
+            skeleton_of(hot.input(), 0); // keep one entry hot throughout
+            skeleton_of(input, 0);
         }
-        let memo = tower_memo();
+        let memo = skeleton_memo();
         assert!(
             memo.len() <= TOWER_CACHE_CAP,
             "memo exceeded its cap: {}",
             memo.len()
         );
         assert!(
-            memo.contains_key(&(key_prefix(&hot), 0usize)),
+            memo.contains_key(&(shape_key(hot.input()), 0usize)),
             "the constantly-reused entry must survive eviction pressure"
         );
+    }
+
+    #[test]
+    fn shapes_ignore_labels_but_not_colors() {
+        let specs = ["eps:1:3", "eps:1:9", "eps:1:27"];
+        let tasks: Vec<Task> = specs.iter().map(|s| parse_spec(s).unwrap()).collect();
+        let shape = shape_key(tasks[0].input());
+        for t in &tasks {
+            assert_eq!(shape_key(t.input()), shape, "{}", t.name());
+        }
+        assert!(
+            !tasks[0].input().same_labeled(tasks[1].input()),
+            "the shared shape must carry different labels"
+        );
+        // the same input with its two colors swapped: same labels and
+        // facets, another shape
+        let input = tasks[0].input();
+        let mut swapped = Complex::new();
+        let ids: Vec<_> = input
+            .vertex_ids()
+            .map(|v| {
+                let c = iis_topology::Color(1 - input.color(v).0);
+                swapped.ensure_vertex(c, input.label(v).clone())
+            })
+            .collect();
+        for f in input.facets() {
+            swapped.add_facet(f.iter().map(|v| ids[v.index()]));
+        }
+        assert_ne!(shape_key(&swapped), shape);
+        // and a different vertex count
+        assert_ne!(
+            shape_key(&isolated_points(2)),
+            shape_key(&isolated_points(3))
+        );
+    }
+
+    #[test]
+    fn equal_shapes_share_one_skeleton_and_answer_as_if_unshared() {
+        let tasks: Vec<Task> = ["eps:1:3", "eps:1:9", "eps:1:27"]
+            .iter()
+            .map(|s| parse_spec(s).unwrap())
+            .collect();
+        for b in 0..=2 {
+            let first = skeleton_of(tasks[0].input(), b);
+            for t in &tasks[1..] {
+                assert!(
+                    Arc::ptr_eq(&first, &skeleton_of(t.input(), b)),
+                    "{} b={b}",
+                    t.name()
+                );
+            }
+        }
+        for t in &tasks {
+            // the reference kernel grows its own labelled tower and never
+            // touches the memo: the unshared answer
+            let unshared = solve_up_to_opts(
+                t,
+                3,
+                &SolveOptions::new().kernel(crate::solvability::Kernel::Reference),
+            );
+            let keyed = KeyedTask::new(t.clone());
+            for report in [
+                solve_up_to_opts(t, 3, &SolveOptions::new()),
+                solve_keyed(&keyed, 3, &SolveOptions::new(), &mut HashMap::new()).report,
+            ] {
+                assert_eq!(
+                    report_to_json(&report).to_string(),
+                    report_to_json(&unshared).to_string(),
+                    "{}",
+                    t.name()
+                );
+                let w = report.witness().expect("ε-agreement is solvable");
+                let own = iis_topology::sds_iterated(t.input(), w.rounds());
+                let sub = w.subdivision();
+                assert!(sub.complex().same_labeled(own.complex()), "{}", t.name());
+                assert!(sub.base().same_labeled(t.input()), "{}", t.name());
+                for v in own.complex().vertex_ids() {
+                    assert_eq!(sub.carrier_of_vertex(v), own.carrier_of_vertex(v));
+                }
+            }
+            // a stored record replays onto the shared skeleton with the
+            // task's own labels
+            let text = report_to_json(&unshared).to_string();
+            let back = report_from_json(t, &Json::parse(&text).unwrap()).unwrap();
+            let w = back.witness().unwrap();
+            let own = iis_topology::sds_iterated(t.input(), w.rounds());
+            assert!(w.subdivision().complex().same_labeled(own.complex()));
+        }
     }
 
     #[test]
@@ -805,18 +1031,21 @@ mod tests {
         let mut cache = HashMap::new();
         let cold = solve_up_to_cached(&t, 2, &SolveOptions::new(), &mut cache);
         assert!(!cold.hit);
-        // a thread panics while holding each memo's lock
-        let poisoned = std::thread::spawn(|| {
-            let _towers = tower_memo().lock();
+        // a thread panics while holding each memo's lock, and an interned
+        // task's table lock
+        let keyed = intern_spec("eps:1:5").unwrap();
+        let held = Arc::clone(&keyed);
+        let poisoned = std::thread::spawn(move || {
+            let _towers = skeleton_memo().lock();
             let _specs = spec_interner().lock();
+            let _tables = held.tables.lock();
             panic!("poison the memos");
         })
         .join();
         assert!(poisoned.is_err());
-        assert!(tower_memo().inner.is_poisoned());
+        assert!(skeleton_memo().inner.is_poisoned());
         let warm = solve_up_to_cached(&t, 2, &SolveOptions::new(), &mut cache);
         assert!(warm.hit, "a poisoned memo must not fail revalidation");
-        let keyed = intern_spec("eps:1:5").unwrap();
         let text = SolveCache::get(&mut cache, keyed.key(2)).unwrap();
         validate_record(&keyed, &Json::parse(&text).unwrap()).unwrap();
     }

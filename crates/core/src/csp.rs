@@ -13,19 +13,25 @@
 //!   fixed-width `u64` bitword domain whose bit order *is* the reference
 //!   engine's sorted `VertexId` order.
 //! - **Flat tuple arena + support lists** (`CompiledTable`): each
-//!   allowed-tuple table is one `Vec<u32>` of bit indices with stride =
-//!   arity, plus a CSR of per-`(pos, value)` support lists (tuple indices)
-//!   and AC-3rm-style last-support residues, so a support check scans only
-//!   the tuples that can match instead of the whole table, and domain
-//!   membership is a single bit test instead of a linear probe.
+//!   allowed-tuple table is one sorted `Vec<VertexId>` with stride =
+//!   arity (the membership table a stored witness is checked against by
+//!   binary search), the same tuples as bit indices, plus a CSR of
+//!   per-`(pos, value)` support lists (tuple indices) and AC-3rm-style
+//!   last-support residues, so a support check scans only the tuples that
+//!   can match instead of the whole table, and domain membership is a
+//!   single bit test instead of a linear probe.
 //! - **Trail-based undo** (`SearchState`): `propagate`/`backtrack`
 //!   mutate one domain state in place, recording overwritten words on a
 //!   trail and rewinding to a mark on backtrack.
-//! - **Compiled from the arena**: constraints come straight from the
-//!   label-free [`ArenaSds`] tower's CSR facets and carriers
-//!   ([`ArenaSds::for_each_simplex`], the reference tower's simplex order),
-//!   never from a `BTreeSet<Simplex>` face poset, and the vertex →
-//!   constraints map is a CSR too.
+//! - **A shared constraint skeleton** (`Skeleton`): the task-independent
+//!   half of a round's CSP — the label-free [`ArenaSds`] tower, one
+//!   constraint per simplex in the reference tower's simplex order
+//!   ([`ArenaSds::for_each_simplex`]) stored CSR, and each constraint's
+//!   `(carrier, colors)` class. By Lemma 3.3 it depends only on the
+//!   input's shape and `b`, so `iis_core::cache` memoizes it once per
+//!   `(shape, b)` for every task, search and stored-witness check alike;
+//!   a task contributes only its `Δ` tables (`TaskTables`, one per
+//!   class), resolved once per class instead of once per simplex.
 //!
 //! **Determinism.** The kernel preserves the reference engine's variable
 //! order (lowest index among smallest domains > 1), value order (ascending
@@ -44,7 +50,7 @@ use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
 use iis_topology::{Color, Complex, Simplex, SimplicialMap, VertexId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Which CSP engine runs the Proposition 3.1 search.
 ///
@@ -132,11 +138,33 @@ impl OutputEncoder {
 /// between every constraint with the same `(carrier, colors)` key and
 /// between both engines.
 pub(crate) struct CompiledTable {
-    /// The reference representation: sorted, deduplicated allowed tuples of
-    /// output vertices, in variable order. The reference engine searches
-    /// this directly.
-    pub(crate) allowed: Vec<Vec<VertexId>>,
-    /// The same tuples as per-color bit indices, stride = `arity`.
+    /// The sorted, deduplicated allowed tuples of output vertices, in
+    /// variable order, concatenated with stride `arity`. The reference
+    /// engine scans its chunks; a stored witness is checked by binary
+    /// search ([`CompiledTable::contains`]). This is all a check-only task
+    /// keeps.
+    pub(crate) allowed: Vec<VertexId>,
+    /// Number of positions (= the constraint's simplex size).
+    arity: usize,
+    /// The kernel's view of the same tuples, built by the first search
+    /// that compiles against this table.
+    support: OnceLock<Arc<SupportTable>>,
+}
+
+/// The distinct `arity`-wide chunks of `raw` in ascending lexicographic
+/// order, concatenated.
+fn sorted_chunks(raw: Vec<VertexId>, arity: usize) -> Vec<VertexId> {
+    let chunk = |i: usize| &raw[i * arity..(i + 1) * arity];
+    let mut order: Vec<usize> = (0..raw.len() / arity).collect();
+    order.sort_unstable_by(|&a, &b| chunk(a).cmp(chunk(b)));
+    order.dedup_by(|a, b| chunk(*a) == chunk(*b));
+    order.iter().flat_map(|&i| chunk(i)).copied().collect()
+}
+
+/// A [`CompiledTable`]'s tuples as the compiled kernel reads them: per-color
+/// bit indices plus the per-`(pos, value)` support lists.
+pub(crate) struct SupportTable {
+    /// The tuples as per-color bit indices, stride = `arity`.
     tuples: Vec<u32>,
     /// Number of positions (= the constraint's simplex size).
     arity: usize,
@@ -149,17 +177,78 @@ pub(crate) struct CompiledTable {
 }
 
 impl CompiledTable {
-    fn new(allowed: Vec<Vec<VertexId>>, arity: usize, enc: &OutputEncoder) -> Self {
-        let val_stride = enc.val_stride();
-        let mut tuples = Vec::with_capacity(allowed.len() * arity);
-        for t in &allowed {
-            for &w in t {
-                tuples.push(enc.bit_of(w));
+    /// The table of a simplex whose carrier has the given sorted base
+    /// vertex ids and whose vertices have the given colors: each
+    /// `Δ(carrier)` simplex restricted to those colors, in variable order,
+    /// then sorted and deduplicated as arity-wide chunks.
+    fn compile(task: &Task, carrier: &[u32], colors: &[Color]) -> Self {
+        let arity = colors.len();
+        let delta = task.delta(&Simplex::new(carrier.iter().map(|&u| VertexId(u))));
+        let mut raw: Vec<VertexId> = Vec::with_capacity(delta.len() * arity);
+        for so in delta {
+            let start = raw.len();
+            for &col in colors {
+                match so.iter().find(|&w| task.output().color(w) == col) {
+                    Some(w) => raw.push(w),
+                    None => {
+                        raw.truncate(start);
+                        break;
+                    }
+                }
             }
         }
+        CompiledTable {
+            allowed: sorted_chunks(raw, arity),
+            arity,
+            support: OnceLock::new(),
+        }
+    }
+
+    /// The allowed tuples, one `arity`-wide chunk each, ascending.
+    pub(crate) fn tuples(&self) -> std::slice::ChunksExact<'_, VertexId> {
+        self.allowed.chunks_exact(self.arity)
+    }
+
+    /// `true` iff the table allows no tuple at all.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.allowed.is_empty()
+    }
+
+    /// `true` iff `tuple` is an allowed tuple — one binary search over the
+    /// sorted chunks.
+    pub(crate) fn contains(&self, tuple: &[VertexId]) -> bool {
+        debug_assert_eq!(tuple.len(), self.arity);
+        let (mut lo, mut hi) = (0, self.allowed.len() / self.arity);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let at = &self.allowed[mid * self.arity..(mid + 1) * self.arity];
+            match at.cmp(tuple) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// The kernel's view of this table under `enc` (the task's encoder),
+    /// built on first use and kept.
+    fn support(&self, enc: &OutputEncoder) -> Arc<SupportTable> {
+        let table = self
+            .support
+            .get_or_init(|| Arc::new(SupportTable::new(&self.allowed, self.arity, enc)));
+        Arc::clone(table)
+    }
+}
+
+impl SupportTable {
+    fn new(allowed: &[VertexId], arity: usize, enc: &OutputEncoder) -> Self {
+        let val_stride = enc.val_stride();
+        let tuples: Vec<u32> = allowed.iter().map(|&w| enc.bit_of(w)).collect();
+        let count = allowed.len() / arity;
         let slots = arity * val_stride;
         let mut support_off = vec![0u32; slots + 1];
-        for (ti, _) in allowed.iter().enumerate() {
+        for ti in 0..count {
             for pos in 0..arity {
                 let val = tuples[ti * arity + pos] as usize;
                 support_off[pos * val_stride + val + 1] += 1;
@@ -170,15 +259,14 @@ impl CompiledTable {
         }
         let mut cursor = support_off.clone();
         let mut supports = vec![0u32; tuples.len()];
-        for (ti, _) in allowed.iter().enumerate() {
+        for ti in 0..count {
             for pos in 0..arity {
                 let s = pos * val_stride + tuples[ti * arity + pos] as usize;
                 supports[cursor[s] as usize] = ti as u32;
                 cursor[s] += 1;
             }
         }
-        CompiledTable {
-            allowed,
+        SupportTable {
             tuples,
             arity,
             val_stride,
@@ -192,28 +280,31 @@ impl CompiledTable {
         let s = pos * self.val_stride + val as usize;
         &self.supports[self.support_off[s] as usize..self.support_off[s + 1] as usize]
     }
-
-    /// Number of residue slots this table needs per constraint.
-    fn residue_slots(&self) -> usize {
-        self.arity * self.val_stride
-    }
 }
-
-/// The compiled tables of one carrier, by the colors of the simplex.
-type TablesByColors = HashMap<Box<[Color]>, Arc<CompiledTable>>;
 
 /// Memoized compiled tables, keyed by `(carrier, colors)` — the only inputs
 /// a table depends on. Carriers are simplices of the *base* complex and
 /// tuples are vertices of the output complex, both fixed for the life of a
-/// task, so a [`crate::solvability::Solver`] carries one cache across its
-/// whole round sweep (`solve.constraint_cache_hits`).
+/// task, so one cache serves a task's whole round sweep and every check
+/// of its stored witnesses (`solve.constraint_cache_hits`); see
+/// [`TaskTables`].
 ///
-/// The map is two-level (`carrier ids → colors → table`), so the hit path
-/// is two borrowed slice lookups — no composite key, no allocation.
+/// A key is [`class_key`], assembled in a reused buffer, so a hit
+/// allocates nothing and a miss allocates one boxed key.
 #[derive(Default)]
 pub(crate) struct ConstraintCache {
-    tables: HashMap<Box<[u32]>, TablesByColors>,
+    tables: HashMap<Box<[u32]>, Arc<CompiledTable>>,
+    key: Vec<u32>,
     encoder: Option<Arc<OutputEncoder>>,
+}
+
+/// Writes the key of a `(carrier, colors)` class into `key`: the flat
+/// word list `[carrier len, carrier ids…, colors…]`.
+fn class_key(key: &mut Vec<u32>, carrier: &[u32], colors: &[Color]) {
+    key.clear();
+    key.push(carrier.len() as u32);
+    key.extend_from_slice(carrier);
+    key.extend(colors.iter().map(|c| c.0));
 }
 
 impl ConstraintCache {
@@ -232,59 +323,230 @@ impl ConstraintCache {
         carrier: &[u32],
         colors: &[Color],
     ) -> Arc<CompiledTable> {
-        if let Some(hit) = self.tables.get(carrier).and_then(|m| m.get(colors)) {
+        class_key(&mut self.key, carrier, colors);
+        if let Some(hit) = self.tables.get(self.key.as_slice()) {
             iis_obs::metrics::add("solve.constraint_cache_hits", 1);
             iis_obs::progress::cache_lookup(true);
             return Arc::clone(hit);
         }
         iis_obs::progress::cache_lookup(false);
-        let carrier_simplex = Simplex::new(carrier.iter().map(|&u| VertexId(u)));
-        let mut allowed: Vec<Vec<VertexId>> = Vec::new();
-        for so in task.delta(&carrier_simplex) {
-            let mut tuple = Vec::with_capacity(colors.len());
-            let mut ok = true;
-            for &col in colors {
-                match so.iter().find(|&w| task.output().color(w) == col) {
-                    Some(w) => tuple.push(w),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                allowed.push(tuple);
-            }
-        }
-        allowed.sort();
-        allowed.dedup();
-        let enc = Arc::clone(self.encoder(task));
-        let table = Arc::new(CompiledTable::new(allowed, colors.len(), &enc));
+        let table = Arc::new(CompiledTable::compile(task, carrier, colors));
         self.tables
-            .entry(carrier.into())
-            .or_default()
-            .insert(colors.into(), Arc::clone(&table));
+            .insert(self.key.as_slice().into(), Arc::clone(&table));
         table
     }
 }
 
-/// The compiled CSP: flat constraint/variable arrays over bitword domains.
-pub(crate) struct BitsetCsp {
+/// A task's compiled `Δ` tables ([`ConstraintCache`]) behind a
+/// poison-safe lock, filled lazily, one table per `(carrier, colors)`
+/// class: an interned task (`iis_core::cache::KeyedTask`) owns one for
+/// life, shared by its searches and its witness checks; a solver for a
+/// bare task owns one for its sweep. A panic while the lock is held cannot
+/// wedge it: every entry is a finished table, so the guard is recovered.
+#[derive(Default)]
+pub(crate) struct TaskTables {
+    inner: Mutex<ConstraintCache>,
+}
+
+impl TaskTables {
+    /// The cache, for the duration of one compile or one class resolve.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ConstraintCache> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl std::fmt::Debug for TaskTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tables = self.lock().tables.len();
+        f.debug_struct("TaskTables")
+            .field("tables", &tables)
+            .finish()
+    }
+}
+
+/// The task-independent half of the Proposition 3.1 CSP for one
+/// `SDS^b(I)`: the tower itself, one constraint per simplex in the order
+/// [`ArenaSds::for_each_simplex`] visits them (= the reference tower's
+/// `Complex::for_each_simplex` order), and each constraint's class — its
+/// `(carrier ids, colors)` pair, the only thing its `Δ` table depends on.
+///
+/// Lemma 3.3 makes all of it a function of the input's shape and `b`
+/// alone, so one skeleton serves every task over inputs of that shape:
+/// the search compiles from it and a stored witness is checked against
+/// it, each only resolving one `Δ` table per class.
+pub(crate) struct Skeleton {
+    tower: ArenaSds,
+    /// CSR offsets of the constraint vertex lists (length `len + 1`).
+    coff: Vec<u32>,
+    /// Concatenated constraint vertex lists, sorted within each.
+    cvar: Vec<u32>,
+    /// Per constraint: its index into `classes`.
+    class: Vec<u32>,
+    /// Distinct classes, in first-use order.
+    classes: Vec<Class>,
+}
+
+/// A constraint class: its carrier (sorted base vertex ids) and its
+/// vertices' colors in vertex order — the key of its `Δ` table.
+type Class = (Box<[u32]>, Box<[Color]>);
+
+/// The constraint graph's two CSR indexes the search reads: for each
+/// vertex, the constraints containing it (in constraint order, as the
+/// reference engine pushes them), and the constraints whose highest
+/// vertex it is (the plain engine's closing lists). Built per search and
+/// dropped with it, so a memoized [`Skeleton`] keeps only what a witness
+/// check reads.
+struct Adjacency {
+    cont_off: Vec<u32>,
+    cont: Vec<u32>,
+    closing_off: Vec<u32>,
+    closing: Vec<u32>,
+}
+
+impl std::fmt::Debug for Skeleton {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Skeleton")
+            .field("rounds", &self.tower.rounds())
+            .field("constraints", &self.len())
+            .field("classes", &self.classes.len())
+            .finish()
+    }
+}
+
+impl Skeleton {
+    /// Enumerates `tower`'s simplices once and classifies each.
+    pub(crate) fn new(tower: ArenaSds) -> Skeleton {
+        let mut coff = vec![0u32];
+        let mut cvar: Vec<u32> = Vec::new();
+        let mut class: Vec<u32> = Vec::new();
+        let mut classes: Vec<Class> = Vec::new();
+        // class ids by `class_key`, looked up through a reused buffer
+        let mut ids: HashMap<Box<[u32]>, u32> = HashMap::new();
+        let mut key: Vec<u32> = Vec::new();
+        let mut colors: Vec<Color> = Vec::new();
+        let c = tower.complex();
+        tower.for_each_simplex(|s, carrier| {
+            colors.clear();
+            colors.extend(s.iter().map(|&v| c.color(v)));
+            class_key(&mut key, carrier, &colors);
+            let id = match ids.get(key.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = classes.len() as u32;
+                    classes.push((carrier.into(), colors.as_slice().into()));
+                    ids.insert(key.as_slice().into(), id);
+                    id
+                }
+            };
+            cvar.extend_from_slice(s);
+            coff.push(cvar.len() as u32);
+            class.push(id);
+        });
+        Skeleton {
+            tower,
+            coff,
+            cvar,
+            class,
+            classes,
+        }
+    }
+
+    /// The tower `SDS^b(I)` the constraints live on.
+    pub(crate) fn tower(&self) -> &ArenaSds {
+        &self.tower
+    }
+
+    /// The number of constraints (= distinct simplices).
+    pub(crate) fn len(&self) -> usize {
+        self.class.len()
+    }
+
+    /// The vertex ids of constraint `ci`, ascending.
+    pub(crate) fn verts(&self, ci: usize) -> &[u32] {
+        &self.cvar[self.coff[ci] as usize..self.coff[ci + 1] as usize]
+    }
+
+    /// The class index of constraint `ci`.
+    pub(crate) fn class(&self, ci: usize) -> usize {
+        self.class[ci] as usize
+    }
+
+    /// The carrier (sorted base vertex ids) of class `k`.
+    pub(crate) fn carrier(&self, k: usize) -> &[u32] {
+        &self.classes[k].0
+    }
+
+    /// `task`'s compiled table of every class, in class order, resolved
+    /// through `tables` under one lock.
+    pub(crate) fn resolve(&self, task: &Task, tables: &TaskTables) -> Vec<Arc<CompiledTable>> {
+        let mut cache = tables.lock();
+        self.classes
+            .iter()
+            .map(|(carrier, colors)| cache.table(task, carrier, colors))
+            .collect()
+    }
+}
+
+impl Adjacency {
+    fn new(skel: &Skeleton) -> Adjacency {
+        let nv = skel.tower.complex().num_vertices();
+        let nc = skel.len();
+        let mut cont_off = vec![0u32; nv + 1];
+        for &v in &skel.cvar {
+            cont_off[v as usize + 1] += 1;
+        }
+        for i in 0..nv {
+            cont_off[i + 1] += cont_off[i];
+        }
+        let mut cursor = cont_off.clone();
+        let mut cont = vec![0u32; skel.cvar.len()];
+        for ci in 0..nc {
+            for &v in skel.verts(ci) {
+                cont[cursor[v as usize] as usize] = ci as u32;
+                cursor[v as usize] += 1;
+            }
+        }
+        // constraints indexed by their highest variable (verts are
+        // sorted, so the last entry is the max)
+        let hi = |ci: usize| *skel.verts(ci).last().expect("non-empty constraint") as usize;
+        let mut closing_off = vec![0u32; nv + 1];
+        for ci in 0..nc {
+            closing_off[hi(ci) + 1] += 1;
+        }
+        for i in 0..nv {
+            closing_off[i + 1] += closing_off[i];
+        }
+        let mut cursor = closing_off.clone();
+        let mut closing = vec![0u32; nc];
+        for ci in 0..nc {
+            closing[cursor[hi(ci)] as usize] = ci as u32;
+            cursor[hi(ci)] += 1;
+        }
+        Adjacency {
+            cont_off,
+            cont,
+            closing_off,
+            closing,
+        }
+    }
+}
+
+/// The compiled CSP: a [`Skeleton`]'s constraints over bitword domains,
+/// each reading its class's compiled table.
+pub(crate) struct BitsetCsp<'s> {
     num_vars: usize,
     /// Domain width per variable, in `u64` words.
     words: usize,
-    /// Flat constraint variable lists (CSR via `coff`).
-    cvar: Vec<u32>,
-    coff: Vec<u32>,
-    pub(crate) tables: Vec<Arc<CompiledTable>>,
-    /// CSR adjacency: for each variable, the constraints containing it.
-    cont: Vec<u32>,
-    cont_off: Vec<u32>,
-    /// Per-constraint base index into the residue array.
-    res_off: Vec<u32>,
-    /// CSR: constraints indexed by their highest variable (plain engine).
-    closing: Vec<u32>,
-    closing_off: Vec<u32>,
+    /// The skeleton's constraint vertex lists (CSR via `coff`), borrowed
+    /// directly so the inner loop does not chase the skeleton.
+    cvar: &'s [u32],
+    coff: &'s [u32],
+    /// Per constraint: the kernel's view of its class's table.
+    tables: Vec<Arc<SupportTable>>,
+    adj: Adjacency,
+    /// Per-position value range of every table (residue slots per
+    /// constraint position).
+    val_stride: usize,
     /// Per variable: dense color index into the encoder's universes.
     var_color: Vec<u32>,
     encoder: Arc<OutputEncoder>,
@@ -322,18 +584,23 @@ impl SearchState {
     }
 }
 
-impl BitsetCsp {
+impl BitsetCsp<'_> {
     /// A fresh search state over the given domain words.
     fn new_state(&self, dom: Vec<u64>) -> SearchState {
         debug_assert_eq!(dom.len(), self.num_vars * self.words);
         SearchState {
             dom,
             trail: Vec::new(),
-            residues: vec![u32::MAX; *self.res_off.last().expect("nc+1 offsets") as usize],
+            residues: vec![u32::MAX; self.cvar.len() * self.val_stride],
             queue: Vec::new(),
-            in_queue: vec![false; self.tables.len()],
+            in_queue: vec![false; self.num_constraints()],
             cands: Vec::new(),
         }
+    }
+
+    /// The number of constraints.
+    pub(crate) fn num_constraints(&self) -> usize {
+        self.tables.len()
     }
 
     /// The variable indices of constraint `ci`.
@@ -341,9 +608,15 @@ impl BitsetCsp {
         &self.cvar[self.coff[ci] as usize..self.coff[ci + 1] as usize]
     }
 
+    /// The kernel's view of constraint `ci`'s table.
+    fn support(&self, ci: usize) -> &SupportTable {
+        &self.tables[ci]
+    }
+
     /// The constraints containing variable `vi`.
     fn containing(&self, vi: usize) -> &[u32] {
-        &self.cont[self.cont_off[vi] as usize..self.cont_off[vi + 1] as usize]
+        let a = &self.adj;
+        &a.cont[a.cont_off[vi] as usize..a.cont_off[vi + 1] as usize]
     }
 
     fn dom_len(&self, dom: &[u64], vi: usize) -> u32 {
@@ -385,7 +658,7 @@ impl BitsetCsp {
     /// `true` iff tuple `ti` of constraint `ci` lies inside the current
     /// domains at every position except `skip`.
     fn tuple_alive(&self, dom: &[u64], ci: usize, ti: u32, skip: usize) -> bool {
-        let t = &self.tables[ci];
+        let t = self.support(ci);
         let base = ti as usize * t.arity;
         let verts = self.verts(ci);
         for (j, &vj) in verts.iter().enumerate() {
@@ -412,8 +685,8 @@ impl BitsetCsp {
         pos: usize,
         val: u32,
     ) -> bool {
-        let t = &self.tables[ci];
-        let slot = self.res_off[ci] as usize + pos * t.val_stride + val as usize;
+        let t = self.support(ci);
+        let slot = (self.coff[ci] as usize + pos) * self.val_stride + val as usize;
         let r = residues[slot];
         if r != u32::MAX && self.tuple_alive(dom, ci, r, pos) {
             return true;
@@ -433,7 +706,7 @@ impl BitsetCsp {
     /// position order), so it reaches the same fixpoint with the same
     /// counter increments.
     fn propagate(&self, st: &mut SearchState, seed: Option<usize>) -> bool {
-        let nc = self.tables.len();
+        let nc = self.num_constraints();
         st.queue.clear();
         st.in_queue.iter_mut().for_each(|b| *b = false);
         match seed {
@@ -447,9 +720,8 @@ impl BitsetCsp {
             let ci = ci as usize;
             st.in_queue[ci] = false;
             self.propagations.incr();
-            let arity = self.tables[ci].arity;
-            for pos in 0..arity {
-                let v = self.cvar[self.coff[ci] as usize + pos] as usize;
+            for pos in 0..self.support(ci).arity {
+                let v = self.verts(ci)[pos] as usize;
                 let vbase = v * self.words;
                 let mut before = 0u32;
                 let mut after = 0u32;
@@ -565,10 +837,11 @@ impl BitsetCsp {
     /// the assignment prefix `0..=k` (membership via the position-0 support
     /// list — equivalent to the reference engine's table scan).
     fn closing_ok(&self, assignment: &[u32], k: usize) -> bool {
-        let cs = &self.closing[self.closing_off[k] as usize..self.closing_off[k + 1] as usize];
+        let a = &self.adj;
+        let cs = &a.closing[a.closing_off[k] as usize..a.closing_off[k + 1] as usize];
         'con: for &ci in cs {
             let ci = ci as usize;
-            let t = &self.tables[ci];
+            let t = self.support(ci);
             let verts = self.verts(ci);
             let first = assignment[verts[0] as usize];
             for &ti in t.supports_of(0, first) {
@@ -595,7 +868,7 @@ impl BitsetCsp {
         ctx: &SearchCtx<'_>,
     ) -> Result<Option<Vec<VertexId>>, Halt> {
         fn rec(
-            csp: &BitsetCsp,
+            csp: &BitsetCsp<'_>,
             dom: &[u64],
             assignment: &mut [u32],
             k: usize,
@@ -726,71 +999,36 @@ impl BitsetCsp {
     }
 }
 
-/// Compiles the CSP for `tower` (= `SDS^b(I)`) into the flat kernel
+/// Compiles the CSP on `skel` (= `SDS^b(I)`) into the flat kernel
 /// representation, plus the initial domain words from the unary
-/// constraints: one constraint per simplex, in the reference tower's
-/// simplex order, so constraint indices (and with them the propagation
-/// order and every counter) match the reference `compile_csp`'s. `None`
-/// means a constraint admits no tuple or a domain starts empty — provably
-/// unsolvable, exactly as in the reference `compile_csp`.
-pub(crate) fn compile(
+/// constraints: the skeleton's constraints, one per simplex in the
+/// reference tower's simplex order, so constraint indices (and with them
+/// the propagation order and every counter) match the reference
+/// `compile_csp`'s. Each class's table is resolved once through `tables`.
+/// `None` means a constraint admits no tuple or a domain starts empty —
+/// provably unsolvable, exactly as in the reference `compile_csp`.
+pub(crate) fn compile<'s>(
     task: &Task,
-    tower: &ArenaSds,
-    cache: &mut ConstraintCache,
-) -> Option<(BitsetCsp, Vec<u64>)> {
-    let c = tower.complex();
+    skel: &'s Skeleton,
+    tables: &TaskTables,
+) -> Option<(BitsetCsp<'s>, Vec<u64>)> {
+    let c = skel.tower().complex();
     let nv = c.num_vertices();
-    let encoder = Arc::clone(cache.encoder(task));
-    let words = encoder.words;
-    let mut cvar: Vec<u32> = Vec::new();
-    let mut coff: Vec<u32> = vec![0];
-    let mut tables: Vec<Arc<CompiledTable>> = Vec::new();
-    let mut empty_table = false;
-    let mut colors: Vec<Color> = Vec::new();
-    tower.for_each_simplex(|s, carrier| {
-        if empty_table {
-            return;
-        }
-        colors.clear();
-        colors.extend(s.iter().map(|&v| c.color(v)));
-        let table = cache.table(task, carrier, &colors);
-        if table.allowed.is_empty() {
-            empty_table = true;
-            return;
-        }
-        cvar.extend_from_slice(s);
-        coff.push(cvar.len() as u32);
-        tables.push(table);
-    });
-    if empty_table {
+    let class_tables = skel.resolve(task, tables);
+    if class_tables.iter().any(|t| t.is_empty()) {
         return None;
     }
-    let nc = tables.len();
-    // CSR adjacency, constraints in index order per vertex (as the
-    // reference engine's push order)
-    let mut cont_off = vec![0u32; nv + 1];
-    for &v in &cvar {
-        cont_off[v as usize + 1] += 1;
-    }
-    for i in 0..nv {
-        cont_off[i + 1] += cont_off[i];
-    }
-    let mut cursor = cont_off.clone();
-    let mut cont = vec![0u32; cvar.len()];
-    for ci in 0..nc {
-        for &v in &cvar[coff[ci] as usize..coff[ci + 1] as usize] {
-            cont[cursor[v as usize] as usize] = ci as u32;
-            cursor[v as usize] += 1;
-        }
-    }
+    let encoder = Arc::clone(tables.lock().encoder(task));
+    let class_support: Vec<Arc<SupportTable>> =
+        class_tables.iter().map(|t| t.support(&encoder)).collect();
+    let words = encoder.words;
     // initial domains from the unary (vertex) constraints
     let mut dom = vec![0u64; nv * words];
-    for ci in 0..nc {
-        if tables[ci].arity == 1 {
-            let v = cvar[coff[ci] as usize] as usize;
-            for t in &tables[ci].allowed {
+    for ci in 0..skel.len() {
+        if let &[v] = skel.verts(ci) {
+            for t in class_tables[skel.class(ci)].tuples() {
                 let bit = encoder.bit_of(t[0]) as usize;
-                dom[v * words + bit / 64] |= 1u64 << (bit % 64);
+                dom[v as usize * words + bit / 64] |= 1u64 << (bit % 64);
             }
         }
     }
@@ -807,42 +1045,16 @@ pub(crate) fn compile(
                 as u32
         })
         .collect();
-    let mut res_off = vec![0u32; nc + 1];
-    for ci in 0..nc {
-        res_off[ci + 1] = res_off[ci] + tables[ci].residue_slots() as u32;
-    }
-    // constraints indexed by their highest variable (verts are sorted, so
-    // the last entry is the max — same lists as the reference engine)
-    let mut closing_off = vec![0u32; nv + 1];
-    for ci in 0..nc {
-        let hi = *cvar[coff[ci] as usize..coff[ci + 1] as usize]
-            .last()
-            .expect("non-empty constraint") as usize;
-        closing_off[hi + 1] += 1;
-    }
-    for i in 0..nv {
-        closing_off[i + 1] += closing_off[i];
-    }
-    let mut cursor = closing_off.clone();
-    let mut closing = vec![0u32; nc];
-    for ci in 0..nc {
-        let hi = *cvar[coff[ci] as usize..coff[ci + 1] as usize]
-            .last()
-            .expect("non-empty constraint") as usize;
-        closing[cursor[hi] as usize] = ci as u32;
-        cursor[hi] += 1;
-    }
     let csp = BitsetCsp {
         num_vars: nv,
         words,
-        cvar,
-        coff,
-        tables,
-        cont,
-        cont_off,
-        res_off,
-        closing,
-        closing_off,
+        cvar: &skel.cvar,
+        coff: &skel.coff,
+        tables: (0..skel.len())
+            .map(|ci| Arc::clone(&class_support[skel.class(ci)]))
+            .collect(),
+        adj: Adjacency::new(skel),
+        val_stride: encoder.val_stride(),
         var_color,
         encoder,
         nodes: iis_obs::metrics::Counter::handle("solve.nodes"),
@@ -858,15 +1070,15 @@ pub(crate) fn compile(
 /// reference engine's `search_map` line by line.
 pub(crate) fn search_map(
     task: &Task,
-    tower: &ArenaSds,
+    skel: &Skeleton,
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
     opts: &SolveOptions,
-    cache: &mut ConstraintCache,
+    tables: &TaskTables,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
     let compile_t0 = crate::solvability::profile_now();
-    let compiled = compile(task, tower, cache);
+    let compiled = compile(task, skel, tables);
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
     }
@@ -927,7 +1139,7 @@ pub(crate) fn search_map(
 /// wins (DESIGN.md §7 — unchanged by the kernel; only the subtree state
 /// representation differs).
 fn search_parallel(
-    csp: &BitsetCsp,
+    csp: &BitsetCsp<'_>,
     root: Vec<u64>,
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
@@ -1003,14 +1215,17 @@ mod tests {
     #[test]
     fn support_lists_match_linear_scan() {
         let task = k_set_consensus(2, 2);
-        let tower = arena_sds_tower(task.input(), 1);
-        let mut cache = ConstraintCache::default();
-        let (csp, _) = compile(&task, &tower, &mut cache).expect("compiles");
-        for t in &csp.tables {
+        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
+        let tables = TaskTables::default();
+        let (csp, _) = compile(&task, &skel, &tables).expect("compiles");
+        let resolved = skel.resolve(&task, &tables);
+        for (ci, t) in csp.tables.iter().enumerate() {
+            let table = &resolved[skel.class(ci)];
+            assert_eq!(t.tuples.len(), table.allowed.len());
             for pos in 0..t.arity {
                 for val in 0..t.val_stride as u32 {
                     let listed: Vec<u32> = t.supports_of(pos, val).to_vec();
-                    let scanned: Vec<u32> = (0..t.allowed.len() as u32)
+                    let scanned: Vec<u32> = (0..table.tuples().len() as u32)
                         .filter(|&ti| t.tuples[ti as usize * t.arity + pos] == val)
                         .collect();
                     assert_eq!(listed, scanned);
@@ -1019,13 +1234,77 @@ mod tests {
         }
     }
 
+    /// Binary-search membership must agree with a scan of the chunks, on
+    /// every allowed tuple and on tuples one value away from one.
+    #[test]
+    fn contains_matches_a_chunk_scan() {
+        let task = k_set_consensus(2, 2);
+        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
+        let tables = TaskTables::default();
+        let outs = task.output().num_vertices() as u32;
+        for t in skel.resolve(&task, &tables) {
+            assert!(!t.is_empty());
+            let sorted: Vec<&[VertexId]> = t.tuples().collect();
+            assert!(sorted.windows(2).all(|p| p[0] < p[1]), "sorted, distinct");
+            for tuple in t.tuples() {
+                assert!(t.contains(tuple));
+                for pos in 0..t.arity {
+                    for w in 0..outs {
+                        let mut probe = tuple.to_vec();
+                        probe[pos] = VertexId(w);
+                        assert_eq!(t.contains(&probe), t.tuples().any(|x| x == &probe[..]));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The index sort agrees with a plain sort of the chunks.
+    #[test]
+    fn sorted_chunks_is_a_sorted_dedup() {
+        let mut rng = iis_obs::Rng::seed_from_u64(7);
+        for arity in 1..=6 {
+            for _ in 0..20 {
+                let n = rng.random_range(0..40usize);
+                let raw: Vec<VertexId> = (0..n * arity)
+                    .map(|_| VertexId(rng.random_range(0..4u32)))
+                    .collect();
+                let mut want: Vec<Vec<VertexId>> =
+                    raw.chunks_exact(arity).map(<[VertexId]>::to_vec).collect();
+                want.sort();
+                want.dedup();
+                assert_eq!(sorted_chunks(raw, arity), want.concat(), "arity {arity}");
+            }
+        }
+    }
+
+    /// A skeleton lists every simplex once, in the arena's simplex order,
+    /// with the carrier and colors its class names.
+    #[test]
+    fn skeleton_classes_follow_the_simplex_walk() {
+        let task = k_set_consensus(2, 2);
+        let tower = arena_sds_tower(task.input(), 1);
+        let mut walk: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        tower.for_each_simplex(|s, carrier| walk.push((s.to_vec(), carrier.to_vec())));
+        let skel = Skeleton::new(tower);
+        assert_eq!(skel.len(), walk.len());
+        for (ci, (s, carrier)) in walk.iter().enumerate() {
+            assert_eq!(skel.verts(ci), &s[..]);
+            let (c, colors) = &skel.classes[skel.class(ci)];
+            assert_eq!(&c[..], &carrier[..]);
+            let want: Vec<Color> = s.iter().map(|&v| skel.tower().complex().color(v)).collect();
+            assert_eq!(&colors[..], &want[..]);
+        }
+        assert!(skel.classes.len() < skel.len(), "classes are shared");
+    }
+
     /// Trail undo must restore the exact pre-assignment domain words.
     #[test]
     fn trail_undo_restores_domains() {
         let task = k_set_consensus(2, 2);
-        let tower = arena_sds_tower(task.input(), 1);
-        let mut cache = ConstraintCache::default();
-        let (csp, root) = compile(&task, &tower, &mut cache).expect("compiles");
+        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
+        let tables = TaskTables::default();
+        let (csp, root) = compile(&task, &skel, &tables).expect("compiles");
         let mut st = csp.new_state(root);
         assert!(csp.propagate(&mut st, None));
         let snapshot = st.dom.clone();

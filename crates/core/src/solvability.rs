@@ -16,11 +16,12 @@
 //! a fixpoint, then backtrack with propagation — complete for both
 //! solvable and unsolvable instances.
 
+use crate::cache::{build_skeleton, keep_skeleton, memoized_skeleton, shape_key};
 pub use crate::csp::Kernel;
-use crate::csp::{CompiledTable, ConstraintCache};
+use crate::csp::{CompiledTable, ConstraintCache, Skeleton, TaskTables};
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
 use iis_tasks::Task;
-use iis_topology::arena::{arena_sds_tower, ArenaSds};
+use iis_topology::arena::arena_sds_tower;
 use iis_topology::{sds_next, Color, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -33,10 +34,11 @@ pub struct DecisionMap {
     // set on construction by the reference kernel and by lifting; for a
     // witness on an arena tower, converted on the first `subdivision()` call
     subdivision: OnceLock<Arc<Subdivision>>,
-    // shared, not owned: the search hands its round's tower to the witness,
-    // and warm cache replays hand out one memoized arena `SDS^b(I)` to
-    // every witness loaded against it
-    arena: Option<Arc<ArenaSds>>,
+    // a witness on an arena tower: the shared, label-free skeleton (the
+    // search's round, or the memoized `SDS^b` a stored witness was checked
+    // against — one instance for every task of the input's shape) and the
+    // task's own labelled input, from which `subdivision()` makes labels
+    arena: Option<(Arc<Skeleton>, Complex)>,
     map: SimplicialMap,
 }
 
@@ -50,17 +52,22 @@ impl DecisionMap {
         }
     }
 
-    /// A witness on an arena tower: a search result, or a record loaded
-    /// from the persistent cache. On the load path the caller is
-    /// responsible for semantic validation — see
-    /// [`crate::cache::report_from_json`], which rebuilds the tower from
-    /// the task itself and re-validates the map, so a corrupted store can
-    /// never smuggle in an ill-formed witness.
-    pub(crate) fn from_arena(b: usize, arena: Arc<ArenaSds>, map: SimplicialMap) -> Self {
+    /// A witness on an arena tower over `input`: a search result, or a
+    /// record loaded from the persistent cache. On the load path the
+    /// caller is responsible for semantic validation — see
+    /// [`crate::cache::report_from_json`], which checks the map against
+    /// the memoized skeleton of the task's own input, so a corrupted store
+    /// can never smuggle in an ill-formed witness.
+    pub(crate) fn from_skeleton(
+        b: usize,
+        skel: Arc<Skeleton>,
+        input: &Complex,
+        map: SimplicialMap,
+    ) -> Self {
         DecisionMap {
             b,
             subdivision: OnceLock::new(),
-            arena: Some(arena),
+            arena: Some((skel, input.clone())),
             map,
         }
     }
@@ -76,8 +83,8 @@ impl DecisionMap {
     /// that never ask pay nothing.
     pub fn subdivision(&self) -> &Subdivision {
         self.subdivision.get_or_init(|| {
-            let arena = self.arena.as_ref().expect("a witness without a tower");
-            Arc::new(arena.to_subdivision())
+            let (skel, input) = self.arena.as_ref().expect("a witness without a tower");
+            Arc::new(skel.tower().to_subdivision(input))
         })
     }
 
@@ -183,33 +190,34 @@ pub fn validate_decision_map(
     }
 }
 
-/// Arena twin of [`validate_decision_map`]: checks the same Proposition 3.1
-/// conditions against the flat `SDS^b(I)` tower without materializing the
-/// `BTreeSet`-based face poset — the fast revalidation path behind
-/// [`crate::cache::report_from_json`].
+/// [`validate_decision_map`] on a compiled constraint skeleton — the
+/// revalidation path behind [`crate::cache::report_from_json`] and
+/// [`crate::cache::validate_record`].
 ///
-/// Accept/reject behavior is identical to the reference validator:
-/// totality, image range, and color preservation are per-vertex checks, and
-/// `δ(s) ∈ Δ(carrier(s))` is checked for every non-empty vertex subset of
-/// every facet (carriers composed by the subset recurrence
-/// `c[m] = c[m∖low] ∪ c[low]`). Simpliciality needs no separate pass: a
-/// task's `Δ` images are simplices of `O`, so `δ(s) ∈ Δ(carrier(s))`
-/// already places every image in the output complex. Shared faces are
-/// checked once per containing facet; the repeats are harmless and cheaper
-/// than deduplication.
+/// Accept/reject behavior is identical to the reference validator
+/// (DESIGN.md, "Why checking the compiled constraints is Proposition 3.1's
+/// check"): totality, image range, and color preservation are per-vertex
+/// checks; then each class's `Δ` table is resolved once through `tables`,
+/// and every simplex `s` of `skel` is one binary search of its image tuple in
+/// its class's table. Simplices are chromatic, so `δ(s) ⊆ sₒ` for some
+/// `sₒ ∈ Δ(carrier(s))` iff `sₒ`'s projection onto `s`'s colors *is*
+/// `δ(s)` — exactly the tuples the table holds. Simpliciality needs no
+/// separate pass: a task's `Δ` images are simplices of `O`.
 ///
 /// # Errors
 ///
-/// Returns a description of the first violated condition.
-pub fn validate_decision_map_arena(
+/// Returns a description of the first violated condition, naming the
+/// failing simplex and its carrier.
+pub(crate) fn check_decision_map(
     task: &Task,
-    arena: &ArenaSds,
+    skel: &Skeleton,
+    tables: &TaskTables,
     map: &SimplicialMap,
 ) -> Result<(), String> {
     let out = task.output();
-    let c = arena.complex();
+    let c = skel.tower().complex();
     // Totality, image range, color preservation — and a dense image table
-    // for the facet walk.
+    // for the constraint walk.
     let mut image: Vec<VertexId> = Vec::with_capacity(c.num_vertices());
     for v in 0..c.num_vertices() as u32 {
         let vid = VertexId(v);
@@ -224,37 +232,21 @@ pub fn validate_decision_map_arena(
         }
         image.push(w);
     }
-    let mut carriers: Vec<Simplex> = Vec::new();
-    let mut img_buf: Vec<VertexId> = Vec::new();
-    for fi in 0..c.num_facets() {
-        let fv = c.facet(fi);
-        let n = fv.len();
-        if carriers.len() < 1 << n {
-            carriers.resize(1 << n, Simplex::empty());
-        }
-        for m in 1usize..(1 << n) {
-            let low = m & m.wrapping_neg();
-            let rest = m & (m - 1);
-            let lowv = fv[low.trailing_zeros() as usize];
-            let low_carrier = Simplex::new(arena.carrier(lowv).iter().map(|&u| VertexId(u)));
-            carriers[m] = if rest == 0 {
-                low_carrier
-            } else {
-                carriers[rest].union(&low_carrier)
-            };
-            img_buf.clear();
-            let mut bits = m;
-            while bits != 0 {
-                img_buf.push(image[fv[bits.trailing_zeros() as usize] as usize]);
-                bits &= bits - 1;
-            }
-            let img = Simplex::new(img_buf.iter().copied());
-            if !task.allows(&carriers[m], &img) {
-                return Err(format!(
-                    "simplex of facet {fi} (carrier {}) decides {img} ∉ Δ(carrier)",
-                    carriers[m]
-                ));
-            }
+    let class_tables = skel.resolve(task, tables);
+    let mut img: Vec<VertexId> = Vec::new();
+    for ci in 0..skel.len() {
+        let verts = skel.verts(ci);
+        img.clear();
+        img.extend(verts.iter().map(|&v| image[v as usize]));
+        let class = skel.class(ci);
+        if !class_tables[class].contains(&img) {
+            let ids = |xs: &[u32]| Simplex::new(xs.iter().map(|&u| VertexId(u)));
+            return Err(format!(
+                "simplex {} (carrier {}) decides {} ∉ Δ(carrier)",
+                ids(verts),
+                ids(skel.carrier(class)),
+                Simplex::new(img.iter().copied())
+            ));
         }
     }
     Ok(())
@@ -473,44 +465,58 @@ impl SolveOptions {
 /// [`solve_at_bounded`] with full [`SolveOptions`] control (budget,
 /// strategy, and parallelism).
 pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutcome {
-    let mut tower = Tower::base(task.input(), opts.kernel);
+    let shape = shape_key(task.input());
+    let mut tower = Tower::base(task.input(), shape, opts.kernel);
     for level in 1..=b {
-        tower = tower.next(level);
+        tower = tower.next(task.input(), shape, level);
     }
-    solve_on(task, &tower, b, opts, &mut ConstraintCache::default())
+    solve_on(task, &tower, shape, b, opts, &TaskTables::default())
 }
 
 /// The `SDS^b(I)` a round searches. The compiled kernel searches the
-/// label-free arena and hands it to its witness; [`Kernel::Reference`]
+/// label-free constraint skeleton, taken from the process-wide memo
+/// ([`crate::cache`]) when some witness already lives on it, and hands it
+/// to its witness — memoizing it then, and only then; [`Kernel::Reference`]
 /// keeps a `Subdivision` tower grown by the reference builder, so the
 /// differential oracle shares no tower code with the kernel it checks.
 enum Tower {
-    Arena(Arc<ArenaSds>),
+    Arena(Arc<Skeleton>),
     Reference(Arc<Subdivision>),
 }
 
 impl Tower {
-    /// `SDS^0(I) = I` in `kernel`'s representation.
-    fn base(input: &Complex, kernel: Kernel) -> Tower {
+    /// `SDS^0(I) = I` in `kernel`'s representation; `shape` is
+    /// [`shape_key`] of `input`.
+    fn base(input: &Complex, shape: u64, kernel: Kernel) -> Tower {
         match kernel {
-            Kernel::Compiled => Tower::Arena(Arc::new(arena_sds_tower(input, 0))),
+            Kernel::Compiled => Tower::Arena(
+                memoized_skeleton(input, shape, 0)
+                    .unwrap_or_else(|| build_skeleton(arena_sds_tower(input, 0))),
+            ),
             Kernel::Reference => Tower::Reference(Arc::new(Subdivision::identity(input.clone()))),
         }
     }
 
-    /// `SDS^level(I)` from this `SDS^{level-1}(I)` by one subdivision
-    /// (Lemma 3.3). An arena level counts `sds.builds`, `sds.facets` and
-    /// `sds.vertices` as the reference builder counts its own, and either
-    /// kind emits an `sds.level` trace event.
-    fn next(&self, level: usize) -> Tower {
+    /// `SDS^level(I)` from this `SDS^{level-1}(I)`: for the compiled
+    /// kernel, the memoized skeleton of `(shape, level)`, or on a miss one
+    /// subdivision of this level's tower (Lemma 3.3), not memoized. An arena
+    /// level actually built counts `sds.builds`, `sds.facets` and
+    /// `sds.vertices` as the reference builder counts its own; either
+    /// kind emits an `sds.level` trace event, built or found.
+    fn next(&self, input: &Complex, shape: u64, level: usize) -> Tower {
         let (next, facets, vertices) = match self {
-            Tower::Arena(arena) => {
-                let next = arena.next();
-                let (f, v) = (next.complex().num_facets(), next.complex().num_vertices());
-                iis_obs::metrics::add("sds.builds", 1);
-                iis_obs::metrics::add("sds.facets", f as u64);
-                iis_obs::metrics::add("sds.vertices", v as u64);
-                (Tower::Arena(Arc::new(next)), f, v)
+            Tower::Arena(skel) => {
+                let next = memoized_skeleton(input, shape, level).unwrap_or_else(|| {
+                    let next = skel.tower().next();
+                    let c = next.complex();
+                    iis_obs::metrics::add("sds.builds", 1);
+                    iis_obs::metrics::add("sds.facets", c.num_facets() as u64);
+                    iis_obs::metrics::add("sds.vertices", c.num_vertices() as u64);
+                    build_skeleton(next)
+                });
+                let c = next.tower().complex();
+                let (f, v) = (c.num_facets(), c.num_vertices());
+                (Tower::Arena(next), f, v)
             }
             Tower::Reference(sub) => {
                 let next = sds_next(sub);
@@ -533,14 +539,16 @@ impl Tower {
     }
 }
 
-/// The shared per-round body: search `tower` (= `SDS^b(I)`) under `opts`,
-/// with instrumentation.
+/// The shared per-round body: search `tower` (= `SDS^b(I)`, of input shape
+/// `shape`) under `opts`, with instrumentation. An arena level a witness is
+/// found on is memoized for the witness checks (and searches) to come.
 fn solve_on(
     task: &Task,
     tower: &Tower,
+    shape: u64,
     b: usize,
     opts: &SolveOptions,
-    cache: &mut ConstraintCache,
+    tables: &TaskTables,
 ) -> BoundedOutcome {
     let timer = iis_obs::span::span("solve.search_ns");
     iis_obs::progress::solve_round_started(task.name(), b as u64, opts.max_nodes);
@@ -551,7 +559,7 @@ fn solve_on(
     let profile_t0 = profile_now();
     let budget = SharedBudget::new(opts.max_nodes);
     let deadline = opts.timeout.map(|t| std::time::Instant::now() + t);
-    let result = search_map(task, tower, &budget, deadline, opts, cache, round_span);
+    let result = search_map(task, tower, &budget, deadline, opts, tables, round_span);
     if let Some(t0) = profile_t0 {
         iis_obs::profile::sample(
             round_span,
@@ -593,9 +601,10 @@ fn solve_on(
     drop(timer);
     match result {
         Ok(Some(map)) => BoundedOutcome::Solvable(Box::new(match tower {
-            Tower::Arena(arena) => {
-                debug_assert!(validate_decision_map_arena(task, arena, &map).is_ok());
-                DecisionMap::from_arena(b, Arc::clone(arena), map)
+            Tower::Arena(skel) => {
+                debug_assert!(check_decision_map(task, skel, tables, &map).is_ok());
+                keep_skeleton(shape, b, skel);
+                DecisionMap::from_skeleton(b, Arc::clone(skel), task.input(), map)
             }
             Tower::Reference(sub) => {
                 debug_assert!(validate_decision_map(task, sub, &map).is_ok());
@@ -609,8 +618,10 @@ fn solve_on(
 }
 
 /// An incremental round-by-round solver: each [`step`](Solver::step)
-/// decides one more round count, extending `SDS^b(I)` to `SDS^{b+1}(I)` by
-/// a *single* subdivision (Lemma 3.3 via [`ArenaSds::next`], or
+/// decides one more round count, taking `SDS^{b+1}(I)` from the
+/// process-wide skeleton memo or, on a miss, extending `SDS^b(I)` by a
+/// *single* subdivision (Lemma 3.3 via
+/// [`ArenaSds::next`](iis_topology::arena::ArenaSds::next), or
 /// [`iis_topology::sds_next`] for [`Kernel::Reference`]) and reusing
 /// compiled constraint tables whose carriers are unchanged — instead of
 /// rebuilding everything from scratch per round the way repeated
@@ -633,22 +644,36 @@ fn solve_on(
 pub struct Solver<'t> {
     task: &'t Task,
     opts: SolveOptions,
+    shape: u64,
     tower: Tower,
     b: usize,
     started: bool,
-    cache: ConstraintCache,
+    tables: Tables<'t>,
+}
+
+/// The `Δ` tables a [`Solver`] compiles against: its own, or an interned
+/// task's (shared with that task's witness checks).
+enum Tables<'t> {
+    Own(TaskTables),
+    Shared(&'t TaskTables),
 }
 
 impl<'t> Solver<'t> {
     /// A solver for `task`, positioned before round `b = 0`.
     pub fn new(task: &'t Task, opts: SolveOptions) -> Self {
+        Solver::with_tables(task, opts, Tables::Own(TaskTables::default()))
+    }
+
+    fn with_tables(task: &'t Task, opts: SolveOptions, tables: Tables<'t>) -> Self {
+        let shape = shape_key(task.input());
         Solver {
             task,
             opts,
-            tower: Tower::base(task.input(), opts.kernel),
+            shape,
+            tower: Tower::base(task.input(), shape, opts.kernel),
             b: 0,
             started: false,
-            cache: ConstraintCache::default(),
+            tables,
         }
     }
 
@@ -662,11 +687,22 @@ impl<'t> Solver<'t> {
     pub fn step(&mut self) -> BoundedOutcome {
         if self.started {
             self.b += 1;
-            self.tower = self.tower.next(self.b);
+            self.tower = self.tower.next(self.task.input(), self.shape, self.b);
         } else {
             self.started = true;
         }
-        solve_on(self.task, &self.tower, self.b, &self.opts, &mut self.cache)
+        let tables = match &self.tables {
+            Tables::Own(t) => t,
+            Tables::Shared(t) => t,
+        };
+        solve_on(
+            self.task,
+            &self.tower,
+            self.shape,
+            self.b,
+            &self.opts,
+            tables,
+        )
     }
 }
 
@@ -685,9 +721,26 @@ pub fn solve_up_to(task: &Task, max_rounds: usize) -> SolvabilityReport {
 /// verdict for that round (an `Exhausted` or `TimedOut` round decides
 /// nothing about larger `b` either).
 pub fn solve_up_to_opts(task: &Task, max_rounds: usize, opts: &SolveOptions) -> SolvabilityReport {
+    sweep(Solver::new(task, *opts), max_rounds)
+}
+
+/// [`solve_up_to_opts`] compiling against `tables` — an interned task's
+/// own, so its sweeps and its witness checks share one set of `Δ` tables.
+pub(crate) fn solve_up_to_with(
+    task: &Task,
+    max_rounds: usize,
+    opts: &SolveOptions,
+    tables: &TaskTables,
+) -> SolvabilityReport {
+    sweep(
+        Solver::with_tables(task, *opts, Tables::Shared(tables)),
+        max_rounds,
+    )
+}
+
+fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
     let mut results = Vec::new();
     let mut witness = None;
-    let mut solver = Solver::new(task, *opts);
     for b in 0..=max_rounds {
         match solver.step() {
             BoundedOutcome::Solvable(w) => {
@@ -700,7 +753,7 @@ pub fn solve_up_to_opts(task: &Task, max_rounds: usize, opts: &SolveOptions) -> 
         }
     }
     SolvabilityReport {
-        task_name: task.name().to_string(),
+        task_name: solver.task.name().to_string(),
         results,
         witness,
     }
@@ -708,7 +761,7 @@ pub fn solve_up_to_opts(task: &Task, max_rounds: usize, opts: &SolveOptions) -> 
 
 /// One constraint of the *reference engine*: a simplex of the subdivision,
 /// compiled to its vertex list and the shared [`CompiledTable`] whose
-/// `allowed` field holds the legal image tuples (the restrictions of
+/// `allowed` chunks are the legal image tuples (the restrictions of
 /// `Δ(carrier)` to the simplex's colors, aligned positionally with the
 /// vertex list). The table cache itself lives in [`crate::csp`] and is
 /// shared with the compiled kernel.
@@ -946,7 +999,7 @@ fn compile_csp(
         let colors: Vec<Color> = verts.iter().map(|&v| c.color(v)).collect();
         let carrier: Vec<u32> = sub.carrier_of_simplex(s).iter().map(|u| u.0).collect();
         let table = cache.table(task, &carrier, &colors);
-        if table.allowed.is_empty() {
+        if table.is_empty() {
             empty_table = true;
             return;
         }
@@ -966,7 +1019,7 @@ fn compile_csp(
     for con in &constraints {
         if con.verts.len() == 1 {
             let v = con.verts[0];
-            let mut dom: Vec<VertexId> = con.table.allowed.iter().map(|t| t[0]).collect();
+            let mut dom: Vec<VertexId> = con.table.tuples().map(|t| t[0]).collect();
             dom.sort();
             dom.dedup();
             domains[v.index()] = dom;
@@ -995,17 +1048,17 @@ fn search_map(
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
     opts: &SolveOptions,
-    cache: &mut ConstraintCache,
+    tables: &TaskTables,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
     let sub = match tower {
-        Tower::Arena(arena) => {
-            return crate::csp::search_map(task, arena, budget, deadline, opts, cache, round)
+        Tower::Arena(skel) => {
+            return crate::csp::search_map(task, skel, budget, deadline, opts, tables, round)
         }
         Tower::Reference(sub) => sub,
     };
     let compile_t0 = profile_now();
-    let compiled = compile_csp(task, sub, cache);
+    let compiled = compile_csp(task, sub, &mut tables.lock());
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
     }
@@ -1135,7 +1188,7 @@ impl Csp {
     /// and every other position inside its vertex's current domain.
     fn supported(&self, ci: usize, pos: usize, w: VertexId, domains: &[Vec<VertexId>]) -> bool {
         let con = &self.constraints[ci];
-        con.table.allowed.iter().any(|tuple| {
+        con.table.tuples().any(|tuple| {
             tuple[pos] == w
                 && tuple
                     .iter()
@@ -1299,7 +1352,7 @@ impl Csp {
                     let con = &csp.constraints[ci];
                     let tuple: Vec<VertexId> =
                         con.verts.iter().map(|v| assignment[v.index()]).collect();
-                    if !con.table.allowed.contains(&tuple) {
+                    if !con.table.tuples().any(|t| t == &tuple[..]) {
                         continue 'cand;
                     }
                 }
@@ -1514,17 +1567,23 @@ mod tests {
             (one_shot_immediate_snapshot_task(2), 1),
         ];
         for (task, max_b) in cases {
-            let mut arena_cache = ConstraintCache::default();
+            let arena_tables = TaskTables::default();
             let mut reference_cache = ConstraintCache::default();
             for b in 0..=max_b {
-                let arena = iis_topology::arena::arena_sds_tower(task.input(), b);
+                let skel = Skeleton::new(iis_topology::arena::arena_sds_tower(task.input(), b));
                 let sub = iis_topology::sds_iterated(task.input(), b);
-                let compiled = crate::csp::compile(&task, &arena, &mut arena_cache);
+                let compiled = crate::csp::compile(&task, &skel, &arena_tables);
                 let reference = compile_csp(&task, &sub, &mut reference_cache);
                 let (Some((k, _)), Some((r, _))) = (compiled, reference) else {
                     panic!("{} b={b}: only one side compiled", task.name());
                 };
-                assert_eq!(k.tables.len(), r.constraints.len(), "{} b={b}", task.name());
+                assert_eq!(
+                    k.num_constraints(),
+                    r.constraints.len(),
+                    "{} b={b}",
+                    task.name()
+                );
+                let arena_allowed = skel.resolve(&task, &arena_tables);
                 for (ci, con) in r.constraints.iter().enumerate() {
                     let verts: Vec<u32> = con.verts.iter().map(|v| v.0).collect();
                     assert_eq!(
@@ -1533,7 +1592,7 @@ mod tests {
                         "{} b={b} constraint {ci}",
                         task.name()
                     );
-                    assert_eq!(k.tables[ci].allowed, con.table.allowed);
+                    assert_eq!(arena_allowed[skel.class(ci)].allowed, con.table.allowed);
                 }
             }
         }

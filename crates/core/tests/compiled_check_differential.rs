@@ -1,0 +1,149 @@
+//! The compiled witness check against Proposition 3.1's reference check.
+//!
+//! A stored witness is revalidated by probing each simplex's image tuple in
+//! its `(carrier, colors)` class's compiled `Δ` table
+//! (`iis_core::cache::validate_record`, `report_from_json`). Over every
+//! library family at small `b`, the real witness (or, for a task with none,
+//! a map that satisfies every vertex's own constraint) and hundreds of
+//! seeded one- and two-vertex mutations of it must get the same verdict
+//! from the compiled check as from the reference `validate_decision_map`
+//! on the labelled `sds_iterated` tower.
+
+use iis_core::cache::{report_from_json, validate_record, KeyedTask};
+use iis_core::solvability::{solve_up_to_opts, validate_decision_map, SolveOptions};
+use iis_obs::{Json, Rng, ToJson};
+use iis_tasks::library::parse_spec;
+use iis_tasks::Task;
+use iis_topology::{sds_iterated, Simplex, SimplicialMap, Subdivision, VertexId};
+
+/// Mutations per `(task, b)` case.
+const MUTATIONS: usize = 240;
+
+/// Every library family, at sizes whose towers stay small.
+const CASES: [(&str, usize); 14] = [
+    ("trivial:1", 1),
+    ("trivial:2", 1),
+    ("consensus:1", 2),
+    ("consensus:2", 1),
+    ("kset:2:1", 1),
+    ("kset:2:2", 1),
+    ("kset:2:3", 1),
+    ("renaming:1:3", 1),
+    ("renaming:2:5", 1),
+    ("eps:1:3", 1),
+    ("eps:1:9", 2),
+    ("eps:1:27", 3),
+    ("oneshot:1", 1),
+    ("oneshot:2", 1),
+];
+
+/// A record in the store's encoding claiming `map` decides `task` at `b`.
+fn record(task: &Task, b: usize, map: &SimplicialMap) -> Json {
+    let results: Vec<(usize, bool)> = (0..=b).map(|r| (r, r == b)).collect();
+    Json::obj([
+        ("results", results.to_json()),
+        ("task", task.name().to_json()),
+        (
+            "witness",
+            Json::obj([("b", b.to_json()), ("map", map.to_json())]),
+        ),
+    ])
+}
+
+/// The real witness at `b` if the task has one there; otherwise a map
+/// sending each vertex to the first output vertex its own carrier allows —
+/// every unary constraint holds, so the check has to look at edges and up.
+fn start_map(task: &Task, sub: &Subdivision, b: usize) -> SimplicialMap {
+    let report = solve_up_to_opts(task, b, &SolveOptions::new());
+    if let Some(w) = report.witness().filter(|w| w.rounds() == b) {
+        return w.map().clone();
+    }
+    let c = sub.complex();
+    SimplicialMap::from_fn(c, |v| {
+        let carrier = sub.carrier_of_simplex(&Simplex::new([v]));
+        task.output()
+            .vertex_ids()
+            .find(|&w| {
+                task.output().color(w) == c.color(v) && task.allows(&carrier, &Simplex::new([w]))
+            })
+            .expect("every vertex has an allowed image")
+    })
+}
+
+#[test]
+fn compiled_check_equals_the_prop_3_1_check() {
+    let mut rng = Rng::seed_from_u64(0x3_1c0de);
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for (spec, b) in CASES {
+        let task = parse_spec(spec).unwrap();
+        let keyed = KeyedTask::new(task.clone());
+        let sub = sds_iterated(task.input(), b);
+        let out = task.output();
+        let start = start_map(&task, &sub, b);
+        let sources: Vec<VertexId> = sub.complex().vertex_ids().collect();
+        for m in 0..=MUTATIONS {
+            let mut map = start.clone();
+            // mutation 0 is the unmutated start map
+            let moved = if m == 0 { 0 } else { 1 + m % 2 };
+            for _ in 0..moved {
+                let v = *rng.choose(&sources).unwrap();
+                // mostly a same-colored image (the interesting case); now
+                // and then any output vertex, which must fail on color
+                let candidates: Vec<VertexId> = out
+                    .vertex_ids()
+                    .filter(|&w| rng.random_bool(0.1) || out.color(w) == sub.complex().color(v))
+                    .collect();
+                if let Some(&w) = rng.choose(&candidates) {
+                    map.insert(v, w);
+                }
+            }
+            let want = validate_decision_map(&task, &sub, &map).is_ok();
+            let rec = record(&task, b, &map);
+            let got = validate_record(&keyed, &rec);
+            assert_eq!(
+                got.is_ok(),
+                want,
+                "{spec} b={b} mutation {m}: compiled {got:?}, reference accepts: {want}"
+            );
+            let replay = report_from_json(&task, &rec).map(|_| ());
+            assert_eq!(replay, got, "{spec} b={b} mutation {m}");
+            if want {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    // both verdicts occur often, so neither an always-accepting nor an
+    // always-rejecting check could pass
+    assert!(
+        accepted > 300 && rejected > 1000,
+        "{accepted} accepted, {rejected} rejected"
+    );
+}
+
+#[test]
+fn rejections_name_the_simplex_and_its_carrier() {
+    let task = parse_spec("eps:1:9").unwrap();
+    let keyed = KeyedTask::new(task.clone());
+    let b = 2;
+    let sub = sds_iterated(task.input(), b);
+    let mut map = start_map(&task, &sub, b);
+    // send one end of the grid's first edge to the far end of its range
+    let v = sub.complex().vertex_ids().next().unwrap();
+    let far = task
+        .output()
+        .vertex_ids()
+        .filter(|&w| task.output().color(w) == sub.complex().color(v))
+        .last()
+        .unwrap();
+    let near = map.image(v).unwrap();
+    map.insert(v, if far == near { VertexId(0) } else { far });
+    assert!(validate_decision_map(&task, &sub, &map).is_err());
+    let err = validate_record(&keyed, &record(&task, b, &map)).unwrap_err();
+    assert!(err.starts_with("stored witness invalid: "), "{err}");
+    assert!(
+        err.contains("simplex ⟨") && err.contains("(carrier ⟨") && err.contains("∉ Δ(carrier)"),
+        "{err}"
+    );
+}

@@ -545,7 +545,8 @@ fn handle_connection(
             }
             Err(ReadFailure::Disconnect) => return,
         };
-        metrics::add("serve.requests", 1);
+        static REQUESTS: metrics::StaticCounter = metrics::StaticCounter::new("serve.requests");
+        REQUESTS.incr();
         // a shutting-down server finishes the in-flight request but
         // declines to hold the connection open past it
         let keep_alive = client_keep_alive && !stop.load(Ordering::Acquire);
@@ -757,18 +758,22 @@ impl Client {
         path: &str,
         body: Option<&[u8]>,
     ) -> std::io::Result<ClientResponse> {
-        metrics::add("http.client_requests", 1);
+        static REQUESTS: metrics::StaticCounter =
+            metrics::StaticCounter::new("http.client_requests");
+        static REUSED: metrics::StaticCounter = metrics::StaticCounter::new("http.client_reused");
+        static RETRIES: metrics::StaticCounter = metrics::StaticCounter::new("http.client_retries");
+        REQUESTS.incr();
         if let Some(mut stream) = self.checkout(addr) {
             match self.round_trip(&mut stream, method, addr, path, body) {
                 Ok((response, reusable)) => {
-                    metrics::add("http.client_reused", 1);
+                    REUSED.incr();
                     if reusable {
                         self.checkin(addr, stream);
                     }
                     return Ok(response);
                 }
                 // the pooled socket was stale; fall through to a fresh one
-                Err(_) => metrics::add("http.client_retries", 1),
+                Err(_) => RETRIES.incr(),
             }
         }
         let mut stream = self.connect(addr)?;

@@ -53,16 +53,20 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// The handle for `name`, registering the counter on first use.
+    /// The handle for `name`, registering the counter on first use. A
+    /// registered name is found by `&str`; only a new one is allocated.
     pub fn handle(name: &str) -> Counter {
         let mut g = registry()
             .counters
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let cell = g
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
+        let cell = match g.get(name) {
+            Some(cell) => Arc::clone(cell),
+            None => Arc::clone(
+                g.entry(name.to_string())
+                    .or_insert_with(|| Arc::new(AtomicU64::new(0))),
+            ),
+        };
         Counter { cell }
     }
 
@@ -86,7 +90,57 @@ impl Counter {
     }
 }
 
-/// One-shot counter add for cold paths (`Counter::handle(name).add(n)`).
+/// A [`Counter`] handle that can live in a `static`: the per-request
+/// counters of the service hot paths, which [`add`] would otherwise look
+/// up in the registry (under its lock) on every call.
+///
+/// The name is registered on the first add while the recorder is enabled —
+/// exactly when [`add`] would first register it — so a static handle
+/// changes no name or value a snapshot shows.
+///
+/// # Examples
+///
+/// ```
+/// use iis_obs::metrics::StaticCounter;
+/// static REQUESTS: StaticCounter = StaticCounter::new("example.requests");
+/// iis_obs::set_enabled(true);
+/// REQUESTS.add(2);
+/// assert_eq!(iis_obs::metrics::snapshot().counters["example.requests"], 2);
+/// ```
+pub struct StaticCounter {
+    name: &'static str,
+    cell: OnceLock<Counter>,
+}
+
+impl StaticCounter {
+    /// A handle on the counter `name`, resolved on first use.
+    pub const fn new(name: &'static str) -> StaticCounter {
+        StaticCounter {
+            name,
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// Adds `n` (no-op while the recorder is disabled).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if enabled() {
+            self.cell
+                .get_or_init(|| Counter::handle(self.name))
+                .cell
+                .fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds 1 (no-op while the recorder is disabled).
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
+    }
+}
+
+/// One-shot counter add for cold paths (`Counter::handle(name).add(n)`);
+/// hot paths hold a [`Counter`] or a [`StaticCounter`].
 pub fn add(name: &str, n: u64) {
     if enabled() {
         Counter::handle(name).cell.fetch_add(n, Ordering::Relaxed);
@@ -106,10 +160,13 @@ impl Gauge {
             .gauges
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let cell = g
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicI64::new(0)))
-            .clone();
+        let cell = match g.get(name) {
+            Some(cell) => Arc::clone(cell),
+            None => Arc::clone(
+                g.entry(name.to_string())
+                    .or_insert_with(|| Arc::new(AtomicI64::new(0))),
+            ),
+        };
         Gauge { cell }
     }
 
@@ -191,10 +248,13 @@ impl HistogramHandle {
             .histograms
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let cells = g
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCells::new()))
-            .clone();
+        let cells = match g.get(name) {
+            Some(cells) => Arc::clone(cells),
+            None => Arc::clone(
+                g.entry(name.to_string())
+                    .or_insert_with(|| Arc::new(HistogramCells::new())),
+            ),
+        };
         HistogramHandle { cells }
     }
 

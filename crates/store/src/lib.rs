@@ -529,7 +529,9 @@ impl Store {
             .and_then(|text| decode_record(text.trim_end_matches('\n')));
         match record {
             Some((k, value, true)) if k == key => {
-                iis_obs::metrics::add("store.hits", 1);
+                static HITS: iis_obs::metrics::StaticCounter =
+                    iis_obs::metrics::StaticCounter::new("store.hits");
+                HITS.incr();
                 Ok(Some(value))
             }
             _ => {

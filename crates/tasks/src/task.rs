@@ -113,29 +113,46 @@ impl Task {
     /// Structurally equal tasks produce identical strings — `delta` is
     /// BTreeMap-ordered and the complexes serialize in construction order —
     /// so this is a valid content-address preimage. The text is written
-    /// directly, with no `Json` tree in between, and is byte-identical to
-    /// `self.to_json().to_string()`.
+    /// directly by [`Task::write_canonical`], with no `Json` tree in
+    /// between, and is byte-identical to `self.to_json().to_string()`.
     pub fn canonical_json(&self) -> &str {
-        use iis_obs::json::{write_array, write_string};
         self.canonical.get_or_init(|| {
             let mut out = String::new();
-            out.push_str("{\"name\":");
-            write_string(&mut out, &self.name);
-            out.push_str(",\"input\":");
-            self.input.write_json(&mut out);
-            out.push_str(",\"output\":");
-            self.output.write_json(&mut out);
-            out.push_str(",\"delta\":");
-            write_array(&mut out, &self.delta, |out, (si, outs)| {
-                out.push('[');
-                si.write_json(out);
-                out.push(',');
-                write_array(out, outs, |out, so| so.write_json(out));
-                out.push(']');
-            });
-            out.push('}');
+            self.write_canonical(&mut out);
             out
         })
+    }
+
+    /// Appends the canonical JSON encoding (see [`Task::canonical_json`])
+    /// to `out` without memoizing it — for a caller that hashes the text
+    /// once and drops it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_obs::ToJson;
+    /// let task = iis_tasks::library::approximate_agreement(1, 3);
+    /// let mut text = String::new();
+    /// task.write_canonical(&mut text);
+    /// assert_eq!(text, task.to_json().to_string());
+    /// ```
+    pub fn write_canonical(&self, out: &mut String) {
+        use iis_obs::json::{write_array, write_string};
+        out.push_str("{\"name\":");
+        write_string(out, &self.name);
+        out.push_str(",\"input\":");
+        self.input.write_json(out);
+        out.push_str(",\"output\":");
+        self.output.write_json(out);
+        out.push_str(",\"delta\":");
+        write_array(out, &self.delta, |out, (si, outs)| {
+            out.push('[');
+            si.write_json(out);
+            out.push(',');
+            write_array(out, outs, |out, so| so.write_json(out));
+            out.push(']');
+        });
+        out.push('}');
     }
 
     /// `true` iff `Δ` is *monotone*: for every input face `sq ⊆ si`, every

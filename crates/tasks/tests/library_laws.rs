@@ -235,3 +235,25 @@ fn canonical_text_is_the_rendered_tree() {
         );
     }
 }
+
+/// `Task::write_canonical` is the unmemoized writer behind
+/// `canonical_json`: for every library family it appends exactly the
+/// rendered tree's bytes, after whatever the buffer already holds.
+#[test]
+fn write_canonical_appends_the_rendered_tree() {
+    use iis_obs::ToJson;
+    let mut tasks = all_library_tasks();
+    tasks.push(approximate_agreement(1, 64));
+    for task in tasks {
+        let rendered = task.to_json().to_string();
+        let mut out = String::from("prefix\0");
+        task.write_canonical(&mut out);
+        assert_eq!(
+            out.strip_prefix("prefix\0"),
+            Some(&rendered[..]),
+            "{}",
+            task.name()
+        );
+        assert_eq!(task.canonical_json(), rendered, "{}", task.name());
+    }
+}

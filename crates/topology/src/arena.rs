@@ -28,6 +28,13 @@
 //! `iis_core::cache` validate a stored witness against the arena, and the
 //! search return a witness on it, and still hand back exactly the answer
 //! the reference tower gives.
+//!
+//! The tower keeps no labels at all, not even the base's: its base is the
+//! label-free [`ArenaComplex`] of the input, so `SDS^b` depends only on the
+//! input's *shape* — its colors in id order and its facets in sorted order
+//! ([`ArenaComplex::same_shape`]). Inputs of equal shape and different
+//! labels share one tower; the labelled input is passed back in only where
+//! labels are made ([`ArenaSds::to_subdivision`]).
 
 use crate::template;
 use crate::{sds_iterated, Color, Complex, Subdivision};
@@ -106,6 +113,18 @@ impl ArenaComplex {
     pub fn color(&self, v: u32) -> Color {
         self.colors[v as usize]
     }
+
+    /// `true` iff `c` has this complex's shape: the same vertex colors in
+    /// id order and the same facets in sorted order — everything
+    /// [`arena_sds_tower`] reads of its base. Labels are not compared.
+    pub fn same_shape(&self, c: &Complex) -> bool {
+        self.num_vertices() == c.num_vertices()
+            && self.num_facets() == c.num_facets()
+            && c.vertex_ids().all(|v| self.color(v.0) == c.color(v))
+            && c.facets()
+                .enumerate()
+                .all(|(i, f)| self.facet(i).iter().copied().eq(f.iter().map(|v| v.0)))
+    }
 }
 
 /// The `b`-fold iterated standard chromatic subdivision of a base complex
@@ -114,7 +133,8 @@ impl ArenaComplex {
 /// [`ArenaSds::next`].
 #[derive(Debug)]
 pub struct ArenaSds {
-    base: Arc<Complex>,
+    /// The base complex `C` without labels, shared by every level.
+    base: Arc<ArenaComplex>,
     complex: ArenaComplex,
     /// Permutation of facet indices putting facets in lexicographic
     /// (= reference `BTreeSet<Simplex>`) order.
@@ -127,8 +147,8 @@ pub struct ArenaSds {
 }
 
 impl ArenaSds {
-    /// The base complex `C`.
-    pub fn base(&self) -> &Complex {
+    /// The base complex `C`, label-free.
+    pub fn base(&self) -> &ArenaComplex {
         &self.base
     }
 
@@ -169,7 +189,7 @@ impl ArenaSds {
     /// let base = Complex::standard_simplex(1);
     /// let two = arena_sds_tower(&base, 1).next();
     /// assert_eq!(two.rounds(), 2);
-    /// assert!(two.agrees_with(&arena_sds_tower(&base, 2).to_subdivision()).is_ok());
+    /// assert!(two.agrees_with(&arena_sds_tower(&base, 2).to_subdivision(&base)).is_ok());
     /// ```
     pub fn next(&self) -> ArenaSds {
         let _timer = iis_obs::span::span("sds.arena_build_ns");
@@ -223,7 +243,7 @@ impl ArenaSds {
     }
 
     /// Checks that this tower is the reference tower `sub` with its labels
-    /// forgotten: the same base, the same vertex colors in the same id
+    /// forgotten: a base of the same shape, the same vertex colors in the same id
     /// order, the same per-vertex carriers, and the same facets, with
     /// [`ArenaSds::facet_order`] reproducing `sub`'s sorted facet order.
     ///
@@ -232,8 +252,8 @@ impl ArenaSds {
     /// Describes the first disagreement.
     pub fn agrees_with(&self, sub: &Subdivision) -> Result<(), String> {
         let (ac, rc) = (&self.complex, sub.complex());
-        if !sub.base().same_labeled(&self.base) {
-            return Err("different base complexes".to_string());
+        if !self.base.same_shape(sub.base()) {
+            return Err("base complexes of different shapes".to_string());
         }
         if ac.num_vertices() != rc.num_vertices() {
             return Err(format!(
@@ -275,15 +295,23 @@ impl ArenaSds {
         Ok(())
     }
 
-    /// Materializes the reference [`Subdivision`] — bit-identical to
-    /// `sds_iterated(base, b)`, which is how it is built: the arena keeps
-    /// no labels, and the reference builder is the one place that makes
-    /// them. Debug builds check that the result [`agrees_with`] this
-    /// tower.
+    /// Materializes the reference [`Subdivision`] over the labelled
+    /// `input` — bit-identical to `sds_iterated(input, b)`, which is how it
+    /// is built: the arena keeps no labels, and the reference builder is
+    /// the one place that makes them. Debug builds check that the result
+    /// [`agrees_with`] this tower.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have this tower's base shape.
     ///
     /// [`agrees_with`]: ArenaSds::agrees_with
-    pub fn to_subdivision(&self) -> Subdivision {
-        let sub = sds_iterated(&self.base, self.rounds);
+    pub fn to_subdivision(&self, input: &Complex) -> Subdivision {
+        assert!(
+            self.base.same_shape(input),
+            "the input does not have the tower's base shape"
+        );
+        let sub = sds_iterated(input, self.rounds);
         debug_assert_eq!(self.agrees_with(&sub), Ok(()));
         sub
     }
@@ -315,7 +343,7 @@ pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
     let complex = ArenaComplex::from_complex(base);
     let nv = complex.num_vertices();
     let mut tower = ArenaSds {
-        base: Arc::new(base.clone()),
+        base: Arc::new(complex.clone()),
         facet_order: (0..complex.num_facets() as u32).collect(),
         carrier_offsets: (0..=nv as u32).collect(),
         carrier_verts: (0..nv as u32).collect(),
@@ -582,7 +610,7 @@ mod tests {
             (Complex::standard_simplex(2), 1),
             (butterfly(), 1),
         ] {
-            let arena = arena_sds_tower(&base, b).to_subdivision();
+            let arena = arena_sds_tower(&base, b).to_subdivision(&base);
             let reference = sds_iterated(&base, b);
             assert!(arena.complex().same_labeled(reference.complex()));
             for v in reference.complex().vertex_ids() {
@@ -605,6 +633,43 @@ mod tests {
         for v in 0..3u32 {
             assert_eq!(arena.carrier(v), &[v]);
         }
-        assert!(arena.to_subdivision().complex().same_labeled(&base));
+        assert!(arena.to_subdivision(&base).complex().same_labeled(&base));
+    }
+
+    #[test]
+    fn shape_ignores_labels_but_not_colors() {
+        let base = butterfly();
+        let arena = ArenaComplex::from_complex(&base);
+        assert!(arena.same_shape(&base));
+        // the same facets over other labels: the same shape, the same tower
+        let mut relabelled = Complex::new();
+        let ids: Vec<_> = base
+            .vertex_ids()
+            .map(|v| relabelled.ensure_vertex(base.color(v), Label::scalar(10 + v.0 as u64)))
+            .collect();
+        for f in base.facets() {
+            relabelled.add_facet(f.iter().map(|v| ids[v.index()]));
+        }
+        assert!(arena.same_shape(&relabelled));
+        let tower = arena_sds_tower(&base, 1);
+        assert_eq!(tower.agrees_with(&sds_iterated(&relabelled, 1)), Ok(()));
+        // swapping two colors changes the shape
+        let mut recolored = Complex::new();
+        let ids: Vec<_> = base
+            .vertex_ids()
+            .map(|v| {
+                let c = match base.color(v).0 {
+                    0 => Color(1),
+                    1 => Color(0),
+                    c => Color(c),
+                };
+                recolored.ensure_vertex(c, base.label(v).clone())
+            })
+            .collect();
+        for f in base.facets() {
+            recolored.add_facet(f.iter().map(|v| ids[v.index()]));
+        }
+        assert!(!arena.same_shape(&recolored));
+        assert!(!arena.same_shape(&kite()));
     }
 }

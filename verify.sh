@@ -66,7 +66,10 @@ echo "serve smoke: ok"
 # Solve-service smoke: start `iis serve` with a persistent store on an
 # ephemeral port, POST the same task twice, and require the second reply
 # to come from the store ("cached": true) with a byte-identical witness
-# and serve_cache_hits_total = 1; probe /healthz and /readyz; ask an
+# and serve_cache_hits_total = 1; ask eps:1:9 (the same input shape with
+# other labels) twice and eps:1:3 once more, requiring hits with
+# byte-identical witnesses and an unmoved cache_tower_builds_total across
+# the warm asks; probe /healthz and /readyz; ask an
 # inline-task question ({"task": …}, the committed eps:1:3 fixture) twice
 # with the same requirements; accept an async job and POST /shutdown while
 # it may still be running — the drain must finish it (summary says so) and
@@ -107,6 +110,33 @@ metrics=$(scrape /metrics)
 hits=$(echo "$metrics" | sed -n 's/^serve_cache_hits_total //p')
 [ "$hits" = "1" ] \
   || { echo "solve service smoke: expected serve_cache_hits_total 1, got '$hits'"; exit 1; }
+# shape sharing: eps:1:9 has eps:1:3's input shape with other labels, so
+# its cold solve finds the lower levels eps:1:3's solve memoized; the warm
+# asks of both then check their witnesses on memoized skeletons — each
+# second reply is a byte-identical hit and no tower is built meanwhile
+body9='{"spec": "eps:1:9", "max_rounds": 2}'
+first9=$(post /solve "$body9")
+echo "$first9" | grep -q '"cached":false' \
+  || { echo "solve service smoke: first eps:1:9 reply should be a miss"; echo "$first9"; exit 1; }
+builds_of() { echo "$1" | sed -n 's/^cache_tower_builds_total //p'; }
+builds=$(builds_of "$(scrape /metrics)")
+[ -n "$builds" ] || { echo "solve service smoke: /metrics lacks cache_tower_builds_total"; exit 1; }
+second9=$(post /solve "$body9")
+third=$(post /solve "$body")
+for reply in "$second9" "$third"; do
+  echo "$reply" | grep -q '"cached":true' \
+    || { echo "solve service smoke: warm shared-shape reply should be a store hit"; echo "$reply"; exit 1; }
+done
+wit1=$(printf '%s' "$first9" | sed 's/.*"witness"://')
+wit2=$(printf '%s' "$second9" | sed 's/.*"witness"://')
+[ -n "$wit1" ] && [ "$wit1" = "$wit2" ] \
+  || { echo "solve service smoke: eps:1:9 witnesses differ"; echo "$wit1"; echo "$wit2"; exit 1; }
+wit3=$(printf '%s' "$third" | sed 's/.*"witness"://')
+[ "$wit3" = "$(printf '%s' "$first" | sed 's/.*"witness"://')" ] \
+  || { echo "solve service smoke: eps:1:3 witness changed"; echo "$wit3"; exit 1; }
+warm_builds=$(builds_of "$(scrape /metrics)")
+[ "$warm_builds" = "$builds" ] \
+  || { echo "solve service smoke: warm asks built towers ($builds -> $warm_builds)"; exit 1; }
 # the store's corruption counters are registered (at zero) from the start
 echo "$metrics" | grep -q '^store_checksum_failures_total ' \
   || { echo "solve service smoke: /metrics lacks store_checksum_failures_total"; echo "$metrics"; exit 1; }
@@ -134,7 +164,7 @@ echo "$accepted" | grep -q '"job":' \
   || { echo "solve service smoke: async solve not accepted"; echo "$accepted"; exit 1; }
 post /shutdown '' >/dev/null
 wait "$serve_pid" || { echo "solve service smoke: serve exited nonzero"; cat "$serve_log"; exit 1; }
-grep -q '3 jobs accepted, 3 completed' "$serve_out" \
+grep -q '4 jobs accepted, 4 completed' "$serve_out" \
   || { echo "solve service smoke: drain did not finish the accepted job"; cat "$serve_out"; exit 1; }
 rm -rf "$serve_log" "$serve_out" "$store_dir"
 echo "solve service smoke: ok"

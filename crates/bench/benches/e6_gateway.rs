@@ -10,7 +10,7 @@
 //! pure round-trip control (`rtt/12_healthz`).
 //!
 //! What amortization looks like here: the batch path answers 12 questions
-//! in 2 `http.client_requests` instead of 12 — compare the
+//! in at most 2 `http.client_requests` instead of 12 — compare the
 //! `http.client_requests` counter across the two cases. The *wall-clock*
 //! gap depends on the host: warm answers still pay witness re-validation
 //! server-side (~the e6_serve warm cost), and on a single-core runner the
@@ -64,9 +64,10 @@ const SPECS: [&str; 6] = [
 ];
 
 fn questions() -> Vec<Json> {
-    // 6 specs × 2 round bounds = 12 distinct cache keys, so the rendezvous
-    // split across 2 shards concentrates near 6/6 and the batch path's
-    // shard-parallelism is actually exercised
+    // 6 specs × 2 round bounds = 12 distinct cache keys over 6 tasks; the
+    // gateway routes by task, so both bounds of a spec share a shard and
+    // the split across 2 shards is 6 tasks, leaving one shard idle only
+    // when all six hash to the same one (1 in 32 shard-address draws)
     SPECS
         .iter()
         .flat_map(|s| {

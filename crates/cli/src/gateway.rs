@@ -10,11 +10,12 @@
 //!
 //! - `POST /solve` — single-question or `{"questions": […]}` batch, the
 //!   same wire schema the backends speak. Questions are routed by their
-//!   cache key (rendezvous hashing over the `--backends` list), batches
-//!   are fanned out shard-parallel with same-shard questions coalesced
-//!   into one upstream batch call, and failed shards are retried on the
-//!   key's other replicas.
-//! - `GET /cluster` — per-shard health, failure streaks, and key-space
+//!   task (its key prefix, rendezvous-hashed over the `--backends` list),
+//!   so every bound of a task shares one replica set; batches are fanned
+//!   out shard-parallel with same-shard questions coalesced into one
+//!   upstream batch call, and failed shards are retried on the task's
+//!   other replicas.
+//! - `GET /cluster` — per-shard health, failure streaks, and task-space
 //!   ownership.
 //! - `GET /metrics` — the gateway's own counters *plus* every reachable
 //!   shard's, summed family-by-family: one scrape, cluster-wide totals.
@@ -306,8 +307,9 @@ mod tests {
         assert_eq!(shards.len(), 2);
 
         // kill shard B, choosing it so at least one question's rendezvous
-        // primary dies with it (routing is a pure function of the addrs,
-        // so a local Gateway over the same addrs predicts the server's)
+        // primary dies with it (routing is a pure function of the task and
+        // the addrs, so a local Gateway over the same addrs predicts the
+        // server's)
         let local = Gateway::new(
             std::sync::Arc::new(HttpTransport::new(Duration::from_secs(1))),
             GatewayConfig {
@@ -319,8 +321,8 @@ mod tests {
         let primaries: Vec<usize> = questions
             .iter()
             .map(|q| {
-                let key = iis_cluster::question_key(&Json::parse(q).unwrap()).unwrap();
-                local.replicas_for(key)[0]
+                let route = iis_cluster::question_route(&Json::parse(q).unwrap()).unwrap();
+                local.replicas_for(route)[0]
             })
             .collect();
         let (victim, victim_join, survivor_join) = if primaries.contains(&1) {

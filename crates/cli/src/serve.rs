@@ -66,8 +66,8 @@
 use crate::{err, flag_value, CliError};
 use iis_cluster::splice_envelope;
 use iis_core::cache::{
-    intern_spec, question_rounds, question_task, solve_keyed, validate_record, KeyedTask,
-    QuestionTask, SolveCache,
+    intern_spec, question_count, question_rounds, question_task, solve_keyed, validate_record,
+    KeyedTask, QuestionTask, SolveCache,
 };
 use iis_core::solvability::SolveOptions;
 use iis_obs::http::{serve_with, Handler, Request, Response};
@@ -217,17 +217,9 @@ fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
         ),
     };
     let max_rounds = question_rounds(v)?;
-    let num = |key: &str, default: f64| -> Result<f64, String> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(default),
-            Some(j) => j
-                .as_f64()
-                .ok_or_else(|| format!("\"{key}\" must be a number")),
-        }
-    };
     let opts = SolveOptions::new()
-        .budget(num("budget", 1_000_000.0)? as u64)
-        .jobs(num("jobs", 1.0)? as usize);
+        .budget(question_count(v, "budget", 1_000_000)?)
+        .jobs(usize::try_from(question_count(v, "jobs", 1)?).unwrap_or(usize::MAX));
     let wait = match v.get("wait") {
         None | Some(Json::Null) => true,
         Some(Json::Bool(b)) => *b,
@@ -1288,6 +1280,53 @@ mod tests {
             Some(format!("unknown task spec: {spec}").as_str())
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn numeric_fields_are_refused_alike_by_shard_and_gateway() {
+        let gateway = iis_cluster::Gateway::new(
+            Arc::new(iis_cluster::HttpTransport::new(Duration::from_secs(1))),
+            iis_cluster::GatewayConfig {
+                backends: Vec::new(),
+                replicas: 1,
+                workers: 1,
+            },
+        );
+        let shard = stalled_service(4, None);
+        for (field, bad) in [
+            ("max_rounds", "-1"),
+            ("max_rounds", "2.5"),
+            ("max_rounds", "\"2\""),
+            ("budget", "-5"),
+            ("budget", "0.5"),
+            ("jobs", "-1"),
+            ("jobs", "true"),
+        ] {
+            let body = format!(r#"{{"spec": "trivial:1", "{field}": {bad}}}"#);
+            let refusal = Json::obj([(
+                "error",
+                Json::Str(format!("\"{field}\" must be a non-negative integer")),
+            )])
+            .to_string();
+            let reply = shard.handle_solve(&body);
+            assert_eq!((reply.status, &reply.body), (400, &refusal), "{body}");
+            let in_batch = shard.handle_solve(&format!(r#"{{"questions": [{body}]}}"#));
+            assert_eq!(
+                in_batch.body,
+                format!(r#"{{"answers":[{{"status":400,"body":{refusal}}}]}}"#)
+            );
+            // the gateway reads the bound itself and refuses it without a
+            // round trip; the other fields reach the shard, whose refusal
+            // it relays
+            if field == "max_rounds" {
+                assert_eq!(gateway.solve_one(&body), (400, refusal), "{body}");
+            }
+        }
+        // integral floats and zero are still integers
+        for good in ["0", "2.0", "1e0"] {
+            let body = format!(r#"{{"spec": "trivial:1", "budget": {good}, "wait": false}}"#);
+            assert_eq!(shard.handle_solve(&body).status, 202, "{body}");
+        }
     }
 
     #[test]

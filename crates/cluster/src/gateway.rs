@@ -9,12 +9,16 @@
 //! question returns byte-identical bytes wherever it lands — which is what
 //! makes aggressive failover safe.
 //!
-//! **Routing.** Each question hashes to `iis_core::cache::cache_key`; the
-//! key's replica set is the top `R` shards by rendezvous (highest random
-//! weight) hashing. HRW gives minimal disruption: adding or removing a
-//! shard only moves the keys that shard owns, with no ring to rebalance.
-//! Within the replica set, attempts go Ready shards first, read-only
-//! (quarantine-degraded) shards next, Down shards as a last resort.
+//! **Routing.** Each question routes by its *task*: the round-independent
+//! prefix of its cache key ([`question_route`], `KeyedTask::key_prefix`),
+//! so every bound `b` of one task — spec or inline form — lands on one
+//! replica set, and a shard interns, compiles and revalidates only its
+//! own tasks. The task's replica set is the top `R` shards by rendezvous
+//! (highest random weight) hashing. HRW gives minimal disruption: adding
+//! or removing a shard only moves the tasks that shard owns, with no ring
+//! to rebalance. Within the replica set, attempts go Ready shards first,
+//! read-only (quarantine-degraded) shards next, Down shards as a last
+//! resort.
 //!
 //! **Batching.** A batch of questions is grouped by primary shard and
 //! fanned out on a bounded worker pool, one upstream `POST /solve`
@@ -48,7 +52,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 pub struct GatewayConfig {
     /// Backend shard addresses (`host:port`), the routing universe.
     pub backends: Vec<String>,
-    /// Replica-set size per key (clamped to the backend count).
+    /// Replica-set size per task (clamped to the backend count).
     pub replicas: usize,
     /// Worker threads for batch fan-out.
     pub workers: usize,
@@ -65,7 +69,7 @@ pub struct Gateway {
     workers: usize,
 }
 
-/// SplitMix64 finalizer: the rendezvous weight of (key, salt).
+/// SplitMix64 finalizer: the rendezvous weight of (route, salt).
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -182,23 +186,42 @@ fn spec_prefix(spec: &str) -> Result<u64, String> {
     Ok(prefix)
 }
 
-/// The routing-relevant reading of one question body: enough to compute
-/// its cache key. Everything else is forwarded verbatim.
+/// The routing-relevant reading of one question body: its task's key
+/// prefix and its round bound. Everything else is forwarded verbatim.
 ///
-/// The task half is read by the same parser the shard uses
-/// (`iis_core::cache::question_task`), and a spec resolves only as a
-/// library spec, so a question the gateway refuses gets the message the
-/// shard would have given.
-///
-/// # Errors
-///
-/// Returns a message when the question names no task or a malformed one.
-pub fn question_key(q: &Json) -> Result<u64, String> {
+/// The question is read by the same parsers the shard uses
+/// (`iis_core::cache::question_task` and `question_rounds`), and a spec
+/// resolves only as a library spec, so a question the gateway refuses
+/// gets the message the shard would have given.
+fn question_parts(q: &Json) -> Result<(u64, usize), String> {
     let prefix = match question_task(q)? {
         QuestionTask::Spec(s) => spec_prefix(s)?,
         QuestionTask::Inline(task) => key_prefix(&task),
     };
-    Ok(finish_key(prefix, question_rounds(q)?))
+    Ok((prefix, question_rounds(q)?))
+}
+
+/// A question's content address: the shard's cache key for `(task,
+/// max_rounds)`, computed gateway-side.
+///
+/// # Errors
+///
+/// Returns a message when the question names no task or a malformed one,
+/// or carries a malformed `"max_rounds"`.
+pub fn question_key(q: &Json) -> Result<u64, String> {
+    question_parts(q).map(|(prefix, b)| finish_key(prefix, b))
+}
+
+/// A question's routing value: its task's key prefix, the same for every
+/// `max_rounds`. Every bound of a task therefore goes to one replica set.
+/// The bound is still read, so a malformed one is refused here with the
+/// shard's message and no round trip.
+///
+/// # Errors
+///
+/// As [`question_key`].
+pub fn question_route(q: &Json) -> Result<u64, String> {
+    question_parts(q).map(|(prefix, _)| prefix)
 }
 
 impl Gateway {
@@ -243,21 +266,21 @@ impl Gateway {
         self.health.probe_all(self.transport.as_ref());
     }
 
-    /// The key's replica set in attempt order: top-`R` shards by
-    /// rendezvous weight, then Ready before read-only before Down
-    /// (stable, so the HRW order breaks ties).
-    pub fn replicas_for(&self, key: u64) -> Vec<usize> {
+    /// The replica set of a routing value ([`question_route`]) in attempt
+    /// order: top-`R` shards by rendezvous weight, then Ready before
+    /// read-only before Down (stable, so the HRW order breaks ties).
+    pub fn replicas_for(&self, route: u64) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.backends.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(mix(key ^ self.salts[i])));
+        order.sort_by_key(|&i| std::cmp::Reverse(mix(route ^ self.salts[i])));
         order.truncate(self.replicas);
         order.sort_by_key(|&i| self.health.health_of(i).rank());
         order
     }
 
-    /// The key's *owner* (rendezvous winner, health ignored) — used for
-    /// the `/cluster` ownership report, not for routing.
-    fn owner_of(&self, key: u64) -> Option<usize> {
-        (0..self.backends.len()).max_by_key(|&i| mix(key ^ self.salts[i]))
+    /// The routing value's *owner* (rendezvous winner, health ignored) —
+    /// used for the `/cluster` ownership report, not for routing.
+    fn owner_of(&self, route: u64) -> Option<usize> {
+        (0..self.backends.len()).max_by_key(|&i| mix(route ^ self.salts[i]))
     }
 
     /// Answers one question by trying its replicas in order. 4xx answers
@@ -308,10 +331,10 @@ impl Gateway {
                     .iter()
                     .map(|span| {
                         let text = &array[span.clone()];
-                        let key = Json::parse(text)
+                        let route = Json::parse(text)
                             .map_err(|e| e.to_string())
-                            .and_then(|q| question_key(&q));
-                        (text, key)
+                            .and_then(|q| question_route(&q));
+                        (text, route)
                     })
                     .collect();
                 (200, self.scatter_gather(questions))
@@ -328,11 +351,11 @@ impl Gateway {
             Ok(q) => q,
             Err(e) => return (400, error_body(&format!("bad JSON body: {e}"))),
         };
-        let key = match question_key(&q) {
-            Ok(k) => k,
+        let route = match question_route(&q) {
+            Ok(r) => r,
             Err(e) => return (400, error_body(&e)),
         };
-        let replicas = self.replicas_for(key);
+        let replicas = self.replicas_for(route);
         if replicas.is_empty() {
             iis_obs::metrics::add("gateway.unroutable", 1);
             return (503, error_body("no backends configured"));
@@ -349,12 +372,12 @@ impl Gateway {
         let questions = questions
             .iter()
             .zip(&texts)
-            .map(|(q, t)| (t.as_str(), question_key(q)))
+            .map(|(q, t)| (t.as_str(), question_route(q)))
             .collect();
         self.scatter_gather(questions)
     }
 
-    /// Scatters `(question text, routing key)` pairs by primary shard,
+    /// Scatters `(question text, routing value)` pairs by primary shard,
     /// coalesces same-shard questions into one upstream batch call, and
     /// gathers one ordered answer envelope.
     fn scatter_gather(&self, questions: Vec<(&str, Result<u64, String>)>) -> String {
@@ -363,10 +386,10 @@ impl Gateway {
         let mut answers: Vec<Option<Reply>> = vec![None; questions.len()];
         // route every question; invalid ones answer 400 without a trip
         let mut routed: Vec<(usize, &str, Vec<usize>)> = Vec::new();
-        for (i, (text, key)) in questions.into_iter().enumerate() {
-            match key {
-                Ok(key) => {
-                    let replicas = self.replicas_for(key);
+        for (i, (text, route)) in questions.into_iter().enumerate() {
+            match route {
+                Ok(route) => {
+                    let replicas = self.replicas_for(route);
                     if replicas.is_empty() {
                         iis_obs::metrics::add("gateway.unroutable", 1);
                         answers[i] = Some(Reply::error(503, "no backends configured"));
@@ -469,8 +492,8 @@ impl Gateway {
     }
 
     /// `GET /cluster`: per-shard health, failure streaks, and the share of
-    /// the key space each shard owns under rendezvous hashing (sampled at
-    /// 256 points).
+    /// the routing space (task prefixes) each shard owns under rendezvous
+    /// hashing (sampled at 256 points).
     pub fn cluster_json(&self) -> String {
         const SAMPLES: u64 = 256;
         let mut owned = vec![0u64; self.backends.len()];
@@ -753,6 +776,106 @@ mod tests {
                 assert_eq!(question_key(&inline).unwrap(), key, "{spec} b={b}");
             }
         }
+    }
+
+    /// One question of every library family at bound `b`, in spec form
+    /// and in inline form.
+    fn family_questions(b: usize) -> Vec<(Json, Json)> {
+        [
+            "trivial:2",
+            "consensus:1",
+            "kset:2:2",
+            "renaming:2:5",
+            "eps:1:81",
+            "oneshot:2",
+        ]
+        .iter()
+        .map(|spec| {
+            let rounds = Json::Num(b as f64);
+            let by_spec = Json::obj([
+                ("spec", Json::Str(spec.to_string())),
+                ("max_rounds", rounds.clone()),
+            ]);
+            let task = parse_spec(spec).unwrap().to_json();
+            (by_spec, Json::obj([("task", task), ("max_rounds", rounds)]))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn task_bounds_share_a_replica_set() {
+        let gw = Gateway::new(
+            Arc::new(NullTransport),
+            GatewayConfig {
+                backends: (0..5).map(|i| format!("s{i}:1")).collect(),
+                replicas: 2,
+                workers: 1,
+            },
+        );
+        let at_zero: Vec<Vec<usize>> = family_questions(0)
+            .iter()
+            .map(|(q, _)| gw.replicas_for(question_route(q).unwrap()))
+            .collect();
+        for b in 0..=6usize {
+            for ((by_spec, inline), set) in family_questions(b).iter().zip(&at_zero) {
+                let route = question_route(by_spec).unwrap();
+                assert_eq!(question_route(inline).unwrap(), route, "{by_spec}");
+                // the route is the task's key prefix: the bound is not in it
+                let spec = by_spec.get("spec").and_then(Json::as_str).unwrap();
+                assert_eq!(route, key_prefix(&parse_spec(spec).unwrap()), "{spec}");
+                assert_eq!(&gw.replicas_for(route), set, "{spec} b={b}");
+                // while the content address still tells the bounds apart
+                assert_eq!(
+                    question_key(by_spec).unwrap(),
+                    finish_key(route, b),
+                    "{spec} b={b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn removing_a_shard_only_moves_its_own_tasks() {
+        let gateway = |n: usize| {
+            Gateway::new(
+                Arc::new(NullTransport),
+                GatewayConfig {
+                    backends: ["a:1", "b:1", "c:1"][..n]
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect(),
+                    replicas: 1,
+                    workers: 1,
+                },
+            )
+        };
+        let (three, two) = (gateway(3), gateway(2));
+        let mut moved = 0;
+        for k in 1..=40 {
+            let spec = format!("eps:1:{k}");
+            let owners = |gw: &Gateway| -> Vec<usize> {
+                (0..=4)
+                    .map(|b| {
+                        let q = Json::obj([
+                            ("spec", Json::Str(spec.clone())),
+                            ("max_rounds", Json::Num(f64::from(b))),
+                        ]);
+                        gw.replicas_for(question_route(&q).unwrap())[0]
+                    })
+                    .collect()
+            };
+            let (before, after) = (owners(&three), owners(&two));
+            // every bound of a task has one owner, in either fleet
+            assert!(before.iter().all(|&o| o == before[0]), "{spec}: {before:?}");
+            assert!(after.iter().all(|&o| o == after[0]), "{spec}: {after:?}");
+            if before[0] == 2 {
+                moved += 1;
+            } else {
+                // tasks the removed shard did not own stay where they were
+                assert_eq!(before, after, "{spec} moved needlessly");
+            }
+        }
+        assert!(moved > 0, "the removed shard owned no task at all");
     }
 
     #[test]

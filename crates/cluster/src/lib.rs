@@ -3,7 +3,7 @@
 //! One `iis serve` process answers solve questions out of its own
 //! content-addressed witness store. This crate scales that to a fleet:
 //! a **gateway** that owns no store and does no solving, only routing —
-//! rendezvous-hashing each question's cache key onto a replica set of
+//! rendezvous-hashing each question's task onto a replica set of
 //! backends, fanning batches out shard-parallel, failing over on shard
 //! loss, and aggregating cluster metrics into one scrape.
 //!
@@ -33,7 +33,8 @@ pub mod health;
 pub mod transport;
 
 pub use gateway::{
-    batch_envelope, merge_prometheus, question_key, splice_envelope, Answer, Gateway, GatewayConfig,
+    batch_envelope, merge_prometheus, question_key, question_route, splice_envelope, Answer,
+    Gateway, GatewayConfig,
 };
 pub use health::{HealthRegistry, ShardHealth, ShardStatus};
 pub use transport::{HttpTransport, Transport, TransportError, TransportResponse};

@@ -316,7 +316,8 @@ pub fn intern_spec(spec: &str) -> Result<Arc<KeyedTask>, String> {
         return Ok(keyed);
     }
     let keyed = Arc::new(KeyedTask::new(parse_spec(spec)?));
-    iis_obs::metrics::add("cache.spec_builds", 1);
+    static SPEC_BUILDS: StaticCounter = StaticCounter::new("cache.spec_builds");
+    SPEC_BUILDS.incr();
     specs.insert(spec.to_string(), Arc::clone(&keyed));
     Ok(keyed)
 }
@@ -350,16 +351,45 @@ pub fn question_task(q: &Json) -> Result<QuestionTask<'_>, String> {
     }
 }
 
+/// Reads a question's non-negative integer field `name` (`default` when
+/// absent or null) — the one reader of a question's numeric fields, so
+/// the shard and the gateway refuse a malformed one with the same message.
+///
+/// # Errors
+///
+/// Returns `"<name>" must be a non-negative integer` when the field is
+/// present but not a number, negative, or fractional.
+///
+/// # Examples
+///
+/// ```
+/// use iis_core::cache::question_count;
+/// use iis_obs::Json;
+/// let q = Json::parse(r#"{"budget": 5, "jobs": -1, "b": 2.5}"#).unwrap();
+/// assert_eq!(question_count(&q, "budget", 9), Ok(5));
+/// assert_eq!(question_count(&q, "missing", 9), Ok(9));
+/// let refusal = Err("\"jobs\" must be a non-negative integer".to_string());
+/// assert_eq!(question_count(&q, "jobs", 1), refusal);
+/// assert!(question_count(&q, "b", 1).is_err());
+/// ```
+pub fn question_count(q: &Json, name: &str, default: u64) -> Result<u64, String> {
+    match q.get(name) {
+        None | Some(Json::Null) => Ok(default),
+        Some(j) => j
+            .as_f64()
+            .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+            .map(|x| x as u64)
+            .ok_or_else(|| format!("\"{name}\" must be a non-negative integer")),
+    }
+}
+
 /// Reads a question's `"max_rounds"` (default 2).
 ///
 /// # Errors
 ///
-/// Returns a message when the field is present but not a number.
+/// As [`question_count`].
 pub fn question_rounds(q: &Json) -> Result<usize, String> {
-    match q.get("max_rounds") {
-        None | Some(Json::Null) => Ok(2),
-        Some(j) => Ok(j.as_f64().ok_or("\"max_rounds\" must be a number")? as usize),
-    }
+    question_count(q, "max_rounds", 2).map(|b| usize::try_from(b).unwrap_or(usize::MAX))
 }
 
 /// The shape of an input complex as a 64-bit key: FNV-1a over its vertex
@@ -420,7 +450,8 @@ pub(crate) fn memoized_skeleton(input: &Complex, shape: u64, b: usize) -> Option
 
 /// The constraint skeleton of `tower`, counted in `cache.tower_builds`.
 pub(crate) fn build_skeleton(tower: ArenaSds) -> Arc<Skeleton> {
-    iis_obs::metrics::add("cache.tower_builds", 1);
+    static TOWER_BUILDS: StaticCounter = StaticCounter::new("cache.tower_builds");
+    TOWER_BUILDS.incr();
     Arc::new(Skeleton::new(tower))
 }
 
@@ -428,8 +459,9 @@ pub(crate) fn build_skeleton(tower: ArenaSds) -> Arc<Skeleton> {
 /// recently used entry at [`TOWER_CACHE_CAP`] (counted in
 /// `cache.tower_evictions`).
 pub(crate) fn keep_skeleton(shape: u64, b: usize, skel: &Arc<Skeleton>) {
+    static TOWER_EVICTIONS: StaticCounter = StaticCounter::new("cache.tower_evictions");
     if skeleton_memo().insert((shape, b), Arc::clone(skel)) {
-        iis_obs::metrics::add("cache.tower_evictions", 1);
+        TOWER_EVICTIONS.incr();
     }
 }
 
@@ -696,7 +728,8 @@ fn solve_cached(
             .and_then(|v| decode_report(q.task, q.shape, q.tables, &v))
         {
             Ok(report) => {
-                iis_obs::metrics::add("solve.cache_store_hits", 1);
+                static STORE_HITS: StaticCounter = StaticCounter::new("solve.cache_store_hits");
+                STORE_HITS.incr();
                 return CachedSolve {
                     report,
                     hit: true,
@@ -715,7 +748,8 @@ fn solve_cached(
             }
         }
     }
-    iis_obs::metrics::add("solve.cache_store_misses", 1);
+    static STORE_MISSES: StaticCounter = StaticCounter::new("solve.cache_store_misses");
+    STORE_MISSES.incr();
     let report = solve_up_to_with(q.task, max_rounds, opts, q.tables);
     if decided(&report, max_rounds) {
         cache.put(key, &report_to_json(&report).to_string());

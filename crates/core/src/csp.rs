@@ -45,7 +45,11 @@
 //! enforced by the differential suites in `crates/core/tests/`.
 
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
-use crate::solvability::{Halt, SearchCtx, SearchStrategy, SolveOptions};
+use crate::solvability::{
+    Halt, SearchCtx, SearchStrategy, SolveOptions, SOLVE_BACKTRACKS, SOLVE_NODES,
+    SOLVE_PROPAGATIONS, SOLVE_PRUNES,
+};
+use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
 use iis_topology::{Color, Complex, Simplex, SimplicialMap, VertexId};
@@ -325,7 +329,8 @@ impl ConstraintCache {
     ) -> Arc<CompiledTable> {
         class_key(&mut self.key, carrier, colors);
         if let Some(hit) = self.tables.get(self.key.as_slice()) {
-            iis_obs::metrics::add("solve.constraint_cache_hits", 1);
+            static HITS: StaticCounter = StaticCounter::new("solve.constraint_cache_hits");
+            HITS.incr();
             iis_obs::progress::cache_lookup(true);
             return Arc::clone(hit);
         }
@@ -1057,10 +1062,10 @@ pub(crate) fn compile<'s>(
         val_stride: encoder.val_stride(),
         var_color,
         encoder,
-        nodes: iis_obs::metrics::Counter::handle("solve.nodes"),
-        backtracks: iis_obs::metrics::Counter::handle("solve.backtracks"),
-        prunes: iis_obs::metrics::Counter::handle("solve.prunes"),
-        propagations: iis_obs::metrics::Counter::handle("solve.propagations"),
+        nodes: SOLVE_NODES.counter(),
+        backtracks: SOLVE_BACKTRACKS.counter(),
+        prunes: SOLVE_PRUNES.counter(),
+        propagations: SOLVE_PROPAGATIONS.counter(),
     };
     Some((csp, dom))
 }

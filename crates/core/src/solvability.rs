@@ -20,6 +20,7 @@ use crate::cache::{build_skeleton, keep_skeleton, memoized_skeleton, shape_key};
 pub use crate::csp::Kernel;
 use crate::csp::{CompiledTable, ConstraintCache, Skeleton, TaskTables};
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
+use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::arena_sds_tower;
 use iis_topology::{sds_next, Color, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
@@ -509,9 +510,12 @@ impl Tower {
                 let next = memoized_skeleton(input, shape, level).unwrap_or_else(|| {
                     let next = skel.tower().next();
                     let c = next.complex();
-                    iis_obs::metrics::add("sds.builds", 1);
-                    iis_obs::metrics::add("sds.facets", c.num_facets() as u64);
-                    iis_obs::metrics::add("sds.vertices", c.num_vertices() as u64);
+                    static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
+                    static FACETS: StaticCounter = StaticCounter::new("sds.facets");
+                    static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
+                    BUILDS.incr();
+                    FACETS.add(c.num_facets() as u64);
+                    VERTICES.add(c.num_vertices() as u64);
                     build_skeleton(next)
                 });
                 let c = next.tower().complex();
@@ -877,6 +881,13 @@ impl iis_sched::IisMachine for DecisionProtocol {
     }
 }
 
+/// The search counters both engines charge, resolved once per process
+/// rather than looked up in the registry on every compile.
+pub(crate) static SOLVE_NODES: StaticCounter = StaticCounter::new("solve.nodes");
+pub(crate) static SOLVE_BACKTRACKS: StaticCounter = StaticCounter::new("solve.backtracks");
+pub(crate) static SOLVE_PRUNES: StaticCounter = StaticCounter::new("solve.prunes");
+pub(crate) static SOLVE_PROPAGATIONS: StaticCounter = StaticCounter::new("solve.propagations");
+
 /// The CSP engine: variables = subdivision vertices, constraints = simplex
 /// carriers with precompiled allowed tuples.
 struct Csp {
@@ -1031,10 +1042,10 @@ fn compile_csp(
     let csp = Csp {
         constraints,
         containing,
-        nodes: iis_obs::metrics::Counter::handle("solve.nodes"),
-        backtracks: iis_obs::metrics::Counter::handle("solve.backtracks"),
-        prunes: iis_obs::metrics::Counter::handle("solve.prunes"),
-        propagations: iis_obs::metrics::Counter::handle("solve.propagations"),
+        nodes: SOLVE_NODES.counter(),
+        backtracks: SOLVE_BACKTRACKS.counter(),
+        prunes: SOLVE_PRUNES.counter(),
+        propagations: SOLVE_PROPAGATIONS.counter(),
     };
     Some((csp, domains))
 }

@@ -393,7 +393,7 @@ fn read_request(
 ) -> Result<(Request, bool), ReadFailure> {
     let mut start = Instant::now();
     let mut buf = Vec::new();
-    let mut chunk = [0u8; 512];
+    let mut chunk = [0u8; 4096];
     let head_end = loop {
         if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos + 4;
@@ -455,19 +455,29 @@ fn read_request(
             "body exceeds maximum size",
         )));
     }
-    let mut body = buf[head_end..].to_vec();
-    while body.len() < content_length {
-        match read_chunk(stream, &mut chunk, start, deadline) {
+    // the body lands straight in a buffer of its declared size: one read
+    // per socket delivery, no copy through the chunk
+    let mut filled = (buf.len() - head_end).min(content_length);
+    buf.drain(..head_end);
+    buf.resize(content_length, 0);
+    while filled < content_length {
+        match read_chunk(stream, &mut buf[filled..], start, deadline) {
             Ok(0) | Err(_) => {
                 return Err(ReadFailure::Reject(Response::bad_request(
                     "body shorter than Content-Length",
                 )))
             }
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Ok(n) => filled += n,
         }
     }
-    body.truncate(content_length);
-    Ok((Request { method, path, body }, keep_alive))
+    Ok((
+        Request {
+            method,
+            path,
+            body: buf,
+        },
+        keep_alive,
+    ))
 }
 
 /// The reason phrase of `status` — the one table every status line the
@@ -1453,6 +1463,39 @@ mod tests {
         let resp = client.post_json(&addr, "/echo", "{\"x\": 1}").unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body_utf8(), Some("{\"len\": 8}"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn bodies_arrive_whole_across_many_reads() {
+        let handler: Arc<Handler> = Arc::new(|req: &Request| {
+            let sum: u64 = req.body.iter().map(|&b| u64::from(b)).sum();
+            let len = req.body.len();
+            Some(Response::json(format!(
+                "{{\"len\": {len}, \"sum\": {sum}}}"
+            )))
+        });
+        let server = serve_with("127.0.0.1:0", handler).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // a body of several chunks, its first bytes in the head's segment
+        // and the rest trickled in pieces that straddle chunk boundaries;
+        // then a small request on the same connection
+        for len in [20_000usize, 3] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let sum: u64 = body.iter().map(|&b| u64::from(b)).sum();
+            let mut wire =
+                format!("POST /x HTTP/1.1\r\nContent-Length: {len}\r\n\r\n").into_bytes();
+            wire.extend_from_slice(&body);
+            for piece in wire.chunks(3_001) {
+                stream.write_all(piece).unwrap();
+                stream.flush().unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let (head, reply) = read_one_response(&mut stream);
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert_eq!(reply, format!("{{\"len\": {len}, \"sum\": {sum}}}"));
+        }
+        drop(stream);
         server.shutdown();
     }
 

@@ -137,6 +137,13 @@ impl StaticCounter {
     pub fn incr(&self) {
         self.add(1);
     }
+
+    /// The resolved [`Counter`] handle, registering the name on the first
+    /// call exactly as [`Counter::handle`] would — for holders that keep
+    /// a handle per value (a compiled search) without a registry lookup.
+    pub fn counter(&self) -> Counter {
+        self.cell.get_or_init(|| Counter::handle(self.name)).clone()
+    }
 }
 
 /// One-shot counter add for cold paths (`Counter::handle(name).add(n)`);

@@ -173,13 +173,16 @@ echo "solve service smoke: ok"
 # no question answered wrongly or misaligned, only late or 503.
 "$IIS" fuzz --layer gateway --seed 7 --cases 300 --shrink
 
-# Gateway smoke: two shards behind `iis gateway`; a 13-question batch (12
-# library specs and the inline eps:1:3 fixture) is scattered, coalesced,
-# and gathered; then one shard is killed and the
-# same batch must come back with every answer byte-identical (purity makes
-# any replica's answer THE answer) and gateway_failovers_total >= 1. The
-# prober interval is set far out so the dead shard is discovered on the
-# request path — the failover being tested, not the health prober.
+# Gateway smoke: two shards behind `iis gateway`. First, task affinity:
+# eps:1:9 asked at max_rounds 1–4 must build its task on exactly one
+# shard, exactly once (the gateway routes by task, not by question). Then
+# a 13-question batch (12 library specs and the inline eps:1:3 fixture) is
+# scattered, coalesced, and gathered; then a shard that answered part of
+# that batch is killed and the same batch must come back with every
+# answer byte-identical (purity makes any replica's answer THE answer)
+# and gateway_failovers_total >= 1. The prober interval is set far out so
+# the dead shard is discovered on the request path — the failover being
+# tested, not the health prober.
 sA_log=$(mktemp); sB_log=$(mktemp); gw_log=$(mktemp); gw_out=$(mktemp)
 "$IIS" serve --addr 127.0.0.1:0 >/dev/null 2>"$sA_log" &
 pidA=$!
@@ -208,6 +211,21 @@ req() { # req PORT METHOD PATH BODY -> body on stdout
   sed '1,/^\r*$/d' <&3
   exec 3>&- 3<&-
 }
+counter_of() { # counter_of PORT NAME -> the shard's own series value
+  req "$1" GET /metrics '' | sed -n "s/^$2 //p"
+}
+# task affinity: every bound of one task lands on one shard
+buildsA=$(counter_of "$portA" cache_spec_builds_total)
+buildsB=$(counter_of "$portB" cache_spec_builds_total)
+for b in 1 2 3 4; do
+  req "$portG" POST /solve "{\"spec\": \"eps:1:9\", \"max_rounds\": $b}" | grep -q '"result":' \
+    || { echo "gateway smoke: eps:1:9 at max_rounds $b was not answered"; exit 1; }
+done
+movedA=$(( $(counter_of "$portA" cache_spec_builds_total) - buildsA ))
+movedB=$(( $(counter_of "$portB" cache_spec_builds_total) - buildsB ))
+[ $(( movedA + movedB )) -eq 1 ] \
+  || { echo "gateway smoke: eps:1:9 at four bounds built its task $movedA+$movedB times (want one shard, once)"; exit 1; }
+echo "gateway smoke: four bounds of eps:1:9 built their task once, on one shard"
 qs=""
 for s in trivial:1 trivial:2 eps:1:3 eps:1:5 eps:1:9 oneshot:1; do
   for b in 1 2; do qs="$qs{\"spec\": \"$s\", \"max_rounds\": $b},"; done
@@ -216,15 +234,29 @@ qs="$qs{\"task\": $(cat crates/cli/tests/golden/inline_task_eps_1_3.json), \"max
 batch="{\"questions\": [$qs]}"
 # warm both shards, then take the all-cached envelope as the baseline
 req "$portG" POST /solve "$batch" >/dev/null
+reqsA=$(counter_of "$portA" serve_requests_total)
+reqsB=$(counter_of "$portB" serve_requests_total)
 baseline=$(req "$portG" POST /solve "$batch")
 echo "$baseline" | grep -q '"cached":false' \
   && { echo "gateway smoke: baseline batch not fully cached"; echo "$baseline"; exit 1; }
 echo "$baseline" | grep -q '"answers":' \
   || { echo "gateway smoke: baseline is not a batch envelope"; echo "$baseline"; exit 1; }
-# kill shard B mid-run; the gateway has not probed, so the next batch
+# the victim is a shard the baseline batch reached (its own
+# serve_requests_total moved by more than the second scrape itself):
+# under task routing all six tasks may share one shard
+reqsB=$(( $(counter_of "$portB" serve_requests_total) - reqsB ))
+reqsA=$(( $(counter_of "$portA" serve_requests_total) - reqsA ))
+if [ "$reqsB" -gt 1 ]; then
+  victim=B; portV=$portB; pidV=$pidB; logV=$sB_log; portS=$portA; pidS=$pidA; logS=$sA_log
+elif [ "$reqsA" -gt 1 ]; then
+  victim=A; portV=$portA; pidV=$pidA; logV=$sA_log; portS=$portB; pidS=$pidB; logS=$sB_log
+else
+  echo "gateway smoke: the baseline batch reached neither shard"; exit 1
+fi
+# kill that shard mid-run; the gateway has not probed, so the next batch
 # discovers the death on the request path and fails over
-req "$portB" POST /shutdown '' >/dev/null
-wait "$pidB" || { echo "gateway smoke: shard B exited nonzero"; cat "$sB_log"; exit 1; }
+req "$portV" POST /shutdown '' >/dev/null
+wait "$pidV" || { echo "gateway smoke: shard $victim exited nonzero"; cat "$logV"; exit 1; }
 failover=$(req "$portG" POST /solve "$batch")
 echo "$failover" | grep -q '"status":503' \
   && { echo "gateway smoke: failover batch refused a question"; echo "$failover"; exit 1; }
@@ -249,7 +281,7 @@ req "$portG" POST /shutdown '' >/dev/null
 wait "$pidG" || { echo "gateway smoke: gateway exited nonzero"; cat "$gw_log"; exit 1; }
 grep -q 'failover' "$gw_out" \
   || { echo "gateway smoke: summary does not report failovers"; cat "$gw_out"; exit 1; }
-req "$portA" POST /shutdown '' >/dev/null
-wait "$pidA" || { echo "gateway smoke: shard A exited nonzero"; cat "$sA_log"; exit 1; }
+req "$portS" POST /shutdown '' >/dev/null
+wait "$pidS" || { echo "gateway smoke: surviving shard exited nonzero"; cat "$logS"; exit 1; }
 rm -f "$sA_log" "$sB_log" "$gw_log" "$gw_out"
 echo "gateway smoke: ok"

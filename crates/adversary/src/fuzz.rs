@@ -21,7 +21,7 @@ use crate::iis::{iis_candidates, run_iis_case, IisCase, IisTrace, TaskContext};
 use crate::oracle::OracleFailure;
 use crate::shrink::shrink_case;
 use crate::store::{run_store_case, store_candidates, store_case_at, StoreCase};
-use iis_core::solvability::solve_up_to;
+use iis_core::solvability::{solve_up_to, WitnessIndex};
 use iis_obs::{Json, ToJson};
 use iis_tasks::Task;
 use std::sync::Arc;
@@ -231,7 +231,7 @@ pub fn fuzz(cfg: &FuzzConfig<'_>) -> FuzzOutcome {
                         panic!("--task must be solvable within {} rounds", cfg.rounds)
                     })
                     .clone();
-                (task, Arc::new(map))
+                (task, Arc::new(WitnessIndex::new(map)))
             });
             let run = |case: &IisCase| {
                 let ctx = witness.as_ref().map(|(task, map)| {

@@ -10,12 +10,12 @@
 
 use crate::oracle::OracleFailure;
 use crate::plan::FaultPlan;
-use iis_core::solvability::{DecisionMap, DecisionProtocol};
+use iis_core::solvability::{DecisionProtocol, WitnessIndex};
 use iis_memory::checks::validate_immediate_snapshot;
 use iis_obs::{Json, ToJson};
 use iis_sched::{IisMachine, IisRunner, IisSchedule, MachineStep, OrderedPartition};
 use iis_tasks::Task;
-use iis_topology::{Color, Label, Simplex};
+use iis_topology::{Simplex, VertexId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -216,12 +216,12 @@ pub fn check_iis_trace(trace: &IisTrace) -> Vec<OracleFailure> {
     failures
 }
 
-/// The task-validity context: a solvable task, its decision-map witness,
-/// and the per-process input labels drawn from one input facet.
+/// The task-validity context: a solvable task, its indexed decision-map
+/// witness, and the per-process input vertices drawn from one input facet.
 pub struct TaskContext {
     task: Task,
-    witness: Arc<DecisionMap>,
-    inputs: Vec<(Color, Label)>,
+    witness: Arc<WitnessIndex>,
+    inputs: Vec<VertexId>,
     facet: Simplex,
 }
 
@@ -229,15 +229,14 @@ impl TaskContext {
     /// Builds the context for `case.input_facet`, or `None` if the chosen
     /// facet does not cover all `n` colors (partial-participation facets
     /// are exercised through crash plans instead).
-    pub fn for_case(task: &Task, witness: &Arc<DecisionMap>, case: &IisCase) -> Option<Self> {
+    pub fn for_case(task: &Task, witness: &Arc<WitnessIndex>, case: &IisCase) -> Option<Self> {
         let input = task.input();
         let facets: Vec<&Simplex> = input.facets().collect();
         let facet = facets[case.input_facet % facets.len()].clone();
-        let mut inputs: Vec<Option<(Color, Label)>> = vec![None; case.n];
+        let mut inputs: Vec<Option<VertexId>> = vec![None; case.n];
         for &v in facet.vertices() {
-            let c = input.color(v);
-            let slot = inputs.get_mut(c.0 as usize)?;
-            *slot = Some((c, input.label(v).clone()));
+            let slot = inputs.get_mut(input.color(v).0 as usize)?;
+            *slot = Some(v);
         }
         let inputs: Option<Vec<_>> = inputs.into_iter().collect();
         Some(TaskContext {
@@ -262,7 +261,7 @@ pub fn check_task_run(case: &IisCase, ctx: &TaskContext) -> Vec<OracleFailure> {
     let machines: Vec<DecisionProtocol> = ctx
         .inputs
         .iter()
-        .map(|(c, l)| DecisionProtocol::new(*c, l.clone(), Arc::clone(&ctx.witness)))
+        .map(|&v| DecisionProtocol::new(v, Arc::clone(&ctx.witness)))
         .collect();
     let mut runner = IisRunner::new(machines);
     let mut clean_round0: BTreeSet<usize> = BTreeSet::new();

@@ -5,9 +5,10 @@
 //! algorithm converges in `O(log L)` rounds on a path of length `L`.
 
 use iis_bench::harness::Bench;
-use iis_core::convergence::{theorem_5_1_witness, EdgeConvergence, SimplexAgreementMachine};
+use iis_core::convergence::{theorem_5_1_witness, EdgeConvergence};
+use iis_core::solvability::{DecisionProtocol, WitnessIndex};
 use iis_sched::{IisRunner, IisSchedule};
-use iis_topology::{sds, sds_iterated, Complex};
+use iis_topology::{sds, sds_iterated, Complex, VertexId};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -29,10 +30,12 @@ fn witness_search(bench: &mut Bench) {
 fn agreement_protocol(bench: &mut Bench) {
     let mut g = bench.group("e9_agreement_run");
     let target = sds(&Complex::standard_simplex(2));
-    let w = Arc::new(theorem_5_1_witness(&target, 1).expect("witness"));
+    let w = Arc::new(WitnessIndex::new(
+        theorem_5_1_witness(&target, 1).expect("witness"),
+    ));
     g.bench_function("csass_3proc_lockstep", || {
         let machines: Vec<_> = (0..3)
-            .map(|p| SimplexAgreementMachine::new(p, Arc::clone(&w)))
+            .map(|p| DecisionProtocol::new(VertexId(p), Arc::clone(&w)))
             .collect();
         let mut runner = IisRunner::new(machines);
         runner.run(IisSchedule::lockstep(3, w.rounds().max(1)));

@@ -63,8 +63,6 @@ fn main() {
     time("arena_tower", n, || {
         iis_topology::arena::arena_sds_tower(task.input(), 2)
     });
-    let arena = iis_topology::arena::arena_sds_tower(task.input(), 2);
-    time("to_subdivision", n, || arena.to_subdivision(task.input()));
     time("full_warm", n, || {
         let mut s = Store::open(&dir).expect("reopen");
         solve_up_to_cached(&task, 2, &SolveOptions::new(), &mut s).hit

@@ -9,7 +9,7 @@
 use iis_adversary::{fuzz, FuzzConfig, Layer};
 use iis_core::bg::BgSimulation;
 use iis_core::protocol_complex::{check_lemma_3_2, check_lemma_3_3};
-use iis_core::solvability::{BoundedOutcome, Kernel, SolveOptions, Solver};
+use iis_core::solvability::{BoundedOutcome, SolveOptions, Solver};
 use iis_core::EmulatorMachine;
 use iis_obs::ToJson as _;
 use iis_sched::{AtomicMachine, IisRunner, IisSchedule};
@@ -52,7 +52,7 @@ USAGE:
   iis sds <n> <b> [--json] [--svg FILE]   build SDS^b(s^n); print stats
   iis homology <n> <b>                    Z2 Betti numbers of SDS^b(s^n)
   iis check-lemmas <n> <b>                verify Lemmas 3.2/3.3 by enumeration
-  iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N] [--kernel K]
+  iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N]
             [--timeout-secs T] [--store DIR]
                                           decide wait-free solvability
                                           (timeout ⇒ inconclusive, not unsolvable;
@@ -269,36 +269,41 @@ pub fn cmd_check_lemmas(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses a `--kernel` value (`compiled|reference`).
-///
-/// # Errors
-///
-/// Returns a [`CliError`] naming the accepted engines.
-fn parse_kernel(s: &str) -> Result<Kernel, CliError> {
-    match s {
-        "compiled" => Ok(Kernel::Compiled),
-        "reference" => Ok(Kernel::Reference),
-        other => Err(err(format!("bad --kernel: {other} (compiled|reference)"))),
-    }
-}
+/// The valued flags `iis solve` takes.
+const SOLVE_FLAGS: [&str; 5] = [
+    "--max-rounds",
+    "--budget",
+    "--jobs",
+    "--timeout-secs",
+    "--store",
+];
 
 /// `iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N]
-/// [--kernel K] [--timeout-secs T] [--store DIR]`
+/// [--timeout-secs T] [--store DIR]`
 ///
 /// The round sweep is incremental (`SDS^{b+1}` extends `SDS^b`) and
 /// `--jobs N` spreads each round's search over `N` worker threads without
-/// changing any verdict or witness. `--kernel compiled|reference` selects
-/// the CSP engine (the flat bitset kernel by default; `reference` is the
-/// slower oracle engine, kept as an escape hatch) — verdicts and witnesses
-/// are identical either way. `--timeout-secs T` bounds each round's search
-/// by wall-clock time; a timed-out round is reported as **inconclusive**
-/// (like a spent `--budget`), never as unsolvable.
+/// changing any verdict or witness. `--timeout-secs T` bounds each round's
+/// search by wall-clock time; a timed-out round is reported as
+/// **inconclusive** (like a spent `--budget`), never as unsolvable.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] on bad arguments.
+/// Returns a [`CliError`] on bad arguments, naming any flag not listed
+/// above.
 pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
     let spec = args.first().ok_or_else(|| err("missing <TASK>"))?;
+    let mut rest = args[1..].iter();
+    while let Some(a) = rest.next() {
+        let flag = a.split_once('=').map_or(a.as_str(), |(f, _)| f);
+        if !SOLVE_FLAGS.contains(&flag) {
+            return Err(err(format!("solve does not take {a}")));
+        }
+        // `--flag VALUE`: the value is the next argument
+        if flag == a {
+            rest.next();
+        }
+    }
     let task = parse_task(spec)?;
     let max_rounds: usize = flag_value(args, "--max-rounds")?
         .unwrap_or("2")
@@ -312,14 +317,13 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
         .unwrap_or("1")
         .parse()
         .map_err(|_| err("bad --jobs"))?;
-    let kernel = parse_kernel(flag_value(args, "--kernel")?.unwrap_or("compiled"))?;
     let timeout_secs: Option<u64> = match flag_value(args, "--timeout-secs")? {
         Some(t) => Some(t.parse().map_err(|_| err("bad --timeout-secs"))?),
         None => None,
     };
     let mut out = String::new();
     let _ = writeln!(out, "task: {task}");
-    let mut opts = SolveOptions::new().budget(budget).jobs(jobs).kernel(kernel);
+    let mut opts = SolveOptions::new().budget(budget).jobs(jobs);
     if let Some(t) = timeout_secs {
         opts = opts.timeout(std::time::Duration::from_secs(t));
     }
@@ -911,15 +915,19 @@ mod tests {
     }
 
     #[test]
-    fn solve_kernel_flag_does_not_change_output() {
-        let compiled = cmd_solve(&argv("consensus:1 --max-rounds 2 --kernel compiled")).unwrap();
-        let reference = cmd_solve(&argv("consensus:1 --max-rounds 2 --kernel reference")).unwrap();
-        let default = cmd_solve(&argv("consensus:1 --max-rounds 2")).unwrap();
-        assert_eq!(compiled, reference, "--kernel must not change verdicts");
-        assert_eq!(compiled, default, "compiled is the default kernel");
-        let reference = cmd_solve(&argv("eps:1:3 --kernel=reference")).unwrap();
-        assert!(reference.contains("b = 1: SOLVABLE"));
-        assert!(cmd_solve(&argv("consensus:1 --kernel turbo")).is_err());
+    fn solve_rejects_unknown_flags() {
+        for bad in [
+            "consensus:1 --max-round 1",
+            "consensus:1 --kernel reference",
+            "consensus:1 --kernel=reference",
+            "consensus:1 --bogus",
+        ] {
+            let e = cmd_solve(&argv(bad)).unwrap_err();
+            let flag = bad.split(' ').nth(1).unwrap();
+            assert!(e.0.contains(flag), "{bad}: {e}");
+        }
+        // a flag's value is not mistaken for a flag
+        assert!(cmd_solve(&argv("consensus:1 --max-rounds 1 --jobs 2")).is_ok());
     }
 
     #[test]

@@ -545,7 +545,7 @@ pub fn report_to_json(report: &SolvabilityReport) -> Json {
 struct Record {
     results: Vec<(usize, bool)>,
     name: String,
-    witness: Option<(usize, Arc<Skeleton>, SimplicialMap)>,
+    witness: Option<(Arc<ArenaSds>, SimplicialMap)>,
 }
 
 /// Decodes a [`report_to_json`] record and revalidates its witness against
@@ -570,7 +570,7 @@ fn decode_record(task: &Task, shape: u64, tables: &TaskTables, v: &Json) -> Resu
             if results.last() != Some(&(b, true)) {
                 return Err("witness round disagrees with verdict vector".to_string());
             }
-            Some((b, skel, map))
+            Some((Arc::clone(skel.tower()), map))
         }
     };
     if witness.is_none() && results.iter().any(|(_, ok)| *ok) {
@@ -590,9 +590,7 @@ fn decode_report(
     v: &Json,
 ) -> Result<SolvabilityReport, String> {
     let rec = decode_record(task, shape, tables, v)?;
-    let witness = rec
-        .witness
-        .map(|(b, skel, map)| DecisionMap::from_skeleton(b, skel, task.input(), map));
+    let witness = rec.witness.map(|(tower, map)| DecisionMap::new(tower, map));
     Ok(SolvabilityReport::from_parts(
         rec.name,
         rec.results,
@@ -611,11 +609,10 @@ fn decode_report(
 /// simplex), checked as one `Δ`-table probe per simplex of the skeleton. A
 /// bare task compiles its `Δ` tables for this call; an interned one
 /// ([`validate_record`]) keeps them. The returned witness's
-/// [`DecisionMap`] converts the tower to the reference `Subdivision` over
-/// `task`'s own labels (bit-identically) on its first `subdivision()`
-/// call, so a caller that only reads the verdict or the map never pays
-/// for the conversion. The check is timed into the `cache.revalidate_ns`
-/// histogram.
+/// [`DecisionMap`] lives on the skeleton's label-free tower — the same
+/// instance the check read, and vertex for vertex the reference
+/// `SDS^b(I)` over `task`'s own labels. The check is timed into the
+/// `cache.revalidate_ns` histogram.
 ///
 /// # Errors
 ///
@@ -957,20 +954,15 @@ mod tests {
                 );
                 let w = report.witness().expect("ε-agreement is solvable");
                 let own = iis_topology::sds_iterated(t.input(), w.rounds());
-                let sub = w.subdivision();
-                assert!(sub.complex().same_labeled(own.complex()), "{}", t.name());
-                assert!(sub.base().same_labeled(t.input()), "{}", t.name());
-                for v in own.complex().vertex_ids() {
-                    assert_eq!(sub.carrier_of_vertex(v), own.carrier_of_vertex(v));
-                }
+                assert_eq!(w.tower().agrees_with(&own), Ok(()), "{}", t.name());
             }
-            // a stored record replays onto the shared skeleton with the
-            // task's own labels
+            // a stored record replays onto the shared skeleton, which is
+            // the task's own `SDS^b(I)` with labels forgotten
             let text = report_to_json(&unshared).to_string();
             let back = report_from_json(t, &Json::parse(&text).unwrap()).unwrap();
             let w = back.witness().unwrap();
             let own = iis_topology::sds_iterated(t.input(), w.rounds());
-            assert!(w.subdivision().complex().same_labeled(own.complex()));
+            assert_eq!(w.tower().agrees_with(&own), Ok(()));
         }
     }
 
@@ -1140,11 +1132,11 @@ mod tests {
         let (w, wb) = (report.witness().unwrap(), back.witness().unwrap());
         assert_eq!(w.rounds(), wb.rounds());
         assert_eq!(w.map().pairs(), wb.map().pairs());
-        // the replayed witness converts its arena tower on demand into the
-        // subdivision the search ran on
-        let (c, cb) = (w.subdivision().complex(), wb.subdivision().complex());
+        // the replayed witness lives on the tower the search ran on
+        let (c, cb) = (w.tower().complex(), wb.tower().complex());
         assert_eq!(c.num_vertices(), cb.num_vertices());
         assert_eq!(c.num_facets(), cb.num_facets());
-        crate::solvability::validate_decision_map(&t, wb.subdivision(), wb.map()).unwrap();
+        let sub = iis_topology::sds_iterated(t.input(), wb.rounds());
+        crate::solvability::validate_decision_map(&t, &sub, wb.map()).unwrap();
     }
 }

@@ -12,9 +12,10 @@
 //!   the complete decision-map search on the CSASS task — the effective
 //!   form of the theorem (and of the "large implicit table" the paper's
 //!   algorithm consults);
-//! - [`SimplexAgreementMachine`] turns the witness into an actual IIS
-//!   protocol: run `k` full-information rounds, then decide through the map
-//!   — solving CSASS under every schedule;
+//! - [`DecisionProtocol`](crate::solvability::DecisionProtocol) turns the
+//!   witness into an actual IIS protocol: process `p` starts at corner
+//!   `VertexId(p)`, runs `k` full-information rounds, then decides through
+//!   the map — solving CSASS under every schedule;
 //! - [`EdgeConvergence`] and [`PathConvergence`] implement the *direct*
 //!   distributed convergence algorithms for the one-dimensional base case
 //!   (two processes bisecting toward each other along a path — the
@@ -24,7 +25,7 @@
 use crate::solvability::{solve_at, DecisionMap};
 use iis_sched::{IisMachine, MachineStep};
 use iis_tasks::library::chromatic_simplex_agreement;
-use iis_topology::{Color, Complex, Label, Simplex, Subdivision, VertexId};
+use iis_topology::{Color, Complex, Simplex, Subdivision, VertexId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -38,62 +39,6 @@ use std::sync::Arc;
 pub fn theorem_5_1_witness(target: &Subdivision, max_rounds: usize) -> Option<DecisionMap> {
     let task = chromatic_simplex_agreement(target);
     (0..=max_rounds).find_map(|b| solve_at(&task, b))
-}
-
-/// An IIS protocol solving chromatic simplex agreement over a subdivision,
-/// driven by a Theorem 5.1 witness: run the witness's number of
-/// full-information rounds, locate the resulting local state as a vertex of
-/// `SDS^k(sⁿ)`, and decide its image under the map.
-///
-/// The output is a vertex id of the target subdivision's complex.
-pub struct SimplexAgreementMachine {
-    color: Color,
-    state: Label,
-    witness: Arc<DecisionMap>,
-}
-
-impl SimplexAgreementMachine {
-    /// A machine for process `pid`, deciding through `witness`.
-    ///
-    /// The process's input label is its corner of the base simplex
-    /// (`Label::scalar(pid)` in the standard construction).
-    pub fn new(pid: usize, witness: Arc<DecisionMap>) -> Self {
-        SimplexAgreementMachine {
-            color: Color(pid as u32),
-            state: Label::scalar(pid as u64),
-            witness,
-        }
-    }
-
-    fn decide(&self) -> VertexId {
-        let c = self.witness.subdivision().complex();
-        let v = c
-            .vertex_id(self.color, &self.state)
-            .expect("full-information state is a vertex of SDS^k");
-        self.witness.map().image(v).expect("decision map is total")
-    }
-}
-
-impl IisMachine for SimplexAgreementMachine {
-    type Value = Label;
-    type Output = VertexId;
-
-    fn initial_value(&mut self) -> Label {
-        self.state.clone()
-    }
-
-    fn on_view(&mut self, round: usize, view: &[(usize, Label)]) -> MachineStep<Label, VertexId> {
-        if self.witness.rounds() == 0 {
-            // degenerate target (identity subdivision): decide the corner
-            return MachineStep::Decide(self.decide());
-        }
-        self.state = Label::view(view.iter().map(|(p, l)| (Color(*p as u32), l)));
-        if round + 1 >= self.witness.rounds() {
-            MachineStep::Decide(self.decide())
-        } else {
-            MachineStep::Continue(self.state.clone())
-        }
-    }
 }
 
 /// Validates a CSASS outcome (§5's task statement): decided outputs must
@@ -410,8 +355,9 @@ impl IisMachine for PathConvergence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solvability::{DecisionProtocol, WitnessIndex};
     use iis_sched::{all_iis_schedules, IisRunner, IisSchedule};
-    use iis_topology::{sds, sds_iterated};
+    use iis_topology::{sds, sds_iterated, Label};
 
     #[test]
     fn witness_for_sds_is_one_round() {
@@ -434,7 +380,10 @@ mod tests {
         assert_eq!(w.rounds(), 1);
         // the witness is color-preserving & simplicial into A
         w.map()
-            .verify_simplicial(w.subdivision().complex(), target.complex())
+            .verify_simplicial(
+                sds_iterated(target.base(), w.rounds()).complex(),
+                target.complex(),
+            )
             .unwrap();
     }
 
@@ -454,11 +403,13 @@ mod tests {
     #[test]
     fn agreement_machine_on_non_standard_target() {
         let target = iis_topology::path_subdivision(5);
-        let w = Arc::new(theorem_5_1_witness(&target, 2).expect("witness"));
+        let w = Arc::new(WitnessIndex::new(
+            theorem_5_1_witness(&target, 2).expect("witness"),
+        ));
         for schedule in all_iis_schedules(&[0, 1], w.rounds()) {
             let machines = vec![
-                SimplexAgreementMachine::new(0, Arc::clone(&w)),
-                SimplexAgreementMachine::new(1, Arc::clone(&w)),
+                DecisionProtocol::new(VertexId(0), Arc::clone(&w)),
+                DecisionProtocol::new(VertexId(1), Arc::clone(&w)),
             ];
             let mut runner = IisRunner::new(machines);
             runner.run(schedule);
@@ -474,11 +425,11 @@ mod tests {
     #[test]
     fn agreement_machine_solves_csass_under_all_schedules() {
         let target = sds(&Complex::standard_simplex(1));
-        let w = Arc::new(theorem_5_1_witness(&target, 2).unwrap());
+        let w = Arc::new(WitnessIndex::new(theorem_5_1_witness(&target, 2).unwrap()));
         for schedule in all_iis_schedules(&[0, 1], w.rounds()) {
             let machines = vec![
-                SimplexAgreementMachine::new(0, Arc::clone(&w)),
-                SimplexAgreementMachine::new(1, Arc::clone(&w)),
+                DecisionProtocol::new(VertexId(0), Arc::clone(&w)),
+                DecisionProtocol::new(VertexId(1), Arc::clone(&w)),
             ];
             let mut runner = IisRunner::new(machines);
             runner.run(schedule);
@@ -495,11 +446,11 @@ mod tests {
     fn agreement_machine_three_processes_random_schedules() {
         use iis_obs::Rng;
         let target = sds(&Complex::standard_simplex(2));
-        let w = Arc::new(theorem_5_1_witness(&target, 1).unwrap());
+        let w = Arc::new(WitnessIndex::new(theorem_5_1_witness(&target, 1).unwrap()));
         let mut rng = Rng::seed_from_u64(11);
         for _case in 0..50 {
             let machines: Vec<_> = (0..3)
-                .map(|p| SimplexAgreementMachine::new(p, Arc::clone(&w)))
+                .map(|p| DecisionProtocol::new(VertexId(p), Arc::clone(&w)))
                 .collect();
             let mut runner = IisRunner::new(machines);
             runner.run(IisSchedule::random(3, w.rounds().max(1), &mut rng));
@@ -515,10 +466,10 @@ mod tests {
     #[test]
     fn agreement_machine_with_crash() {
         let target = sds(&Complex::standard_simplex(2));
-        let w = Arc::new(theorem_5_1_witness(&target, 1).unwrap());
+        let w = Arc::new(WitnessIndex::new(theorem_5_1_witness(&target, 1).unwrap()));
         // P2 crashes before round 0: P0, P1 converge in the {0,1} face
         let machines: Vec<_> = (0..3)
-            .map(|p| SimplexAgreementMachine::new(p, Arc::clone(&w)))
+            .map(|p| DecisionProtocol::new(VertexId(p), Arc::clone(&w)))
             .collect();
         let mut runner = IisRunner::new(machines);
         runner.crash(2);

@@ -380,7 +380,8 @@ impl std::fmt::Debug for TaskTables {
 /// the search compiles from it and a stored witness is checked against
 /// it, each only resolving one `Δ` table per class.
 pub(crate) struct Skeleton {
-    tower: ArenaSds,
+    /// Shared with the witnesses found on, or checked against, this level.
+    tower: Arc<ArenaSds>,
     /// CSR offsets of the constraint vertex lists (length `len + 1`).
     coff: Vec<u32>,
     /// Concatenated constraint vertex lists, sorted within each.
@@ -420,7 +421,8 @@ impl std::fmt::Debug for Skeleton {
 
 impl Skeleton {
     /// Enumerates `tower`'s simplices once and classifies each.
-    pub(crate) fn new(tower: ArenaSds) -> Skeleton {
+    pub(crate) fn new(tower: impl Into<Arc<ArenaSds>>) -> Skeleton {
+        let tower = tower.into();
         let mut coff = vec![0u32];
         let mut cvar: Vec<u32> = Vec::new();
         let mut class: Vec<u32> = Vec::new();
@@ -457,7 +459,7 @@ impl Skeleton {
     }
 
     /// The tower `SDS^b(I)` the constraints live on.
-    pub(crate) fn tower(&self) -> &ArenaSds {
+    pub(crate) fn tower(&self) -> &Arc<ArenaSds> {
         &self.tower
     }
 

@@ -58,5 +58,5 @@ pub use emulation::{run_emulation_concurrent, EmulationStats, EmulatorMachine, T
 pub use solvability::{
     lift_decision_map, solve_at, solve_at_bounded, solve_at_opts, solve_at_with, solve_up_to,
     solve_up_to_opts, BoundedOutcome, DecisionMap, DecisionProtocol, Kernel, SearchStrategy,
-    SolvabilityReport, SolveOptions, Solver,
+    SolvabilityReport, SolveOptions, Solver, WitnessIndex,
 };

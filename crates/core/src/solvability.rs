@@ -22,71 +22,43 @@ use crate::csp::{CompiledTable, ConstraintCache, Skeleton, TaskTables};
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
-use iis_topology::arena::arena_sds_tower;
+use iis_topology::arena::{arena_sds_tower, ArenaSds};
 use iis_topology::{sds_next, Color, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A witness that a task is solvable in `b` IIS rounds: the decision map
-/// `δ : SDS^b(I) → O` together with the subdivision it lives on.
+/// `δ : SDS^b(I) → O` together with the label-free arena tower `SDS^b(I)`
+/// it lives on — one instance per input shape and `b`, shared with the
+/// memoized constraint skeleton the search ran on or the stored witness
+/// was checked against. Vertex `v` of the tower is vertex `v` of the
+/// reference `sds_iterated(I, b)` (DESIGN.md §14).
 #[derive(Clone, Debug)]
 pub struct DecisionMap {
-    b: usize,
-    // set on construction by the reference kernel and by lifting; for a
-    // witness on an arena tower, converted on the first `subdivision()` call
-    subdivision: OnceLock<Arc<Subdivision>>,
-    // a witness on an arena tower: the shared, label-free skeleton (the
-    // search's round, or the memoized `SDS^b` a stored witness was checked
-    // against — one instance for every task of the input's shape) and the
-    // task's own labelled input, from which `subdivision()` makes labels
-    arena: Option<(Arc<Skeleton>, Complex)>,
+    tower: Arc<ArenaSds>,
     map: SimplicialMap,
 }
 
 impl DecisionMap {
-    fn new(b: usize, subdivision: Arc<Subdivision>, map: SimplicialMap) -> Self {
-        DecisionMap {
-            b,
-            subdivision: OnceLock::from(subdivision),
-            arena: None,
-            map,
-        }
-    }
-
-    /// A witness on an arena tower over `input`: a search result, or a
-    /// record loaded from the persistent cache. On the load path the
-    /// caller is responsible for semantic validation — see
+    /// A witness on `tower`: a search result, a lift, or a record loaded
+    /// from the persistent cache. On the load path the caller is
+    /// responsible for semantic validation — see
     /// [`crate::cache::report_from_json`], which checks the map against
     /// the memoized skeleton of the task's own input, so a corrupted store
     /// can never smuggle in an ill-formed witness.
-    pub(crate) fn from_skeleton(
-        b: usize,
-        skel: Arc<Skeleton>,
-        input: &Complex,
-        map: SimplicialMap,
-    ) -> Self {
-        DecisionMap {
-            b,
-            subdivision: OnceLock::new(),
-            arena: Some((skel, input.clone())),
-            map,
-        }
+    pub(crate) fn new(tower: Arc<ArenaSds>, map: SimplicialMap) -> Self {
+        DecisionMap { tower, map }
     }
 
     /// The number of IIS rounds.
     pub fn rounds(&self) -> usize {
-        self.b
+        self.tower.rounds()
     }
 
-    /// The subdivision `SDS^b(I)` the map is defined on. A witness on an
-    /// arena tower (every compiled-kernel search result and every cache
-    /// replay) converts it (bit-identically) on the first call; callers
-    /// that never ask pay nothing.
-    pub fn subdivision(&self) -> &Subdivision {
-        self.subdivision.get_or_init(|| {
-            let (skel, input) = self.arena.as_ref().expect("a witness without a tower");
-            Arc::new(skel.tower().to_subdivision(input))
-        })
+    /// The subdivision `SDS^b(I)` the map is defined on, in arena form.
+    pub fn tower(&self) -> &ArenaSds {
+        &self.tower
     }
 
     /// The vertex map `δ`.
@@ -390,8 +362,7 @@ pub fn solve_at_with(
 /// let par = solve_at_opts(&task, 1, &SolveOptions::new().jobs(4));
 /// match (seq, par) {
 ///     (BoundedOutcome::Solvable(s), BoundedOutcome::Solvable(p)) => {
-///         let mut vs = s.subdivision().complex().vertex_ids();
-///         assert!(vs.all(|v| s.map().image(v) == p.map().image(v)));
+///         assert_eq!(s.map().pairs(), p.map().pairs());
 ///     }
 ///     _ => panic!("ε-agreement is solvable at b = 1"),
 /// }
@@ -608,11 +579,15 @@ fn solve_on(
             Tower::Arena(skel) => {
                 debug_assert!(check_decision_map(task, skel, tables, &map).is_ok());
                 keep_skeleton(shape, b, skel);
-                DecisionMap::from_skeleton(b, Arc::clone(skel), task.input(), map)
+                DecisionMap::new(Arc::clone(skel.tower()), map)
             }
             Tower::Reference(sub) => {
                 debug_assert!(validate_decision_map(task, sub, &map).is_ok());
-                DecisionMap::new(b, Arc::clone(sub), map)
+                // the oracle grew its own tower; its witness goes out on
+                // the arena one, whose ids are the same
+                let tower = arena_sds_tower(task.input(), b);
+                debug_assert_eq!(tower.agrees_with(sub), Ok(()));
+                DecisionMap::new(Arc::new(tower), map)
             }
         })),
         Ok(None) => BoundedOutcome::Unsolvable,
@@ -774,109 +749,156 @@ struct Constraint {
     table: Arc<CompiledTable>,
 }
 
-/// Lifts a decision map one round up: composes the canonical
-/// "forget-the-last-round" map `SDS^{b+1}(I) → SDS^b(I)`
-/// ([`iis_topology::sds_forget_map`]) with the witness — the constructive
-/// proof that solvability at `b` implies solvability at `b+1` (processes
-/// run one extra oblivious round).
+/// Lifts a decision map one round up: `δ ∘ forget` on `SDS^{b+1}(I)`,
+/// where the forget map sends each vertex to its process's state one round
+/// earlier ([`ArenaSds::forget`]) — the constructive proof that
+/// solvability at `b` implies solvability at `b+1` (processes run one
+/// extra oblivious round).
 ///
-/// The lifted map is re-validated in debug builds.
+/// The lifted map is re-checked in debug builds.
 pub fn lift_decision_map(task: &Task, dm: &DecisionMap) -> DecisionMap {
-    let (finer, coarser, forget) = iis_topology::sds_forget_map(task.input(), dm.rounds());
-    // translate the witness's subdivision vertex ids into `coarser`'s
-    // (labels are canonical, so the lookup is exact)
-    let translated = SimplicialMap::from_fn(coarser.complex(), |v| {
-        let w = dm
-            .subdivision()
-            .complex()
-            .vertex_id(coarser.complex().color(v), coarser.complex().label(v))
-            .expect("same construction, same labels");
-        dm.map().image(w).expect("decision map is total")
-    });
-    let lifted = forget.then(&translated);
-    debug_assert!(validate_decision_map(task, &finer, &lifted).is_ok());
-    DecisionMap::new(dm.rounds() + 1, Arc::new(finer), lifted)
+    let finer = Arc::new(dm.tower().next());
+    let lifted = SimplicialMap::from_pairs((0..finer.complex().num_vertices() as u32).map(|v| {
+        let w = dm.map().image(VertexId(finer.forget(v)));
+        (VertexId(v), w.expect("decision map is total"))
+    }));
+    debug_assert!(check_decision_map(
+        task,
+        &Skeleton::new(Arc::clone(&finer)),
+        &TaskTables::default(),
+        &lifted
+    )
+    .is_ok());
+    DecisionMap::new(finer, lifted)
+}
+
+/// A decision map made runnable: for each round `k < b`, the index from a
+/// process's full-information state after round `k+1` to its vertex of
+/// `SDS^{k+1}(I)`. Built once per witness and shared by all of its
+/// [`DecisionProtocol`]s.
+///
+/// By DESIGN.md §14 that state *is* the arena name `[color, sorted ids of
+/// the level-k vertices it saw…]`, so the index is the name map the level
+/// builder keeps while subdividing ([`ArenaSds::next_with`]): the levels
+/// below the witness's are rebuilt from its base with the names kept. No
+/// solve or serve path builds one.
+pub struct WitnessIndex {
+    witness: DecisionMap,
+    /// `names[k]`: state name → vertex id of `SDS^{k+1}(I)`.
+    names: Vec<HashMap<Box<[u32]>, u32>>,
+}
+
+impl WitnessIndex {
+    /// Indexes every level of `witness`'s tower.
+    pub fn new(witness: DecisionMap) -> Self {
+        let mut names = Vec::with_capacity(witness.rounds());
+        let mut level = witness.tower().level_zero();
+        for _ in 0..witness.rounds() {
+            let mut index = HashMap::new();
+            level = level.next_with(|name, id| {
+                index.insert(name.into(), id);
+            });
+            names.push(index);
+        }
+        debug_assert_eq!(
+            level.complex().num_vertices(),
+            witness.tower().complex().num_vertices()
+        );
+        WitnessIndex { witness, names }
+    }
+
+    /// The indexed decision map.
+    pub fn witness(&self) -> &DecisionMap {
+        &self.witness
+    }
+
+    /// The number of IIS rounds.
+    pub fn rounds(&self) -> usize {
+        self.witness.rounds()
+    }
 }
 
 /// An executable protocol induced by a [`DecisionMap`]: run the map's
-/// number of full-information IIS rounds, locate the resulting local state
-/// as a vertex of `SDS^b(I)`, and decide its image — the constructive half
-/// of Proposition 3.1 for *any* task.
+/// number of full-information IIS rounds, writing the current vertex of
+/// `SDS^k(I)` and reading back the ids the round saw, then decide the
+/// image of the final vertex — the constructive half of Proposition 3.1
+/// for *any* task. Each round is one lookup in the [`WitnessIndex`].
 ///
-/// The output is a vertex id of the task's output complex.
+/// Runner pids must be the processes' colors. The output is a vertex id of
+/// the task's output complex.
 ///
 /// # Examples
 ///
 /// ```
-/// use iis_core::solvability::{solve_at, DecisionProtocol};
+/// use iis_core::solvability::{solve_at, DecisionProtocol, WitnessIndex};
 /// use iis_sched::{IisRunner, IisSchedule};
 /// use iis_tasks::library::approximate_agreement;
-/// use iis_topology::{Color, Label};
+/// use iis_topology::VertexId;
 /// use std::sync::Arc;
 ///
 /// let task = approximate_agreement(1, 3);
-/// let witness = Arc::new(solve_at(&task, 1).expect("solvable at one round"));
-/// let machines = vec![
-///     DecisionProtocol::new(Color(0), Label::scalar(0), Arc::clone(&witness)),
-///     DecisionProtocol::new(Color(1), Label::scalar(3), Arc::clone(&witness)),
-/// ];
+/// let witness = Arc::new(WitnessIndex::new(solve_at(&task, 1).expect("solvable at one round")));
+/// // one input facet: the two processes' input vertices
+/// let facet = task.input().facets().next().unwrap().clone();
+/// let machines: Vec<_> = facet
+///     .iter()
+///     .map(|v| DecisionProtocol::new(v, Arc::clone(&witness)))
+///     .collect();
 /// let mut runner = IisRunner::new(machines);
 /// runner.run(IisSchedule::lockstep(2, 1));
 /// assert!(runner.output(0).is_some() && runner.output(1).is_some());
 /// ```
 pub struct DecisionProtocol {
-    color: iis_topology::Color,
-    state: iis_topology::Label,
-    witness: std::sync::Arc<DecisionMap>,
+    color: u32,
+    /// The process's current vertex of `SDS^k(I)`.
+    state: VertexId,
+    witness: Arc<WitnessIndex>,
 }
 
 impl DecisionProtocol {
-    /// A machine for the process of the given color and input label.
-    pub fn new(
-        color: iis_topology::Color,
-        input: iis_topology::Label,
-        witness: std::sync::Arc<DecisionMap>,
-    ) -> Self {
+    /// A machine for the process whose input is vertex `input` of the
+    /// task's input complex.
+    pub fn new(input: VertexId, witness: Arc<WitnessIndex>) -> Self {
         DecisionProtocol {
-            color,
+            color: witness.witness.tower().base().color(input.0).0,
             state: input,
             witness,
         }
     }
 
     fn decide(&self) -> VertexId {
-        let c = self.witness.subdivision().complex();
-        let v = c
-            .vertex_id(self.color, &self.state)
-            .expect("full-information state is a vertex of SDS^b(I)");
-        self.witness.map().image(v).expect("decision map is total")
+        let map = self.witness.witness.map();
+        map.image(self.state).expect("decision map is total")
     }
 }
 
 impl iis_sched::IisMachine for DecisionProtocol {
-    type Value = iis_topology::Label;
+    type Value = VertexId;
     type Output = VertexId;
 
-    fn initial_value(&mut self) -> iis_topology::Label {
-        self.state.clone()
+    fn initial_value(&mut self) -> VertexId {
+        self.state
     }
 
     fn on_view(
         &mut self,
         round: usize,
-        view: &[(usize, iis_topology::Label)],
-    ) -> iis_sched::MachineStep<iis_topology::Label, VertexId> {
-        if self.witness.rounds() == 0 {
+        view: &[(usize, VertexId)],
+    ) -> iis_sched::MachineStep<VertexId, VertexId> {
+        let rounds = self.witness.rounds();
+        if rounds == 0 {
             return iis_sched::MachineStep::Decide(self.decide());
         }
-        self.state = iis_topology::Label::view(
-            view.iter()
-                .map(|(p, l)| (iis_topology::Color(*p as u32), l)),
-        );
-        if round + 1 >= self.witness.rounds() {
+        let mut name: Vec<u32> = Vec::with_capacity(view.len() + 1);
+        name.push(self.color);
+        name.extend(view.iter().map(|(_, v)| v.0));
+        name[1..].sort_unstable();
+        let next = self.witness.names[round].get(name.as_slice());
+        self.state = VertexId(*next.expect("full-information state is a vertex of SDS^k(I)"));
+        if round + 1 >= rounds {
             iis_sched::MachineStep::Decide(self.decide())
         } else {
-            iis_sched::MachineStep::Continue(self.state.clone())
+            iis_sched::MachineStep::Continue(self.state)
         }
     }
 }
@@ -1421,6 +1443,7 @@ mod tests {
         approximate_agreement, chromatic_simplex_agreement, consensus, k_set_consensus,
         one_shot_immediate_snapshot_task, renaming, trivial,
     };
+    use iis_topology::sds_iterated;
 
     #[test]
     fn trivial_task_solvable_at_zero() {
@@ -1428,7 +1451,7 @@ mod tests {
         let report = solve_up_to(&t, 2);
         assert_eq!(report.first_solvable(), Some(0));
         let w = report.witness().unwrap();
-        validate_decision_map(&t, w.subdivision(), w.map()).unwrap();
+        validate_decision_map(&t, &sds_iterated(t.input(), w.rounds()), w.map()).unwrap();
         assert!(!report.to_string().is_empty());
         assert_eq!(report.task_name(), "trivial");
     }
@@ -1488,7 +1511,7 @@ mod tests {
         let report = solve_up_to(&t, 2);
         assert_eq!(report.first_solvable(), Some(1));
         let w = report.witness().unwrap();
-        validate_decision_map(&t, w.subdivision(), w.map()).unwrap();
+        validate_decision_map(&t, &sds_iterated(t.input(), w.rounds()), w.map()).unwrap();
     }
 
     #[test]
@@ -1510,7 +1533,7 @@ mod tests {
         let t = one_shot_immediate_snapshot_task(2);
         assert!(solve_at(&t, 0).is_none(), "needs communication");
         let w = solve_at(&t, 1).expect("identity map solves it");
-        validate_decision_map(&t, w.subdivision(), w.map()).unwrap();
+        validate_decision_map(&t, &sds_iterated(t.input(), w.rounds()), w.map()).unwrap();
     }
 
     #[test]
@@ -1529,10 +1552,10 @@ mod tests {
         let w1 = solve_at(&t, 1).unwrap();
         let w2 = lift_decision_map(&t, &w1);
         assert_eq!(w2.rounds(), 2);
-        validate_decision_map(&t, w2.subdivision(), w2.map()).unwrap();
+        validate_decision_map(&t, &sds_iterated(t.input(), w2.rounds()), w2.map()).unwrap();
         let w3 = lift_decision_map(&t, &w2);
         assert_eq!(w3.rounds(), 3);
-        validate_decision_map(&t, w3.subdivision(), w3.map()).unwrap();
+        validate_decision_map(&t, &sds_iterated(t.input(), w3.rounds()), w3.map()).unwrap();
     }
 
     #[test]
@@ -1560,7 +1583,7 @@ mod tests {
         let t = trivial(1);
         let w0 = solve_at(&t, 0).unwrap();
         let w1 = lift_decision_map(&t, &w0);
-        validate_decision_map(&t, w1.subdivision(), w1.map()).unwrap();
+        validate_decision_map(&t, &sds_iterated(t.input(), w1.rounds()), w1.map()).unwrap();
     }
 
     /// The compiled kernel compiles from the arena tower, the reference
@@ -1614,7 +1637,7 @@ mod tests {
         let t = trivial(1);
         let w = solve_at(&t, 0).unwrap();
         assert_eq!(w.rounds(), 0);
-        assert!(w.subdivision().complex().num_vertices() > 0);
+        assert!(w.tower().complex().num_vertices() > 0);
         assert!(!w.map().is_empty());
     }
 }

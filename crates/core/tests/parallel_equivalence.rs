@@ -15,6 +15,7 @@ use iis_tasks::library::{
     one_shot_immediate_snapshot_task, renaming, trivial,
 };
 use iis_tasks::Task;
+use iis_topology::sds_iterated;
 
 /// The library sweep: `(task, max b we can afford exhaustively)`.
 fn library() -> Vec<(Task, usize)> {
@@ -41,8 +42,7 @@ fn library() -> Vec<(Task, usize)> {
 }
 
 fn witnesses_identical(a: &DecisionMap, b: &DecisionMap) -> bool {
-    let c = a.subdivision().complex();
-    a.rounds() == b.rounds() && c.vertex_ids().all(|v| a.map().image(v) == b.map().image(v))
+    a.rounds() == b.rounds() && a.map().pairs() == b.map().pairs()
 }
 
 #[test]
@@ -61,7 +61,12 @@ fn parallel_agrees_with_sequential_across_library() {
                                 "{} b={b} {strategy:?} jobs={jobs}: witness differs",
                                 task.name()
                             );
-                            validate_decision_map(&task, p.subdivision(), p.map()).unwrap();
+                            validate_decision_map(
+                                &task,
+                                &sds_iterated(task.input(), p.rounds()),
+                                p.map(),
+                            )
+                            .unwrap();
                         }
                         (BoundedOutcome::Unsolvable, BoundedOutcome::Unsolvable) => {}
                         (s, p) => panic!(
@@ -109,7 +114,12 @@ fn compiled_kernel_matches_reference_engine_across_library() {
                                 "{} b={b} {strategy:?} jobs={jobs}: kernel witness differs",
                                 task.name()
                             );
-                            validate_decision_map(&task, c.subdivision(), c.map()).unwrap();
+                            validate_decision_map(
+                                &task,
+                                &sds_iterated(task.input(), c.rounds()),
+                                c.map(),
+                            )
+                            .unwrap();
                         }
                         (BoundedOutcome::Unsolvable, BoundedOutcome::Unsolvable) => {}
                         (r, c) => panic!(
@@ -126,8 +136,8 @@ fn compiled_kernel_matches_reference_engine_across_library() {
 /// The compiled kernel searches the label-free arena tower and the
 /// reference kernel the labelled `Subdivision` tower; the sweep records
 /// they produce must still be byte-identical at every thread count and
-/// under both strategies, and a witness's subdivision must be exactly the
-/// reference `SDS^b(I)`.
+/// under both strategies, and a witness's tower must be exactly the
+/// reference `SDS^b(I)` with its labels forgotten.
 #[test]
 fn sweep_records_are_identical_across_kernels_jobs_and_strategies() {
     use iis_core::cache::report_to_json;
@@ -136,14 +146,8 @@ fn sweep_records_are_identical_across_kernels_jobs_and_strategies() {
         let baseline = solve_up_to_opts(&task, max_b, &SolveOptions::new());
         let bytes = report_to_json(&baseline).to_string();
         if let Some(w) = baseline.witness() {
-            let reference = iis_topology::sds_iterated(task.input(), w.rounds());
-            let sub = w.subdivision();
-            assert!(sub.complex().same_labeled(reference.complex()));
-            assert!(sub.complex().facets().eq(reference.complex().facets()));
-            for v in reference.complex().vertex_ids() {
-                assert_eq!(sub.complex().label(v), reference.complex().label(v));
-                assert_eq!(sub.carrier_of_vertex(v), reference.carrier_of_vertex(v));
-            }
+            let reference = sds_iterated(task.input(), w.rounds());
+            assert_eq!(w.tower().agrees_with(&reference), Ok(()));
         }
         for kernel in [Kernel::Compiled, Kernel::Reference] {
             for strategy in [SearchStrategy::Mac, SearchStrategy::PlainBacktracking] {
@@ -203,7 +207,8 @@ fn profiling_does_not_perturb_witnesses() {
                     witnesses_identical(a, b),
                     "jobs={jobs}: profiling changed the witness"
                 );
-                validate_decision_map(&task, b.subdivision(), b.map()).unwrap();
+                validate_decision_map(&task, &sds_iterated(task.input(), b.rounds()), b.map())
+                    .unwrap();
             }
             (a, b) => panic!("jobs={jobs}: profiling off {a:?} vs on {b:?}"),
         }
@@ -257,7 +262,8 @@ fn warm_cache_replay_is_bit_identical_across_kernels_and_jobs() {
                     task.name()
                 );
                 if let Some(w) = warm.report.witness() {
-                    validate_decision_map(&task, w.subdivision(), w.map()).unwrap();
+                    validate_decision_map(&task, &sds_iterated(task.input(), w.rounds()), w.map())
+                        .unwrap();
                 }
             }
         }
@@ -272,5 +278,5 @@ fn parallel_witness_survives_validation_on_deeper_rounds() {
     let BoundedOutcome::Solvable(w) = out else {
         panic!("grid-9 ε-agreement is solvable at b = 2");
     };
-    validate_decision_map(&task, w.subdivision(), w.map()).unwrap();
+    validate_decision_map(&task, &sds_iterated(task.input(), w.rounds()), w.map()).unwrap();
 }

@@ -33,11 +33,17 @@
 //! label-free [`ArenaComplex`] of the input, so `SDS^b` depends only on the
 //! input's *shape* — its colors in id order and its facets in sorted order
 //! ([`ArenaComplex::same_shape`]). Inputs of equal shape and different
-//! labels share one tower; the labelled input is passed back in only where
-//! labels are made ([`ArenaSds::to_subdivision`]).
+//! labels share one tower.
+//!
+//! The names are also what a protocol needs: a process whose level-`b`
+//! state is vertex `x` writes `x`, reads the ids its round saw, and its
+//! level-`b+1` state is the vertex of that name. [`ArenaSds::next_with`]
+//! hands every vertex's name to the caller as it is made, and every level
+//! records each vertex's own-color predecessor — the forget map
+//! `SDS^{b+1} → SDS^b` ([`ArenaSds::forget`]).
 
 use crate::template;
-use crate::{sds_iterated, Color, Complex, Subdivision};
+use crate::{Color, Complex, Subdivision};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -143,6 +149,9 @@ pub struct ArenaSds {
     carrier_offsets: Vec<u32>,
     /// Concatenated carriers: sorted base vertex ids per arena vertex.
     carrier_verts: Vec<u32>,
+    /// Per vertex: its own-color vertex of the previous level (empty at
+    /// level 0).
+    forget: Vec<u32>,
     rounds: usize,
 }
 
@@ -171,6 +180,23 @@ impl ArenaSds {
         &self.carrier_verts[lo as usize..hi as usize]
     }
 
+    /// The forget map `SDS^b → SDS^{b-1}`: vertex `v`'s own-color vertex in
+    /// its view, i.e. the state of `v`'s process one round earlier — on
+    /// the reference tower, the vertex reached by peeling the process's
+    /// own entry out of `v`'s view label.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the base level (`b = 0`), which has no predecessor.
+    pub fn forget(&self, v: u32) -> u32 {
+        self.forget[v as usize]
+    }
+
+    /// `SDS^0(C) = C`: the level-0 tower over this tower's base.
+    pub fn level_zero(&self) -> ArenaSds {
+        level_zero(Arc::clone(&self.base))
+    }
+
     /// Facet indices in lexicographic order — the order
     /// [`Complex::facets`] would yield them.
     pub fn facet_order(&self) -> &[u32] {
@@ -189,11 +215,36 @@ impl ArenaSds {
     /// let base = Complex::standard_simplex(1);
     /// let two = arena_sds_tower(&base, 1).next();
     /// assert_eq!(two.rounds(), 2);
-    /// assert!(two.agrees_with(&arena_sds_tower(&base, 2).to_subdivision(&base)).is_ok());
+    /// assert!(two.agrees_with(&iis_topology::sds_iterated(&base, 2)).is_ok());
     /// ```
     pub fn next(&self) -> ArenaSds {
+        self.next_with(|_, _| {})
+    }
+
+    /// [`ArenaSds::next`], calling `named(name, id)` once per vertex of the
+    /// new level as it is made: `name` is `[color, sorted ids of the
+    /// level-b vertices in its view…]` and `id` its vertex id. A protocol
+    /// keeps these names to look up its next state.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_topology::arena::arena_sds_tower;
+    /// use iis_topology::Complex;
+    /// let edge = arena_sds_tower(&Complex::standard_simplex(1), 0);
+    /// let mut names = Vec::new();
+    /// let one = edge.next_with(|name, id| names.push((name.to_vec(), id)));
+    /// assert_eq!(names.len(), one.complex().num_vertices());
+    /// // process 0 alone saw its corner; seeing both corners, it is
+    /// // another vertex — and one round earlier, both were that corner
+    /// let id = |name: &[u32]| names.iter().find(|(n, _)| n == name).unwrap().1;
+    /// let (solo, both) = (id(&[0, 0]), id(&[0, 0, 1]));
+    /// assert_ne!(solo, both);
+    /// assert_eq!((one.forget(solo), one.forget(both)), (0, 0));
+    /// ```
+    pub fn next_with<F: FnMut(&[u32], u32)>(&self, named: F) -> ArenaSds {
         let _timer = iis_obs::span::span("sds.arena_build_ns");
-        arena_sds_level(self)
+        arena_sds_level(self, named)
     }
 
     /// Visits every distinct simplex of the subdivided complex, as its
@@ -294,27 +345,6 @@ impl ArenaSds {
         }
         Ok(())
     }
-
-    /// Materializes the reference [`Subdivision`] over the labelled
-    /// `input` — bit-identical to `sds_iterated(input, b)`, which is how it
-    /// is built: the arena keeps no labels, and the reference builder is
-    /// the one place that makes them. Debug builds check that the result
-    /// [`agrees_with`] this tower.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not have this tower's base shape.
-    ///
-    /// [`agrees_with`]: ArenaSds::agrees_with
-    pub fn to_subdivision(&self, input: &Complex) -> Subdivision {
-        assert!(
-            self.base.same_shape(input),
-            "the input does not have the tower's base shape"
-        );
-        let sub = sds_iterated(input, self.rounds);
-        debug_assert_eq!(self.agrees_with(&sub), Ok(()));
-        sub
-    }
 }
 
 /// Builds `SDS^b(base)` in arena form, composing carriers down to `base`
@@ -338,22 +368,27 @@ impl ArenaSds {
 pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
     assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
     let _timer = iis_obs::span::span("sds.arena_build_ns");
-    // Level 0: the base itself with identity carriers; from_complex walks
-    // facets in BTreeSet order, so the CSR is already lexicographic.
-    let complex = ArenaComplex::from_complex(base);
-    let nv = complex.num_vertices();
-    let mut tower = ArenaSds {
-        base: Arc::new(complex.clone()),
-        facet_order: (0..complex.num_facets() as u32).collect(),
-        carrier_offsets: (0..=nv as u32).collect(),
-        carrier_verts: (0..nv as u32).collect(),
-        complex,
-        rounds: 0,
-    };
+    let mut tower = level_zero(Arc::new(ArenaComplex::from_complex(base)));
     for _ in 0..b {
-        tower = arena_sds_level(&tower);
+        tower = arena_sds_level(&tower, |_, _| {});
     }
     tower
+}
+
+/// `SDS^0(C) = C` with identity carriers; [`ArenaComplex::from_complex`]
+/// walks facets in `BTreeSet` order, so the CSR is already lexicographic.
+fn level_zero(base: Arc<ArenaComplex>) -> ArenaSds {
+    let complex = ArenaComplex::clone(&base);
+    let nv = complex.num_vertices() as u32;
+    ArenaSds {
+        base,
+        facet_order: (0..complex.num_facets() as u32).collect(),
+        carrier_offsets: (0..=nv).collect(),
+        carrier_verts: (0..nv).collect(),
+        forget: Vec::new(),
+        complex,
+        rounds: 0,
+    }
 }
 
 /// One subdivision level: `SDS^{b+1}(C)` from `SDS^b(C)`, carriers
@@ -361,14 +396,15 @@ pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
 ///
 /// A new vertex is named by its color and the sorted ids of the
 /// previous-level vertices in its view; the first time a name is met it
-/// gets the next id. Facets are subdivided in lexicographic order — the
-/// order `sds` walks the reference `BTreeSet` — which pins ids to the
-/// reference path's.
-fn arena_sds_level(prev: &ArenaSds) -> ArenaSds {
+/// gets the next id, and `named` hears of it. Facets are subdivided in
+/// lexicographic order — the order `sds` walks the reference `BTreeSet` —
+/// which pins ids to the reference path's.
+fn arena_sds_level<F: FnMut(&[u32], u32)>(prev: &ArenaSds, mut named: F) -> ArenaSds {
     let pc = &prev.complex;
     let mut next = ArenaComplex::new();
     let mut carrier_offsets: Vec<u32> = vec![0];
     let mut carrier_verts: Vec<u32> = Vec::new();
+    let mut forget: Vec<u32> = Vec::new();
     // `[color, view ids…] → vertex id`; looked up through a reused buffer,
     // so only a vertex met for the first time allocates its key
     let mut ids: HashMap<Box<[u32]>, u32> = HashMap::new();
@@ -414,21 +450,25 @@ fn arena_sds_level(prev: &ArenaSds) -> ArenaSds {
         concrete.clear();
         let full = ((1u32 << n) - 1) as u16;
         for &(pos, mask) in tpl.vertices() {
-            let color = pc.color(fv[pos as usize]);
+            let own = fv[pos as usize];
+            let color = pc.color(own);
+            name.clear();
+            name.push(color.0);
+            name.extend(set_bits(mask).map(|k| fv[k]));
+            let id = next.colors.len() as u32;
             // a vertex that saw the whole facet occurs in no other facet
             // (facets are maximal), so only partial views are looked up
             if mask != full {
-                name.clear();
-                name.push(color.0);
-                name.extend(set_bits(mask).map(|k| fv[k]));
                 if let Some(&id) = ids.get(name.as_slice()) {
                     concrete.push(id);
                     continue;
                 }
-                ids.insert(name.as_slice().into(), next.colors.len() as u32);
+                ids.insert(name.as_slice().into(), id);
             }
-            concrete.push(next.colors.len() as u32);
+            named(&name, id);
+            concrete.push(id);
             next.colors.push(color);
+            forget.push(own);
             carrier_verts.extend_from_slice(&carriers[mask as usize]);
             carrier_offsets.push(carrier_verts.len() as u32);
         }
@@ -450,6 +490,7 @@ fn arena_sds_level(prev: &ArenaSds) -> ArenaSds {
         facet_order: order,
         carrier_offsets,
         carrier_verts,
+        forget,
         rounds: prev.rounds + 1,
     }
 }
@@ -604,27 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn to_subdivision_is_bit_identical() {
-        for (base, b) in [
-            (Complex::standard_simplex(1), 2usize),
-            (Complex::standard_simplex(2), 1),
-            (butterfly(), 1),
-        ] {
-            let arena = arena_sds_tower(&base, b).to_subdivision(&base);
-            let reference = sds_iterated(&base, b);
-            assert!(arena.complex().same_labeled(reference.complex()));
-            for v in reference.complex().vertex_ids() {
-                assert_eq!(arena.complex().label(v), reference.complex().label(v));
-                assert_eq!(arena.carrier_of_vertex(v), reference.carrier_of_vertex(v));
-            }
-            let af: Vec<_> = arena.complex().facets().cloned().collect();
-            let rf: Vec<_> = reference.complex().facets().cloned().collect();
-            assert_eq!(af, rf);
-            arena.validate().unwrap();
-        }
-    }
-
-    #[test]
     fn zero_rounds_is_identity() {
         let base = Complex::standard_simplex(2);
         let arena = arena_sds_tower(&base, 0);
@@ -633,7 +653,73 @@ mod tests {
         for v in 0..3u32 {
             assert_eq!(arena.carrier(v), &[v]);
         }
-        assert!(arena.to_subdivision(&base).complex().same_labeled(&base));
+        assert_eq!(
+            arena.agrees_with(&crate::Subdivision::identity(base.clone())),
+            Ok(())
+        );
+        assert_eq!(
+            arena.level_zero().agrees_with(&sds_iterated(&base, 0)),
+            Ok(())
+        );
+    }
+
+    /// The arena forget map is the reference one: each vertex's own-color
+    /// predecessor is the vertex [`crate::sds::sds_forget_map`] reaches by
+    /// peeling the process's own entry out of the view label.
+    #[test]
+    fn forget_map_equals_the_label_peeling_one() {
+        for (base, max_b) in [
+            (Complex::standard_simplex(1), 3usize),
+            (Complex::standard_simplex(2), 2),
+            (butterfly(), 2),
+            (kite(), 2),
+        ] {
+            let mut tower = arena_sds_tower(&base, 0);
+            for b in 1..=max_b {
+                tower = tower.next();
+                let (finer, _, map) = crate::sds::sds_forget_map(&base, b - 1);
+                assert_eq!(
+                    finer.complex().num_vertices(),
+                    tower.complex().num_vertices()
+                );
+                for v in finer.complex().vertex_ids() {
+                    assert_eq!(tower.forget(v.0), map.image(v).unwrap().0, "b = {b}, {v}");
+                }
+            }
+        }
+    }
+
+    /// `next_with` names every new vertex exactly once, by its color and
+    /// the sorted previous-level ids in its view, and stepping with names
+    /// builds the same level as stepping without.
+    #[test]
+    fn names_cover_every_vertex_and_agree_with_labels() {
+        for (base, max_b) in [(Complex::standard_simplex(2), 2usize), (kite(), 2)] {
+            let mut tower = arena_sds_tower(&base, 0);
+            for b in 1..=max_b {
+                let mut names: HashMap<Vec<u32>, u32> = HashMap::new();
+                let next = tower.next_with(|name, id| {
+                    assert!(names.insert(name.to_vec(), id).is_none(), "{name:?} twice");
+                });
+                assert_eq!(next.agrees_with(&sds_iterated(&base, b)), Ok(()));
+                assert_eq!(names.len(), next.complex().num_vertices());
+                // the reference label of each vertex is the view of the
+                // previous level's labels its name lists
+                let (finer, coarser) = (sds_iterated(&base, b), sds_iterated(&base, b - 1));
+                for (name, &id) in &names {
+                    let (c, r) = (finer.complex(), coarser.complex());
+                    let v = crate::VertexId(id);
+                    assert_eq!(c.color(v).0, name[0]);
+                    let view = Label::view(
+                        name[1..]
+                            .iter()
+                            .map(|&u| (r.color(crate::VertexId(u)), r.label(crate::VertexId(u)))),
+                    );
+                    assert_eq!(c.label(v), &view, "b = {b}, {name:?}");
+                }
+                tower = next;
+            }
+        }
     }
 
     #[test]

@@ -74,8 +74,7 @@ impl<'a> FacetIndex<'a> {
 pub struct Complex {
     vertices: Vec<(Color, Label)>,
     /// Two-level index so lookups borrow the label (`&Label`) instead of
-    /// cloning it into a composite key — `vertex_id` sits on the
-    /// per-process decide path of `DecisionProtocol`.
+    /// cloning it into a composite key.
     index: HashMap<Color, HashMap<Label, VertexId>>,
     facets: BTreeSet<Simplex>,
 }

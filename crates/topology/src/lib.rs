@@ -55,7 +55,7 @@ pub use complex::{Complex, FacetIndex};
 pub use maps::{MapError, SimplicialMap};
 pub use sds::{
     for_each_ordered_partition, ordered_bell, ordered_partitions, path_subdivision, sds,
-    sds_forget_map, sds_iterated, sds_next, sds_reference,
+    sds_iterated, sds_next, sds_reference,
 };
 pub use simplex::Simplex;
 pub use subdivision::{Subdivision, SubdivisionError};

@@ -403,32 +403,15 @@ pub fn sds_next(acc: &Subdivision) -> Subdivision {
     acc.compose(&sds(acc.complex()))
 }
 
-/// The canonical "forget the last round" map `SDS^{b+1}(C) → SDS^b(C)`:
-/// each vertex (a `b+1`-round full-information state) maps to its own
-/// `b`-round state, recovered by peeling the process's own entry out of the
-/// nested view label.
+/// The canonical "forget the last round" map `SDS^{b+1}(C) → SDS^b(C)`,
+/// read off the labels: each vertex (a `b+1`-round full-information state)
+/// maps to its own `b`-round state, recovered by peeling the process's own
+/// entry out of the nested view label. Returns `(finer, coarser, map)`.
 ///
-/// Returns `(finer, coarser, map)`. The map is simplicial (the `b`-round
-/// states of one execution form a simplex of `SDS^b`), color-preserving,
-/// and carrier-*shrinking* (a process's earlier state saw no more than its
-/// later state). It is the combinatorial witness that solvability at `b`
-/// implies solvability at `b+1`.
-///
-/// # Panics
-///
-/// Panics if `C` is not chromatic.
-///
-/// # Examples
-///
-/// ```
-/// use iis_topology::{Complex, sds_forget_map};
-/// let (finer, coarser, map) = sds_forget_map(&Complex::standard_simplex(1), 1);
-/// assert_eq!(finer.complex().num_facets(), 9);
-/// assert_eq!(coarser.complex().num_facets(), 3);
-/// map.verify_simplicial(finer.complex(), coarser.complex()).unwrap();
-/// map.verify_color_preserving(finer.complex(), coarser.complex()).unwrap();
-/// ```
-pub fn sds_forget_map(
+/// The test oracle for [`crate::arena::ArenaSds::forget`], which records
+/// the same map as the tower is built.
+#[cfg(test)]
+pub(crate) fn sds_forget_map(
     base: &Complex,
     b: usize,
 ) -> (Subdivision, Subdivision, crate::SimplicialMap) {
@@ -785,6 +768,27 @@ mod tests {
             map.verify_color_preserving(finer.complex(), coarser.complex())
                 .unwrap();
             map.verify_carrier_shrinking(&finer, &coarser).unwrap();
+        }
+    }
+
+    #[test]
+    fn forget_maps_compose_along_the_tower() {
+        // forgetting twice from SDS² lands on the base corners' structure
+        let base = Complex::standard_simplex(1);
+        let (fine2, mid, f2) = sds_forget_map(&base, 1); // SDS² → SDS¹
+        let (mid2, coarse, f1) = sds_forget_map(&base, 0); // SDS¹ → SDS⁰ = base
+        assert!(mid.complex().same_labeled(mid2.complex()));
+        assert!(coarse.complex().same_labeled(&base));
+        // translate f2's images from `mid` ids into `mid2` ids, then apply f1
+        for v in fine2.complex().vertex_ids() {
+            let w_mid = f2.image(v).unwrap();
+            let w_mid2 = mid2
+                .complex()
+                .vertex_id(mid.complex().color(w_mid), mid.complex().label(w_mid))
+                .unwrap();
+            let w_base = f1.image(w_mid2).unwrap();
+            // the final image must be the corner of v's own color
+            assert_eq!(coarse.complex().color(w_base), fine2.complex().color(v));
         }
     }
 

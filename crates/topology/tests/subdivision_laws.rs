@@ -1,8 +1,6 @@
 //! Algebraic laws of subdivisions and their composition.
 
-use iis_topology::{
-    bsd::bsd, path_subdivision, sds, sds_forget_map, sds_iterated, Complex, Simplex, Subdivision,
-};
+use iis_topology::{bsd::bsd, path_subdivision, sds, sds_iterated, Complex, Simplex, Subdivision};
 
 #[test]
 fn identity_is_left_unit_of_compose() {
@@ -84,27 +82,6 @@ fn sds_of_bsd_composes_and_validates() {
     let composed = b.compose(&s);
     composed.validate_plain().unwrap();
     assert_eq!(composed.complex().num_facets(), 6 * 13);
-}
-
-#[test]
-fn forget_maps_compose_along_the_tower() {
-    // forgetting twice from SDS² lands on the base corners' structure
-    let base = Complex::standard_simplex(1);
-    let (fine2, mid, f2) = sds_forget_map(&base, 1); // SDS² → SDS¹
-    let (mid2, coarse, f1) = sds_forget_map(&base, 0); // SDS¹ → SDS⁰ = base
-    assert!(mid.complex().same_labeled(mid2.complex()));
-    assert!(coarse.complex().same_labeled(&base));
-    // translate f2's images from `mid` ids into `mid2` ids, then apply f1
-    for v in fine2.complex().vertex_ids() {
-        let w_mid = f2.image(v).unwrap();
-        let w_mid2 = mid2
-            .complex()
-            .vertex_id(mid.complex().color(w_mid), mid.complex().label(w_mid))
-            .unwrap();
-        let w_base = f1.image(w_mid2).unwrap();
-        // the final image must be the corner of v's own color
-        assert_eq!(coarse.complex().color(w_base), fine2.complex().color(v));
-    }
 }
 
 #[test]

@@ -102,6 +102,5 @@ fn arena_tower_matches_reference_on_random_complexes() {
         // colors, carriers, facets and facet order, read off the arena
         // itself (it keeps no labels to compare)
         assert_eq!(arena.agrees_with(&reference), Ok(()));
-        assert_identical(&arena.to_subdivision(&base), &reference);
     }
 }

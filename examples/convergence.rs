@@ -5,11 +5,10 @@
 //! cargo run --example convergence
 //! ```
 
-use iis::core::convergence::{
-    theorem_5_1_witness, validate_csass_outcome, EdgeConvergence, SimplexAgreementMachine,
-};
+use iis::core::convergence::{theorem_5_1_witness, validate_csass_outcome, EdgeConvergence};
+use iis::core::solvability::{DecisionProtocol, WitnessIndex};
 use iis::sched::{all_iis_schedules, IisRunner, IisSchedule};
-use iis::topology::{sds, sds_iterated, Complex};
+use iis::topology::{sds, sds_iterated, Complex, VertexId};
 use std::sync::Arc;
 
 fn main() {
@@ -30,12 +29,14 @@ fn main() {
 
     println!("\n== CSASS solved by the witness, under every 2-process schedule ==");
     let target = sds_iterated(&Complex::standard_simplex(1), 2);
-    let w = Arc::new(theorem_5_1_witness(&target, 3).expect("witness"));
+    let w = Arc::new(WitnessIndex::new(
+        theorem_5_1_witness(&target, 3).expect("witness"),
+    ));
     let schedules = all_iis_schedules(&[0, 1], w.rounds());
     for schedule in &schedules {
         let machines = vec![
-            SimplexAgreementMachine::new(0, Arc::clone(&w)),
-            SimplexAgreementMachine::new(1, Arc::clone(&w)),
+            DecisionProtocol::new(VertexId(0), Arc::clone(&w)),
+            DecisionProtocol::new(VertexId(1), Arc::clone(&w)),
         ];
         let mut runner = IisRunner::new(machines);
         runner.run(schedule.clone());

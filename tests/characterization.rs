@@ -2,20 +2,22 @@
 //! decision map found by the solver, executed as an actual IIS protocol,
 //! satisfies its task under **every** schedule and input combination.
 
-use iis::core::solvability::{solve_at, solve_up_to, DecisionProtocol};
+use iis::core::solvability::{solve_at, solve_up_to, DecisionProtocol, WitnessIndex};
 use iis::sched::{all_iis_schedules, IisRunner};
 use iis::tasks::library::{
     approximate_agreement, k_set_consensus, one_shot_immediate_snapshot_task, renaming, trivial,
 };
 use iis::tasks::Task;
-use iis::topology::{Color, Label, Simplex, VertexId};
+use iis::topology::{Color, Simplex, VertexId};
 use std::sync::Arc;
 
 /// Runs the decision protocol for every input facet of a 2-process task
 /// under every `b`-round IIS schedule (including crash-truncated ones) and
 /// validates decisions against `Δ`.
 fn exhaustively_validate_two_process(task: &Task, b: usize) {
-    let witness = Arc::new(solve_at(task, b).expect("task solvable at b"));
+    let witness = Arc::new(WitnessIndex::new(
+        solve_at(task, b).expect("task solvable at b"),
+    ));
     for facet in task.input().facets().cloned().collect::<Vec<_>>() {
         let mut verts: Vec<VertexId> = facet.iter().collect();
         if verts.len() != 2 {
@@ -26,16 +28,10 @@ fn exhaustively_validate_two_process(task: &Task, b: usize) {
         verts.sort_by_key(|&v| task.input().color(v));
         let colors: Vec<Color> = verts.iter().map(|&v| task.input().color(v)).collect();
         assert_eq!(colors, vec![Color(0), Color(1)]);
-        let inputs: Vec<Label> = verts
-            .iter()
-            .map(|&v| task.input().label(v).clone())
-            .collect();
         for schedule in all_iis_schedules(&[0, 1], b.max(1)) {
             for crash in [None, Some(0usize), Some(1usize)] {
                 let machines: Vec<DecisionProtocol> = (0..2)
-                    .map(|i| {
-                        DecisionProtocol::new(colors[i], inputs[i].clone(), Arc::clone(&witness))
-                    })
+                    .map(|i| DecisionProtocol::new(verts[i], Arc::clone(&witness)))
                     .collect();
                 let mut runner = IisRunner::new(machines);
                 if let Some(p) = crash {
@@ -93,18 +89,14 @@ fn three_process_protocol_random_schedules() {
     use iis::obs::Rng;
     use iis::sched::IisSchedule;
     let task = k_set_consensus(2, 3);
-    let witness = Arc::new(solve_at(&task, 0).expect("trivially solvable"));
+    let witness = Arc::new(WitnessIndex::new(
+        solve_at(&task, 0).expect("trivially solvable"),
+    ));
     let mut rng = Rng::seed_from_u64(31);
     let full: Vec<VertexId> = task.input().vertex_ids().collect();
     for _case in 0..100 {
         let machines: Vec<DecisionProtocol> = (0..3)
-            .map(|i| {
-                DecisionProtocol::new(
-                    Color(i as u32),
-                    Label::scalar(i as u64),
-                    Arc::clone(&witness),
-                )
-            })
+            .map(|i| DecisionProtocol::new(VertexId(i as u32), Arc::clone(&witness)))
             .collect();
         let mut runner = IisRunner::new(machines);
         runner.run(IisSchedule::random(3, 1, &mut rng));

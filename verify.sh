@@ -23,6 +23,9 @@ for layer in iis atomic emulation bg; do
 done
 "$IIS" fuzz --layer iis --rounds 2 --exhaustive
 "$IIS" fuzz --layer iis --task oneshot:2 --rounds 1 --seed 7 --cases 200 --crashes 2 --shrink
+# Three processes, two levels, every schedule: the id-driven protocol's
+# name lookups at both levels, under the wait-freedom and task oracles.
+"$IIS" fuzz --layer iis --task eps:2:3 --rounds 2 --exhaustive
 # Storage-fault sweep: the witness store's recovery invariants under
 # injected short writes, ENOSPC, bit flips, failed flushes and crashes.
 "$IIS" fuzz --layer store --seed 7 --cases 500 --shrink

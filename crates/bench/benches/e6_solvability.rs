@@ -12,9 +12,9 @@
 
 use iis_bench::harness::Bench;
 use iis_core::bounded::minimal_rounds;
+use iis_core::reference;
 use iis_core::solvability::{
-    solve_at, solve_at_bounded, solve_at_opts, solve_at_with, BoundedOutcome, Kernel,
-    SearchStrategy, SolveOptions,
+    solve_at, solve_at_bounded, solve_at_opts, BoundedOutcome, SolveOptions,
 };
 use iis_tasks::library::{
     approximate_agreement, consensus, k_set_consensus, one_shot_immediate_snapshot_task, trivial,
@@ -67,25 +67,23 @@ fn minimal_bound_search(bench: &mut Bench) {
 }
 
 fn strategy_ablation(bench: &mut Bench) {
-    // DESIGN.md §5 ablation: MAC vs plain chronological backtracking
+    // DESIGN.md §5 ablation: MAC vs plain chronological backtracking, both
+    // on the reference engine (the solver itself only runs MAC, on the
+    // compiled kernel)
     let mut g = bench.group("e6_strategy_ablation");
     g.sample_size(10);
     let cases: Vec<(&str, iis_tasks::Task, usize)> = vec![
         ("eps_grid3_b1", approximate_agreement(1, 3), 1),
+        ("eps_grid9_b2", approximate_agreement(1, 9), 2),
         ("consensus_b2_refute", consensus(1, &[0, 1]), 2),
         ("one_shot_is_n1_b1", one_shot_immediate_snapshot_task(1), 1),
     ];
     for (name, task, b) in &cases {
-        g.bench_function(&format!("mac/{name}"), || {
-            black_box(solve_at_with(task, *b, u64::MAX, SearchStrategy::Mac));
+        g.bench_function(&format!("reference_mac/{name}"), || {
+            black_box(reference::solve_mac(task, *b, u64::MAX)).expect("unbounded");
         });
-        g.bench_function(&format!("plain/{name}"), || {
-            black_box(solve_at_with(
-                task,
-                *b,
-                u64::MAX,
-                SearchStrategy::PlainBacktracking,
-            ));
+        g.bench_function(&format!("reference_plain/{name}"), || {
+            black_box(reference::solve_plain(task, *b, u64::MAX)).expect("unbounded");
         });
     }
 }
@@ -111,15 +109,14 @@ fn parallel_scaling(bench: &mut Bench) {
             ));
         });
     }
-    // the same budgeted search on the reference engine: its nodes/sec rate
-    // vs `jobs1` above is the compiled kernel's in-run speedup (the two
-    // explore the identical 30k-node prefix, so the rate ratio is pure
+    // the same budgeted search on the reference MAC oracle: its nodes/sec
+    // rate vs `jobs1` above is the compiled kernel's in-run speedup (the
+    // two explore the identical 30k-node prefix, so the rate ratio is pure
     // per-node cost)
-    let opts = SolveOptions::new().budget(NODES).kernel(Kernel::Reference);
     g.bench_function("refute_2set_b2_30k_nodes/reference_jobs1", || {
         assert!(matches!(
-            black_box(solve_at_opts(&task, 2, &opts)),
-            BoundedOutcome::Exhausted
+            black_box(reference::solve_mac(&task, 2, NODES)),
+            Err(reference::Exhausted)
         ));
     });
 }

@@ -1,9 +1,9 @@
-use iis_core::{solve_at_opts, Kernel, SolveOptions};
+use iis_core::{solve_at_opts, SolveOptions};
 use iis_tasks::library::k_set_consensus;
 use std::time::Instant;
 fn main() {
     let task = k_set_consensus(2, 2);
-    let opts = SolveOptions::new().budget(30_000).kernel(Kernel::Compiled);
+    let opts = SolveOptions::new().budget(30_000);
     for _ in 0..2 {
         let _ = solve_at_opts(&task, 2, &opts);
     } // warmup

@@ -9,6 +9,11 @@
 //! baseline fails the run — the revalidation fast path is a load-bearing
 //! latency claim, not just a nice-to-have.
 //!
+//! Both files' `available_parallelism` header values are printed, and the
+//! comparison is labelled **cross-host** when they differ or the baseline
+//! predates the field: the rates then compare different machines, not
+//! different code. The label is a report only; no gate depends on it.
+//!
 //! Exits non-zero if either file is missing or malformed, so CI fails loud
 //! instead of silently skipping the comparison; a missing *case* in either
 //! file is only reported, because case sets legitimately evolve.
@@ -21,9 +26,16 @@ use std::process::ExitCode;
 /// sample sizes CI uses).
 const WARM_REGRESSION_LIMIT: f64 = 1.15;
 
-/// Every case in the file as `(id, solve.nodes rate, mean_ns)`; the rate is
-/// absent for cases that attribute no search nodes (e.g. warm replays).
-fn cases(path: &str) -> Result<Vec<(String, Option<f64>, f64)>, String> {
+/// A parsed report: the host's `available_parallelism` (absent from reports
+/// written before the harness recorded it) and every case as
+/// `(id, solve.nodes rate, mean_ns)`; the rate is absent for cases that
+/// attribute no search nodes (e.g. warm replays).
+struct Report {
+    parallelism: Option<f64>,
+    cases: Vec<(String, Option<f64>, f64)>,
+}
+
+fn read(path: &str) -> Result<Report, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("{path}: {e:?}"))?;
     let cases = json
@@ -46,14 +58,33 @@ fn cases(path: &str) -> Result<Vec<(String, Option<f64>, f64)>, String> {
             .and_then(Json::as_f64);
         out.push((id.to_string(), rate, mean_ns));
     }
-    Ok(out)
+    Ok(Report {
+        parallelism: json.get("available_parallelism").and_then(Json::as_f64),
+        cases: out,
+    })
 }
 
 fn run(baseline_path: &str, current_path: &str) -> Result<(), String> {
-    let baseline = cases(baseline_path)?;
-    let current = cases(current_path)?;
+    let Report {
+        parallelism: base_host,
+        cases: baseline,
+    } = read(baseline_path)?;
+    let Report {
+        parallelism: host,
+        cases: current,
+    } = read(current_path)?;
+    let shown = |p: Option<f64>| p.map_or("unrecorded".to_string(), |n| format!("{n}"));
+    println!(
+        "available_parallelism: baseline {}, current {}",
+        shown(base_host),
+        shown(host)
+    );
+    let cross_host = base_host.is_none() || base_host != host;
     let mut regressions = Vec::new();
-    println!("deltas vs baseline ({baseline_path}):");
+    println!(
+        "deltas vs baseline ({baseline_path}){}:",
+        if cross_host { ", cross-host" } else { "" }
+    );
     for (id, rate, mean_ns) in &current {
         let Some((_, base_rate, base_mean)) = baseline.iter().find(|(b, _, _)| b == id) else {
             println!("  {id}: no baseline");

@@ -18,6 +18,8 @@
 //! takes ≳1 ms, then times `samples` batches. The global `iis-obs` counter
 //! registry is snapshotted around the timed section, so the report carries
 //! counters-per-iteration and counters-per-second alongside wall-clock.
+//! The report header records the host's `available_parallelism`, so a
+//! comparison can tell runs from different hosts apart.
 
 use iis_obs::Json;
 use std::collections::BTreeMap;
@@ -120,6 +122,10 @@ impl Bench {
             .collect();
         Json::Obj(vec![
             ("bench".into(), Json::Str(self.name.clone())),
+            (
+                "available_parallelism".into(),
+                Json::Num(available_parallelism() as f64),
+            ),
             ("samples".into(), Json::Num(self.samples as f64)),
             ("cases".into(), Json::Arr(cases)),
         ])
@@ -205,6 +211,11 @@ impl Group<'_> {
     }
 }
 
+/// The host's `std::thread::available_parallelism` (1 if unknown).
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.0} ns")
@@ -245,6 +256,10 @@ mod tests {
         let text = b.to_json().to_string_pretty();
         let j = Json::parse(&text).unwrap();
         assert_eq!(j.get("bench").and_then(Json::as_str), Some("selftest"));
+        assert_eq!(
+            j.get("available_parallelism").and_then(Json::as_f64),
+            Some(available_parallelism() as f64)
+        );
     }
 
     #[test]

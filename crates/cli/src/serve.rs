@@ -13,15 +13,17 @@
 //! - `POST /solve` — body `{"spec": "consensus:2" | "task": {…},
 //!   "max_rounds": B, "budget": N, "jobs": J, "wait": true}` (everything
 //!   but the task optional; a spec is a library spec — `@file` specs are
-//!   for the CLI only). The service always runs the compiled kernel: the
-//!   kernel cannot change an answer, so it is not a request field (a
-//!   `"kernel"` member is ignored), and `iis solve --kernel` stays the
-//!   place for local differential runs. Answers from the
-//!   store when the record exists (`"cached": true`, counted by
-//!   `serve.cache_hits`); otherwise runs the sweep on the worker pool.
-//!   With `"wait": false` replies `202 Accepted` with a job id instead of
-//!   blocking. A second request for a key already being solved joins the
-//!   in-flight job (`serve.coalesced`) rather than solving twice.
+//!   for the CLI only). The search is always the compiled kernel's MAC
+//!   search; there is no engine or strategy field (a `"kernel"` member is
+//!   ignored), and the reference engine is a test oracle no request can
+//!   reach. `"jobs"` is clamped to the host's available parallelism: it
+//!   never changes an answer, only how many threads one question may
+//!   spawn. Answers from the store when the record exists
+//!   (`"cached": true`, counted by `serve.cache_hits`); otherwise runs the
+//!   sweep on the worker pool. With `"wait": false` replies `202 Accepted`
+//!   with a job id instead of blocking. A second request for a key already
+//!   being solved joins the in-flight job (`serve.coalesced`) rather than
+//!   solving twice.
 //! - `POST /solve` with `{"questions": [q, …]}` — the **batch** form
 //!   (`serve.batch_requests`): every element is a single-question body as
 //!   above. All questions are admitted up front (so the worker pool runs
@@ -76,7 +78,7 @@ use iis_obs::{Json, ToJson as _};
 use iis_store::Store;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One accepted solve question and its lifecycle.
@@ -217,9 +219,10 @@ fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
         ),
     };
     let max_rounds = question_rounds(v)?;
+    let jobs = usize::try_from(question_count(v, "jobs", 1)?).unwrap_or(usize::MAX);
     let opts = SolveOptions::new()
         .budget(question_count(v, "budget", 1_000_000)?)
-        .jobs(usize::try_from(question_count(v, "jobs", 1)?).unwrap_or(usize::MAX));
+        .jobs(jobs.min(host_parallelism()));
     let wait = match v.get("wait") {
         None | Some(Json::Null) => true,
         Some(Json::Bool(b)) => *b,
@@ -235,6 +238,13 @@ fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
         opts,
         wait,
     })
+}
+
+/// `std::thread::available_parallelism`, read once per process: the most
+/// search threads one question may ask for.
+fn host_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn key_hex(key: u64) -> Json {
@@ -947,15 +957,46 @@ mod tests {
     fn kernel_is_not_a_request_field() {
         // once a 400 ("bad --kernel"), and `reference` once switched the
         // engine; the service now never reads the member
+        let plain = solve_request_from_json(&Json::parse(r#"{"spec": "trivial:1"}"#).unwrap());
         for kernel in ["reference", "turbo"] {
             let body = format!(r#"{{"spec": "trivial:1", "kernel": "{kernel}"}}"#);
             let req = solve_request_from_json(&Json::parse(&body).unwrap()).unwrap();
-            assert!(
-                format!("{:?}", req.opts).contains("kernel: Compiled"),
-                "{:?}",
-                req.opts
+            assert_eq!(
+                format!("{:?}", req.opts),
+                format!("{:?}", plain.as_ref().unwrap().opts)
             );
         }
+    }
+
+    /// `jobs` far past the core count (here 2^62, four times which
+    /// overflows `usize`) is clamped to the host's parallelism and changes
+    /// no byte of the answer.
+    #[test]
+    fn huge_jobs_is_clamped_and_answers_the_same_bytes() {
+        let body = r#"{"spec": "eps:1:3", "max_rounds": 1, "jobs": 4611686018427387904}"#;
+        let req = solve_request_from_json(&Json::parse(body).unwrap()).unwrap();
+        let clamped = SolveOptions::new()
+            .budget(1_000_000)
+            .jobs(host_parallelism());
+        assert_eq!(format!("{:?}", req.opts), format!("{clamped:?}"));
+        let (addr, handle) = start(&[]);
+        let (head, huge) = request(addr, "POST", "/solve", body);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        shutdown(addr, handle);
+        let (addr, handle) = start(&[]);
+        let (head, plain) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "eps:1:3", "max_rounds": 1}"#,
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        shutdown(addr, handle);
+        assert_eq!(huge.get("cached"), Some(&Json::Bool(false)), "{huge:?}");
+        assert_eq!(
+            huge.get("result").unwrap().to_string(),
+            plain.get("result").unwrap().to_string()
+        );
     }
 
     #[test]

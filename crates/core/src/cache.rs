@@ -5,9 +5,9 @@
 //! `δ : SDS^b(I) → O` either exists or it does not, and Lemma 3.3 pins the
 //! protocol complex the search runs on to the iterated standard chromatic
 //! subdivision — a canonical object with a deterministic construction.
-//! Because this repository's searches are additionally *engine-, strategy-,
-//! and thread-count-independent* (DESIGN.md §7/§8: the parallel split only
-//! cancels subtrees the sequential order would never have preferred), the
+//! Because this repository's search is additionally *thread-count-
+//! independent* (DESIGN.md §7: the parallel split only cancels subtrees
+//! the sequential order would never have preferred), the
 //! entire `(report, witness)` answer is content-addressable: two requests
 //! for the same `(task, max_rounds)` pair must receive bit-identical
 //! answers, no matter who computed them, when, or with how many threads.
@@ -134,8 +134,8 @@ pub fn finish_key(key_prefix: u64, max_rounds: usize) -> u64 {
 /// The task's JSON form is canonical (BTreeMap-ordered `Δ`, construction-
 /// ordered vertices), so structurally equal tasks collide on purpose — a
 /// task loaded from a file and the same task rebuilt from a library spec
-/// address the same record. Search options (budget, jobs, kernel, strategy)
-/// are deliberately **not** part of the key: they never change a decided
+/// address the same record. Search options (budget, jobs, timeout) are
+/// deliberately **not** part of the key: they never change a decided
 /// verdict or witness, only the time to find it.
 pub fn cache_key(task: &Task, max_rounds: usize) -> u64 {
     finish_key(key_prefix(task), max_rounds)
@@ -934,31 +934,34 @@ mod tests {
             }
         }
         for t in &tasks {
-            // the reference kernel grows its own labelled tower and never
-            // touches the memo: the unshared answer
-            let unshared = solve_up_to_opts(
-                t,
-                3,
-                &SolveOptions::new().kernel(crate::solvability::Kernel::Reference),
-            );
+            // the reference engine grows its own labelled tower and never
+            // touches the memo: its verdicts and witness are the unshared
+            // answer
             let keyed = KeyedTask::new(t.clone());
-            for report in [
+            let reports = [
                 solve_up_to_opts(t, 3, &SolveOptions::new()),
                 solve_keyed(&keyed, 3, &SolveOptions::new(), &mut HashMap::new()).report,
-            ] {
+            ];
+            for report in &reports {
+                for &(b, ok) in report.results() {
+                    let unshared = crate::reference::solve_mac(t, b, u64::MAX).unwrap();
+                    assert_eq!(unshared.is_some(), ok, "{} b={b}", t.name());
+                }
+                let w = report.witness().expect("ε-agreement is solvable");
+                let unshared = crate::reference::solve_mac(t, w.rounds(), u64::MAX);
                 assert_eq!(
-                    report_to_json(&report).to_string(),
-                    report_to_json(&unshared).to_string(),
+                    w.map().pairs(),
+                    unshared.unwrap().unwrap().pairs(),
                     "{}",
                     t.name()
                 );
-                let w = report.witness().expect("ε-agreement is solvable");
                 let own = iis_topology::sds_iterated(t.input(), w.rounds());
                 assert_eq!(w.tower().agrees_with(&own), Ok(()), "{}", t.name());
             }
+            let text = report_to_json(&reports[0]).to_string();
+            assert_eq!(report_to_json(&reports[1]).to_string(), text);
             // a stored record replays onto the shared skeleton, which is
             // the task's own `SDS^b(I)` with labels forgotten
-            let text = report_to_json(&unshared).to_string();
             let back = report_from_json(t, &Json::parse(&text).unwrap()).unwrap();
             let w = back.witness().unwrap();
             let own = iis_topology::sds_iterated(t.input(), w.rounds());

@@ -1,12 +1,12 @@
-//! The compiled CSP kernel for the Proposition 3.1 search.
+//! The compiled CSP kernel for the Proposition 3.1 search — the one
+//! search every solve path runs.
 //!
 //! [`crate::solvability`] decides wait-free solvability by searching for a
 //! color-preserving simplicial map `δ : SDS^b(I) → O` with
-//! `δ(s) ∈ Δ(carrier(s))` — a finite CSP. The *reference engine* (kept in
-//! `solvability.rs`, selectable with [`Kernel::Reference`]) represents
-//! domains as `Vec<VertexId>` and clones the whole domain vector at every
-//! search node. This module compiles the same CSP into flat, cache-friendly
-//! arrays and searches it without allocating on the hot path:
+//! `δ(s) ∈ Δ(carrier(s))` — a finite CSP. This module compiles that CSP
+//! into flat, cache-friendly arrays and searches it with maintained arc
+//! consistency (MAC), sequentially or split over `jobs` worker threads,
+//! without allocating on the hot path:
 //!
 //! - **Per-color candidate tables** (`OutputEncoder`): the output
 //!   vertices of each color, sorted ascending, give every variable a
@@ -33,56 +33,27 @@
 //!   a task contributes only its `Δ` tables (`TaskTables`, one per
 //!   class), resolved once per class instead of once per simplex.
 //!
-//! **Determinism.** The kernel preserves the reference engine's variable
-//! order (lowest index among smallest domains > 1), value order (ascending
-//! `VertexId`, which equals ascending bit index within a color universe),
-//! propagation queue discipline (LIFO with an in-queue flag, revisions in
-//! position order), and node-charging points (one charge per `backtrack`
-//! entry and per split expansion). Residues are a pure cache: they change
-//! which support is *found first*, never whether one exists. Verdicts,
-//! witnesses, and the `solve.nodes`/`solve.subtrees` accounting are
-//! therefore bit-identical to the reference engine at every thread count —
-//! enforced by the differential suites in `crates/core/tests/`.
+//! **Determinism.** The kernel preserves the MAC search of the reference
+//! engine ([`crate::reference`], a sequential test oracle that clones
+//! `Vec<VertexId>` domains at every node): its variable order (lowest
+//! index among smallest domains > 1), value order (ascending `VertexId`,
+//! which equals ascending bit index within a color universe), propagation
+//! queue discipline (LIFO with an in-queue flag, revisions in position
+//! order), and node-charging points (one charge per `backtrack` entry and
+//! per split expansion). Residues are a pure cache: they change which
+//! support is *found first*, never whether one exists. Sequential
+//! verdicts, witnesses, and `solve.nodes` accounting are therefore
+//! bit-identical to the oracle's, and the parallel search returns the
+//! sequential witness at every thread count (DESIGN.md §7) — enforced by
+//! the differential suites in `crates/core/tests/`.
 
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
-use crate::solvability::{
-    Halt, SearchCtx, SearchStrategy, SolveOptions, SOLVE_BACKTRACKS, SOLVE_NODES,
-    SOLVE_PROPAGATIONS, SOLVE_PRUNES,
-};
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
 use iis_topology::{Color, Complex, Simplex, SimplicialMap, VertexId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Which CSP engine runs the Proposition 3.1 search.
-///
-/// Both engines explore the same tree in the same order and return
-/// bit-identical verdicts, witnesses, and node accounting; they differ only
-/// in speed. The CLI exposes this as `--kernel compiled|reference`.
-///
-/// # Examples
-///
-/// ```
-/// use iis_core::solvability::{solve_at_opts, BoundedOutcome, Kernel, SolveOptions};
-/// use iis_tasks::library::consensus;
-///
-/// let task = consensus(1, &[0, 1]);
-/// for kernel in [Kernel::Compiled, Kernel::Reference] {
-///     let out = solve_at_opts(&task, 1, &SolveOptions::new().kernel(kernel));
-///     assert!(matches!(out, BoundedOutcome::Unsolvable)); // FLP, twice
-/// }
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Kernel {
-    /// The flat bitset kernel in this module — the default.
-    #[default]
-    Compiled,
-    /// The pointer-and-hash engine in `solvability.rs`, retained as the
-    /// differential-testing oracle and escape hatch.
-    Reference,
-}
 
 /// Per-color output-candidate tables: for each color of the output complex,
 /// its vertices in ascending `VertexId` order. A variable's domain is a
@@ -139,8 +110,9 @@ impl OutputEncoder {
 }
 
 /// One allowed-tuple table compiled to flat arrays, shared (via `Arc`)
-/// between every constraint with the same `(carrier, colors)` key and
-/// between both engines.
+/// between every constraint with the same `(carrier, colors)` key; the
+/// reference engine ([`crate::reference`]) compiles against the same
+/// tables.
 pub(crate) struct CompiledTable {
     /// The sorted, deduplicated allowed tuples of output vertices, in
     /// variable order, concatenated with stride `arity`. The reference
@@ -396,19 +368,6 @@ pub(crate) struct Skeleton {
 /// vertices' colors in vertex order — the key of its `Δ` table.
 type Class = (Box<[u32]>, Box<[Color]>);
 
-/// The constraint graph's two CSR indexes the search reads: for each
-/// vertex, the constraints containing it (in constraint order, as the
-/// reference engine pushes them), and the constraints whose highest
-/// vertex it is (the plain engine's closing lists). Built per search and
-/// dropped with it, so a memoized [`Skeleton`] keeps only what a witness
-/// check reads.
-struct Adjacency {
-    cont_off: Vec<u32>,
-    cont: Vec<u32>,
-    closing_off: Vec<u32>,
-    closing: Vec<u32>,
-}
-
 impl std::fmt::Debug for Skeleton {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Skeleton")
@@ -492,50 +451,120 @@ impl Skeleton {
             .map(|(carrier, colors)| cache.table(task, carrier, colors))
             .collect()
     }
-}
 
-impl Adjacency {
-    fn new(skel: &Skeleton) -> Adjacency {
-        let nv = skel.tower.complex().num_vertices();
-        let nc = skel.len();
-        let mut cont_off = vec![0u32; nv + 1];
-        for &v in &skel.cvar {
-            cont_off[v as usize + 1] += 1;
+    /// For each vertex, the constraints containing it, in constraint order
+    /// (as the reference engine pushes them), as CSR `(offsets, entries)`.
+    /// Built per search and dropped with it, so a memoized skeleton keeps
+    /// only what a witness check reads.
+    fn containing(&self) -> (Vec<u32>, Vec<u32>) {
+        let nv = self.tower.complex().num_vertices();
+        let mut off = vec![0u32; nv + 1];
+        for &v in &self.cvar {
+            off[v as usize + 1] += 1;
         }
         for i in 0..nv {
-            cont_off[i + 1] += cont_off[i];
+            off[i + 1] += off[i];
         }
-        let mut cursor = cont_off.clone();
-        let mut cont = vec![0u32; skel.cvar.len()];
-        for ci in 0..nc {
-            for &v in skel.verts(ci) {
+        let mut cursor = off.clone();
+        let mut cont = vec![0u32; self.cvar.len()];
+        for ci in 0..self.len() {
+            for &v in self.verts(ci) {
                 cont[cursor[v as usize] as usize] = ci as u32;
                 cursor[v as usize] += 1;
             }
         }
-        // constraints indexed by their highest variable (verts are
-        // sorted, so the last entry is the max)
-        let hi = |ci: usize| *skel.verts(ci).last().expect("non-empty constraint") as usize;
-        let mut closing_off = vec![0u32; nv + 1];
-        for ci in 0..nc {
-            closing_off[hi(ci) + 1] += 1;
-        }
-        for i in 0..nv {
-            closing_off[i + 1] += closing_off[i];
-        }
-        let mut cursor = closing_off.clone();
-        let mut closing = vec![0u32; nc];
-        for ci in 0..nc {
-            closing[cursor[hi(ci)] as usize] = ci as u32;
-            cursor[hi(ci)] += 1;
-        }
-        Adjacency {
-            cont_off,
-            cont,
-            closing_off,
-            closing,
+        (off, cont)
+    }
+}
+
+/// Why a search stopped before reaching a verdict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Halt {
+    /// The shared node budget ran out.
+    Budget,
+    /// A lower-indexed subtree already found the winning witness.
+    Cancelled,
+    /// The wall-clock deadline passed.
+    Timeout,
+}
+
+/// The search counters, resolved once per process rather than looked up
+/// in the registry on every compile.
+pub(crate) static SOLVE_NODES: StaticCounter = StaticCounter::new("solve.nodes");
+pub(crate) static SOLVE_BACKTRACKS: StaticCounter = StaticCounter::new("solve.backtracks");
+pub(crate) static SOLVE_PRUNES: StaticCounter = StaticCounter::new("solve.prunes");
+pub(crate) static SOLVE_PROPAGATIONS: StaticCounter = StaticCounter::new("solve.propagations");
+static SOLVE_SUBTREES: StaticCounter = StaticCounter::new("solve.subtrees");
+static SOLVE_CANCELLED: StaticCounter = StaticCounter::new("solve.cancelled");
+
+/// Per-worker search context: the shared budget, the optional wall-clock
+/// deadline, plus (in parallel runs) this worker's subtree index and the
+/// first-solution cell to poll.
+struct SearchCtx<'a> {
+    budget: &'a SharedBudget,
+    deadline: Option<std::time::Instant>,
+    /// Charges since construction, used to poll the clock only every 64th
+    /// node (clock reads are much slower than the atomic budget charge).
+    ticks: std::cell::Cell<u32>,
+    /// Successful charges through this context — the nodes this worker
+    /// (subtree) spent, attributed to its profile span.
+    spent: std::cell::Cell<u64>,
+    cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
+}
+
+impl<'a> SearchCtx<'a> {
+    /// A context charging `budget`, stopping at `deadline`, and (for
+    /// parallel workers) polling `cancel`.
+    fn new(
+        budget: &'a SharedBudget,
+        deadline: Option<std::time::Instant>,
+        cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
+    ) -> Self {
+        SearchCtx {
+            budget,
+            deadline,
+            ticks: std::cell::Cell::new(0),
+            spent: std::cell::Cell::new(0),
+            cancel,
         }
     }
+
+    /// Nodes charged successfully through this context.
+    fn spent(&self) -> u64 {
+        self.spent.get()
+    }
+
+    /// Charges one node, or reports why the search must stop. `solve.nodes`
+    /// is incremented iff the charge succeeds, so on exhaustion the counter
+    /// equals the budget consumed exactly — across all workers. The
+    /// deadline is polled on the first charge and every 64th thereafter.
+    fn charge(&self, nodes: &iis_obs::metrics::Counter) -> Result<(), Halt> {
+        if let Some((cell, index)) = self.cancel {
+            if cell.should_cancel(index) {
+                return Err(Halt::Cancelled);
+            }
+        }
+        if let Some(deadline) = self.deadline {
+            let t = self.ticks.get().wrapping_add(1);
+            self.ticks.set(t);
+            if t & 63 == 1 && std::time::Instant::now() >= deadline {
+                return Err(Halt::Timeout);
+            }
+        }
+        if !self.budget.try_charge() {
+            return Err(Halt::Budget);
+        }
+        self.spent.set(self.spent.get() + 1);
+        nodes.incr();
+        iis_obs::progress::charge_node();
+        Ok(())
+    }
+}
+
+/// `Some(now)` iff span profiling is on — the pattern every sampled phase
+/// uses so that a disabled profiler never reads the clock.
+pub(crate) fn profile_now() -> Option<std::time::Instant> {
+    iis_obs::profile::enabled().then(std::time::Instant::now)
 }
 
 /// The compiled CSP: a [`Skeleton`]'s constraints over bitword domains,
@@ -550,7 +579,9 @@ pub(crate) struct BitsetCsp<'s> {
     coff: &'s [u32],
     /// Per constraint: the kernel's view of its class's table.
     tables: Vec<Arc<SupportTable>>,
-    adj: Adjacency,
+    /// Per variable: the constraints containing it (CSR via `cont_off`).
+    cont_off: Vec<u32>,
+    cont: Vec<u32>,
     /// Per-position value range of every table (residue slots per
     /// constraint position).
     val_stride: usize,
@@ -622,8 +653,7 @@ impl BitsetCsp<'_> {
 
     /// The constraints containing variable `vi`.
     fn containing(&self, vi: usize) -> &[u32] {
-        let a = &self.adj;
-        &a.cont[a.cont_off[vi] as usize..a.cont_off[vi + 1] as usize]
+        &self.cont[self.cont_off[vi] as usize..self.cont_off[vi + 1] as usize]
     }
 
     fn dom_len(&self, dom: &[u64], vi: usize) -> u32 {
@@ -790,8 +820,8 @@ impl BitsetCsp<'_> {
     /// Complete backtracking with propagation (MAC), trail-undo instead of
     /// domain cloning. Same variable pick (lowest index among smallest
     /// domains > 1), same value order, same charging points as the
-    /// reference engine.
-    pub(crate) fn backtrack(
+    /// reference engine's MAC search.
+    fn backtrack(
         &self,
         st: &mut SearchState,
         ctx: &SearchCtx<'_>,
@@ -840,89 +870,17 @@ impl BitsetCsp<'_> {
         result
     }
 
-    /// `true` iff every constraint whose highest variable is `k` accepts
-    /// the assignment prefix `0..=k` (membership via the position-0 support
-    /// list — equivalent to the reference engine's table scan).
-    fn closing_ok(&self, assignment: &[u32], k: usize) -> bool {
-        let a = &self.adj;
-        let cs = &a.closing[a.closing_off[k] as usize..a.closing_off[k + 1] as usize];
-        'con: for &ci in cs {
-            let ci = ci as usize;
-            let t = self.support(ci);
-            let verts = self.verts(ci);
-            let first = assignment[verts[0] as usize];
-            for &ti in t.supports_of(0, first) {
-                let base = ti as usize * t.arity;
-                if verts
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &vj)| t.tuples[base + j] == assignment[vj as usize])
-                {
-                    continue 'con;
-                }
-            }
-            return false;
-        }
-        true
-    }
-
-    /// Chronological backtracking without propagation — the ablation
-    /// baseline, on the bitword domains. Domains are read-only here, so no
-    /// trail is needed.
-    pub(crate) fn backtrack_plain(
-        &self,
-        dom: &[u64],
-        ctx: &SearchCtx<'_>,
-    ) -> Result<Option<Vec<VertexId>>, Halt> {
-        fn rec(
-            csp: &BitsetCsp<'_>,
-            dom: &[u64],
-            assignment: &mut [u32],
-            k: usize,
-            ctx: &SearchCtx<'_>,
-        ) -> Result<bool, Halt> {
-            ctx.charge(&csp.nodes)?;
-            if k == csp.num_vars {
-                return Ok(true);
-            }
-            for wi in 0..csp.words {
-                let mut bits = dom[k * csp.words + wi];
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    assignment[k] = (wi * 64) as u32 + b;
-                    if csp.closing_ok(assignment, k) && rec(csp, dom, assignment, k + 1, ctx)? {
-                        return Ok(true);
-                    }
-                }
-            }
-            csp.backtracks.incr();
-            Ok(false)
-        }
-        let mut assignment = vec![0u32; self.num_vars];
-        match rec(self, dom, &mut assignment, 0, ctx)? {
-            true => Ok(Some(
-                assignment
-                    .iter()
-                    .enumerate()
-                    .map(|(vi, &val)| self.decode(vi, val))
-                    .collect(),
-            )),
-            false => Ok(None),
-        }
-    }
-
     /// Expands the root state breadth-first, in the sequential search's
     /// branching order, until at least `target` independent subtree states
-    /// exist (or the tree stops branching) — the same shape as the
-    /// reference engine's splitter, over domain-word snapshots. Subtree
-    /// roots are plain word vectors: a worker wraps one in a fresh
-    /// [`SearchState`] (empty trail) and searches in place.
+    /// exist (or the tree stops branching). The expansion performs the
+    /// same charge-pick-propagate steps the sequential search would, so
+    /// node accounting is unchanged. Subtree roots are plain domain-word
+    /// snapshots: a worker wraps one in a fresh [`SearchState`] (empty
+    /// trail) and searches in place.
     fn split(
         &self,
         root: Vec<u64>,
         target: usize,
-        strategy: SearchStrategy,
         ctx: &SearchCtx<'_>,
     ) -> Result<Vec<Vec<u64>>, Halt> {
         let mut scratch = self.new_state(vec![0u64; self.num_vars * self.words]);
@@ -940,59 +898,34 @@ impl BitsetCsp<'_> {
                     next.push(state);
                     continue;
                 }
-                match strategy {
-                    SearchStrategy::Mac => {
-                        let mut pick = None;
-                        let mut best = u32::MAX;
-                        for vi in 0..self.num_vars {
-                            let len = self.dom_len(&state, vi);
-                            if len > 1 && len < best {
-                                best = len;
-                                pick = Some(vi);
-                            }
-                        }
-                        let Some(vi) = pick else {
-                            next.push(state);
-                            continue;
-                        };
-                        ctx.charge(&self.nodes)?;
-                        expanded = true;
-                        let before = next.len();
-                        values.clear();
-                        self.push_values(&state, vi, &mut values);
-                        for &val in &values {
-                            scratch.dom.copy_from_slice(&state);
-                            scratch.trail.clear();
-                            self.assign(&mut scratch, vi, val);
-                            if self.propagate(&mut scratch, Some(vi)) {
-                                next.push(scratch.dom.clone());
-                            }
-                        }
-                        if next.len() == before {
-                            self.backtracks.incr();
-                        }
+                let mut pick = None;
+                let mut best = u32::MAX;
+                for vi in 0..self.num_vars {
+                    let len = self.dom_len(&state, vi);
+                    if len > 1 && len < best {
+                        best = len;
+                        pick = Some(vi);
                     }
-                    SearchStrategy::PlainBacktracking => {
-                        let Some(vi) = (0..self.num_vars).find(|&vi| self.dom_len(&state, vi) > 1)
-                        else {
-                            next.push(state);
-                            continue;
-                        };
-                        expanded = true;
-                        values.clear();
-                        self.push_values(&state, vi, &mut values);
-                        for &val in &values {
-                            let mut child = state.clone();
-                            for wi in 0..self.words {
-                                child[vi * self.words + wi] = if wi == (val as usize) / 64 {
-                                    1u64 << (val % 64)
-                                } else {
-                                    0
-                                };
-                            }
-                            next.push(child);
-                        }
+                }
+                let Some(vi) = pick else {
+                    next.push(state);
+                    continue;
+                };
+                ctx.charge(&self.nodes)?;
+                expanded = true;
+                let before = next.len();
+                values.clear();
+                self.push_values(&state, vi, &mut values);
+                for &val in &values {
+                    scratch.dom.copy_from_slice(&state);
+                    scratch.trail.clear();
+                    self.assign(&mut scratch, vi, val);
+                    if self.propagate(&mut scratch, Some(vi)) {
+                        next.push(scratch.dom.clone());
                     }
+                }
+                if next.len() == before {
+                    self.backtracks.incr();
                 }
             }
             if !expanded {
@@ -1010,10 +943,10 @@ impl BitsetCsp<'_> {
 /// representation, plus the initial domain words from the unary
 /// constraints: the skeleton's constraints, one per simplex in the
 /// reference tower's simplex order, so constraint indices (and with them
-/// the propagation order and every counter) match the reference
-/// `compile_csp`'s. Each class's table is resolved once through `tables`.
-/// `None` means a constraint admits no tuple or a domain starts empty —
-/// provably unsolvable, exactly as in the reference `compile_csp`.
+/// the propagation order and every counter) match the reference engine's
+/// ([`crate::reference`]). Each class's table is resolved once through
+/// `tables`. `None` means a constraint admits no tuple or a domain starts
+/// empty — provably unsolvable, exactly as in the reference compile.
 pub(crate) fn compile<'s>(
     task: &Task,
     skel: &'s Skeleton,
@@ -1029,6 +962,7 @@ pub(crate) fn compile<'s>(
     let class_support: Vec<Arc<SupportTable>> =
         class_tables.iter().map(|t| t.support(&encoder)).collect();
     let words = encoder.words;
+    let (cont_off, cont) = skel.containing();
     // initial domains from the unary (vertex) constraints
     let mut dom = vec![0u64; nv * words];
     for ci in 0..skel.len() {
@@ -1060,7 +994,8 @@ pub(crate) fn compile<'s>(
         tables: (0..skel.len())
             .map(|ci| Arc::clone(&class_support[skel.class(ci)]))
             .collect(),
-        adj: Adjacency::new(skel),
+        cont_off,
+        cont,
         val_stride: encoder.val_stride(),
         var_color,
         encoder,
@@ -1072,19 +1007,18 @@ pub(crate) fn compile<'s>(
     Some((csp, dom))
 }
 
-/// The kernel's search entry: compile, propagate the root, then search —
-/// sequentially or via the parallel splitter. The control flow mirrors the
-/// reference engine's `search_map` line by line.
+/// The search entry: compile, propagate the root, then run MAC —
+/// sequentially, or split over `jobs` workers.
 pub(crate) fn search_map(
     task: &Task,
     skel: &Skeleton,
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
-    opts: &SolveOptions,
+    jobs: usize,
     tables: &TaskTables,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
-    let compile_t0 = crate::solvability::profile_now();
+    let compile_t0 = profile_now();
     let compiled = compile(task, skel, tables);
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
@@ -1092,10 +1026,19 @@ pub(crate) fn search_map(
     let Some((csp, root)) = compiled else {
         return Ok(None);
     };
-    let ctx = SearchCtx::new(budget, deadline, None);
-    // mirrors the reference engine: one sampled `search` leaf under the
-    // round, recorded even when the search halts mid-tree
-    let sample_search = |ctx: &SearchCtx<'_>, t0: Option<std::time::Instant>| {
+    let mut st = csp.new_state(root);
+    if !csp.propagate(&mut st, None) {
+        return Ok(None);
+    }
+    let assignment = if jobs > 1 {
+        search_parallel(&csp, st.dom, budget, deadline, jobs, round)?
+    } else {
+        let ctx = SearchCtx::new(budget, deadline, None);
+        let t0 = profile_now();
+        let found = csp.backtrack(&mut st, &ctx);
+        // one sampled `search` leaf under the round, recorded even when the
+        // search halts mid-tree, so truncated rounds still show up in the
+        // flamegraph
         if let Some(t0) = t0 {
             iis_obs::profile::sample_under(
                 round,
@@ -1105,32 +1048,7 @@ pub(crate) fn search_map(
                 t0.elapsed().as_nanos() as u64,
             );
         }
-    };
-    let assignment = match opts.strategy {
-        SearchStrategy::Mac => {
-            let mut st = csp.new_state(root);
-            if !csp.propagate(&mut st, None) {
-                return Ok(None);
-            }
-            if opts.jobs > 1 {
-                search_parallel(&csp, st.dom, budget, deadline, opts, round)?
-            } else {
-                let t0 = crate::solvability::profile_now();
-                let found = csp.backtrack(&mut st, &ctx);
-                sample_search(&ctx, t0);
-                found?
-            }
-        }
-        SearchStrategy::PlainBacktracking => {
-            if opts.jobs > 1 {
-                search_parallel(&csp, root, budget, deadline, opts, round)?
-            } else {
-                let t0 = crate::solvability::profile_now();
-                let found = csp.backtrack_plain(&root, &ctx);
-                sample_search(&ctx, t0);
-                found?
-            }
-        }
+        found?
     };
     Ok(assignment.map(|a| {
         SimplicialMap::from_pairs(
@@ -1141,21 +1059,22 @@ pub(crate) fn search_map(
     }))
 }
 
-/// Parallel search over kernel subtree snapshots: split in sequential
-/// depth-first order, run on the work-stealing pool, lowest-indexed witness
-/// wins (DESIGN.md §7 — unchanged by the kernel; only the subtree state
-/// representation differs).
+/// Parallel search over subtree snapshots: split into about `4 × jobs`
+/// subtrees in sequential depth-first order, run them on the
+/// work-stealing pool, and let the lowest-indexed witness win; only
+/// higher-indexed subtrees are cancelled, so the outcome is the
+/// sequential one at any thread count (DESIGN.md §7).
 fn search_parallel(
     csp: &BitsetCsp<'_>,
     root: Vec<u64>,
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
-    opts: &SolveOptions,
+    jobs: usize,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<Vec<VertexId>>, Halt> {
     let splitter = SearchCtx::new(budget, deadline, None);
-    let split_t0 = crate::solvability::profile_now();
-    let subtrees = csp.split(root, opts.jobs * 4, opts.strategy, &splitter);
+    let split_t0 = profile_now();
+    let subtrees = csp.split(root, jobs.saturating_mul(4), &splitter);
     if let Some(t0) = split_t0 {
         iis_obs::profile::sample_under(
             round,
@@ -1166,19 +1085,13 @@ fn search_parallel(
         );
     }
     let subtrees = subtrees?;
-    iis_obs::metrics::add("solve.subtrees", subtrees.len() as u64);
+    SOLVE_SUBTREES.add(subtrees.len() as u64);
     iis_obs::progress::set_subtrees(subtrees.len() as u64);
     let cell: FirstWins<Vec<VertexId>> = FirstWins::new();
-    let verdicts = run_pool(subtrees, opts.jobs, |index, dom| {
+    let verdicts = run_pool(subtrees, jobs, |index, dom| {
         let ctx = SearchCtx::new(budget, deadline, Some((&cell, index)));
-        let t0 = crate::solvability::profile_now();
-        let found = match opts.strategy {
-            SearchStrategy::Mac => {
-                let mut st = csp.new_state(dom);
-                csp.backtrack(&mut st, &ctx)
-            }
-            SearchStrategy::PlainBacktracking => csp.backtrack_plain(&dom, &ctx),
-        };
+        let t0 = profile_now();
+        let found = csp.backtrack(&mut csp.new_state(dom), &ctx);
         if let Some(t0) = t0 {
             let subtree = iis_obs::profile::register(round, &format!("subtree:{index}"));
             iis_obs::profile::sample_under(
@@ -1203,7 +1116,7 @@ fn search_parallel(
         .iter()
         .filter(|v| **v == Err(Halt::Cancelled))
         .count();
-    iis_obs::metrics::add("solve.cancelled", cancelled as u64);
+    SOLVE_CANCELLED.add(cancelled as u64);
     match cell.take() {
         Some((_, solution)) => Ok(Some(solution)),
         None if verdicts.contains(&Err(Halt::Timeout)) => Err(Halt::Timeout),

@@ -8,7 +8,9 @@
 //! - [`protocol_complex`] — Lemmas 3.2/3.3 as executable checks: the
 //!   protocol complexes *are* the iterated standard chromatic subdivisions;
 //! - [`solvability`] — Proposition 3.1 as a complete decision procedure for
-//!   fixed round counts: find or refute decision maps `SDS^b(I) → O`;
+//!   fixed round counts: find or refute decision maps `SDS^b(I) → O`, on
+//!   the compiled search kernel [`csp`]; [`reference`](mod@reference) is the kernel's
+//!   sequential test oracle;
 //! - [`bounded`] — Lemma 3.1: minimal and effective round bounds;
 //! - [`convergence`] — §5: Theorem 5.1 witnesses, chromatic simplex
 //!   agreement protocols, and the direct path-bisection convergence
@@ -50,13 +52,14 @@ pub mod emulation;
 pub mod parallel;
 pub mod protocol_complex;
 pub mod protocols;
+pub mod reference;
 pub mod solvability;
 
 pub use cache::{cache_key, solve_up_to_cached, CachedSolve, SolveCache};
 pub use concurrent::run_atomic_concurrent;
 pub use emulation::{run_emulation_concurrent, EmulationStats, EmulatorMachine, Tuple, TupleSet};
 pub use solvability::{
-    lift_decision_map, solve_at, solve_at_bounded, solve_at_opts, solve_at_with, solve_up_to,
-    solve_up_to_opts, BoundedOutcome, DecisionMap, DecisionProtocol, Kernel, SearchStrategy,
-    SolvabilityReport, SolveOptions, Solver, WitnessIndex,
+    lift_decision_map, solve_at, solve_at_bounded, solve_at_opts, solve_up_to, solve_up_to_opts,
+    BoundedOutcome, DecisionMap, DecisionProtocol, SolvabilityReport, SolveOptions, Solver,
+    WitnessIndex,
 };

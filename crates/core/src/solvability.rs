@@ -14,16 +14,17 @@
 //! carrier), one constraint per simplex (the image must extend to a tuple
 //! in `Δ` of the simplex's carrier). We run generalized arc consistency to
 //! a fixpoint, then backtrack with propagation — complete for both
-//! solvable and unsolvable instances.
+//! solvable and unsolvable instances. The search runs on the compiled
+//! kernel in [`crate::csp`]; [`crate::reference`] keeps a second,
+//! sequential engine as its test oracle.
 
 use crate::cache::{build_skeleton, keep_skeleton, memoized_skeleton, shape_key};
-pub use crate::csp::Kernel;
-use crate::csp::{CompiledTable, ConstraintCache, Skeleton, TaskTables};
-use crate::parallel::{run_pool, FirstWins, SharedBudget};
+use crate::csp::{profile_now, Halt, Skeleton, TaskTables};
+use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::{arena_sds_tower, ArenaSds};
-use iis_topology::{sds_next, Color, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
+use iis_topology::{Complex, Simplex, SimplicialMap, Subdivision, VertexId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -295,55 +296,11 @@ pub enum BoundedOutcome {
 /// ));
 /// ```
 pub fn solve_at_bounded(task: &Task, b: usize, max_nodes: u64) -> BoundedOutcome {
-    solve_at_with(task, b, max_nodes, SearchStrategy::Mac)
+    solve_at_opts(task, b, &SolveOptions::new().budget(max_nodes))
 }
 
-/// The search algorithm used by the decision procedure — exposed for the
-/// ablation benchmark (DESIGN.md §5).
-///
-/// # Examples
-///
-/// Both strategies are complete, so they always agree on the verdict:
-///
-/// ```
-/// use iis_core::solvability::{solve_at_with, BoundedOutcome, SearchStrategy};
-/// use iis_tasks::library::consensus;
-///
-/// let task = consensus(1, &[0, 1]);
-/// for strategy in [SearchStrategy::Mac, SearchStrategy::PlainBacktracking] {
-///     assert!(matches!(
-///         solve_at_with(&task, 1, u64::MAX, strategy),
-///         BoundedOutcome::Unsolvable
-///     ));
-/// }
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SearchStrategy {
-    /// Maintaining (generalized) arc consistency during backtracking — the
-    /// default, and dramatically faster on refutations.
-    #[default]
-    Mac,
-    /// Chronological backtracking with constraint checks only — the naive
-    /// baseline.
-    PlainBacktracking,
-}
-
-/// [`solve_at_bounded`] with an explicit [`SearchStrategy`].
-pub fn solve_at_with(
-    task: &Task,
-    b: usize,
-    max_nodes: u64,
-    strategy: SearchStrategy,
-) -> BoundedOutcome {
-    solve_at_opts(
-        task,
-        b,
-        &SolveOptions::new().budget(max_nodes).strategy(strategy),
-    )
-}
-
-/// Configuration of a decision-map search: node budget, algorithm, and
-/// degree of parallelism.
+/// Configuration of a decision-map search: node budget, degree of
+/// parallelism, and wall-clock timeout.
 ///
 /// The default is an unbounded sequential MAC search — exactly
 /// [`solve_at`]'s behavior.
@@ -370,9 +327,7 @@ pub fn solve_at_with(
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     pub(crate) max_nodes: u64,
-    pub(crate) strategy: SearchStrategy,
     pub(crate) jobs: usize,
-    pub(crate) kernel: Kernel,
     pub(crate) timeout: Option<std::time::Duration>,
 }
 
@@ -380,16 +335,14 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             max_nodes: u64::MAX,
-            strategy: SearchStrategy::Mac,
             jobs: 1,
-            kernel: Kernel::Compiled,
             timeout: None,
         }
     }
 }
 
 impl SolveOptions {
-    /// Unbounded, sequential, MAC.
+    /// Unbounded, sequential, no timeout.
     pub fn new() -> Self {
         Self::default()
     }
@@ -401,12 +354,6 @@ impl SolveOptions {
         self
     }
 
-    /// Selects the search algorithm.
-    pub fn strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Distributes the search over up to `jobs` worker threads (`0` and `1`
     /// both mean sequential). Verdicts and witnesses do not depend on this
     /// value; only wall-clock time does.
@@ -415,16 +362,8 @@ impl SolveOptions {
         self
     }
 
-    /// Selects the CSP engine ([`Kernel::Compiled`] by default). Verdicts,
-    /// witnesses, and node accounting do not depend on this value; only
-    /// speed does.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Gives up after `timeout` of wall-clock time
-    /// ([`BoundedOutcome::TimedOut`]). Both kernels poll the clock in their
+    /// ([`BoundedOutcome::TimedOut`]). The search polls the clock in its
     /// node loop (every 64 budget charges), so the search stops promptly
     /// even deep inside a subtree. Like the node budget, the timeout applies
     /// **per round**; a timed-out round is inconclusive, not `Unsolvable`.
@@ -435,91 +374,62 @@ impl SolveOptions {
 }
 
 /// [`solve_at_bounded`] with full [`SolveOptions`] control (budget,
-/// strategy, and parallelism).
+/// parallelism, and timeout).
 pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutcome {
     let shape = shape_key(task.input());
-    let mut tower = Tower::base(task.input(), shape, opts.kernel);
+    let mut skel = base_skeleton(task.input(), shape);
     for level in 1..=b {
-        tower = tower.next(task.input(), shape, level);
+        skel = next_skeleton(&skel, task.input(), shape, level);
     }
-    solve_on(task, &tower, shape, b, opts, &TaskTables::default())
+    solve_on(task, &skel, shape, b, opts, &TaskTables::default())
 }
 
-/// The `SDS^b(I)` a round searches. The compiled kernel searches the
-/// label-free constraint skeleton, taken from the process-wide memo
-/// ([`crate::cache`]) when some witness already lives on it, and hands it
-/// to its witness — memoizing it then, and only then; [`Kernel::Reference`]
-/// keeps a `Subdivision` tower grown by the reference builder, so the
-/// differential oracle shares no tower code with the kernel it checks.
-enum Tower {
-    Arena(Arc<Skeleton>),
-    Reference(Arc<Subdivision>),
+/// The constraint skeleton of `SDS^0(I) = I`, where `shape` is
+/// [`shape_key`] of `input`: taken from the process-wide memo
+/// ([`crate::cache`]) when some witness already lives on it, else built.
+fn base_skeleton(input: &Complex, shape: u64) -> Arc<Skeleton> {
+    memoized_skeleton(input, shape, 0).unwrap_or_else(|| build_skeleton(arena_sds_tower(input, 0)))
 }
 
-impl Tower {
-    /// `SDS^0(I) = I` in `kernel`'s representation; `shape` is
-    /// [`shape_key`] of `input`.
-    fn base(input: &Complex, shape: u64, kernel: Kernel) -> Tower {
-        match kernel {
-            Kernel::Compiled => Tower::Arena(
-                memoized_skeleton(input, shape, 0)
-                    .unwrap_or_else(|| build_skeleton(arena_sds_tower(input, 0))),
-            ),
-            Kernel::Reference => Tower::Reference(Arc::new(Subdivision::identity(input.clone()))),
-        }
+/// The skeleton of `SDS^level(I)` from `skel`, that of `SDS^{level-1}(I)`:
+/// the memoized one of `(shape, level)`, or on a miss one subdivision of
+/// `skel`'s tower (Lemma 3.3), not memoized — a witness found on it
+/// memoizes it then, and only then. A level actually built counts
+/// `sds.builds`, `sds.facets` and `sds.vertices` as the reference builder
+/// counts its own; an `sds.level` trace event is emitted either way.
+fn next_skeleton(skel: &Skeleton, input: &Complex, shape: u64, level: usize) -> Arc<Skeleton> {
+    let next = memoized_skeleton(input, shape, level).unwrap_or_else(|| {
+        let next = skel.tower().next();
+        let c = next.complex();
+        static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
+        static FACETS: StaticCounter = StaticCounter::new("sds.facets");
+        static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
+        BUILDS.incr();
+        FACETS.add(c.num_facets() as u64);
+        VERTICES.add(c.num_vertices() as u64);
+        build_skeleton(next)
+    });
+    if iis_obs::trace::active() {
+        let c = next.tower().complex();
+        iis_obs::trace::event(
+            "sds.level",
+            "sds.level",
+            &[
+                ("level", iis_obs::Json::Num(level as f64)),
+                ("facets", iis_obs::Json::Num(c.num_facets() as f64)),
+                ("vertices", iis_obs::Json::Num(c.num_vertices() as f64)),
+            ],
+        );
     }
-
-    /// `SDS^level(I)` from this `SDS^{level-1}(I)`: for the compiled
-    /// kernel, the memoized skeleton of `(shape, level)`, or on a miss one
-    /// subdivision of this level's tower (Lemma 3.3), not memoized. An arena
-    /// level actually built counts `sds.builds`, `sds.facets` and
-    /// `sds.vertices` as the reference builder counts its own; either
-    /// kind emits an `sds.level` trace event, built or found.
-    fn next(&self, input: &Complex, shape: u64, level: usize) -> Tower {
-        let (next, facets, vertices) = match self {
-            Tower::Arena(skel) => {
-                let next = memoized_skeleton(input, shape, level).unwrap_or_else(|| {
-                    let next = skel.tower().next();
-                    let c = next.complex();
-                    static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
-                    static FACETS: StaticCounter = StaticCounter::new("sds.facets");
-                    static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
-                    BUILDS.incr();
-                    FACETS.add(c.num_facets() as u64);
-                    VERTICES.add(c.num_vertices() as u64);
-                    build_skeleton(next)
-                });
-                let c = next.tower().complex();
-                let (f, v) = (c.num_facets(), c.num_vertices());
-                (Tower::Arena(next), f, v)
-            }
-            Tower::Reference(sub) => {
-                let next = sds_next(sub);
-                let (f, v) = (next.complex().num_facets(), next.complex().num_vertices());
-                (Tower::Reference(Arc::new(next)), f, v)
-            }
-        };
-        if iis_obs::trace::active() {
-            iis_obs::trace::event(
-                "sds.level",
-                "sds.level",
-                &[
-                    ("level", iis_obs::Json::Num(level as f64)),
-                    ("facets", iis_obs::Json::Num(facets as f64)),
-                    ("vertices", iis_obs::Json::Num(vertices as f64)),
-                ],
-            );
-        }
-        next
-    }
+    next
 }
 
-/// The shared per-round body: search `tower` (= `SDS^b(I)`, of input shape
-/// `shape`) under `opts`, with instrumentation. An arena level a witness is
-/// found on is memoized for the witness checks (and searches) to come.
+/// The shared per-round body: search `skel` (= `SDS^b(I)`, of input shape
+/// `shape`) under `opts`, with instrumentation. A level a witness is found
+/// on is memoized for the witness checks (and searches) to come.
 fn solve_on(
     task: &Task,
-    tower: &Tower,
+    skel: &Arc<Skeleton>,
     shape: u64,
     b: usize,
     opts: &SolveOptions,
@@ -534,7 +444,8 @@ fn solve_on(
     let profile_t0 = profile_now();
     let budget = SharedBudget::new(opts.max_nodes);
     let deadline = opts.timeout.map(|t| std::time::Instant::now() + t);
-    let result = search_map(task, tower, &budget, deadline, opts, tables, round_span);
+    let result =
+        crate::csp::search_map(task, skel, &budget, deadline, opts.jobs, tables, round_span);
     if let Some(t0) = profile_t0 {
         iis_obs::profile::sample(
             round_span,
@@ -575,21 +486,11 @@ fn solve_on(
     }
     drop(timer);
     match result {
-        Ok(Some(map)) => BoundedOutcome::Solvable(Box::new(match tower {
-            Tower::Arena(skel) => {
-                debug_assert!(check_decision_map(task, skel, tables, &map).is_ok());
-                keep_skeleton(shape, b, skel);
-                DecisionMap::new(Arc::clone(skel.tower()), map)
-            }
-            Tower::Reference(sub) => {
-                debug_assert!(validate_decision_map(task, sub, &map).is_ok());
-                // the oracle grew its own tower; its witness goes out on
-                // the arena one, whose ids are the same
-                let tower = arena_sds_tower(task.input(), b);
-                debug_assert_eq!(tower.agrees_with(sub), Ok(()));
-                DecisionMap::new(Arc::new(tower), map)
-            }
-        })),
+        Ok(Some(map)) => {
+            debug_assert!(check_decision_map(task, skel, tables, &map).is_ok());
+            keep_skeleton(shape, b, skel);
+            BoundedOutcome::Solvable(Box::new(DecisionMap::new(Arc::clone(skel.tower()), map)))
+        }
         Ok(None) => BoundedOutcome::Unsolvable,
         Err(Halt::Timeout) => BoundedOutcome::TimedOut,
         Err(_) => BoundedOutcome::Exhausted,
@@ -600,8 +501,7 @@ fn solve_on(
 /// decides one more round count, taking `SDS^{b+1}(I)` from the
 /// process-wide skeleton memo or, on a miss, extending `SDS^b(I)` by a
 /// *single* subdivision (Lemma 3.3 via
-/// [`ArenaSds::next`](iis_topology::arena::ArenaSds::next), or
-/// [`iis_topology::sds_next`] for [`Kernel::Reference`]) and reusing
+/// [`ArenaSds::next`](iis_topology::arena::ArenaSds::next)) and reusing
 /// compiled constraint tables whose carriers are unchanged — instead of
 /// rebuilding everything from scratch per round the way repeated
 /// [`solve_at`] calls would.
@@ -624,7 +524,7 @@ pub struct Solver<'t> {
     task: &'t Task,
     opts: SolveOptions,
     shape: u64,
-    tower: Tower,
+    skel: Arc<Skeleton>,
     b: usize,
     started: bool,
     tables: Tables<'t>,
@@ -649,7 +549,7 @@ impl<'t> Solver<'t> {
             task,
             opts,
             shape,
-            tower: Tower::base(task.input(), shape, opts.kernel),
+            skel: base_skeleton(task.input(), shape),
             b: 0,
             started: false,
             tables,
@@ -666,7 +566,7 @@ impl<'t> Solver<'t> {
     pub fn step(&mut self) -> BoundedOutcome {
         if self.started {
             self.b += 1;
-            self.tower = self.tower.next(self.task.input(), self.shape, self.b);
+            self.skel = next_skeleton(&self.skel, self.task.input(), self.shape, self.b);
         } else {
             self.started = true;
         }
@@ -675,12 +575,7 @@ impl<'t> Solver<'t> {
             Tables::Shared(t) => t,
         };
         solve_on(
-            self.task,
-            &self.tower,
-            self.shape,
-            self.b,
-            &self.opts,
-            tables,
+            self.task, &self.skel, self.shape, self.b, &self.opts, tables,
         )
     }
 }
@@ -736,17 +631,6 @@ fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
         results,
         witness,
     }
-}
-
-/// One constraint of the *reference engine*: a simplex of the subdivision,
-/// compiled to its vertex list and the shared [`CompiledTable`] whose
-/// `allowed` chunks are the legal image tuples (the restrictions of
-/// `Δ(carrier)` to the simplex's colors, aligned positionally with the
-/// vertex list). The table cache itself lives in [`crate::csp`] and is
-/// shared with the compiled kernel.
-struct Constraint {
-    verts: Vec<VertexId>,
-    table: Arc<CompiledTable>,
 }
 
 /// Lifts a decision map one round up: `δ ∘ forget` on `SDS^{b+1}(I)`,
@@ -903,539 +787,6 @@ impl iis_sched::IisMachine for DecisionProtocol {
     }
 }
 
-/// The search counters both engines charge, resolved once per process
-/// rather than looked up in the registry on every compile.
-pub(crate) static SOLVE_NODES: StaticCounter = StaticCounter::new("solve.nodes");
-pub(crate) static SOLVE_BACKTRACKS: StaticCounter = StaticCounter::new("solve.backtracks");
-pub(crate) static SOLVE_PRUNES: StaticCounter = StaticCounter::new("solve.prunes");
-pub(crate) static SOLVE_PROPAGATIONS: StaticCounter = StaticCounter::new("solve.propagations");
-
-/// The CSP engine: variables = subdivision vertices, constraints = simplex
-/// carriers with precompiled allowed tuples.
-struct Csp {
-    constraints: Vec<Constraint>,
-    /// For each vertex, the indices of constraints containing it.
-    containing: Vec<Vec<usize>>,
-    /// Search nodes charged against the budget (`solve.nodes`).
-    nodes: iis_obs::metrics::Counter,
-    /// Dead ends where every candidate failed (`solve.backtracks`).
-    backtracks: iis_obs::metrics::Counter,
-    /// Domain values removed by propagation (`solve.prunes`).
-    prunes: iis_obs::metrics::Counter,
-    /// Constraint revisions performed (`solve.propagations`).
-    propagations: iis_obs::metrics::Counter,
-}
-
-/// Why a search stopped before reaching a verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Halt {
-    /// The shared node budget ran out.
-    Budget,
-    /// A lower-indexed subtree already found the winning witness.
-    Cancelled,
-    /// The wall-clock deadline passed.
-    Timeout,
-}
-
-/// Per-worker search context: the shared budget, the optional wall-clock
-/// deadline, plus (in parallel runs) this worker's subtree index and the
-/// first-solution cell to poll. Shared by both engines so the charging
-/// discipline is identical.
-pub(crate) struct SearchCtx<'a> {
-    pub(crate) budget: &'a SharedBudget,
-    deadline: Option<std::time::Instant>,
-    /// Charges since construction, used to poll the clock only every 64th
-    /// node (clock reads are much slower than the atomic budget charge).
-    ticks: std::cell::Cell<u32>,
-    /// Successful charges through this context — the nodes this worker
-    /// (subtree) spent, attributed to its profile span.
-    spent: std::cell::Cell<u64>,
-    pub(crate) cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
-}
-
-impl<'a> SearchCtx<'a> {
-    /// A context charging `budget`, stopping at `deadline`, and (for
-    /// parallel workers) polling `cancel`.
-    pub(crate) fn new(
-        budget: &'a SharedBudget,
-        deadline: Option<std::time::Instant>,
-        cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
-    ) -> Self {
-        SearchCtx {
-            budget,
-            deadline,
-            ticks: std::cell::Cell::new(0),
-            spent: std::cell::Cell::new(0),
-            cancel,
-        }
-    }
-
-    /// Nodes charged successfully through this context.
-    pub(crate) fn spent(&self) -> u64 {
-        self.spent.get()
-    }
-
-    /// Charges one node, or reports why the search must stop. `solve.nodes`
-    /// is incremented iff the charge succeeds, so on exhaustion the counter
-    /// equals the budget consumed exactly — across all workers. The
-    /// deadline is polled on the first charge and every 64th thereafter.
-    pub(crate) fn charge(&self, nodes: &iis_obs::metrics::Counter) -> Result<(), Halt> {
-        if let Some((cell, index)) = self.cancel {
-            if cell.should_cancel(index) {
-                return Err(Halt::Cancelled);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            let t = self.ticks.get().wrapping_add(1);
-            self.ticks.set(t);
-            if t & 63 == 1 && std::time::Instant::now() >= deadline {
-                return Err(Halt::Timeout);
-            }
-        }
-        if !self.budget.try_charge() {
-            return Err(Halt::Budget);
-        }
-        self.spent.set(self.spent.get() + 1);
-        nodes.incr();
-        iis_obs::progress::charge_node();
-        Ok(())
-    }
-}
-
-/// `Some(now)` iff span profiling is on — the pattern every sampled phase
-/// uses so that a disabled profiler never reads the clock.
-pub(crate) fn profile_now() -> Option<std::time::Instant> {
-    iis_obs::profile::enabled().then(std::time::Instant::now)
-}
-
-/// Compiles the CSP for `sub`: per-simplex constraints with allowed-tuple
-/// tables (via `cache`) and initial domains from the unary constraints.
-/// `None` means a constraint admits no tuple — provably unsolvable.
-fn compile_csp(
-    task: &Task,
-    sub: &Subdivision,
-    cache: &mut ConstraintCache,
-) -> Option<(Csp, Vec<Vec<VertexId>>)> {
-    let c = sub.complex();
-    let nv = c.num_vertices();
-    // Compile constraints: for every simplex, the allowed image tuples.
-    // A color-preserving image of a simplex with distinct colors is a
-    // same-size tuple, and it extends to Δ(carrier) iff it equals the
-    // restriction of some allowed output tuple to the simplex's colors.
-    let mut constraints: Vec<Constraint> = Vec::new();
-    let mut empty_table = false;
-    c.for_each_simplex(|s| {
-        if empty_table {
-            return;
-        }
-        let verts: Vec<VertexId> = s.iter().collect();
-        let colors: Vec<Color> = verts.iter().map(|&v| c.color(v)).collect();
-        let carrier: Vec<u32> = sub.carrier_of_simplex(s).iter().map(|u| u.0).collect();
-        let table = cache.table(task, &carrier, &colors);
-        if table.is_empty() {
-            empty_table = true;
-            return;
-        }
-        constraints.push(Constraint { verts, table });
-    });
-    if empty_table {
-        return None;
-    }
-    let mut containing: Vec<Vec<usize>> = vec![Vec::new(); nv];
-    for (i, con) in constraints.iter().enumerate() {
-        for &v in &con.verts {
-            containing[v.index()].push(i);
-        }
-    }
-    // initial domains from the unary (vertex) constraints
-    let mut domains: Vec<Vec<VertexId>> = vec![Vec::new(); nv];
-    for con in &constraints {
-        if con.verts.len() == 1 {
-            let v = con.verts[0];
-            let mut dom: Vec<VertexId> = con.table.tuples().map(|t| t[0]).collect();
-            dom.sort();
-            dom.dedup();
-            domains[v.index()] = dom;
-        }
-    }
-    if domains.iter().any(Vec::is_empty) {
-        return None;
-    }
-    let csp = Csp {
-        constraints,
-        containing,
-        nodes: SOLVE_NODES.counter(),
-        backtracks: SOLVE_BACKTRACKS.counter(),
-        prunes: SOLVE_PRUNES.counter(),
-        propagations: SOLVE_PROPAGATIONS.counter(),
-    };
-    Some((csp, domains))
-}
-
-/// Dispatches the search to the engine that owns `tower`. Both paths
-/// explore the same tree in the same order; see [`crate::csp`] for the
-/// determinism argument.
-fn search_map(
-    task: &Task,
-    tower: &Tower,
-    budget: &SharedBudget,
-    deadline: Option<std::time::Instant>,
-    opts: &SolveOptions,
-    tables: &TaskTables,
-    round: iis_obs::profile::SpanId,
-) -> Result<Option<SimplicialMap>, Halt> {
-    let sub = match tower {
-        Tower::Arena(skel) => {
-            return crate::csp::search_map(task, skel, budget, deadline, opts, tables, round)
-        }
-        Tower::Reference(sub) => sub,
-    };
-    let compile_t0 = profile_now();
-    let compiled = compile_csp(task, sub, &mut tables.lock());
-    if let Some(t0) = compile_t0 {
-        iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
-    }
-    let Some((csp, mut domains)) = compiled else {
-        return Ok(None);
-    };
-    let ctx = SearchCtx::new(budget, deadline, None);
-    // sequential searches sample one `search` leaf under the round; the
-    // sample is recorded even when the search halts (timeout/budget), so
-    // truncated rounds still show up in the flamegraph
-    let sample_search = |ctx: &SearchCtx<'_>, t0: Option<std::time::Instant>| {
-        if let Some(t0) = t0 {
-            iis_obs::profile::sample_under(
-                round,
-                "search",
-                2,
-                ctx.spent(),
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-    };
-    let assignment = match opts.strategy {
-        SearchStrategy::Mac => {
-            if !csp.propagate(&mut domains, None) {
-                return Ok(None);
-            }
-            if opts.jobs > 1 {
-                search_parallel(&csp, domains, budget, deadline, opts, round)?
-            } else {
-                let t0 = profile_now();
-                let found = csp.backtrack(domains, &ctx);
-                sample_search(&ctx, t0);
-                found?
-            }
-        }
-        SearchStrategy::PlainBacktracking => {
-            if opts.jobs > 1 {
-                search_parallel(&csp, domains, budget, deadline, opts, round)?
-            } else {
-                let t0 = profile_now();
-                let found = csp.backtrack_plain(&domains, &ctx);
-                sample_search(&ctx, t0);
-                found?
-            }
-        }
-    };
-    Ok(assignment.map(|a| {
-        SimplicialMap::from_pairs(
-            a.into_iter()
-                .enumerate()
-                .map(|(i, w)| (VertexId(i as u32), w)),
-        )
-    }))
-}
-
-/// Splits the search into independent subtrees (in the sequential
-/// depth-first order) and runs them on the work-stealing pool. The
-/// lowest-indexed witness wins, and only higher-indexed subtrees are
-/// cancelled, so the outcome is the sequential one at any thread count
-/// (DESIGN.md §7).
-fn search_parallel(
-    csp: &Csp,
-    root: Vec<Vec<VertexId>>,
-    budget: &SharedBudget,
-    deadline: Option<std::time::Instant>,
-    opts: &SolveOptions,
-    round: iis_obs::profile::SpanId,
-) -> Result<Option<Vec<VertexId>>, Halt> {
-    let splitter = SearchCtx::new(budget, deadline, None);
-    let split_t0 = profile_now();
-    let subtrees = csp.split(root, opts.jobs * 4, opts.strategy, &splitter);
-    if let Some(t0) = split_t0 {
-        iis_obs::profile::sample_under(
-            round,
-            "split",
-            2,
-            splitter.spent(),
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    let subtrees = subtrees?;
-    iis_obs::metrics::add("solve.subtrees", subtrees.len() as u64);
-    iis_obs::progress::set_subtrees(subtrees.len() as u64);
-    let cell: FirstWins<Vec<VertexId>> = FirstWins::new();
-    let verdicts = run_pool(subtrees, opts.jobs, |index, domains| {
-        let ctx = SearchCtx::new(budget, deadline, Some((&cell, index)));
-        let t0 = profile_now();
-        let found = match opts.strategy {
-            SearchStrategy::Mac => csp.backtrack(domains, &ctx),
-            SearchStrategy::PlainBacktracking => csp.backtrack_plain(&domains, &ctx),
-        };
-        if let Some(t0) = t0 {
-            let subtree = iis_obs::profile::register(round, &format!("subtree:{index}"));
-            iis_obs::profile::sample_under(
-                subtree,
-                "search",
-                3,
-                ctx.spent(),
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        iis_obs::progress::subtree_done();
-        match found {
-            Ok(Some(solution)) => {
-                cell.offer(index, solution);
-                Ok(())
-            }
-            Ok(None) => Ok(()),
-            Err(halt) => Err(halt),
-        }
-    });
-    let cancelled = verdicts
-        .iter()
-        .filter(|v| **v == Err(Halt::Cancelled))
-        .count();
-    iis_obs::metrics::add("solve.cancelled", cancelled as u64);
-    match cell.take() {
-        Some((_, solution)) => Ok(Some(solution)),
-        None if verdicts.contains(&Err(Halt::Timeout)) => Err(Halt::Timeout),
-        None if verdicts.contains(&Err(Halt::Budget)) => Err(Halt::Budget),
-        None => Ok(None),
-    }
-}
-
-impl Csp {
-    /// `true` iff some allowed tuple of constraint `ci` has `w` at `pos`
-    /// and every other position inside its vertex's current domain.
-    fn supported(&self, ci: usize, pos: usize, w: VertexId, domains: &[Vec<VertexId>]) -> bool {
-        let con = &self.constraints[ci];
-        con.table.tuples().any(|tuple| {
-            tuple[pos] == w
-                && tuple
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &x)| j == pos || domains[con.verts[j].index()].contains(&x))
-        })
-    }
-
-    /// Generalized arc consistency to a fixpoint. Returns `false` on a
-    /// domain wipeout. `seed` restricts the initial queue to the
-    /// constraints containing one vertex (after an assignment).
-    fn propagate(&self, domains: &mut [Vec<VertexId>], seed: Option<VertexId>) -> bool {
-        let mut queue: Vec<usize> = match seed {
-            Some(v) => self.containing[v.index()].clone(),
-            None => (0..self.constraints.len()).collect(),
-        };
-        let mut in_queue = vec![false; self.constraints.len()];
-        for &i in &queue {
-            in_queue[i] = true;
-        }
-        while let Some(ci) = queue.pop() {
-            in_queue[ci] = false;
-            self.propagations.incr();
-            for (pos, &v) in self.constraints[ci].verts.iter().enumerate() {
-                let before = domains[v.index()].len();
-                let kept: Vec<VertexId> = domains[v.index()]
-                    .iter()
-                    .copied()
-                    .filter(|&w| self.supported(ci, pos, w, domains))
-                    .collect();
-                if kept.is_empty() {
-                    self.prunes.add(before as u64);
-                    return false;
-                }
-                if kept.len() < before {
-                    self.prunes.add((before - kept.len()) as u64);
-                    domains[v.index()] = kept;
-                    for &cj in &self.containing[v.index()] {
-                        if !in_queue[cj] {
-                            in_queue[cj] = true;
-                            queue.push(cj);
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Expands the root state breadth-first, in the sequential search's
-    /// branching order, until at least `target` independent subtree states
-    /// exist (or the tree stops branching). For MAC the expansion performs
-    /// the same charge-pick-propagate steps the sequential search would, so
-    /// node accounting is unchanged; for plain backtracking the expansion
-    /// just restricts the first branching variable's domain.
-    fn split(
-        &self,
-        root: Vec<Vec<VertexId>>,
-        target: usize,
-        strategy: SearchStrategy,
-        ctx: &SearchCtx<'_>,
-    ) -> Result<Vec<Vec<Vec<VertexId>>>, Halt> {
-        let mut frontier = vec![root];
-        loop {
-            if frontier.len() >= target {
-                return Ok(frontier);
-            }
-            let mut next: Vec<Vec<Vec<VertexId>>> = Vec::new();
-            let mut expanded = false;
-            for state in frontier {
-                if expanded && next.len() + 1 >= target {
-                    // enough subtrees; keep the rest unexpanded, in order
-                    next.push(state);
-                    continue;
-                }
-                match strategy {
-                    SearchStrategy::Mac => {
-                        let pick = state
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, d)| d.len() > 1)
-                            .min_by_key(|(_, d)| d.len());
-                        let Some((vi, _)) = pick else {
-                            next.push(state);
-                            continue;
-                        };
-                        ctx.charge(&self.nodes)?;
-                        expanded = true;
-                        let before = next.len();
-                        for &w in &state[vi] {
-                            let mut child = state.clone();
-                            child[vi] = vec![w];
-                            if self.propagate(&mut child, Some(VertexId(vi as u32))) {
-                                next.push(child);
-                            }
-                        }
-                        if next.len() == before {
-                            self.backtracks.incr();
-                        }
-                    }
-                    SearchStrategy::PlainBacktracking => {
-                        let Some(vi) = state.iter().position(|d| d.len() > 1) else {
-                            next.push(state);
-                            continue;
-                        };
-                        expanded = true;
-                        for &w in &state[vi] {
-                            let mut child = state.clone();
-                            child[vi] = vec![w];
-                            next.push(child);
-                        }
-                    }
-                }
-            }
-            if !expanded {
-                return Ok(next);
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                return Ok(frontier);
-            }
-        }
-    }
-
-    /// Chronological backtracking without propagation — the ablation
-    /// baseline. Checks each constraint as soon as all of its variables are
-    /// assigned.
-    fn backtrack_plain(
-        &self,
-        domains: &[Vec<VertexId>],
-        ctx: &SearchCtx<'_>,
-    ) -> Result<Option<Vec<VertexId>>, Halt> {
-        let n = domains.len();
-        // constraints indexed by their highest variable
-        let mut closing: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (ci, con) in self.constraints.iter().enumerate() {
-            let hi = con
-                .verts
-                .iter()
-                .map(|v| v.index())
-                .max()
-                .expect("non-empty");
-            closing[hi].push(ci);
-        }
-        let mut assignment: Vec<VertexId> = vec![VertexId(0); n];
-        fn rec(
-            csp: &Csp,
-            domains: &[Vec<VertexId>],
-            closing: &[Vec<usize>],
-            assignment: &mut Vec<VertexId>,
-            k: usize,
-            ctx: &SearchCtx<'_>,
-        ) -> Result<bool, Halt> {
-            ctx.charge(&csp.nodes)?;
-            if k == domains.len() {
-                return Ok(true);
-            }
-            'cand: for &w in &domains[k] {
-                assignment[k] = w;
-                for &ci in &closing[k] {
-                    let con = &csp.constraints[ci];
-                    let tuple: Vec<VertexId> =
-                        con.verts.iter().map(|v| assignment[v.index()]).collect();
-                    if !con.table.tuples().any(|t| t == &tuple[..]) {
-                        continue 'cand;
-                    }
-                }
-                if rec(csp, domains, closing, assignment, k + 1, ctx)? {
-                    return Ok(true);
-                }
-            }
-            csp.backtracks.incr();
-            Ok(false)
-        }
-        match rec(self, domains, &closing, &mut assignment, 0, ctx)? {
-            true => Ok(Some(assignment)),
-            false => Ok(None),
-        }
-    }
-
-    /// Complete backtracking with propagation (MAC). Returns a full
-    /// assignment, `Ok(None)` if none exists, or `Err` when the node budget
-    /// runs out (or the subtree is cancelled).
-    fn backtrack(
-        &self,
-        domains: Vec<Vec<VertexId>>,
-        ctx: &SearchCtx<'_>,
-    ) -> Result<Option<Vec<VertexId>>, Halt> {
-        ctx.charge(&self.nodes)?;
-        // pick the unassigned variable with the smallest domain > 1
-        let pick = domains
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.len() > 1)
-            .min_by_key(|(_, d)| d.len());
-        let Some((vi, _)) = pick else {
-            // all singleton: done
-            return Ok(Some(domains.into_iter().map(|d| d[0]).collect()));
-        };
-        let candidates = domains[vi].clone();
-        for w in candidates {
-            let mut next = domains.clone();
-            next[vi] = vec![w];
-            if self.propagate(&mut next, Some(VertexId(vi as u32))) {
-                if let Some(sol) = self.backtrack(next, ctx)? {
-                    return Ok(Some(sol));
-                }
-            }
-        }
-        self.backtracks.incr();
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1559,77 +910,11 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree() {
-        for (task, b) in [
-            (trivial(1), 0usize),
-            (approximate_agreement(1, 3), 1),
-            (consensus(1, &[0, 1]), 1),
-            (one_shot_immediate_snapshot_task(1), 1),
-        ] {
-            let mac = matches!(
-                solve_at_with(&task, b, u64::MAX, SearchStrategy::Mac),
-                BoundedOutcome::Solvable(_)
-            );
-            let plain = matches!(
-                solve_at_with(&task, b, u64::MAX, SearchStrategy::PlainBacktracking),
-                BoundedOutcome::Solvable(_)
-            );
-            assert_eq!(mac, plain, "strategies must agree on {} b={b}", task.name());
-        }
-    }
-
-    #[test]
     fn lifted_trivial_map() {
         let t = trivial(1);
         let w0 = solve_at(&t, 0).unwrap();
         let w1 = lift_decision_map(&t, &w0);
         validate_decision_map(&t, &sds_iterated(t.input(), w1.rounds()), w1.map()).unwrap();
-    }
-
-    /// The compiled kernel compiles from the arena tower, the reference
-    /// engine from the labelled `Subdivision`: per round, the constraints
-    /// must be the same vertex lists in the same order with the same
-    /// allowed tuples.
-    #[test]
-    fn arena_compile_matches_reference_compile() {
-        let cases = [
-            (trivial(2), 1usize),
-            (consensus(2, &[0, 1]), 1),
-            (k_set_consensus(2, 2), 2),
-            (renaming(1, 3), 2),
-            (approximate_agreement(1, 9), 2),
-            (one_shot_immediate_snapshot_task(2), 1),
-        ];
-        for (task, max_b) in cases {
-            let arena_tables = TaskTables::default();
-            let mut reference_cache = ConstraintCache::default();
-            for b in 0..=max_b {
-                let skel = Skeleton::new(iis_topology::arena::arena_sds_tower(task.input(), b));
-                let sub = iis_topology::sds_iterated(task.input(), b);
-                let compiled = crate::csp::compile(&task, &skel, &arena_tables);
-                let reference = compile_csp(&task, &sub, &mut reference_cache);
-                let (Some((k, _)), Some((r, _))) = (compiled, reference) else {
-                    panic!("{} b={b}: only one side compiled", task.name());
-                };
-                assert_eq!(
-                    k.num_constraints(),
-                    r.constraints.len(),
-                    "{} b={b}",
-                    task.name()
-                );
-                let arena_allowed = skel.resolve(&task, &arena_tables);
-                for (ci, con) in r.constraints.iter().enumerate() {
-                    let verts: Vec<u32> = con.verts.iter().map(|v| v.0).collect();
-                    assert_eq!(
-                        k.verts(ci),
-                        &verts[..],
-                        "{} b={b} constraint {ci}",
-                        task.name()
-                    );
-                    assert_eq!(arena_allowed[skel.class(ci)].allowed, con.table.allowed);
-                }
-            }
-        }
     }
 
     #[test]

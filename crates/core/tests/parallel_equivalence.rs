@@ -1,14 +1,17 @@
-//! Sequential vs parallel search equivalence (ISSUE satellite): for every
-//! task in the library, every round count we can afford, both strategies,
-//! and a sweep of thread counts, the parallel search must return the same
-//! `BoundedOutcome` variant as the sequential one — and when a witness
-//! exists, the *identical* witness (DESIGN.md §7: subtrees are ordered in
-//! the sequential depth-first order and only subtrees after the winner are
-//! cancelled, so the lowest-indexed solution is the sequential solution).
+//! Sequential vs parallel search equivalence, and the kernel against its
+//! reference oracles: for every task in the library, every round count we
+//! can afford, and a sweep of thread counts, the parallel search must
+//! return the same `BoundedOutcome` variant as the sequential one — and
+//! when a witness exists, the *identical* witness (DESIGN.md §7: subtrees
+//! are ordered in the sequential depth-first order and only subtrees after
+//! the winner are cancelled, so the lowest-indexed solution is the
+//! sequential solution) — and that witness must be the reference MAC
+//! oracle's (`iis_core::reference`).
 
+use iis_core::reference;
 use iis_core::{
     solvability::validate_decision_map, solve_at_opts, solve_up_to_opts, BoundedOutcome,
-    DecisionMap, Kernel, SearchStrategy, SolveOptions,
+    DecisionMap, SolveOptions,
 };
 use iis_tasks::library::{
     approximate_agreement, chromatic_simplex_agreement, consensus, k_set_consensus,
@@ -16,6 +19,7 @@ use iis_tasks::library::{
 };
 use iis_tasks::Task;
 use iis_topology::sds_iterated;
+use iis_topology::SimplicialMap;
 
 /// The library sweep: `(task, max b we can afford exhaustively)`.
 fn library() -> Vec<(Task, usize)> {
@@ -49,97 +53,88 @@ fn witnesses_identical(a: &DecisionMap, b: &DecisionMap) -> bool {
 fn parallel_agrees_with_sequential_across_library() {
     for (task, max_b) in library() {
         for b in 0..=max_b {
-            for strategy in [SearchStrategy::Mac, SearchStrategy::PlainBacktracking] {
-                let seq = solve_at_opts(&task, b, &SolveOptions::new().strategy(strategy));
-                for jobs in [2usize, 3, 4, 8] {
-                    let par =
-                        solve_at_opts(&task, b, &SolveOptions::new().strategy(strategy).jobs(jobs));
-                    match (&seq, &par) {
-                        (BoundedOutcome::Solvable(s), BoundedOutcome::Solvable(p)) => {
-                            assert!(
-                                witnesses_identical(s, p),
-                                "{} b={b} {strategy:?} jobs={jobs}: witness differs",
-                                task.name()
-                            );
-                            validate_decision_map(
-                                &task,
-                                &sds_iterated(task.input(), p.rounds()),
-                                p.map(),
-                            )
-                            .unwrap();
-                        }
-                        (BoundedOutcome::Unsolvable, BoundedOutcome::Unsolvable) => {}
-                        (s, p) => panic!(
-                            "{} b={b} {strategy:?} jobs={jobs}: sequential {s:?} vs parallel {p:?}",
+            let seq = solve_at_opts(&task, b, &SolveOptions::new());
+            for jobs in [2usize, 3, 4, 8] {
+                let par = solve_at_opts(&task, b, &SolveOptions::new().jobs(jobs));
+                match (&seq, &par) {
+                    (BoundedOutcome::Solvable(s), BoundedOutcome::Solvable(p)) => {
+                        assert!(
+                            witnesses_identical(s, p),
+                            "{} b={b} jobs={jobs}: witness differs",
                             task.name()
-                        ),
+                        );
+                        validate_decision_map(
+                            &task,
+                            &sds_iterated(task.input(), p.rounds()),
+                            p.map(),
+                        )
+                        .unwrap();
                     }
+                    (BoundedOutcome::Unsolvable, BoundedOutcome::Unsolvable) => {}
+                    (s, p) => panic!(
+                        "{} b={b} jobs={jobs}: sequential {s:?} vs parallel {p:?}",
+                        task.name()
+                    ),
                 }
             }
         }
     }
 }
 
-/// The compiled bitset kernel vs the reference engine (ISSUE 3 tentpole):
-/// over the full task library, both strategies, and jobs 1/2/4/8, the two
-/// engines must return identical verdicts and *bit-identical* witnesses.
-/// The oracle is the reference engine run sequentially — by the test above
-/// its parallel runs agree with it, so transitively the kernel matches the
-/// reference engine at every thread count.
+/// The compiled kernel vs the reference engine's two sequential oracles,
+/// over the full task library at jobs 1/2/4/8: the kernel's witness must
+/// be *bit-identical* to the reference MAC search's, and its verdict must
+/// equal the plain backtracker's, which shares no propagation code with
+/// either MAC search.
 #[test]
 fn compiled_kernel_matches_reference_engine_across_library() {
     for (task, max_b) in library() {
         for b in 0..=max_b {
-            for strategy in [SearchStrategy::Mac, SearchStrategy::PlainBacktracking] {
-                let reference = solve_at_opts(
-                    &task,
-                    b,
-                    &SolveOptions::new()
-                        .strategy(strategy)
-                        .kernel(Kernel::Reference),
-                );
-                for jobs in [1usize, 2, 4, 8] {
-                    let compiled = solve_at_opts(
-                        &task,
-                        b,
-                        &SolveOptions::new()
-                            .strategy(strategy)
-                            .jobs(jobs)
-                            .kernel(Kernel::Compiled),
-                    );
-                    match (&reference, &compiled) {
-                        (BoundedOutcome::Solvable(r), BoundedOutcome::Solvable(c)) => {
-                            assert!(
-                                witnesses_identical(r, c),
-                                "{} b={b} {strategy:?} jobs={jobs}: kernel witness differs",
-                                task.name()
-                            );
-                            validate_decision_map(
-                                &task,
-                                &sds_iterated(task.input(), c.rounds()),
-                                c.map(),
-                            )
-                            .unwrap();
-                        }
-                        (BoundedOutcome::Unsolvable, BoundedOutcome::Unsolvable) => {}
-                        (r, c) => panic!(
-                            "{} b={b} {strategy:?} jobs={jobs}: reference {r:?} vs compiled {c:?}",
+            let mac = reference::solve_mac(&task, b, u64::MAX).expect("unbounded");
+            let plain = reference::solve_plain(&task, b, u64::MAX).expect("unbounded");
+            assert_eq!(
+                mac.is_some(),
+                plain.is_some(),
+                "{} b={b}: the oracles disagree",
+                task.name()
+            );
+            if let Some(p) = &plain {
+                validate_decision_map(&task, &sds_iterated(task.input(), b), p).unwrap();
+            }
+            for jobs in [1usize, 2, 4, 8] {
+                let compiled = solve_at_opts(&task, b, &SolveOptions::new().jobs(jobs));
+                match (&mac, &compiled) {
+                    (Some(r), BoundedOutcome::Solvable(c)) => {
+                        assert_eq!(
+                            r.pairs(),
+                            c.map().pairs(),
+                            "{} b={b} jobs={jobs}: kernel witness differs",
                             task.name()
-                        ),
+                        );
+                        validate_decision_map(
+                            &task,
+                            &sds_iterated(task.input(), c.rounds()),
+                            c.map(),
+                        )
+                        .unwrap();
                     }
+                    (None, BoundedOutcome::Unsolvable) => {}
+                    (r, c) => panic!(
+                        "{} b={b} jobs={jobs}: reference {:?} vs compiled {c:?}",
+                        task.name(),
+                        r.as_ref().map(SimplicialMap::pairs)
+                    ),
                 }
             }
         }
     }
 }
 
-/// The compiled kernel searches the label-free arena tower and the
-/// reference kernel the labelled `Subdivision` tower; the sweep records
-/// they produce must still be byte-identical at every thread count and
-/// under both strategies, and a witness's tower must be exactly the
-/// reference `SDS^b(I)` with its labels forgotten.
+/// The sweep records are byte-identical at every thread count, and a
+/// witness's tower is exactly the reference `SDS^b(I)` with its labels
+/// forgotten.
 #[test]
-fn sweep_records_are_identical_across_kernels_jobs_and_strategies() {
+fn sweep_records_are_identical_across_jobs() {
     use iis_core::cache::report_to_json;
 
     for (task, max_b) in library() {
@@ -149,23 +144,33 @@ fn sweep_records_are_identical_across_kernels_jobs_and_strategies() {
             let reference = sds_iterated(task.input(), w.rounds());
             assert_eq!(w.tower().agrees_with(&reference), Ok(()));
         }
-        for kernel in [Kernel::Compiled, Kernel::Reference] {
-            for strategy in [SearchStrategy::Mac, SearchStrategy::PlainBacktracking] {
-                for jobs in [1usize, 2, 4] {
-                    let opts = SolveOptions::new()
-                        .kernel(kernel)
-                        .strategy(strategy)
-                        .jobs(jobs);
-                    assert_eq!(
-                        report_to_json(&solve_up_to_opts(&task, max_b, &opts)).to_string(),
-                        bytes,
-                        "{} {kernel:?} {strategy:?} jobs={jobs}",
-                        task.name()
-                    );
-                }
-            }
+        for jobs in [2usize, 4] {
+            let opts = SolveOptions::new().jobs(jobs);
+            assert_eq!(
+                report_to_json(&solve_up_to_opts(&task, max_b, &opts)).to_string(),
+                bytes,
+                "{} jobs={jobs}",
+                task.name()
+            );
         }
     }
+}
+
+/// `jobs` far beyond any core count — even one whose split target, four
+/// subtrees per job, overflows `usize` — is only a thread-count request:
+/// the search returns the sequential witness.
+#[test]
+fn huge_jobs_returns_the_sequential_witness() {
+    let task = approximate_agreement(1, 3);
+    let BoundedOutcome::Solvable(seq) = solve_at_opts(&task, 1, &SolveOptions::new()) else {
+        panic!("ε-agreement is solvable at b = 1");
+    };
+    let BoundedOutcome::Solvable(huge) =
+        solve_at_opts(&task, 1, &SolveOptions::new().jobs(1 << 62))
+    else {
+        panic!("jobs must not change the verdict");
+    };
+    assert!(witnesses_identical(&seq, &huge));
 }
 
 #[test]
@@ -173,18 +178,12 @@ fn parallel_exhaustion_is_sound() {
     // under a budget too small to decide, every thread count must report
     // Exhausted (never a fabricated verdict)
     let task = k_set_consensus(2, 2);
-    for kernel in [Kernel::Compiled, Kernel::Reference] {
-        for jobs in [1usize, 2, 4] {
-            let out = solve_at_opts(
-                &task,
-                1,
-                &SolveOptions::new().budget(5).jobs(jobs).kernel(kernel),
-            );
-            assert!(
-                matches!(out, BoundedOutcome::Exhausted),
-                "{kernel:?} jobs={jobs} must exhaust"
-            );
-        }
+    for jobs in [1usize, 2, 4] {
+        let out = solve_at_opts(&task, 1, &SolveOptions::new().budget(5).jobs(jobs));
+        assert!(
+            matches!(out, BoundedOutcome::Exhausted),
+            "jobs={jobs} must exhaust"
+        );
     }
 }
 
@@ -218,11 +217,10 @@ fn profiling_does_not_perturb_witnesses() {
 /// The arena revalidation path is invisible in the record bytes (ISSUE 8):
 /// replaying a cached sweep — which rebuilds `SDS^b(I)` as a flat arena and
 /// revalidates the stored map against CSR carrier slices — must serialize to
-/// exactly the bytes the cold solve produced, for both kernels and every
-/// thread count. This extends the kernel/jobs bit-identity claims above to
-/// the warm `iis serve` path.
+/// exactly the bytes the cold solve produced, at every thread count. This
+/// extends the jobs bit-identity claims above to the warm `iis serve` path.
 #[test]
-fn warm_cache_replay_is_bit_identical_across_kernels_and_jobs() {
+fn warm_cache_replay_is_bit_identical_across_jobs() {
     use iis_core::cache::{report_to_json, solve_up_to_cached};
     use std::collections::HashMap;
 
@@ -237,34 +235,28 @@ fn warm_cache_replay_is_bit_identical_across_kernels_and_jobs() {
             assert!(!cold.hit);
             report_to_json(&cold.report).to_string()
         };
-        for kernel in [Kernel::Compiled, Kernel::Reference] {
-            for jobs in [1usize, 2, 4, 8] {
-                let opts = SolveOptions::new().kernel(kernel).jobs(jobs);
-                let mut cache = HashMap::new();
-                let fresh = solve_up_to_cached(&task, bs, &opts, &mut cache);
-                assert!(!fresh.hit);
-                assert_eq!(
-                    report_to_json(&fresh.report).to_string(),
-                    cold_bytes,
-                    "{} {kernel:?} jobs={jobs}: cold record differs",
-                    task.name()
-                );
-                let warm = solve_up_to_cached(&task, bs, &opts, &mut cache);
-                assert!(
-                    warm.hit,
-                    "{} {kernel:?} jobs={jobs}: expected a hit",
-                    task.name()
-                );
-                assert_eq!(
-                    report_to_json(&warm.report).to_string(),
-                    cold_bytes,
-                    "{} {kernel:?} jobs={jobs}: warm replay differs",
-                    task.name()
-                );
-                if let Some(w) = warm.report.witness() {
-                    validate_decision_map(&task, &sds_iterated(task.input(), w.rounds()), w.map())
-                        .unwrap();
-                }
+        for jobs in [1usize, 2, 4, 8] {
+            let opts = SolveOptions::new().jobs(jobs);
+            let mut cache = HashMap::new();
+            let fresh = solve_up_to_cached(&task, bs, &opts, &mut cache);
+            assert!(!fresh.hit);
+            assert_eq!(
+                report_to_json(&fresh.report).to_string(),
+                cold_bytes,
+                "{} jobs={jobs}: cold record differs",
+                task.name()
+            );
+            let warm = solve_up_to_cached(&task, bs, &opts, &mut cache);
+            assert!(warm.hit, "{} jobs={jobs}: expected a hit", task.name());
+            assert_eq!(
+                report_to_json(&warm.report).to_string(),
+                cold_bytes,
+                "{} jobs={jobs}: warm replay differs",
+                task.name()
+            );
+            if let Some(w) = warm.report.witness() {
+                validate_decision_map(&task, &sds_iterated(task.input(), w.rounds()), w.map())
+                    .unwrap();
             }
         }
     }

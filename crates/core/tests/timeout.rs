@@ -1,33 +1,23 @@
-//! `SolveOptions::timeout` (ISSUE 4 satellite): wall-clock graceful
-//! degradation. A zero deadline halts both kernels promptly with the
-//! inconclusive `TimedOut` outcome; a generous deadline changes nothing.
+//! `SolveOptions::timeout`: wall-clock graceful degradation. A zero
+//! deadline halts the search promptly with the inconclusive `TimedOut`
+//! outcome; a generous deadline changes nothing.
 
 use iis_core::solvability::{solve_at_opts, solve_up_to_opts, BoundedOutcome, SolveOptions};
-use iis_core::{Kernel, SearchStrategy};
-use iis_tasks::library::{
-    approximate_agreement, consensus, k_set_consensus, one_shot_immediate_snapshot_task,
-};
+use iis_tasks::library::{approximate_agreement, consensus};
 use std::time::Duration;
 
 #[test]
-fn zero_timeout_times_out_both_kernels_at_any_jobs() {
-    // plain backtracking charges a node per assignment prefix, so this
-    // (solvable) instance is guaranteed to hit the clock poll on its very
-    // first charge — MAC could refute in propagation with zero nodes
-    let task = one_shot_immediate_snapshot_task(1);
-    for kernel in [Kernel::Compiled, Kernel::Reference] {
-        for jobs in [1usize, 4] {
-            let opts = SolveOptions::new()
-                .kernel(kernel)
-                .jobs(jobs)
-                .strategy(SearchStrategy::PlainBacktracking)
-                .timeout(Duration::ZERO);
-            let out = solve_at_opts(&task, 1, &opts);
-            assert!(
-                matches!(out, BoundedOutcome::TimedOut),
-                "{kernel:?} jobs={jobs}: expected TimedOut, got {out:?}"
-            );
-        }
+fn zero_timeout_times_out_at_any_jobs() {
+    // root propagation does not decide grid-9 ε-agreement at b = 2, so
+    // the search reaches its first node charge, which polls the clock
+    let task = approximate_agreement(1, 9);
+    for jobs in [1usize, 4] {
+        let opts = SolveOptions::new().jobs(jobs).timeout(Duration::ZERO);
+        let out = solve_at_opts(&task, 2, &opts);
+        assert!(
+            matches!(out, BoundedOutcome::TimedOut),
+            "jobs={jobs}: expected TimedOut, got {out:?}"
+        );
     }
 }
 
@@ -46,13 +36,13 @@ fn generous_timeout_preserves_the_verdict() {
 
 #[test]
 fn timed_out_sweep_stops_without_recording_a_verdict() {
-    // the sweep must not misreport a timed-out round as unsolvable: with a
-    // zero timeout even b = 0 is inconclusive, so the report stays empty
-    let task = k_set_consensus(2, 2);
-    let opts = SolveOptions::new()
-        .strategy(SearchStrategy::PlainBacktracking)
-        .timeout(Duration::ZERO);
+    // the sweep must not misreport a timed-out round as unsolvable: grid-9
+    // ε-agreement is refuted at b = 0 and b = 1 without a search node, then
+    // b = 2 reaches the clock and times out, so the report holds exactly
+    // those two verdicts and no witness
+    let task = approximate_agreement(1, 9);
+    let opts = SolveOptions::new().timeout(Duration::ZERO);
     let report = solve_up_to_opts(&task, 3, &opts);
-    assert!(report.results().is_empty(), "got {:?}", report.results());
+    assert_eq!(report.results(), &[(0, false), (1, false)]);
     assert!(report.witness().is_none());
 }

@@ -1,7 +1,8 @@
 //! Component-level timing of the warm `iis serve` reply path: store open,
 //! content-address derivation (from scratch and through the spec
-//! interner), record fetch, JSON parse, witness revalidation (arena
-//! rebuild + map check), and the full cached solve.
+//! interner), record fetch, the one-pass record check on the stored text
+//! (`validate_record`, what a warm shard runs), the tree-based
+//! `report_from_json` for comparison, and the full cached solve.
 //!
 //! Not a calibrated benchmark — a quick probe for attributing the warm
 //! latency budget when tuning `iis_core::cache`. Run with
@@ -58,7 +59,7 @@ fn main() {
     });
     let keyed = intern_spec("eps:1:9").expect("spec");
     time("validate_record", n, || {
-        validate_record(&keyed, &v).expect("valid record")
+        validate_record(&keyed, 2, &text).expect("valid record")
     });
     time("arena_tower", n, || {
         iis_topology::arena::arena_sds_tower(task.input(), 2)

@@ -62,8 +62,11 @@
 //! replies replay the stored bytes — across restarts too, when `--store`
 //! points at the same directory. A reply *splices* the record text into
 //! its envelope ([`ObjectWriter`], `iis_cluster::splice_envelope`) rather
-//! than re-rendering a parsed tree: every hit is still parsed and
-//! revalidated, but the bytes sent are the bytes stored.
+//! than re-rendering a parsed tree. A hit is read once, straight into the
+//! witness check, and only a record in exactly the canonical encoding
+//! that answers the question's round bound is a hit
+//! (`iis_core::cache::validate_record`), so the bytes sent are the bytes
+//! checked.
 
 use crate::{err, flag_value, CliError};
 use iis_cluster::splice_envelope;
@@ -74,6 +77,7 @@ use iis_core::cache::{
 use iis_core::solvability::SolveOptions;
 use iis_obs::http::{serve_with, Handler, Request, Response};
 use iis_obs::json::ObjectWriter;
+use iis_obs::metrics::StaticCounter;
 use iis_obs::{Json, ToJson as _};
 use iis_store::Store;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -303,6 +307,7 @@ impl SolveService {
             "serve.batch_requests",
             "cache.spec_hits",
             "cache.spec_builds",
+            "cache.spec_evictions",
         ] {
             iis_obs::metrics::Counter::handle(name);
         }
@@ -486,15 +491,12 @@ impl SolveService {
         // fast path: the store already holds a record that revalidates;
         // the reply carries its stored bytes
         if let Some(text) = SharedCache(&self.store).get(key) {
-            if let Ok(json) = Json::parse(&text) {
-                if validate_record(&req.task, &json).is_ok() {
-                    static CACHE_HITS: iis_obs::metrics::StaticCounter =
-                        iis_obs::metrics::StaticCounter::new("serve.cache_hits");
-                    CACHE_HITS.incr();
-                    return Admission::Ready(Response::json(record_reply(
-                        false, true, None, key, &text,
-                    )));
-                }
+            if validate_record(&req.task, req.max_rounds, &text).is_ok() {
+                static CACHE_HITS: StaticCounter = StaticCounter::new("serve.cache_hits");
+                CACHE_HITS.incr();
+                return Admission::Ready(Response::json(record_reply(
+                    false, true, None, key, &text,
+                )));
             }
         }
         // coalesce onto an in-flight job for the same key, or enqueue
@@ -605,7 +607,8 @@ impl SolveService {
                 questions.len()
             ));
         }
-        iis_obs::metrics::add("serve.batch_requests", 1);
+        static BATCH_REQUESTS: StaticCounter = StaticCounter::new("serve.batch_requests");
+        BATCH_REQUESTS.incr();
         let admitted: Vec<(bool, Admission)> = questions
             .iter()
             .map(|q| match self.prepare(q) {
@@ -1088,6 +1091,41 @@ mod tests {
         );
         let summary = shutdown(addr, handle);
         assert!(summary.contains("0 jobs accepted"), "{summary}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A record that answers another round bound is a miss: the
+    /// `(eps:1:3, 2)` record (solvable at b = 1) filed under the key of
+    /// `(eps:1:3, 0)` must not answer "within 0 rounds".
+    #[test]
+    fn a_record_filed_under_another_bound_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("iis_serve_bound_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keyed = intern_spec("eps:1:3").unwrap();
+        let wrong =
+            iis_core::cache::report_to_json(&iis_core::solvability::solve_up_to(keyed.task(), 2))
+                .to_string();
+        {
+            let mut store = Store::open(&dir).unwrap();
+            assert!(store.put(keyed.key(0), &wrong).unwrap());
+            store.flush().unwrap();
+        }
+        let (addr, handle) = start(&["--store", dir.to_str().unwrap()]);
+        let (head, reply) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "eps:1:3", "max_rounds": 0}"#,
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        shutdown(addr, handle);
+        assert_eq!(reply.get("cached"), Some(&Json::Bool(false)), "{reply:?}");
+        let result = reply.get("result").unwrap();
+        assert_eq!(result.get("results").unwrap().to_string(), "[[0,false]]");
+        assert_eq!(result.get("witness"), Some(&Json::Null));
+        // first write wins: the bad bytes stay, and stay a miss
+        let mut store = Store::open(&dir).unwrap();
+        assert_eq!(store.get(keyed.key(0)).unwrap(), Some(wrong));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

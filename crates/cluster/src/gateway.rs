@@ -169,6 +169,14 @@ const SPEC_PREFIX_CAP: usize = 1024;
 static GATEWAY_REQUESTS: iis_obs::metrics::StaticCounter =
     iis_obs::metrics::StaticCounter::new("gateway.requests");
 
+/// `gateway.batch_requests`: one per batch-form request.
+static GATEWAY_BATCH_REQUESTS: iis_obs::metrics::StaticCounter =
+    iis_obs::metrics::StaticCounter::new("gateway.batch_requests");
+
+/// `gateway.fanout`: the shards a batch's questions are scattered to.
+static GATEWAY_FANOUT: iis_obs::metrics::StaticCounter =
+    iis_obs::metrics::StaticCounter::new("gateway.fanout");
+
 fn spec_prefixes() -> &'static Lru<String, u64> {
     static PREFIXES: OnceLock<Lru<String, u64>> = OnceLock::new();
     PREFIXES.get_or_init(|| Lru::new(SPEC_PREFIX_CAP))
@@ -381,7 +389,7 @@ impl Gateway {
     /// coalesces same-shard questions into one upstream batch call, and
     /// gathers one ordered answer envelope.
     fn scatter_gather(&self, questions: Vec<(&str, Result<u64, String>)>) -> String {
-        iis_obs::metrics::add("gateway.batch_requests", 1);
+        GATEWAY_BATCH_REQUESTS.incr();
         GATEWAY_REQUESTS.add(questions.len() as u64);
         let mut answers: Vec<Option<Reply>> = vec![None; questions.len()];
         // route every question; invalid ones answer 400 without a trip
@@ -405,7 +413,7 @@ impl Gateway {
         for (pos, (_, _, replicas)) in routed.iter().enumerate() {
             groups.entry(replicas[0]).or_default().push(pos);
         }
-        iis_obs::metrics::add("gateway.fanout", groups.len() as u64);
+        GATEWAY_FANOUT.add(groups.len() as u64);
         let groups: Vec<(usize, Vec<usize>)> = groups.into_iter().collect();
         let answers = Mutex::new(answers);
         let next = AtomicUsize::new(0);

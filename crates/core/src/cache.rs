@@ -36,6 +36,19 @@
 //! conditions, so a corrupted or adversarial store entry is detected and
 //! treated as a miss rather than trusted.
 //!
+//! A stored record is read once, in one pass over its bytes
+//! ([`validate_record`]), and only in the canonical encoding its one
+//! writer produces (`report_to_json(..).to_string()`): no whitespace,
+//! shortest integers, the verdict vector `[[0,false],…]` without gaps,
+//! and the witness map as one `[v,w]` pair per vertex of `SDS^b(I)` in id
+//! order, decoded straight into the dense image table the check walks.
+//! So a service that replays the stored bytes serves exactly the bytes it
+//! checked: a record with a stray or duplicate pair, a gap, or added
+//! whitespace is a miss, never served verbatim. The record must also
+//! answer the question asked — a witness at `b ≤ max_rounds`, or exactly
+//! `max_rounds + 1` refuted rounds — so a record filed under another
+//! bound's key is a miss too.
+//!
 //! The rebuild is shared. Lemma 3.3 makes `SDS^b(I)` a pure function of
 //! `(I, b)`, and the label-free arena reads only `I`'s shape — its colors
 //! in id order and its facets in order — so the tower and its compiled
@@ -56,22 +69,26 @@
 //! [`intern_spec`] builds both once per process and shares them: a
 //! repeated question rebuilds neither the task, nor its canonical JSON,
 //! nor its `Δ` tables. The interner, the skeleton memo and the gateway's
-//! prefix memo are all bounded by one [`Lru`]. None of this weakens
-//! integrity: every warm hit still revalidates the stored witness;
-//! interning only skips rebuilding a task that is already known.
+//! prefix memo are all bounded by one [`Lru`], each with its own cap:
+//! skeletons are keyed by input shape and tasks by spec, so a shard's
+//! working set holds far more tasks ([`SPEC_INTERN_CAP`]) than towers
+//! ([`TOWER_CACHE_CAP`]). Evictions are counted (`cache.spec_evictions`,
+//! `cache.tower_evictions`), so thrash shows on `/metrics`. None of this
+//! weakens integrity: every warm hit still revalidates the stored
+//! witness; interning only skips rebuilding a task that is already known.
 
 use crate::csp::{Skeleton, TaskTables};
 use crate::solvability::{
-    check_decision_map, solve_up_to_with, DecisionMap, SolvabilityReport, SolveOptions,
+    check_image, check_simplices, solve_up_to_with, DecisionMap, SolvabilityReport, SolveOptions,
 };
 use iis_obs::json::FromJson;
-use iis_obs::metrics::StaticCounter;
+use iis_obs::metrics::{StaticCounter, StaticHistogram};
 use iis_obs::{Json, ToJson};
 use iis_tasks::library::parse_spec;
 use iis_tasks::Task;
 use iis_topology::arena::{arena_sds_tower, ArenaSds};
-use iis_topology::{Complex, SimplicialMap};
-use std::borrow::Borrow;
+use iis_topology::{Complex, SimplicialMap, VertexId};
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -236,12 +253,21 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     }
 }
 
-/// Entries each process-wide memo of this module holds before the
-/// least-recently-used one is evicted: the skeleton memo and the spec
-/// interner. The towers and tasks a serve process answers repeatedly fit
-/// easily; a workload cycling through more sheds the coldest entry per
-/// insert instead of cliff-dropping the whole memo.
+/// Entries the skeleton memo holds before the least-recently-used one is
+/// evicted. Skeletons are keyed by input shape, so the towers a serve
+/// process answers repeatedly fit easily; a workload cycling through more
+/// sheds the coldest entry per insert instead of cliff-dropping the memo.
 pub const TOWER_CACHE_CAP: usize = 64;
+
+/// Entries the spec interner holds before the least-recently-used task is
+/// evicted. Tasks are keyed by spec, not shape, so a shard's working set
+/// is its share of the distinct tasks asked, far more than its towers.
+/// An interned task with its `Δ` tables compiled holds tens of KiB:
+/// counted by allocation over `perfbench`'s 150 warm tasks, 22 KiB on
+/// average and 57 KiB at most (`eps:1:81`). So the cap bounds the
+/// interner near 15 MiB at worst, and one shard can keep all 150 with
+/// its replica down. Evictions are counted in `cache.spec_evictions`.
+pub const SPEC_INTERN_CAP: usize = 256;
 
 /// A task together with the round-independent part of its content
 /// address ([`key_prefix`]), its input's [`shape_key`], and its compiled
@@ -291,7 +317,7 @@ impl KeyedTask {
 
 fn spec_interner() -> &'static Lru<String, Arc<KeyedTask>> {
     static SPECS: OnceLock<Lru<String, Arc<KeyedTask>>> = OnceLock::new();
-    SPECS.get_or_init(|| Lru::new(TOWER_CACHE_CAP))
+    SPECS.get_or_init(|| Lru::new(SPEC_INTERN_CAP))
 }
 
 /// The task a library spec names (see [`parse_spec`]), keyed, built once
@@ -299,9 +325,10 @@ fn spec_interner() -> &'static Lru<String, Arc<KeyedTask>> {
 ///
 /// A library spec determines its task, so interning it changes no
 /// observable byte — it only deletes the task build and the canonical
-/// serialization from every repeated question. Hits and builds are
-/// counted in `cache.spec_hits` / `cache.spec_builds`; the interner holds
-/// [`TOWER_CACHE_CAP`] specs. Only library specs resolve here: a question
+/// serialization from every repeated question. Hits, builds and
+/// evictions are counted in `cache.spec_hits` / `cache.spec_builds` /
+/// `cache.spec_evictions`; the interner holds [`SPEC_INTERN_CAP`] specs.
+/// Only library specs resolve here: a question
 /// arriving over the network can never make the process read a file.
 ///
 /// # Errors
@@ -317,8 +344,11 @@ pub fn intern_spec(spec: &str) -> Result<Arc<KeyedTask>, String> {
     }
     let keyed = Arc::new(KeyedTask::new(parse_spec(spec)?));
     static SPEC_BUILDS: StaticCounter = StaticCounter::new("cache.spec_builds");
+    static SPEC_EVICTIONS: StaticCounter = StaticCounter::new("cache.spec_evictions");
     SPEC_BUILDS.incr();
-    specs.insert(spec.to_string(), Arc::clone(&keyed));
+    if specs.insert(spec.to_string(), Arc::clone(&keyed)) {
+        SPEC_EVICTIONS.incr();
+    }
     Ok(keyed)
 }
 
@@ -528,7 +558,8 @@ pub struct CachedSolve {
 /// `{"results": [[b, ok], …], "task": name, "witness": null | {"b": b,
 /// "map": [[v, w], …]}}` with `Json::obj` insertion order fixed here and
 /// the map in sorted source order — serializing the same report always
-/// yields the same bytes.
+/// yields the same bytes. A store holds the compact rendering
+/// (`.to_string()`), the only form [`validate_record`] accepts.
 pub fn report_to_json(report: &SolvabilityReport) -> Json {
     let witness = match report.witness() {
         Some(w) => Json::obj([("b", w.rounds().to_json()), ("map", w.map().to_json())]),
@@ -541,64 +572,251 @@ pub fn report_to_json(report: &SolvabilityReport) -> Json {
     ])
 }
 
-/// A decoded record whose witness (if any) passed revalidation.
-struct Record {
-    results: Vec<(usize, bool)>,
-    name: String,
-    witness: Option<(Arc<ArenaSds>, SimplicialMap)>,
+/// A cursor over record text that accepts only the bytes
+/// `report_to_json(..).to_string()` writes: no whitespace, integers in
+/// shortest decimal form, strings escaped as `Json::Str` renders them.
+struct Reader<'a> {
+    text: &'a str,
+    at: usize,
 }
 
-/// Decodes a [`report_to_json`] record and revalidates its witness against
-/// the memoized skeleton under `shape` (which must be `task`'s input's),
-/// with `task`'s `Δ` tables from `tables`.
-fn decode_record(task: &Task, shape: u64, tables: &TaskTables, v: &Json) -> Result<Record, String> {
-    let results = Vec::<(usize, bool)>::from_json(v.field("results").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    let name = String::from_json(v.field("task").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    let witness = match v.field("witness").map_err(|e| e.to_string())? {
-        Json::Null => None,
-        w => {
-            let b = usize::from_json(w.field("b").map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-            let map = SimplicialMap::from_json(w.field("map").map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-            let _timer = iis_obs::span::span("cache.revalidate_ns");
-            let skel = witness_skeleton(task.input(), shape, b);
-            check_decision_map(task, &skel, tables, &map)
-                .map_err(|e| format!("stored witness invalid: {e}"))?;
-            if results.last() != Some(&(b, true)) {
-                return Err("witness round disagrees with verdict vector".to_string());
-            }
-            Some((Arc::clone(skel.tower()), map))
-        }
-    };
-    if witness.is_none() && results.iter().any(|(_, ok)| *ok) {
-        return Err("solvable verdict without a witness".to_string());
+impl<'a> Reader<'a> {
+    fn fail<T>(&self, expected: &str) -> Result<T, String> {
+        Err(format!(
+            "record not canonical at byte {}: expected {expected}",
+            self.at
+        ))
     }
-    Ok(Record {
-        results,
+
+    /// Consumes `lit` iff the text continues with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.text.as_bytes()[self.at..].starts_with(lit.as_bytes());
+        if hit {
+            self.at += lit.len();
+        }
+        hit
+    }
+
+    fn lit(&mut self, lit: &str) -> Result<(), String> {
+        if self.eat(lit) {
+            Ok(())
+        } else {
+            self.fail(&format!("`{lit}`"))
+        }
+    }
+
+    /// A non-negative integer: `0`, or digits without a leading zero.
+    fn uint(&mut self) -> Result<usize, String> {
+        let bytes = &self.text.as_bytes()[self.at..];
+        let digits = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+        if digits == 0 || (digits > 1 && bytes[0] == b'0') {
+            return self.fail("an integer");
+        }
+        let mut n: usize = 0;
+        for &d in &bytes[..digits] {
+            n = match n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add((d - b'0') as usize))
+            {
+                Some(n) => n,
+                None => return self.fail("a smaller integer"),
+            };
+        }
+        self.at += digits;
+        Ok(n)
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        if self.eat("true") {
+            Ok(true)
+        } else if self.eat("false") {
+            Ok(false)
+        } else {
+            self.fail("`true` or `false`")
+        }
+    }
+
+    /// A string literal, decoded: borrowed when it has no escape, and
+    /// otherwise accepted only if re-escaping it gives back its bytes.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let rest = &self.text[self.at..];
+        let Some(body) = rest.strip_prefix('"') else {
+            return self.fail("a string");
+        };
+        // the closing quote is the first one no backslash escapes
+        let mut escaped = false;
+        let end = body.bytes().position(|b| {
+            let close = b == b'"' && !escaped;
+            escaped = b == b'\\' && !escaped;
+            close
+        });
+        let Some(end) = end else {
+            return self.fail("a closing `\"`");
+        };
+        let raw = &body[..end];
+        let literal = &rest[..end + 2];
+        let name = if raw.bytes().any(|b| b == b'\\' || b < 0x20) {
+            let decoded = Json::parse(literal)
+                .ok()
+                .and_then(|j| j.as_str().map(str::to_string))
+                .filter(|s| {
+                    let mut again = String::with_capacity(literal.len());
+                    iis_obs::json::write_string(&mut again, s);
+                    again == literal
+                });
+            match decoded {
+                Some(s) => Cow::Owned(s),
+                None => return self.fail("a canonically escaped string"),
+            }
+        } else {
+            Cow::Borrowed(raw)
+        };
+        self.at += literal.len();
+        Ok(name)
+    }
+}
+
+/// A stored record that passed [`read_record`]: what it says, with its
+/// witness (if any) checked.
+struct CheckedRecord<'a> {
+    name: Cow<'a, str>,
+    /// The length of the verdict vector `[[0, false], …]`.
+    rounds: usize,
+    /// Whether the last verdict is `true`; then `witness` holds it.
+    solvable: bool,
+    /// The skeleton the witness was checked on, and its dense image table.
+    witness: Option<(Arc<Skeleton>, Vec<VertexId>)>,
+}
+
+impl CheckedRecord<'_> {
+    fn into_report(self) -> SolvabilityReport {
+        let last = self.rounds - 1;
+        let results = (0..self.rounds)
+            .map(|b| (b, self.solvable && b == last))
+            .collect();
+        let witness = self.witness.map(|(skel, image)| {
+            let map = SimplicialMap::from_pairs((0u32..).map(VertexId).zip(image.iter().copied()));
+            DecisionMap::new(Arc::clone(skel.tower()), map)
+        });
+        SolvabilityReport::from_parts(self.name.into_owned(), results, witness)
+    }
+}
+
+/// Reads a stored record in one pass over its bytes, accepting only the
+/// canonical text `report_to_json(..).to_string()` writes, and checks it
+/// as the answer to `(task, max_rounds)` — any bound when `max_rounds` is
+/// `None`:
+///
+/// - the verdict vector is `[[0,false],…,[b,true]]` with `b ≤ max_rounds`
+///   and a witness at `b`, or `max_rounds + 1` false verdicts and none;
+/// - the witness map is `[[0,w0],[1,w1],…]`, one pair per vertex of
+///   `SDS^b(I)` in id order, decoded straight into the dense image table;
+///   each image passes [`check_image`] as it is read, and the table then
+///   passes [`check_simplices`] on the memoized skeleton under `shape`
+///   (which must be `task`'s input's), with `task`'s `Δ` tables from
+///   `tables`.
+///
+/// The witness half is timed into the `cache.revalidate_ns` histogram.
+fn read_record<'a>(
+    task: &Task,
+    shape: u64,
+    tables: &TaskTables,
+    text: &'a str,
+    max_rounds: Option<usize>,
+) -> Result<CheckedRecord<'a>, String> {
+    static REVALIDATE_NS: StaticHistogram = StaticHistogram::new("cache.revalidate_ns");
+    let mut r = Reader { text, at: 0 };
+    r.lit("{\"results\":[")?;
+    let mut rounds = 0;
+    let solvable = loop {
+        r.lit("[")?;
+        if r.uint()? != rounds {
+            return r.fail(&format!("the verdict for round {rounds}"));
+        }
+        r.lit(",")?;
+        let ok = r.bool()?;
+        r.lit("]")?;
+        rounds += 1;
+        if ok {
+            // the sweep stops at its first solvable round
+            r.lit("]")?;
+            break true;
+        }
+        if r.eat("]") {
+            break false;
+        }
+        r.lit(",")?;
+    };
+    match max_rounds {
+        Some(m) if solvable && rounds > m + 1 => {
+            return Err(format!(
+                "witness round {} exceeds max_rounds {m}",
+                rounds - 1
+            ));
+        }
+        Some(m) if !solvable && rounds != m + 1 => {
+            return Err(format!(
+                "{rounds} refuted rounds do not answer max_rounds {m}"
+            ));
+        }
+        _ => {}
+    }
+    r.lit(",\"task\":")?;
+    let name = r.string()?;
+    r.lit(",\"witness\":")?;
+    let witness = if r.eat("null") {
+        if solvable {
+            return Err("solvable verdict without a witness".to_string());
+        }
+        None
+    } else {
+        r.lit("{\"b\":")?;
+        let b = r.uint()?;
+        if !solvable || b != rounds - 1 {
+            return Err("witness round disagrees with verdict vector".to_string());
+        }
+        r.lit(",\"map\":[")?;
+        let _timer = iis_obs::span::span_on(&REVALIDATE_NS);
+        let skel = witness_skeleton(task.input(), shape, b);
+        let n = skel.tower().complex().num_vertices();
+        let mut image = Vec::with_capacity(n);
+        for v in (0..n as u32).map(VertexId) {
+            if v.0 > 0 && !r.eat(",") {
+                return Err(format!("stored witness invalid: vertex {v} unmapped"));
+            }
+            r.lit("[")?;
+            if r.uint()? != v.index() {
+                return r.fail(&format!("the pair of vertex {v}"));
+            }
+            r.lit(",")?;
+            let w = r.uint()?;
+            r.lit("]")?;
+            let w = VertexId(u32::try_from(w).unwrap_or(u32::MAX));
+            check_image(&skel, task.output(), v, w)
+                .map_err(|e| format!("stored witness invalid: {e}"))?;
+            image.push(w);
+        }
+        r.lit("]}")?;
+        check_simplices(task, &skel, tables, &image)
+            .map_err(|e| format!("stored witness invalid: {e}"))?;
+        Some((skel, image))
+    };
+    r.lit("}")?;
+    if r.at != text.len() {
+        return r.fail("the end of the record");
+    }
+    Ok(CheckedRecord {
         name,
+        rounds,
+        solvable,
         witness,
     })
 }
 
-fn decode_report(
-    task: &Task,
-    shape: u64,
-    tables: &TaskTables,
-    v: &Json,
-) -> Result<SolvabilityReport, String> {
-    let rec = decode_record(task, shape, tables, v)?;
-    let witness = rec.witness.map(|(tower, map)| DecisionMap::new(tower, map));
-    Ok(SolvabilityReport::from_parts(
-        rec.name,
-        rec.results,
-        witness,
-    ))
-}
-
-/// Decodes and **re-validates** a record produced by [`report_to_json`].
+/// Reads and **re-validates** a record produced by [`report_to_json`],
+/// answering any round bound: the tree is rendered compactly and read as
+/// [`validate_record`] reads stored text, so a tree that is not a
+/// canonical record is refused.
 ///
 /// The witness's subdivision `SDS^b(I)` is taken from the process-wide
 /// skeleton memo under `task`'s input shape (built on a miss — Lemma 3.3:
@@ -611,29 +829,54 @@ fn decode_report(
 /// ([`validate_record`]) keeps them. The returned witness's
 /// [`DecisionMap`] lives on the skeleton's label-free tower — the same
 /// instance the check read, and vertex for vertex the reference
-/// `SDS^b(I)` over `task`'s own labels. The check is timed into the
-/// `cache.revalidate_ns` histogram.
+/// `SDS^b(I)` over `task`'s own labels.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural or semantic defect; the
 /// caller should treat any error as a cache miss.
 pub fn report_from_json(task: &Task, v: &Json) -> Result<SolvabilityReport, String> {
+    let text = v.to_string();
     let tables = TaskTables::default();
-    decode_report(task, shape_key(task.input()), &tables, v)
+    read_record(task, shape_key(task.input()), &tables, &text, None).map(CheckedRecord::into_report)
 }
 
-/// Checks a stored record exactly as [`report_from_json`] does — the same
-/// decoding and the same revalidation — without assembling a report: the
-/// warm path of a service that replays the stored bytes instead of
-/// re-rendering a decoded report. The check reads the keyed task's own
-/// `Δ` tables, compiled on its first check or search and kept.
+/// Checks stored record text as the answer to `(keyed, max_rounds)` — the
+/// warm path of a service that replays the stored bytes. One pass over
+/// the bytes, no JSON tree: the record must be exactly the canonical text
+/// `report_to_json(..).to_string()` writes (so the bytes served are the
+/// bytes checked), its verdict vector must answer `max_rounds`, and its
+/// witness must pass [`report_from_json`]'s revalidation, with the keyed
+/// task's own `Δ` tables, compiled on its first check or search and kept.
 ///
 /// # Errors
 ///
-/// As [`report_from_json`].
-pub fn validate_record(keyed: &KeyedTask, v: &Json) -> Result<(), String> {
-    decode_record(&keyed.task, keyed.shape, &keyed.tables, v).map(|_| ())
+/// Returns a description of the first defect; the caller should treat
+/// any error as a cache miss.
+///
+/// # Examples
+///
+/// ```
+/// use iis_core::cache::{intern_spec, report_to_json, validate_record};
+/// use iis_core::solvability::solve_up_to;
+///
+/// let keyed = intern_spec("eps:1:3").unwrap();
+/// let text = report_to_json(&solve_up_to(keyed.task(), 2)).to_string();
+/// assert_eq!(validate_record(&keyed, 2, &text), Ok(()));
+/// // a stored answer to b ≤ 2 (solvable at b = 1) does not answer b ≤ 0
+/// assert!(validate_record(&keyed, 0, &text).is_err());
+/// // and only the canonical bytes are a record
+/// assert!(validate_record(&keyed, 2, &text.replacen(',', ", ", 1)).is_err());
+/// ```
+pub fn validate_record(keyed: &KeyedTask, max_rounds: usize, text: &str) -> Result<(), String> {
+    read_record(
+        &keyed.task,
+        keyed.shape,
+        &keyed.tables,
+        text,
+        Some(max_rounds),
+    )
+    .map(|_| ())
 }
 
 /// `true` iff the sweep reached a verdict that may be persisted: a witness,
@@ -720,15 +963,12 @@ fn solve_cached(
 ) -> CachedSolve {
     let key = finish_key(q.key_prefix, max_rounds);
     if let Some(text) = cache.get(key) {
-        match Json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|v| decode_report(q.task, q.shape, q.tables, &v))
-        {
-            Ok(report) => {
+        match read_record(q.task, q.shape, q.tables, &text, Some(max_rounds)) {
+            Ok(record) => {
                 static STORE_HITS: StaticCounter = StaticCounter::new("solve.cache_store_hits");
                 STORE_HITS.incr();
                 return CachedSolve {
-                    report,
+                    report: record.into_report(),
                     hit: true,
                     key,
                 };
@@ -974,13 +1214,13 @@ mod tests {
         // the same pressure on the interner: more distinct specs than the
         // cap, one spec asked between every two others
         let hot = "trivial:1";
-        for k in 2..2 + TOWER_CACHE_CAP + 8 {
+        for k in 2..2 + SPEC_INTERN_CAP + 8 {
             intern_spec(hot).unwrap();
-            intern_spec(&format!("eps:1:{k}")).unwrap();
+            intern_spec(&format!("eps:0:{k}")).unwrap();
         }
         let specs = spec_interner();
         assert!(
-            specs.len() <= TOWER_CACHE_CAP,
+            specs.len() <= SPEC_INTERN_CAP,
             "interner exceeded its cap: {}",
             specs.len()
         );
@@ -1076,7 +1316,7 @@ mod tests {
         let warm = solve_up_to_cached(&t, 2, &SolveOptions::new(), &mut cache);
         assert!(warm.hit, "a poisoned memo must not fail revalidation");
         let text = SolveCache::get(&mut cache, keyed.key(2)).unwrap();
-        validate_record(&keyed, &Json::parse(&text).unwrap()).unwrap();
+        validate_record(&keyed, 2, &text).unwrap();
     }
 
     #[test]
@@ -1084,17 +1324,126 @@ mod tests {
         let t = approximate_agreement(1, 3);
         let keyed = KeyedTask::new(t.clone());
         let good = report_to_json(&solve_up_to_opts(&t, 2, &SolveOptions::new()));
-        assert!(validate_record(&keyed, &good).is_ok());
+        assert!(validate_record(&keyed, 2, &good.to_string()).is_ok());
         assert!(report_from_json(&t, &good).is_ok());
-        let bad = Json::parse(
-            "{\"results\": [[0, true]], \"task\": \"x\", \
-             \"witness\": {\"b\": 0, \"map\": [[0, 1], [1, 0]]}}",
-        )
-        .unwrap();
+        let bad = "{\"results\":[[0,true]],\"task\":\"x\",\
+                   \"witness\":{\"b\":0,\"map\":[[0,1],[1,0]]}}";
         assert_eq!(
-            validate_record(&keyed, &bad).unwrap_err(),
-            report_from_json(&t, &bad).unwrap_err()
+            validate_record(&keyed, 2, bad).unwrap_err(),
+            report_from_json(&t, &Json::parse(bad).unwrap()).unwrap_err()
         );
+    }
+
+    /// The `eps:1:3` answer to `max_rounds = 2` (solvable at b = 1), its
+    /// keyed task, and its canonical record text.
+    fn eps_1_3_record() -> (Task, KeyedTask, String) {
+        let t = approximate_agreement(1, 3);
+        let text = report_to_json(&solve_up_to_opts(&t, 2, &SolveOptions::new())).to_string();
+        assert!(
+            text.starts_with("{\"results\":[[0,false],[1,true]],"),
+            "{text}"
+        );
+        (t.clone(), KeyedTask::new(t), text)
+    }
+
+    /// Files `text` under `(t, max_rounds)` and asks that question: a
+    /// record that does not answer it must be a miss, answered fresh,
+    /// with the bad bytes kept (first write wins).
+    fn assert_refused(t: &Task, max_rounds: usize, text: &str) {
+        let mut cache = HashMap::new();
+        SolveCache::put(&mut cache, cache_key(t, max_rounds), text);
+        let out = solve_up_to_cached(t, max_rounds, &SolveOptions::new(), &mut cache);
+        assert!(
+            !out.hit,
+            "served a record that does not answer b ≤ {max_rounds}: {text}"
+        );
+        let fresh = solve_up_to_opts(t, max_rounds, &SolveOptions::new());
+        assert_eq!(
+            report_to_json(&out.report).to_string(),
+            report_to_json(&fresh).to_string()
+        );
+        assert_eq!(
+            SolveCache::get(&mut cache, cache_key(t, max_rounds)).as_deref(),
+            Some(text)
+        );
+    }
+
+    #[test]
+    fn a_record_must_answer_the_round_bound_asked() {
+        let (t, keyed, text) = eps_1_3_record();
+        // solvable at b = 1 answers every bound from 1 up
+        for b in 1..=3 {
+            assert_eq!(validate_record(&keyed, b, &text), Ok(()), "b={b}");
+        }
+        assert_refused(&t, 0, &text);
+        // a refutation answers exactly its own bound
+        let c = consensus(1, &[0, 1]);
+        let refuted = report_to_json(&solve_up_to_opts(&c, 2, &SolveOptions::new())).to_string();
+        let keyed = KeyedTask::new(c.clone());
+        assert_eq!(validate_record(&keyed, 2, &refuted), Ok(()));
+        assert!(validate_record(&keyed, 1, &refuted).is_err());
+        assert_refused(&c, 1, &refuted);
+        assert_refused(&c, 3, &refuted);
+    }
+
+    #[test]
+    fn a_gapped_verdict_vector_is_refused() {
+        let (t, _, text) = eps_1_3_record();
+        let gapped = text.replacen("[[0,false],[1,true]]", "[[1,true]]", 1);
+        assert_refused(&t, 2, &gapped);
+    }
+
+    #[test]
+    fn a_stray_map_pair_is_refused() {
+        let (t, _, text) = eps_1_3_record();
+        let stray = text.replacen("]]}}", "],[99999,0]]}}", 1);
+        assert_ne!(stray, text);
+        assert_refused(&t, 2, &stray);
+    }
+
+    #[test]
+    fn a_duplicate_map_source_is_refused() {
+        // a map keyed by source would keep the last pair and accept this
+        let (t, _, text) = eps_1_3_record();
+        let duplicate = text.replacen("\"map\":[", "\"map\":[[1,0],", 1);
+        assert_ne!(duplicate, text);
+        assert_refused(&t, 2, &duplicate);
+    }
+
+    #[test]
+    fn a_record_with_added_whitespace_is_refused() {
+        // the shard serves stored bytes verbatim, so only the canonical
+        // bytes may be served
+        let (t, _, text) = eps_1_3_record();
+        let spaced = text.replacen(",", ", ", 1);
+        assert_eq!(Json::parse(&spaced).unwrap().to_string(), text);
+        assert_refused(&t, 2, &spaced);
+    }
+
+    #[test]
+    fn escaped_task_names_are_read_canonically() {
+        let (t, keyed, text) = eps_1_3_record();
+        let named = |name: &str| {
+            let mut lit = String::new();
+            iis_obs::json::write_string(&mut lit, name);
+            text.replacen(&format!("\"{}\"", t.name()), &lit, 1)
+        };
+        for name in ["with \"quotes\" and \\", "tab\tand\u{1}", "ε-agreement"] {
+            let rec = named(name);
+            assert_eq!(validate_record(&keyed, 2, &rec), Ok(()), "{rec}");
+            let back = report_from_json(&t, &Json::parse(&rec).unwrap()).unwrap();
+            assert_eq!(back.task_name(), name);
+        }
+        // the same names, escaped otherwise, and a raw control byte
+        for rec in [
+            named("a/b").replace('/', "\\/"),
+            named("é").replace('é', "\\u00e9"),
+            named("\u{1f}").replace("\\u001f", "\\u001F"),
+            named("\n").replace("\\n", "\\u000a"),
+            named("\t").replace("\\t", "\t"),
+        ] {
+            assert!(validate_record(&keyed, 2, &rec).is_err(), "{rec}");
+        }
     }
 
     #[test]

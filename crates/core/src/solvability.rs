@@ -164,15 +164,63 @@ pub fn validate_decision_map(
     }
 }
 
-/// [`validate_decision_map`] on a compiled constraint skeleton — the
-/// revalidation path behind [`crate::cache::report_from_json`] and
-/// [`crate::cache::validate_record`].
+/// [`validate_decision_map`] on a compiled constraint skeleton, for a map
+/// in hand (the debug re-checks of search results and lifts). A stored
+/// witness is read straight into the dense image table instead
+/// ([`crate::cache::validate_record`]) and meets the same two checks,
+/// [`check_image`] per vertex and [`check_simplices`].
+///
+/// # Errors
+///
+/// Returns a description of the first violated condition.
+pub(crate) fn check_decision_map(
+    task: &Task,
+    skel: &Skeleton,
+    tables: &TaskTables,
+    map: &SimplicialMap,
+) -> Result<(), String> {
+    let c = skel.tower().complex();
+    let mut image: Vec<VertexId> = Vec::with_capacity(c.num_vertices());
+    for v in 0..c.num_vertices() as u32 {
+        let vid = VertexId(v);
+        let w = map
+            .image(vid)
+            .ok_or_else(|| format!("vertex {vid} unmapped"))?;
+        check_image(skel, task.output(), vid, w)?;
+        image.push(w);
+    }
+    check_simplices(task, skel, tables, &image)
+}
+
+/// The per-vertex half of Proposition 3.1's check: vertex `v` of `skel`'s
+/// tower has image `w` in `out`, of `v`'s color.
+///
+/// # Errors
+///
+/// Names the vertex or image that fails.
+pub(crate) fn check_image(
+    skel: &Skeleton,
+    out: &Complex,
+    v: VertexId,
+    w: VertexId,
+) -> Result<(), String> {
+    if w.index() >= out.num_vertices() {
+        return Err(format!("not simplicial: image vertex {w} not in target"));
+    }
+    if skel.tower().complex().color(v.0) != out.color(w) {
+        return Err(format!("vertex {v} changes color"));
+    }
+    Ok(())
+}
+
+/// The per-simplex half of Proposition 3.1's check, on a total image
+/// table `image` (vertex `v` of `skel`'s tower ↦ `image[v]`) whose entries
+/// passed [`check_image`].
 ///
 /// Accept/reject behavior is identical to the reference validator
 /// (DESIGN.md, "Why checking the compiled constraints is Proposition 3.1's
-/// check"): totality, image range, and color preservation are per-vertex
-/// checks; then each class's `Δ` table is resolved once through `tables`,
-/// and every simplex `s` of `skel` is one binary search of its image tuple in
+/// check"): each class's `Δ` table is resolved once through `tables`, and
+/// every simplex `s` of `skel` is one binary search of its image tuple in
 /// its class's table. Simplices are chromatic, so `δ(s) ⊆ sₒ` for some
 /// `sₒ ∈ Δ(carrier(s))` iff `sₒ`'s projection onto `s`'s colors *is*
 /// `δ(s)` — exactly the tuples the table holds. Simpliciality needs no
@@ -180,32 +228,13 @@ pub fn validate_decision_map(
 ///
 /// # Errors
 ///
-/// Returns a description of the first violated condition, naming the
-/// failing simplex and its carrier.
-pub(crate) fn check_decision_map(
+/// Names the first failing simplex and its carrier.
+pub(crate) fn check_simplices(
     task: &Task,
     skel: &Skeleton,
     tables: &TaskTables,
-    map: &SimplicialMap,
+    image: &[VertexId],
 ) -> Result<(), String> {
-    let out = task.output();
-    let c = skel.tower().complex();
-    // Totality, image range, color preservation — and a dense image table
-    // for the constraint walk.
-    let mut image: Vec<VertexId> = Vec::with_capacity(c.num_vertices());
-    for v in 0..c.num_vertices() as u32 {
-        let vid = VertexId(v);
-        let w = map
-            .image(vid)
-            .ok_or_else(|| format!("vertex {vid} unmapped"))?;
-        if w.index() >= out.num_vertices() {
-            return Err(format!("not simplicial: image vertex {w} not in target"));
-        }
-        if c.color(v) != out.color(w) {
-            return Err(format!("vertex {vid} changes color"));
-        }
-        image.push(w);
-    }
     let class_tables = skel.resolve(task, tables);
     let mut img: Vec<VertexId> = Vec::new();
     for ci in 0..skel.len() {

@@ -1,16 +1,21 @@
 //! The compiled witness check against Proposition 3.1's reference check.
 //!
-//! A stored witness is revalidated by probing each simplex's image tuple in
-//! its `(carrier, colors)` class's compiled `Δ` table
+//! A stored witness is revalidated by reading the record text straight
+//! into a dense image table and probing each simplex's image tuple in its
+//! `(carrier, colors)` class's compiled `Δ` table
 //! (`iis_core::cache::validate_record`, `report_from_json`). Over every
-//! library family at small `b`, the real witness (or, for a task with none,
-//! a map that satisfies every vertex's own constraint) and hundreds of
-//! seeded one- and two-vertex mutations of it must get the same verdict
-//! from the compiled check as from the reference `validate_decision_map`
-//! on the labelled `sds_iterated` tower.
+//! library family at small `b`, the record of the real witness (or, for a
+//! task with none, of a map that satisfies every vertex's own constraint)
+//! and of hundreds of seeded one- and two-vertex mutations of it must get
+//! the same verdict from the compiled check as from the reference
+//! `validate_decision_map` on the labelled `sds_iterated` tower. Seeded
+//! single-byte edits of canonical records are accepted only when a
+//! JSON-tree decoder with the reference check would accept them too, and
+//! only when the edit is itself a canonical rendering.
 
 use iis_core::cache::{report_from_json, validate_record, KeyedTask};
 use iis_core::solvability::{solve_up_to_opts, validate_decision_map, SolveOptions};
+use iis_obs::json::FromJson;
 use iis_obs::{Json, Rng, ToJson};
 use iis_tasks::library::parse_spec;
 use iis_tasks::Task;
@@ -37,8 +42,8 @@ const CASES: [(&str, usize); 14] = [
     ("oneshot:2", 1),
 ];
 
-/// A record in the store's encoding claiming `map` decides `task` at `b`.
-fn record(task: &Task, b: usize, map: &SimplicialMap) -> Json {
+/// The record text a store holds claiming `map` decides `task` at `b`.
+fn record(task: &Task, b: usize, map: &SimplicialMap) -> String {
     let results: Vec<(usize, bool)> = (0..=b).map(|r| (r, r == b)).collect();
     Json::obj([
         ("results", results.to_json()),
@@ -48,6 +53,7 @@ fn record(task: &Task, b: usize, map: &SimplicialMap) -> Json {
             Json::obj([("b", b.to_json()), ("map", map.to_json())]),
         ),
     ])
+    .to_string()
 }
 
 /// The real witness at `b` if the task has one there; otherwise a map
@@ -99,13 +105,13 @@ fn compiled_check_equals_the_prop_3_1_check() {
             }
             let want = validate_decision_map(&task, &sub, &map).is_ok();
             let rec = record(&task, b, &map);
-            let got = validate_record(&keyed, &rec);
+            let got = validate_record(&keyed, b, &rec);
             assert_eq!(
                 got.is_ok(),
                 want,
                 "{spec} b={b} mutation {m}: compiled {got:?}, reference accepts: {want}"
             );
-            let replay = report_from_json(&task, &rec).map(|_| ());
+            let replay = report_from_json(&task, &Json::parse(&rec).unwrap()).map(|_| ());
             assert_eq!(replay, got, "{spec} b={b} mutation {m}");
             if want {
                 accepted += 1;
@@ -140,10 +146,96 @@ fn rejections_name_the_simplex_and_its_carrier() {
     let near = map.image(v).unwrap();
     map.insert(v, if far == near { VertexId(0) } else { far });
     assert!(validate_decision_map(&task, &sub, &map).is_err());
-    let err = validate_record(&keyed, &record(&task, b, &map)).unwrap_err();
+    let err = validate_record(&keyed, b, &record(&task, b, &map)).unwrap_err();
     assert!(err.starts_with("stored witness invalid: "), "{err}");
     assert!(
         err.contains("simplex ⟨") && err.contains("(carrier ⟨") && err.contains("∉ Δ(carrier)"),
         "{err}"
+    );
+}
+
+/// A JSON-tree decoder of a record with the reference check: parse the
+/// text, read the verdicts and the witness map by source, and accept iff
+/// the verdicts end in the witness's round and the map passes
+/// `validate_decision_map` on the labelled tower. It is lenient where the
+/// one-pass reader is strict — whitespace, pair order, stray pairs, gaps —
+/// so every record the reader accepts must pass it.
+fn tree_decoder_accepts(task: &Task, text: &str) -> bool {
+    let decode = || -> Option<bool> {
+        let v = Json::parse(text).ok()?;
+        let results = Vec::<(usize, bool)>::from_json(v.get("results")?).ok()?;
+        String::from_json(v.get("task")?).ok()?;
+        match v.get("witness")? {
+            Json::Null => Some(!results.iter().any(|(_, ok)| *ok)),
+            w => {
+                let b = usize::from_json(w.get("b")?).ok()?;
+                let map = SimplicialMap::from_json(w.get("map")?).ok()?;
+                let sub = sds_iterated(task.input(), b.min(3));
+                Some(
+                    b <= 3
+                        && results.last() == Some(&(b, true))
+                        && validate_decision_map(task, &sub, &map).is_ok(),
+                )
+            }
+        }
+    };
+    decode() == Some(true)
+}
+
+#[test]
+fn single_byte_edits_are_accepted_only_when_canonical_and_valid() {
+    const EDITS: usize = 600;
+    // the bytes a record is made of, and some it is not
+    let alphabet = b"0123456789,[]{}\":. tfalseruniwbmapk-\\";
+    let mut rng = Rng::seed_from_u64(0xb17e_ed17);
+    let (mut accepted, mut refused) = (0usize, 0usize);
+    for spec in [
+        "eps:1:3",
+        "consensus:1",
+        "kset:2:3",
+        "oneshot:1",
+        "renaming:1:3",
+    ] {
+        let task = parse_spec(spec).unwrap();
+        let keyed = KeyedTask::new(task.clone());
+        let b = 2;
+        let report = solve_up_to_opts(&task, b, &SolveOptions::new());
+        let text = iis_core::cache::report_to_json(&report).to_string();
+        assert_eq!(validate_record(&keyed, b, &text), Ok(()), "{spec}");
+        for e in 0..EDITS {
+            let mut bytes = text.clone().into_bytes();
+            let at = rng.random_range(0..bytes.len());
+            let with = alphabet[rng.random_range(0..alphabet.len())];
+            match e % 3 {
+                0 => bytes[at] = with,
+                1 => bytes.insert(at, with),
+                _ => {
+                    bytes.remove(at);
+                }
+            }
+            let Ok(edit) = String::from_utf8(bytes) else {
+                continue;
+            };
+            if edit == text {
+                continue;
+            }
+            if validate_record(&keyed, b, &edit).is_ok() {
+                assert!(tree_decoder_accepts(&task, &edit), "{spec}: {edit}");
+                assert_eq!(
+                    Json::parse(&edit).unwrap().to_string(),
+                    edit,
+                    "{spec}: accepted bytes that do not re-render as themselves"
+                );
+                accepted += 1;
+            } else {
+                refused += 1;
+            }
+        }
+    }
+    // edits inside the task name, or to another image the check allows,
+    // are accepted; most edits break the grammar
+    assert!(
+        accepted > 100 && refused > 4 * accepted,
+        "{accepted} accepted, {refused} refused"
     );
 }

@@ -274,6 +274,51 @@ impl HistogramHandle {
     }
 }
 
+/// A [`HistogramHandle`] that can live in a `static`: the per-request
+/// histograms of the service hot paths, which [`record`] would otherwise
+/// look up in the registry (under its lock) on every sample. Registered on
+/// the first sample while the recorder is enabled, as [`record`] would.
+///
+/// # Examples
+///
+/// ```
+/// use iis_obs::metrics::StaticHistogram;
+/// static LATENCY: StaticHistogram = StaticHistogram::new("example.latency_ns");
+/// iis_obs::set_enabled(true);
+/// LATENCY.record(300);
+/// assert_eq!(iis_obs::metrics::snapshot().histograms["example.latency_ns"].count, 1);
+/// ```
+pub struct StaticHistogram {
+    name: &'static str,
+    cell: OnceLock<HistogramHandle>,
+}
+
+impl StaticHistogram {
+    /// A handle on the histogram `name`, resolved on first use.
+    pub const fn new(name: &'static str) -> StaticHistogram {
+        StaticHistogram {
+            name,
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// The histogram's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Records one sample (no-op while the recorder is disabled).
+    #[inline]
+    pub fn record(&self, v: u64) {
+        if enabled() {
+            self.cell
+                .get_or_init(|| HistogramHandle::handle(self.name))
+                .cells
+                .record(v);
+        }
+    }
+}
+
 /// One-shot histogram record for cold paths.
 pub fn record(name: &str, v: u64) {
     if enabled() {

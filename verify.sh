@@ -172,6 +172,43 @@ grep -q '4 jobs accepted, 4 completed' "$serve_out" \
 rm -rf "$serve_log" "$serve_out" "$store_dir"
 echo "solve service smoke: ok"
 
+# Interner smoke: a fresh `iis serve` asked 80 distinct specs (eps:0:2 …
+# eps:0:81, more than the skeleton memo's 64 entries) in one batch, then
+# the same batch again. The second pass must build no task
+# (cache_spec_builds_total unmoved: every served task stays interned) and
+# answer with byte-identical records.
+serve_log=$(mktemp)
+"$IIS" serve --addr 127.0.0.1:0 >/dev/null 2>"$serve_log" &
+serve_pid=$!
+port=""
+for _ in $(seq 1 100); do
+  port=$(sed -n 's#^serving on http://127\.0\.0\.1:\([0-9]*\)$#\1#p' "$serve_log")
+  [ -n "$port" ] && break
+  kill -0 "$serve_pid" 2>/dev/null || { echo "interner smoke: serve died early"; cat "$serve_log"; exit 1; }
+  sleep 0.05
+done
+[ -n "$port" ] || { echo "interner smoke: no port announced"; cat "$serve_log"; exit 1; }
+qs=""
+for k in $(seq 2 81); do qs="$qs{\"spec\": \"eps:0:$k\", \"max_rounds\": 1},"; done
+batch="{\"questions\": [${qs%,}]}"
+first=$(post /solve "$batch")
+[ "$(echo "$first" | grep -o '"status":200' | wc -l)" -eq 80 ] \
+  || { echo "interner smoke: first pass did not answer all 80 questions"; echo "$first"; exit 1; }
+builds=$(scrape /metrics | sed -n 's/^cache_spec_builds_total //p')
+second=$(post /solve "$batch")
+[ "$(echo "$second" | grep -o '"cached":true' | wc -l)" -eq 80 ] \
+  || { echo "interner smoke: second pass was not all store hits"; echo "$second"; exit 1; }
+unflagged() { sed -E 's/"cached":(true|false)/"cached":_/g; s/"job":[0-9]+,//g'; }
+[ "$(echo "$first" | unflagged)" = "$(echo "$second" | unflagged)" ] \
+  || { echo "interner smoke: second-pass records differ from the first"; exit 1; }
+warm_builds=$(scrape /metrics | sed -n 's/^cache_spec_builds_total //p')
+[ -n "$builds" ] && [ "$warm_builds" = "$builds" ] \
+  || { echo "interner smoke: the second pass rebuilt tasks ($builds -> $warm_builds)"; exit 1; }
+post /shutdown '' >/dev/null
+wait "$serve_pid" || { echo "interner smoke: serve exited nonzero"; cat "$serve_log"; exit 1; }
+rm -f "$serve_log"
+echo "interner smoke: ok"
+
 # Gateway fuzz sweep: routing soundness under injected transport faults —
 # no question answered wrongly or misaligned, only late or 503.
 "$IIS" fuzz --layer gateway --seed 7 --cases 300 --shrink

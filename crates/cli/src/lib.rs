@@ -19,7 +19,7 @@ use iis_topology::embedding::{embed_sds_tower, to_svg};
 use iis_topology::homology::Homology;
 use iis_topology::homology_z::IntegerHomology;
 use iis_topology::manifold::pseudomanifold_report;
-use iis_topology::{sds, Complex, Subdivision};
+use iis_topology::{sds, sds_iterated, Complex, Subdivision};
 use std::fmt::Write as _;
 
 /// A CLI usage or execution error, formatted for the terminal.
@@ -164,18 +164,6 @@ pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'
     Ok(None)
 }
 
-fn build_tower(n: usize, b: usize) -> (Complex, Vec<Subdivision>, Subdivision) {
-    let base = Complex::standard_simplex(n);
-    let mut levels = Vec::new();
-    let mut acc = Subdivision::identity(base.clone());
-    for _ in 0..b {
-        let next = sds(acc.complex());
-        levels.push(next.clone());
-        acc = acc.compose(&next);
-    }
-    (base, levels, acc)
-}
-
 /// `iis sds <n> <b> [--json] [--svg FILE]`
 ///
 /// # Errors
@@ -183,7 +171,8 @@ fn build_tower(n: usize, b: usize) -> (Complex, Vec<Subdivision>, Subdivision) {
 /// Returns a [`CliError`] on bad arguments or I/O failure.
 pub fn cmd_sds(args: &[String]) -> Result<String, CliError> {
     let (n, b) = parse_dims(args)?;
-    let (base, levels, acc) = build_tower(n, b);
+    let base = Complex::standard_simplex(n);
+    let acc = sds_iterated(&base, b);
     acc.validate().map_err(|e| err(e.to_string()))?;
     if args.iter().any(|a| a == "--json") {
         return Ok(acc.to_json().to_string_pretty());
@@ -212,6 +201,12 @@ pub fn cmd_sds(args: &[String]) -> Result<String, CliError> {
         if n != 2 {
             return Err(err("--svg needs n = 2"));
         }
+        // one subdivision per round, each of the previous round's complex
+        let mut levels: Vec<Subdivision> = Vec::new();
+        for _ in 0..b {
+            let inner = levels.last().map_or(&base, |l| l.complex());
+            levels.push(sds(inner));
+        }
         let emb = embed_sds_tower(&base, &levels);
         std::fs::write(path, to_svg(&acc, &emb, 600.0))
             .map_err(|e| err(format!("cannot write {path}: {e}")))?;
@@ -227,7 +222,7 @@ pub fn cmd_sds(args: &[String]) -> Result<String, CliError> {
 /// Returns a [`CliError`] on bad arguments.
 pub fn cmd_homology(args: &[String]) -> Result<String, CliError> {
     let (n, b) = parse_dims(args)?;
-    let (_, _, acc) = build_tower(n, b);
+    let acc = sds_iterated(&Complex::standard_simplex(n), b);
     let h = Homology::of(acc.complex());
     let hz = IntegerHomology::of(acc.complex());
     let hb = Homology::of(&acc.complex().boundary());

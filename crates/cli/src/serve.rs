@@ -1409,6 +1409,31 @@ mod tests {
     }
 
     #[test]
+    fn oversized_oneshot_is_refused_fast_alike_by_shard_and_gateway() {
+        // oneshot:6 would take minutes to build inside the handler; the
+        // spec parser refuses it before building anything
+        let gateway = iis_cluster::Gateway::new(
+            Arc::new(iis_cluster::HttpTransport::new(Duration::from_secs(1))),
+            iis_cluster::GatewayConfig {
+                backends: Vec::new(),
+                replicas: 1,
+                workers: 1,
+            },
+        );
+        let shard = stalled_service(4, None);
+        let body = r#"{"spec": "oneshot:6", "max_rounds": 0}"#;
+        let started = std::time::Instant::now();
+        let reply = shard.handle_solve(body);
+        let (status, gateway_body) = gateway.solve_one(body);
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!((reply.status, status), (400, 400));
+        assert_eq!(reply.body, gateway_body, "same refusal at both hops");
+        let error = Json::parse(&reply.body).unwrap();
+        let message = error.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("N ≤ 4"), "{message}");
+    }
+
+    #[test]
     fn cmd_serve_flag_errors() {
         assert!(cmd_serve(&["--workers".into(), "0".into()]).is_err());
         assert!(cmd_serve(&["--workers".into(), "nope".into()]).is_err());

@@ -5,10 +5,10 @@
 //! `iis serve`, the gateway) searches on the compiled kernel
 //! ([`crate::csp`]). This module answers the same fixed-`b` question a
 //! second way, sharing no tower or search code with the kernel: it grows
-//! the *labelled* tower `SDS^b(I)` with the reference builder
-//! ([`sds_iterated`]), compiles one constraint per simplex with
-//! `Vec<VertexId>` domains, clones the domains at every node, and finds a
-//! support by scanning a whole table. Only the `Δ` tables (the
+//! the *labelled* tower `SDS^b(I)` by the ordered-partition walk
+//! ([`sds_reference_iterated`], no arena and no template), compiles one
+//! constraint per simplex with `Vec<VertexId>` domains, clones the domains
+//! at every node, and finds a support by scanning a whole table. Only the `Δ` tables (the
 //! restrictions of `Δ(carrier)` to a simplex's colors) are shared.
 //!
 //! Two searches, both sequential, with a node budget and nothing else —
@@ -51,7 +51,7 @@ use crate::csp::{
 use crate::solvability::validate_decision_map;
 use iis_obs::metrics::Counter;
 use iis_tasks::Task;
-use iis_topology::{sds_iterated, Color, SimplicialMap, Subdivision, VertexId};
+use iis_topology::{sds_reference_iterated, Color, SimplicialMap, Subdivision, VertexId};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -96,7 +96,7 @@ fn solve(
     max_nodes: u64,
     mac: bool,
 ) -> Result<Option<SimplicialMap>, Exhausted> {
-    let sub = sds_iterated(task.input(), b);
+    let sub = sds_reference_iterated(task.input(), b);
     let Some((csp, mut domains)) =
         compile_csp(task, &sub, &mut ConstraintCache::default(), max_nodes)
     else {
@@ -391,7 +391,7 @@ mod tests {
             let mut reference_cache = ConstraintCache::default();
             for b in 0..=max_b {
                 let skel = Skeleton::new(iis_topology::arena::arena_sds_tower(task.input(), b));
-                let sub = sds_iterated(task.input(), b);
+                let sub = sds_reference_iterated(task.input(), b);
                 let compiled = crate::csp::compile(&task, &skel, &arena_tables);
                 let reference = compile_csp(&task, &sub, &mut reference_cache, u64::MAX);
                 let (Some((k, _)), Some((r, _))) = (compiled, reference) else {

@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// it lives on — one instance per input shape and `b`, shared with the
 /// memoized constraint skeleton the search ran on or the stored witness
 /// was checked against. Vertex `v` of the tower is vertex `v` of the
-/// reference `sds_iterated(I, b)` (DESIGN.md §14).
+/// labelled `sds_iterated(I, b)` (DESIGN.md §14).
 #[derive(Clone, Debug)]
 pub struct DecisionMap {
     tower: Arc<ArenaSds>,
@@ -424,7 +424,7 @@ fn base_skeleton(input: &Complex, shape: u64) -> Arc<Skeleton> {
 /// the memoized one of `(shape, level)`, or on a miss one subdivision of
 /// `skel`'s tower (Lemma 3.3), not memoized — a witness found on it
 /// memoizes it then, and only then. A level actually built counts
-/// `sds.builds`, `sds.facets` and `sds.vertices` as the reference builder
+/// `sds.builds`, `sds.facets` and `sds.vertices` as the labelled builder
 /// counts its own; an `sds.level` trace event is emitted either way.
 fn next_skeleton(skel: &Skeleton, input: &Complex, shape: u64, level: usize) -> Arc<Skeleton> {
     let next = memoized_skeleton(input, shape, level).unwrap_or_else(|| {

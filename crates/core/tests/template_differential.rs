@@ -1,12 +1,11 @@
 //! Template-instantiated subdivision vs the reference builder, over the
-//! whole task library (ISSUE satellite): for every input complex in the
-//! library and every round count `b ≤ 3` we can afford, the template path
-//! (`sds_iterated`, which instantiates the per-dimension `SdsTemplate`) must
-//! be `same_labeled`-equal — in fact bit-identical including carriers — to
-//! a tower built purely with `sds_reference`, the pre-template
-//! ordered-partition builder kept as a differential oracle, and the
-//! label-free arena tower must agree with it in colors, carriers, facets and
-//! facet order.
+//! whole task library: for every input complex in the library and every
+//! round count `b ≤ 3` we can afford, the labelled tower (`sds_iterated`,
+//! the arena tower that instantiates the per-dimension `SdsTemplate`, plus
+//! a labelling pass) must be `same_labeled`-equal — in fact bit-identical
+//! including carriers — to `sds_reference_iterated`, the ordered-partition
+//! walk kept as the differential oracle, and the label-free arena tower
+//! must agree with it in colors, carriers, facets and facet order.
 
 use iis_tasks::library::{
     approximate_agreement, chromatic_simplex_agreement, consensus, k_set_consensus,
@@ -14,7 +13,7 @@ use iis_tasks::library::{
 };
 use iis_tasks::Task;
 use iis_topology::arena::arena_sds_tower;
-use iis_topology::{sds_iterated, sds_reference, Subdivision};
+use iis_topology::{sds_iterated, sds_reference_iterated, Subdivision};
 
 /// Every library input complex, via its task constructor.
 fn library() -> Vec<Task> {
@@ -73,30 +72,13 @@ fn template_tower_matches_reference_across_library() {
             if slow.complex().num_facets() > MAX_REFERENCE_FACETS {
                 break;
             }
-            slow = slow.compose(&sds_reference(slow.complex()));
+            slow = sds_reference_iterated(input, b);
             let fast = sds_iterated(input, b);
             assert_towers_identical(&task, b, &fast, &slow);
             // the label-free arena keeps no labels to compare; its colors,
             // carriers, facets and facet order must match the reference's
             let arena = arena_sds_tower(input, b);
             assert_eq!(arena.agrees_with(&slow), Ok(()), "{} b={b}", task.name());
-        }
-    }
-}
-
-#[test]
-fn arena_tower_matches_template_tower_across_library_up_to_b3() {
-    for task in library() {
-        let mut arena = arena_sds_tower(task.input(), 0);
-        for b in 1..=3usize {
-            arena = arena.next();
-            let reference = sds_iterated(task.input(), b);
-            assert_eq!(
-                arena.agrees_with(&reference),
-                Ok(()),
-                "{} b={b}",
-                task.name()
-            );
         }
     }
 }

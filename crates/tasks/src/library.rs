@@ -334,6 +334,13 @@ pub fn one_shot_immediate_snapshot_task(n: usize) -> Task {
     chromatic_simplex_agreement(&sub)
 }
 
+/// The largest `N` of `oneshot:N` that [`parse_spec`] builds. The task
+/// pairs every simplex of `sᴺ` with every simplex of `SDS(sᴺ)`, so its
+/// build time explodes (on a 2-vCPU VM: 0.2 s at `N = 4`, 8 s at `N = 5`,
+/// over two minutes at `N = 6`) — too long to run inside a request
+/// handler.
+const MAX_ONESHOT_DIM: usize = 4;
+
 /// Parses a library task specifier — `trivial:N`, `consensus:N`,
 /// `kset:N:K`, `renaming:N:M`, `eps:N:GRID`, `oneshot:N` (`N` is the
 /// dimension, i.e. `N+1` processes) — into its [`Task`].
@@ -344,7 +351,8 @@ pub fn one_shot_immediate_snapshot_task(n: usize) -> Task {
 ///
 /// # Errors
 ///
-/// Returns a message describing the malformed specifier.
+/// Returns a message describing the malformed specifier, or naming the
+/// bound when `oneshot:N` has `N > 4`.
 pub fn parse_spec(spec: &str) -> Result<Task, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     let num =
@@ -355,7 +363,12 @@ pub fn parse_spec(spec: &str) -> Result<Task, String> {
         ["kset", n, k] => Ok(k_set_consensus(num(n)?, num(k)?)),
         ["renaming", n, m] => Ok(renaming(num(n)?, num(m)?)),
         ["eps", n, grid] => Ok(approximate_agreement(num(n)?, num(grid)? as u64)),
-        ["oneshot", n] => Ok(one_shot_immediate_snapshot_task(num(n)?)),
+        ["oneshot", n] => match num(n)? {
+            n if n > MAX_ONESHOT_DIM => Err(format!(
+                "oneshot:N takes N ≤ {MAX_ONESHOT_DIM}, got {n}: larger tasks take seconds to minutes to build"
+            )),
+            n => Ok(one_shot_immediate_snapshot_task(n)),
+        },
         _ => Err(format!("unknown task spec: {spec}")),
     }
 }
@@ -382,6 +395,17 @@ mod tests {
             assert_eq!(back.to_json().to_string(), text, "{spec}");
             assert_eq!(back.input().num_facets(), task.input().num_facets());
             assert_eq!(back.output().num_facets(), task.output().num_facets());
+        }
+    }
+
+    #[test]
+    fn oneshot_dimension_is_bounded() {
+        assert!(parse_spec("oneshot:1").is_ok());
+        for spec in ["oneshot:5", "oneshot:6", "oneshot:1000000"] {
+            let Err(refusal) = parse_spec(spec) else {
+                panic!("{spec} was built");
+            };
+            assert!(refusal.contains("N ≤ 4"), "{spec}: {refusal}");
         }
     }
 

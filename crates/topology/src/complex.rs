@@ -55,9 +55,10 @@ impl<'a> FacetIndex<'a> {
 /// yields the same [`VertexId`]. This makes complexes built by independent
 /// constructions directly comparable via [`Complex::same_labeled`]. Labels
 /// themselves are interned byte strings ([`Label`] wraps an `Arc<[u8]>`),
-/// so cloning a complex — as the incremental subdivision tower
-/// ([`crate::sds_next`]) and the parallel solver do — shares label storage
-/// instead of copying it.
+/// so cloning a complex or a label — as the reference tower
+/// ([`crate::sds_reference_iterated`]) and the labelling pass of
+/// [`crate::sds_iterated`] do — shares label storage instead of copying
+/// it.
 ///
 /// # Examples
 ///
@@ -248,24 +249,44 @@ impl Complex {
         index
     }
 
-    /// Inserts `s` directly into the facet set, skipping the antichain
-    /// scan of [`Complex::add_facet`] (which is quadratic in the facet
-    /// count and dominates large subdivision builds).
-    ///
-    /// The caller must guarantee `s` is incomparable to every existing
-    /// facet. The subdivision builders satisfy this structurally: a
-    /// subdivision facet's view labels pin its vertices inside one base
-    /// facet, so nesting between subdivision facets would force nesting
-    /// between base facets — impossible, base facets form an antichain.
-    /// (Exact duplicates are tolerated; the set insert no-ops, matching
-    /// `add_facet`.)
-    pub(crate) fn insert_facet_unchecked(&mut self, s: Simplex) {
-        debug_assert!(
-            s.iter().all(|v| v.index() < self.vertices.len()),
-            "facet vertex out of range"
-        );
-        debug_assert!(!s.is_empty(), "facets are non-empty");
-        self.facets.insert(s);
+    /// A complex from its vertex table, in id order, and its facets,
+    /// without the dedup of [`Complex::ensure_vertex`] or the antichain
+    /// scan of [`Complex::add_facet`] (quadratic in the facet count): the
+    /// caller guarantees distinct `(color, label)` pairs and pairwise
+    /// incomparable facets, as the arena tower does structurally.
+    pub(crate) fn from_parts_unchecked(
+        vertices: Vec<(Color, Label)>,
+        facets: impl IntoIterator<Item = Simplex>,
+    ) -> Complex {
+        // size each color's map up front: growing it would rehash labels
+        // (a complex has few colors, so a scan finds each one's count)
+        let mut sizes: Vec<(Color, usize)> = Vec::new();
+        for (color, _) in &vertices {
+            match sizes.iter_mut().find(|(c, _)| c == color) {
+                Some((_, n)) => *n += 1,
+                None => sizes.push((*color, 1)),
+            }
+        }
+        let mut index: HashMap<Color, HashMap<Label, VertexId>> = sizes
+            .into_iter()
+            .map(|(color, n)| (color, HashMap::with_capacity(n)))
+            .collect();
+        for (i, (color, label)) in vertices.iter().enumerate() {
+            let fresh = index
+                .get_mut(color)
+                .expect("sized above")
+                .insert(label.clone(), VertexId(i as u32));
+            debug_assert!(fresh.is_none(), "duplicate vertex ({color:?}, {label})");
+        }
+        let facets: BTreeSet<Simplex> = facets.into_iter().collect();
+        debug_assert!(facets
+            .iter()
+            .all(|s| !s.is_empty() && s.iter().all(|v| v.index() < vertices.len())));
+        Complex {
+            vertices,
+            index,
+            facets,
+        }
     }
 
     /// The facets (inclusion-maximal simplices), in sorted order.
@@ -305,8 +326,8 @@ impl Complex {
     /// coloring is a dimension-preserving simplicial map onto a simplex (§2).
     pub fn is_chromatic(&self) -> bool {
         self.facets.iter().all(|f| {
-            let mut seen = BTreeSet::new();
-            f.iter().all(|v| seen.insert(self.color(v)))
+            let c = |i: usize| self.color(f.vertices()[i]);
+            (0..f.len()).all(|i| (i + 1..f.len()).all(|j| c(i) != c(j)))
         })
     }
 

@@ -7,11 +7,12 @@
 //! - [`Complex`] — finite chromatic simplicial complexes with canonical
 //!   vertex [`Label`]s,
 //! - [`Simplex`], [`Subdivision`] — carriers and subdivision validation (§2),
-//! - [`sds`], [`sds_iterated`] — the standard chromatic subdivision and its
-//!   iterates (Lemmas 3.2/3.3), instantiated from a per-dimension
-//!   [`template`] and differentially checked against [`sds_reference`],
-//! - [`arena`] — the same towers as flat CSR arrays, vertices named by ids,
-//!   for validation-speed consumers,
+//! - [`arena`] — the standard chromatic subdivision and its iterates
+//!   (Lemmas 3.2/3.3) as flat CSR arrays, vertices named by ids,
+//!   instantiated from a per-dimension [`template`],
+//! - [`sds`], [`sds_iterated`] — the same towers with view labels: the
+//!   arena tower plus a labelling pass, checked against the
+//!   ordered-partition walk [`sds_reference_iterated`],
 //! - [`bsd`] — barycentric subdivision (used by Lemma 5.3),
 //! - [`SimplicialMap`] — simpliciality / color / carrier preservation checks,
 //! - [`homology`] — Z₂ homology, the effective "no holes" test (Lemma 2.2),
@@ -55,7 +56,7 @@ pub use complex::{Complex, FacetIndex};
 pub use maps::{MapError, SimplicialMap};
 pub use sds::{
     for_each_ordered_partition, ordered_bell, ordered_partitions, path_subdivision, sds,
-    sds_iterated, sds_next, sds_reference,
+    sds_iterated, sds_reference, sds_reference_iterated,
 };
 pub use simplex::Simplex;
 pub use subdivision::{Subdivision, SubdivisionError};

@@ -4,11 +4,18 @@
 //! standard chromatic subdivision (Lemma 3.2): vertices are pairs `(i, Sᵢ)`
 //! with `i ∈ Sᵢ`, and maximal simplices correspond to *ordered set
 //! partitions* (the concurrency-class schedules of the immediate snapshot
-//! model). This module constructs `SDS(C)` and `SDS^b(C)` purely
-//! combinatorially; `iis-core` independently rebuilds the same complexes by
-//! exhaustive execution enumeration and checks they coincide.
+//! model). This module gives `SDS(C)` and `SDS^b(C)` their view labels:
+//! [`sds_iterated`] is the one construction of the tower, the arena's
+//! ([`crate::arena`]), plus a labelling pass. The ordered-partition walk
+//! [`sds_reference`] (iterated: [`sds_reference_iterated`]) builds the same
+//! complexes independently and is kept as their oracle; `iis-core` also
+//! rebuilds them by exhaustive execution enumeration and checks they
+//! coincide.
 
-use crate::{Complex, Label, Simplex, Subdivision};
+use crate::arena::{self, ArenaComplex};
+use crate::{Color, Complex, Label, Simplex, Subdivision, VertexId};
+use iis_obs::metrics::{StaticCounter, StaticHistogram};
+use std::sync::Arc;
 
 /// Enumerates all *ordered set partitions* of `items` — every way to split
 /// the items into a sequence of non-empty blocks.
@@ -169,15 +176,14 @@ pub fn ordered_bell(n: usize) -> u64 {
 }
 
 /// Constructs the standard chromatic subdivision `SDS(C)` of a chromatic
-/// complex, with carriers (Lemma 3.2 / §3.6).
+/// complex, with carriers (Lemma 3.2 / §3.6): [`sds_iterated`] at `b = 1`.
 ///
-/// Every facet `f` of `C` is subdivided independently: for each ordered
-/// partition `(B₁, …, B_m)` of `f`'s vertices, the subdivision has a facet
-/// with one vertex per base vertex `v ∈ B_j`, whose *view* is
-/// `S_v = B₁ ∪ … ∪ B_j` and whose label is `Label::view` of the `(color,
-/// label)` pairs of `S_v`. Shared faces of facets glue automatically because
-/// views over a face depend only on that face's vertices (the observation
-/// after Lemma 3.3).
+/// For every facet `f` of `C` and every ordered partition `(B₁, …, B_m)` of
+/// `f`'s vertices, the subdivision has a facet with one vertex per base
+/// vertex `v ∈ B_j`, whose *view* is `S_v = B₁ ∪ … ∪ B_j` and whose label
+/// is `Label::view` of the `(color, label)` pairs of `S_v`. Shared faces of
+/// facets glue automatically because views over a face depend only on that
+/// face's vertices (the observation after Lemma 3.3).
 ///
 /// # Panics
 ///
@@ -193,156 +199,26 @@ pub fn ordered_bell(n: usize) -> u64 {
 /// sub.validate().unwrap();
 /// ```
 pub fn sds(base: &Complex) -> Subdivision {
-    sds_with_cap(base, crate::template::MAX_TEMPLATE_WIDTH)
-}
-
-/// The cap-parametrized core of [`sds`]: facets up to `cap` vertices wide
-/// instantiate from cached templates, wider facets fall back to the
-/// per-facet partition walk (counted in `sds.template_fallbacks`).
-///
-/// Exposed at crate level so the mixed-width differential tests can lower
-/// the cap and actually cross it — the real [`MAX_TEMPLATE_WIDTH`] is
-/// unreachable in a test (a 9-vertex facet's subdivision already has
-/// `ordered_bell(9)` ≈ 1.3 × 10⁹ facets).
-///
-/// [`MAX_TEMPLATE_WIDTH`]: crate::template::MAX_TEMPLATE_WIDTH
-pub(crate) fn sds_with_cap(base: &Complex, cap: usize) -> Subdivision {
-    assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
-    let _timer = iis_obs::span::span("sds.build_ns");
-    let mut sub = Complex::new();
-    let mut carriers: Vec<Simplex> = Vec::new();
-    // Scratch buffers reused across facets.
-    let mut concrete: Vec<crate::VertexId> = Vec::new();
-    let mut memo: Vec<Option<(Label, Simplex)>> = Vec::new();
-    for f in base.facets() {
-        let n = f.len();
-        if n == 0 || n > cap {
-            // Out of template range — fall back to the per-facet partition
-            // walk, which produces the same vertices in the same order. The
-            // mix is sound facet-by-facet: both builders emit identical
-            // vertex/facet sequences for a given facet, so a complex can
-            // take the template path for narrow facets and the walk for
-            // wide ones and still equal `sds_reference` byte-for-byte.
-            if n > cap {
-                iis_obs::metrics::add("sds.template_fallbacks", 1);
-            }
-            subdivide_facet_by_partitions(base, f, &mut sub, &mut carriers);
-            continue;
-        }
-        let tpl = crate::template::template(n);
-        let fv = f.vertices();
-        // Per view mask (a non-empty subset of the facet's positions):
-        // the canonical view label and the carrier simplex. `fv` is sorted,
-        // so ascending mask bits give ascending vertex ids directly.
-        memo.clear();
-        memo.resize(1usize << n, None);
-        concrete.clear();
-        for &(pos, mask) in tpl.vertices() {
-            let m = mask as usize;
-            if memo[m].is_none() {
-                let view = Label::view(SetBits(mask).map(|k| {
-                    let u = fv[k];
-                    (base.color(u), base.label(u))
-                }));
-                let carrier = Simplex::from_sorted(SetBits(mask).map(|k| fv[k]).collect());
-                memo[m] = Some((view, carrier));
-            }
-            let (view, carrier) = memo[m].as_ref().expect("just filled");
-            let before = sub.num_vertices();
-            let id = sub.ensure_vertex(base.color(fv[pos as usize]), view.clone());
-            if sub.num_vertices() > before {
-                carriers.push(carrier.clone());
-            }
-            concrete.push(id);
-        }
-        // Instantiated facets of distinct base facets can never nest (their
-        // view labels pin their carriers inside the base facet, and base
-        // facets form an antichain), so the antichain scan in `add_facet`
-        // is provably a no-op here — skip it.
-        for tuple in tpl.facet_tuples().chunks(n) {
-            sub.insert_facet_unchecked(Simplex::new(tuple.iter().map(|&ti| concrete[ti as usize])));
-        }
-    }
-    iis_obs::metrics::add("sds.builds", 1);
-    iis_obs::metrics::add("sds.facets", sub.num_facets() as u64);
-    iis_obs::metrics::add("sds.vertices", sub.num_vertices() as u64);
-    Subdivision::from_parts(base.clone(), sub, carriers)
-}
-
-/// Constructs `SDS(C)` by the direct per-facet ordered-partition walk — the
-/// pre-template builder, kept as the differential oracle for [`sds`].
-///
-/// Produces a byte-identical result to [`sds`]: same vertex ids in the same
-/// insertion order, same facet set, same carriers (enforced by this module's
-/// tests and the cross-crate differential suite).
-///
-/// # Panics
-///
-/// Panics if `C` is not chromatic.
-pub fn sds_reference(base: &Complex) -> Subdivision {
-    assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
-    let _timer = iis_obs::span::span("sds.build_ns");
-    let mut sub = Complex::new();
-    let mut carriers: Vec<Simplex> = Vec::new();
-    for f in base.facets() {
-        subdivide_facet_by_partitions(base, f, &mut sub, &mut carriers);
-    }
-    iis_obs::metrics::add("sds.builds", 1);
-    iis_obs::metrics::add("sds.facets", sub.num_facets() as u64);
-    iis_obs::metrics::add("sds.vertices", sub.num_vertices() as u64);
-    Subdivision::from_parts(base.clone(), sub, carriers)
-}
-
-/// Subdivides one base facet by enumerating its ordered partitions directly,
-/// accumulating into `sub`/`carriers`. Shared by [`sds_reference`] and the
-/// over-width fallback in [`sds`].
-fn subdivide_facet_by_partitions(
-    base: &Complex,
-    f: &Simplex,
-    sub: &mut Complex,
-    carriers: &mut Vec<Simplex>,
-) {
-    let verts: Vec<_> = f.iter().collect();
-    for partition in ordered_partitions(&verts) {
-        let mut seen: Vec<crate::VertexId> = Vec::new();
-        let mut facet = Vec::with_capacity(verts.len());
-        for block in &partition {
-            seen.extend(block.iter().copied());
-            let view = Label::view(seen.iter().map(|&u| (base.color(u), base.label(u))));
-            let carrier = Simplex::new(seen.iter().copied());
-            for &v in block {
-                let before = sub.num_vertices();
-                let id = sub.ensure_vertex(base.color(v), view.clone());
-                if sub.num_vertices() > before {
-                    carriers.push(carrier.clone());
-                }
-                facet.push(id);
-            }
-        }
-        sub.add_facet(facet);
-    }
-}
-
-/// Iterator over the set-bit indices of a mask, ascending.
-struct SetBits(u16);
-
-impl Iterator for SetBits {
-    type Item = usize;
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let k = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(k)
-    }
+    sds_iterated(base, 1)
 }
 
 /// Constructs the `b`-fold iterated standard chromatic subdivision
 /// `SDS^b(C)` with carriers composed down to the original base (Lemma 3.3).
 ///
+/// The tower is the arena tower ([`crate::arena`]) plus a labelling pass:
+/// each level is grown by the arena's one-level step (the one behind
+/// [`crate::arena::ArenaSds::next_with`]), which names every new vertex by
+/// its color and the ids of the previous-level vertices it saw, and the
+/// vertex is labelled `Label::view` of those vertices' `(color, label)`
+/// pairs. Vertex ids, facets and carriers are the arena's, so the
+/// labelled and label-free towers agree by construction; the
+/// ordered-partition walk [`sds_reference_iterated`] is their oracle.
+///
 /// `b = 0` yields the identity subdivision.
+///
+/// # Panics
+///
+/// Panics if `C` is not chromatic.
 ///
 /// # Examples
 ///
@@ -353,60 +229,141 @@ impl Iterator for SetBits {
 /// assert_eq!(sub.complex().num_facets(), 9);
 /// ```
 pub fn sds_iterated(base: &Complex, b: usize) -> Subdivision {
-    let mut acc = Subdivision::identity(base.clone());
+    assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
+    static BUILD_NS: StaticHistogram = StaticHistogram::new("sds.build_ns");
+    static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
+    static FACETS: StaticCounter = StaticCounter::new("sds.facets");
+    static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
+    if b == 0 {
+        return Subdivision::identity(base.clone());
+    }
+    let _timer = iis_obs::span::span_on(&BUILD_NS);
+    let mut tower = arena::level_zero(Arc::new(ArenaComplex::from_complex(base)));
+    // the labelled vertices of the level last built, in id order
+    let mut vertices: Vec<(Color, Label)> = Vec::new();
     for level in 1..=b {
-        acc = sds_next(&acc);
+        let mut next_vertices = Vec::new();
+        // one label per view, shared by the processes that saw it
+        let mut view_labels: Vec<Label> = Vec::new();
+        let (mut seen, mut buf) = (Vec::new(), Vec::new());
+        let next = arena::arena_sds_level(&tower, |name, view, _| {
+            if view as usize == view_labels.len() {
+                seen.clear();
+                seen.extend(name[1..].iter().map(|&u| match level {
+                    1 => (base.color(VertexId(u)), base.label(VertexId(u))),
+                    _ => {
+                        let (color, label) = &vertices[u as usize];
+                        (*color, label)
+                    }
+                }));
+                view_labels.push(Label::view_of(&mut seen, &mut buf));
+            }
+            next_vertices.push((Color(name[0]), view_labels[view as usize].clone()));
+        });
+        let c = next.complex();
+        BUILDS.incr();
+        FACETS.add(c.num_facets() as u64);
+        VERTICES.add(c.num_vertices() as u64);
         if iis_obs::trace::active() {
             iis_obs::trace::event(
                 "sds.level",
                 "sds.level",
                 &[
                     ("level", iis_obs::Json::Num(level as f64)),
-                    (
-                        "facets",
-                        iis_obs::Json::Num(acc.complex().num_facets() as f64),
-                    ),
-                    (
-                        "vertices",
-                        iis_obs::Json::Num(acc.complex().num_vertices() as f64),
-                    ),
+                    ("facets", iis_obs::Json::Num(c.num_facets() as f64)),
+                    ("vertices", iis_obs::Json::Num(c.num_vertices() as f64)),
                 ],
             );
         }
+        (tower, vertices) = (next, next_vertices);
     }
-    acc
+    let c = tower.complex();
+    let ids = |vs: &[u32]| Simplex::from_sorted(vs.iter().map(|&v| VertexId(v)).collect());
+    let facets = tower
+        .facet_order()
+        .iter()
+        .map(|&f| ids(c.facet(f as usize)));
+    let sub = Complex::from_parts_unchecked(vertices, facets);
+    let carriers = (0..c.num_vertices() as u32)
+        .map(|v| ids(tower.carrier(v)))
+        .collect();
+    Subdivision::from_parts(base.clone(), sub, carriers)
 }
 
-/// Extends a subdivision `SDS^b(C) → C` by one more round, producing
-/// `SDS^{b+1}(C) → C` *incrementally*: only the newest level is subdivided
-/// and the carriers are composed down to the original base (Lemma 3.3).
+/// Constructs `SDS(C)` by the direct per-facet ordered-partition walk: the
+/// oracle for [`sds`], sharing no tower or template code with it.
 ///
-/// This is the reuse primitive behind `sds_iterated` and the round sweep in
-/// `iis-core::solvability::solve_up_to`: round `b+1` starts from round `b`'s
-/// already-built complex instead of re-subdividing from scratch, so a sweep
-/// up to `B` performs `B` single subdivisions rather than `1 + 2 + … + B`.
+/// Produces a byte-identical result to [`sds`]: same vertex ids in the same
+/// insertion order, same facet set, same carriers (enforced by this module's
+/// tests and the cross-crate differential suites).
+///
+/// # Panics
+///
+/// Panics if `C` is not chromatic.
+pub fn sds_reference(base: &Complex) -> Subdivision {
+    assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
+    let _timer = iis_obs::span::span("sds.build_ns");
+    let mut sub = Complex::new();
+    let mut carriers: Vec<Simplex> = Vec::new();
+    for f in base.facets() {
+        let verts: Vec<_> = f.iter().collect();
+        for partition in ordered_partitions(&verts) {
+            let mut seen: Vec<VertexId> = Vec::new();
+            let mut facet = Vec::with_capacity(verts.len());
+            for block in &partition {
+                seen.extend(block.iter().copied());
+                let view = Label::view(seen.iter().map(|&u| (base.color(u), base.label(u))));
+                let carrier = Simplex::new(seen.iter().copied());
+                for &v in block {
+                    let before = sub.num_vertices();
+                    let id = sub.ensure_vertex(base.color(v), view.clone());
+                    if sub.num_vertices() > before {
+                        carriers.push(carrier.clone());
+                    }
+                    facet.push(id);
+                }
+            }
+            sub.add_facet(facet);
+        }
+    }
+    iis_obs::metrics::add("sds.builds", 1);
+    iis_obs::metrics::add("sds.facets", sub.num_facets() as u64);
+    iis_obs::metrics::add("sds.vertices", sub.num_vertices() as u64);
+    Subdivision::from_parts(base.clone(), sub, carriers)
+}
+
+/// `SDS^b(C)` by `b` rounds of [`sds_reference`], each level's carriers
+/// composed down to `C` ([`Subdivision::compose`]): the oracle for
+/// [`sds_iterated`] and the arena tower, and the tower the reference
+/// search engine in `iis-core` searches.
+///
+/// # Panics
+///
+/// Panics if `C` is not chromatic.
 ///
 /// # Examples
 ///
 /// ```
-/// use iis_topology::{Complex, Subdivision, sds_next, sds_iterated};
+/// use iis_topology::{sds_iterated, sds_reference_iterated, Complex};
 /// let base = Complex::standard_simplex(1);
-/// let mut acc = Subdivision::identity(base.clone());
-/// acc = sds_next(&acc); // SDS¹
-/// acc = sds_next(&acc); // SDS², one more round reusing SDS¹
-/// assert_eq!(acc.complex().num_facets(), 9);
-/// assert!(acc
-///     .complex()
-///     .same_labeled(sds_iterated(&base, 2).complex()));
+/// let slow = sds_reference_iterated(&base, 2);
+/// assert_eq!(slow.complex().num_facets(), 9);
+/// assert!(slow.complex().same_labeled(sds_iterated(&base, 2).complex()));
 /// ```
-pub fn sds_next(acc: &Subdivision) -> Subdivision {
-    acc.compose(&sds(acc.complex()))
+pub fn sds_reference_iterated(base: &Complex, b: usize) -> Subdivision {
+    assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
+    let mut acc = Subdivision::identity(base.clone());
+    for _ in 0..b {
+        acc = acc.compose(&sds_reference(acc.complex()));
+    }
+    acc
 }
 
-/// The canonical "forget the last round" map `SDS^{b+1}(C) → SDS^b(C)`,
-/// read off the labels: each vertex (a `b+1`-round full-information state)
-/// maps to its own `b`-round state, recovered by peeling the process's own
-/// entry out of the nested view label. Returns `(finer, coarser, map)`.
+/// The canonical "forget the last round" map `SDS^{b+1}(C) → SDS^b(C)` on
+/// the reference tower, read off the labels: each vertex (a `b+1`-round
+/// full-information state) maps to its own `b`-round state, recovered by
+/// peeling the process's own entry out of the nested view label. Returns
+/// `(finer, coarser, map)`.
 ///
 /// The test oracle for [`crate::arena::ArenaSds::forget`], which records
 /// the same map as the tower is built.
@@ -415,8 +372,8 @@ pub(crate) fn sds_forget_map(
     base: &Complex,
     b: usize,
 ) -> (Subdivision, Subdivision, crate::SimplicialMap) {
-    let coarser = sds_iterated(base, b);
-    let finer = sds_next(&coarser);
+    let coarser = sds_reference_iterated(base, b);
+    let finer = sds_reference_iterated(base, b + 1);
     let map = crate::SimplicialMap::from_fn(finer.complex(), |v| {
         let color = finer.complex().color(v);
         let entries = finer
@@ -477,7 +434,6 @@ pub fn path_subdivision(length: usize) -> Subdivision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Color, Label};
     use std::collections::BTreeSet;
 
     #[test]
@@ -542,71 +498,44 @@ mod tests {
         }
     }
 
+    /// Two triangles sharing an edge.
+    fn butterfly() -> Complex {
+        let mut base = Complex::new();
+        let a = base.ensure_vertex(Color(0), Label::scalar(0));
+        let b = base.ensure_vertex(Color(1), Label::scalar(1));
+        let x = base.ensure_vertex(Color(2), Label::scalar(2));
+        let y = base.ensure_vertex(Color(2), Label::scalar(3));
+        base.add_facet([a, b, x]);
+        base.add_facet([a, b, y]);
+        base
+    }
+
     #[test]
-    fn template_path_is_identical_to_reference() {
-        // Not just same_labeled: the template-instantiated subdivision must
-        // agree with the reference builder on vertex ids *in insertion
-        // order*, facets, and carriers — that is what keeps witnesses and
-        // node accounting bit-identical across the two paths.
-        let mut butterfly = Complex::new();
-        let a = butterfly.ensure_vertex(Color(0), Label::scalar(0));
-        let b = butterfly.ensure_vertex(Color(1), Label::scalar(1));
-        let x = butterfly.ensure_vertex(Color(2), Label::scalar(2));
-        let y = butterfly.ensure_vertex(Color(2), Label::scalar(3));
-        butterfly.add_facet([a, b, x]);
-        butterfly.add_facet([a, b, y]);
+    fn sds_is_identical_to_reference() {
+        // Not just same_labeled: the labelled arena level must agree with
+        // the partition walk on vertex ids *in insertion order*, facets,
+        // and carriers — that is what keeps witnesses and node accounting
+        // bit-identical across the two paths.
+        // facets of mixed widths: a tetrahedron and a disjoint edge
+        let mut mixed = Complex::new();
+        let wide: Vec<_> = (0..4)
+            .map(|i| mixed.ensure_vertex(Color(i), Label::scalar(i as u64)))
+            .collect();
+        let p = mixed.ensure_vertex(Color(0), Label::scalar(10));
+        let q = mixed.ensure_vertex(Color(1), Label::scalar(11));
+        mixed.add_facet(wide);
+        mixed.add_facet([p, q]);
         let bases = [
             Complex::standard_simplex(0),
             Complex::standard_simplex(1),
             Complex::standard_simplex(2),
             Complex::standard_simplex(3),
-            butterfly,
+            butterfly(),
+            mixed,
         ];
         for base in &bases {
             let fast = sds(base);
             let slow = sds_reference(base);
-            let (fc, sc) = (fast.complex(), slow.complex());
-            assert_eq!(fc.num_vertices(), sc.num_vertices());
-            for v in fc.vertex_ids() {
-                assert_eq!(fc.color(v), sc.color(v));
-                assert_eq!(fc.label(v), sc.label(v));
-                assert_eq!(fast.carrier_of_vertex(v), slow.carrier_of_vertex(v));
-            }
-            let ff: Vec<_> = fc.facets().cloned().collect();
-            let sf: Vec<_> = sc.facets().cloned().collect();
-            assert_eq!(ff, sf);
-        }
-    }
-
-    #[test]
-    fn mixed_width_fallback_is_identical_to_reference() {
-        // A base whose facets straddle a lowered template cap: the width-2
-        // facet instantiates from the cached template, the width-4 facet
-        // crosses the cap and takes the per-facet partition walk. The mix
-        // must still be byte-identical to the reference builder — ids in
-        // insertion order, facets, carriers — and the fallback counted.
-        let mut base = Complex::new();
-        let wide: Vec<_> = (0..4)
-            .map(|i| base.ensure_vertex(Color(i), Label::scalar(i as u64)))
-            .collect();
-        let p = base.ensure_vertex(Color(0), Label::scalar(10));
-        let q = base.ensure_vertex(Color(1), Label::scalar(11));
-        base.add_facet(wide);
-        base.add_facet([p, q]);
-        iis_obs::metrics::set_enabled(true);
-        let fallbacks = iis_obs::metrics::Counter::handle("sds.template_fallbacks");
-        let before = fallbacks.get();
-        let mixed = sds_with_cap(&base, 3);
-        assert_eq!(
-            fallbacks.get(),
-            before + 1,
-            "exactly the width-4 facet falls back"
-        );
-        let slow = sds_reference(&base);
-        // sanity: the lowered cap changed which path ran, not the result —
-        // and the full-width builder agrees too
-        let full = sds(&base);
-        for fast in [&mixed, &full] {
             let (fc, sc) = (fast.complex(), slow.complex());
             assert_eq!(fc.num_vertices(), sc.num_vertices());
             for v in fc.vertex_ids() {
@@ -622,12 +551,9 @@ mod tests {
     }
 
     #[test]
-    fn iterated_template_path_is_identical_to_reference() {
+    fn sds_iterated_is_identical_to_reference() {
         let base = Complex::standard_simplex(2);
-        let mut slow = Subdivision::identity(base.clone());
-        for _ in 0..2 {
-            slow = slow.compose(&sds_reference(slow.complex()));
-        }
+        let slow = sds_reference_iterated(&base, 2);
         let fast = sds_iterated(&base, 2);
         assert_eq!(fast.complex().num_vertices(), slow.complex().num_vertices());
         for v in fast.complex().vertex_ids() {
@@ -717,15 +643,8 @@ mod tests {
 
     #[test]
     fn sds_glues_shared_faces() {
-        // butterfly: two triangles sharing an edge; SDS must agree on the edge
-        let mut base = Complex::new();
-        let a = base.ensure_vertex(Color(0), Label::scalar(0));
-        let b = base.ensure_vertex(Color(1), Label::scalar(1));
-        let x = base.ensure_vertex(Color(2), Label::scalar(2));
-        let y = base.ensure_vertex(Color(2), Label::scalar(3));
-        base.add_facet([a, b, x]);
-        base.add_facet([a, b, y]);
-        let sub = sds(&base);
+        // two triangles sharing an edge; SDS must agree on the edge
+        let sub = sds(&butterfly());
         sub.validate().unwrap();
         assert_eq!(sub.complex().num_facets(), 26);
         // vertices: 13 per triangle, minus the 4 shared on the common edge

@@ -46,8 +46,8 @@ impl std::error::Error for SubdivisionError {}
 /// ([`Subdivision::carrier_of_simplex`]).
 ///
 /// Subdivisions compose ([`Subdivision::compose`]), which is how the
-/// iterated tower `SDS^b` is grown one level at a time
-/// ([`crate::sds_next`]) instead of being rebuilt from scratch each round.
+/// reference tower `SDS^b` is grown one level at a time
+/// ([`crate::sds_reference_iterated`]).
 ///
 /// # Examples
 ///
@@ -244,7 +244,8 @@ impl Subdivision {
     /// subdivided complex.
     pub fn compose(&self, outer: &Subdivision) -> Subdivision {
         let _timer = iis_obs::span::span("sds.compose_ns");
-        // In the `sds_next` case `outer.base()` is a clone of
+        // When `outer` subdivides `self.subdivided` itself (the reference
+        // tower's one-more-level step), `outer.base()` is a clone of
         // `self.subdivided`, so ids line up one-to-one and the per-vertex
         // hash translation below is a no-op — detect that with a linear
         // scan and skip both the translation and the `same_labeled` check

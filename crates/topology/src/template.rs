@@ -5,33 +5,44 @@
 //! position `i ∈ {0..k}` and a view `Sᵢ ∋ i`, and its facets are the
 //! ordered set partitions of `{0..k}` (Kozlov's witness-structure view of
 //! `SDS`, see PAPERS.md). Nothing about it depends on the concrete facet
-//! being subdivided — only the *labels* do. So instead of re-enumerating
-//! ordered partitions (an ordered Bell number of them) for every facet of
-//! every round, [`crate::sds`] computes the template once per dimension,
-//! caches it process-wide, and instantiates it per facet by substituting
-//! concrete vertex ids and view labels into the abstract positions — a
-//! memcpy-shaped walk over flat `u32` arrays.
+//! being subdivided — only the *names* of its vertices do. So instead of
+//! re-enumerating ordered partitions (an ordered Bell number of them) for
+//! every facet of every round, the arena tower ([`crate::arena`], and
+//! through it [`crate::sds_iterated`]) computes the template once per
+//! dimension, caches it process-wide, and instantiates it per facet by
+//! substituting concrete vertex ids into the abstract positions — a
+//! memcpy-shaped walk over flat `u32` arrays. The arena's one-level step
+//! is the only code that instantiates a template.
 //!
 //! Counters: `sds.template_builds` counts template constructions (at most
-//! one per dimension per process), `sds.template_hits` counts instantiations
-//! served from the cache.
+//! one per cached width per process), `sds.template_hits` counts
+//! instantiations served from the cache.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use iis_obs::metrics::StaticCounter;
+use std::sync::{Arc, OnceLock};
 
-/// Largest facet dimension + 1 the template path handles. `SDS` of an
-/// 8-vertex facet already has 545 835 facets; anything larger is
-/// computationally out of reach anyway, and [`crate::sds`] falls back to
-/// the reference builder above this width.
+static TEMPLATE_BUILDS: StaticCounter = StaticCounter::new("sds.template_builds");
+/// Template fetches served from the cache, and facets instantiated from a
+/// template already in hand.
+pub(crate) static TEMPLATE_HITS: StaticCounter = StaticCounter::new("sds.template_hits");
+
+/// Largest facet width [`template`] caches. `SDS` of an 8-vertex facet
+/// already has 545 835 facets; anything wider is computationally out of
+/// reach anyway, and its template is built uncached.
 pub const MAX_TEMPLATE_WIDTH: usize = 8;
+
+/// Widest facet a template can be built for: view masks are `u16`, and
+/// the ordered-partition walk caps at 16 positions.
+pub(crate) const WIDTH_LIMIT: usize = 16;
 
 /// The standard chromatic subdivision of the abstract `(n−1)`-simplex with
 /// positions `0..n`, flattened to integer arrays.
 ///
 /// Template vertices are `(position, view-mask)` pairs in **first-encounter
-/// order** of the reference builder's `ensure_vertex` calls — instantiating
-/// the template therefore assigns concrete [`crate::VertexId`]s in exactly
-/// the order the reference builder would, which is what keeps witnesses and
-/// node accounting bit-identical across the two construction paths.
+/// order** of the ordered-partition walk — instantiating the template
+/// therefore assigns concrete [`crate::VertexId`]s in exactly the order
+/// the reference builder [`crate::sds_reference`] would, which is what
+/// keeps witnesses and node accounting bit-identical to the reference's.
 #[derive(Debug)]
 pub struct SdsTemplate {
     /// Number of abstract positions (`dimension + 1`).
@@ -90,9 +101,10 @@ impl SdsTemplate {
     /// partition in the reference builder's enumeration order.
     fn build(n: usize) -> SdsTemplate {
         assert!(
-            (1..=16).contains(&n),
-            "template width {n} out of range (partition walk caps at 16)"
+            (1..=WIDTH_LIMIT).contains(&n),
+            "template width {n} out of range (partition walk caps at {WIDTH_LIMIT})"
         );
+        TEMPLATE_BUILDS.incr();
         let slots = n << n;
         let mut verts: Vec<(u8, u16)> = Vec::new();
         let mut index = vec![u32::MAX; slots];
@@ -126,18 +138,14 @@ impl SdsTemplate {
     }
 }
 
-/// The process-wide template cache, one slot per width.
-fn cache() -> &'static Mutex<Vec<Option<Arc<SdsTemplate>>>> {
-    static CACHE: OnceLock<Mutex<Vec<Option<Arc<SdsTemplate>>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(vec![None; MAX_TEMPLATE_WIDTH + 1]))
-}
-
-/// The subdivision template for facets of `n` vertices, built on first use
-/// and shared process-wide afterwards.
+/// The subdivision template for facets of `n` vertices: built on first use
+/// and shared process-wide afterwards when `n ≤ MAX_TEMPLATE_WIDTH`, built
+/// uncached when wider, so the arena tower is total up to the partition
+/// walk's limit without pinning enormous templates in the cache.
 ///
 /// # Panics
 ///
-/// Panics if `n` is `0` or exceeds [`MAX_TEMPLATE_WIDTH`].
+/// Panics if `n` is `0` or exceeds 16, the partition-walk limit.
 ///
 /// # Examples
 ///
@@ -148,29 +156,17 @@ fn cache() -> &'static Mutex<Vec<Option<Arc<SdsTemplate>>>> {
 /// assert_eq!(t.num_vertices(), 12); // Σ |S| over ∅ ≠ S ⊆ {0,1,2}
 /// ```
 pub fn template(n: usize) -> Arc<SdsTemplate> {
-    let mut slots = cache().lock().expect("template cache poisoned");
-    if let Some(t) = &slots[n] {
-        iis_obs::metrics::add("sds.template_hits", 1);
+    /// The process-wide cache, one slot per width.
+    static CACHE: [OnceLock<Arc<SdsTemplate>>; MAX_TEMPLATE_WIDTH + 1] =
+        [const { OnceLock::new() }; MAX_TEMPLATE_WIDTH + 1];
+    let Some(slot) = CACHE.get(n) else {
+        return Arc::new(SdsTemplate::build(n));
+    };
+    if let Some(t) = slot.get() {
+        TEMPLATE_HITS.incr();
         return Arc::clone(t);
     }
-    let t = Arc::new(SdsTemplate::build(n));
-    iis_obs::metrics::add("sds.template_builds", 1);
-    slots[n] = Some(Arc::clone(&t));
-    t
-}
-
-/// The template for width `n`, cached when `n ≤ MAX_TEMPLATE_WIDTH` and
-/// built uncached otherwise. Widths above 8 are computationally out of
-/// reach in practice (the facet count is an ordered Bell number), but this
-/// keeps the arena tower total up to the 16-position partition-walk limit
-/// without pinning enormous templates in the process-wide cache.
-pub fn template_any_width(n: usize) -> Arc<SdsTemplate> {
-    if n <= MAX_TEMPLATE_WIDTH {
-        template(n)
-    } else {
-        iis_obs::metrics::add("sds.template_builds", 1);
-        Arc::new(SdsTemplate::build(n))
-    }
+    Arc::clone(slot.get_or_init(|| Arc::new(SdsTemplate::build(n))))
 }
 
 /// Pre-builds the templates for every width up to `max_width` (clamped to

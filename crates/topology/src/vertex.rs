@@ -99,11 +99,11 @@ enum Tag {
 /// constructors — in particular views compare as sets.
 ///
 /// The encoding is stored behind an [`Arc`], so cloning a label — which the
-/// subdivision builders do for every vertex of every facet — is a reference
-/// count bump, and a complex's vertex table and its `(color, label)` lookup
-/// index share one buffer per label instead of duplicating it. This is what
-/// keeps memory flat while [`crate::sds_iterated`] grows `SDS^b` levels
-/// incrementally.
+/// reference subdivision builder does for every vertex of every facet — is
+/// a reference count bump, and a complex's vertex table and its `(color,
+/// label)` lookup index share one buffer per label instead of duplicating
+/// it. This is what keeps memory flat while [`crate::sds_iterated`] labels
+/// `SDS^b` level by level.
 ///
 /// # Examples
 ///
@@ -153,10 +153,16 @@ impl Label {
     where
         I: IntoIterator<Item = (Color, &'a Label)>,
     {
-        let mut items: Vec<(Color, &Label)> = entries.into_iter().collect();
+        Self::view_of(&mut entries.into_iter().collect(), &mut Vec::new())
+    }
+
+    /// [`Label::view`] of `items`, which it sorts in place, encoded through
+    /// `buf`: for builders that reuse both buffers across many views.
+    pub(crate) fn view_of(items: &mut Vec<(Color, &Label)>, buf: &mut Vec<u8>) -> Self {
         items.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
         items.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-        let mut buf = Vec::new();
+        buf.clear();
+        buf.reserve(9 + items.iter().map(|(_, l)| 12 + l.0.len()).sum::<usize>());
         buf.push(Tag::View as u8);
         buf.extend_from_slice(&(items.len() as u64).to_be_bytes());
         for (c, l) in items {
@@ -164,7 +170,7 @@ impl Label {
             buf.extend_from_slice(&(l.0.len() as u64).to_be_bytes());
             buf.extend_from_slice(&l.0);
         }
-        Label(buf.into())
+        Label(Arc::from(&buf[..]))
     }
 
     /// An ordered tuple of labels.

@@ -1,0 +1,37 @@
+//! Inputs the tower builders refuse, and the messages they refuse them
+//! with: every builder, the oracle included, at every round count.
+
+use iis_topology::arena::arena_sds_tower;
+use iis_topology::{sds_iterated, sds_reference_iterated, Color, Complex, Label};
+
+/// Two vertices of one color in one facet.
+fn non_chromatic_edge() -> Complex {
+    let mut base = Complex::new();
+    let a = base.ensure_vertex(Color(0), Label::scalar(0));
+    let b = base.ensure_vertex(Color(0), Label::scalar(1));
+    base.add_facet([a, b]);
+    base
+}
+
+#[test]
+#[should_panic(expected = "chromatic base")]
+fn the_oracle_refuses_a_non_chromatic_base_at_zero_rounds() {
+    sds_reference_iterated(&non_chromatic_edge(), 0);
+}
+
+#[test]
+#[should_panic(expected = "chromatic base")]
+fn the_labelled_tower_refuses_a_non_chromatic_base_at_zero_rounds() {
+    sds_iterated(&non_chromatic_edge(), 0);
+}
+
+#[test]
+#[should_panic(expected = "template width 17 out of range")]
+fn a_facet_past_the_width_limit_is_refused_by_name() {
+    let mut base = Complex::new();
+    let ids: Vec<_> = (0..17)
+        .map(|i| base.ensure_vertex(Color(i), Label::scalar(u64::from(i))))
+        .collect();
+    base.add_facet(ids);
+    arena_sds_tower(&base, 1);
+}

@@ -1,16 +1,19 @@
 //! Property tests for the template-instantiated subdivision path.
 //!
 //! The subdivision template (`iis_topology::template`) is sound only if
-//! instantiating it per facet reproduces the reference ordered-partition
-//! builder *exactly* — same vertices in the same insertion order, same
-//! facet set, and above all the same carrier map handed to
-//! `Subdivision::from_parts`. These tests drive both builders (and the
-//! arena tower) over randomly generated chromatic complexes and demand
-//! bit-level agreement, not just isomorphism.
+//! the arena tower that instantiates it per facet — and `sds`/
+//! `sds_iterated`, which label that tower — reproduce the reference
+//! ordered-partition walk *exactly*: same vertices in the same insertion
+//! order, same facet set, and above all the same carrier map handed to
+//! `Subdivision::from_parts`. These tests drive both constructions over
+//! randomly generated chromatic complexes and demand bit-level agreement,
+//! not just isomorphism.
 
 use iis_obs::rng::Rng;
 use iis_topology::arena::arena_sds_tower;
-use iis_topology::{sds, sds_iterated, sds_reference, Color, Complex, Label, Subdivision};
+use iis_topology::{
+    sds, sds_iterated, sds_reference, sds_reference_iterated, Color, Complex, Label, Subdivision,
+};
 
 /// A random chromatic complex: up to `max_colors` process colors, a few
 /// vertices per color, and random rainbow facets (distinct colors within a
@@ -83,10 +86,7 @@ fn iterated_instantiation_matches_reference_tower() {
         let base = random_chromatic_complex(&mut rng, 3, 3);
         let b = rng.random_range(1..3usize);
         let fast = sds_iterated(&base, b);
-        let mut slow = Subdivision::identity(base.clone());
-        for _ in 0..b {
-            slow = slow.compose(&sds_reference(slow.complex()));
-        }
+        let slow = sds_reference_iterated(&base, b);
         assert_identical(&fast, &slow);
     }
 }
@@ -98,7 +98,7 @@ fn arena_tower_matches_reference_on_random_complexes() {
         let base = random_chromatic_complex(&mut rng, 3, 3);
         let b = rng.random_range(0..3usize);
         let arena = arena_sds_tower(&base, b);
-        let reference = sds_iterated(&base, b);
+        let reference = sds_reference_iterated(&base, b);
         // colors, carriers, facets and facet order, read off the arena
         // itself (it keeps no labels to compare)
         assert_eq!(arena.agrees_with(&reference), Ok(()));

@@ -6,9 +6,10 @@
 //! certifies the rest — E7).
 //!
 //! The `e6_recorder_overhead` group measures the same search with the obs
-//! recorder disabled vs enabled: the disabled recorder must be within
-//! noise of the enabled one (the per-event cost is one relaxed atomic
-//! load).
+//! recorder disabled vs enabled, and the two must be within noise: a
+//! search worker counts in plain integers and publishes to the shared
+//! `solve.*` counters only every 4096 nodes and when it stops, so neither
+//! setting touches a shared counter per node.
 
 use iis_bench::harness::Bench;
 use iis_core::bounded::minimal_rounds;
@@ -109,6 +110,22 @@ fn parallel_scaling(bench: &mut Bench) {
             ));
         });
     }
+    // two budgeted jobs-1 searches at once on two threads, as two serve
+    // workers run two cold questions: with no shared counter written per
+    // node, each runs at about the speed of `jobs1` alone
+    let opts = SolveOptions::new().budget(NODES);
+    g.bench_function("refute_2set_b2_30k_nodes/two_concurrent_jobs1", || {
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    assert!(matches!(
+                        black_box(solve_at_opts(&task, 2, &opts)),
+                        BoundedOutcome::Exhausted
+                    ));
+                });
+            }
+        });
+    });
     // the same budgeted search on the reference MAC oracle: its nodes/sec
     // rate vs `jobs1` above is the compiled kernel's in-run speedup (the
     // two explore the identical 30k-node prefix, so the rate ratio is pure

@@ -770,7 +770,6 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     }
     if obs.progress || obs.serve.is_some() {
         iis_obs::progress::reset();
-        iis_obs::progress::set_enabled(true);
     }
     let _ticker = obs
         .progress

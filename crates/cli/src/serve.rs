@@ -74,6 +74,7 @@ use iis_core::cache::{
     intern_spec, question_count, question_rounds, question_task, solve_keyed, validate_record,
     KeyedTask, QuestionTask, SolveCache,
 };
+use iis_core::parallel::panic_message;
 use iis_core::solvability::SolveOptions;
 use iis_obs::http::{serve_with, Handler, Request, Response};
 use iis_obs::json::ObjectWriter;
@@ -81,6 +82,7 @@ use iis_obs::metrics::StaticCounter;
 use iis_obs::{Json, ToJson as _};
 use iis_store::Store;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -276,10 +278,13 @@ const MAX_BATCH: usize = 256;
 
 /// The outcome of admitting one question (without blocking on it).
 enum Admission {
-    /// Answered on the spot: cache hit, shed load, or a drain 503.
+    /// Answered on the spot: cache hit or a drain 503.
     Ready(Response),
     /// Queued or coalesced; settle it with [`SolveService::respond`].
     Pending { id: u64, key: u64, coalesced: bool },
+    /// The queue is full: shed with [`SolveService::queue_full`], unless a
+    /// batch waits for its own jobs to make room.
+    Full,
 }
 
 /// One batch-envelope element's body: the response a question would have
@@ -363,16 +368,26 @@ impl SolveService {
                 }
             };
             let started = Instant::now();
-            let out = solve_keyed(&task, max_rounds, &opts, &mut SharedCache(&self.store));
-            let status =
-                if out.report.witness().is_some() || out.report.results().len() == max_rounds + 1 {
+            // a panicking solve fails its job, not the worker: every lock
+            // it may hold recovers from poisoning
+            let solved = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                solve_keyed(&task, max_rounds, &opts, &mut SharedCache(&self.store))
+            }));
+            let status = match solved {
+                Err(panic) => Status::Failed(format!("solve panicked: {}", panic_message(&*panic))),
+                Ok(out)
+                    if out.report.witness().is_some()
+                        || out.report.results().len() == max_rounds + 1 =>
+                {
                     Status::Done {
                         result: iis_core::cache::report_to_json(&out.report).to_string(),
                         cached: out.hit,
                     }
-                } else if self
-                    .timeout
-                    .is_some_and(|deadline| started.elapsed() >= deadline)
+                }
+                Ok(out)
+                    if self
+                        .timeout
+                        .is_some_and(|deadline| started.elapsed() >= deadline) =>
                 {
                     // the search abandoned the sweep at the request deadline
                     iis_obs::metrics::add("serve.timeouts", 1);
@@ -381,13 +396,13 @@ impl SolveService {
                         out.report.results().len(),
                         self.timeout.unwrap_or_default()
                     ))
-                } else {
-                    // budget ran out: inconclusive, nothing stored
-                    Status::Failed(format!(
-                        "inconclusive: search exhausted at b = {} (raise \"budget\")",
-                        out.report.results().len()
-                    ))
-                };
+                }
+                // budget ran out: inconclusive, nothing stored
+                Ok(out) => Status::Failed(format!(
+                    "inconclusive: search exhausted at b = {} (raise \"budget\")",
+                    out.report.results().len()
+                )),
+            };
             let mut st = lock(&self.state);
             st.inflight.remove(&key);
             if let Some(job) = st.jobs.get_mut(&id) {
@@ -516,20 +531,7 @@ impl SolveService {
             };
         }
         if st.queue.len() >= self.max_queue {
-            // bounded admission: shed load instead of queueing
-            // unboundedly; the client is told when to come back
-            iis_obs::metrics::add("serve.rejected", 1);
-            return Admission::Ready(
-                Response::json_status(
-                    503,
-                    Json::obj([
-                        ("error", Json::Str("queue full".to_string())),
-                        ("queue", self.max_queue.to_json()),
-                    ])
-                    .to_string(),
-                )
-                .with_header("Retry-After", "1"),
-            );
+            return Admission::Full;
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -552,6 +554,57 @@ impl SolveService {
             key,
             coalesced: false,
         }
+    }
+
+    /// The shed-load answer to a question that found the queue full:
+    /// admission is bounded instead of queueing unboundedly, and the
+    /// client is told when to come back.
+    fn queue_full(&self) -> Response {
+        iis_obs::metrics::add("serve.rejected", 1);
+        Response::json_status(
+            503,
+            Json::obj([
+                ("error", Json::Str("queue full".to_string())),
+                ("queue", self.max_queue.to_json()),
+            ])
+            .to_string(),
+        )
+        .with_header("Retry-After", "1")
+    }
+
+    /// Admits one question of a batch. A full queue that holds a job of
+    /// `mine` (the jobs this batch was admitted onto) drains on its own, so
+    /// the batch waits for room, within the service deadline counted from
+    /// `started`, instead of shedding its own tail. A queue full of other
+    /// requests' jobs sheds as for a single question.
+    fn admit_in_batch(&self, req: &SolveRequest, mine: &[u64], started: Instant) -> Admission {
+        loop {
+            match self.admit(req) {
+                Admission::Full if self.wait_for_room(mine, started) => {}
+                other => return other,
+            }
+        }
+    }
+
+    /// Waits until the queue may have room, if it holds a job of `mine`.
+    /// `false` means shed instead: none of `mine` is queued, or the
+    /// deadline passed.
+    fn wait_for_room(&self, mine: &[u64], started: Instant) -> bool {
+        let st = lock(&self.state);
+        if st.queue.len() < self.max_queue {
+            return true;
+        }
+        if !st.queue.iter().any(|id| mine.contains(id)) {
+            return false;
+        }
+        match self.timeout {
+            None => drop(self.changed.wait(st)),
+            Some(deadline) => match deadline.checked_sub(started.elapsed()) {
+                Some(rem) if !rem.is_zero() => drop(self.changed.wait_timeout(st, rem)),
+                _ => return false,
+            },
+        }
+        true
     }
 
     /// Settles an admitted question into its response: block on the job
@@ -589,6 +642,7 @@ impl SolveService {
             Err(resp) => resp,
             Ok(req) => match self.admit(&req) {
                 Admission::Ready(resp) => resp,
+                Admission::Full => self.queue_full(),
                 Admission::Pending { id, key, coalesced } => {
                     self.respond(req.wait, id, key, coalesced)
                 }
@@ -599,7 +653,9 @@ impl SolveService {
     /// The batch form: admit every question first (pass 1), so the worker
     /// pool solves them in parallel and duplicate keys coalesce, then
     /// settle them in order (pass 2). One answer per question, in the
-    /// question's position; the envelope itself is always `200`.
+    /// question's position; the envelope itself is always `200`. A batch
+    /// larger than the free queue waits for its own jobs to make room
+    /// ([`SolveService::admit_in_batch`]).
     fn handle_batch(&self, questions: &[Json]) -> Response {
         if questions.len() > MAX_BATCH {
             return Response::bad_request(&format!(
@@ -609,12 +665,17 @@ impl SolveService {
         }
         static BATCH_REQUESTS: StaticCounter = StaticCounter::new("serve.batch_requests");
         BATCH_REQUESTS.incr();
+        let started = Instant::now();
+        let mut mine: Vec<u64> = Vec::new();
         let admitted: Vec<(bool, Admission)> = questions
             .iter()
             .map(|q| match self.prepare(q) {
                 Ok(req) => {
-                    let wait = req.wait;
-                    (wait, self.admit(&req))
+                    let admission = self.admit_in_batch(&req, &mine, started);
+                    if let Admission::Pending { id, .. } = admission {
+                        mine.push(id);
+                    }
+                    (req.wait, admission)
                 }
                 Err(resp) => (true, Admission::Ready(resp)),
             })
@@ -624,6 +685,7 @@ impl SolveService {
             .map(|(wait, adm)| {
                 let resp = match adm {
                     Admission::Ready(resp) => resp,
+                    Admission::Full => self.queue_full(),
                     Admission::Pending { id, key, coalesced } => {
                         self.respond(wait, id, key, coalesced)
                     }
@@ -1408,10 +1470,23 @@ mod tests {
         }
     }
 
+    /// A task whose input is one facet of `n` processes, deciding its own
+    /// inputs: small to send, whatever its width.
+    fn identity_task_of_width(n: usize) -> iis_tasks::Task {
+        let simplex = iis_topology::Complex::standard_simplex(n - 1);
+        let full = iis_topology::Simplex::new(simplex.vertex_ids());
+        let mut b = iis_tasks::TaskBuilder::new("wide", simplex.clone(), simplex);
+        b.allow(full.clone(), full);
+        b.build().unwrap()
+    }
+
     #[test]
-    fn oversized_oneshot_is_refused_fast_alike_by_shard_and_gateway() {
-        // oneshot:6 would take minutes to build inside the handler; the
-        // spec parser refuses it before building anything
+    fn over_bound_questions_are_refused_fast_alike_by_shard_and_gateway() {
+        // one spec past each family's build-cost bound (`oneshot:6` would
+        // take minutes to build inside the handler), the 17-process
+        // trivial task at b = 0 and b = 1, and an inline task of 17
+        // processes: each is refused before anything is built or queued
+        // (`wait: false`, so an admitted question could not block here)
         let gateway = iis_cluster::Gateway::new(
             Arc::new(iis_cluster::HttpTransport::new(Duration::from_secs(1))),
             iis_cluster::GatewayConfig {
@@ -1421,16 +1496,125 @@ mod tests {
             },
         );
         let shard = stalled_service(4, None);
-        let body = r#"{"spec": "oneshot:6", "max_rounds": 0}"#;
-        let started = std::time::Instant::now();
-        let reply = shard.handle_solve(body);
-        let (status, gateway_body) = gateway.solve_one(body);
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert_eq!((reply.status, status), (400, 400));
-        assert_eq!(reply.body, gateway_body, "same refusal at both hops");
-        let error = Json::parse(&reply.body).unwrap();
-        let message = error.get("error").and_then(Json::as_str).unwrap();
-        assert!(message.contains("N ≤ 4"), "{message}");
+        let wide = identity_task_of_width(17).to_json().to_string();
+        for (body, bound) in [
+            (
+                r#"{"spec": "trivial:16", "max_rounds": 0, "wait": false}"#.to_string(),
+                "N ≤ 14",
+            ),
+            (
+                r#"{"spec": "trivial:16", "max_rounds": 1, "wait": false}"#.to_string(),
+                "N ≤ 14",
+            ),
+            (
+                r#"{"spec": "consensus:12", "wait": false}"#.to_string(),
+                "N ≤ 7",
+            ),
+            (
+                r#"{"spec": "kset:8:2", "wait": false}"#.to_string(),
+                "N + K ≤ 7",
+            ),
+            (
+                r#"{"spec": "renaming:5:9", "wait": false}"#.to_string(),
+                "N < M",
+            ),
+            (
+                r#"{"spec": "eps:1:10000000", "wait": false}"#.to_string(),
+                "GRID·8^(N+1)",
+            ),
+            (
+                r#"{"spec": "oneshot:6", "wait": false}"#.to_string(),
+                "N ≤ 4",
+            ),
+            (
+                format!(r#"{{"task": {wide}, "max_rounds": 0, "wait": false}}"#),
+                "limit of 16",
+            ),
+        ] {
+            let started = std::time::Instant::now();
+            let reply = shard.handle_solve(&body);
+            let (status, gateway_body) = gateway.solve_one(&body);
+            assert!(started.elapsed() < Duration::from_secs(5), "{body}");
+            assert_eq!((reply.status, status), (400, 400), "{body}");
+            assert_eq!(reply.body, gateway_body, "same refusal at both hops");
+            let error = Json::parse(&reply.body).unwrap();
+            let message = error.get("error").and_then(Json::as_str).unwrap();
+            assert!(message.contains(bound), "{body}: {message}");
+        }
+        assert!(lock(&shard.state).jobs.is_empty(), "nothing was queued");
+    }
+
+    #[test]
+    fn a_panicking_solve_fails_its_job_and_keeps_the_worker() {
+        // a 17-process task reaches the worker only past the question
+        // reader; its solve panics at b = 0 and at b = 1
+        let svc = Arc::new(stalled_service(8, Some(Duration::from_secs(30))));
+        let worker = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.worker_loop())
+        };
+        let task = Arc::new(KeyedTask::new(identity_task_of_width(17)));
+        for max_rounds in [0, 1] {
+            let key = task.key(max_rounds);
+            let id = {
+                let mut st = lock(&svc.state);
+                let id = st.next_id;
+                st.next_id += 1;
+                st.jobs.insert(
+                    id,
+                    Job {
+                        spec: "wide".to_string(),
+                        task: Some(Arc::clone(&task)),
+                        key,
+                        max_rounds,
+                        opts: SolveOptions::new(),
+                        status: Status::Queued,
+                    },
+                );
+                st.inflight.insert(key, id);
+                st.queue.push_back(id);
+                svc.changed.notify_all();
+                id
+            };
+            let reply = svc.respond(true, id, key, false);
+            assert_eq!(reply.status, 500, "b = {max_rounds}: {}", reply.body);
+            assert!(reply.body.contains("solve panicked"), "{}", reply.body);
+            assert!(!lock(&svc.state).inflight.contains_key(&key));
+        }
+        assert_eq!(svc.workers_alive.load(Ordering::Acquire), 1);
+        // and the worker still answers the next question
+        let r = svc.handle_solve(r#"{"spec": "eps:1:3", "max_rounds": 1}"#);
+        assert_eq!(r.status, 200, "{}", r.body);
+        svc.stop_workers.store(true, Ordering::Release);
+        svc.changed.notify_all();
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_queue_answers_every_question() {
+        // one worker and two queue slots: the batch waits for its own
+        // jobs to drain instead of shedding its tail with 503s
+        let svc = Arc::new(stalled_service(2, Some(Duration::from_secs(60))));
+        let worker = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.worker_loop())
+        };
+        let questions: Vec<String> = (2..10)
+            .map(|k| format!(r#"{{"spec": "eps:0:{k}", "max_rounds": 1}}"#))
+            .collect();
+        let reply = svc.handle_solve(&format!(r#"{{"questions": [{}]}}"#, questions.join(",")));
+        let v = Json::parse(&reply.body).unwrap();
+        let statuses: Vec<f64> = v
+            .get("answers")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|a| a.get("status").and_then(Json::as_f64).unwrap())
+            .collect();
+        assert_eq!(statuses, [200.0; 8], "{}", reply.body);
+        svc.stop_workers.store(true, Ordering::Release);
+        svc.changed.notify_all();
+        worker.join().unwrap();
     }
 
     #[test]

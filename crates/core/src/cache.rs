@@ -87,7 +87,8 @@ use iis_obs::{Json, ToJson};
 use iis_tasks::library::parse_spec;
 use iis_tasks::Task;
 use iis_topology::arena::{arena_sds_tower, ArenaSds};
-use iis_topology::{Complex, SimplicialMap, VertexId};
+use iis_topology::template::WIDTH_LIMIT;
+use iis_topology::{Complex, Simplex, SimplicialMap, VertexId};
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -364,18 +365,30 @@ pub enum QuestionTask<'a> {
 /// — the one parser both the shard and the gateway use, so both answer a
 /// malformed question with the same message.
 ///
+/// No task wider than [`WIDTH_LIMIT`] processes gets past it: an inline
+/// task with a wider input facet is refused here, and a spec resolves
+/// through [`parse_spec`], whose family bounds stay narrower.
+///
 /// # Errors
 ///
 /// Returns a message when the question names no task, both forms, a
-/// non-string spec, or an undecodable inline task.
+/// non-string spec, an undecodable inline task, or one with an input
+/// facet wider than [`WIDTH_LIMIT`].
 pub fn question_task(q: &Json) -> Result<QuestionTask<'_>, String> {
     match (q.get("spec"), q.get("task")) {
         (Some(s), None) => Ok(QuestionTask::Spec(
             s.as_str().ok_or("\"spec\" must be a string")?,
         )),
-        (None, Some(t)) => Task::from_json(t)
-            .map(|task| QuestionTask::Inline(Box::new(task)))
-            .map_err(|e| format!("bad \"task\": {e}")),
+        (None, Some(t)) => {
+            let task = Task::from_json(t).map_err(|e| format!("bad \"task\": {e}"))?;
+            let width = task.input().facets().map(Simplex::len).max().unwrap_or(0);
+            if width > WIDTH_LIMIT {
+                return Err(format!(
+                    "bad \"task\": an input facet of {width} processes exceeds the limit of {WIDTH_LIMIT}"
+                ));
+            }
+            Ok(QuestionTask::Inline(Box::new(task)))
+        }
         (Some(_), Some(_)) => Err("give \"spec\" or \"task\", not both".to_string()),
         (None, None) => Err("body needs a \"spec\" or a \"task\"".to_string()),
     }

@@ -488,14 +488,68 @@ pub(crate) enum Halt {
     Timeout,
 }
 
-/// The search counters, resolved once per process rather than looked up
-/// in the registry on every compile.
-pub(crate) static SOLVE_NODES: StaticCounter = StaticCounter::new("solve.nodes");
-pub(crate) static SOLVE_BACKTRACKS: StaticCounter = StaticCounter::new("solve.backtracks");
-pub(crate) static SOLVE_PRUNES: StaticCounter = StaticCounter::new("solve.prunes");
-pub(crate) static SOLVE_PROPAGATIONS: StaticCounter = StaticCounter::new("solve.propagations");
+/// The search counters a [`Tally`] publishes to, in its `publish` order.
+static SOLVE_COUNTERS: [StaticCounter; 4] = [
+    StaticCounter::new("solve.nodes"),
+    StaticCounter::new("solve.propagations"),
+    StaticCounter::new("solve.prunes"),
+    StaticCounter::new("solve.backtracks"),
+];
 static SOLVE_SUBTREES: StaticCounter = StaticCounter::new("solve.subtrees");
 static SOLVE_CANCELLED: StaticCounter = StaticCounter::new("solve.cancelled");
+
+/// Nodes between two publishes of a [`Tally`], so `--progress` and
+/// `/progress` stay live within a long search.
+const PUBLISH_EVERY: u64 = 4096;
+
+/// One search state's counts in plain integers. `nodes`, `propagations`,
+/// `prunes` and `backtracks` are added to the shared `solve.*` counters
+/// (and `nodes` to progress's) every [`PUBLISH_EVERY`] nodes and when the
+/// tally drops, which covers every exit of a search or subtree: a
+/// verdict, each [`Halt`], and unwinding. Each count is published exactly
+/// once, so `solve.nodes` equals the budget consumed once a search returns.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Every node charged through this state, published or not: what a
+    /// profile sample attributes to the state's span.
+    spent: u64,
+    nodes: u64,
+    pub(crate) propagations: u64,
+    pub(crate) prunes: u64,
+    pub(crate) backtracks: u64,
+}
+
+impl Tally {
+    /// Counts one charged node.
+    pub(crate) fn node(&mut self) {
+        self.spent += 1;
+        self.nodes += 1;
+        if self.nodes == PUBLISH_EVERY {
+            self.publish();
+        }
+    }
+
+    /// Adds the unpublished counts to the shared counters and zeroes them.
+    fn publish(&mut self) {
+        let counts = [
+            &mut self.nodes,
+            &mut self.propagations,
+            &mut self.prunes,
+            &mut self.backtracks,
+        ]
+        .map(std::mem::take);
+        iis_obs::progress::add_nodes(counts[0]);
+        for (counter, n) in SOLVE_COUNTERS.iter().zip(counts) {
+            counter.add(n);
+        }
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
 
 /// Per-worker search context: the shared budget, the optional wall-clock
 /// deadline, plus (in parallel runs) this worker's subtree index and the
@@ -503,60 +557,30 @@ static SOLVE_CANCELLED: StaticCounter = StaticCounter::new("solve.cancelled");
 struct SearchCtx<'a> {
     budget: &'a SharedBudget,
     deadline: Option<std::time::Instant>,
-    /// Charges since construction, used to poll the clock only every 64th
-    /// node (clock reads are much slower than the atomic budget charge).
-    ticks: std::cell::Cell<u32>,
-    /// Successful charges through this context — the nodes this worker
-    /// (subtree) spent, attributed to its profile span.
-    spent: std::cell::Cell<u64>,
     cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
 }
 
-impl<'a> SearchCtx<'a> {
-    /// A context charging `budget`, stopping at `deadline`, and (for
-    /// parallel workers) polling `cancel`.
-    fn new(
-        budget: &'a SharedBudget,
-        deadline: Option<std::time::Instant>,
-        cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
-    ) -> Self {
-        SearchCtx {
-            budget,
-            deadline,
-            ticks: std::cell::Cell::new(0),
-            spent: std::cell::Cell::new(0),
-            cancel,
-        }
-    }
-
-    /// Nodes charged successfully through this context.
-    fn spent(&self) -> u64 {
-        self.spent.get()
-    }
-
-    /// Charges one node, or reports why the search must stop. `solve.nodes`
-    /// is incremented iff the charge succeeds, so on exhaustion the counter
-    /// equals the budget consumed exactly — across all workers. The
-    /// deadline is polled on the first charge and every 64th thereafter.
-    fn charge(&self, nodes: &iis_obs::metrics::Counter) -> Result<(), Halt> {
+impl SearchCtx<'_> {
+    /// Charges one node to `tally`, or reports why the search must stop.
+    /// The tally counts the node iff the budget charge succeeds, so on
+    /// exhaustion `solve.nodes` equals the budget consumed exactly, across
+    /// all workers. The deadline is polled on every 64th charge from the
+    /// first (clock reads are much slower than the budget charge).
+    fn charge(&self, tally: &mut Tally) -> Result<(), Halt> {
         if let Some((cell, index)) = self.cancel {
             if cell.should_cancel(index) {
                 return Err(Halt::Cancelled);
             }
         }
         if let Some(deadline) = self.deadline {
-            let t = self.ticks.get().wrapping_add(1);
-            self.ticks.set(t);
-            if t & 63 == 1 && std::time::Instant::now() >= deadline {
+            if tally.spent.is_multiple_of(64) && std::time::Instant::now() >= deadline {
                 return Err(Halt::Timeout);
             }
         }
         if !self.budget.try_charge() {
             return Err(Halt::Budget);
         }
-        self.spent.set(self.spent.get() + 1);
-        nodes.incr();
-        iis_obs::progress::charge_node();
+        tally.node();
         Ok(())
     }
 }
@@ -588,15 +612,11 @@ pub(crate) struct BitsetCsp<'s> {
     /// Per variable: dense color index into the encoder's universes.
     var_color: Vec<u32>,
     encoder: Arc<OutputEncoder>,
-    nodes: iis_obs::metrics::Counter,
-    backtracks: iis_obs::metrics::Counter,
-    prunes: iis_obs::metrics::Counter,
-    propagations: iis_obs::metrics::Counter,
 }
 
 /// One search worker's mutable state: the domain bitwords, the undo trail,
-/// the residue cache, and reusable scratch buffers — everything the inner
-/// loop touches, allocated once per (sub)search instead of per node.
+/// the residue cache, reusable scratch buffers and the [`Tally`] —
+/// everything the inner loop touches, allocated once per (sub)search.
 pub(crate) struct SearchState {
     /// `num_vars * words` domain bitwords.
     dom: Vec<u64>,
@@ -611,6 +631,7 @@ pub(crate) struct SearchState {
     in_queue: Vec<bool>,
     /// Stack-disciplined candidate-value scratch for `backtrack`.
     cands: Vec<u32>,
+    tally: Tally,
 }
 
 impl SearchState {
@@ -633,6 +654,7 @@ impl BitsetCsp<'_> {
             queue: Vec::new(),
             in_queue: vec![false; self.num_constraints()],
             cands: Vec::new(),
+            tally: Tally::default(),
         }
     }
 
@@ -756,7 +778,7 @@ impl BitsetCsp<'_> {
         while let Some(ci) = st.queue.pop() {
             let ci = ci as usize;
             st.in_queue[ci] = false;
-            self.propagations.incr();
+            st.tally.propagations += 1;
             for pos in 0..self.support(ci).arity {
                 let v = self.verts(ci)[pos] as usize;
                 let vbase = v * self.words;
@@ -782,11 +804,11 @@ impl BitsetCsp<'_> {
                     after += kept.count_ones();
                 }
                 if after == 0 {
-                    self.prunes.add(before as u64);
+                    st.tally.prunes += before as u64;
                     return false;
                 }
                 if after < before {
-                    self.prunes.add((before - after) as u64);
+                    st.tally.prunes += (before - after) as u64;
                     for &cj in self.containing(v) {
                         if !st.in_queue[cj as usize] {
                             st.in_queue[cj as usize] = true;
@@ -826,7 +848,7 @@ impl BitsetCsp<'_> {
         st: &mut SearchState,
         ctx: &SearchCtx<'_>,
     ) -> Result<Option<Vec<VertexId>>, Halt> {
-        ctx.charge(&self.nodes)?;
+        ctx.charge(&mut st.tally)?;
         let mut pick = None;
         let mut best = u32::MAX;
         for vi in 0..self.num_vars {
@@ -865,27 +887,26 @@ impl BitsetCsp<'_> {
         }
         st.cands.truncate(cbase);
         if matches!(result, Ok(None)) {
-            self.backtracks.incr();
+            st.tally.backtracks += 1;
         }
         result
     }
 
-    /// Expands the root state breadth-first, in the sequential search's
-    /// branching order, until at least `target` independent subtree states
-    /// exist (or the tree stops branching). The expansion performs the
-    /// same charge-pick-propagate steps the sequential search would, so
-    /// node accounting is unchanged. Subtree roots are plain domain-word
-    /// snapshots: a worker wraps one in a fresh [`SearchState`] (empty
-    /// trail) and searches in place.
+    /// Expands the root state `st` breadth-first, in the sequential
+    /// search's branching order, until at least `target` independent
+    /// subtree states exist (or the tree stops branching). The expansion
+    /// performs the same charge-pick-propagate steps the sequential search
+    /// would, in `st` as scratch, so node accounting is unchanged. Subtree
+    /// roots are plain domain-word snapshots: a worker wraps one in a fresh
+    /// [`SearchState`] (empty trail) and searches in place.
     fn split(
         &self,
-        root: Vec<u64>,
+        st: &mut SearchState,
         target: usize,
         ctx: &SearchCtx<'_>,
     ) -> Result<Vec<Vec<u64>>, Halt> {
-        let mut scratch = self.new_state(vec![0u64; self.num_vars * self.words]);
         let mut values: Vec<u32> = Vec::new();
-        let mut frontier = vec![root];
+        let mut frontier = vec![st.dom.clone()];
         loop {
             if frontier.len() >= target {
                 return Ok(frontier);
@@ -911,21 +932,21 @@ impl BitsetCsp<'_> {
                     next.push(state);
                     continue;
                 };
-                ctx.charge(&self.nodes)?;
+                ctx.charge(&mut st.tally)?;
                 expanded = true;
                 let before = next.len();
                 values.clear();
                 self.push_values(&state, vi, &mut values);
                 for &val in &values {
-                    scratch.dom.copy_from_slice(&state);
-                    scratch.trail.clear();
-                    self.assign(&mut scratch, vi, val);
-                    if self.propagate(&mut scratch, Some(vi)) {
-                        next.push(scratch.dom.clone());
+                    st.dom.copy_from_slice(&state);
+                    st.trail.clear();
+                    self.assign(st, vi, val);
+                    if self.propagate(st, Some(vi)) {
+                        next.push(st.dom.clone());
                     }
                 }
                 if next.len() == before {
-                    self.backtracks.incr();
+                    st.tally.backtracks += 1;
                 }
             }
             if !expanded {
@@ -952,6 +973,8 @@ pub(crate) fn compile<'s>(
     skel: &'s Skeleton,
     tables: &TaskTables,
 ) -> Option<(BitsetCsp<'s>, Vec<u64>)> {
+    // registered at compile, so a scrape lists them before any publish
+    SOLVE_COUNTERS.iter().for_each(StaticCounter::register);
     let c = skel.tower().complex();
     let nv = c.num_vertices();
     let class_tables = skel.resolve(task, tables);
@@ -999,10 +1022,6 @@ pub(crate) fn compile<'s>(
         val_stride: encoder.val_stride(),
         var_color,
         encoder,
-        nodes: SOLVE_NODES.counter(),
-        backtracks: SOLVE_BACKTRACKS.counter(),
-        prunes: SOLVE_PRUNES.counter(),
-        propagations: SOLVE_PROPAGATIONS.counter(),
     };
     Some((csp, dom))
 }
@@ -1031,9 +1050,13 @@ pub(crate) fn search_map(
         return Ok(None);
     }
     let assignment = if jobs > 1 {
-        search_parallel(&csp, st.dom, budget, deadline, jobs, round)?
+        search_parallel(&csp, &mut st, budget, deadline, jobs, round)?
     } else {
-        let ctx = SearchCtx::new(budget, deadline, None);
+        let ctx = SearchCtx {
+            budget,
+            deadline,
+            cancel: None,
+        };
         let t0 = profile_now();
         let found = csp.backtrack(&mut st, &ctx);
         // one sampled `search` leaf under the round, recorded even when the
@@ -1044,7 +1067,7 @@ pub(crate) fn search_map(
                 round,
                 "search",
                 2,
-                ctx.spent(),
+                st.tally.spent,
                 t0.elapsed().as_nanos() as u64,
             );
         }
@@ -1059,28 +1082,32 @@ pub(crate) fn search_map(
     }))
 }
 
-/// Parallel search over subtree snapshots: split into about `4 × jobs`
-/// subtrees in sequential depth-first order, run them on the
-/// work-stealing pool, and let the lowest-indexed witness win; only
-/// higher-indexed subtrees are cancelled, so the outcome is the
+/// Parallel search over subtree snapshots: split the root state `st`
+/// into about `4 × jobs` subtrees in sequential depth-first order, run
+/// them on the work-stealing pool, and let the lowest-indexed witness win;
+/// only higher-indexed subtrees are cancelled, so the outcome is the
 /// sequential one at any thread count (DESIGN.md §7).
 fn search_parallel(
     csp: &BitsetCsp<'_>,
-    root: Vec<u64>,
+    st: &mut SearchState,
     budget: &SharedBudget,
     deadline: Option<std::time::Instant>,
     jobs: usize,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<Vec<VertexId>>, Halt> {
-    let splitter = SearchCtx::new(budget, deadline, None);
+    let splitter = SearchCtx {
+        budget,
+        deadline,
+        cancel: None,
+    };
     let split_t0 = profile_now();
-    let subtrees = csp.split(root, jobs.saturating_mul(4), &splitter);
+    let subtrees = csp.split(st, jobs.saturating_mul(4), &splitter);
     if let Some(t0) = split_t0 {
         iis_obs::profile::sample_under(
             round,
             "split",
             2,
-            splitter.spent(),
+            st.tally.spent,
             t0.elapsed().as_nanos() as u64,
         );
     }
@@ -1089,16 +1116,21 @@ fn search_parallel(
     iis_obs::progress::set_subtrees(subtrees.len() as u64);
     let cell: FirstWins<Vec<VertexId>> = FirstWins::new();
     let verdicts = run_pool(subtrees, jobs, |index, dom| {
-        let ctx = SearchCtx::new(budget, deadline, Some((&cell, index)));
+        let ctx = SearchCtx {
+            budget,
+            deadline,
+            cancel: Some((&cell, index)),
+        };
+        let mut st = csp.new_state(dom);
         let t0 = profile_now();
-        let found = csp.backtrack(&mut csp.new_state(dom), &ctx);
+        let found = csp.backtrack(&mut st, &ctx);
         if let Some(t0) = t0 {
             let subtree = iis_obs::profile::register(round, &format!("subtree:{index}"));
             iis_obs::profile::sample_under(
                 subtree,
                 "search",
                 3,
-                ctx.spent(),
+                st.tally.spent,
                 t0.elapsed().as_nanos() as u64,
             );
         }

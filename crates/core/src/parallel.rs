@@ -132,14 +132,16 @@ impl<T> FirstWins<T> {
     }
 }
 
-/// Runs `jobs` over `threads` scoped worker threads with work stealing and
-/// returns each job's result in job order.
+/// Runs `jobs` over `threads` workers with work stealing and returns each
+/// job's result in job order.
 ///
 /// Jobs are dealt round-robin onto per-worker deques; an idle worker pops
 /// from the front of its own deque and steals from the *back* of others'
-/// (each steal counted in `solve.steals`). With `threads <= 1`, or a single
-/// job, everything runs on the calling thread in order — the zero-overhead
-/// path the sequential solver uses.
+/// (each steal counted in `solve.steals`). The calling thread is worker 0,
+/// so only `threads − 1` threads are spawned, and the first subtree starts
+/// without waiting for a thread to be scheduled. With `threads <= 1`, or a
+/// single job, everything runs on the calling thread in order — the
+/// zero-overhead path the sequential solver uses.
 ///
 /// # Panics
 ///
@@ -184,73 +186,75 @@ where
     // boundary once `cancel` is raised
     let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
     let cancel = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let results = &results;
-            let run = &run;
-            let steals = &steals;
-            let panicked = &panicked;
-            let cancel = &cancel;
-            scope.spawn(move || {
-                // stable worker id for span-profiling sample attribution
-                iis_obs::profile::set_worker(me);
-                loop {
-                    if cancel.load(Ordering::Acquire) {
-                        return;
+    let worker = |me: usize| {
+        // stable worker id for span-profiling sample attribution
+        iis_obs::profile::set_worker(me);
+        loop {
+            if cancel.load(Ordering::Acquire) {
+                return;
+            }
+            // own work first, front-to-back (preserves index order)
+            let mine = queues[me].lock().pop_front();
+            let (idx, job) = match mine {
+                Some(next) => next,
+                None => {
+                    // steal from the back of the busiest other queue
+                    let mut stolen = None;
+                    for d in 1..workers {
+                        let victim = (me + d) % workers;
+                        if let Some(next) = queues[victim].lock().pop_back() {
+                            stolen = Some(next);
+                            break;
+                        }
                     }
-                    // own work first, front-to-back (preserves index order)
-                    let mine = queues[me].lock().pop_front();
-                    let (idx, job) = match mine {
-                        Some(next) => next,
-                        None => {
-                            // steal from the back of the busiest other queue
-                            let mut stolen = None;
-                            for d in 1..workers {
-                                let victim = (me + d) % workers;
-                                if let Some(next) = queues[victim].lock().pop_back() {
-                                    stolen = Some(next);
-                                    break;
-                                }
-                            }
-                            match stolen {
-                                Some(next) => {
-                                    steals.incr();
-                                    next
-                                }
-                                None => return,
-                            }
+                    match stolen {
+                        Some(next) => {
+                            steals.incr();
+                            next
                         }
-                    };
-                    match panic::catch_unwind(AssertUnwindSafe(|| run(idx, job))) {
-                        Ok(r) => *results[idx].lock() = Some(r),
-                        Err(payload) => {
-                            cancel.store(true, Ordering::Release);
-                            let mut first = panicked.lock();
-                            if first.is_none() {
-                                *first = Some((idx, payload));
-                            }
-                            return;
-                        }
+                        None => return,
                     }
                 }
-            });
+            };
+            match panic::catch_unwind(AssertUnwindSafe(|| run(idx, job))) {
+                Ok(r) => *results[idx].lock() = Some(r),
+                Err(payload) => {
+                    cancel.store(true, Ordering::Release);
+                    let mut first = panicked.lock();
+                    if first.is_none() {
+                        *first = Some((idx, payload));
+                    }
+                    return;
+                }
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        for me in 1..workers {
+            let worker = &worker;
+            scope.spawn(move || worker(me));
+        }
+        worker(0);
     });
     if let Some((idx, payload)) = panicked.into_inner() {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string panic payload>".to_string()
-        };
-        panic!("worker panicked on job {idx}: {msg}");
+        panic!("worker panicked on job {idx}: {}", panic_message(&*payload));
     }
     results
         .into_iter()
         .map(|slot| slot.into_inner().expect("every job ran exactly once"))
         .collect()
+}
+
+/// The message of a caught panic's payload: the `&str` or `String` that
+/// `panic!` carries, or a placeholder for any other payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "<non-string panic payload>"
+    }
 }
 
 #[cfg(test)]

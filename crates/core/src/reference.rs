@@ -23,9 +23,10 @@
 //!   only: a verdict oracle that shares no propagation logic with either
 //!   MAC search.
 //!
-//! Both charge the kernel's search counters (`solve.nodes`,
-//! `solve.backtracks`, `solve.prunes`, `solve.propagations`), one node per
-//! search-tree node, so the E6 bench rates them like the kernel.
+//! Both count into the kernel's per-search tally, published to
+//! `solve.nodes`, `solve.backtracks`, `solve.prunes` and
+//! `solve.propagations`, one node per search-tree node, so the E6 bench
+//! rates them like the kernel.
 //!
 //! # Examples
 //!
@@ -45,14 +46,10 @@
 //! assert!(solve_plain(&eps, 1, u64::MAX).unwrap().is_some());
 //! ```
 
-use crate::csp::{
-    CompiledTable, ConstraintCache, SOLVE_BACKTRACKS, SOLVE_NODES, SOLVE_PROPAGATIONS, SOLVE_PRUNES,
-};
+use crate::csp::{CompiledTable, ConstraintCache, Tally};
 use crate::solvability::validate_decision_map;
-use iis_obs::metrics::Counter;
 use iis_tasks::Task;
 use iis_topology::{sds_reference_iterated, Color, SimplicialMap, Subdivision, VertexId};
-use std::cell::Cell;
 use std::sync::Arc;
 
 /// The node budget ran out before the search decided.
@@ -97,7 +94,7 @@ fn solve(
     mac: bool,
 ) -> Result<Option<SimplicialMap>, Exhausted> {
     let sub = sds_reference_iterated(task.input(), b);
-    let Some((csp, mut domains)) =
+    let Some((mut csp, mut domains)) =
         compile_csp(task, &sub, &mut ConstraintCache::default(), max_nodes)
     else {
         return Ok(None);
@@ -139,15 +136,8 @@ struct Csp {
     /// For each vertex, the indices of constraints containing it.
     containing: Vec<Vec<usize>>,
     /// Search nodes the budget still allows.
-    left: Cell<u64>,
-    /// Search nodes charged (`solve.nodes`).
-    nodes: Counter,
-    /// Dead ends where every candidate failed (`solve.backtracks`).
-    backtracks: Counter,
-    /// Domain values removed by propagation (`solve.prunes`).
-    prunes: Counter,
-    /// Constraint revisions performed (`solve.propagations`).
-    propagations: Counter,
+    left: u64,
+    tally: Tally,
 }
 
 /// Compiles the CSP for `sub`: per-simplex constraints with allowed-tuple
@@ -207,22 +197,17 @@ fn compile_csp(
     let csp = Csp {
         constraints,
         containing,
-        left: Cell::new(max_nodes),
-        nodes: SOLVE_NODES.counter(),
-        backtracks: SOLVE_BACKTRACKS.counter(),
-        prunes: SOLVE_PRUNES.counter(),
-        propagations: SOLVE_PROPAGATIONS.counter(),
+        left: max_nodes,
+        tally: Tally::default(),
     };
     Some((csp, domains))
 }
 
 impl Csp {
-    /// Charges one node: `solve.nodes` is incremented iff the budget
-    /// allows it.
-    fn charge(&self) -> Result<(), Exhausted> {
-        let left = self.left.get().checked_sub(1).ok_or(Exhausted)?;
-        self.left.set(left);
-        self.nodes.incr();
+    /// Charges one node: the tally counts it iff the budget allows it.
+    fn charge(&mut self) -> Result<(), Exhausted> {
+        self.left = self.left.checked_sub(1).ok_or(Exhausted)?;
+        self.tally.node();
         Ok(())
     }
 
@@ -242,7 +227,7 @@ impl Csp {
     /// Generalized arc consistency to a fixpoint. Returns `false` on a
     /// domain wipeout. `seed` restricts the initial queue to the
     /// constraints containing one vertex (after an assignment).
-    fn propagate(&self, domains: &mut [Vec<VertexId>], seed: Option<VertexId>) -> bool {
+    fn propagate(&mut self, domains: &mut [Vec<VertexId>], seed: Option<VertexId>) -> bool {
         let mut queue: Vec<usize> = match seed {
             Some(v) => self.containing[v.index()].clone(),
             None => (0..self.constraints.len()).collect(),
@@ -253,7 +238,7 @@ impl Csp {
         }
         while let Some(ci) = queue.pop() {
             in_queue[ci] = false;
-            self.propagations.incr();
+            self.tally.propagations += 1;
             for (pos, &v) in self.constraints[ci].verts.iter().enumerate() {
                 let before = domains[v.index()].len();
                 let kept: Vec<VertexId> = domains[v.index()]
@@ -262,11 +247,11 @@ impl Csp {
                     .filter(|&w| self.supported(ci, pos, w, domains))
                     .collect();
                 if kept.is_empty() {
-                    self.prunes.add(before as u64);
+                    self.tally.prunes += before as u64;
                     return false;
                 }
                 if kept.len() < before {
-                    self.prunes.add((before - kept.len()) as u64);
+                    self.tally.prunes += (before - kept.len()) as u64;
                     domains[v.index()] = kept;
                     for &cj in &self.containing[v.index()] {
                         if !in_queue[cj] {
@@ -284,7 +269,10 @@ impl Csp {
     /// index among the smallest domains > 1, values ascending. Returns a
     /// full assignment, `Ok(None)` if none exists, or `Err` when the node
     /// budget runs out.
-    fn backtrack(&self, domains: Vec<Vec<VertexId>>) -> Result<Option<Vec<VertexId>>, Exhausted> {
+    fn backtrack(
+        &mut self,
+        domains: Vec<Vec<VertexId>>,
+    ) -> Result<Option<Vec<VertexId>>, Exhausted> {
         self.charge()?;
         let pick = domains
             .iter()
@@ -305,14 +293,14 @@ impl Csp {
                 }
             }
         }
-        self.backtracks.incr();
+        self.tally.backtracks += 1;
         Ok(None)
     }
 
     /// Chronological backtracking without propagation. Checks each
     /// constraint as soon as all of its variables are assigned.
     fn backtrack_plain(
-        &self,
+        &mut self,
         domains: &[Vec<VertexId>],
     ) -> Result<Option<Vec<VertexId>>, Exhausted> {
         let n = domains.len();
@@ -329,7 +317,7 @@ impl Csp {
         }
         let mut assignment: Vec<VertexId> = vec![VertexId(0); n];
         fn rec(
-            csp: &Csp,
+            csp: &mut Csp,
             domains: &[Vec<VertexId>],
             closing: &[Vec<usize>],
             assignment: &mut Vec<VertexId>,
@@ -353,7 +341,7 @@ impl Csp {
                     return Ok(true);
                 }
             }
-            csp.backtracks.incr();
+            csp.tally.backtracks += 1;
             Ok(false)
         }
         match rec(self, domains, &closing, &mut assignment, 0)? {

@@ -138,11 +138,11 @@ impl StaticCounter {
         self.add(1);
     }
 
-    /// The resolved [`Counter`] handle, registering the name on the first
-    /// call exactly as [`Counter::handle`] would — for holders that keep
-    /// a handle per value (a compiled search) without a registry lookup.
-    pub fn counter(&self) -> Counter {
-        self.cell.get_or_init(|| Counter::handle(self.name)).clone()
+    /// Registers the name exactly as [`Counter::handle`] would, whether or
+    /// not the recorder is enabled, so a scrape lists it (at 0) before the
+    /// first add.
+    pub fn register(&self) {
+        self.cell.get_or_init(|| Counter::handle(self.name));
     }
 }
 

@@ -4,10 +4,9 @@
 //! A single process-global set of atomics tracks per-phase totals: the
 //! solve round in flight, rounds decided, nodes expanded, the node budget
 //! left in the current round, constraint-cache hit rate, parallel subtree
-//! and worker counts, and fuzz cases/failures. Cold-path updates (round
-//! and subtree boundaries, fuzz cases) record unconditionally; the
-//! per-node hot path is gated on [`enabled`] exactly like the metric
-//! recorder, so an idle registry costs one relaxed load per node.
+//! and worker counts, and fuzz cases/failures. Every update records
+//! unconditionally: nothing here runs per search node, since a search
+//! worker adds its node count in batches ([`add_nodes`]).
 //!
 //! [`snapshot`] copies the registry and derives a sliding-window
 //! throughput estimate (nodes + fuzz cases per second over the last ten
@@ -23,19 +22,6 @@ use std::time::{Duration, Instant};
 
 use crate::json::{Json, ToJson};
 use crate::report::group_digits;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// `true` iff the per-node hot path records (cold-path updates always do).
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns hot-path recording on or off (off is the default).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 static NODES: AtomicU64 = AtomicU64::new(0);
 static ROUND: AtomicU64 = AtomicU64::new(0);
@@ -70,12 +56,9 @@ pub fn set_task(label: &str) {
     g.push_str(label);
 }
 
-/// Charges one search node (hot path; no-op unless [`enabled`]).
-#[inline]
-pub fn charge_node() {
-    if enabled() {
-        NODES.fetch_add(1, Ordering::Relaxed);
-    }
+/// A search worker expanded `n` more nodes.
+pub fn add_nodes(n: u64) {
+    NODES.fetch_add(n, Ordering::Relaxed);
 }
 
 /// A solve round `b` with node budget `budget` is starting.
@@ -376,11 +359,8 @@ mod tests {
     #[test]
     fn registry_snapshot_and_rendering() {
         reset();
-        set_enabled(true);
         solve_round_started("kset:2:2", 2, 1000);
-        for _ in 0..40 {
-            charge_node();
-        }
+        add_nodes(40);
         set_subtrees(8);
         subtree_done();
         subtree_done();
@@ -401,9 +381,7 @@ mod tests {
 
         // rate window: a second snapshot after more work sees a positive
         // rate and an ETA for the remaining budget
-        for _ in 0..100 {
-            charge_node();
-        }
+        add_nodes(100);
         std::thread::sleep(Duration::from_millis(20));
         let snap = snapshot();
         assert!(snap.per_sec > 0.0, "rate should be positive: {snap:?}");
@@ -427,12 +405,6 @@ mod tests {
         let line = render_line(&snap);
         assert!(line.contains("cases 50/200"), "{line}");
         assert!(line.contains("failures 2"), "{line}");
-
-        // hot path is gated; cold path is not
-        set_enabled(false);
-        let before = snapshot().nodes;
-        charge_node();
-        assert_eq!(snapshot().nodes, before);
 
         // the JSON wire format has sorted keys (the committed schema)
         let json = snapshot().to_json();

@@ -334,12 +334,35 @@ pub fn one_shot_immediate_snapshot_task(n: usize) -> Task {
     chromatic_simplex_agreement(&sub)
 }
 
-/// The largest `N` of `oneshot:N` that [`parse_spec`] builds. The task
-/// pairs every simplex of `sᴺ` with every simplex of `SDS(sᴺ)`, so its
-/// build time explodes (on a 2-vCPU VM: 0.2 s at `N = 4`, 8 s at `N = 5`,
-/// over two minutes at `N = 6`) — too long to run inside a request
-/// handler.
-const MAX_ONESHOT_DIM: usize = 4;
+/// Refuses `spec` unless `ok`, naming its family's `bound`.
+///
+/// Every family is bounded by its build cost, since the solve service and
+/// the gateway build a spec's task inside their request handlers. Each
+/// bound admits only tasks that build in about 0.1 s (release build on a
+/// 2-vCPU VM, `iis solve SPEC --max-rounds 0 --budget 1`); the largest
+/// accepted and smallest refused specs measured there:
+///
+/// | family | accepted | refused |
+/// |---|---|---|
+/// | `trivial:N` | `trivial:14` 0.10 s | `trivial:15` 0.35 s |
+/// | `consensus:N` | `consensus:7` 0.04 s | `consensus:8` 0.21 s |
+/// | `kset:N:K` | `kset:6:1` 0.07 s, `kset:5:2` 0.02 s | `kset:6:2` 0.14 s, `kset:5:3` 0.16 s |
+/// | `renaming:N:M` | `renaming:1:353` 0.09 s, `renaming:4:9` 0.08 s | `renaming:4:10` 0.22 s, `renaming:6:7` 0.24 s |
+/// | `eps:N:GRID` | `eps:1:15625` 0.08 s, `eps:2:1953` 0.11 s, `eps:3:244` 0.10 s | `eps:1:20000` 0.11 s, `eps:2:4687` 0.30 s, `eps:6:2` 0.23 s |
+/// | `oneshot:N` | `oneshot:4` 0.07 s | `oneshot:5` 8 s |
+///
+/// The bounds also keep every library task within the SDS template
+/// width (16 processes) and refuse the parameters a constructor asserts
+/// against (`K = 0`, `M ≤ N`, `GRID = 0`).
+fn within(spec: &str, ok: bool, bound: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!(
+            "{spec} is out of bounds: {bound} (larger tasks take too long to build)"
+        ))
+    }
+}
 
 /// Parses a library task specifier — `trivial:N`, `consensus:N`,
 /// `kset:N:K`, `renaming:N:M`, `eps:N:GRID`, `oneshot:N` (`N` is the
@@ -352,23 +375,63 @@ const MAX_ONESHOT_DIM: usize = 4;
 /// # Errors
 ///
 /// Returns a message describing the malformed specifier, or naming the
-/// bound when `oneshot:N` has `N > 4`.
+/// family's bound when the task would take too long to build.
 pub fn parse_spec(spec: &str) -> Result<Task, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     let num =
         |s: &str| -> Result<usize, String> { s.parse().map_err(|_| format!("bad number: {s}")) };
     match parts.as_slice() {
-        ["trivial", n] => Ok(trivial(num(n)?)),
-        ["consensus", n] => Ok(consensus(num(n)?, &[0, 1])),
-        ["kset", n, k] => Ok(k_set_consensus(num(n)?, num(k)?)),
-        ["renaming", n, m] => Ok(renaming(num(n)?, num(m)?)),
-        ["eps", n, grid] => Ok(approximate_agreement(num(n)?, num(grid)? as u64)),
-        ["oneshot", n] => match num(n)? {
-            n if n > MAX_ONESHOT_DIM => Err(format!(
-                "oneshot:N takes N ≤ {MAX_ONESHOT_DIM}, got {n}: larger tasks take seconds to minutes to build"
-            )),
-            n => Ok(one_shot_immediate_snapshot_task(n)),
-        },
+        ["trivial", n] => {
+            let n = num(n)?;
+            within(spec, n <= 14, "trivial:N takes N ≤ 14")?;
+            Ok(trivial(n))
+        }
+        ["consensus", n] => {
+            let n = num(n)?;
+            within(spec, n <= 7, "consensus:N takes N ≤ 7")?;
+            Ok(consensus(n, &[0, 1]))
+        }
+        ["kset", n, k] => {
+            let (n, k) = (num(n)?, num(k)?);
+            let ok = k >= 1 && n.saturating_add(k) <= 7;
+            within(spec, ok, "kset:N:K takes K ≥ 1 and N + K ≤ 7")?;
+            Ok(k_set_consensus(n, k))
+        }
+        ["renaming", n, m] => {
+            let (n, m) = (num(n)?, num(m)?);
+            // 2^(N+1) · M!/(M−N−1)!: the full facet's name assignments,
+            // weighted by the faces each one spreads over
+            let cost = (m > n).then(|| {
+                (m - n..=m).try_fold(1u64, |acc, x| acc.checked_mul(2)?.checked_mul(x as u64))
+            });
+            let ok = cost.flatten().is_some_and(|c| c <= 500_000);
+            within(
+                spec,
+                ok,
+                "renaming:N:M takes N < M and 2^(N+1)·M!/(M−N−1)! ≤ 500000",
+            )?;
+            Ok(renaming(n, m))
+        }
+        ["eps", n, grid] => {
+            let (n, grid) = (num(n)?, num(grid)? as u64);
+            let cost = n
+                .checked_add(1)
+                .and_then(|e| u32::try_from(e).ok())
+                .and_then(|e| 8u64.checked_pow(e))
+                .and_then(|w| w.checked_mul(grid));
+            let ok = grid >= 1 && cost.is_some_and(|c| c <= 1_000_000);
+            within(
+                spec,
+                ok,
+                "eps:N:GRID takes GRID ≥ 1 and GRID·8^(N+1) ≤ 1000000",
+            )?;
+            Ok(approximate_agreement(n, grid))
+        }
+        ["oneshot", n] => {
+            let n = num(n)?;
+            within(spec, n <= 4, "oneshot:N takes N ≤ 4")?;
+            Ok(one_shot_immediate_snapshot_task(n))
+        }
         _ => Err(format!("unknown task spec: {spec}")),
     }
 }
@@ -400,12 +463,50 @@ mod tests {
 
     #[test]
     fn oneshot_dimension_is_bounded() {
-        assert!(parse_spec("oneshot:1").is_ok());
-        for spec in ["oneshot:5", "oneshot:6", "oneshot:1000000"] {
-            let Err(refusal) = parse_spec(spec) else {
-                panic!("{spec} was built");
-            };
-            assert!(refusal.contains("N ≤ 4"), "{spec}: {refusal}");
+        // every family refuses past its build-cost bound, naming it, and
+        // accepts its largest spec; the refusals build nothing
+        for (largest, refused, bound) in [
+            (
+                "oneshot:4",
+                &["oneshot:5", "oneshot:6", "oneshot:1000000"][..],
+                "N ≤ 4",
+            ),
+            ("trivial:14", &["trivial:15", "trivial:16"], "N ≤ 14"),
+            ("consensus:7", &["consensus:8", "consensus:12"], "N ≤ 7"),
+            (
+                "kset:5:2",
+                &["kset:6:2", "kset:5:3", "kset:8:2", "kset:2:0"],
+                "N + K ≤ 7",
+            ),
+            (
+                "renaming:4:9",
+                &[
+                    "renaming:4:10",
+                    "renaming:6:7",
+                    "renaming:3:3",
+                    "renaming:9:99999999999",
+                ],
+                "N < M",
+            ),
+            (
+                "eps:1:15625",
+                &[
+                    "eps:1:15626",
+                    "eps:6:2",
+                    "eps:1:0",
+                    "eps:18446744073709551615:2",
+                ],
+                "GRID·8^(N+1) ≤ 1000000",
+            ),
+        ] {
+            assert!(parse_spec(largest).is_ok(), "{largest}");
+            for spec in refused {
+                let Err(refusal) = parse_spec(spec) else {
+                    panic!("{spec} was built");
+                };
+                assert!(refusal.contains(bound), "{spec}: {refusal}");
+                assert!(refusal.starts_with(spec), "{spec}: {refusal}");
+            }
         }
     }
 

@@ -269,6 +269,10 @@ impl ArenaSds {
         if width == 0 {
             return;
         }
+        assert!(
+            width <= template::WIDTH_LIMIT,
+            "template width {width} out of range (faces are enumerated by u16 masks)"
+        );
         let mut keys: Vec<u32> = Vec::new();
         for i in 0..c.num_facets() {
             let fv = c.facet(i);

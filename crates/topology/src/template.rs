@@ -31,9 +31,10 @@ pub(crate) static TEMPLATE_HITS: StaticCounter = StaticCounter::new("sds.templat
 /// reach anyway, and its template is built uncached.
 pub const MAX_TEMPLATE_WIDTH: usize = 8;
 
-/// Widest facet a template can be built for: view masks are `u16`, and
-/// the ordered-partition walk caps at 16 positions.
-pub(crate) const WIDTH_LIMIT: usize = 16;
+/// Widest facet a template can be built for, and the widest facet any
+/// arena tower walks: view masks are `u16`, and the ordered-partition
+/// walk caps at 16 positions.
+pub const WIDTH_LIMIT: usize = 16;
 
 /// The standard chromatic subdivision of the abstract `(n−1)`-simplex with
 /// positions `0..n`, flattened to integer arrays.

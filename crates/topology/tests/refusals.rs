@@ -25,13 +25,25 @@ fn the_labelled_tower_refuses_a_non_chromatic_base_at_zero_rounds() {
     sds_iterated(&non_chromatic_edge(), 0);
 }
 
-#[test]
-#[should_panic(expected = "template width 17 out of range")]
-fn a_facet_past_the_width_limit_is_refused_by_name() {
+/// One facet of `n` colors.
+fn simplex_of_width(n: u32) -> Complex {
     let mut base = Complex::new();
-    let ids: Vec<_> = (0..17)
+    let ids: Vec<_> = (0..n)
         .map(|i| base.ensure_vertex(Color(i), Label::scalar(u64::from(i))))
         .collect();
     base.add_facet(ids);
-    arena_sds_tower(&base, 1);
+    base
+}
+
+#[test]
+#[should_panic(expected = "template width 17 out of range")]
+fn a_facet_past_the_width_limit_is_refused_by_name() {
+    arena_sds_tower(&simplex_of_width(17), 1);
+}
+
+#[test]
+#[should_panic(expected = "template width 17 out of range")]
+fn the_simplex_walk_refuses_a_facet_past_the_width_limit() {
+    // at zero rounds the tower is the base, so only the walk can refuse
+    arena_sds_tower(&simplex_of_width(17), 0).for_each_simplex(|_, _| {});
 }

@@ -75,7 +75,7 @@ impl MockCluster {
     }
 
     fn answer(&self, q: &Json) -> Answer {
-        match question_key(q) {
+        match question_key(&q.to_string()) {
             Ok(key) => Answer {
                 status: 200,
                 body: Json::parse(&canned_body(key)).expect("canned bodies are JSON"),
@@ -367,7 +367,7 @@ pub fn run_gateway_case(case: &GatewayCase) -> Vec<OracleFailure> {
     let questions = case_questions(case);
     let keys: Vec<u64> = questions
         .iter()
-        .map(|q| question_key(q).expect("generated questions are valid"))
+        .map(|q| question_key(&q.to_string()).expect("generated questions are valid"))
         .collect();
     // a dead shard can orphan a whole replica set (replicas < shards), so
     // the zero-failure calibration needs a fully live, fault-free fleet
@@ -529,7 +529,7 @@ mod tests {
         };
         let mut failures = Vec::new();
         for (i, slot) in slots.iter().enumerate() {
-            let key = question_key(&questions[i]).unwrap();
+            let key = question_key(&questions[i].to_string()).unwrap();
             check_answer(&mut failures, i, key, slot);
         }
         assert_eq!(failures.len(), slots.len(), "{failures:?}");

@@ -321,7 +321,7 @@ mod tests {
         let primaries: Vec<usize> = questions
             .iter()
             .map(|q| {
-                let route = iis_cluster::question_route(&Json::parse(q).unwrap()).unwrap();
+                let route = iis_cluster::question_route(q).unwrap();
                 local.replicas_for(route)[0]
             })
             .collect();
@@ -390,6 +390,86 @@ mod tests {
         assert!(cmd_gateway(&argv("--backends a:1 --probe-ms 0")).is_err());
         assert!(cmd_gateway(&argv("--backends a:1 --timeout-secs x")).is_err());
         assert!(cmd_gateway(&argv("--backends a:1 --addr 256.0.0.1:99999")).is_err());
+    }
+
+    /// An HTTP transport that keeps every `POST` it carries: the upstream
+    /// calls a gateway made and the bodies it was answered with.
+    #[derive(Default)]
+    struct Recording {
+        http: Option<iis_cluster::HttpTransport>,
+        posts: Mutex<Vec<(u16, String)>>,
+    }
+
+    impl iis_cluster::Transport for Recording {
+        fn get(
+            &self,
+            addr: &str,
+            path: &str,
+        ) -> Result<iis_cluster::TransportResponse, iis_cluster::TransportError> {
+            self.http.as_ref().unwrap().get(addr, path)
+        }
+        fn post(
+            &self,
+            addr: &str,
+            path: &str,
+            body: &str,
+        ) -> Result<iis_cluster::TransportResponse, iis_cluster::TransportError> {
+            let r = self.http.as_ref().unwrap().post(addr, path, body)?;
+            self.posts.lock().unwrap().push((r.status, r.body.clone()));
+            Ok(r)
+        }
+    }
+
+    /// An exhausted budget answers the question (`422`), not a shard
+    /// fault: the gateway relays the shard's body after one upstream
+    /// call, fails over to no other replica, and both shards stay Ready.
+    #[test]
+    fn an_inconclusive_answer_relays_without_failover() {
+        let (shard_a, join_a) = spawn_http(move |a| crate::cmd_serve(&a), &[]);
+        let (shard_b, join_b) = spawn_http(move |a| crate::cmd_serve(&a), &[]);
+        let transport = Arc::new(Recording {
+            http: Some(HttpTransport::new(Duration::from_secs(30))),
+            ..Recording::default()
+        });
+        let gateway = Gateway::new(
+            Arc::clone(&transport) as Arc<dyn iis_cluster::Transport>,
+            GatewayConfig {
+                backends: vec![shard_a.to_string(), shard_b.to_string()],
+                replicas: 2,
+                workers: 2,
+            },
+        );
+        let question = r#"{"spec": "kset:2:2", "max_rounds": 2, "budget": 50}"#;
+        let (status, body) = gateway.solve(question);
+        assert_eq!(status, 422, "{body}");
+        assert!(
+            body.contains("inconclusive: search exhausted at b = 2"),
+            "{body}"
+        );
+        assert_eq!(*transport.posts.lock().unwrap(), [(422, body)]);
+        // the batch form: one upstream batch call, both answers relayed
+        transport.posts.lock().unwrap().clear();
+        let (status, envelope) =
+            gateway.solve(&format!(r#"{{"questions": [{question}, {question}]}}"#));
+        assert_eq!(status, 200, "{envelope}");
+        let posts = transport.posts.lock().unwrap().clone();
+        assert_eq!(posts.len(), 1, "{posts:?}");
+        assert_eq!(posts[0], (200, envelope.clone()));
+        let answers = Json::parse(&envelope).unwrap();
+        let Some(Json::Arr(answers)) = answers.get("answers") else {
+            panic!("{envelope}");
+        };
+        for a in answers {
+            assert_eq!(a.get("status"), Some(&Json::Num(422.0)), "{envelope}");
+        }
+        for shard in gateway.health().snapshot() {
+            assert_eq!(shard.health, ShardHealth::Ready, "{}", shard.addr);
+        }
+        for (addr, join) in [(shard_a, join_a), (shard_b, join_b)] {
+            let (head, _) = http(addr, "POST", "/shutdown", "");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            join.join().unwrap().unwrap();
+        }
     }
 
     /// A one-shard transport answering every `POST /solve` with a fixed

@@ -120,7 +120,8 @@ pub fn parse_task(spec: &str) -> Result<Task, CliError> {
     if let Some(path) = spec.strip_prefix('@') {
         let text =
             std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-        return iis_obs::Json::parse_as::<Task>(&text)
+        return iis_obs::json::read_all(&text, Task::read_json)
+            .map(|(task, _)| task)
             .map_err(|e| err(format!("bad task file: {e}")));
     }
     library::parse_spec(spec).map_err(err)
@@ -344,11 +345,10 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
             if cached.report.results().len() == max_rounds + 1 {
                 let _ = writeln!(out, "no decision map found up to b = {max_rounds}");
             } else {
-                let _ = writeln!(
-                    out,
-                    "b = {}: undecided within the budget — inconclusive, not stored",
-                    cached.report.results().len()
-                );
+                let b = cached.report.results().len();
+                let why = iis_core::solvability::tower_too_large(task.input(), b)
+                    .unwrap_or_else(|| "undecided within the budget".to_string());
+                let _ = writeln!(out, "b = {b}: {why} — inconclusive, not stored");
             }
         }
         let _ = writeln!(
@@ -380,6 +380,12 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
             }
             BoundedOutcome::Exhausted => {
                 let _ = writeln!(out, "b = {b}: undecided within {budget} nodes");
+            }
+            BoundedOutcome::TooLarge { .. } => {
+                let why = iis_core::solvability::tower_too_large(task.input(), b)
+                    .expect("a round past the cap");
+                let _ = writeln!(out, "b = {b}: {why} — inconclusive");
+                return Ok(out);
             }
             BoundedOutcome::TimedOut => {
                 let t = timeout_secs.unwrap_or(0);

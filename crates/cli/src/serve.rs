@@ -71,11 +71,11 @@
 use crate::{err, flag_value, CliError};
 use iis_cluster::splice_envelope;
 use iis_core::cache::{
-    intern_spec, question_count, question_rounds, question_task, solve_keyed, validate_record,
-    KeyedTask, QuestionTask, SolveCache,
+    intern_spec, read_solve_body, solve_keyed, validate_record, KeyedTask, QuestionTask,
+    QuestionText, SolveBody, SolveCache,
 };
 use iis_core::parallel::panic_message;
-use iis_core::solvability::SolveOptions;
+use iis_core::solvability::{tower_too_large, SolveOptions};
 use iis_obs::http::{serve_with, Handler, Request, Response};
 use iis_obs::json::ObjectWriter;
 use iis_obs::metrics::StaticCounter;
@@ -109,7 +109,12 @@ enum Status {
         result: String,
         cached: bool,
     },
+    /// The solve panicked: a fault of the shard (`500`).
     Failed(String),
+    /// The sweep stopped undecided — the node budget ran out, or the next
+    /// round's tower is past the cap — so nothing was stored. An answer to
+    /// the question (`422`), not a fault of the shard.
+    Inconclusive(String),
     /// The search itself gave up at the per-request deadline
     /// (`--timeout-secs`) — distinct from `Failed` so waiters can answer
     /// `504` rather than `500`.
@@ -123,6 +128,7 @@ impl Status {
             Status::Running => "running",
             Status::Done { .. } => "done",
             Status::Failed(_) => "failed",
+            Status::Inconclusive(_) => "inconclusive",
             Status::TimedOut(_) => "timed_out",
         }
     }
@@ -209,40 +215,30 @@ struct SolveRequest {
     wait: bool,
 }
 
-/// Reads one parsed question body (a single-question body, or one element
-/// of a batch's `"questions"`).
+/// Resolves one read question (a single-question body, or one element of
+/// a batch's `"questions"`) into a request.
 ///
 /// A spec resolves only as a library spec, through the process-wide
 /// interner (`iis_core::cache::intern_spec`): a network question can never
 /// make the shard read a file, and a repeated spec rebuilds neither its
 /// task nor its key.
-fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
-    let (spec, task) = match question_task(v)? {
-        QuestionTask::Spec(s) => (s.to_string(), intern_spec(s)?),
-        QuestionTask::Inline(task) => (
-            format!("@inline:{}", task.name()),
-            Arc::new(KeyedTask::new(*task)),
-        ),
-    };
-    let max_rounds = question_rounds(v)?;
-    let jobs = usize::try_from(question_count(v, "jobs", 1)?).unwrap_or(usize::MAX);
-    let opts = SolveOptions::new()
-        .budget(question_count(v, "budget", 1_000_000)?)
-        .jobs(jobs.min(host_parallelism()));
-    let wait = match v.get("wait") {
-        None | Some(Json::Null) => true,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err("\"wait\" must be a boolean".to_string()),
-    };
-    if max_rounds > 6 {
-        return Err("max_rounds > 6 would build an astronomically large complex".to_string());
-    }
+fn solve_request(q: QuestionText<'_>) -> Result<SolveRequest, String> {
+    let q = q.resolve(|task| match task {
+        QuestionTask::Spec(s) => Ok((s.to_string(), intern_spec(&s)?)),
+        QuestionTask::Inline(keyed) => {
+            Ok((format!("@inline:{}", keyed.task().name()), Arc::new(*keyed)))
+        }
+    })?;
+    let (spec, task) = q.task;
+    let jobs = usize::try_from(q.jobs).unwrap_or(usize::MAX);
     Ok(SolveRequest {
         spec,
         task,
-        max_rounds,
-        opts,
-        wait,
+        max_rounds: q.max_rounds,
+        opts: SolveOptions::new()
+            .budget(q.budget)
+            .jobs(jobs.min(host_parallelism())),
+        wait: q.wait,
     })
 }
 
@@ -384,24 +380,27 @@ impl SolveService {
                         cached: out.hit,
                     }
                 }
-                Ok(out)
-                    if self
-                        .timeout
-                        .is_some_and(|deadline| started.elapsed() >= deadline) =>
-                {
-                    // the search abandoned the sweep at the request deadline
-                    iis_obs::metrics::add("serve.timeouts", 1);
-                    Status::TimedOut(format!(
-                        "deadline exceeded: search stopped at b = {} after {:?}",
-                        out.report.results().len(),
-                        self.timeout.unwrap_or_default()
-                    ))
+                // an undecided sweep stored nothing; which limit stopped it
+                Ok(out) => {
+                    let b = out.report.results().len();
+                    match tower_too_large(task.task().input(), b) {
+                        Some(why) => Status::Inconclusive(format!("inconclusive: {why}")),
+                        None if self
+                            .timeout
+                            .is_some_and(|deadline| started.elapsed() >= deadline) =>
+                        {
+                            // the search abandoned the sweep at the deadline
+                            iis_obs::metrics::add("serve.timeouts", 1);
+                            Status::TimedOut(format!(
+                                "deadline exceeded: search stopped at b = {b} after {:?}",
+                                self.timeout.unwrap_or_default()
+                            ))
+                        }
+                        None => Status::Inconclusive(format!(
+                            "inconclusive: search exhausted at b = {b} (raise \"budget\")"
+                        )),
+                    }
                 }
-                // budget ran out: inconclusive, nothing stored
-                Ok(out) => Status::Failed(format!(
-                    "inconclusive: search exhausted at b = {} (raise \"budget\")",
-                    out.report.results().len()
-                )),
             };
             let mut st = lock(&self.state);
             st.inflight.remove(&key);
@@ -426,17 +425,8 @@ impl SolveService {
                 Some(Status::Done { result, cached }) => {
                     return Response::json(record_reply(coalesced, *cached, Some(id), key, result));
                 }
-                Some(Status::Failed(e)) => {
-                    return Response::json_status(
-                        500,
-                        Json::obj([
-                            ("error", Json::Str(e.clone())),
-                            ("job", Json::Num(id as f64)),
-                            ("key", key_hex(key)),
-                        ])
-                        .to_string(),
-                    );
-                }
+                Some(Status::Failed(e)) => return Self::unanswered(500, id, key, e),
+                Some(Status::Inconclusive(e)) => return Self::unanswered(422, id, key, e),
                 Some(Status::TimedOut(e)) => {
                     return Self::gateway_timeout(id, key, e.clone(), "timed_out");
                 }
@@ -473,6 +463,20 @@ impl SolveService {
         }
     }
 
+    /// `{"error", "job", "key"}` under `status`: a job that settled
+    /// without a record.
+    fn unanswered(status: u16, id: u64, key: u64, error: &str) -> Response {
+        Response::json_status(
+            status,
+            Json::obj([
+                ("error", Json::Str(error.to_string())),
+                ("job", Json::Num(id as f64)),
+                ("key", key_hex(key)),
+            ])
+            .to_string(),
+        )
+    }
+
     fn gateway_timeout(id: u64, key: u64, error: String, status: &str) -> Response {
         Response::json_status(
             504,
@@ -486,9 +490,9 @@ impl SolveService {
         )
     }
 
-    /// Reads one parsed question, applying the service-wide deadline.
-    fn prepare(&self, question: &Json) -> Result<SolveRequest, Response> {
-        let mut req = solve_request_from_json(question).map_err(|e| Response::bad_request(&e))?;
+    /// Resolves one read question, applying the service-wide deadline.
+    fn prepare(&self, question: QuestionText<'_>) -> Result<SolveRequest, Response> {
+        let mut req = solve_request(question).map_err(|e| Response::bad_request(&e))?;
         if let Some(deadline) = self.timeout {
             // the search honors the request deadline too, so a worker is
             // never pinned long past the 504 its waiter already received
@@ -627,18 +631,15 @@ impl SolveService {
     }
 
     /// `POST /solve`: the batch form when the body carries `"questions"`,
-    /// the single-question form otherwise. The body is parsed once.
+    /// the single-question form otherwise. The body is read once, straight
+    /// from its text (`iis_core::cache::read_solve_body`).
     fn handle_solve(&self, body: &str) -> Response {
-        let v = match Json::parse(body) {
-            Ok(v) => v,
-            Err(e) => return Response::bad_request(&format!("bad JSON body: {e}")),
+        let question = match read_solve_body(body) {
+            Ok(SolveBody::One(q)) => q,
+            Ok(SolveBody::Batch(questions)) => return self.handle_batch(questions),
+            Err(e) => return Response::bad_request(&e),
         };
-        match v.get("questions") {
-            Some(Json::Arr(questions)) => return self.handle_batch(questions),
-            Some(_) => return Response::bad_request("\"questions\" must be an array"),
-            None => {}
-        }
-        match self.prepare(&v) {
+        match self.prepare(question) {
             Err(resp) => resp,
             Ok(req) => match self.admit(&req) {
                 Admission::Ready(resp) => resp,
@@ -656,7 +657,7 @@ impl SolveService {
     /// question's position; the envelope itself is always `200`. A batch
     /// larger than the free queue waits for its own jobs to make room
     /// ([`SolveService::admit_in_batch`]).
-    fn handle_batch(&self, questions: &[Json]) -> Response {
+    fn handle_batch(&self, questions: Vec<(&str, QuestionText<'_>)>) -> Response {
         if questions.len() > MAX_BATCH {
             return Response::bad_request(&format!(
                 "batch of {} questions exceeds the {MAX_BATCH}-question cap",
@@ -668,8 +669,8 @@ impl SolveService {
         let started = Instant::now();
         let mut mine: Vec<u64> = Vec::new();
         let admitted: Vec<(bool, Admission)> = questions
-            .iter()
-            .map(|q| match self.prepare(q) {
+            .into_iter()
+            .map(|(_, q)| match self.prepare(q) {
                 Ok(req) => {
                     let admission = self.admit_in_batch(&req, &mine, started);
                     if let Admission::Pending { id, .. } = admission {
@@ -711,7 +712,9 @@ impl SolveService {
             Status::Done { result, cached } => w
                 .field("cached", &Json::Bool(*cached))
                 .raw("result", result),
-            Status::Failed(e) | Status::TimedOut(e) => w.field("error", &Json::Str(e.clone())),
+            Status::Failed(e) | Status::Inconclusive(e) | Status::TimedOut(e) => {
+                w.field("error", &Json::Str(e.clone()))
+            }
             _ => w,
         }
         .finish()
@@ -1004,6 +1007,11 @@ mod tests {
         handle.join().unwrap().unwrap()
     }
 
+    /// One question body read and resolved as `POST /solve` does.
+    fn request_of(body: &str) -> Result<SolveRequest, String> {
+        solve_request(iis_core::cache::read_question(body)?)
+    }
+
     /// The inline-task question the CI smokes send: the committed fixture
     /// is `eps:1:3` as JSON, and asking it inline files it under the
     /// spec's key.
@@ -1014,7 +1022,7 @@ mod tests {
         let task = iis_tasks::library::parse_spec("eps:1:3").unwrap();
         assert_eq!(text, task.to_json().to_string());
         let body = format!(r#"{{"task": {text}, "max_rounds": 1}}"#);
-        let req = solve_request_from_json(&Json::parse(&body).unwrap()).unwrap();
+        let req = request_of(&body).unwrap();
         assert_eq!(req.task.key(1), intern_spec("eps:1:3").unwrap().key(1));
     }
 
@@ -1022,10 +1030,10 @@ mod tests {
     fn kernel_is_not_a_request_field() {
         // once a 400 ("bad --kernel"), and `reference` once switched the
         // engine; the service now never reads the member
-        let plain = solve_request_from_json(&Json::parse(r#"{"spec": "trivial:1"}"#).unwrap());
+        let plain = request_of(r#"{"spec": "trivial:1"}"#);
         for kernel in ["reference", "turbo"] {
             let body = format!(r#"{{"spec": "trivial:1", "kernel": "{kernel}"}}"#);
-            let req = solve_request_from_json(&Json::parse(&body).unwrap()).unwrap();
+            let req = request_of(&body).unwrap();
             assert_eq!(
                 format!("{:?}", req.opts),
                 format!("{:?}", plain.as_ref().unwrap().opts)
@@ -1039,7 +1047,7 @@ mod tests {
     #[test]
     fn huge_jobs_is_clamped_and_answers_the_same_bytes() {
         let body = r#"{"spec": "eps:1:3", "max_rounds": 1, "jobs": 4611686018427387904}"#;
-        let req = solve_request_from_json(&Json::parse(body).unwrap()).unwrap();
+        let req = request_of(body).unwrap();
         let clamped = SolveOptions::new()
             .budget(1_000_000)
             .jobs(host_parallelism());
@@ -1456,12 +1464,9 @@ mod tests {
                 in_batch.body,
                 format!(r#"{{"answers":[{{"status":400,"body":{refusal}}}]}}"#)
             );
-            // the gateway reads the bound itself and refuses it without a
-            // round trip; the other fields reach the shard, whose refusal
-            // it relays
-            if field == "max_rounds" {
-                assert_eq!(gateway.solve_one(&body), (400, refusal), "{body}");
-            }
+            // the gateway reads the question with the shard's reader and
+            // refuses it the same way, without a round trip
+            assert_eq!(gateway.solve_one(&body), (400, refusal), "{body}");
         }
         // integral floats and zero are still integers
         for good in ["0", "2.0", "1e0"] {
@@ -1542,6 +1547,49 @@ mod tests {
             assert!(message.contains(bound), "{body}: {message}");
         }
         assert!(lock(&shard.state).jobs.is_empty(), "nothing was queued");
+    }
+
+    /// `consensus:6` passes every check of the question reader, but its
+    /// tower at `b = 1` has 128 · 47293 facets — about 2 GB to build. The
+    /// sweep stops before building it: an inconclusive `422` naming the
+    /// round, the facet count and the cap, and the shard serves on.
+    #[test]
+    fn a_tower_past_the_cap_answers_422_without_building() {
+        let (addr, handle) = start(&[]);
+        // the task itself is interned first: the bound is on the tower
+        let (head, _) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "consensus:6", "max_rounds": 0}"#,
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let started = std::time::Instant::now();
+        let (head, reply) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "consensus:6", "max_rounds": 1}"#,
+        );
+        let elapsed = started.elapsed();
+        assert!(head.starts_with("HTTP/1.1 422"), "{head}");
+        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert_eq!(
+            error,
+            "inconclusive: SDS^1(I) would have 6053504 facets, past the cap of 100000; \
+             nothing was built"
+        );
+        let (head, _) = request(addr, "GET", "/readyz", "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let (head, _) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "eps:1:3", "max_rounds": 1}"#,
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        shutdown(addr, handle);
     }
 
     #[test]

@@ -28,17 +28,26 @@
 //! disturbing the rest of the batch.
 //!
 //! **Bytes, not trees.** Answers travel as the text the shard wrote. The
-//! gateway parses each *question* (it must read the task to route it), but
-//! never an answer: a single reply is relayed verbatim after a validity
-//! scan, a shard's batch envelope is cut into `(status, body)` spans by
-//! [`iis_obs::json::layout`], and the client's envelope is spliced around
-//! those bodies by [`splice_envelope`]. Upstream batch bodies are spliced
-//! from the question texts as the client sent them.
+//! gateway reads each *question* once, straight from its text, with the
+//! shard's own reader (`iis_core::cache::read_solve_body`: it must read
+//! the task to route it), but never an answer: a single reply is relayed
+//! verbatim after a validity scan, a shard's batch envelope is cut into
+//! `(status, body)` spans by [`iis_obs::json::layout`], and the client's
+//! envelope is spliced around those bodies by [`splice_envelope`].
+//! Upstream batch bodies are spliced from the question texts as the
+//! client sent them.
+//!
+//! **Whose answer a status is.** A transport error or a 5xx is a shard
+//! fault: the shard is marked and the question fails over. A 4xx —
+//! including `422`, an inconclusive sweep (budget exhausted, or a tower
+//! past the cap) — is the question's own answer, which every replica
+//! would give alike: it is relayed as-is after one upstream call.
 
 use crate::health::{HealthRegistry, ShardHealth};
 use crate::transport::Transport;
 use iis_core::cache::{
-    finish_key, fnv1a64, key_prefix, question_rounds, question_task, KeyedTask, Lru, QuestionTask,
+    finish_key, fnv1a64, read_question, read_solve_body, KeyedTask, Lru, QuestionTask,
+    QuestionText, SolveBody,
 };
 use iis_obs::json::{self, Layout};
 use iis_obs::{Json, ToJson as _};
@@ -194,42 +203,41 @@ fn spec_prefix(spec: &str) -> Result<u64, String> {
     Ok(prefix)
 }
 
-/// The routing-relevant reading of one question body: its task's key
-/// prefix and its round bound. Everything else is forwarded verbatim.
+/// The routing-relevant reading of one question: its task's key prefix
+/// and its round bound. Everything else is forwarded verbatim.
 ///
-/// The question is read by the same parsers the shard uses
-/// (`iis_core::cache::question_task` and `question_rounds`), and a spec
-/// resolves only as a library spec, so a question the gateway refuses
-/// gets the message the shard would have given.
-fn question_parts(q: &Json) -> Result<(u64, usize), String> {
-    let prefix = match question_task(q)? {
-        QuestionTask::Spec(s) => spec_prefix(s)?,
-        QuestionTask::Inline(task) => key_prefix(&task),
-    };
-    Ok((prefix, question_rounds(q)?))
+/// The question is checked whole, in the shard's order of refusals
+/// (`iis_core::cache::QuestionText::resolve`), and a spec resolves only
+/// as a library spec, so a question the gateway refuses gets the message
+/// the shard would have given, with no round trip.
+fn question_parts(q: QuestionText<'_>) -> Result<(u64, usize), String> {
+    q.resolve(|task| match task {
+        QuestionTask::Spec(s) => spec_prefix(&s),
+        QuestionTask::Inline(keyed) => Ok(keyed.key_prefix()),
+    })
+    .map(|q| (q.task, q.max_rounds))
 }
 
 /// A question's content address: the shard's cache key for `(task,
-/// max_rounds)`, computed gateway-side.
+/// max_rounds)`, computed gateway-side from the question's text.
 ///
 /// # Errors
 ///
-/// Returns a message when the question names no task or a malformed one,
-/// or carries a malformed `"max_rounds"`.
-pub fn question_key(q: &Json) -> Result<u64, String> {
-    question_parts(q).map(|(prefix, b)| finish_key(prefix, b))
+/// Returns the shard's refusal of a malformed question.
+pub fn question_key(text: &str) -> Result<u64, String> {
+    question_parts(read_question(text)?).map(|(prefix, b)| finish_key(prefix, b))
 }
 
 /// A question's routing value: its task's key prefix, the same for every
 /// `max_rounds`. Every bound of a task therefore goes to one replica set.
-/// The bound is still read, so a malformed one is refused here with the
-/// shard's message and no round trip.
+/// The rest of the question is still checked, so a malformed one is
+/// refused here with the shard's message and no round trip.
 ///
 /// # Errors
 ///
 /// As [`question_key`].
-pub fn question_route(q: &Json) -> Result<u64, String> {
-    question_parts(q).map(|(prefix, _)| prefix)
+pub fn question_route(text: &str) -> Result<u64, String> {
+    question_parts(read_question(text)?).map(|(prefix, _)| prefix)
 }
 
 impl Gateway {
@@ -323,44 +331,43 @@ impl Gateway {
 
     /// `POST /solve` as `iis gateway` serves it: a `{"questions": […]}`
     /// body scatter-gathers (the envelope status is always `200`),
-    /// anything else relays as one question. The batch is split into
-    /// question texts by one scan of the body; no question is re-rendered.
+    /// anything else relays as one question. The body is read once,
+    /// straight from its text (`iis_core::cache::read_solve_body`), and
+    /// every question travels upstream as the text the client sent.
     pub fn solve(&self, body: &str) -> (u16, String) {
-        let Ok(Layout::Object(members)) = json::layout(body) else {
-            return self.solve_one(body);
-        };
-        let Some((_, span)) = members.iter().find(|(k, _)| k == "questions") else {
-            return self.solve_one(body);
-        };
-        let array = &body[span.clone()];
-        match json::layout(array) {
-            Ok(Layout::Array(items)) => {
-                let questions = items
-                    .iter()
-                    .map(|span| {
-                        let text = &array[span.clone()];
-                        let route = Json::parse(text)
-                            .map_err(|e| e.to_string())
-                            .and_then(|q| question_route(&q));
-                        (text, route)
-                    })
+        match read_solve_body(body) {
+            Ok(SolveBody::One(q)) => self.relay(body, q),
+            Ok(SolveBody::Batch(questions)) => {
+                let questions = questions
+                    .into_iter()
+                    .map(|(text, q)| (text, question_parts(q).map(|(route, _)| route)))
                     .collect();
                 (200, self.scatter_gather(questions))
             }
-            _ => (400, error_body("\"questions\" must be an array")),
+            Err(e) => {
+                GATEWAY_REQUESTS.incr();
+                (400, error_body(&e))
+            }
         }
     }
 
     /// `POST /solve` with a single-question object body: route and relay,
     /// preserving the backend's schema byte-for-byte.
     pub fn solve_one(&self, body: &str) -> (u16, String) {
+        match read_question(body) {
+            Ok(q) => self.relay(body, q),
+            Err(e) => {
+                GATEWAY_REQUESTS.incr();
+                (400, error_body(&e))
+            }
+        }
+    }
+
+    /// Routes and relays the question `body`, read as `q`.
+    fn relay(&self, body: &str, q: QuestionText<'_>) -> (u16, String) {
         GATEWAY_REQUESTS.incr();
-        let q = match Json::parse(body) {
-            Ok(q) => q,
-            Err(e) => return (400, error_body(&format!("bad JSON body: {e}"))),
-        };
-        let route = match question_route(&q) {
-            Ok(r) => r,
+        let route = match question_parts(q) {
+            Ok((route, _)) => route,
             Err(e) => return (400, error_body(&e)),
         };
         let replicas = self.replicas_for(route);
@@ -373,14 +380,13 @@ impl Gateway {
     }
 
     /// The batch form on already-parsed questions: each is rendered once
-    /// to the text its upstream call carries. [`Gateway::solve`] takes the
-    /// client's own question texts instead.
+    /// to the text its upstream call carries, and read from that text.
+    /// [`Gateway::solve`] takes the client's own question texts instead.
     pub fn solve_batch(&self, questions: &[Json]) -> String {
         let texts: Vec<String> = questions.iter().map(Json::to_string).collect();
-        let questions = questions
+        let questions = texts
             .iter()
-            .zip(&texts)
-            .map(|(q, t)| (t.as_str(), question_route(q)))
+            .map(|t| (t.as_str(), question_route(t)))
             .collect();
         self.scatter_gather(questions)
     }
@@ -650,7 +656,7 @@ pub fn merge_prometheus(texts: &[String]) -> String {
 mod tests {
     use super::*;
     use crate::transport::TransportResponse;
-    use iis_core::cache::cache_key;
+    use iis_core::cache::{cache_key, key_prefix};
 
     #[test]
     fn rendezvous_is_stable_and_balanced() {
@@ -740,23 +746,22 @@ mod tests {
     #[test]
     fn question_key_matches_serve_semantics() {
         use iis_tasks::library::approximate_agreement;
-        let by_spec =
-            question_key(&Json::parse(r#"{"spec": "eps:1:3", "max_rounds": 2}"#).unwrap()).unwrap();
+        let by_spec = question_key(r#"{"spec": "eps:1:3", "max_rounds": 2}"#).unwrap();
         assert_eq!(by_spec, cache_key(&approximate_agreement(1, 3), 2));
         // max_rounds defaults to 2, like the solve service
-        let defaulted = question_key(&Json::parse(r#"{"spec": "eps:1:3"}"#).unwrap()).unwrap();
+        let defaulted = question_key(r#"{"spec": "eps:1:3"}"#).unwrap();
         assert_eq!(by_spec, defaulted);
         // inline task bodies route identically to their spec form
         let inline = Json::obj([
             ("task", approximate_agreement(1, 3).to_json()),
             ("max_rounds", Json::Num(2.0)),
         ]);
-        assert_eq!(question_key(&inline).unwrap(), by_spec);
-        assert!(question_key(&Json::parse("{}").unwrap()).is_err());
-        assert!(question_key(&Json::parse(r#"{"spec": "nope:1"}"#).unwrap()).is_err());
+        assert_eq!(question_key(&inline.to_string()).unwrap(), by_spec);
+        assert!(question_key("{}").is_err());
+        assert!(question_key(r#"{"spec": "nope:1"}"#).is_err());
         // an `@file` spec is not a library spec at the gateway either
         assert_eq!(
-            question_key(&Json::parse(r#"{"spec": "@/etc/hostname"}"#).unwrap()).unwrap_err(),
+            question_key(r#"{"spec": "@/etc/hostname"}"#).unwrap_err(),
             "unknown task spec: @/etc/hostname"
         );
     }
@@ -779,9 +784,13 @@ mod tests {
                     ("max_rounds", rounds.clone()),
                 ]);
                 let inline = Json::obj([("task", task.to_json()), ("max_rounds", rounds)]);
-                let key = question_key(&by_spec).unwrap();
+                let key = question_key(&by_spec.to_string()).unwrap();
                 assert_eq!(key, cache_key(&task, b), "{spec} b={b}");
-                assert_eq!(question_key(&inline).unwrap(), key, "{spec} b={b}");
+                assert_eq!(
+                    question_key(&inline.to_string()).unwrap(),
+                    key,
+                    "{spec} b={b}"
+                );
             }
         }
     }
@@ -822,19 +831,23 @@ mod tests {
         );
         let at_zero: Vec<Vec<usize>> = family_questions(0)
             .iter()
-            .map(|(q, _)| gw.replicas_for(question_route(q).unwrap()))
+            .map(|(q, _)| gw.replicas_for(question_route(&q.to_string()).unwrap()))
             .collect();
         for b in 0..=6usize {
             for ((by_spec, inline), set) in family_questions(b).iter().zip(&at_zero) {
-                let route = question_route(by_spec).unwrap();
-                assert_eq!(question_route(inline).unwrap(), route, "{by_spec}");
+                let route = question_route(&by_spec.to_string()).unwrap();
+                assert_eq!(
+                    question_route(&inline.to_string()).unwrap(),
+                    route,
+                    "{by_spec}"
+                );
                 // the route is the task's key prefix: the bound is not in it
                 let spec = by_spec.get("spec").and_then(Json::as_str).unwrap();
                 assert_eq!(route, key_prefix(&parse_spec(spec).unwrap()), "{spec}");
                 assert_eq!(&gw.replicas_for(route), set, "{spec} b={b}");
                 // while the content address still tells the bounds apart
                 assert_eq!(
-                    question_key(by_spec).unwrap(),
+                    question_key(&by_spec.to_string()).unwrap(),
                     finish_key(route, b),
                     "{spec} b={b}"
                 );
@@ -868,7 +881,7 @@ mod tests {
                             ("spec", Json::Str(spec.clone())),
                             ("max_rounds", Json::Num(f64::from(b))),
                         ]);
-                        gw.replicas_for(question_route(&q).unwrap())[0]
+                        gw.replicas_for(question_route(&q.to_string()).unwrap())[0]
                     })
                     .collect()
             };
@@ -955,7 +968,7 @@ mod tests {
     }
 
     fn canned_answer(q: &Json) -> Json {
-        let key = question_key(q).unwrap();
+        let key = question_key(&q.to_string()).unwrap();
         Json::obj([
             ("cached", Json::Bool(false)),
             ("key", Json::Str(format!("{key:016x}"))),
@@ -1042,7 +1055,7 @@ mod tests {
         assert_eq!(answers.len(), 6);
         for (q, a) in qs.iter().zip(answers) {
             assert_eq!(a.get("status"), Some(&Json::Num(200.0)), "{a:?}");
-            let key = question_key(q).unwrap();
+            let key = question_key(&q.to_string()).unwrap();
             assert_eq!(
                 a.get("body").unwrap().get("key").unwrap().as_str(),
                 Some(format!("{key:016x}").as_str()),

@@ -81,7 +81,7 @@ use crate::csp::{Skeleton, TaskTables};
 use crate::solvability::{
     check_image, check_simplices, solve_up_to_with, DecisionMap, SolvabilityReport, SolveOptions,
 };
-use iis_obs::json::FromJson;
+use iis_obs::json::{self, kept, JsonError, Token};
 use iis_obs::metrics::{StaticCounter, StaticHistogram};
 use iis_obs::{Json, ToJson};
 use iis_tasks::library::parse_spec;
@@ -289,10 +289,24 @@ impl KeyedTask {
     /// dropped, not memoized in the task: an interned task never keeps
     /// its (up to tens of KB) preimage.
     pub fn new(task: Task) -> KeyedTask {
-        let mut canonical = String::new();
-        task.write_canonical(&mut canonical);
+        KeyedTask::keyed(task, None)
+    }
+
+    /// Keys `task` by `canonical`, its canonical JSON when the caller
+    /// holds that text already (an inline task that arrived canonical,
+    /// [`Task::read_json`]), else by a rendering written and dropped.
+    fn keyed(task: Task, canonical: Option<&str>) -> KeyedTask {
+        let mut rendered = String::new();
+        if canonical.is_none() || cfg!(debug_assertions) {
+            task.write_canonical(&mut rendered);
+        }
+        debug_assert!(
+            canonical.is_none_or(|text| text == rendered),
+            "a span read as canonical renders the same"
+        );
+        let key_prefix = prefix_of_canonical(canonical.unwrap_or(&rendered));
         KeyedTask {
-            key_prefix: prefix_of_canonical(&canonical),
+            key_prefix,
             shape: shape_key(task.input()),
             task,
             tables: TaskTables::default(),
@@ -356,83 +370,288 @@ pub fn intern_spec(spec: &str) -> Result<Arc<KeyedTask>, String> {
 /// Where a question's task comes from.
 pub enum QuestionTask<'a> {
     /// A library spec (`"spec": "eps:1:9"`), still to be resolved.
-    Spec(&'a str),
-    /// An inline task (`"task": {…}`), already decoded.
-    Inline(Box<Task>),
+    Spec(Cow<'a, str>),
+    /// An inline task (`"task": {…}`), already decoded and keyed.
+    Inline(Box<KeyedTask>),
 }
 
-/// Reads the task half of a solve question body `{"spec": … | "task": …}`
-/// — the one parser both the shard and the gateway use, so both answer a
-/// malformed question with the same message.
+/// A solve question whose every member passed its check: the task it
+/// names, resolved to a `T` by the caller, and its options.
+pub struct Question<T> {
+    /// What the question's task resolved to.
+    pub task: T,
+    /// `"max_rounds"` (default 2, at most [`MAX_QUESTION_ROUNDS`]).
+    pub max_rounds: usize,
+    /// `"jobs"` (default 1).
+    pub jobs: u64,
+    /// `"budget"` (default 1 000 000 nodes).
+    pub budget: u64,
+    /// `"wait"` (default `true`).
+    pub wait: bool,
+}
+
+/// The largest `"max_rounds"` a question may ask: past it the tower is
+/// astronomically large for every task worth asking about.
+pub const MAX_QUESTION_ROUNDS: usize = 6;
+
+/// A member read as `null`, a value, or a refused value (`Err`): `None`
+/// until the member is first seen, and a repeat is not read.
+type Read<T> = Option<Result<Option<T>, ()>>;
+
+/// One question body `{"spec": … | "task": …, "max_rounds": B, "budget":
+/// N, "jobs": J, "wait": W}` as read from its text, in one pass: each
+/// member the first time it appears (as [`Json::get`] finds it), checked
+/// and kept with its own refusal; unknown members skipped. An inline task
+/// is decoded and keyed as it is read ([`Task::read_json`]), and when its
+/// text is already canonical that span is its key preimage.
 ///
-/// No task wider than [`WIDTH_LIMIT`] processes gets past it: an inline
-/// task with a wider input facet is refused here, and a spec resolves
-/// through [`parse_spec`], whose family bounds stay narrower.
-///
-/// # Errors
-///
-/// Returns a message when the question names no task, both forms, a
-/// non-string spec, an undecodable inline task, or one with an input
-/// facet wider than [`WIDTH_LIMIT`].
-pub fn question_task(q: &Json) -> Result<QuestionTask<'_>, String> {
-    match (q.get("spec"), q.get("task")) {
-        (Some(s), None) => Ok(QuestionTask::Spec(
-            s.as_str().ok_or("\"spec\" must be a string")?,
-        )),
-        (None, Some(t)) => {
-            let task = Task::from_json(t).map_err(|e| format!("bad \"task\": {e}"))?;
-            let width = task.input().facets().map(Simplex::len).max().unwrap_or(0);
-            if width > WIDTH_LIMIT {
-                return Err(format!(
-                    "bad \"task\": an input facet of {width} processes exceeds the limit of {WIDTH_LIMIT}"
-                ));
-            }
-            Ok(QuestionTask::Inline(Box::new(task)))
+/// [`QuestionText::resolve`] then ranks the refusals in the one order the
+/// shard and the gateway share, so both answer a malformed question with
+/// the same message.
+#[derive(Default)]
+pub struct QuestionText<'a> {
+    spec: Option<Result<Cow<'a, str>, ()>>,
+    /// Read only while no spec has been seen: with both members present
+    /// the question is refused whatever the task holds.
+    task: Option<Result<Box<KeyedTask>, String>>,
+    max_rounds: Read<u64>,
+    jobs: Read<u64>,
+    budget: Read<u64>,
+    wait: Read<bool>,
+}
+
+impl<'a> QuestionText<'a> {
+    /// Reads one question value at `r`; a value that is not an object is
+    /// a question naming no task. Fails only on a syntax error.
+    fn read(r: &mut json::Reader<'a>) -> Result<QuestionText<'a>, JsonError> {
+        let mut q = QuestionText::default();
+        if r.peek()? == Token::Object {
+            r.object(|r, key| q.member(r, &key))?;
+        } else {
+            r.skip()?;
         }
-        (Some(_), Some(_)) => Err("give \"spec\" or \"task\", not both".to_string()),
-        (None, None) => Err("body needs a \"spec\" or a \"task\"".to_string()),
+        Ok(q)
+    }
+
+    /// Reads the value of member `key` at `r` into its slot.
+    fn member(&mut self, r: &mut json::Reader<'a>, key: &str) -> Result<(), JsonError> {
+        match key {
+            "spec" if self.spec.is_none() => {
+                self.spec = Some(if r.peek()? == Token::String {
+                    Ok(r.string()?)
+                } else {
+                    r.skip()?;
+                    Err(())
+                });
+            }
+            "task" if self.task.is_none() => {
+                self.task = Some(if self.spec.is_some() {
+                    r.skip()?;
+                    Err(String::new())
+                } else {
+                    read_inline_task(r)?
+                });
+            }
+            "max_rounds" if self.max_rounds.is_none() => self.max_rounds = Some(read_count(r)?),
+            "jobs" if self.jobs.is_none() => self.jobs = Some(read_count(r)?),
+            "budget" if self.budget.is_none() => self.budget = Some(read_count(r)?),
+            "wait" if self.wait.is_none() => {
+                self.wait = Some(match r.peek()? {
+                    Token::Null => r.null().map(|()| Ok(None))?,
+                    Token::Bool => Ok(Some(r.bool()?)),
+                    _ => r.skip().map(|()| Err(()))?,
+                });
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    }
+
+    /// Checks the question in the one order of refusals — its task
+    /// (none, both forms, a non-string spec, a malformed inline task),
+    /// then `task` resolving it (a spec the library does not know), then
+    /// `max_rounds`, `jobs`, `budget`, `wait`, and finally a round bound
+    /// past [`MAX_QUESTION_ROUNDS`] — and returns the first refusal.
+    ///
+    /// # Errors
+    ///
+    /// The first refusal, as its message.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_core::cache::{read_question, QuestionTask};
+    /// let q = read_question(r#"{"budget": 5, "jobs": -1, "spec": "eps:1:3"}"#).unwrap();
+    /// let spec = |t: QuestionTask<'_>| match t {
+    ///     QuestionTask::Spec(s) => Ok(s.into_owned()),
+    ///     QuestionTask::Inline(_) => Err("inline".to_string()),
+    /// };
+    /// let refusal = Err("\"jobs\" must be a non-negative integer".to_string());
+    /// assert_eq!(q.resolve(spec).map(|q| q.task), refusal);
+    /// let q = read_question(r#"{"spec": "eps:1:3", "budget": 5.0}"#).unwrap();
+    /// let q = q.resolve(spec).unwrap();
+    /// assert_eq!((q.task.as_str(), q.budget, q.max_rounds, q.jobs), ("eps:1:3", 5, 2, 1));
+    /// ```
+    pub fn resolve<T>(
+        self,
+        task: impl FnOnce(QuestionTask<'a>) -> Result<T, String>,
+    ) -> Result<Question<T>, String> {
+        let source = match (self.spec, self.task) {
+            (Some(Ok(spec)), None) => QuestionTask::Spec(spec),
+            (Some(Err(())), None) => return Err("\"spec\" must be a string".to_string()),
+            (None, Some(inline)) => QuestionTask::Inline(inline?),
+            (Some(_), Some(_)) => return Err("give \"spec\" or \"task\", not both".to_string()),
+            (None, None) => return Err("body needs a \"spec\" or a \"task\"".to_string()),
+        };
+        let task = task(source)?;
+        let count = |got: Read<u64>, name: &str, default: u64| match got {
+            None | Some(Ok(None)) => Ok(default),
+            Some(Ok(Some(n))) => Ok(n),
+            Some(Err(())) => Err(format!("\"{name}\" must be a non-negative integer")),
+        };
+        let max_rounds = count(self.max_rounds, "max_rounds", 2)?;
+        let max_rounds = usize::try_from(max_rounds).unwrap_or(usize::MAX);
+        let jobs = count(self.jobs, "jobs", 1)?;
+        let budget = count(self.budget, "budget", 1_000_000)?;
+        let wait = match self.wait {
+            None | Some(Ok(None)) => true,
+            Some(Ok(Some(wait))) => wait,
+            Some(Err(())) => return Err("\"wait\" must be a boolean".to_string()),
+        };
+        if max_rounds > MAX_QUESTION_ROUNDS {
+            return Err(format!(
+                "max_rounds > {MAX_QUESTION_ROUNDS} would build an astronomically large complex"
+            ));
+        }
+        Ok(Question {
+            task,
+            max_rounds,
+            jobs,
+            budget,
+            wait,
+        })
     }
 }
 
-/// Reads a question's non-negative integer field `name` (`default` when
-/// absent or null) — the one reader of a question's numeric fields, so
-/// the shard and the gateway refuse a malformed one with the same message.
+/// A count member: `null`, or a number that is a whole value `≥ 0` (`1.0`
+/// and `1e0` included; past `u64::MAX` it saturates).
+fn read_count(r: &mut json::Reader<'_>) -> Result<Result<Option<u64>, ()>, JsonError> {
+    Ok(match r.peek()? {
+        Token::Null => r.null().map(|()| Ok(None))?,
+        Token::Number => {
+            let x = r.number()?;
+            if x >= 0.0 && x.fract() == 0.0 {
+                Ok(Some(x as u64))
+            } else {
+                Err(())
+            }
+        }
+        _ => r.skip().map(|()| Err(()))?,
+    })
+}
+
+/// An inline `"task"` member, decoded and keyed — by its own span when
+/// the text is canonical. No task wider than [`WIDTH_LIMIT`] processes
+/// gets past it; a spec resolves through [`parse_spec`], whose family
+/// bounds stay narrower.
+fn read_inline_task(r: &mut json::Reader<'_>) -> Result<Result<Box<KeyedTask>, String>, JsonError> {
+    r.peek()?;
+    let start = r.pos();
+    let (task, canonical) = match kept(Task::read_json(r))? {
+        Ok(read) => read,
+        Err(e) => return Ok(Err(format!("bad \"task\": {e}"))),
+    };
+    let width = task.input().facets().map(Simplex::len).max().unwrap_or(0);
+    if width > WIDTH_LIMIT {
+        return Ok(Err(format!(
+            "bad \"task\": an input facet of {width} processes exceeds the limit of {WIDTH_LIMIT}"
+        )));
+    }
+    let span = canonical.then(|| &r.text()[start..r.pos()]);
+    Ok(Ok(Box::new(KeyedTask::keyed(task, span))))
+}
+
+/// A `POST /solve` body: one question, or the batch form
+/// `{"questions": [q, …]}` with each question's text and reading.
+pub enum SolveBody<'a> {
+    /// A single question.
+    One(QuestionText<'a>),
+    /// A batch: each element's text (forwarded verbatim by the gateway)
+    /// and its reading.
+    Batch(Batch<'a>),
+}
+
+/// The questions of a batch body: each element's text and its reading.
+pub type Batch<'a> = Vec<(&'a str, QuestionText<'a>)>;
+
+fn bad_body(e: JsonError) -> String {
+    format!("bad JSON body: {e}")
+}
+
+/// Reads a `POST /solve` body in one pass — the one reader the shard and
+/// the gateway share. A body is the batch form when its (first)
+/// `"questions"` member is present; the members before it were read as a
+/// single question's, and are dropped.
 ///
 /// # Errors
 ///
-/// Returns `"<name>" must be a non-negative integer` when the field is
-/// present but not a number, negative, or fractional.
-///
-/// # Examples
-///
-/// ```
-/// use iis_core::cache::question_count;
-/// use iis_obs::Json;
-/// let q = Json::parse(r#"{"budget": 5, "jobs": -1, "b": 2.5}"#).unwrap();
-/// assert_eq!(question_count(&q, "budget", 9), Ok(5));
-/// assert_eq!(question_count(&q, "missing", 9), Ok(9));
-/// let refusal = Err("\"jobs\" must be a non-negative integer".to_string());
-/// assert_eq!(question_count(&q, "jobs", 1), refusal);
-/// assert!(question_count(&q, "b", 1).is_err());
-/// ```
-pub fn question_count(q: &Json, name: &str, default: u64) -> Result<u64, String> {
-    match q.get(name) {
-        None | Some(Json::Null) => Ok(default),
-        Some(j) => j
-            .as_f64()
-            .filter(|x| *x >= 0.0 && x.fract() == 0.0)
-            .map(|x| x as u64)
-            .ok_or_else(|| format!("\"{name}\" must be a non-negative integer")),
+/// `bad JSON body: …` for text that is not JSON, else `"questions" must
+/// be an array`.
+pub fn read_solve_body(text: &str) -> Result<SolveBody<'_>, String> {
+    let mut r = json::Reader::new(text);
+    let mut one = QuestionText::default();
+    let mut batch = None;
+    read_body(&mut r, &mut one, &mut batch)
+        .and_then(|()| r.finish())
+        .map_err(bad_body)?;
+    match batch {
+        None => Ok(SolveBody::One(one)),
+        Some(Some(items)) => Ok(SolveBody::Batch(items)),
+        Some(None) => Err("\"questions\" must be an array".to_string()),
     }
 }
 
-/// Reads a question's `"max_rounds"` (default 2).
+/// The members of a body; `batch` is the `"questions"` array (`None`
+/// inside when it is not an array).
+fn read_body<'a>(
+    r: &mut json::Reader<'a>,
+    one: &mut QuestionText<'a>,
+    batch: &mut Option<Option<Batch<'a>>>,
+) -> Result<(), JsonError> {
+    if r.peek()? != Token::Object {
+        return r.skip();
+    }
+    r.object(|r, key| {
+        if batch.is_some() {
+            return r.skip();
+        }
+        if key != "questions" {
+            return one.member(r, &key);
+        }
+        if r.peek()? != Token::Array {
+            *batch = Some(None);
+            return r.skip();
+        }
+        let mut items = Vec::new();
+        r.array(|r| {
+            let start = r.pos();
+            let q = QuestionText::read(r)?;
+            items.push((&r.text()[start..r.pos()], q));
+            Ok(())
+        })?;
+        *batch = Some(Some(items));
+        Ok(())
+    })
+}
+
+/// Reads `text` as one question body (a `"questions"` member is just an
+/// unknown member here), in one pass.
 ///
 /// # Errors
 ///
-/// As [`question_count`].
-pub fn question_rounds(q: &Json) -> Result<usize, String> {
-    question_count(q, "max_rounds", 2).map(|b| usize::try_from(b).unwrap_or(usize::MAX))
+/// `bad JSON body: …` for text that is not JSON.
+pub fn read_question(text: &str) -> Result<QuestionText<'_>, String> {
+    json::read_all(text, QuestionText::read).map_err(bad_body)
 }
 
 /// The shape of an input complex as a 64-bit key: FNV-1a over its vertex
@@ -930,7 +1149,7 @@ pub fn solve_up_to_cached(
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
     let tables = TaskTables::default();
-    let question = Question {
+    let question = Sweep {
         task,
         key_prefix: key_prefix(task),
         shape: shape_key(task.input()),
@@ -949,7 +1168,7 @@ pub fn solve_keyed(
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
-    let question = Question {
+    let question = Sweep {
         task: &keyed.task,
         key_prefix: keyed.key_prefix,
         shape: keyed.shape,
@@ -961,7 +1180,7 @@ pub fn solve_keyed(
 /// What a cached sweep needs of its task: the task, its key prefix and
 /// input shape, and the `Δ` tables to compile and check against (an
 /// interned task's own, or a bare task's for this one call).
-struct Question<'a> {
+struct Sweep<'a> {
     task: &'a Task,
     key_prefix: u64,
     shape: u64,
@@ -969,7 +1188,7 @@ struct Question<'a> {
 }
 
 fn solve_cached(
-    q: &Question<'_>,
+    q: &Sweep<'_>,
     max_rounds: usize,
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,

@@ -277,13 +277,85 @@ pub(crate) fn check_simplices(
 /// let witness = solve_at(&approximate_agreement(1, 3), 1).unwrap();
 /// assert_eq!(witness.rounds(), 1);
 /// ```
+///
+/// # Panics
+///
+/// Panics when `SDS^b(I)` has more than [`TOWER_FACET_CAP`] facets.
 pub fn solve_at(task: &Task, b: usize) -> Option<DecisionMap> {
     match solve_at_bounded(task, b, u64::MAX) {
         BoundedOutcome::Solvable(m) => Some(*m),
         BoundedOutcome::Unsolvable => None,
         BoundedOutcome::Exhausted => unreachable!("unbounded budget"),
         BoundedOutcome::TimedOut => unreachable!("no timeout configured"),
+        BoundedOutcome::TooLarge { facets } => {
+            panic!("SDS^{b}(I) has {facets} facets, past the cap of {TOWER_FACET_CAP}")
+        }
     }
+}
+
+/// The most facets a search builds `SDS^b(I)` with. Past it a round is
+/// [`BoundedOutcome::TooLarge`], decided without building anything, so
+/// one question can no longer ask a worker for gigabytes (`consensus:6`
+/// at `b = 1` has 6 053 504 facets) and abort the process that serves it.
+/// A facet of width `w` costs its tower and skeleton about `2^w`
+/// constraints, so the largest towers admitted peak near 40 MB
+/// (`consensus:3` at `b = 2`, 90 000 facets of width 4) and 220 MB
+/// (`trivial:6` at `b = 1`, 47 293 facets of width 7).
+pub const TOWER_FACET_CAP: u64 = 100_000;
+
+/// The facet count of `SDS^b(input)`, saturating: the sum over the
+/// input's facets of `F(w)^b`, where `F(w)` is the facet count of the
+/// one-level template of width `w` — the ordered Bell number 1, 3, 13,
+/// 75, 541, 4683, 47293, … Each facet of `SDS^{b-1}` of width `w` is
+/// subdivided into `F(w)` facets of width `w` (Lemma 3.3), and the
+/// subdivisions of distinct input facets share no facet, so the count is
+/// exact, and costs nothing to compute before building.
+///
+/// # Examples
+///
+/// ```
+/// use iis_core::solvability::tower_facets;
+/// use iis_topology::Complex;
+/// let s2 = Complex::standard_simplex(2);
+/// assert_eq!(tower_facets(&s2, 0), 1);
+/// assert_eq!(tower_facets(&s2, 2), 13 * 13);
+/// let consensus6 = iis_tasks::library::consensus(6, &[0, 1]);
+/// assert_eq!(tower_facets(consensus6.input(), 1), 128 * 47293);
+/// ```
+pub fn tower_facets(input: &Complex, b: usize) -> u64 {
+    let exponent = u32::try_from(b).unwrap_or(u32::MAX);
+    let total = input.facets().fold(0u128, |sum, f| {
+        sum.saturating_add(ordered_bell(f.len()).saturating_pow(exponent))
+    });
+    u64::try_from(total).unwrap_or(u64::MAX)
+}
+
+/// Why round `b` was not searched, when `SDS^b(input)` is past
+/// [`TOWER_FACET_CAP`]: a message naming `b`, the facet count and the
+/// cap; `None` when the tower is within the cap.
+pub fn tower_too_large(input: &Complex, b: usize) -> Option<String> {
+    let facets = tower_facets(input, b);
+    (facets > TOWER_FACET_CAP).then(|| {
+        format!(
+            "SDS^{b}(I) would have {facets} facets, past the cap of {TOWER_FACET_CAP}; nothing was built"
+        )
+    })
+}
+
+/// The ordered Bell (Fubini) number of `n`, saturating: the ordered
+/// partitions of `n` processes, `a(n) = Σ_{k=1..n} C(n, k) a(n−k)`.
+fn ordered_bell(n: usize) -> u128 {
+    let mut a = vec![1u128];
+    for m in 1..=n {
+        let mut binomial = 1u128;
+        let mut sum = 0u128;
+        for k in 1..=m {
+            binomial = binomial * (m - k + 1) as u128 / k as u128;
+            sum = sum.saturating_add(binomial.saturating_mul(a[m - k]));
+        }
+        a.push(sum);
+    }
+    a[n]
 }
 
 /// Outcome of a budgeted decision-map search.
@@ -300,6 +372,12 @@ pub enum BoundedOutcome {
     /// verdict is **inconclusive** — it says nothing about solvability at
     /// this `b`, and in particular is *not* an `Unsolvable` verdict.
     TimedOut,
+    /// `SDS^b(I)` has more than [`TOWER_FACET_CAP`] facets, so it was not
+    /// built: inconclusive, like [`Exhausted`](BoundedOutcome::Exhausted).
+    TooLarge {
+        /// The facet count of `SDS^b(I)` ([`tower_facets`]).
+        facets: u64,
+    },
 }
 
 /// Like [`solve_at`] but giving up after exploring `max_nodes` backtracking
@@ -405,6 +483,10 @@ impl SolveOptions {
 /// [`solve_at_bounded`] with full [`SolveOptions`] control (budget,
 /// parallelism, and timeout).
 pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutcome {
+    let facets = tower_facets(task.input(), b);
+    if facets > TOWER_FACET_CAP {
+        return BoundedOutcome::TooLarge { facets };
+    }
     let shape = shape_key(task.input());
     let mut skel = base_skeleton(task.input(), shape);
     for level in 1..=b {
@@ -591,8 +673,15 @@ impl<'t> Solver<'t> {
         self.b
     }
 
-    /// Decides the next round count and returns its outcome.
+    /// Decides the next round count and returns its outcome. A round
+    /// whose tower is past [`TOWER_FACET_CAP`] is
+    /// [`BoundedOutcome::TooLarge`] and leaves the solver where it was.
     pub fn step(&mut self) -> BoundedOutcome {
+        let b = if self.started { self.b + 1 } else { 0 };
+        let facets = tower_facets(self.task.input(), b);
+        if facets > TOWER_FACET_CAP {
+            return BoundedOutcome::TooLarge { facets };
+        }
         if self.started {
             self.b += 1;
             self.skel = next_skeleton(&self.skel, self.task.input(), self.shape, self.b);
@@ -620,9 +709,10 @@ pub fn solve_up_to(task: &Task, max_rounds: usize) -> SolvabilityReport {
 }
 
 /// [`solve_up_to`] with explicit [`SolveOptions`]. If a round exhausts its
-/// node budget or wall-clock timeout the sweep stops without recording a
-/// verdict for that round (an `Exhausted` or `TimedOut` round decides
-/// nothing about larger `b` either).
+/// node budget or wall-clock timeout, or its tower is past
+/// [`TOWER_FACET_CAP`], the sweep stops without recording a verdict for
+/// that round (an inconclusive round decides nothing about larger `b`
+/// either).
 pub fn solve_up_to_opts(task: &Task, max_rounds: usize, opts: &SolveOptions) -> SolvabilityReport {
     sweep(Solver::new(task, *opts), max_rounds)
 }
@@ -652,7 +742,9 @@ fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
                 break;
             }
             BoundedOutcome::Unsolvable => results.push((b, false)),
-            BoundedOutcome::Exhausted | BoundedOutcome::TimedOut => break,
+            BoundedOutcome::Exhausted
+            | BoundedOutcome::TimedOut
+            | BoundedOutcome::TooLarge { .. } => break,
         }
     }
     SolvabilityReport {

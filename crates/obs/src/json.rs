@@ -8,16 +8,20 @@
 //! simplicial complex produces. Parsing is recursive-descent with a depth
 //! limit; writing offers compact and pretty forms.
 //!
-//! Text that is already compact JSON can travel without a tree: the
-//! parser's skip mode ([`validate`], [`layout`]) checks a document and
-//! cuts it into byte spans, and [`ObjectWriter`] splices such text into a
-//! new object — how stored records reach the socket unchanged.
+//! There is one grammar, the pull reader [`Reader`]: [`Json::parse`] builds
+//! a tree with it, and a decoder that needs no tree reads its value
+//! straight from the text with it. Text that is already compact JSON can
+//! travel without a tree: the reader's skip mode ([`validate`],
+//! [`layout`]) checks a document and cuts it into byte spans, and
+//! [`ObjectWriter`] splices such text into a new object — how stored
+//! records reach the socket unchanged.
 //!
 //! Conversions go through [`ToJson`] / [`FromJson`], the local analogue of
 //! `Serialize` / `Deserialize`. `FromJson` impls are expected to
 //! re-validate: a `Complex` parsed from JSON goes back through the same
 //! invariant checks as one built programmatically.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::ops::Range;
@@ -46,12 +50,23 @@ pub enum Json {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     msg: String,
+    syntax: bool,
 }
 
 impl JsonError {
-    /// An error carrying `msg`.
+    /// A conversion error carrying `msg`: the text is JSON, but not a
+    /// value of the type asked for.
     pub fn new(msg: impl Into<String>) -> JsonError {
-        JsonError { msg: msg.into() }
+        JsonError {
+            msg: msg.into(),
+            syntax: false,
+        }
+    }
+
+    /// `true` for an error of the grammar (the text is not JSON), `false`
+    /// for a conversion error.
+    pub fn is_syntax(&self) -> bool {
+        self.syntax
     }
 }
 
@@ -78,10 +93,9 @@ pub trait FromJson: Sized {
 impl Json {
     /// Parses a JSON document from `text`.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser::<true>::new(text);
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.finish()?;
+        let mut r = Reader::new(text);
+        let v = build(&mut r)?;
+        r.finish()?;
         Ok(v)
     }
 
@@ -107,8 +121,7 @@ impl Json {
 
     /// Member `key`, or an error naming the missing field.
     pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
+        member(self.get(key).map(Ok), key)
     }
 
     /// The string payload, if this is a string.
@@ -422,10 +435,9 @@ pub enum Layout {
 ///
 /// The error `Json::parse` would return.
 pub fn validate(text: &str) -> Result<(), JsonError> {
-    let mut p = Parser::<false>::new(text);
-    p.skip_ws();
-    p.value(0)?;
-    p.finish()
+    let mut r = Reader::new(text);
+    r.skip()?;
+    r.finish()
 }
 
 /// Validates `text` exactly as [`validate`] does and returns its top-level
@@ -446,25 +458,34 @@ pub fn validate(text: &str) -> Result<(), JsonError> {
 /// assert!(layout("[1,").is_err());
 /// ```
 pub fn layout(text: &str) -> Result<Layout, JsonError> {
-    let mut p = Parser::<false>::new(text);
-    p.skip_ws();
-    let layout = match p.peek() {
-        Some(b'{') => {
+    let mut r = Reader::new(text);
+    let layout = match r.peek()? {
+        Token::Object => {
             let mut members = Vec::new();
-            p.object(0, Some(&mut members))?;
+            r.object(|r, key| {
+                let start = r.pos();
+                r.skip()?;
+                members.push((key.into_owned(), start..r.pos()));
+                Ok(())
+            })?;
             Layout::Object(members)
         }
-        Some(b'[') => {
+        Token::Array => {
             let mut items = Vec::new();
-            p.array(0, Some(&mut items))?;
+            r.array(|r| {
+                let start = r.pos();
+                r.skip()?;
+                items.push(start..r.pos());
+                Ok(())
+            })?;
             Layout::Array(items)
         }
         _ => {
-            p.value(0)?;
+            r.skip()?;
             Layout::Scalar
         }
     };
-    p.finish()?;
+    r.finish()?;
     Ok(layout)
 }
 
@@ -473,30 +494,121 @@ pub fn layout(text: &str) -> Result<Layout, JsonError> {
 /// the `f64` equals what `str::parse::<f64>` returns.
 const FAST_INT_DIGITS: usize = 15;
 
-/// The one JSON grammar. With `BUILD` it produces a [`Json`] tree; without
-/// it, it only validates (returning `Json::Null` placeholders, allocating
-/// nothing) — the skip mode behind [`validate`] and [`layout`].
-struct Parser<'a, const BUILD: bool> {
+/// The kind of the next value a [`Reader`] holds, told by its first byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Token {
+    /// `null` (or a malformed literal starting with `n`).
+    Null,
+    /// `true` / `false` (or a malformed literal starting with `t`/`f`).
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// A pull reader over JSON text: the one grammar of this module. The tree
+/// builder ([`Json::parse`]), the skip mode ([`validate`], [`layout`]) and
+/// every decoder that reads a value straight from its text are clients of
+/// it, so all of them accept the same documents, under the same depth
+/// limit, with the same error messages at the same byte offsets.
+///
+/// A client reads one value at a time: [`Reader::peek`] says what comes
+/// next, a scalar method consumes it, and [`Reader::array`] /
+/// [`Reader::object`] hand each item or member to a callback. Errors of
+/// the grammar are *syntax* errors ([`JsonError::is_syntax`]) and end the
+/// read. A decoder may also fail a value it does not accept — a
+/// *conversion* error, made with [`JsonError::new`] — after consuming that
+/// whole value; a container whose callback fails that way reads the rest
+/// of itself in skip mode before passing the error up, so a syntax error
+/// later in the text still wins, as it does when the text is parsed first
+/// and converted after.
+///
+/// The reader also counts the lexemes the compact writer would not have
+/// written ([`Reader::irregular`]): whitespace, a number that is not a
+/// shortest integer, a string escape [`write_string`] does not use. A
+/// decoder that checks the structure itself can then tell that the span
+/// it read is byte for byte what rendering its value would give.
+///
+/// # Examples
+///
+/// ```
+/// use iis_obs::json::{Reader, Token};
+/// let mut r = Reader::new(r#"{"ids": [3, 1], "skip": {"x": null}}"#);
+/// let mut ids = Vec::new();
+/// r.object(|r, key| match key.as_ref() {
+///     "ids" => r.array(|r| {
+///         ids.push(r.number()?);
+///         Ok(())
+///     }),
+///     _ => r.skip(),
+/// })
+/// .unwrap();
+/// r.finish().unwrap();
+/// assert_eq!(ids, [3.0, 1.0]);
+/// ```
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the position.
+    depth: usize,
+    irregular: u64,
 }
 
-impl<'a, const BUILD: bool> Parser<'a, BUILD> {
-    fn new(text: &'a str) -> Self {
-        Parser {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
+            irregular: 0,
         }
     }
 
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError::new(format!("{msg} at byte {}", self.pos))
+    /// The byte offset of the next unread byte. Inside an [`array`] or
+    /// [`object`] callback it is the start of the item or member value.
+    ///
+    /// [`array`]: Reader::array
+    /// [`object`]: Reader::object
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
-    /// Accepts only trailing whitespace after the document.
-    fn finish(&mut self) -> Result<(), JsonError> {
+    /// The whole text being read.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
+    /// How many lexemes read so far the compact writer would have written
+    /// otherwise: whitespace runs, numbers that are not a shortest integer
+    /// (`-?[1-9][0-9]*` or `0`, at most 15 digits), and string escapes
+    /// other than `\"`, `\\`, `\n`, `\r`, `\t` and the lowercase `\u00xx`
+    /// of any other control character. Unchanged over a span means the
+    /// span has none of them.
+    pub fn irregular(&self) -> u64 {
+        self.irregular
+    }
+
+    fn err(&self, msg: &str) -> JsonError {
+        JsonError {
+            msg: format!("{msg} at byte {}", self.pos),
+            syntax: true,
+        }
+    }
+
+    /// Accepts only whitespace after the document.
+    ///
+    /// # Errors
+    ///
+    /// `trailing characters after document` otherwise.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(self.err("trailing characters after document"));
@@ -505,6 +617,7 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
     }
 
     fn skip_ws(&mut self) {
+        let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
@@ -512,14 +625,17 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
                 break;
             }
         }
+        if self.pos != start {
+            self.irregular += 1;
+        }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -527,129 +643,190 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected `{word}`")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
+    /// Skips whitespace and tells what the next value is.
+    ///
+    /// # Errors
+    ///
+    /// A value nested past the depth limit, an unexpected character, or
+    /// the end of the text.
+    pub fn peek(&mut self) -> Result<Token, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') if BUILD => {
-                let mut s = String::new();
-                self.string(Some(&mut s))?;
-                Ok(Json::Str(s))
-            }
-            Some(b'"') => self.string(None).map(|()| Json::Null),
-            Some(b'[') => self.array(depth, None),
-            Some(b'{') => self.object(depth, None),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
+        match self.byte() {
+            Some(b'n') => Ok(Token::Null),
+            Some(b't' | b'f') => Ok(Token::Bool),
+            Some(b'"') => Ok(Token::String),
+            Some(b'[') => Ok(Token::Array),
+            Some(b'{') => Ok(Token::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Token::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    /// An array; `spans` (top level only) collects each item's span.
-    fn array(
-        &mut self,
-        depth: usize,
-        mut spans: Option<&mut Vec<Range<usize>>>,
-    ) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            let start = self.pos;
-            let item = self.value(depth + 1)?;
-            if BUILD {
-                items.push(item);
-            }
-            if let Some(spans) = spans.as_deref_mut() {
-                spans.push(start..self.pos);
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
+    /// Reads `null`.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error when the next value is not `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.peek()?;
+        self.literal("null")
+    }
+
+    /// Reads `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error when the next value is not a boolean.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        self.peek()?;
+        self.bool_here()
+    }
+
+    fn bool_here(&mut self) -> Result<bool, JsonError> {
+        if self.byte() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
         }
     }
 
-    /// An object; `spans` (top level only) collects each member's key and
-    /// value span.
-    fn object(
-        &mut self,
-        depth: usize,
-        mut spans: Option<&mut Vec<(String, Range<usize>)>>,
-    ) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let mut key = String::new();
-            let keep_key = BUILD || spans.is_some();
-            self.string(keep_key.then_some(&mut key))?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let start = self.pos;
-            let value = self.value(depth + 1)?;
-            match spans.as_deref_mut() {
-                Some(spans) => spans.push((key, start..self.pos)),
-                None if BUILD => members.push((key, value)),
-                None => {}
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
+    /// Reads a number, as [`Json::parse`] would store it.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error when the next value is not a well-formed number.
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        self.peek()?;
+        self.number_here()
     }
 
-    /// A string, decoded into `out` when given. Runs without escapes are
-    /// copied as one slice of the (valid UTF-8) source.
-    fn string(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
-        self.expect(b'"')?;
-        loop {
-            let run = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
+    fn number_here(&mut self) -> Result<f64, JsonError> {
+        let start = self.pos;
+        let (negative, digits) = self.scan_number()?;
+        let int_start = start + usize::from(negative);
+        if self.pos == int_start + digits && digits <= FAST_INT_DIGITS {
+            let magnitude = self.bytes[int_start..self.pos]
+                .iter()
+                .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+            // exact below 2^53; `-0` stays negative zero, as parse gives
+            let n = magnitude as f64;
+            return Ok(if negative { -n } else { n });
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Consumes a number's text; returns its sign and integer digit count,
+    /// and counts it irregular unless it is a shortest integer.
+    fn scan_number(&mut self) -> Result<(bool, usize), JsonError> {
+        let negative = self.byte() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        while matches!(self.byte(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        let digits = self.pos - int_start;
+        if digits == 0 {
+            return Err(self.err("expected digits"));
+        }
+        let mut integral = true;
+        if self.byte() == Some(b'.') {
+            integral = false;
+            self.pos += 1;
+            let mut frac = 0;
+            while matches!(self.byte(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+                frac += 1;
+            }
+            if frac == 0 {
+                return Err(self.err("expected fraction digits"));
+            }
+        }
+        if matches!(self.byte(), Some(b'e' | b'E')) {
+            integral = false;
+            self.pos += 1;
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
+            let mut exp = 0;
+            while matches!(self.byte(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+                exp += 1;
+            }
+            if exp == 0 {
+                return Err(self.err("expected exponent digits"));
+            }
+        }
+        let leading_zero = digits > 1 && self.bytes[int_start] == b'0';
+        let negative_zero = negative && digits == 1 && self.bytes[int_start] == b'0';
+        if !integral || leading_zero || negative_zero || digits > FAST_INT_DIGITS {
+            self.irregular += 1;
+        }
+        Ok((negative, digits))
+    }
+
+    /// Reads a string: borrowed from the text when it has no escape.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error when the next value is not a well-formed string.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.peek()?;
+        self.string_here()
+    }
+
+    /// A string starting at the position (an object key is not a value:
+    /// no depth check).
+    fn string_here(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.scan_run();
+        if self.byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
+        self.string_rest(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Advances over bytes a string holds verbatim.
+    fn scan_run(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// The rest of a string whose opening quote is consumed, decoded into
+    /// `out` when given. Runs without escapes are copied as one slice of
+    /// the (valid UTF-8) source.
+    fn string_rest(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
+        loop {
+            let run = self.pos;
+            self.scan_run();
             if let Some(out) = out.as_deref_mut() {
                 out.push_str(&self.text[run..self.pos]);
             }
-            let escaped = match self.peek() {
+            let escaped = match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -657,15 +834,15 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    let c = match self.byte() {
                         Some(b'"') => '"',
                         Some(b'\\') => '\\',
-                        Some(b'/') => '/',
-                        Some(b'b') => '\u{8}',
-                        Some(b'f') => '\u{c}',
                         Some(b'n') => '\n',
                         Some(b'r') => '\r',
                         Some(b't') => '\t',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
                             self.pos += 1;
                             let c = self.unicode_escape()?;
@@ -675,7 +852,12 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
                             continue; // hex4 advanced pos already
                         }
                         _ => return Err(self.err("invalid escape")),
+                    };
+                    if matches!(c, '/' | '\u{8}' | '\u{c}') {
+                        // `write_string` writes these raw or as `\u00xx`
+                        self.irregular += 1;
                     }
+                    c
                 }
                 Some(_) => return Err(self.err("control character in string")),
             };
@@ -690,6 +872,12 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
     /// surrogate pair.
     fn unicode_escape(&mut self) -> Result<char, JsonError> {
         let hi = self.hex4()?;
+        let lowercase = self.bytes[self.pos - 4..self.pos]
+            .iter()
+            .all(|b| !b.is_ascii_uppercase());
+        if hi >= 0x20 || matches!(hi, 0x09 | 0x0a | 0x0d) || !lowercase {
+            self.irregular += 1;
+        }
         let c = if (0xD800..0xDC00).contains(&hi) {
             // Surrogate pair: expect \uXXXX low half.
             if self.bytes[self.pos..].starts_with(b"\\u") {
@@ -712,7 +900,7 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let d = match self.peek() {
+            let d = match self.byte() {
                 Some(b @ b'0'..=b'9') => (b - b'0') as u32,
                 Some(b @ b'a'..=b'f') => (b - b'a' + 10) as u32,
                 Some(b @ b'A'..=b'F') => (b - b'A' + 10) as u32,
@@ -724,64 +912,286 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        let int_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let digits = self.pos - int_start;
-        if digits == 0 {
-            return Err(self.err("expected digits"));
-        }
-        let mut integral = true;
-        if self.peek() == Some(b'.') {
-            integral = false;
-            self.pos += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(self.err("expected fraction digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            integral = false;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        if !BUILD {
-            return Ok(Json::Null);
-        }
-        if integral && digits <= FAST_INT_DIGITS {
-            let magnitude = self.bytes[int_start..self.pos]
-                .iter()
-                .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
-            // exact below 2^53; `-0` stays negative zero, as parse gives
-            let n = magnitude as f64;
-            return Ok(Json::Num(if negative { -n } else { n }));
-        }
-        self.text[start..self.pos]
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+    /// Reads an array, calling `item` once per item with the reader at
+    /// the item's first byte; `item` must consume exactly that value.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, or the first conversion error `item`
+    /// returns — reported once the array has been read to its end.
+    pub fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.peek()?;
+        self.array_here(item)
     }
+
+    fn array_here(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(b'[')?;
+        self.skip_ws();
+        if self.byte() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        let mut failed = None;
+        loop {
+            self.skip_ws();
+            if failed.is_some() {
+                self.skip()?;
+            } else {
+                match item(self) {
+                    Err(e) if !e.syntax => failed = Some(e),
+                    other => other?,
+                }
+            }
+            self.skip_ws();
+            match self.byte() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return failed.map_or(Ok(()), Err);
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    /// Reads an object, calling `member` once per member (duplicates
+    /// included, in document order) with its decoded key and the reader at
+    /// the value's first byte; `member` must consume exactly that value.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::array`].
+    pub fn object(
+        &mut self,
+        member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.peek()?;
+        self.object_here(member)
+    }
+
+    fn object_here(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(b'{')?;
+        self.skip_ws();
+        if self.byte() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.depth += 1;
+        let mut failed = None;
+        loop {
+            self.skip_ws();
+            let key = self.string_here()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            if failed.is_some() {
+                self.skip()?;
+            } else {
+                match member(self, key) {
+                    Err(e) if !e.syntax => failed = Some(e),
+                    other => other?,
+                }
+            }
+            self.skip_ws();
+            match self.byte() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return failed.map_or(Ok(()), Err);
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
+        }
+    }
+
+    /// Reads past one value of any kind, checking it and allocating
+    /// nothing for it.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error in the value.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Token::Null => self.literal("null"),
+            Token::Bool => self.bool_here().map(drop),
+            Token::Number => self.scan_number().map(drop),
+            Token::String => {
+                self.pos += 1;
+                self.string_rest(None)
+            }
+            Token::Array => self.array_here(Reader::skip),
+            Token::Object => self.object_here(|r, _| r.skip()),
+        }
+    }
+
+    /// Reads a value as [`Json::as_u64`] takes it: a number that is a
+    /// whole value in `0..=2^53`, converted to `T`.
+    ///
+    /// # Errors
+    ///
+    /// The conversion errors of `T::from_json` (`expected unsigned
+    /// integer`, `integer out of range`), with the value consumed.
+    pub fn uint<T: TryFrom<u64>>(&mut self) -> Result<T, JsonError> {
+        let n = match self.peek()? {
+            Token::Number => Json::Num(self.number_here()?).as_u64(),
+            _ => {
+                self.skip()?;
+                None
+            }
+        };
+        let n = n.ok_or_else(|| JsonError::new("expected unsigned integer"))?;
+        T::try_from(n).map_err(|_| JsonError::new("integer out of range"))
+    }
+
+    /// Reads an array as [`Reader::array`] does, or refuses any other
+    /// value with the conversion error `refusal` after consuming it (the
+    /// `expected array` of `Vec::from_json`, say).
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::array`], or `refusal`.
+    pub fn array_or(
+        &mut self,
+        refusal: &str,
+        item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek()? == Token::Array {
+            return self.array(item);
+        }
+        self.skip()?;
+        Err(JsonError::new(refusal))
+    }
+
+    /// Reads a two-item array as `<(A, B)>::from_json` does: `a` reads the
+    /// first item and `b` the second, and the refusals come in its order —
+    /// `expected pair` for a non-array, `expected 2-element array` for any
+    /// other length, then `a`'s error, then `b`'s.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, or the refusal above.
+    pub fn pair<A, B>(
+        &mut self,
+        a: impl FnOnce(&mut Self) -> Result<A, JsonError>,
+        b: impl FnOnce(&mut Self) -> Result<B, JsonError>,
+    ) -> Result<(A, B), JsonError> {
+        let (mut a, mut b) = (Some(a), Some(b));
+        let (mut first, mut second) = (None, None);
+        let mut items = 0;
+        self.array_or("expected pair", |r| {
+            items += 1;
+            // a refused item is kept, not returned: the length refusal
+            // outranks it, so the pair reads on to its end
+            match items {
+                1 => match a.take().map(|a| a(r)) {
+                    Some(Err(e)) if e.syntax => return Err(e),
+                    got => first = got,
+                },
+                2 => match b.take().map(|b| b(r)) {
+                    Some(Err(e)) if e.syntax => return Err(e),
+                    got => second = got,
+                },
+                _ => return r.skip(),
+            }
+            Ok(())
+        })?;
+        match (items, first, second) {
+            (2, Some(first), Some(second)) => Ok((first?, second?)),
+            _ => Err(JsonError::new("expected 2-element array")),
+        }
+    }
+}
+
+/// Sorts a decoder's result for a reader that reads on past a refused
+/// value: a syntax error ends the read (the outer `Err`); the value or its
+/// conversion error is kept (the inner result) for the caller to rank.
+///
+/// # Errors
+///
+/// `got`'s error, when it is a syntax error.
+pub fn kept<T>(got: Result<T, JsonError>) -> Result<Result<T, JsonError>, JsonError> {
+    match got {
+        Err(e) if e.syntax => Err(e),
+        got => Ok(got),
+    }
+}
+
+/// Reads all of `text` as one value with `read`, a syntax error anywhere
+/// outranking a refusal of `read`'s, as parsing first and converting
+/// after would have it.
+///
+/// # Errors
+///
+/// The first syntax error in `text`, else `read`'s refusal.
+///
+/// # Examples
+///
+/// ```
+/// use iis_obs::json::{read_all, Reader};
+/// let ids = |r: &mut Reader<'_>| r.pair(|r| r.uint::<u8>(), |r| r.uint::<u8>());
+/// assert_eq!(read_all("[1, 2]", ids), Ok((1, 2)));
+/// assert!(read_all("[1, 300]", ids).is_err_and(|e| !e.is_syntax()));
+/// assert!(read_all("[1, 300] x", ids).is_err_and(|e| e.is_syntax()));
+/// ```
+pub fn read_all<'a, T>(
+    text: &'a str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let mut r = Reader::new(text);
+    let got = kept(read(&mut r))?;
+    r.finish()?;
+    got
+}
+
+/// The first-read value of member `key`, or the error [`Json::field`]
+/// gives for a missing one.
+///
+/// # Errors
+///
+/// `missing field `key`` when `got` is `None`, else `got`'s error.
+pub fn member<T>(got: Option<Result<T, JsonError>>, key: &str) -> Result<T, JsonError> {
+    got.unwrap_or_else(|| Err(JsonError::new(format!("missing field `{key}`"))))
+}
+
+/// Builds the tree of the value at `r`.
+fn build(r: &mut Reader<'_>) -> Result<Json, JsonError> {
+    Ok(match r.peek()? {
+        Token::Null => {
+            r.literal("null")?;
+            Json::Null
+        }
+        Token::Bool => Json::Bool(r.bool_here()?),
+        Token::Number => Json::Num(r.number_here()?),
+        Token::String => Json::Str(r.string_here()?.into_owned()),
+        Token::Array => {
+            let mut items = Vec::new();
+            r.array_here(|r| {
+                items.push(build(r)?);
+                Ok(())
+            })?;
+            Json::Arr(items)
+        }
+        Token::Object => {
+            let mut members = Vec::new();
+            r.object_here(|r, key| {
+                members.push((key.into_owned(), build(r)?));
+                Ok(())
+            })?;
+            Json::Obj(members)
+        }
+    })
 }
 
 // ---- ToJson / FromJson for primitives and containers --------------------
@@ -1225,6 +1635,109 @@ mod tests {
                 }
                 (l, v) => panic!("layout {l:?} for {v:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_refused_value_reads_on_and_a_later_syntax_error_wins() {
+        let ids = |text: &str| {
+            read_all(text, |r| {
+                let mut got = Vec::new();
+                r.array_or("expected array", |r| {
+                    got.push(r.uint::<u8>()?);
+                    Ok(())
+                })?;
+                Ok(got)
+            })
+        };
+        assert_eq!(ids("[1, 2]"), Ok(vec![1, 2]));
+        assert_eq!(ids("[1.0, 2e0]"), Ok(vec![1, 2]));
+        let refused = ids(r#"[1, "x", {"deep": [300]}, 2]"#).unwrap_err();
+        assert_eq!(refused, JsonError::new("expected unsigned integer"));
+        assert!(!refused.is_syntax());
+        assert_eq!(
+            ids("[1, 300]").unwrap_err().to_string(),
+            "json error: integer out of range"
+        );
+        assert_eq!(
+            ids("{}").unwrap_err().to_string(),
+            "json error: expected array"
+        );
+        // the array is refused at "x", but the text is not JSON at all:
+        // the error is the one parsing the text gives
+        for bad in [r#"[1, "x", 2"#, r#"[1, "x"] 3"#, r#"[1, "x", {"a" 2}]"#] {
+            let read = ids(bad).unwrap_err();
+            assert!(read.is_syntax(), "{bad}");
+            assert_eq!(Err(read), Json::parse(bad), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_pair_refuses_in_the_tree_order() {
+        let pair = |text: &str| read_all(text, |r| r.pair(|r| r.uint::<u8>(), |r| r.uint::<u8>()));
+        let tree = |text: &str| <(u8, u8)>::from_json(&Json::parse(text).unwrap());
+        for text in [
+            "[1, 2]",
+            "[1.0, 2]",
+            "[1]",
+            "[]",
+            "[1, 2, 3]",
+            "[300, 2]",
+            "[1, -2]",
+            "[\"a\", -2]",
+            "[\"a\", 2, 3]",
+            "7",
+            "{\"a\": 1}",
+        ] {
+            assert_eq!(pair(text), tree(text), "{text}");
+        }
+    }
+
+    /// `true` iff every number in `v` renders as a shortest integer.
+    fn short_ints(v: &Json) -> bool {
+        match v {
+            Json::Num(n) => n.fract() == 0.0 && n.abs() < 1e15,
+            Json::Arr(items) => items.iter().all(short_ints),
+            Json::Obj(members) => members.iter().all(|(_, v)| short_ints(v)),
+            _ => true,
+        }
+    }
+
+    #[test]
+    fn compact_renderings_read_as_regular() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0004);
+        for _ in 0..2_000 {
+            let v = random_value(&mut rng, 0);
+            let (compact, pretty) = (v.to_string(), v.to_string_pretty());
+            let irregular = |text: &str| {
+                let mut r = Reader::new(text);
+                r.skip().unwrap();
+                r.irregular()
+            };
+            assert_eq!(irregular(&compact) == 0, short_ints(&v), "{compact}");
+            if pretty != compact {
+                assert!(irregular(&pretty) > 0, "{pretty}");
+            }
+        }
+        for (text, regular) in [
+            (r#""a\"\\\n\r\t\u0001\u001f\u0008""#, true),
+            (r#""\/""#, false),
+            (r#""\b""#, false),
+            (r#""\u0041""#, false),
+            (r#""\u000a""#, false),
+            (r#""\u001F""#, false),
+            (r#""é🦀""#, true),
+            ("0", true),
+            ("-7", true),
+            ("-0", false),
+            ("007", false),
+            ("1.0", false),
+            ("1e0", false),
+            ("1234567890123456", false),
+        ] {
+            let mut r = Reader::new(text);
+            r.skip().unwrap();
+            assert_eq!(r.irregular() == 0, regular, "{text}");
         }
     }
 

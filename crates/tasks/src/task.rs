@@ -1,6 +1,7 @@
 //! The task formalism of §3.2: input complex, output complex, and the
 //! carrier map `Δ`.
 
+use iis_obs::json::{kept, member, read_all, JsonError, Reader, Token};
 use iis_topology::{Color, Complex, Label, Simplex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -267,6 +268,9 @@ impl TaskBuilder {
         }
         let inputs = self.input.facet_index();
         let outputs = self.output.facet_index();
+        // both complexes are chromatic, so a simplex's colors are distinct
+        // and comparing them sorted compares them as sets
+        let (mut in_colors, mut out_colors) = (Vec::new(), Vec::new());
         for (si, outs) in &mut self.delta {
             if !inputs.contains_simplex(si) || si.is_empty() {
                 return Err(TaskError::DeltaKeyNotInput(si.clone()));
@@ -276,12 +280,16 @@ impl TaskBuilder {
             if outs.is_empty() {
                 return Err(TaskError::EmptyDelta(si.clone()));
             }
-            let in_colors: BTreeSet<Color> = si.iter().map(|v| self.input.color(v)).collect();
+            in_colors.clear();
+            in_colors.extend(si.iter().map(|v| self.input.color(v)));
+            in_colors.sort_unstable();
             for so in outs.iter() {
                 if !outputs.contains_simplex(so) {
                     return Err(TaskError::DeltaValueNotOutput(so.clone()));
                 }
-                let out_colors: BTreeSet<Color> = so.iter().map(|w| self.output.color(w)).collect();
+                out_colors.clear();
+                out_colors.extend(so.iter().map(|w| self.output.color(w)));
+                out_colors.sort_unstable();
                 if in_colors != out_colors {
                     return Err(TaskError::ColorMismatch {
                         input: si.clone(),
@@ -298,6 +306,114 @@ impl TaskBuilder {
             canonical: std::sync::OnceLock::new(),
         })
     }
+}
+
+impl Task {
+    /// Reads a task from `r`: the one task decoder. The input and output
+    /// are read by [`Complex::read_json`], `Δ` goes into a
+    /// [`TaskBuilder`], and the task is validated by
+    /// [`TaskBuilder::build`], so hand-edited text cannot produce an
+    /// ill-formed task. Members may come in any order and whitespace;
+    /// unknown ones are ignored and the first of a repeated one is read.
+    /// Refusals are those of the parsed tree, in its order: `name`,
+    /// `input`, `output`, `delta` (each missing, then malformed), then the
+    /// builder's [`TaskError`].
+    ///
+    /// The flag is `true` iff the text read is byte for byte what
+    /// [`Task::write_canonical`] writes for the task, so that span can
+    /// stand in for the canonical encoding without rendering it.
+    ///
+    /// # Errors
+    ///
+    /// The first refusal above, or a syntax error anywhere in the value.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_obs::json::Reader;
+    /// use iis_tasks::Task;
+    /// let task = iis_tasks::library::approximate_agreement(1, 3);
+    /// let text = task.canonical_json();
+    /// let (read, canonical) = Task::read_json(&mut Reader::new(text)).unwrap();
+    /// assert!(canonical);
+    /// assert_eq!(read.canonical_json(), text);
+    /// let spaced = text.replacen(':', ": ", 1);
+    /// assert!(!Task::read_json(&mut Reader::new(&spaced)).unwrap().1);
+    /// ```
+    pub fn read_json(r: &mut Reader<'_>) -> Result<(Task, bool), JsonError> {
+        let is_object = r.peek()? == Token::Object;
+        let irregular = r.irregular();
+        let (mut name, mut input, mut output, mut delta) = (None, None, None, None);
+        let mut members = 0;
+        let mut in_order = true;
+        if is_object {
+            r.object(|r, key| {
+                in_order &= matches!(
+                    (members, key.as_ref()),
+                    (0, "name") | (1, "input") | (2, "output") | (3, "delta")
+                );
+                members += 1;
+                match key.as_ref() {
+                    "name" if name.is_none() => name = Some(kept(read_name(r))?),
+                    "input" if input.is_none() => input = Some(kept(Complex::read_json(r))?),
+                    "output" if output.is_none() => output = Some(kept(Complex::read_json(r))?),
+                    "delta" if delta.is_none() => delta = Some(kept(read_delta(r))?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+        } else {
+            r.skip()?;
+        }
+        let name = member(name, "name")?;
+        let (input, input_canonical) = member(input, "input")?;
+        let (output, output_canonical) = member(output, "output")?;
+        let (delta, delta_canonical) = member(delta, "delta")?;
+        let mut b = TaskBuilder::new(name, input, output);
+        for (si, outs) in delta {
+            b.delta.entry(si).or_default().extend(outs);
+        }
+        let task = b.build().map_err(|e| JsonError::new(e.to_string()))?;
+        let canonical = in_order
+            && members == 4
+            && input_canonical
+            && output_canonical
+            && delta_canonical
+            && r.irregular() == irregular;
+        Ok((task, canonical))
+    }
+}
+
+/// The `name` member, as `String::from_json` takes it.
+fn read_name(r: &mut Reader<'_>) -> Result<String, JsonError> {
+    if r.peek()? == Token::String {
+        return Ok(r.string()?.into_owned());
+    }
+    r.skip()?;
+    Err(JsonError::new("expected string"))
+}
+
+/// `Δ` entries as a text lists them.
+type DeltaEntries = Vec<(Simplex, Vec<Simplex>)>;
+
+/// The `delta` member, `[[si, [so, …]], …]`, as listed. The flag is
+/// `true` iff it is listed as a task writes it: keys strictly increasing,
+/// each with a non-empty, strictly increasing list of outputs, every
+/// simplex's ids strictly increasing.
+fn read_delta(r: &mut Reader<'_>) -> Result<(DeltaEntries, bool), JsonError> {
+    let mut entries: DeltaEntries = Vec::new();
+    let mut sorted = true;
+    r.array_or("expected array", |r| {
+        let ((si, si_sorted), (outs, outs_sorted)) =
+            r.pair(Simplex::read_json, Simplex::read_json_list)?;
+        sorted &= si_sorted
+            && outs_sorted
+            && !outs.is_empty()
+            && entries.last().is_none_or(|(last, _)| *last < si);
+        entries.push((si, outs));
+        Ok(())
+    })?;
+    Ok((entries, sorted))
 }
 
 /// JSON form: `{"name", "input", "output", "delta": [[si, [so, …]], …]}`.
@@ -319,20 +435,10 @@ impl iis_obs::ToJson for Task {
     }
 }
 
+/// An adapter over [`Task::read_json`]: the tree is rendered and read.
 impl iis_obs::FromJson for Task {
-    fn from_json(v: &iis_obs::Json) -> Result<Self, iis_obs::JsonError> {
-        let name = String::from_json(v.field("name")?)?;
-        let input = Complex::from_json(v.field("input")?)?;
-        let output = Complex::from_json(v.field("output")?)?;
-        let delta = Vec::<(Simplex, Vec<Simplex>)>::from_json(v.field("delta")?)?;
-        let mut b = TaskBuilder::new(name, input, output);
-        for (si, outs) in delta {
-            for so in outs {
-                b.allow(si.clone(), so);
-            }
-        }
-        b.build()
-            .map_err(|e| iis_obs::JsonError::new(e.to_string()))
+    fn from_json(v: &iis_obs::Json) -> Result<Self, JsonError> {
+        read_all(&v.to_string(), Task::read_json).map(|(task, _)| task)
     }
 }
 

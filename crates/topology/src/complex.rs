@@ -1,6 +1,7 @@
 //! Chromatic simplicial complexes.
 
 use crate::{Color, Label, Simplex, VertexId};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -114,14 +115,16 @@ impl Complex {
     /// facet once added via [`Complex::add_facet`]; bare vertices not in any
     /// facet are allowed and simply not part of any simplex.
     pub fn ensure_vertex(&mut self, color: Color, label: Label) -> VertexId {
-        let by_label = self.index.entry(color).or_default();
-        if let Some(&id) = by_label.get(&label) {
-            return id;
+        let next = VertexId(self.vertices.len() as u32);
+        // one hash of the label, found or inserted
+        match self.index.entry(color).or_default().entry(label) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => {
+                self.vertices.push((color, slot.key().clone()));
+                slot.insert(next);
+                next
+            }
         }
-        let id = VertexId(self.vertices.len() as u32);
-        by_label.insert(label.clone(), id);
-        self.vertices.push((color, label));
-        id
     }
 
     /// Looks up a vertex id by `(color, label)` without inserting.

@@ -13,9 +13,16 @@
 //! facets re-pass through [`Complex::add_facets`] so the facet antichain
 //! invariant survives hand-edited input, and a subdivision must carry
 //! exactly one carrier per subdivided vertex.
+//!
+//! A complex has one decoder, [`Complex::read_json`], which reads straight
+//! from text through an [`iis_obs::json::Reader`]; `Complex::from_json` is
+//! an adapter that renders the tree and reads that.
 
 use crate::{Color, Complex, Label, Simplex, SimplicialMap, Subdivision, VertexId};
-use iis_obs::json::{write_array, write_int, FromJson, Json, JsonError, ToJson};
+use iis_obs::json::{
+    kept, member, read_all, write_array, write_int, FromJson, Json, JsonError, Reader, ToJson,
+    Token,
+};
 
 impl ToJson for Color {
     fn to_json(&self) -> Json {
@@ -49,7 +56,7 @@ impl ToJson for Label {
 
 impl FromJson for Label {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Label::from_bytes(Vec::<u8>::from_json(v)?))
+        Ok(Label::from_bytes(&Vec::<u8>::from_json(v)?))
     }
 }
 
@@ -78,6 +85,49 @@ impl Simplex {
     /// `self.to_json().to_string()` gives, without building the tree.
     pub fn write_json(&self, out: &mut String) {
         write_array(out, self.iter(), |out, v| write_int(out, v.0 as i64));
+    }
+
+    /// Reads a simplex from `r` as `Simplex::from_json` takes one (an
+    /// array of vertex ids, in any order, repeats dropped). The flag is
+    /// `true` iff the ids were listed strictly increasing, the order
+    /// [`Simplex::write_json`] writes.
+    ///
+    /// # Errors
+    ///
+    /// The conversion errors of `Simplex::from_json`, or a syntax error.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<(Simplex, bool), JsonError> {
+        let mut ids = Vec::new();
+        r.array_or("expected array", |r| {
+            ids.push(VertexId(r.uint()?));
+            Ok(())
+        })?;
+        let sorted = ids.windows(2).all(|w| w[0] < w[1]);
+        let simplex = if sorted {
+            Simplex::from_sorted(ids)
+        } else {
+            Simplex::new(ids)
+        };
+        Ok((simplex, sorted))
+    }
+
+    /// Reads a list of simplices from `r` as `Vec::<Simplex>::from_json`
+    /// takes it. The flag is `true` iff every simplex was listed in
+    /// [`Simplex::read_json`]'s order and the list strictly increases —
+    /// the order a set of simplices is written in.
+    ///
+    /// # Errors
+    ///
+    /// The first conversion error in the list, or a syntax error.
+    pub fn read_json_list(r: &mut Reader<'_>) -> Result<(Vec<Simplex>, bool), JsonError> {
+        let mut list: Vec<Simplex> = Vec::new();
+        let mut sorted = true;
+        r.array_or("expected array", |r| {
+            let (s, ids_sorted) = Simplex::read_json(r)?;
+            sorted &= ids_sorted && list.last().is_none_or(|last| *last < s);
+            list.push(s);
+            Ok(())
+        })?;
+        Ok((list, sorted))
     }
 }
 
@@ -113,20 +163,91 @@ impl ToJson for Complex {
     }
 }
 
-impl FromJson for Complex {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let vertices = Vec::<(Color, Label)>::from_json(v.field("vertices")?)?;
-        let facets = Vec::<Simplex>::from_json(v.field("facets")?)?;
-        let mut c = Complex::new();
-        for (color, label) in vertices {
-            c.ensure_vertex(color, label);
+impl Complex {
+    /// Reads a complex from `r`: the one complex decoder. Vertices go into
+    /// [`Complex::ensure_vertex`] in the order listed (a repeated
+    /// `(color, label)` is one vertex, and facet ids index the vertices so
+    /// kept) and facets into [`Complex::add_facets`]. Members may come in
+    /// any order and whitespace; unknown ones are ignored and the first of
+    /// a repeated one is read. Refusals are those of the parsed tree, in
+    /// its order: `vertices` (missing, then malformed), `facets`, then a
+    /// facet naming an unknown vertex.
+    ///
+    /// The flag is `true` iff the text read is byte for byte what
+    /// [`Complex::write_json`] writes for the result.
+    ///
+    /// # Errors
+    ///
+    /// The first refusal above, or a syntax error anywhere in the value.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<(Complex, bool), JsonError> {
+        let is_object = r.peek()? == Token::Object;
+        let irregular = r.irregular();
+        let (mut vertices, mut facets) = (None, None);
+        let mut members = 0;
+        let mut in_order = true;
+        if is_object {
+            r.object(|r, key| {
+                in_order &= matches!((members, key.as_ref()), (0, "vertices") | (1, "facets"));
+                members += 1;
+                match key.as_ref() {
+                    "vertices" if vertices.is_none() => vertices = Some(kept(read_vertices(r))?),
+                    "facets" if facets.is_none() => {
+                        facets = Some(kept(Simplex::read_json_list(r))?)
+                    }
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+        } else {
+            r.skip()?;
         }
+        let (mut c, listed) = member(vertices, "vertices")?;
+        let (facets, sorted) = member(facets, "facets")?;
         let n = c.num_vertices() as u32;
         if facets.iter().any(|f| f.iter().any(|v| v.0 >= n)) {
             return Err(JsonError::new("facet references unknown vertex"));
         }
+        let listed_facets = facets.len();
         c.add_facets(facets);
-        Ok(c)
+        let canonical = in_order
+            && members == 2
+            && listed == c.num_vertices()
+            && sorted
+            && listed_facets == c.num_facets()
+            && r.irregular() == irregular;
+        Ok((c, canonical))
+    }
+}
+
+/// The `vertices` member: each `[color, label]` pair into
+/// [`Complex::ensure_vertex`]; also returns how many pairs were listed.
+fn read_vertices(r: &mut Reader<'_>) -> Result<(Complex, usize), JsonError> {
+    let mut c = Complex::new();
+    let mut listed = 0;
+    let mut bytes = Vec::new();
+    r.array_or("expected array", |r| {
+        let (color, label) = r.pair(
+            |r| r.uint().map(Color),
+            |r| {
+                bytes.clear();
+                r.array_or("expected array", |r| {
+                    bytes.push(r.uint()?);
+                    Ok(())
+                })?;
+                Ok(Label::from_bytes(&bytes))
+            },
+        )?;
+        c.ensure_vertex(color, label);
+        listed += 1;
+        Ok(())
+    })?;
+    Ok((c, listed))
+}
+
+/// An adapter over [`Complex::read_json`]: the tree is rendered and read.
+impl FromJson for Complex {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        read_all(&v.to_string(), Complex::read_json).map(|(c, _)| c)
     }
 }
 

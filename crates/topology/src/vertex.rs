@@ -254,7 +254,7 @@ impl Label {
 
     /// Rebuilds a label from its canonical encoding (serialization only;
     /// the bytes are trusted to the same degree a hand-edited JSON file is).
-    pub(crate) fn from_bytes(bytes: Vec<u8>) -> Self {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Self {
         Label(bytes.into())
     }
 }

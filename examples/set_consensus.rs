@@ -30,7 +30,9 @@ fn main() {
                         break;
                     }
                     BoundedOutcome::Unsolvable => {}
-                    BoundedOutcome::Exhausted | BoundedOutcome::TimedOut => {
+                    BoundedOutcome::Exhausted
+                    | BoundedOutcome::TimedOut
+                    | BoundedOutcome::TooLarge { .. } => {
                         verdict = format!("no map < {b}; b = {b} deferred to Sperner");
                         break;
                     }

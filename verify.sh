@@ -161,6 +161,18 @@ wit1=$(printf '%s' "$first"  | sed 's/.*"witness"://')
 wit2=$(printf '%s' "$second" | sed 's/.*"witness"://')
 [ -n "$wit1" ] && [ "$wit1" = "$wit2" ] \
   || { echo "solve service smoke: inline witnesses differ"; echo "$wit1"; echo "$wit2"; exit 1; }
+# the same task pretty-printed with its members reordered: one content
+# address, so a store hit with the same key and byte-identical result
+reordered=$(cat crates/cli/tests/golden/inline_task_eps_1_3.reordered.json)
+third=$(post /solve "{\"task\": $reordered, \"max_rounds\": 1}")
+echo "$third" | grep -q '"cached":true' \
+  || { echo "solve service smoke: reordered inline task should be a store hit"; echo "$third"; exit 1; }
+key_of() { printf '%s' "$1" | sed -n 's/.*"key":"\([0-9a-f]*\)".*/\1/p'; }
+result_of() { printf '%s' "$1" | sed 's/.*"result"://'; }
+[ -n "$(key_of "$first")" ] && [ "$(key_of "$third")" = "$(key_of "$first")" ] \
+  || { echo "solve service smoke: reordered inline task has another key"; echo "$first"; echo "$third"; exit 1; }
+[ "$(result_of "$third")" = "$(result_of "$first")" ] \
+  || { echo "solve service smoke: reordered inline task has another result"; echo "$first"; echo "$third"; exit 1; }
 # drain path: accept an async job, then shut down while it may be running
 accepted=$(post /solve '{"spec": "trivial:2", "max_rounds": 1, "wait": false}')
 echo "$accepted" | grep -q '"job":' \
@@ -266,6 +278,20 @@ movedB=$(( $(counter_of "$portB" cache_spec_builds_total) - buildsB ))
 [ $(( movedA + movedB )) -eq 1 ] \
   || { echo "gateway smoke: eps:1:9 at four bounds built its task $movedA+$movedB times (want one shard, once)"; exit 1; }
 echo "gateway smoke: four bounds of eps:1:9 built their task once, on one shard"
+# an exhausted budget answers the question, not a shard fault: a 422 the
+# gateway relays, with every shard still ready
+status_of() { # status_of PORT BODY -> the status line of POST /solve
+  exec 3<>"/dev/tcp/127.0.0.1/$1"
+  printf 'POST /solve HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
+    "${#2}" "$2" >&3
+  head -1 <&3
+  exec 3>&- 3<&-
+}
+over='{"spec": "kset:2:2", "max_rounds": 2, "budget": 50}'
+status_of "$portG" "$over" | grep -q '^HTTP/1.1 422' \
+  || { echo "gateway smoke: an exhausted budget did not answer 422"; status_of "$portG" "$over"; exit 1; }
+[ "$(req "$portG" GET /cluster '' | grep -c '"health": "ready"')" -eq 2 ] \
+  || { echo "gateway smoke: an inconclusive answer marked a shard unhealthy"; req "$portG" GET /cluster ''; exit 1; }
 qs=""
 for s in trivial:1 trivial:2 eps:1:3 eps:1:5 eps:1:9 oneshot:1; do
   for b in 1 2; do qs="$qs{\"spec\": \"$s\", \"max_rounds\": $b},"; done

@@ -6,6 +6,8 @@
 //! - `read`: reading the question once — body, task decode and key — as
 //!   each hop does it (the gateway and the shard both pay it);
 //! - `search`: the round sweep;
+//! - `cert`: the Sperner certificate search alone (part of `search` once
+//!   round 0 is refuted), and whether it found one (`certified`);
 //! - `encode`: rendering the canonical record;
 //! - `put`: appending the record to a store.
 //!
@@ -14,6 +16,7 @@
 //! `cargo run --release -p iis-bench --example profile_cold`.
 
 use iis_core::cache::{read_solve_body, report_to_json, KeyedTask, QuestionTask, SolveBody};
+use iis_core::certificate::find_certificate;
 use iis_core::solvability::{solve_up_to_opts, SolveOptions};
 use iis_obs::{Json, ToJson};
 use iis_store::Store;
@@ -80,10 +83,10 @@ fn main() {
     let mut store = Store::open(&dir).expect("open store");
     let opts = SolveOptions::new().budget(1_000_000);
     println!(
-        "{:<16} {:>7} {:>9} {:>9} {:>9} {:>9}",
-        "shape", "bytes", "read_us", "search_us", "encode_us", "put_us"
+        "{:<16} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "shape", "bytes", "read_us", "search_us", "cert_us", "certified", "encode_us", "put_us"
     );
-    let (mut read_sum, mut rest_sum) = (0.0, 0.0);
+    let (mut read_sum, mut search_sum, mut rest_sum) = (0.0, 0.0, 0.0);
     for (n, &(spec, b)) in SHAPES.iter().enumerate() {
         let bodies: Vec<String> = (0..REPS)
             .map(|i| body(spec, b, &format!("cold-{n}-{i}")))
@@ -91,6 +94,8 @@ fn main() {
         let read = median_us(|i| read_hop(&bodies[i]));
         let (keyed, max_rounds) = read_hop(&bodies[0]);
         let search = median_us(|_| solve_up_to_opts(keyed.task(), max_rounds, &opts));
+        let cert = median_us(|_| find_certificate(keyed.task()));
+        let certified = find_certificate(keyed.task()).is_some();
         let report = solve_up_to_opts(keyed.task(), max_rounds, &opts);
         let encode = median_us(|_| report_to_json(&report).to_string());
         let record = report_to_json(&report).to_string();
@@ -100,21 +105,26 @@ fn main() {
             .collect();
         let put = median_us(|i| store.put(keys[i], &record).expect("put"));
         println!(
-            "{:<16} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
+            "{:<16} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>9} {:>9.1} {:>9.1}",
             format!("{spec}@{b}"),
             bodies[0].len(),
             read,
             search,
+            cert,
+            if certified { "yes" } else { "no" },
             encode,
             put
         );
         read_sum += read;
+        search_sum += search;
         rest_sum += search + encode + put;
     }
     let shapes = SHAPES.len() as f64;
     println!(
-        "mean: read {:.1} us per hop, search+encode+put {:.1} us",
+        "mean: read {:.1} us per hop, search {:.1} us (sum {:.1}), search+encode+put {:.1} us",
         read_sum / shapes,
+        search_sum / shapes,
+        search_sum,
         rest_sum / shapes
     );
     let _ = std::fs::remove_dir_all(&dir);

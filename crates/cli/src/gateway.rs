@@ -439,7 +439,7 @@ mod tests {
                 workers: 2,
             },
         );
-        let question = r#"{"spec": "kset:2:2", "max_rounds": 2, "budget": 50}"#;
+        let question = r#"{"spec": "eps:2:3", "max_rounds": 2, "budget": 50}"#;
         let (status, body) = gateway.solve(question);
         assert_eq!(status, 422, "{body}");
         assert!(
@@ -469,6 +469,85 @@ mod tests {
             let (head, _) = http(addr, "POST", "/shutdown", "");
             assert!(head.starts_with("HTTP/1.1 200"), "{head}");
             join.join().unwrap().unwrap();
+        }
+    }
+
+    /// A shard's share of a batch past the shard's cap goes upstream in
+    /// chunks of at most [`iis_core::cache::MAX_BATCH`]: every question
+    /// answers `200` from its primary, with no failover (one upstream call
+    /// per chunk, nothing else), and both shards stay Ready.
+    #[test]
+    fn a_batch_past_the_shard_cap_is_split_not_failed_over() {
+        let (shard_a, join_a) = spawn_http(move |a| crate::cmd_serve(&a), &[]);
+        let (shard_b, join_b) = spawn_http(move |a| crate::cmd_serve(&a), &[]);
+        let transport = Arc::new(Recording {
+            http: Some(HttpTransport::new(Duration::from_secs(30))),
+            ..Recording::default()
+        });
+        let gateway = Gateway::new(
+            Arc::clone(&transport) as Arc<dyn iis_cluster::Transport>,
+            GatewayConfig {
+                backends: vec![shard_a.to_string(), shard_b.to_string()],
+                replicas: 2,
+                workers: 2,
+            },
+        );
+        let question = r#"{"spec": "trivial:1", "max_rounds": 1}"#;
+        let batch = vec![question; 300].join(",");
+        let (status, envelope) = gateway.solve(&format!(r#"{{"questions": [{batch}]}}"#));
+        assert_eq!(status, 200, "{envelope}");
+        let answers = Json::parse(&envelope).unwrap();
+        let Some(Json::Arr(answers)) = answers.get("answers") else {
+            panic!("{envelope}");
+        };
+        assert_eq!(answers.len(), 300);
+        for a in answers {
+            assert_eq!(a.get("status"), Some(&Json::Num(200.0)), "{a:?}");
+        }
+        // one task, one primary: a chunk of 256 and one of 44, both 200
+        let statuses: Vec<u16> = transport
+            .posts
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|p| p.0)
+            .collect();
+        assert_eq!(statuses, [200, 200]);
+        for shard in gateway.health().snapshot() {
+            assert_eq!(shard.health, ShardHealth::Ready, "{}", shard.addr);
+        }
+        for (addr, join) in [(shard_a, join_a), (shard_b, join_b)] {
+            let (head, _) = http(addr, "POST", "/shutdown", "");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            join.join().unwrap().unwrap();
+        }
+    }
+
+    /// A shard's `400` batch envelope is the request's fault: every member
+    /// answers with it, with no failover and no health hit.
+    #[test]
+    fn a_refused_batch_envelope_relays_to_every_member() {
+        let gateway = Gateway::new(
+            Arc::new(StubShard {
+                status: 400,
+                body: r#"{"error":"refused"}"#,
+            }),
+            GatewayConfig {
+                backends: vec!["stub:1".into(), "stub:2".into()],
+                replicas: 2,
+                workers: 1,
+            },
+        );
+        let question = r#"{"spec": "trivial:1"}"#;
+        let (status, envelope) =
+            gateway.solve(&format!(r#"{{"questions": [{question}, {question}]}}"#));
+        assert_eq!(status, 200, "{envelope}");
+        assert_eq!(
+            envelope,
+            r#"{"answers":[{"status":400,"body":{"error":"refused"}},{"status":400,"body":{"error":"refused"}}]}"#
+        );
+        for shard in gateway.health().snapshot() {
+            assert_eq!(shard.health, ShardHealth::Ready, "{}", shard.addr);
         }
     }
 

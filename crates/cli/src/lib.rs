@@ -8,6 +8,7 @@
 
 use iis_adversary::{fuzz, FuzzConfig, Layer};
 use iis_core::bg::BgSimulation;
+use iis_core::certificate::Certificate;
 use iis_core::protocol_complex::{check_lemma_3_2, check_lemma_3_3};
 use iis_core::solvability::{BoundedOutcome, SolveOptions, Solver};
 use iis_core::EmulatorMachine;
@@ -288,6 +289,7 @@ const SOLVE_FLAGS: [&str; 5] = [
 /// Returns a [`CliError`] on bad arguments, naming any flag not listed
 /// above.
 pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
+    iis_core::solvability::register_counters();
     let spec = args.first().ok_or_else(|| err("missing <TASK>"))?;
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
@@ -340,6 +342,9 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
             } else {
                 let _ = writeln!(out, "b = {b}: no decision map (exact)");
             }
+        }
+        if let Some(cert) = cached.report.certificate() {
+            let _ = writeln!(out, "{}", certificate_line(&task, cert));
         }
         if cached.report.witness().is_none() {
             if cached.report.results().len() == max_rounds + 1 {
@@ -399,8 +404,17 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
             }
         }
     }
+    if let Some(cert) = solver.certificate() {
+        let _ = writeln!(out, "{}", certificate_line(&task, cert));
+    }
     let _ = writeln!(out, "no decision map found up to b = {max_rounds}");
     Ok(out)
+}
+
+/// The line `iis solve` names a refuting certificate with.
+fn certificate_line(task: &iis_tasks::Task, cert: &Certificate) -> String {
+    let (sigma, lambda) = cert.describe(task);
+    format!("Sperner certificate (no decision map at any b): σ = {sigma}, λ = {lambda}")
 }
 
 /// The k-shot census machine used by `iis emulate`.
@@ -1100,13 +1114,18 @@ mod tests {
 
     #[test]
     fn stats_flag_appends_table() {
-        let out = dispatch(&argv("solve kset:2:1 --stats")).unwrap();
+        let out = dispatch(&argv("solve eps:3:9 --max-rounds 1 --stats")).unwrap();
         assert!(out.contains("stats"), "{out}");
-        // kset:2:1 is refuted by propagation alone, so the nonzero search
-        // counters are the propagation ones
+        // eps:3:9 is refuted at b ≤ 1 by search (no certificate settles
+        // it), and a refuted level is never memoized, so its tower is
+        // built here whatever the other tests of this binary solved
         assert!(out.contains("solve.propagations"), "{out}");
         assert!(out.contains("solve.prunes"), "{out}");
         assert!(out.contains("sds.facets"), "{out}");
+        // a certified refutation says so, in the solve output and the stats
+        let out = dispatch(&argv("solve kset:2:1 --stats")).unwrap();
+        assert!(out.contains("Sperner certificate"), "{out}");
+        assert!(out.contains("solve.certified"), "{out}");
     }
 
     #[test]

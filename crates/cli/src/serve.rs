@@ -72,7 +72,7 @@ use crate::{err, flag_value, CliError};
 use iis_cluster::splice_envelope;
 use iis_core::cache::{
     intern_spec, read_solve_body, solve_keyed, validate_record, KeyedTask, QuestionTask,
-    QuestionText, SolveBody, SolveCache,
+    QuestionText, SolveBody, SolveCache, MAX_BATCH,
 };
 use iis_core::parallel::panic_message;
 use iis_core::solvability::{tower_too_large, SolveOptions};
@@ -268,10 +268,6 @@ fn record_reply(coalesced: bool, cached: bool, job: Option<u64>, key: u64, recor
     w.field("key", &key_hex(key)).raw("result", record).finish()
 }
 
-/// Most questions accepted in one batch body. Past this the request is
-/// malformed rather than shed: a well-behaved client splits its sweep.
-const MAX_BATCH: usize = 256;
-
 /// The outcome of admitting one question (without blocking on it).
 enum Admission {
     /// Answered on the spot: cache hit or a drain 503.
@@ -312,6 +308,7 @@ impl SolveService {
         ] {
             iis_obs::metrics::Counter::handle(name);
         }
+        iis_core::solvability::register_counters();
         SolveService {
             state: Mutex::new(State {
                 jobs: BTreeMap::new(),
@@ -1100,7 +1097,9 @@ mod tests {
     fn async_jobs_and_coalescing() {
         let (addr, handle) = start(&["--workers", "1"]);
         // park the single worker on a slow-ish solve, then coalesce onto it
-        let body = r#"{"spec": "consensus:2", "max_rounds": 1, "wait": false}"#;
+        // (ε-agreement on a grid of 9 among 4 needs two rounds; refuting
+        // one takes a search, since no certificate settles it)
+        let body = r#"{"spec": "eps:3:9", "max_rounds": 1, "wait": false}"#;
         let (head, first) = request(addr, "POST", "/solve", body);
         assert!(head.starts_with("HTTP/1.1 202"), "{head}");
         let id = first.get("job").unwrap().as_f64().unwrap() as u64;
@@ -1119,7 +1118,7 @@ mod tests {
             let (_, job) = request(addr, "GET", &format!("/jobs/{id}"), "");
             match job.get("status").and_then(|s| s.as_str()) {
                 Some("done") => {
-                    // consensus among 3 is unsolvable at every round
+                    // no decision map at b ≤ 1
                     let results = job.get("result").unwrap().get("results").unwrap();
                     assert!(matches!(results, Json::Arr(_)));
                     assert_eq!(job.get("result").unwrap().get("witness"), Some(&Json::Null));
@@ -1549,14 +1548,41 @@ mod tests {
         assert!(lock(&shard.state).jobs.is_empty(), "nothing was queued");
     }
 
-    /// `consensus:6` passes every check of the question reader, but its
-    /// tower at `b = 1` has 128 · 47293 facets — about 2 GB to build. The
-    /// sweep stops before building it: an inconclusive `422` naming the
-    /// round, the facet count and the cap, and the shard serves on.
+    /// `eps:5:2` passes every check of the question reader, but its tower
+    /// at `b = 1` has 64 · 4683 facets — over 600 MB to build — and no
+    /// certificate settles it. The sweep stops before building it: an
+    /// inconclusive `422` naming the round, the facet count and the cap,
+    /// and the shard serves on. `consensus:6`, whose tower at `b = 1` is
+    /// 20 times larger, is certified instead: an exact `200`, fast.
     #[test]
     fn a_tower_past_the_cap_answers_422_without_building() {
         let (addr, handle) = start(&[]);
         // the task itself is interned first: the bound is on the tower
+        let (head, _) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "eps:5:2", "max_rounds": 0}"#,
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let started = std::time::Instant::now();
+        let (head, reply) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "eps:5:2", "max_rounds": 1}"#,
+        );
+        let elapsed = started.elapsed();
+        assert!(head.starts_with("HTTP/1.1 422"), "{head}");
+        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert_eq!(
+            error,
+            "inconclusive: SDS^1(I) would have 299712 facets, past the cap of 100000; \
+             nothing was built"
+        );
+        let (head, _) = request(addr, "GET", "/readyz", "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         let (head, _) = request(
             addr,
             "POST",
@@ -1571,17 +1597,12 @@ mod tests {
             "/solve",
             r#"{"spec": "consensus:6", "max_rounds": 1}"#,
         );
-        let elapsed = started.elapsed();
-        assert!(head.starts_with("HTTP/1.1 422"), "{head}");
-        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
-        let error = reply.get("error").and_then(Json::as_str).unwrap();
-        assert_eq!(
-            error,
-            "inconclusive: SDS^1(I) would have 6053504 facets, past the cap of 100000; \
-             nothing was built"
-        );
-        let (head, _) = request(addr, "GET", "/readyz", "");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(started.elapsed() < Duration::from_millis(100));
+        assert_eq!(
+            reply.get("result").unwrap().to_string(),
+            r#"{"results":[[0,false],[1,false]],"task":"consensus","witness":null}"#
+        );
         let (head, _) = request(
             addr,
             "POST",
@@ -1589,6 +1610,38 @@ mod tests {
             r#"{"spec": "eps:1:3", "max_rounds": 1}"#,
         );
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        shutdown(addr, handle);
+    }
+
+    /// A task with a Sperner certificate answers every round exactly —
+    /// sweeps the search could not finish in its budget, or whose towers
+    /// are past the facet cap — with the all-false record an exact search
+    /// gives. The record is stored: a re-ask is a hit with the same bytes.
+    #[test]
+    fn certified_refutations_answer_exactly_and_are_stored() {
+        let (addr, handle) = start(&[]);
+        for (spec, max_rounds, name) in [
+            ("kset:2:2", 2, "(3,2)-set-consensus"),
+            ("kset:3:3", 1, "(4,3)-set-consensus"),
+            ("kset:4:3", 1, "(5,3)-set-consensus"),
+            ("consensus:2", 4, "consensus"),
+            ("consensus:2", 6, "consensus"),
+        ] {
+            let body = format!(r#"{{"spec": "{spec}", "max_rounds": {max_rounds}}}"#);
+            let results: Vec<String> = (0..=max_rounds).map(|b| format!("[{b},false]")).collect();
+            let record = format!(
+                r#"{{"results":[{}],"task":"{name}","witness":null}}"#,
+                results.join(",")
+            );
+            let (head, first) = request(addr, "POST", "/solve", &body);
+            assert!(head.starts_with("HTTP/1.1 200"), "{spec}: {head}");
+            assert_eq!(first.get("cached"), Some(&Json::Bool(false)), "{spec}");
+            assert_eq!(first.get("result").unwrap().to_string(), record, "{spec}");
+            let (head, again) = request(addr, "POST", "/solve", &body);
+            assert!(head.starts_with("HTTP/1.1 200"), "{spec}: {head}");
+            assert_eq!(again.get("cached"), Some(&Json::Bool(true)), "{spec}");
+            assert_eq!(again.get("result").unwrap().to_string(), record, "{spec}");
+        }
         shutdown(addr, handle);
     }
 

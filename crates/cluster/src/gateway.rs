@@ -47,7 +47,7 @@ use crate::health::{HealthRegistry, ShardHealth};
 use crate::transport::Transport;
 use iis_core::cache::{
     finish_key, fnv1a64, read_question, read_solve_body, KeyedTask, Lru, QuestionTask,
-    QuestionText, SolveBody,
+    QuestionText, SolveBody, MAX_BATCH,
 };
 use iis_obs::json::{self, Layout};
 use iis_obs::{Json, ToJson as _};
@@ -182,7 +182,8 @@ static GATEWAY_REQUESTS: iis_obs::metrics::StaticCounter =
 static GATEWAY_BATCH_REQUESTS: iis_obs::metrics::StaticCounter =
     iis_obs::metrics::StaticCounter::new("gateway.batch_requests");
 
-/// `gateway.fanout`: the shards a batch's questions are scattered to.
+/// `gateway.fanout`: the upstream calls a batch is scattered into — one
+/// per shard, or more when a shard's share is past [`MAX_BATCH`].
 static GATEWAY_FANOUT: iis_obs::metrics::StaticCounter =
     iis_obs::metrics::StaticCounter::new("gateway.fanout");
 
@@ -414,13 +415,16 @@ impl Gateway {
                 Err(e) => answers[i] = Some(Reply::error(400, &e)),
             }
         }
-        // group by primary shard
+        // group by primary shard, each group cut at the shard's batch cap
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, (_, _, replicas)) in routed.iter().enumerate() {
             groups.entry(replicas[0]).or_default().push(pos);
         }
+        let groups: Vec<(usize, &[usize])> = groups
+            .iter()
+            .flat_map(|(&shard, members)| members.chunks(MAX_BATCH).map(move |c| (shard, c)))
+            .collect();
         GATEWAY_FANOUT.add(groups.len() as u64);
-        let groups: Vec<(usize, Vec<usize>)> = groups.into_iter().collect();
         let answers = Mutex::new(answers);
         let next = AtomicUsize::new(0);
         let drain = || loop {
@@ -478,6 +482,16 @@ impl Gateway {
         let body = format!("{{\"questions\":[{}]}}", texts.join(","));
         let upstream = match self.transport.post(&self.backends[shard], "/solve", &body) {
             Ok(r) if r.status == 200 => parse_batch_answers(&r.body, members.len()),
+            // a 4xx envelope is the request's fault, not the shard's:
+            // every member answers with it, and nothing fails over
+            Ok(r) if (400..500).contains(&r.status) => {
+                self.health.report_success(shard);
+                let reply = Reply {
+                    status: r.status,
+                    body: relay_body(r.body),
+                };
+                return vec![reply; members.len()];
+            }
             Ok(_) | Err(_) => None,
         };
         match upstream {

@@ -584,6 +584,11 @@ pub enum SolveBody<'a> {
 /// The questions of a batch body: each element's text and its reading.
 pub type Batch<'a> = Vec<(&'a str, QuestionText<'a>)>;
 
+/// Most questions a shard accepts in one batch body. Past this the
+/// request is malformed rather than shed: a well-behaved client splits its
+/// sweep, as the gateway splits a shard's share of a batch.
+pub const MAX_BATCH: usize = 256;
+
 fn bad_body(e: JsonError) -> String {
     format!("bad JSON body: {e}")
 }

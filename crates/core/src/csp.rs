@@ -495,6 +495,13 @@ static SOLVE_COUNTERS: [StaticCounter; 4] = [
     StaticCounter::new("solve.prunes"),
     StaticCounter::new("solve.backtracks"),
 ];
+/// Registers the search counters at zero (see
+/// [`crate::solvability::register_counters`]).
+pub(crate) fn register_counters() {
+    for counter in &SOLVE_COUNTERS {
+        counter.register();
+    }
+}
 static SOLVE_SUBTREES: StaticCounter = StaticCounter::new("solve.subtrees");
 static SOLVE_CANCELLED: StaticCounter = StaticCounter::new("solve.cancelled");
 

@@ -11,6 +11,9 @@
 //!   fixed round counts: find or refute decision maps `SDS^b(I) → O`, on
 //!   the compiled search kernel [`csp`]; [`reference`](mod@reference) is the kernel's
 //!   sequential test oracle;
+//! - [`certificate`] — Sperner certificates: one labelling of `Δ` that
+//!   refutes a task at every round count, consulted by the round sweep
+//!   once round 0 is refuted;
 //! - [`bounded`] — Lemma 3.1: minimal and effective round bounds;
 //! - [`convergence`] — §5: Theorem 5.1 witnesses, chromatic simplex
 //!   agreement protocols, and the direct path-bisection convergence
@@ -45,6 +48,7 @@
 pub mod bg;
 pub mod bounded;
 pub mod cache;
+pub mod certificate;
 pub mod concurrent;
 pub mod convergence;
 pub mod csp;

@@ -19,6 +19,7 @@
 //! sequential engine as its test oracle.
 
 use crate::cache::{build_skeleton, keep_skeleton, memoized_skeleton, shape_key};
+use crate::certificate::{find_certificate, Certificate};
 use crate::csp::{profile_now, Halt, Skeleton, TaskTables};
 use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
@@ -74,6 +75,7 @@ pub struct SolvabilityReport {
     task_name: String,
     results: Vec<(usize, bool)>,
     witness: Option<DecisionMap>,
+    certificate: Option<Certificate>,
 }
 
 impl SolvabilityReport {
@@ -88,6 +90,7 @@ impl SolvabilityReport {
             task_name,
             results,
             witness,
+            certificate: None,
         }
     }
 
@@ -109,6 +112,13 @@ impl SolvabilityReport {
     /// The decision map at `first_solvable`, if any.
     pub fn witness(&self) -> Option<&DecisionMap> {
         self.witness.as_ref()
+    }
+
+    /// The Sperner certificate that refuted the rounds past `b = 0`, when
+    /// the sweep that made this report found one (a report read back from
+    /// a store carries none: the record bytes do not name it).
+    pub fn certificate(&self) -> Option<&Certificate> {
+        self.certificate.as_ref()
     }
 }
 
@@ -261,9 +271,9 @@ pub(crate) fn check_simplices(
 ///
 /// Complete but potentially exponential on *unsolvable* instances whose
 /// contradiction is global (e.g. Sperner-parity obstructions at large `b`);
-/// use [`solve_at_bounded`] when a time budget matters, and the Sperner
-/// certificate (`iis-topology::sperner`) for all-`b` impossibility of set
-/// consensus.
+/// use [`solve_at_bounded`] when a time budget matters. This is pure
+/// search: the Sperner certificate ([`crate::certificate`]) that settles
+/// set consensus at every `b` is consulted by [`Solver`] only.
 ///
 /// # Examples
 ///
@@ -619,6 +629,14 @@ fn solve_on(
 ///
 /// The node budget in the options applies per round.
 ///
+/// Once round 0 is refuted, the next step looks for a Sperner
+/// certificate ([`find_certificate`]) — once, within a fixed work bound.
+/// With one, that step and every later one is
+/// [`BoundedOutcome::Unsolvable`] with no tower built and no node searched
+/// (the facet cap never refuses such a round): the verdicts an exact
+/// search gives, by the certificate's soundness (DESIGN.md §17). The
+/// `solve.certified` counter counts the solvers a certificate settled.
+///
 /// # Examples
 ///
 /// ```
@@ -639,6 +657,10 @@ pub struct Solver<'t> {
     b: usize,
     started: bool,
     tables: Tables<'t>,
+    /// Round 0 was refuted, so the next step looks for a certificate.
+    zero_refuted: bool,
+    /// `Some` once the certificate was looked for: what was found.
+    certificate: Option<Option<Certificate>>,
 }
 
 /// The `Δ` tables a [`Solver`] compiles against: its own, or an interned
@@ -664,6 +686,8 @@ impl<'t> Solver<'t> {
             b: 0,
             started: false,
             tables,
+            zero_refuted: false,
+            certificate: None,
         }
     }
 
@@ -673,11 +697,33 @@ impl<'t> Solver<'t> {
         self.b
     }
 
+    /// The certificate refuting every round past `b = 0`, once a step
+    /// found one.
+    pub fn certificate(&self) -> Option<&Certificate> {
+        self.certificate.as_ref().and_then(Option::as_ref)
+    }
+
     /// Decides the next round count and returns its outcome. A round
     /// whose tower is past [`TOWER_FACET_CAP`] is
-    /// [`BoundedOutcome::TooLarge`] and leaves the solver where it was.
+    /// [`BoundedOutcome::TooLarge`] and leaves the solver where it was,
+    /// unless a certificate refutes it.
     pub fn step(&mut self) -> BoundedOutcome {
         let b = if self.started { self.b + 1 } else { 0 };
+        if self.zero_refuted && self.certified() {
+            self.b = b;
+            if iis_obs::trace::active() {
+                iis_obs::trace::event(
+                    "solve.round",
+                    self.task.name(),
+                    &[
+                        ("b", iis_obs::Json::Num(b as f64)),
+                        ("outcome", iis_obs::Json::Str("certified".to_string())),
+                        ("nodes", iis_obs::Json::Num(0.0)),
+                    ],
+                );
+            }
+            return BoundedOutcome::Unsolvable;
+        }
         let facets = tower_facets(self.task.input(), b);
         if facets > TOWER_FACET_CAP {
             return BoundedOutcome::TooLarge { facets };
@@ -692,10 +738,52 @@ impl<'t> Solver<'t> {
             Tables::Own(t) => t,
             Tables::Shared(t) => t,
         };
-        solve_on(
+        let outcome = solve_on(
             self.task, &self.skel, self.shape, self.b, &self.opts, tables,
-        )
+        );
+        if b == 0 {
+            self.zero_refuted = matches!(outcome, BoundedOutcome::Unsolvable);
+        }
+        outcome
     }
+
+    /// Whether a certificate refutes every round: looked for on the first
+    /// call (counting `solve.certified` and tracing a `solve.certificate`
+    /// record when found), remembered after.
+    fn certified(&mut self) -> bool {
+        let task = self.task;
+        self.certificate
+            .get_or_insert_with(|| {
+                let found = find_certificate(task);
+                if let Some(cert) = &found {
+                    CERTIFIED.incr();
+                    if iis_obs::trace::active() {
+                        let (sigma, lambda) = cert.describe(task);
+                        iis_obs::trace::event(
+                            "solve.certificate",
+                            task.name(),
+                            &[
+                                ("sigma", iis_obs::Json::Str(sigma)),
+                                ("lambda", iis_obs::Json::Str(lambda)),
+                            ],
+                        );
+                    }
+                }
+                found
+            })
+            .is_some()
+    }
+}
+
+/// Solvers a Sperner certificate settled.
+static CERTIFIED: StaticCounter = StaticCounter::new("solve.certified");
+
+/// Registers the `solve.*` search counters and `solve.certified` at zero,
+/// so a metrics scrape lists them before the first search publishes:
+/// `iis serve` calls it at startup, `iis solve` before its sweep.
+pub fn register_counters() {
+    crate::csp::register_counters();
+    CERTIFIED.register();
 }
 
 /// Sweeps `b = 0..=max_rounds`, recording per-`b` solvability; stops the
@@ -751,6 +839,7 @@ fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
         task_name: solver.task.name().to_string(),
         results,
         witness,
+        certificate: solver.certificate.flatten(),
     }
 }
 

@@ -30,13 +30,30 @@ done
 # injected short writes, ENOSPC, bit flips, failed flushes and crashes.
 "$IIS" fuzz --layer store --seed 7 --cases 500 --shrink
 
+# Certified-refutation smoke: each question answers exactly for every
+# round asked, well within 5 s, and names the Sperner certificate that
+# settles it (an input face and a labelling of the output vertices).
+for q in "kset:3:3 --max-rounds 1" "kset:4:3 --max-rounds 1" "consensus:2 --max-rounds 6"; do
+  # shellcheck disable=SC2086 # the question is a spec and its flags
+  out=$(timeout 5 "$IIS" solve $q) || { echo "certificate smoke: solve $q failed or ran past 5 s"; exit 1; }
+  for b in $(seq 0 "${q##* }"); do
+    echo "$out" | grep -qx "b = $b: no decision map (exact)" \
+      || { echo "certificate smoke: solve $q: b = $b is not exact"; echo "$out"; exit 1; }
+  done
+  echo "$out" | grep -q '^Sperner certificate (no decision map at any b): σ = {.*}, λ = {.*}$' \
+    || { echo "certificate smoke: solve $q names no certificate"; echo "$out"; exit 1; }
+done
+echo "certificate smoke: ok"
+
 # Live-introspection smoke: solve with --serve on an ephemeral port, scrape
 # /metrics and /progress over bash's /dev/tcp while the process runs, then
 # require a clean exit. /metrics must be Prometheus text exposition and
 # contain solve_nodes_total; /progress must carry exactly the committed
 # key schema (crates/obs/tests/golden/progress_keys.txt).
 serve_log=$(mktemp)
-"$IIS" solve kset:2:2 --max-rounds 2 --jobs 2 --serve 127.0.0.1:0 >/dev/null 2>"$serve_log" &
+# (eps:3:9 is refuted at b <= 2 by search alone, no certificate settles it;
+# about 0.7 s at --jobs 2)
+"$IIS" solve eps:3:9 --max-rounds 2 --jobs 2 --serve 127.0.0.1:0 >/dev/null 2>"$serve_log" &
 serve_pid=$!
 port=""
 for _ in $(seq 1 100); do
@@ -143,6 +160,20 @@ warm_builds=$(builds_of "$(scrape /metrics)")
 # the store's corruption counters are registered (at zero) from the start
 echo "$metrics" | grep -q '^store_checksum_failures_total ' \
   || { echo "solve service smoke: /metrics lacks store_checksum_failures_total"; echo "$metrics"; exit 1; }
+# a certified refutation answers exactly and fast, is stored, and a re-ask
+# is a byte-identical hit; solve_certified_total counts it (from zero)
+echo "$metrics" | grep -qx 'solve_certified_total 0' \
+  || { echo "solve service smoke: /metrics lacks solve_certified_total 0"; echo "$metrics"; exit 1; }
+bodyK='{"spec": "kset:4:3", "max_rounds": 1}'
+firstK=$(post /solve "$bodyK")
+echo "$firstK" | grep -q '"cached":false.*"result":{"results":\[\[0,false\],\[1,false\]\],"task":"(5,3)-set-consensus","witness":null}' \
+  || { echo "solve service smoke: kset:4:3 is not refuted exactly"; echo "$firstK"; exit 1; }
+secondK=$(post /solve "$bodyK")
+[ "$(printf '%s' "$secondK" | sed 's/.*"result"://')" = "$(printf '%s' "$firstK" | sed 's/.*"result"://')" ] \
+  && echo "$secondK" | grep -q '"cached":true' \
+  || { echo "solve service smoke: kset:4:3 re-ask is not an identical hit"; echo "$secondK"; exit 1; }
+scrape /metrics | grep -qx 'solve_certified_total 1' \
+  || { echo "solve service smoke: expected solve_certified_total 1"; exit 1; }
 # liveness and readiness answer while serving
 scrape /healthz | grep -q '"ok": true' \
   || { echo "solve service smoke: /healthz not ok"; exit 1; }
@@ -179,7 +210,7 @@ echo "$accepted" | grep -q '"job":' \
   || { echo "solve service smoke: async solve not accepted"; echo "$accepted"; exit 1; }
 post /shutdown '' >/dev/null
 wait "$serve_pid" || { echo "solve service smoke: serve exited nonzero"; cat "$serve_log"; exit 1; }
-grep -q '4 jobs accepted, 4 completed' "$serve_out" \
+grep -q '5 jobs accepted, 5 completed' "$serve_out" \
   || { echo "solve service smoke: drain did not finish the accepted job"; cat "$serve_out"; exit 1; }
 rm -rf "$serve_log" "$serve_out" "$store_dir"
 echo "solve service smoke: ok"
@@ -287,7 +318,7 @@ status_of() { # status_of PORT BODY -> the status line of POST /solve
   head -1 <&3
   exec 3>&- 3<&-
 }
-over='{"spec": "kset:2:2", "max_rounds": 2, "budget": 50}'
+over='{"spec": "eps:2:3", "max_rounds": 2, "budget": 50}'
 status_of "$portG" "$over" | grep -q '^HTTP/1.1 422' \
   || { echo "gateway smoke: an exhausted budget did not answer 422"; status_of "$portG" "$over"; exit 1; }
 [ "$(req "$portG" GET /cluster '' | grep -c '"health": "ready"')" -eq 2 ] \

@@ -34,7 +34,11 @@
 //!   live inside, so one bad question cannot mask five good answers.
 //!   This is the route the gateway coalesces same-shard questions onto.
 //! - `GET /jobs/<id>` — job status plus the result record when done.
-//! - `GET /jobs` — every job this process has accepted.
+//! - `GET /jobs` — the jobs the registry holds: every queued or running
+//!   job, and the newest settled ones. At most [`SETTLED_JOBS_CAP`]
+//!   settled jobs are kept (each holds its record text); past that the
+//!   oldest settled job no request still waits on is dropped, and its
+//!   `/jobs/<id>` answers `404`.
 //! - `GET /healthz` — liveness: `200` while the process answers at all.
 //! - `GET /readyz` — readiness: `200` only with live workers, a writable
 //!   store, and no shutdown in progress; otherwise `503` with the reasons
@@ -134,15 +138,69 @@ impl Status {
     }
 }
 
+/// Most settled jobs the registry keeps, so a long-running shard's
+/// registry (and the `GET /jobs` rendered under its lock) stays bounded.
+/// A full batch of `wait: false` questions fits.
+const SETTLED_JOBS_CAP: usize = MAX_BATCH;
+
 /// Registry + queue, under one lock; `changed` signals any transition.
 struct State {
     jobs: BTreeMap<u64, Job>,
+    /// Settled job ids, oldest first: the order they are dropped in.
+    settled: VecDeque<u64>,
+    /// Job id → requests admitted onto it and not yet answered; a held
+    /// job is never dropped.
+    holds: HashMap<u64, usize>,
+    /// Jobs settled `Done`, dropped ones included.
+    completed: usize,
     queue: VecDeque<u64>,
     /// cache key → id of the queued/running job answering it.
     inflight: HashMap<u64, u64>,
     next_id: u64,
     active: i64,
     shutdown: bool,
+}
+
+impl State {
+    /// Settles job `id` with `status` (its task is dropped, its record
+    /// kept) and trims the settled jobs to the cap.
+    fn settle(&mut self, id: u64, status: Status) {
+        if let Some(job) = self.jobs.get_mut(&id) {
+            self.completed += usize::from(matches!(status, Status::Done { .. }));
+            job.task = None;
+            job.status = status;
+            self.settled.push_back(id);
+            self.trim();
+        }
+    }
+
+    /// A request admitted onto job `id` has its answer.
+    fn release(&mut self, id: u64) {
+        if let Some(n) = self.holds.get_mut(&id) {
+            *n -= 1;
+            if *n == 0 {
+                self.holds.remove(&id);
+            }
+        }
+        self.trim();
+    }
+
+    /// Drops the oldest settled jobs no request holds until at most
+    /// [`SETTLED_JOBS_CAP`] settled jobs remain.
+    fn trim(&mut self) {
+        while self.settled.len() > SETTLED_JOBS_CAP {
+            let Some(at) = self
+                .settled
+                .iter()
+                .position(|id| !self.holds.contains_key(id))
+            else {
+                return;
+            };
+            if let Some(id) = self.settled.remove(at) {
+                self.jobs.remove(&id);
+            }
+        }
+    }
 }
 
 /// The solve service shared by the HTTP handler and the worker pool.
@@ -312,6 +370,9 @@ impl SolveService {
         SolveService {
             state: Mutex::new(State {
                 jobs: BTreeMap::new(),
+                settled: VecDeque::new(),
+                holds: HashMap::new(),
+                completed: 0,
                 queue: VecDeque::new(),
                 inflight: HashMap::new(),
                 next_id: 1,
@@ -401,9 +462,7 @@ impl SolveService {
             };
             let mut st = lock(&self.state);
             st.inflight.remove(&key);
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.status = status;
-            }
+            st.settle(id, status);
             st.active -= 1;
             iis_obs::metrics::gauge_set("serve.jobs_active", st.active);
             self.changed.notify_all();
@@ -525,6 +584,7 @@ impl SolveService {
         }
         if let Some(&id) = st.inflight.get(&key) {
             iis_obs::metrics::add("serve.coalesced", 1);
+            *st.holds.entry(id).or_default() += 1;
             return Admission::Pending {
                 id,
                 key,
@@ -548,6 +608,7 @@ impl SolveService {
             },
         );
         st.inflight.insert(key, id);
+        st.holds.insert(id, 1);
         st.queue.push_back(id);
         self.changed.notify_all();
         Admission::Pending {
@@ -609,13 +670,17 @@ impl SolveService {
     }
 
     /// Settles an admitted question into its response: block on the job
-    /// (`wait: true`, the default) or acknowledge with a `202`.
+    /// (`wait: true`, the default) or acknowledge with a `202`. Either way
+    /// the request's hold on the job ends here.
     fn respond(&self, wait: bool, id: u64, key: u64, coalesced: bool) -> Response {
         if wait {
-            return self.wait_for(id, key, coalesced);
+            let resp = self.wait_for(id, key, coalesced);
+            lock(&self.state).release(id);
+            return resp;
         }
-        let st = lock(&self.state);
+        let mut st = lock(&self.state);
         let status = st.jobs.get(&id).map_or("queued", |j| j.status.name());
+        st.release(id);
         let mut fields = vec![
             ("job", Json::Num(id as f64)),
             ("status", Json::Str(status.to_string())),
@@ -924,11 +989,8 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         let mut st = lock(&service.state);
         let abandoned: Vec<u64> = st.queue.drain(..).collect();
         for id in abandoned {
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.task = None;
-                job.status =
-                    Status::Failed("server shut down before the job could run".to_string());
-            }
+            let why = "server shut down before the job could run".to_string();
+            st.settle(id, Status::Failed(why));
         }
         st.inflight.clear();
         service.changed.notify_all();
@@ -936,14 +998,10 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     lock(&service.store).flush();
     server.shutdown();
     let st = lock(&service.state);
-    let done = st
-        .jobs
-        .values()
-        .filter(|j| matches!(j.status, Status::Done { .. }))
-        .count();
     Ok(format!(
-        "serve: {} jobs accepted, {done} completed, store = {}\n",
-        st.jobs.len(),
+        "serve: {} jobs accepted, {} completed, store = {}\n",
+        st.next_id - 1,
+        st.completed,
         store_dir.as_deref().unwrap_or("(in-memory)")
     ))
 }
@@ -1839,6 +1897,67 @@ mod tests {
         // an empty registry lists no jobs
         let r = stalled_service(8, None).handle_jobs("/jobs");
         assert_eq!(r.body, "{\"jobs\":[]}");
+    }
+
+    #[test]
+    fn settled_jobs_are_capped_oldest_first_and_held_ones_kept() {
+        let svc = Arc::new(stalled_service(8, None));
+        let worker = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.worker_loop())
+        };
+        let mut questions = (2..=81).flat_map(|k| {
+            (0..=3).map(move |b| format!(r#"{{"spec": "eps:0:{k}", "max_rounds": {b}}}"#))
+        });
+        // the first job is admitted and held: its answer not yet given
+        let first = questions.next().unwrap();
+        let req = svc
+            .prepare(iis_core::cache::read_question(&first).unwrap())
+            .unwrap();
+        let Admission::Pending { id: held, key, .. } = svc.admit(&req) else {
+            panic!("{first} was not queued");
+        };
+        // settle more distinct questions than the cap
+        let solve = |q: &str| {
+            let r = svc.handle_solve(q);
+            assert_eq!(r.status, 200, "{q}: {}", r.body);
+            Json::parse(&r.body)
+                .unwrap()
+                .get("job")
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        for q in questions.by_ref().take(SETTLED_JOBS_CAP + 10) {
+            solve(&q);
+        }
+        {
+            let st = lock(&svc.state);
+            assert_eq!(st.jobs.len(), SETTLED_JOBS_CAP);
+            assert!(st.jobs.contains_key(&held), "a held job was dropped");
+            assert!(
+                !st.jobs.contains_key(&(held + 1)),
+                "the oldest unheld job was kept"
+            );
+        }
+        // once answered, the held job is the oldest and goes next
+        assert_eq!(svc.respond(true, held, key, false).status, 200);
+        let last = solve(&questions.next().unwrap());
+        assert_eq!(lock(&svc.state).jobs.len(), SETTLED_JOBS_CAP);
+        assert_eq!(svc.handle_jobs(&format!("/jobs/{held}")).status, 404);
+        // the newest jobs still answer, and /jobs lists the cap
+        for id in last + 1 - SETTLED_JOBS_CAP as u64..=last {
+            assert_eq!(
+                svc.handle_jobs(&format!("/jobs/{id}")).status,
+                200,
+                "job {id}"
+            );
+        }
+        let all = Json::parse(&svc.handle_jobs("/jobs").body).unwrap();
+        let listed = all.get("jobs").and_then(Json::as_array).unwrap().len();
+        assert_eq!(listed, SETTLED_JOBS_CAP);
+        svc.stop_workers.store(true, Ordering::Release);
+        svc.changed.notify_all();
+        worker.join().unwrap();
     }
 
     #[test]

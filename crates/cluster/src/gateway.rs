@@ -32,8 +32,9 @@
 //! shard's own reader (`iis_core::cache::read_solve_body`: it must read
 //! the task to route it), but never an answer: a single reply is relayed
 //! verbatim after a validity scan, a shard's batch envelope is cut into
-//! `(status, body)` spans by [`iis_obs::json::layout`], and the client's
-//! envelope is spliced around those bodies by [`splice_envelope`].
+//! `(status, body)` spans in one pass of [`iis_obs::json::Reader`], and
+//! the client's envelope is spliced around those bodies by
+//! [`splice_envelope`].
 //! Upstream batch bodies are spliced from the question texts as the
 //! client sent them.
 //!
@@ -41,7 +42,10 @@
 //! fault: the shard is marked and the question fails over. A 4xx —
 //! including `422`, an inconclusive sweep (budget exhausted, or a tower
 //! past the cap) — is the question's own answer, which every replica
-//! would give alike: it is relayed as-is after one upstream call.
+//! would give alike: it is relayed as-is after one upstream call. So is a
+//! `504`: the shard's deadline ran out on the search, and the question
+//! is as heavy on every replica, so a failover would only spend a second
+//! deadline and strike a healthy shard.
 
 use crate::health::{HealthRegistry, ShardHealth};
 use crate::transport::Transport;
@@ -49,7 +53,7 @@ use iis_core::cache::{
     finish_key, fnv1a64, read_question, read_solve_body, KeyedTask, Lru, QuestionTask,
     QuestionText, SolveBody, MAX_BATCH,
 };
-use iis_obs::json::{self, Layout};
+use iis_obs::json;
 use iis_obs::{Json, ToJson as _};
 use iis_tasks::library::parse_spec;
 use std::collections::BTreeMap;
@@ -76,6 +80,13 @@ pub struct Gateway {
     salts: Vec<u64>,
     replicas: usize,
     workers: usize,
+}
+
+/// Whether an upstream status is a fault of the shard, which fails over:
+/// a 5xx other than the deadline's `504`. Every other status answers the
+/// question.
+fn shard_fault(status: u16) -> bool {
+    status >= 500 && status != 504
 }
 
 /// SplitMix64 finalizer: the rendezvous weight of (route, salt).
@@ -300,9 +311,10 @@ impl Gateway {
         (0..self.backends.len()).max_by_key(|&i| mix(route ^ self.salts[i]))
     }
 
-    /// Answers one question by trying its replicas in order. 4xx answers
-    /// relay as-is (the question itself is bad — no replica will disagree);
-    /// transport errors and 5xx answers fail over to the next replica.
+    /// Answers one question by trying its replicas in order. 4xx and
+    /// `504` answers relay as-is (they answer the question — no replica
+    /// will disagree); transport errors and other 5xx answers fail over to
+    /// the next replica.
     fn solve_via_replicas(&self, body: &str, replicas: &[usize], skip: Option<usize>) -> Reply {
         let mut attempts = 0u32;
         for &idx in replicas {
@@ -314,7 +326,7 @@ impl Gateway {
             }
             attempts += 1;
             match self.transport.post(&self.backends[idx], "/solve", body) {
-                Ok(r) if r.status < 500 => {
+                Ok(r) if !shard_fault(r.status) => {
                     self.health.report_success(idx);
                     if attempts > 1 || skip.is_some() {
                         iis_obs::metrics::add("gateway.failovers", 1);
@@ -482,9 +494,10 @@ impl Gateway {
         let body = format!("{{\"questions\":[{}]}}", texts.join(","));
         let upstream = match self.transport.post(&self.backends[shard], "/solve", &body) {
             Ok(r) if r.status == 200 => parse_batch_answers(&r.body, members.len()),
-            // a 4xx envelope is the request's fault, not the shard's:
-            // every member answers with it, and nothing fails over
-            Ok(r) if (400..500).contains(&r.status) => {
+            // a 4xx or 504 envelope answers the request, not a fault of
+            // the shard: every member answers with it, and nothing fails
+            // over
+            Ok(r) if r.status >= 400 && !shard_fault(r.status) => {
                 self.health.report_success(shard);
                 let reply = Reply {
                     status: r.status,
@@ -497,12 +510,13 @@ impl Gateway {
         match upstream {
             Some(got) => {
                 self.health.report_success(shard);
-                // per-question 5xx inside a healthy envelope fails over
-                // individually (e.g. that one question hit a full queue)
+                // a per-question shard fault inside a healthy envelope
+                // fails over individually (e.g. that one question hit a
+                // full queue)
                 got.into_iter()
                     .enumerate()
                     .map(|(j, a)| {
-                        if a.status >= 500 {
+                        if shard_fault(a.status) {
                             failover(members[j])
                         } else {
                             a
@@ -570,43 +584,50 @@ impl Gateway {
     }
 }
 
-/// Splits a backend batch envelope into per-question `(status, body
-/// text)` replies with the span scanner; `None` when the body is not a
-/// well-formed envelope of exactly `expect` answers (a truncated or
-/// garbled reply must trigger failover, never a misaligned answer array).
-/// Each body is the shard's text, cut out rather than re-rendered.
+/// Splits a backend batch envelope `{"answers":[{"status":N,"body":…},…]}`
+/// into per-question `(status, body text)` replies in one pass with the
+/// JSON reader; `None` when the body is not a well-formed envelope of
+/// exactly `expect` answers (a truncated or garbled reply must trigger
+/// failover, never a misaligned answer array). The first `answers`,
+/// `status` and `body` members count. Each body is the shard's text, cut
+/// out rather than re-rendered.
 fn parse_batch_answers(body: &str, expect: usize) -> Option<Vec<Reply>> {
-    let Layout::Object(members) = json::layout(body).ok()? else {
-        return None;
-    };
-    let (_, span) = members.iter().find(|(k, _)| k == "answers")?;
-    let array = &body[span.clone()];
-    let Layout::Array(items) = json::layout(array).ok()? else {
-        return None;
-    };
-    if items.len() != expect {
-        return None;
-    }
-    items
-        .iter()
-        .map(|item| {
-            let item = &array[item.clone()];
-            let Layout::Object(fields) = json::layout(item).ok()? else {
-                return None;
+    let mut answers = None;
+    let mut r = json::Reader::new(body);
+    r.object(|r, key| {
+        if key != "answers" || answers.is_some() {
+            return r.skip();
+        }
+        let mut replies = Vec::with_capacity(expect);
+        r.array_or("expected array", |r| {
+            let (mut status, mut text) = (None, None);
+            r.object(|r, field| {
+                match field.as_ref() {
+                    "status" if status.is_none() => status = Some(r.uint::<u16>()?),
+                    "body" if text.is_none() => {
+                        let start = r.pos();
+                        r.skip()?;
+                        text = Some(&body[start..r.pos()]);
+                    }
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+            let (Some(status), Some(text)) = (status, text) else {
+                return Err(json::JsonError::new("expected `status` and `body`"));
             };
-            let field = |name: &str| {
-                fields
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, span)| &item[span.clone()])
-            };
-            let status = Json::parse(field("status")?).ok()?.as_f64()? as u16;
-            Some(Reply {
+            replies.push(Reply {
                 status,
-                body: field("body")?.to_string(),
-            })
-        })
-        .collect()
+                body: text.to_string(),
+            });
+            Ok(())
+        })?;
+        answers = Some(replies);
+        Ok(())
+    })
+    .and_then(|()| r.finish())
+    .ok()?;
+    answers.filter(|a| a.len() == expect)
 }
 
 /// Merges Prometheus text expositions by summing series with identical
@@ -1225,9 +1246,38 @@ mod tests {
             r#"{"other":[]}"#,
             "[]",
             "not json",
+            // garbled: trailing bytes, a broken item, statuses no shard
+            // writes
+            &format!("{good}x"),
+            &format!("{good}{good}"),
+            r#"{"answers":[{"status":200,"body":1}},{"status":200,"body":2}]}"#,
+            r#"{"answers":[{"status":200,"body":1},{"status":200,"body":}]}"#,
+            r#"{"answers":[{"status":200,"body":1},{"status":70000,"body":2}]}"#,
+            r#"{"answers":[{"status":200,"body":1},{"status":-1,"body":2}]}"#,
+            r#"{"answers":[{"status":200,"body":1},{"status":1.5,"body":2}]}"#,
+            r#"{"answers":[{"status":200,"body":1},{"status":null,"body":2}]}"#,
+            // wrong counts, the first `answers` member counting
+            r#"{"answers":[]}"#,
+            r#"{"answers":[{"status":200,"body":1},{"status":200,"body":2},{"status":200,"body":3}]}"#,
+            r#"{"answers":[{"status":200,"body":1}],"answers":[{"status":200,"body":1},{"status":200,"body":2}]}"#,
         ] {
             assert!(parse_batch_answers(bad, 2).is_none(), "accepted {bad}");
         }
+        // every truncation of a good envelope
+        for end in 0..good.len() {
+            assert!(
+                parse_batch_answers(&good[..end], 2).is_none(),
+                "accepted {}",
+                &good[..end]
+            );
+        }
+        // later duplicates are read past: the first member counts
+        let doubled = good.replacen(r#""status":200,"#, r#""status":200,"status":"x","#, 1);
+        let got = parse_batch_answers(&doubled, 2).unwrap();
+        assert_eq!(
+            (got[0].status, got[0].body.as_str()),
+            (200, r#"{"a":[1,2]}"#)
+        );
     }
 
     #[test]

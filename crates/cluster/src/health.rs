@@ -106,7 +106,8 @@ impl HealthRegistry {
     }
 
     /// Request-path feedback: a request to shard `idx` failed at the
-    /// transport level or with a 5xx. Marks it Down immediately — the
+    /// transport level or with a 5xx other than a deadline's `504`. Marks
+    /// it Down immediately — the
     /// prober will bring it back — and counts the *transition* on
     /// `gateway.shard_down`.
     pub fn report_failure(&self, idx: usize) {

@@ -102,8 +102,9 @@ pub const CACHE_SCHEMA: &str = "iis-solve-v1";
 /// The FNV-1a offset basis: the hash state before any byte.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Continues 64-bit FNV-1a from `state` over `bytes`.
-fn fnv1a64_from(mut state: u64, bytes: &[u8]) -> u64 {
+/// Continues 64-bit FNV-1a from `state` over `bytes`: a hash fed in
+/// pieces equals [`fnv1a64`] over their concatenation.
+pub fn fnv1a64_from(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= b as u64;
         state = state.wrapping_mul(0x0000_0100_0000_01b3);
@@ -809,109 +810,9 @@ pub fn report_to_json(report: &SolvabilityReport) -> Json {
     ])
 }
 
-/// A cursor over record text that accepts only the bytes
-/// `report_to_json(..).to_string()` writes: no whitespace, integers in
-/// shortest decimal form, strings escaped as `Json::Str` renders them.
-struct Reader<'a> {
-    text: &'a str,
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn fail<T>(&self, expected: &str) -> Result<T, String> {
-        Err(format!(
-            "record not canonical at byte {}: expected {expected}",
-            self.at
-        ))
-    }
-
-    /// Consumes `lit` iff the text continues with it.
-    fn eat(&mut self, lit: &str) -> bool {
-        let hit = self.text.as_bytes()[self.at..].starts_with(lit.as_bytes());
-        if hit {
-            self.at += lit.len();
-        }
-        hit
-    }
-
-    fn lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.eat(lit) {
-            Ok(())
-        } else {
-            self.fail(&format!("`{lit}`"))
-        }
-    }
-
-    /// A non-negative integer: `0`, or digits without a leading zero.
-    fn uint(&mut self) -> Result<usize, String> {
-        let bytes = &self.text.as_bytes()[self.at..];
-        let digits = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
-        if digits == 0 || (digits > 1 && bytes[0] == b'0') {
-            return self.fail("an integer");
-        }
-        let mut n: usize = 0;
-        for &d in &bytes[..digits] {
-            n = match n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add((d - b'0') as usize))
-            {
-                Some(n) => n,
-                None => return self.fail("a smaller integer"),
-            };
-        }
-        self.at += digits;
-        Ok(n)
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        if self.eat("true") {
-            Ok(true)
-        } else if self.eat("false") {
-            Ok(false)
-        } else {
-            self.fail("`true` or `false`")
-        }
-    }
-
-    /// A string literal, decoded: borrowed when it has no escape, and
-    /// otherwise accepted only if re-escaping it gives back its bytes.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
-        let rest = &self.text[self.at..];
-        let Some(body) = rest.strip_prefix('"') else {
-            return self.fail("a string");
-        };
-        // the closing quote is the first one no backslash escapes
-        let mut escaped = false;
-        let end = body.bytes().position(|b| {
-            let close = b == b'"' && !escaped;
-            escaped = b == b'\\' && !escaped;
-            close
-        });
-        let Some(end) = end else {
-            return self.fail("a closing `\"`");
-        };
-        let raw = &body[..end];
-        let literal = &rest[..end + 2];
-        let name = if raw.bytes().any(|b| b == b'\\' || b < 0x20) {
-            let decoded = Json::parse(literal)
-                .ok()
-                .and_then(|j| j.as_str().map(str::to_string))
-                .filter(|s| {
-                    let mut again = String::with_capacity(literal.len());
-                    iis_obs::json::write_string(&mut again, s);
-                    again == literal
-                });
-            match decoded {
-                Some(s) => Cow::Owned(s),
-                None => return self.fail("a canonically escaped string"),
-            }
-        } else {
-            Cow::Borrowed(raw)
-        };
-        self.at += literal.len();
-        Ok(name)
-    }
-}
+/// A checked witness: the skeleton it was checked on, and its dense image
+/// table.
+type Witness = (Arc<Skeleton>, Vec<VertexId>);
 
 /// A stored record that passed [`read_record`]: what it says, with its
 /// witness (if any) checked.
@@ -921,8 +822,7 @@ struct CheckedRecord<'a> {
     rounds: usize,
     /// Whether the last verdict is `true`; then `witness` holds it.
     solvable: bool,
-    /// The skeleton the witness was checked on, and its dense image table.
-    witness: Option<(Arc<Skeleton>, Vec<VertexId>)>,
+    witness: Option<Witness>,
 }
 
 impl CheckedRecord<'_> {
@@ -939,11 +839,20 @@ impl CheckedRecord<'_> {
     }
 }
 
-/// Reads a stored record in one pass over its bytes, accepting only the
-/// canonical text `report_to_json(..).to_string()` writes, and checks it
-/// as the answer to `(task, max_rounds)` — any bound when `max_rounds` is
-/// `None`:
+/// The refusal of a record that is not in its writer's form.
+fn not_canonical(expected: &str) -> JsonError {
+    JsonError::new(format!("record not canonical: expected {expected}"))
+}
+
+/// Reads a stored record in one pass over its bytes with the JSON
+/// [`Reader`](json::Reader), accepting only the canonical text
+/// `report_to_json(..).to_string()` writes, and checks it as the answer to
+/// `(task, max_rounds)` — any bound when `max_rounds` is `None`:
 ///
+/// - the text is regular ([`json::Reader::irregular`] stays 0: no
+///   whitespace, shortest integers, strings escaped as the writer escapes
+///   them), and the members `results`, `task`, `witness` (and `b`, `map`
+///   inside a witness) come once each, in that order;
 /// - the verdict vector is `[[0,false],…,[b,true]]` with `b ≤ max_rounds`
 ///   and a witness at `b`, or `max_rounds + 1` false verdicts and none;
 /// - the witness map is `[[0,w0],[1,w1],…]`, one pair per vertex of
@@ -961,93 +870,154 @@ fn read_record<'a>(
     text: &'a str,
     max_rounds: Option<usize>,
 ) -> Result<CheckedRecord<'a>, String> {
-    static REVALIDATE_NS: StaticHistogram = StaticHistogram::new("cache.revalidate_ns");
-    let mut r = Reader { text, at: 0 };
-    r.lit("{\"results\":[")?;
-    let mut rounds = 0;
-    let solvable = loop {
-        r.lit("[")?;
-        if r.uint()? != rounds {
-            return r.fail(&format!("the verdict for round {rounds}"));
-        }
-        r.lit(",")?;
-        let ok = r.bool()?;
-        r.lit("]")?;
-        rounds += 1;
-        if ok {
-            // the sweep stops at its first solvable round
-            r.lit("]")?;
-            break true;
-        }
-        if r.eat("]") {
-            break false;
-        }
-        r.lit(",")?;
-    };
-    match max_rounds {
-        Some(m) if solvable && rounds > m + 1 => {
-            return Err(format!(
-                "witness round {} exceeds max_rounds {m}",
-                rounds - 1
-            ));
-        }
-        Some(m) if !solvable && rounds != m + 1 => {
-            return Err(format!(
-                "{rounds} refuted rounds do not answer max_rounds {m}"
-            ));
-        }
-        _ => {}
+    let mut r = json::Reader::new(text);
+    let mut members = 0;
+    let (mut verdicts, mut name, mut witness) = (None, None, None);
+    let read = r
+        .object(|r, key| {
+            members += 1;
+            match (members, key.as_ref(), verdicts) {
+                (1, "results", _) => verdicts = Some(read_verdicts(r, max_rounds)?),
+                (2, "task", _) => name = Some(r.string()?),
+                (3, "witness", Some((rounds, solvable))) => {
+                    witness = Some(read_witness(r, task, shape, tables, rounds, solvable)?);
+                }
+                _ => return Err(not_canonical("the members `results`, `task`, `witness`")),
+            }
+            Ok(())
+        })
+        .and_then(|()| r.finish())
+        .and_then(|()| match r.irregular() {
+            0 => Ok(()),
+            _ => Err(not_canonical(
+                "no whitespace, shortest integers, canonical escapes",
+            )),
+        });
+    if let Err(e) = read {
+        return Err(if e.is_syntax() {
+            format!("record not canonical: {}", e.message())
+        } else {
+            e.message().to_string()
+        });
     }
-    r.lit(",\"task\":")?;
-    let name = r.string()?;
-    r.lit(",\"witness\":")?;
-    let witness = if r.eat("null") {
+    match (verdicts, name, witness) {
+        (Some((rounds, solvable)), Some(name), Some(witness)) => Ok(CheckedRecord {
+            name,
+            rounds,
+            solvable,
+            witness,
+        }),
+        _ => Err(
+            "record not canonical: expected the members `results`, `task`, `witness`".to_string(),
+        ),
+    }
+}
+
+/// The verdict vector `[[0,false],…]` as `(its length, whether the last
+/// round is solvable)`, refused unless it answers `max_rounds`.
+fn read_verdicts(
+    r: &mut json::Reader<'_>,
+    max_rounds: Option<usize>,
+) -> Result<(usize, bool), JsonError> {
+    let (mut rounds, mut solvable) = (0, false);
+    r.array(|r| {
+        // the sweep stops at its first solvable round
         if solvable {
-            return Err("solvable verdict without a witness".to_string());
+            return Err(not_canonical("no verdict past the solvable round"));
         }
-        None
-    } else {
-        r.lit("{\"b\":")?;
-        let b = r.uint()?;
-        if !solvable || b != rounds - 1 {
-            return Err("witness round disagrees with verdict vector".to_string());
+        let (b, ok) = r.pair(|r| r.uint::<usize>(), json::Reader::bool)?;
+        if b != rounds {
+            return Err(not_canonical(&format!("the verdict for round {rounds}")));
         }
-        r.lit(",\"map\":[")?;
-        let _timer = iis_obs::span::span_on(&REVALIDATE_NS);
-        let skel = witness_skeleton(task.input(), shape, b);
-        let n = skel.tower().complex().num_vertices();
-        let mut image = Vec::with_capacity(n);
-        for v in (0..n as u32).map(VertexId) {
-            if v.0 > 0 && !r.eat(",") {
-                return Err(format!("stored witness invalid: vertex {v} unmapped"));
-            }
-            r.lit("[")?;
-            if r.uint()? != v.index() {
-                return r.fail(&format!("the pair of vertex {v}"));
-            }
-            r.lit(",")?;
-            let w = r.uint()?;
-            r.lit("]")?;
-            let w = VertexId(u32::try_from(w).unwrap_or(u32::MAX));
-            check_image(&skel, task.output(), v, w)
-                .map_err(|e| format!("stored witness invalid: {e}"))?;
-            image.push(w);
-        }
-        r.lit("]}")?;
-        check_simplices(task, &skel, tables, &image)
-            .map_err(|e| format!("stored witness invalid: {e}"))?;
-        Some((skel, image))
-    };
-    r.lit("}")?;
-    if r.at != text.len() {
-        return r.fail("the end of the record");
+        rounds += 1;
+        solvable = ok;
+        Ok(())
+    })?;
+    match max_rounds {
+        _ if rounds == 0 => Err(not_canonical("the verdict for round 0")),
+        Some(m) if solvable && rounds > m + 1 => Err(JsonError::new(format!(
+            "witness round {} exceeds max_rounds {m}",
+            rounds - 1
+        ))),
+        Some(m) if !solvable && rounds != m + 1 => Err(JsonError::new(format!(
+            "{rounds} refuted rounds do not answer max_rounds {m}"
+        ))),
+        _ => Ok((rounds, solvable)),
     }
-    Ok(CheckedRecord {
-        name,
-        rounds,
-        solvable,
-        witness,
-    })
+}
+
+/// The witness member: `null`, or `{"b":b,"map":[…]}` at the verdict
+/// vector's solvable round, with its map checked.
+fn read_witness(
+    r: &mut json::Reader<'_>,
+    task: &Task,
+    shape: u64,
+    tables: &TaskTables,
+    rounds: usize,
+    solvable: bool,
+) -> Result<Option<Witness>, JsonError> {
+    if r.peek()? == Token::Null {
+        r.null()?;
+        if solvable {
+            return Err(JsonError::new("solvable verdict without a witness"));
+        }
+        return Ok(None);
+    }
+    let mut members = 0;
+    let (mut b, mut checked) = (None, None);
+    r.object(|r, key| {
+        members += 1;
+        match (members, key.as_ref(), b) {
+            (1, "b", _) => {
+                let round = r.uint::<usize>()?;
+                if !solvable || round != rounds - 1 {
+                    return Err(JsonError::new(
+                        "witness round disagrees with verdict vector",
+                    ));
+                }
+                b = Some(round);
+            }
+            (2, "map", Some(b)) => checked = Some(read_map(r, task, shape, tables, b)?),
+            _ => return Err(not_canonical("the members `b`, `map`")),
+        }
+        Ok(())
+    })?;
+    checked
+        .map(Some)
+        .ok_or_else(|| not_canonical("the member `map`"))
+}
+
+/// The witness map `[[0,w0],[1,w1],…]` on `SDS^b(I)`, decoded into the
+/// dense image table and checked as it is read.
+fn read_map(
+    r: &mut json::Reader<'_>,
+    task: &Task,
+    shape: u64,
+    tables: &TaskTables,
+    b: usize,
+) -> Result<Witness, JsonError> {
+    static REVALIDATE_NS: StaticHistogram = StaticHistogram::new("cache.revalidate_ns");
+    let _timer = iis_obs::span::span_on(&REVALIDATE_NS);
+    let invalid = |e: String| JsonError::new(format!("stored witness invalid: {e}"));
+    let skel = witness_skeleton(task.input(), shape, b);
+    let n = skel.tower().complex().num_vertices();
+    let mut image = Vec::with_capacity(n);
+    r.array(|r| {
+        let v = VertexId(image.len() as u32);
+        let (source, w) = r.pair(|r| r.uint::<u32>(), |r| r.uint::<u32>())?;
+        if source != v.0 || image.len() == n {
+            return Err(not_canonical(&format!("the pair of vertex {v}")));
+        }
+        let w = VertexId(w);
+        check_image(&skel, task.output(), v, w).map_err(invalid)?;
+        image.push(w);
+        Ok(())
+    })?;
+    if image.len() < n {
+        return Err(invalid(format!("vertex {} unmapped", image.len())));
+    }
+    check_simplices(task, &skel, tables, &image).map_err(invalid)?;
+    Ok((skel, image))
 }
 
 /// Reads and **re-validates** a record produced by [`report_to_json`],
@@ -1727,5 +1697,355 @@ mod tests {
         assert_eq!(c.num_facets(), cb.num_facets());
         let sub = iis_topology::sds_iterated(t.input(), wb.rounds());
         crate::solvability::validate_decision_map(&t, &sub, wb.map()).unwrap();
+    }
+
+    /// The record reader this crate used before records were read by
+    /// `json::Reader`: a hand-written lexer over the canonical bytes, kept
+    /// as the oracle of the record differential below.
+    mod lexer_oracle {
+        use super::super::{witness_skeleton, TaskTables};
+        use crate::solvability::{check_image, check_simplices};
+        use iis_obs::Json;
+        use iis_tasks::Task;
+        use iis_topology::VertexId;
+
+        struct Lexer<'a> {
+            text: &'a str,
+            at: usize,
+        }
+
+        impl Lexer<'_> {
+            fn fail<T>(&self, expected: &str) -> Result<T, String> {
+                Err(format!("at byte {}: expected {expected}", self.at))
+            }
+
+            fn eat(&mut self, lit: &str) -> bool {
+                let hit = self.text.as_bytes()[self.at..].starts_with(lit.as_bytes());
+                if hit {
+                    self.at += lit.len();
+                }
+                hit
+            }
+
+            fn lit(&mut self, lit: &str) -> Result<(), String> {
+                if self.eat(lit) {
+                    Ok(())
+                } else {
+                    self.fail(lit)
+                }
+            }
+
+            fn uint(&mut self) -> Result<usize, String> {
+                let bytes = &self.text.as_bytes()[self.at..];
+                let digits = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+                if digits == 0 || (digits > 1 && bytes[0] == b'0') {
+                    return self.fail("an integer");
+                }
+                let mut n: usize = 0;
+                for &d in &bytes[..digits] {
+                    n = match n
+                        .checked_mul(10)
+                        .and_then(|n| n.checked_add((d - b'0') as usize))
+                    {
+                        Some(n) => n,
+                        None => return self.fail("a smaller integer"),
+                    };
+                }
+                self.at += digits;
+                Ok(n)
+            }
+
+            fn bool(&mut self) -> Result<bool, String> {
+                if self.eat("true") {
+                    Ok(true)
+                } else if self.eat("false") {
+                    Ok(false)
+                } else {
+                    self.fail("`true` or `false`")
+                }
+            }
+
+            fn string(&mut self) -> Result<(), String> {
+                let rest = &self.text[self.at..];
+                let Some(body) = rest.strip_prefix('"') else {
+                    return self.fail("a string");
+                };
+                let mut escaped = false;
+                let end = body.bytes().position(|b| {
+                    let close = b == b'"' && !escaped;
+                    escaped = b == b'\\' && !escaped;
+                    close
+                });
+                let Some(end) = end else {
+                    return self.fail("a closing `\"`");
+                };
+                let raw = &body[..end];
+                let literal = &rest[..end + 2];
+                if raw.bytes().any(|b| b == b'\\' || b < 0x20) {
+                    let canonical = Json::parse(literal)
+                        .ok()
+                        .and_then(|j| j.as_str().map(str::to_string))
+                        .is_some_and(|s| {
+                            let mut again = String::new();
+                            iis_obs::json::write_string(&mut again, &s);
+                            again == literal
+                        });
+                    if !canonical {
+                        return self.fail("a canonically escaped string");
+                    }
+                }
+                self.at += literal.len();
+                Ok(())
+            }
+        }
+
+        /// Whether the lexer accepts `text` as the answer to
+        /// `(task, max_rounds)`.
+        pub(super) fn accepts(
+            task: &Task,
+            shape: u64,
+            tables: &TaskTables,
+            text: &str,
+            max_rounds: usize,
+        ) -> Result<(), String> {
+            let mut r = Lexer { text, at: 0 };
+            r.lit("{\"results\":[")?;
+            let mut rounds = 0;
+            let solvable = loop {
+                r.lit("[")?;
+                if r.uint()? != rounds {
+                    return r.fail("the next round");
+                }
+                r.lit(",")?;
+                let ok = r.bool()?;
+                r.lit("]")?;
+                rounds += 1;
+                if ok {
+                    r.lit("]")?;
+                    break true;
+                }
+                if r.eat("]") {
+                    break false;
+                }
+                r.lit(",")?;
+            };
+            if (solvable && rounds > max_rounds + 1) || (!solvable && rounds != max_rounds + 1) {
+                return Err("does not answer max_rounds".to_string());
+            }
+            r.lit(",\"task\":")?;
+            r.string()?;
+            r.lit(",\"witness\":")?;
+            if r.eat("null") {
+                if solvable {
+                    return Err("solvable verdict without a witness".to_string());
+                }
+            } else {
+                r.lit("{\"b\":")?;
+                let b = r.uint()?;
+                if !solvable || b != rounds - 1 {
+                    return Err("witness round disagrees".to_string());
+                }
+                r.lit(",\"map\":[")?;
+                let skel = witness_skeleton(task.input(), shape, b);
+                let n = skel.tower().complex().num_vertices();
+                let mut image = Vec::with_capacity(n);
+                for v in (0..n as u32).map(VertexId) {
+                    if v.0 > 0 && !r.eat(",") {
+                        return Err(format!("vertex {v} unmapped"));
+                    }
+                    r.lit("[")?;
+                    if r.uint()? != v.index() {
+                        return r.fail("the pair of the next vertex");
+                    }
+                    r.lit(",")?;
+                    let w = r.uint()?;
+                    r.lit("]")?;
+                    let w = VertexId(u32::try_from(w).unwrap_or(u32::MAX));
+                    check_image(&skel, task.output(), v, w)?;
+                    image.push(w);
+                }
+                r.lit("]}")?;
+                check_simplices(task, &skel, tables, &image)?;
+            }
+            r.lit("}")?;
+            if r.at != text.len() {
+                return r.fail("the end of the record");
+            }
+            Ok(())
+        }
+    }
+
+    /// `text` with one edit of the kinds a non-canonical or corrupt record
+    /// shows: whitespace, a number rewritten (leading zero, `1.0`, `1e0`,
+    /// `-0`), a member duplicated or two swapped, a verdict or map pair
+    /// dropped, duplicated or added, a verdict flipped, an escape spelled
+    /// otherwise, or a random byte cut, dropped or inserted.
+    fn mutate_record(rng: &mut iis_obs::Rng, text: &str) -> String {
+        const ESCAPES: [(&str, &str); 6] = [
+            ("\\\"", "\\u0022"),
+            ("\\n", "\\u000a"),
+            ("\\n", "\\u000A"),
+            ("\\u001f", "\\u001F"),
+            ("ε", "\\u03b5"),
+            ("/", "\\/"),
+        ];
+        let bytes = text.as_bytes();
+        let numbers: Vec<(usize, usize)> = {
+            let mut spans = Vec::new();
+            let mut i = 0;
+            while i < bytes.len() {
+                if bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_alphanumeric()) {
+                    let end = i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+                    spans.push((i, end));
+                    i = end;
+                } else {
+                    i += 1;
+                }
+            }
+            spans
+        };
+        // a random char boundary
+        let at = rng.random_range(0..bytes.len() + 1);
+        let at = (0..=at).rev().find(|&i| text.is_char_boundary(i)).unwrap();
+        let splice = |start: usize, end: usize, with: &str| {
+            format!("{}{with}{}", &text[..start], &text[end..])
+        };
+        match rng.random_range(0u32..9) {
+            0 => {
+                let ws = *rng.choose(&[" ", "\n", "\t", "\r\n  "]).unwrap();
+                splice(at, at, ws)
+            }
+            1 if !numbers.is_empty() => {
+                let &(start, end) = rng.choose(&numbers).unwrap();
+                let n = &text[start..end];
+                let with = match rng.random_range(0u32..5) {
+                    0 => format!("0{n}"),
+                    1 => format!("{n}.0"),
+                    2 => format!("{n}e0"),
+                    3 => format!("-{n}"),
+                    _ => format!("{n}E+0"),
+                };
+                splice(start, end, &with)
+            }
+            2 => {
+                // a member appended again, or the first two swapped
+                let member = *rng
+                    .choose(&[",\"task\":\"x\"", ",\"witness\":null", ",\"results\":[]"])
+                    .unwrap();
+                let task_at = text.find(",\"task\":");
+                let witness_at = text.find(",\"witness\":");
+                match (task_at, witness_at) {
+                    (Some(task_at), Some(witness_at))
+                        if rng.random_bool(0.5) && task_at < witness_at =>
+                    {
+                        format!(
+                            "{{{},{}{}",
+                            &text[task_at + 1..witness_at],
+                            &text[1..task_at],
+                            &text[witness_at..]
+                        )
+                    }
+                    _ if text.ends_with('}') => splice(text.len() - 1, text.len() - 1, member),
+                    _ => splice(at, at, member),
+                }
+            }
+            3 => {
+                // a pair dropped, duplicated, or a stray one added
+                let pairs: Vec<usize> = text.match_indices("],[").map(|(i, _)| i + 2).collect();
+                let Some(&start) = rng.choose(&pairs) else {
+                    return text.replacen("[[0,", "[[0,0],[0,", 1);
+                };
+                let Some(len) = text[start..].find(']') else {
+                    return text.to_string();
+                };
+                let end = start + len + 1;
+                let pair = text[start..end].to_string();
+                match rng.random_range(0u32..3) {
+                    0 => splice(start - 1, end, ""),
+                    1 => splice(start, start, &format!("{pair},")),
+                    _ => splice(end, end, ",[99999,0]"),
+                }
+            }
+            4 if rng.random_bool(0.5) => {
+                // a verdict flipped
+                let verdicts: Vec<usize> = text
+                    .match_indices(",false]")
+                    .chain(text.match_indices(",true]"))
+                    .map(|(i, _)| i + 1)
+                    .collect();
+                let Some(&at) = rng.choose(&verdicts) else {
+                    return text.to_string();
+                };
+                if text[at..].starts_with("true") {
+                    splice(at, at + 4, "false")
+                } else {
+                    splice(at, at + 5, "true")
+                }
+            }
+            4 => {
+                // the name's escapes spelled otherwise
+                let (from, to) = *rng.choose(&ESCAPES).unwrap();
+                text.replacen(from, to, 1)
+            }
+            5 => text[..at].to_string(),
+            6 if at < bytes.len() && bytes[at].is_ascii() => splice(at, at + 1, ""),
+            _ => {
+                let b = *rng.choose(b"{}[]:,\"\\ -.e0u1tfn").unwrap() as char;
+                splice(at, at, &b.to_string())
+            }
+        }
+    }
+
+    #[test]
+    fn the_reader_accepts_exactly_the_records_the_lexer_accepted() {
+        let mut rng = iis_obs::Rng::seed_from_u64(0x5eed_0028);
+        let mut accepted = 0;
+        for (spec, b) in [
+            ("eps:1:3", 2),
+            ("consensus:1", 2),
+            ("trivial:2", 1),
+            ("renaming:1:3", 1),
+            ("oneshot:1", 1),
+        ] {
+            let task = parse_spec(spec).unwrap();
+            let keyed = KeyedTask::new(task.clone());
+            let record =
+                report_to_json(&solve_up_to_opts(&task, b, &SolveOptions::new())).to_string();
+            let mut corpus = vec![record.clone()];
+            // names that need escapes, written canonically
+            for name in ["with \"quotes\"\n", "ctl\u{1f}ε", "a/b"] {
+                let mut lit = String::new();
+                iis_obs::json::write_string(&mut lit, name);
+                corpus.push(record.replacen(&format!("\"{}\"", task.name()), &lit, 1));
+            }
+            for i in 0..400 {
+                let base = corpus[i % 4].clone();
+                let mut text = mutate_record(&mut rng, &base);
+                if rng.random_bool(0.2) {
+                    text = mutate_record(&mut rng, &text);
+                }
+                corpus.push(text);
+            }
+            for text in &corpus {
+                for max_rounds in [b, b + 1] {
+                    let lexer = lexer_oracle::accepts(
+                        keyed.task(),
+                        keyed.shape,
+                        &keyed.tables,
+                        text,
+                        max_rounds,
+                    );
+                    let reader = validate_record(&keyed, max_rounds, text);
+                    assert_eq!(
+                        reader.is_ok(),
+                        lexer.is_ok(),
+                        "{spec} b ≤ {max_rounds}: reader {reader:?}, lexer {lexer:?} on {text}"
+                    );
+                    accepted += usize::from(reader.is_ok());
+                }
+            }
+        }
+        // the corpus holds accepted records, not only refusals
+        assert!(accepted >= 10, "{accepted}");
     }
 }

@@ -39,7 +39,7 @@
 //! index among smallest domains > 1), value order (ascending `VertexId`,
 //! which equals ascending bit index within a color universe), propagation
 //! queue discipline (LIFO with an in-queue flag, revisions in position
-//! order), and node-charging points (one charge per `backtrack` entry and
+//! order), and node-charging points (one charge per node `backtrack` enters and
 //! per split expansion). Residues are a pure cache: they change which
 //! support is *found first*, never whether one exists. Sequential
 //! verdicts, witnesses, and `solve.nodes` accounting are therefore
@@ -621,6 +621,17 @@ pub(crate) struct BitsetCsp<'s> {
     encoder: Arc<OutputEncoder>,
 }
 
+/// An open node of [`BitsetCsp::backtrack`]'s descent: the variable it
+/// branches on, its candidate values (from `cands[cbase]` up to the next
+/// open node's) with `next` the first untried one, and the trail length
+/// to undo to between values.
+struct Frame {
+    vi: usize,
+    cbase: usize,
+    next: usize,
+    mark: usize,
+}
+
 /// One search worker's mutable state: the domain bitwords, the undo trail,
 /// the residue cache, reusable scratch buffers and the [`Tally`] —
 /// everything the inner loop touches, allocated once per (sub)search.
@@ -846,57 +857,78 @@ impl BitsetCsp<'_> {
         self.encoder.universes[self.var_color[vi] as usize][val as usize]
     }
 
-    /// Complete backtracking with propagation (MAC), trail-undo instead of
-    /// domain cloning. Same variable pick (lowest index among smallest
-    /// domains > 1), same value order, same charging points as the
-    /// reference engine's MAC search.
-    fn backtrack(
-        &self,
-        st: &mut SearchState,
-        ctx: &SearchCtx<'_>,
-    ) -> Result<Option<Vec<VertexId>>, Halt> {
-        ctx.charge(&mut st.tally)?;
+    /// The branching variable: the lowest index among the smallest
+    /// domains of size > 1; `None` when every domain is a singleton.
+    fn pick(&self, dom: &[u64]) -> Option<usize> {
         let mut pick = None;
         let mut best = u32::MAX;
         for vi in 0..self.num_vars {
-            let len = self.dom_len(&st.dom, vi);
+            let len = self.dom_len(dom, vi);
             if len > 1 && len < best {
                 best = len;
                 pick = Some(vi);
             }
         }
-        let Some(vi) = pick else {
-            // all singleton: done
-            return Ok(Some(self.extract(st)));
-        };
-        let cbase = st.cands.len();
-        {
-            // split the borrow: push_values reads dom, writes cands
-            let (dom, cands) = (&st.dom, &mut st.cands);
-            self.push_values(dom, vi, cands);
-        }
-        let cnt = st.cands.len() - cbase;
-        let mut result = Ok(None);
-        for k in 0..cnt {
-            let val = st.cands[cbase + k];
-            let mark = st.trail.len();
-            self.assign(st, vi, val);
-            if self.propagate(st, Some(vi)) {
-                match self.backtrack(st, ctx) {
-                    Ok(None) => {}
-                    other => {
-                        result = other;
-                        break;
-                    }
-                }
+        pick
+    }
+
+    /// Complete backtracking with propagation (MAC), trail-undo instead of
+    /// domain cloning. Same variable pick (lowest index among smallest
+    /// domains > 1), same value order, same charging points as the
+    /// reference engine's MAC search.
+    ///
+    /// The descent is a loop over an explicit stack of [`Frame`]s, one per
+    /// open node, so a search as deep as the tower has vertices runs in
+    /// any thread's stack.
+    fn backtrack(
+        &self,
+        st: &mut SearchState,
+        ctx: &SearchCtx<'_>,
+    ) -> Result<Option<Vec<VertexId>>, Halt> {
+        let mut frames: Vec<Frame> = Vec::new();
+        loop {
+            // enter a node: charge it, then branch on its variable
+            ctx.charge(&mut st.tally)?;
+            let Some(vi) = self.pick(&st.dom) else {
+                // all singleton: done
+                return Ok(Some(self.extract(st)));
+            };
+            let cbase = st.cands.len();
+            {
+                // split the borrow: push_values reads dom, writes cands
+                let (dom, cands) = (&st.dom, &mut st.cands);
+                self.push_values(dom, vi, cands);
             }
-            st.undo_to(mark);
+            frames.push(Frame {
+                vi,
+                cbase,
+                next: cbase,
+                mark: st.trail.len(),
+            });
+            // find the next value that propagates, closing exhausted nodes
+            loop {
+                let Some(f) = frames.last_mut() else {
+                    return Ok(None);
+                };
+                if f.next == st.cands.len() {
+                    // every value failed: the node is refuted
+                    st.cands.truncate(f.cbase);
+                    frames.pop();
+                    st.tally.backtracks += 1;
+                    if let Some(parent) = frames.last() {
+                        st.undo_to(parent.mark);
+                    }
+                    continue;
+                }
+                let (vi, val, mark) = (f.vi, st.cands[f.next], f.mark);
+                f.next += 1;
+                self.assign(st, vi, val);
+                if self.propagate(st, Some(vi)) {
+                    break;
+                }
+                st.undo_to(mark);
+            }
         }
-        st.cands.truncate(cbase);
-        if matches!(result, Ok(None)) {
-            st.tally.backtracks += 1;
-        }
-        result
     }
 
     /// Expands the root state `st` breadth-first, in the sequential
@@ -926,16 +958,7 @@ impl BitsetCsp<'_> {
                     next.push(state);
                     continue;
                 }
-                let mut pick = None;
-                let mut best = u32::MAX;
-                for vi in 0..self.num_vars {
-                    let len = self.dom_len(&state, vi);
-                    if len > 1 && len < best {
-                        best = len;
-                        pick = Some(vi);
-                    }
-                }
-                let Some(vi) = pick else {
+                let Some(vi) = self.pick(&state) else {
                     next.push(state);
                     continue;
                 };

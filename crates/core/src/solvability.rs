@@ -25,7 +25,7 @@ use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::{arena_sds_tower, ArenaSds};
-use iis_topology::{Complex, Simplex, SimplicialMap, Subdivision, VertexId};
+use iis_topology::{ordered_bell, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -334,10 +334,9 @@ pub const TOWER_FACET_CAP: u64 = 100_000;
 /// ```
 pub fn tower_facets(input: &Complex, b: usize) -> u64 {
     let exponent = u32::try_from(b).unwrap_or(u32::MAX);
-    let total = input.facets().fold(0u128, |sum, f| {
+    input.facets().fold(0u64, |sum, f| {
         sum.saturating_add(ordered_bell(f.len()).saturating_pow(exponent))
-    });
-    u64::try_from(total).unwrap_or(u64::MAX)
+    })
 }
 
 /// Why round `b` was not searched, when `SDS^b(input)` is past
@@ -350,22 +349,6 @@ pub fn tower_too_large(input: &Complex, b: usize) -> Option<String> {
             "SDS^{b}(I) would have {facets} facets, past the cap of {TOWER_FACET_CAP}; nothing was built"
         )
     })
-}
-
-/// The ordered Bell (Fubini) number of `n`, saturating: the ordered
-/// partitions of `n` processes, `a(n) = Σ_{k=1..n} C(n, k) a(n−k)`.
-fn ordered_bell(n: usize) -> u128 {
-    let mut a = vec![1u128];
-    for m in 1..=n {
-        let mut binomial = 1u128;
-        let mut sum = 0u128;
-        for k in 1..=m {
-            binomial = binomial * (m - k + 1) as u128 / k as u128;
-            sum = sum.saturating_add(binomial.saturating_mul(a[m - k]));
-        }
-        a.push(sum);
-    }
-    a[n]
 }
 
 /// Outcome of a budgeted decision-map search.

@@ -12,9 +12,9 @@
 //! a tree with it, and a decoder that needs no tree reads its value
 //! straight from the text with it. Text that is already compact JSON can
 //! travel without a tree: the reader's skip mode ([`validate`],
-//! [`layout`]) checks a document and cuts it into byte spans, and
-//! [`ObjectWriter`] splices such text into a new object — how stored
-//! records reach the socket unchanged.
+//! [`Reader::skip`]) checks a value, [`Reader::pos`] before and after it
+//! cuts out its byte span, and [`ObjectWriter`] splices such text into a
+//! new object — how stored records reach the socket unchanged.
 //!
 //! Conversions go through [`ToJson`] / [`FromJson`], the local analogue of
 //! `Serialize` / `Deserialize`. `FromJson` impls are expected to
@@ -24,7 +24,6 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::ops::Range;
 
 /// Maximum nesting depth accepted by the parser.
 const MAX_DEPTH: usize = 128;
@@ -67,6 +66,11 @@ impl JsonError {
     /// for a conversion error.
     pub fn is_syntax(&self) -> bool {
         self.syntax
+    }
+
+    /// The message, without the `json error: ` that `Display` puts first.
+    pub fn message(&self) -> &str {
+        &self.msg
     }
 }
 
@@ -415,19 +419,6 @@ impl ObjectWriter {
     }
 }
 
-/// The top level of a valid document, as byte spans into its text: what a
-/// relay needs to cut a document into pieces without building a tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Layout {
-    /// An object: each member's decoded key and the span of its value, in
-    /// document order (duplicates kept).
-    Object(Vec<(String, Range<usize>)>),
-    /// An array: the span of each item.
-    Array(Vec<Range<usize>>),
-    /// A string, number, literal or `null`.
-    Scalar,
-}
-
 /// Checks that `text` is a document [`Json::parse`] accepts — the same
 /// grammar, depth limit and error messages — without building a tree.
 ///
@@ -438,55 +429,6 @@ pub fn validate(text: &str) -> Result<(), JsonError> {
     let mut r = Reader::new(text);
     r.skip()?;
     r.finish()
-}
-
-/// Validates `text` exactly as [`validate`] does and returns its top-level
-/// [`Layout`]: member or item spans, so `&text[span]` is each child's text.
-///
-/// # Errors
-///
-/// The error `Json::parse` would return.
-///
-/// # Examples
-///
-/// ```
-/// use iis_obs::json::{layout, Layout};
-/// let text = r#"{"a": [1, 2], "b": "x"}"#;
-/// let Layout::Object(members) = layout(text).unwrap() else { panic!() };
-/// assert_eq!(members[0].0, "a");
-/// assert_eq!(&text[members[0].1.clone()], "[1, 2]");
-/// assert!(layout("[1,").is_err());
-/// ```
-pub fn layout(text: &str) -> Result<Layout, JsonError> {
-    let mut r = Reader::new(text);
-    let layout = match r.peek()? {
-        Token::Object => {
-            let mut members = Vec::new();
-            r.object(|r, key| {
-                let start = r.pos();
-                r.skip()?;
-                members.push((key.into_owned(), start..r.pos()));
-                Ok(())
-            })?;
-            Layout::Object(members)
-        }
-        Token::Array => {
-            let mut items = Vec::new();
-            r.array(|r| {
-                let start = r.pos();
-                r.skip()?;
-                items.push(start..r.pos());
-                Ok(())
-            })?;
-            Layout::Array(items)
-        }
-        _ => {
-            r.skip()?;
-            Layout::Scalar
-        }
-    };
-    r.finish()?;
-    Ok(layout)
 }
 
 /// Integers with at most this many digits (and no fraction or exponent)
@@ -512,8 +454,8 @@ pub enum Token {
 }
 
 /// A pull reader over JSON text: the one grammar of this module. The tree
-/// builder ([`Json::parse`]), the skip mode ([`validate`], [`layout`]) and
-/// every decoder that reads a value straight from its text are clients of
+/// builder ([`Json::parse`]), the skip mode ([`validate`], [`Reader::skip`])
+/// and every decoder that reads a value straight from its text are clients of
 /// it, so all of them accept the same documents, under the same depth
 /// limit, with the same error messages at the same byte offsets.
 ///
@@ -716,15 +658,27 @@ impl<'a> Reader<'a> {
     fn number_here(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         let (negative, digits) = self.scan_number()?;
-        let int_start = start + usize::from(negative);
-        if self.pos == int_start + digits && digits <= FAST_INT_DIGITS {
-            let magnitude = self.bytes[int_start..self.pos]
-                .iter()
-                .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+        if let Some(magnitude) = self.short_int(start + usize::from(negative), digits) {
             // exact below 2^53; `-0` stays negative zero, as parse gives
             let n = magnitude as f64;
             return Ok(if negative { -n } else { n });
         }
+        self.float(start)
+    }
+
+    /// The magnitude of the number just scanned, whose integer part of
+    /// `digits` digits starts at `int_start`, when it has no fraction or
+    /// exponent and at most [`FAST_INT_DIGITS`] digits.
+    fn short_int(&self, int_start: usize, digits: usize) -> Option<u64> {
+        (self.pos == int_start + digits && digits <= FAST_INT_DIGITS).then(|| {
+            self.bytes[int_start..self.pos]
+                .iter()
+                .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'))
+        })
+    }
+
+    /// The number just scanned from `start`, as `str::parse` reads it.
+    fn float(&self, start: usize) -> Result<f64, JsonError> {
         self.text[start..self.pos]
             .parse::<f64>()
             .map_err(|_| self.err("invalid number"))
@@ -1045,7 +999,16 @@ impl<'a> Reader<'a> {
     /// integer`, `integer out of range`), with the value consumed.
     pub fn uint<T: TryFrom<u64>>(&mut self) -> Result<T, JsonError> {
         let n = match self.peek()? {
-            Token::Number => Json::Num(self.number_here()?).as_u64(),
+            Token::Number => {
+                let start = self.pos;
+                let (negative, digits) = self.scan_number()?;
+                match self.short_int(start + usize::from(negative), digits) {
+                    // as `as_u64` takes a short integer, with no float:
+                    // `-0` is 0, and any other negative is refused
+                    Some(magnitude) => (!negative || magnitude == 0).then_some(magnitude),
+                    None => Json::Num(self.float(start)?).as_u64(),
+                }
+            }
             _ => {
                 self.skip()?;
                 None
@@ -1068,7 +1031,7 @@ impl<'a> Reader<'a> {
         item: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
         if self.peek()? == Token::Array {
-            return self.array(item);
+            return self.array_here(item);
         }
         self.skip()?;
         Err(JsonError::new(refusal))
@@ -1504,6 +1467,9 @@ mod tests {
                 ),
                 other => panic!("{text}: {other:?}"),
             }
+            // `uint` takes a number exactly as `as_u64` takes the tree's
+            let uint = read_all(text, |r| r.uint::<u64>());
+            assert_eq!(uint.ok(), Json::Num(expected).as_u64(), "{text}");
         }
     }
 
@@ -1612,28 +1578,37 @@ mod tests {
                 "validate disagrees on {doc:?}"
             );
             let Ok(value) = parsed else {
-                assert!(layout(doc).is_err(), "layout accepted {doc:?}");
                 continue;
             };
-            // every span is exactly the text of the child it names
-            match (layout(doc).unwrap(), &value) {
-                (Layout::Object(spans), Json::Obj(members)) => {
-                    assert_eq!(spans.len(), members.len(), "{doc:?}");
-                    for ((key, span), (k, v)) in spans.iter().zip(members) {
-                        assert_eq!(key, k, "{doc:?}");
-                        assert_eq!(&Json::parse(&doc[span.clone()]).unwrap(), v, "{doc:?}");
-                    }
+            // a child's span, cut by `pos` around `skip`, is exactly the
+            // text of the child
+            let mut r = Reader::new(doc);
+            let mut spans = Vec::new();
+            let mut cut = |r: &mut Reader<'_>, key: Option<String>| {
+                let start = r.pos();
+                r.skip()?;
+                spans.push((key, start..r.pos()));
+                Ok(())
+            };
+            let children: Vec<(Option<String>, &Json)> = match &value {
+                Json::Obj(members) => {
+                    r.object(|r, key| cut(r, Some(key.into_owned()))).unwrap();
+                    members.iter().map(|(k, v)| (Some(k.clone()), v)).collect()
                 }
-                (Layout::Array(spans), Json::Arr(items)) => {
-                    assert_eq!(spans.len(), items.len(), "{doc:?}");
-                    for (span, v) in spans.iter().zip(items) {
-                        assert_eq!(&Json::parse(&doc[span.clone()]).unwrap(), v, "{doc:?}");
-                    }
+                Json::Arr(items) => {
+                    r.array(|r| cut(r, None)).unwrap();
+                    items.iter().map(|v| (None, v)).collect()
                 }
-                (Layout::Scalar, v) => {
-                    assert!(!matches!(v, Json::Obj(_) | Json::Arr(_)), "{doc:?}");
+                _ => {
+                    r.skip().unwrap();
+                    Vec::new()
                 }
-                (l, v) => panic!("layout {l:?} for {v:?}"),
+            };
+            r.finish().unwrap();
+            assert_eq!(spans.len(), children.len(), "{doc:?}");
+            for ((key, span), (k, v)) in spans.into_iter().zip(children) {
+                assert_eq!(key, k, "{doc:?}");
+                assert_eq!(&Json::parse(&doc[span]).unwrap(), v, "{doc:?}");
             }
         }
     }

@@ -67,6 +67,8 @@
 pub mod io;
 
 use crate::io::{FsIo, Io};
+use iis_core::cache::{fnv1a64, fnv1a64_from};
+use iis_obs::json::{Reader, Token};
 use iis_obs::{Json, ToJson};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -183,13 +185,11 @@ fn quarantine_target(io: &mut dyn Io, qdir: &Path, path: &Path) -> PathBuf {
     plain
 }
 
-/// The per-record checksum: FNV-1a over `key_hex ++ \0 ++ value`.
+/// The per-record checksum: FNV-1a over `key_hex ++ \0 ++ value`, fed
+/// piece by piece.
 fn record_sum(key: u64, value: &str) -> u64 {
-    let mut preimage = Vec::with_capacity(17 + value.len());
-    preimage.extend_from_slice(key_hex(key).as_bytes());
-    preimage.push(0);
-    preimage.extend_from_slice(value.as_bytes());
-    iis_core::cache::fnv1a64(&preimage)
+    let state = fnv1a64_from(fnv1a64(key_hex(key).as_bytes()), &[0]);
+    fnv1a64_from(state, value.as_bytes())
 }
 
 /// Encodes one record line (v2 format, checksummed), newline included.
@@ -204,19 +204,42 @@ fn encode_record(key: u64, value: &str) -> String {
     )
 }
 
-/// Decodes one record line into `(key, value, integrity_ok)`.
+/// Decodes one record line into `(key, value, integrity_ok)`, in one
+/// pass with the JSON reader: the first `key`, `sum` and `value` members
+/// count (later duplicates are read past), and the value string is
+/// decoded once.
 ///
 /// `None` means the line is not a record at all. `integrity_ok` is `false`
 /// when a `sum` field is present and does not match — a v1 line without
 /// the field passes (its content is still re-validated at the cache
 /// layer).
 fn decode_record(line: &str) -> Option<(u64, String, bool)> {
-    let v = Json::parse(line).ok()?;
-    let key = parse_key_hex(v.get("key")?.as_str()?)?;
-    let value = v.get("value")?.as_str()?.to_string();
-    let ok = match v.get("sum") {
+    let (mut key, mut sum, mut value) = (None, None, None);
+    let mut r = Reader::new(line);
+    r.object(|r, member| {
+        let slot = match member.as_ref() {
+            "key" => &mut key,
+            "sum" => &mut sum,
+            "value" => &mut value,
+            _ => return r.skip(),
+        };
+        if slot.is_some() {
+            return r.skip();
+        }
+        // a member that is not a string is kept as `None`
+        *slot = Some(match r.peek()? {
+            Token::String => Some(r.string()?),
+            _ => r.skip().map(|()| None)?,
+        });
+        Ok(())
+    })
+    .and_then(|()| r.finish())
+    .ok()?;
+    let key = parse_key_hex(&key??)?;
+    let value = value??.into_owned();
+    let ok = match sum {
         None => true,
-        Some(s) => parse_key_hex(s.as_str()?) == Some(record_sum(key, &value)),
+        Some(s) => parse_key_hex(&s?) == Some(record_sum(key, &value)),
     };
     Some((key, value, ok))
 }
@@ -1132,5 +1155,115 @@ mod tests {
             cold_bytes
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The line decoder this crate used before lines were read by
+    /// `json::Reader`: a parsed tree, a copy of the value and a preimage
+    /// copy for the checksum — kept as the oracle of the differential
+    /// below.
+    fn tree_decode(line: &str) -> Option<(u64, String, bool)> {
+        let v = Json::parse(line).ok()?;
+        let key = parse_key_hex(v.get("key")?.as_str()?)?;
+        let value = v.get("value")?.as_str()?.to_string();
+        let ok = match v.get("sum") {
+            None => true,
+            Some(s) => {
+                let mut preimage = key_hex(key).into_bytes();
+                preimage.push(0);
+                preimage.extend_from_slice(value.as_bytes());
+                parse_key_hex(s.as_str()?) == Some(fnv1a64(&preimage))
+            }
+        };
+        Some((key, value, ok))
+    }
+
+    #[test]
+    fn the_reader_decodes_exactly_the_lines_the_tree_decoded() {
+        let mut rng = iis_obs::Rng::seed_from_u64(0x5eed_0029);
+        let values = [
+            "",
+            "answer",
+            r#"{"results":[[0,true]],"task":"t","witness":{"b":0,"map":[[0,1]]}}"#,
+            "line\nbreak \"quoted\" \\ tab\t ε \u{1}",
+        ];
+        let mut lines: Vec<String> = Vec::new();
+        for (i, value) in values.iter().enumerate() {
+            let key = 0x0123_4567_89ab_cdef_u64.wrapping_mul(i as u64 + 1);
+            let v2 = encode_record(key, value);
+            let v2 = v2.trim_end_matches('\n');
+            let (k, s, v) = (
+                Json::Str(key_hex(key)),
+                Json::Str(key_hex(record_sum(key, value))),
+                Json::Str(value.to_string()),
+            );
+            let other = Json::Str("ffffffffffffffff".to_string());
+            let members = |m: &[(&'static str, &Json)]| {
+                Json::obj(m.iter().map(|(n, j)| (*n, (*j).clone()))).to_string()
+            };
+            lines.extend([
+                v2.to_string(),
+                // v1: no sum; members reordered; first occurrence wins
+                members(&[("key", &k), ("value", &v)]),
+                members(&[("value", &v), ("sum", &s), ("key", &k)]),
+                members(&[("key", &k), ("sum", &s), ("value", &v), ("value", &other)]),
+                members(&[("key", &k), ("sum", &other), ("sum", &s), ("value", &v)]),
+                members(&[("key", &other), ("key", &k), ("sum", &s), ("value", &v)]),
+                // whitespace and escapes the writer does not use
+                Json::parse(v2).unwrap().to_string_pretty(),
+                v2.replacen("\"key\"", "\"k\\u0065y\"", 1),
+                // a sum that is not a string, not hex, or not 16 digits
+                members(&[("key", &k), ("sum", &Json::Num(5.0)), ("value", &v)]),
+                members(&[("key", &k), ("sum", &Json::Null), ("value", &v)]),
+                v2.replacen("\"sum\":\"", "\"sum\":\"zz", 1),
+                v2.replacen("\"sum\":\"", "\"sum\":\"+", 1),
+                v2.replacen("\"sum\":\"", "\"sum\":\"0", 1),
+                v2.to_uppercase(),
+                // a key or value that is not a string, extra members
+                members(&[("key", &Json::Num(1.0)), ("value", &v)]),
+                members(&[("key", &k), ("value", &Json::Arr(vec![]))]),
+                members(&[("key", &k), ("extra", &other), ("sum", &s), ("value", &v)]),
+                // trailing bytes, not an object
+                format!("{v2} "),
+                format!("{v2}x"),
+                format!("{v2}{v2}"),
+                format!("[{v2}]"),
+            ]);
+        }
+        // salvage pieces: a flipped newline merges two records
+        let merged = format!("{}{}", lines[0], lines[1]);
+        let cut = lines[0].len();
+        lines.extend([
+            merged[..cut].to_string(),
+            merged[cut..].to_string(),
+            merged.clone(),
+        ]);
+        // random edits: a cut, a dropped byte, an inserted byte
+        for _ in 0..1_500 {
+            let base = rng.choose(&lines[..]).unwrap().clone();
+            let mut bytes = base.into_bytes();
+            let at = rng.random_range(0..bytes.len() + 1);
+            match rng.random_range(0u32..3) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, *rng.choose(b"{}[]:,\"\\ 0aF+-.ek").unwrap()),
+            }
+            if let Ok(line) = String::from_utf8(bytes) {
+                lines.push(line);
+            }
+        }
+        let mut decoded = [0usize; 3];
+        for line in &lines {
+            let got = decode_record(line);
+            assert_eq!(got, tree_decode(line), "{line}");
+            decoded[match got {
+                None => 0,
+                Some((_, _, false)) => 1,
+                Some((_, _, true)) => 2,
+            }] += 1;
+        }
+        // every outcome is in the corpus: refused, checksum failed, good
+        assert!(decoded.iter().all(|&n| n >= 10), "{decoded:?}");
     }
 }

@@ -13,6 +13,7 @@
 //! coincide.
 
 use crate::arena::{self, ArenaComplex};
+use crate::template::WIDTH_LIMIT;
 use crate::{Color, Complex, Label, Simplex, Subdivision, VertexId};
 use iis_obs::metrics::{StaticCounter, StaticHistogram};
 use std::sync::Arc;
@@ -150,13 +151,23 @@ fn deposit(mut select: u32, mut onto: u32) -> u32 {
 /// partitions of an `n`-element set, i.e. the number of maximal simplices of
 /// `SDS(s^{n-1})`.
 ///
-/// # Panics
+/// Exact up to [`WIDTH_LIMIT`] (`a(16)` ≈ 5.3·10¹⁵), and saturated to
+/// `u64::MAX` past it: no wider simplex has a subdivision this crate
+/// builds, so a count past the limit only needs to be past every cap.
 ///
-/// Panics on overflow (`n > 15` overflows `u64` well before 15; we allow up
-/// to `n = 15`).
+/// # Examples
+///
+/// ```
+/// use iis_topology::ordered_bell;
+/// assert_eq!(ordered_bell(3), 13);
+/// assert_eq!(ordered_bell(16), 5_315_654_681_981_355);
+/// assert_eq!(ordered_bell(17), u64::MAX);
+/// ```
 pub fn ordered_bell(n: usize) -> u64 {
     // a(n) = sum_{k=1..n} C(n,k) a(n-k), a(0)=1
-    assert!(n <= 15, "ordered Bell number overflow guard");
+    if n > WIDTH_LIMIT {
+        return u64::MAX;
+    }
     let mut a = vec![0u64; n + 1];
     a[0] = 1;
     for m in 1..=n {

@@ -215,6 +215,41 @@ grep -q '5 jobs accepted, 5 completed' "$serve_out" \
 rm -rf "$serve_log" "$serve_out" "$store_dir"
 echo "solve service smoke: ok"
 
+# Deep-search smoke: eps:3:3 is solvable at b = 2 on a 15 048-vertex
+# tower, a descent as deep as that tower. The parallel search's helpers
+# and the service's workers run it on spawned threads with default
+# stacks; both must answer, and the service must live on and drain.
+out=$(timeout 30 "$IIS" solve eps:3:3 --max-rounds 2 --jobs 2) \
+  || { echo "deep search smoke: solve --jobs 2 failed or ran past 30 s"; echo "$out"; exit 1; }
+echo "$out" | grep -q '^b = 2: SOLVABLE' \
+  || { echo "deep search smoke: solve --jobs 2 did not answer b = 2"; echo "$out"; exit 1; }
+serve_log=$(mktemp)
+"$IIS" serve --addr 127.0.0.1:0 >/dev/null 2>"$serve_log" &
+serve_pid=$!
+port=""
+for _ in $(seq 1 100); do
+  port=$(sed -n 's#^serving on http://127\.0\.0\.1:\([0-9]*\)$#\1#p' "$serve_log")
+  [ -n "$port" ] && break
+  kill -0 "$serve_pid" 2>/dev/null || { echo "deep search smoke: serve died early"; cat "$serve_log"; exit 1; }
+  sleep 0.05
+done
+[ -n "$port" ] || { echo "deep search smoke: no port announced"; cat "$serve_log"; exit 1; }
+status_line() { # status_line METHOD PATH BODY -> the response's status line
+  exec 3<>"/dev/tcp/127.0.0.1/$port"
+  printf '%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
+    "$1" "$2" "${#3}" "$3" >&3
+  head -1 <&3
+  exec 3>&- 3<&-
+}
+status_line POST /solve '{"spec":"eps:3:3","max_rounds":2}' | grep -q '^HTTP/1.1 200' \
+  || { echo "deep search smoke: serve did not answer eps:3:3 at b = 2 with 200"; cat "$serve_log"; exit 1; }
+status_line GET /healthz '' | grep -q '^HTTP/1.1 200' \
+  || { echo "deep search smoke: /healthz after the deep solve is not 200"; cat "$serve_log"; exit 1; }
+post /shutdown '' >/dev/null
+wait "$serve_pid" || { echo "deep search smoke: serve exited nonzero"; cat "$serve_log"; exit 1; }
+rm -f "$serve_log"
+echo "deep search smoke: ok"
+
 # Interner smoke: a fresh `iis serve` asked 80 distinct specs (eps:0:2 …
 # eps:0:81, more than the skeleton memo's 64 entries) in one batch, then
 # the same batch again. The second pass must build no task

@@ -1,7 +1,8 @@
 //! Component-level timing of the warm `iis serve` reply path: store open,
 //! content-address derivation (from scratch and through the spec
 //! interner), record fetch, the one-pass record check on the stored text
-//! (`validate_record`, what a warm shard runs), the tree-based
+//! (`validate_record`, what a warm shard runs on a memo miss, for
+//! `eps:1:9` and `eps:2:3` at b ≤ 2), the tree-based
 //! `report_from_json` for comparison, and the full cached solve.
 //!
 //! Not a calibrated benchmark — a quick probe for attributing the warm
@@ -15,6 +16,7 @@ use iis_core::solvability::SolveOptions;
 use iis_obs::Json;
 use iis_store::Store;
 use iis_tasks::library::approximate_agreement;
+use std::collections::HashMap;
 use std::time::Instant;
 
 fn time<T>(label: &str, reps: u32, mut f: impl FnMut() -> T) {
@@ -60,6 +62,14 @@ fn main() {
     let keyed = intern_spec("eps:1:9").expect("spec");
     time("validate_record", n, || {
         validate_record(&keyed, 2, &text).expect("valid record")
+    });
+    // a three-process witness: its map has ~10× the pairs of eps:1:9's
+    let wide = intern_spec("eps:2:3").expect("spec");
+    let mut wide_store = HashMap::new();
+    solve_up_to_cached(wide.task(), 2, &SolveOptions::new(), &mut wide_store);
+    let wide_text = SolveCache::get(&mut wide_store, wide.key(2)).expect("record present");
+    time("validate_eps_2_3", n, || {
+        validate_record(&wide, 2, &wide_text).expect("valid record")
     });
     time("arena_tower", n, || {
         iis_topology::arena::arena_sds_tower(task.input(), 2)

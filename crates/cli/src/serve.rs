@@ -70,12 +70,15 @@
 //! witness check, and only a record in exactly the canonical encoding
 //! that answers the question's round bound is a hit
 //! (`iis_core::cache::validate_record`), so the bytes sent are the bytes
-//! checked.
+//! checked. The service then keeps the checked bytes in its memo of
+//! verified answers (`iis_core::cache::AnswerMemo`, `cache.answer_hits`):
+//! a re-ask of the same spec at the same bound is one lookup, with no
+//! store read and no second check of bytes already checked.
 
 use crate::{err, flag_value, CliError};
 use iis_cluster::splice_envelope;
 use iis_core::cache::{
-    intern_spec, read_solve_body, solve_keyed, validate_record, KeyedTask, QuestionTask,
+    answer_keyed, intern_spec, read_solve_body, AnswerMemo, Answered, KeyedTask, QuestionTask,
     QuestionText, SolveBody, SolveCache, MAX_BATCH,
 };
 use iis_core::parallel::panic_message;
@@ -93,7 +96,7 @@ use std::time::{Duration, Instant};
 
 /// One accepted solve question and its lifecycle.
 struct Job {
-    spec: String,
+    spec: Arc<str>,
     /// The question's task until a worker takes it to solve; a settled job
     /// keeps only its record text.
     task: Option<Arc<KeyedTask>>,
@@ -103,14 +106,53 @@ struct Job {
     status: Status,
 }
 
+/// What `GET /jobs` shows of one job, copied out of the registry.
+struct JobView {
+    id: u64,
+    spec: Arc<str>,
+    max_rounds: usize,
+    status: Status,
+}
+
+impl JobView {
+    fn of(id: u64, job: &Job) -> JobView {
+        JobView {
+            id,
+            spec: Arc::clone(&job.spec),
+            max_rounds: job.max_rounds,
+            status: job.status.clone(),
+        }
+    }
+
+    /// The job's `GET /jobs` entry, with a settled record spliced in.
+    fn render(&self) -> String {
+        let w = ObjectWriter::new()
+            .field("job", &Json::Num(self.id as f64))
+            .field("spec", &Json::Str(self.spec.to_string()))
+            .field("max_rounds", &self.max_rounds.to_json())
+            .field("status", &Json::Str(self.status.name().to_string()));
+        match &self.status {
+            Status::Done { result, cached } => w
+                .field("cached", &Json::Bool(*cached))
+                .raw("result", result),
+            Status::Failed(e) | Status::Inconclusive(e) | Status::TimedOut(e) => {
+                w.field("error", &Json::Str(e.clone()))
+            }
+            _ => w,
+        }
+        .finish()
+    }
+}
+
 /// Job lifecycle states.
+#[derive(Clone)]
 enum Status {
     Queued,
     Running,
     /// `result` is the canonical record text; `cached` is whether the
     /// worker found it already stored (e.g. written by a coalesced sibling).
     Done {
-        result: String,
+        result: Arc<str>,
         cached: bool,
     },
     /// The solve panicked: a fault of the shard (`500`).
@@ -139,7 +181,7 @@ impl Status {
 }
 
 /// Most settled jobs the registry keeps, so a long-running shard's
-/// registry (and the `GET /jobs` rendered under its lock) stays bounded.
+/// registry (and a `GET /jobs` listing) stays bounded.
 /// A full batch of `wait: false` questions fits.
 const SETTLED_JOBS_CAP: usize = MAX_BATCH;
 
@@ -208,6 +250,9 @@ pub(crate) struct SolveService {
     state: Mutex<State>,
     changed: Condvar,
     store: Mutex<Box<dyn SolveCache + Send>>,
+    /// The records this service read from `store` and verified, so a
+    /// re-ask is one lookup (see [`AnswerMemo`]).
+    answers: AnswerMemo,
     stop_workers: AtomicBool,
     /// Most jobs allowed to *wait* for a worker; past this, `POST /solve`
     /// answers `503` + `Retry-After` instead of queueing unboundedly.
@@ -357,12 +402,15 @@ impl SolveService {
     ) -> SolveService {
         // register at zero so the serve counters scrape before first use
         for name in [
+            "serve.cache_hits",
             "serve.rejected",
             "serve.timeouts",
             "serve.batch_requests",
             "cache.spec_hits",
             "cache.spec_builds",
             "cache.spec_evictions",
+            "cache.answer_hits",
+            "cache.answer_evictions",
         ] {
             iis_obs::metrics::Counter::handle(name);
         }
@@ -381,6 +429,7 @@ impl SolveService {
             }),
             changed: Condvar::new(),
             store: Mutex::new(store),
+            answers: AnswerMemo::default(),
             stop_workers: AtomicBool::new(false),
             max_queue,
             timeout,
@@ -425,22 +474,18 @@ impl SolveService {
             // a panicking solve fails its job, not the worker: every lock
             // it may hold recovers from poisoning
             let solved = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                solve_keyed(&task, max_rounds, &opts, &mut SharedCache(&self.store))
+                let store = &mut SharedCache(&self.store);
+                answer_keyed(&task, max_rounds, &opts, store, &self.answers)
             }));
             let status = match solved {
                 Err(panic) => Status::Failed(format!("solve panicked: {}", panic_message(&*panic))),
-                Ok(out)
-                    if out.report.witness().is_some()
-                        || out.report.results().len() == max_rounds + 1 =>
-                {
-                    Status::Done {
-                        result: iis_core::cache::report_to_json(&out.report).to_string(),
-                        cached: out.hit,
-                    }
-                }
+                Ok(Answered::Record { text, hit }) => Status::Done {
+                    result: text,
+                    cached: hit,
+                },
                 // an undecided sweep stored nothing; which limit stopped it
-                Ok(out) => {
-                    let b = out.report.results().len();
+                Ok(Answered::Undecided(report)) => {
+                    let b = report.results().len();
                     match tower_too_large(task.task().input(), b) {
                         Some(why) => Status::Inconclusive(format!("inconclusive: {why}")),
                         None if self
@@ -479,7 +524,9 @@ impl SolveService {
         loop {
             match st.jobs.get(&id).map(|j| &j.status) {
                 Some(Status::Done { result, cached }) => {
-                    return Response::json(record_reply(coalesced, *cached, Some(id), key, result));
+                    let (result, cached) = (Arc::clone(result), *cached);
+                    drop(st);
+                    return Response::json(record_reply(coalesced, cached, Some(id), key, &result));
                 }
                 Some(Status::Failed(e)) => return Self::unanswered(500, id, key, e),
                 Some(Status::Inconclusive(e)) => return Self::unanswered(422, id, key, e),
@@ -563,16 +610,13 @@ impl SolveService {
     /// batch keeps the whole worker pool busy.
     fn admit(&self, req: &SolveRequest) -> Admission {
         let key = req.task.key(req.max_rounds);
-        // fast path: the store already holds a record that revalidates;
-        // the reply carries its stored bytes
-        if let Some(text) = SharedCache(&self.store).get(key) {
-            if validate_record(&req.task, req.max_rounds, &text).is_ok() {
-                static CACHE_HITS: StaticCounter = StaticCounter::new("serve.cache_hits");
-                CACHE_HITS.incr();
-                return Admission::Ready(Response::json(record_reply(
-                    false, true, None, key, &text,
-                )));
-            }
+        // fast path: a record this service verified, or one the store
+        // holds that revalidates; the reply carries its stored bytes
+        let store = &mut SharedCache(&self.store);
+        if let Some(text) = self.answers.answer(&req.task, req.max_rounds, store) {
+            static CACHE_HITS: StaticCounter = StaticCounter::new("serve.cache_hits");
+            CACHE_HITS.incr();
+            return Admission::Ready(Response::json(record_reply(false, true, None, key, &text)));
         }
         // coalesce onto an in-flight job for the same key, or enqueue
         let mut st = lock(&self.state);
@@ -599,7 +643,7 @@ impl SolveService {
         st.jobs.insert(
             id,
             Job {
-                spec: req.spec.clone(),
+                spec: req.spec.as_str().into(),
                 task: Some(Arc::clone(&req.task)),
                 key,
                 max_rounds: req.max_rounds,
@@ -763,39 +807,27 @@ impl SolveService {
         ))
     }
 
-    /// One job's `GET /jobs` entry, with a settled record spliced in.
-    fn job_json(id: u64, job: &Job) -> String {
-        let w = ObjectWriter::new()
-            .field("job", &Json::Num(id as f64))
-            .field("spec", &Json::Str(job.spec.clone()))
-            .field("max_rounds", &job.max_rounds.to_json())
-            .field("status", &Json::Str(job.status.name().to_string()));
-        match &job.status {
-            Status::Done { result, cached } => w
-                .field("cached", &Json::Bool(*cached))
-                .raw("result", result),
-            Status::Failed(e) | Status::Inconclusive(e) | Status::TimedOut(e) => {
-                w.field("error", &Json::Str(e.clone()))
-            }
-            _ => w,
-        }
-        .finish()
-    }
-
-    /// `GET /jobs` and `GET /jobs/<id>`.
+    /// `GET /jobs` and `GET /jobs/<id>`. The jobs listed are copied out
+    /// under the state lock (a settled record is shared, not copied) and
+    /// rendered after it is released, so a long listing never holds up
+    /// admission or the workers.
     fn handle_jobs(&self, path: &str) -> Response {
-        let st = lock(&self.state);
         if path == "/jobs" {
-            let jobs: Vec<String> = st
+            let listed: Vec<JobView> = lock(&self.state)
                 .jobs
                 .iter()
-                .map(|(&id, job)| Self::job_json(id, job))
+                .map(|(&id, job)| JobView::of(id, job))
                 .collect();
+            let jobs: Vec<String> = listed.iter().map(JobView::render).collect();
             return Response::json(format!("{{\"jobs\":[{}]}}", jobs.join(",")));
         }
         let id = path.strip_prefix("/jobs/").and_then(|s| s.parse().ok());
-        match id.and_then(|id: u64| st.jobs.get(&id).map(|j| (id, j))) {
-            Some((id, job)) => Response::json(Self::job_json(id, job)),
+        let view = id.and_then(|id: u64| {
+            let st = lock(&self.state);
+            st.jobs.get(&id).map(|job| JobView::of(id, job))
+        });
+        match view {
+            Some(view) => Response::json(view.render()),
             None => Response::not_found(),
         }
     }
@@ -1722,7 +1754,7 @@ mod tests {
                 st.jobs.insert(
                     id,
                     Job {
-                        spec: "wide".to_string(),
+                        spec: "wide".into(),
                         task: Some(Arc::clone(&task)),
                         key,
                         max_rounds,
@@ -1806,7 +1838,7 @@ mod tests {
         let mut records = Vec::new();
         for spec in specs {
             let keyed = intern_spec(spec).unwrap();
-            solve_keyed(&keyed, 2, &SolveOptions::new(), &mut store);
+            iis_core::cache::solve_up_to_cached(keyed.task(), 2, &SolveOptions::new(), &mut store);
             let key = keyed.key(2);
             records.push((key, store.get(&key).cloned().unwrap()));
         }
@@ -1897,6 +1929,150 @@ mod tests {
         // an empty registry lists no jobs
         let r = stalled_service(8, None).handle_jobs("/jobs");
         assert_eq!(r.body, "{\"jobs\":[]}");
+    }
+
+    #[test]
+    fn jobs_listed_outside_the_lock_keep_their_bytes() {
+        let svc = stalled_service(8, None);
+        for spec in ["eps:1:3", "trivial:1", "oneshot:1"] {
+            let body = format!(r#"{{"spec": "{spec}", "max_rounds": 1, "wait": false}}"#);
+            assert_eq!(svc.handle_solve(&body).status, 202);
+        }
+        let record = r#"{"results":[[0,true]],"task":"t","witness":null}"#;
+        {
+            let mut st = lock(&svc.state);
+            let done = Status::Done {
+                result: record.into(),
+                cached: true,
+            };
+            st.settle(1, done);
+            st.settle(3, Status::Inconclusive("inconclusive: \"why\"".into()));
+        }
+        let job = |id: f64, spec: &str, status: &str, tail: Vec<(&'static str, Json)>| {
+            let mut fields = vec![
+                ("job", Json::Num(id)),
+                ("spec", Json::Str(spec.into())),
+                ("max_rounds", Json::Num(1.0)),
+                ("status", Json::Str(status.into())),
+            ];
+            fields.extend(tail);
+            Json::obj(fields)
+        };
+        let listed = Json::obj([(
+            "jobs",
+            Json::Arr(vec![
+                job(
+                    1.0,
+                    "eps:1:3",
+                    "done",
+                    vec![
+                        ("cached", Json::Bool(true)),
+                        ("result", Json::parse(record).unwrap()),
+                    ],
+                ),
+                job(2.0, "trivial:1", "queued", vec![]),
+                job(
+                    3.0,
+                    "oneshot:1",
+                    "inconclusive",
+                    vec![("error", Json::Str("inconclusive: \"why\"".into()))],
+                ),
+            ]),
+        )]);
+        assert_eq!(svc.handle_jobs("/jobs").body, listed.to_string());
+        let one = svc.handle_jobs("/jobs/1").body;
+        assert_eq!(
+            one,
+            listed.get("jobs").unwrap().as_array().unwrap()[0].to_string()
+        );
+    }
+
+    /// The record a `POST /solve` reply carries.
+    fn result_of(reply: &str) -> &str {
+        let spliced = reply.split_once("\"result\":").unwrap().1;
+        spliced.strip_suffix('}').unwrap()
+    }
+
+    #[test]
+    fn a_verified_record_is_served_after_its_segment_is_corrupted() {
+        let dir = std::env::temp_dir().join(format!("iis_serve_memo_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keyed = intern_spec("eps:1:3").unwrap();
+        {
+            let mut store = Store::open(&dir).unwrap();
+            iis_core::cache::solve_up_to_cached(keyed.task(), 2, &SolveOptions::new(), &mut store);
+            store.flush().unwrap();
+        }
+        let svc = Arc::new(SolveService::new(
+            Box::new(Store::open(&dir).unwrap()),
+            8,
+            None,
+            None,
+        ));
+        let worker = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || svc.worker_loop())
+        };
+        let body = r#"{"spec": "eps:1:3", "max_rounds": 2}"#;
+        let first = svc.handle_solve(body);
+        assert_eq!(first.status, 200);
+        assert!(
+            first.body.starts_with(r#"{"cached":true,"#),
+            "{}",
+            first.body
+        );
+        // corrupt the record on disk, keeping every offset
+        let seg = dir.join("seg-00000.jsonl");
+        let text = std::fs::read_to_string(&seg).unwrap();
+        let corrupt = text.replacen("[[0,", "[[7,", 1);
+        assert_ne!(corrupt, text);
+        std::fs::write(&seg, corrupt).unwrap();
+        // the re-ask answers the bytes this service verified
+        let again = svc.handle_solve(body);
+        assert_eq!((again.status, &again.body), (200, &first.body));
+        // while the store itself no longer hands them over
+        assert_eq!(lock(&svc.store).get(keyed.key(2)), None);
+        svc.stop_workers.store(true, Ordering::Release);
+        svc.changed.notify_all();
+        worker.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_service_on_a_fresh_store_solves_and_persists() {
+        let keyed = intern_spec("eps:1:3").unwrap();
+        let mut filled = HashMap::new();
+        iis_core::cache::solve_up_to_cached(keyed.task(), 2, &SolveOptions::new(), &mut filled);
+        let warm = SolveService::new(Box::new(filled), 8, None, None);
+        let body = r#"{"spec": "eps:1:3", "max_rounds": 2}"#;
+        let hit = warm.handle_solve(body);
+        assert_eq!(warm.handle_solve(body).body, hit.body, "a memo hit");
+        assert!(hit.body.starts_with(r#"{"cached":true,"#), "{}", hit.body);
+        // another service on another store shares nothing with the first
+        let fresh = Arc::new(stalled_service(8, None));
+        let worker = {
+            let svc = Arc::clone(&fresh);
+            std::thread::spawn(move || svc.worker_loop())
+        };
+        let cold = fresh.handle_solve(body);
+        assert_eq!(cold.status, 200);
+        assert!(
+            cold.body.starts_with(r#"{"cached":false,"#),
+            "{}",
+            cold.body
+        );
+        assert_eq!(result_of(&cold.body), result_of(&hit.body));
+        let stored = lock(&fresh.store).get(keyed.key(2));
+        assert_eq!(stored.as_deref(), Some(result_of(&hit.body)));
+        let rehit = fresh.handle_solve(body);
+        assert!(
+            rehit.body.starts_with(r#"{"cached":true,"#),
+            "{}",
+            rehit.body
+        );
+        fresh.stop_workers.store(true, Ordering::Release);
+        fresh.changed.notify_all();
+        worker.join().unwrap();
     }
 
     #[test]
@@ -2109,6 +2285,16 @@ mod tests {
             .unwrap()
             .get("witness")
             .is_some_and(|w| *w != Json::Null));
+        // nothing was stored, so the memo of verified records (filled
+        // only from the store) holds nothing: the re-ask is solved again
+        let (_, again) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "eps:1:3", "max_rounds": 2}"#,
+        );
+        assert_eq!(again.get("cached"), Some(&Json::Bool(false)), "{again:?}");
+        assert_eq!(again.get("result"), reply.get("result"));
         shutdown(addr, handle);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -74,15 +74,18 @@
 //! working set holds far more tasks ([`SPEC_INTERN_CAP`]) than towers
 //! ([`TOWER_CACHE_CAP`]). Evictions are counted (`cache.spec_evictions`,
 //! `cache.tower_evictions`), so thrash shows on `/metrics`. None of this
-//! weakens integrity: every warm hit still revalidates the stored
-//! witness; interning only skips rebuilding a task that is already known.
+//! weakens integrity: interning only skips rebuilding a task that is
+//! already known. A service's [`AnswerMemo`] skips more — the store read
+//! and the witness check of a record it already checked for the very same
+//! task and bound — so every record a service serves was revalidated in
+//! that process against the asking task, once.
 
 use crate::csp::{Skeleton, TaskTables};
 use crate::solvability::{
     check_image, check_simplices, solve_up_to_with, DecisionMap, SolvabilityReport, SolveOptions,
 };
 use iis_obs::json::{self, kept, JsonError, Token};
-use iis_obs::metrics::{StaticCounter, StaticHistogram};
+use iis_obs::metrics::{Gauge, StaticCounter, StaticHistogram};
 use iis_obs::{Json, ToJson};
 use iis_tasks::library::parse_spec;
 use iis_tasks::Task;
@@ -90,9 +93,9 @@ use iis_topology::arena::{arena_sds_tower, ArenaSds};
 use iis_topology::template::WIDTH_LIMIT;
 use iis_topology::{Complex, Simplex, SimplicialMap, VertexId};
 use std::borrow::{Borrow, Cow};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Version tag mixed into every [`cache_key`]. Bump it whenever the record
 /// encoding or the canonical task serialization changes shape — old store
@@ -160,34 +163,59 @@ pub fn cache_key(task: &Task, max_rounds: usize) -> u64 {
     finish_key(key_prefix(task), max_rounds)
 }
 
-/// A bounded map that evicts its least-recently-used entry, behind a
-/// poison-safe lock — the one eviction policy behind every process-wide
-/// memo of pure functions (the skeleton memo, the spec interner, the
-/// gateway's prefix memo).
+/// A bounded map that evicts its least-recently-used entries, behind a
+/// poison-safe lock — the one eviction policy behind every memo of pure
+/// results (the skeleton memo, the spec interner, the gateway's prefix
+/// memo, a service's verified answers).
 ///
-/// Entries carry the logical clock tick of their last use; eviction is an
-/// O(n) min-tick scan on insert at capacity. That keeps the lock section
-/// trivial with no linked-list bookkeeping, and at the small caps these
-/// memos run at the scan costs less than the work a miss redoes. A panic
-/// while the lock is held cannot wedge the memo: its entries are finished
-/// values of pure functions, so the guard is recovered from the poison.
+/// Every entry carries a weight, and the map holds at most `cap` in total
+/// weight: [`Lru::insert`] weighs an entry 1, so `cap` counts entries,
+/// and [`Lru::insert_weighted`] lets a memo of variable-size values bound
+/// its bytes. A recency index (logical clock tick of last use → key)
+/// finds the coldest entry in O(log n), so a byte-bounded memo of
+/// thousands of entries evicts as cheaply as a small one. A panic while
+/// the lock is held cannot wedge the memo: its entries are finished
+/// values, so the guard is recovered from the poison.
 pub struct Lru<K, V> {
     cap: usize,
     inner: Mutex<LruInner<K, V>>,
 }
 
 struct LruInner<K, V> {
-    entries: HashMap<K, (V, u64)>,
+    /// key → (value, weight, tick of last use)
+    entries: HashMap<K, (V, usize, u64)>,
+    /// tick of last use → key, coldest first
+    recency: BTreeMap<u64, K>,
+    weight: usize,
     tick: u64,
 }
 
+impl<K: Eq + Hash, V> LruInner<K, V> {
+    /// The entry under `key`, moved to the newest tick.
+    fn touch<Q>(&mut self, key: &Q) -> Option<&mut (V, usize, u64)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let entry = self.entries.get_mut(key)?;
+        self.tick += 1;
+        if let Some(key) = self.recency.remove(&entry.2) {
+            self.recency.insert(self.tick, key);
+        }
+        entry.2 = self.tick;
+        Some(entry)
+    }
+}
+
 impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    /// An empty map holding at most `cap` entries (at least one).
+    /// An empty map holding at most `cap` in total weight (at least one).
     pub fn new(cap: usize) -> Lru<K, V> {
         Lru {
             cap: cap.max(1),
             inner: Mutex::new(LruInner {
                 entries: HashMap::new(),
+                recency: BTreeMap::new(),
+                weight: 0,
                 tick: 0,
             }),
         }
@@ -203,36 +231,58 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let (value, used) = inner.entries.get_mut(key)?;
-        *used = tick;
-        Some(value.clone())
+        self.lock().touch(key).map(|(value, _, _)| value.clone())
     }
 
-    /// Stores `value` under `key` as the most recently used entry; a value
-    /// already present wins (racing builders of a pure function built the
-    /// same thing). Returns `true` iff the least-recently-used entry was
+    /// Stores `value` under `key`, of weight 1, as the most recently used
+    /// entry; a value already present wins (racing builders of a pure
+    /// function built the same thing). Returns `true` iff an entry was
     /// evicted to make room.
     pub fn insert(&self, key: K, value: V) -> bool {
+        self.insert_weighted(key, value, 1) > 0
+    }
+
+    /// Stores `value` under `key` with `weight`, as [`Lru::insert`] does,
+    /// evicting the least recently used entries until the total weight
+    /// fits the cap. A value heavier than the whole cap is not held.
+    /// Returns how many entries were evicted.
+    pub fn insert_weighted(&self, key: K, value: V, weight: usize) -> usize {
+        if weight > self.cap {
+            return 0;
+        }
         let mut inner = self.lock();
-        let mut evicted = false;
-        if !inner.entries.contains_key(&key) && inner.entries.len() >= self.cap {
-            let coldest = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone());
-            if let Some(coldest) = coldest {
-                inner.entries.remove(&coldest);
-                evicted = true;
+        if inner.touch(&key).is_some() {
+            return 0;
+        }
+        let mut evicted = 0;
+        while inner.weight + weight > self.cap {
+            let Some((_, coldest)) = inner.recency.pop_first() else {
+                break;
+            };
+            if let Some((_, w, _)) = inner.entries.remove(&coldest) {
+                inner.weight -= w;
+                evicted += 1;
             }
         }
         inner.tick += 1;
         let tick = inner.tick;
-        inner.entries.entry(key).or_insert((value, tick)).1 = tick;
+        inner.recency.insert(tick, key.clone());
+        inner.entries.insert(key, (value, weight, tick));
+        inner.weight += weight;
         evicted
+    }
+
+    /// Drops the entry under `key`, if any.
+    pub fn remove<Q>(&self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut inner = self.lock();
+        if let Some((_, w, used)) = inner.entries.remove(key) {
+            inner.recency.remove(&used);
+            inner.weight -= w;
+        }
     }
 
     /// The number of entries held.
@@ -243,6 +293,11 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     /// `true` iff the map holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The total weight of the entries held (at most the cap).
+    pub fn weight(&self) -> usize {
+        self.lock().weight
     }
 
     /// `true` iff `key` is held (without touching its recency).
@@ -260,6 +315,26 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
 /// process answers repeatedly fit easily; a workload cycling through more
 /// sheds the coldest entry per insert instead of cliff-dropping the memo.
 pub const TOWER_CACHE_CAP: usize = 64;
+
+/// Bytes a service's [`AnswerMemo`] holds — record text plus a fixed
+/// per-entry overhead — before the least recently used record is evicted. `perfbench`'s 260 warm records total
+/// 354 KB (the largest 2 971 B), so one shard holds its whole share of
+/// them many times over, and the memo adds at most this much to a
+/// shard's footprint however many keys it is asked.
+pub const ANSWER_MEMO_BYTES: usize = 4 << 20;
+
+/// The largest record an [`AnswerMemo`] holds: a sixteenth of its budget,
+/// so one huge witness cannot flush the many small ones a warm shard
+/// serves. A larger record is revalidated on every ask, as it was before
+/// the memo.
+pub const ANSWER_MEMO_RECORD_CAP: usize = ANSWER_MEMO_BYTES / 16;
+
+/// What one [`AnswerMemo`] entry costs beyond its record text, counted
+/// against [`ANSWER_MEMO_BYTES`]: its map and recency slots, the record's
+/// allocation header, and the task allocation (about 400 B) its `Weak`
+/// keeps after the task itself is dropped. Counting it bounds the entry
+/// count too, however small the records.
+const ANSWER_ENTRY_OVERHEAD: usize = 512;
 
 /// Entries the spec interner holds before the least-recently-used task is
 /// evicted. Tasks are keyed by spec, not shape, so a shard's working set
@@ -283,6 +358,9 @@ pub struct KeyedTask {
     key_prefix: u64,
     shape: u64,
     tables: TaskTables,
+    /// Whether [`intern_spec`] holds this task: only an interned task's
+    /// answers are kept in an [`AnswerMemo`].
+    interned: bool,
 }
 
 impl KeyedTask {
@@ -311,6 +389,7 @@ impl KeyedTask {
             shape: shape_key(task.input()),
             task,
             tables: TaskTables::default(),
+            interned: false,
         }
     }
 
@@ -358,7 +437,10 @@ pub fn intern_spec(spec: &str) -> Result<Arc<KeyedTask>, String> {
         SPEC_HITS.incr();
         return Ok(keyed);
     }
-    let keyed = Arc::new(KeyedTask::new(parse_spec(spec)?));
+    let keyed = Arc::new(KeyedTask {
+        interned: true,
+        ..KeyedTask::new(parse_spec(spec)?)
+    });
     static SPEC_BUILDS: StaticCounter = StaticCounter::new("cache.spec_builds");
     static SPEC_EVICTIONS: StaticCounter = StaticCounter::new("cache.spec_evictions");
     SPEC_BUILDS.incr();
@@ -1002,9 +1084,8 @@ fn read_map(
     let skel = witness_skeleton(task.input(), shape, b);
     let n = skel.tower().complex().num_vertices();
     let mut image = Vec::with_capacity(n);
-    r.array(|r| {
+    r.uint_pairs(|source: u32, w: u32| {
         let v = VertexId(image.len() as u32);
-        let (source, w) = r.pair(|r| r.uint::<u32>(), |r| r.uint::<u32>())?;
         if source != v.0 || image.len() == n {
             return Err(not_canonical(&format!("the pair of vertex {v}")));
         }
@@ -1086,6 +1167,124 @@ pub fn validate_record(keyed: &KeyedTask, max_rounds: usize, text: &str) -> Resu
     .map(|_| ())
 }
 
+/// A record an [`AnswerMemo`] holds: stored text this process read from
+/// its store and checked with [`validate_record`] for one task and bound.
+#[derive(Clone)]
+struct Verified {
+    record: Arc<str>,
+    max_rounds: usize,
+    /// The interned task the record was checked against. The `Weak` keeps
+    /// that task's allocation (not the task) alive while the entry lives,
+    /// so no other task can be allocated at its address: comparing
+    /// addresses is comparing tasks.
+    task: Weak<KeyedTask>,
+}
+
+/// A service's memo of verified answers: cache key → record text that
+/// this process read from its own store and checked with
+/// [`validate_record`] against the asking task, so a re-ask of that task
+/// at that bound is one map lookup, with no store read and no witness
+/// check.
+///
+/// Proposition 3.1 makes the answer a pure function of `(task, b)`, and
+/// the store is first-write-wins, so the bytes a key's record was checked
+/// to be cannot change under it: a second check of them could only repeat
+/// the first one's verdict. The memo keeps that soundness by four rules
+/// (DESIGN.md §13, "Why a memo of verified bytes is sound"):
+///
+/// - **Owned by the service**, beside its store handle — never a
+///   process-wide static — so two services on two stores never share an
+///   answer, and a memo hit still means the service's own store handed
+///   over these bytes.
+/// - **Filled only from the store**: [`AnswerMemo::answer`] holds only
+///   what it read from the store and validated, never the solver's own
+///   rendering, so a put that lost the first-write race is never served.
+/// - **Keyed by the checking task**: an entry is a hit only for the same
+///   `max_rounds` and the very same interned [`KeyedTask`] (by address)
+///   it was checked against. FNV-1a is not collision-resistant, so
+///   another task whose key collides falls through to revalidation.
+///   Inline tasks (`{"task": …}`) never hit and are never held: each is
+///   keyed afresh per question, so its entry could never be found again
+///   — and neither is a spec's task re-interned after an eviction,
+///   whose first ask revalidates and replaces the entry.
+/// - **Bounded by bytes**: the records held, each with a fixed
+///   per-entry overhead, total at most [`ANSWER_MEMO_BYTES`], least
+///   recently used evicted first, and a record past
+///   [`ANSWER_MEMO_RECORD_CAP`] is not held.
+///
+/// Hits and evictions are counted in `cache.answer_hits` and
+/// `cache.answer_evictions`; the gauge `cache.answer_bytes` follows the
+/// bytes held, overhead included (a process serves one store, so one
+/// memo).
+pub struct AnswerMemo {
+    answers: Lru<u64, Verified>,
+    record_cap: usize,
+    bytes: Gauge,
+}
+
+impl Default for AnswerMemo {
+    /// An empty memo of [`ANSWER_MEMO_BYTES`]; registers its gauge.
+    fn default() -> AnswerMemo {
+        AnswerMemo::with_budget(ANSWER_MEMO_BYTES, ANSWER_MEMO_RECORD_CAP)
+    }
+}
+
+impl AnswerMemo {
+    fn with_budget(budget: usize, record_cap: usize) -> AnswerMemo {
+        AnswerMemo {
+            answers: Lru::new(budget),
+            record_cap,
+            bytes: Gauge::handle("cache.answer_bytes"),
+        }
+    }
+
+    /// The verified record answering `(keyed, max_rounds)`: from the memo
+    /// when this very task was checked at this bound, else read from
+    /// `cache`, checked with [`validate_record`], and (for an interned
+    /// task) held. `None` when the store holds no record that checks; an
+    /// invalid one is traced as `cache.invalid_record`.
+    pub fn answer(
+        &self,
+        keyed: &Arc<KeyedTask>,
+        max_rounds: usize,
+        cache: &mut dyn SolveCache,
+    ) -> Option<Arc<str>> {
+        static ANSWER_HITS: StaticCounter = StaticCounter::new("cache.answer_hits");
+        static ANSWER_EVICTIONS: StaticCounter = StaticCounter::new("cache.answer_evictions");
+        let key = keyed.key(max_rounds);
+        let held = self.answers.get(&key);
+        if let Some(held) = &held {
+            if held.max_rounds == max_rounds && held.task.as_ptr() == Arc::as_ptr(keyed) {
+                ANSWER_HITS.incr();
+                return Some(Arc::clone(&held.record));
+            }
+        }
+        let text = cache.get(key)?;
+        if let Err(e) = validate_record(keyed, max_rounds, &text) {
+            invalid_record(&keyed.task, e);
+            return None;
+        }
+        let record: Arc<str> = text.into();
+        if keyed.interned && record.len() <= self.record_cap {
+            if held.is_some() {
+                // checked for another task, or for this spec before it
+                // was re-interned: this check supersedes it
+                self.answers.remove(&key);
+            }
+            let verified = Verified {
+                record: Arc::clone(&record),
+                max_rounds,
+                task: Arc::downgrade(keyed),
+            };
+            let weight = record.len() + ANSWER_ENTRY_OVERHEAD;
+            let evicted = self.answers.insert_weighted(key, verified, weight);
+            ANSWER_EVICTIONS.add(evicted as u64);
+            self.bytes.set(self.answers.weight() as i64);
+        }
+        Some(record)
+    }
+}
+
 /// `true` iff the sweep reached a verdict that may be persisted: a witness,
 /// or an exact refutation of every round `0..=max_rounds`.
 fn decided(report: &SolvabilityReport, max_rounds: usize) -> bool {
@@ -1133,23 +1332,53 @@ pub fn solve_up_to_cached(
     solve_cached(&question, max_rounds, opts, cache)
 }
 
-/// [`solve_up_to_cached`] for an already-keyed task (an interned spec or
-/// a keyed inline task): the same sweep, with no re-serialization of the
-/// task to find its key, compiled against — and a stored witness checked
-/// with — the task's own `Δ` tables.
-pub fn solve_keyed(
-    keyed: &KeyedTask,
+/// What a service's sweep settled on.
+pub enum Answered {
+    /// A decided answer's canonical record text; `hit` iff it was the
+    /// stored record rather than a fresh solve.
+    Record {
+        /// The record text.
+        text: Arc<str>,
+        /// Whether it came from the store (through the memo).
+        hit: bool,
+    },
+    /// The sweep stopped undecided (node budget, deadline, or a tower
+    /// past the cap); nothing was stored.
+    Undecided(SolvabilityReport),
+}
+
+/// [`solve_up_to_cached`] for a service that replays stored bytes, on an
+/// already-keyed task (an interned spec or a keyed inline task): the
+/// record answering `(keyed, max_rounds)` from [`AnswerMemo::answer`] —
+/// the one lookup a service's admission and its workers share — else
+/// the sweep, compiled against the task's own `Δ` tables with no
+/// re-serialization of the task to find its key, whose decided result is
+/// persisted and rendered once. The counters `solve.cache_store_hits` /
+/// `solve.cache_store_misses` account every call.
+pub fn answer_keyed(
+    keyed: &Arc<KeyedTask>,
     max_rounds: usize,
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,
-) -> CachedSolve {
+    memo: &AnswerMemo,
+) -> Answered {
+    if let Some(text) = memo.answer(keyed, max_rounds, cache) {
+        STORE_HITS.incr();
+        return Answered::Record { text, hit: true };
+    }
     let question = Sweep {
         task: &keyed.task,
         key_prefix: keyed.key_prefix,
         shape: keyed.shape,
         tables: &keyed.tables,
     };
-    solve_cached(&question, max_rounds, opts, cache)
+    match sweep(&question, keyed.key(max_rounds), max_rounds, opts, cache) {
+        (_, Some(text)) => Answered::Record {
+            text: text.into(),
+            hit: false,
+        },
+        (report, None) => Answered::Undecided(report),
+    }
 }
 
 /// What a cached sweep needs of its task: the task, its key prefix and
@@ -1162,6 +1391,19 @@ struct Sweep<'a> {
     tables: &'a TaskTables,
 }
 
+static STORE_HITS: StaticCounter = StaticCounter::new("solve.cache_store_hits");
+
+/// A stored record that failed its check is a miss, not a crash: the
+/// caller recomputes, first-write-wins keeps the bad bytes from being
+/// replaced silently, and the trace records what happened.
+fn invalid_record(task: &Task, error: String) {
+    iis_obs::trace::event(
+        "cache.invalid_record",
+        task.name(),
+        &[("error", Json::Str(error))],
+    );
+}
+
 fn solve_cached(
     q: &Sweep<'_>,
     max_rounds: usize,
@@ -1172,7 +1414,6 @@ fn solve_cached(
     if let Some(text) = cache.get(key) {
         match read_record(q.task, q.shape, q.tables, &text, Some(max_rounds)) {
             Ok(record) => {
-                static STORE_HITS: StaticCounter = StaticCounter::new("solve.cache_store_hits");
                 STORE_HITS.incr();
                 return CachedSolve {
                     report: record.into_report(),
@@ -1180,29 +1421,34 @@ fn solve_cached(
                     key,
                 };
             }
-            Err(e) => {
-                // a bad record is a miss, not a crash — recompute and let
-                // first-write-wins keep the (bad) bytes from being replaced
-                // silently; the trace records what happened
-                iis_obs::trace::event(
-                    "cache.invalid_record",
-                    q.task.name(),
-                    &[("error", Json::Str(e))],
-                );
-            }
+            Err(e) => invalid_record(q.task, e),
         }
     }
-    static STORE_MISSES: StaticCounter = StaticCounter::new("solve.cache_store_misses");
-    STORE_MISSES.incr();
-    let report = solve_up_to_with(q.task, max_rounds, opts, q.tables);
-    if decided(&report, max_rounds) {
-        cache.put(key, &report_to_json(&report).to_string());
-    }
     CachedSolve {
-        report,
+        report: sweep(q, key, max_rounds, opts, cache).0,
         hit: false,
         key,
     }
+}
+
+/// The sweep of a question the cache did not answer (counted in
+/// `solve.cache_store_misses`), with a decided result persisted under
+/// `key`: the report, and the record text stored when it decided.
+fn sweep(
+    q: &Sweep<'_>,
+    key: u64,
+    max_rounds: usize,
+    opts: &SolveOptions,
+    cache: &mut dyn SolveCache,
+) -> (SolvabilityReport, Option<String>) {
+    static STORE_MISSES: StaticCounter = StaticCounter::new("solve.cache_store_misses");
+    STORE_MISSES.incr();
+    let report = solve_up_to_with(q.task, max_rounds, opts, q.tables);
+    let record = decided(&report, max_rounds).then(|| report_to_json(&report).to_string());
+    if let Some(text) = &record {
+        cache.put(key, text);
+    }
+    (report, record)
 }
 
 #[cfg(test)]
@@ -1384,29 +1630,36 @@ mod tests {
             // the reference engine grows its own labelled tower and never
             // touches the memo: its verdicts and witness are the unshared
             // answer
-            let keyed = KeyedTask::new(t.clone());
-            let reports = [
-                solve_up_to_opts(t, 3, &SolveOptions::new()),
-                solve_keyed(&keyed, 3, &SolveOptions::new(), &mut HashMap::new()).report,
-            ];
-            for report in &reports {
-                for &(b, ok) in report.results() {
-                    let unshared = crate::reference::solve_mac(t, b, u64::MAX).unwrap();
-                    assert_eq!(unshared.is_some(), ok, "{} b={b}", t.name());
-                }
-                let w = report.witness().expect("ε-agreement is solvable");
-                let unshared = crate::reference::solve_mac(t, w.rounds(), u64::MAX);
-                assert_eq!(
-                    w.map().pairs(),
-                    unshared.unwrap().unwrap().pairs(),
-                    "{}",
-                    t.name()
-                );
-                let own = iis_topology::sds_iterated(t.input(), w.rounds());
-                assert_eq!(w.tower().agrees_with(&own), Ok(()), "{}", t.name());
+            let report = solve_up_to_opts(t, 3, &SolveOptions::new());
+            for &(b, ok) in report.results() {
+                let unshared = crate::reference::solve_mac(t, b, u64::MAX).unwrap();
+                assert_eq!(unshared.is_some(), ok, "{} b={b}", t.name());
             }
-            let text = report_to_json(&reports[0]).to_string();
-            assert_eq!(report_to_json(&reports[1]).to_string(), text);
+            let w = report.witness().expect("ε-agreement is solvable");
+            let unshared = crate::reference::solve_mac(t, w.rounds(), u64::MAX);
+            assert_eq!(
+                w.map().pairs(),
+                unshared.unwrap().unwrap().pairs(),
+                "{}",
+                t.name()
+            );
+            let own = iis_topology::sds_iterated(t.input(), w.rounds());
+            assert_eq!(w.tower().agrees_with(&own), Ok(()), "{}", t.name());
+            // the keyed sweep, on the task's own tables, writes the same
+            // record
+            let text = report_to_json(&report).to_string();
+            let keyed = Arc::new(KeyedTask::new(t.clone()));
+            let opts = SolveOptions::new();
+            let memo = AnswerMemo::default();
+            match answer_keyed(&keyed, 3, &opts, &mut HashMap::new(), &memo) {
+                Answered::Record {
+                    text: keyed_text,
+                    hit,
+                } => {
+                    assert_eq!((&*keyed_text, hit), (text.as_str(), false));
+                }
+                Answered::Undecided(_) => panic!("{} is decided", t.name()),
+            }
             // a stored record replays onto the shared skeleton, which is
             // the task's own `SDS^b(I)` with labels forgotten
             let back = report_from_json(t, &Json::parse(&text).unwrap()).unwrap();
@@ -1452,6 +1705,105 @@ mod tests {
         assert!(!lru.insert(1, 99), "an existing key evicts nothing");
         assert_eq!(lru.get(&1), Some(10), "the first value wins");
         assert_eq!(lru.len(), 2);
+    }
+
+    #[test]
+    fn a_weighted_lru_evicts_coldest_first_within_its_cap() {
+        let lru: Lru<u32, u32> = Lru::new(10);
+        assert_eq!(lru.insert_weighted(1, 10, 4), 0);
+        assert_eq!(lru.insert_weighted(2, 20, 4), 0);
+        assert_eq!(lru.get(&1), Some(10)); // 2 is now the coldest
+        assert_eq!(lru.insert_weighted(3, 30, 5), 1, "2 makes room");
+        assert_eq!((lru.get(&2), lru.weight()), (None, 9));
+        assert_eq!(lru.insert_weighted(4, 40, 10), 2, "both others go");
+        assert_eq!((lru.len(), lru.weight()), (1, 10));
+        assert_eq!(lru.insert_weighted(5, 50, 11), 0, "heavier than the cap");
+        assert!(!lru.contains_key(&5) && lru.contains_key(&4));
+        lru.remove(&4);
+        assert_eq!((lru.len(), lru.weight()), (0, 0));
+        // recency survives many touches: the index keeps one tick per key
+        for k in 0..5 {
+            lru.insert_weighted(k, k, 2);
+        }
+        for _ in 0..100 {
+            lru.get(&0);
+        }
+        assert_eq!(lru.insert_weighted(9, 9, 2), 1);
+        assert!(lru.contains_key(&0) && !lru.contains_key(&1));
+    }
+
+    /// A store holding `spec`'s record at bound `b`, and its text.
+    fn stored(spec: &str, b: usize) -> (Arc<KeyedTask>, HashMap<u64, String>, String) {
+        let keyed = intern_spec(spec).unwrap();
+        let mut store = HashMap::new();
+        solve_up_to_cached(keyed.task(), b, &SolveOptions::new(), &mut store);
+        let text = store[&keyed.key(b)].clone();
+        (keyed, store, text)
+    }
+
+    #[test]
+    fn a_verified_answer_is_served_only_to_its_task_and_bound() {
+        let (keyed, mut store, text) = stored("eps:1:3", 2);
+        let memo = AnswerMemo::default();
+        let empty = || HashMap::<u64, String>::new();
+        assert_eq!(memo.answer(&keyed, 2, &mut store).as_deref(), Some(&*text));
+        // a hit needs no store
+        assert_eq!(
+            memo.answer(&keyed, 2, &mut empty()).as_deref(),
+            Some(&*text)
+        );
+        // another bound of the same task misses, even under a forged key
+        assert_eq!(memo.answer(&keyed, 3, &mut empty()), None);
+        assert_eq!(memo.answer(&keyed, 1, &mut empty()), None);
+        let forged = Verified {
+            record: text.as_str().into(),
+            max_rounds: 2,
+            task: Arc::downgrade(&keyed),
+        };
+        memo.answers.insert_weighted(keyed.key(3), forged, 1);
+        assert_eq!(memo.answer(&keyed, 3, &mut empty()), None);
+        // another task whose key collides is not served the record
+        let other = Arc::new(KeyedTask {
+            key_prefix: keyed.key_prefix,
+            interned: true,
+            ..KeyedTask::new(consensus(1, &[0, 1]))
+        });
+        assert_eq!(other.key(2), keyed.key(2));
+        assert_eq!(memo.answer(&other, 2, &mut empty()), None);
+        // and the record does not check for it: revalidation refuses it
+        assert_eq!(memo.answer(&other, 2, &mut store), None);
+        assert_eq!(
+            memo.answer(&keyed, 2, &mut empty()).as_deref(),
+            Some(&*text)
+        );
+        // an inline task (keyed per question) is answered, never held
+        let inline = Arc::new(KeyedTask::new(keyed.task().clone()));
+        assert_eq!(memo.answer(&inline, 2, &mut store).as_deref(), Some(&*text));
+        assert_eq!(memo.answer(&inline, 2, &mut empty()), None);
+    }
+
+    #[test]
+    fn a_verified_answer_memo_holds_at_most_its_budget() {
+        let records: Vec<_> = (2..12).map(|k| stored(&format!("eps:0:{k}"), 1)).collect();
+        let longest = records.iter().map(|(_, _, t)| t.len()).max().unwrap();
+        let budget = 3 * (longest + ANSWER_ENTRY_OVERHEAD);
+        let memo = AnswerMemo::with_budget(budget, longest);
+        for (keyed, store, text) in &records {
+            let answer = memo.answer(keyed, 1, &mut store.clone());
+            assert_eq!(answer.as_deref(), Some(text.as_str()));
+            assert!(memo.answers.weight() <= budget);
+            assert!(
+                memo.answers.contains_key(&keyed.key(1)),
+                "the newest is held"
+            );
+        }
+        assert!(memo.answers.len() < records.len(), "nothing was evicted");
+        // a record past the record cap is answered and never held
+        let (big, mut store, text) = stored("eps:1:3", 2);
+        assert!(text.len() > longest);
+        assert_eq!(memo.answer(&big, 2, &mut store).as_deref(), Some(&*text));
+        assert!(!memo.answers.contains_key(&big.key(2)));
+        assert!(memo.answers.weight() <= budget);
     }
 
     /// Every library family, over a few sizes each.

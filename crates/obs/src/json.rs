@@ -1037,6 +1037,81 @@ impl<'a> Reader<'a> {
         Err(JsonError::new(refusal))
     }
 
+    /// Reads an array of unsigned pairs `[[a,b],…]` exactly as
+    /// [`Reader::array`] over [`Reader::pair`] of two [`Reader::uint`]s
+    /// reads it — the same accepts, refusals, positions and
+    /// [`Reader::irregular`] count — calling `each(a, b)` per pair.
+    ///
+    /// A pair written compactly (`[`, a shortest integer, `,`, a shortest
+    /// integer, `]`, both in `T`'s range) is read in one tight scan; any
+    /// other item is read from its first byte by the general path, which
+    /// decides it exactly as the composition does.
+    ///
+    /// # Errors
+    ///
+    /// As the composition: the first syntax error, or the first refusal
+    /// of a pair or of `each`, reported once the array has been read.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_obs::json::Reader;
+    /// let mut pairs = Vec::new();
+    /// let mut r = Reader::new("[[0,7],[1, 3]]");
+    /// r.uint_pairs(|a: u32, b: u32| {
+    ///     pairs.push((a, b));
+    ///     Ok(())
+    /// })
+    /// .unwrap();
+    /// assert_eq!((pairs, r.irregular()), (vec![(0, 7), (1, 3)], 1));
+    /// ```
+    pub fn uint_pairs<T: TryFrom<u64>>(
+        &mut self,
+        mut each: impl FnMut(T, T) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.array(|r| {
+            let (a, b) = match r.compact_uint_pair() {
+                Some(pair) => pair,
+                None => r.pair(Reader::uint, Reader::uint)?,
+            };
+            each(a, b)
+        })
+    }
+
+    /// The compact pair `[a,b]` at the position, consumed, when the
+    /// general path would read it with no refusal and nothing irregular;
+    /// else `None` with nothing consumed.
+    #[inline]
+    fn compact_uint_pair<T: TryFrom<u64>>(&mut self) -> Option<(T, T)> {
+        // the general path opens the pair and its items one level deeper
+        if self.depth >= MAX_DEPTH || self.byte() != Some(b'[') {
+            return None;
+        }
+        let (a, at) = self.compact_uint(self.pos + 1, b',')?;
+        let (b, end) = self.compact_uint(at, b']')?;
+        let pair = (T::try_from(a).ok()?, T::try_from(b).ok()?);
+        self.pos = end;
+        Some(pair)
+    }
+
+    /// The shortest integer of at most [`FAST_INT_DIGITS`] digits at
+    /// `at`, if `close` follows it: its value and the offset past `close`.
+    #[inline]
+    fn compact_uint(&self, at: usize, close: u8) -> Option<(u64, usize)> {
+        let mut n = 0u64;
+        for (i, &b) in self.bytes.get(at..)?.iter().enumerate() {
+            if !b.is_ascii_digit() {
+                return (i > 0 && b == close).then_some((n, at + i + 1));
+            }
+            // past the fast digits, or a digit after a leading zero
+            if i == FAST_INT_DIGITS || (i == 1 && n == 0) {
+                return None;
+            }
+            n = n * 10 + u64::from(b - b'0');
+        }
+        None
+    }
+
     /// Reads a two-item array as `<(A, B)>::from_json` does: `a` reads the
     /// first item and `b` the second, and the refusals come in its order —
     /// `expected pair` for a non-array, `expected 2-element array` for any
@@ -1610,6 +1685,102 @@ mod tests {
                 assert_eq!(key, k, "{doc:?}");
                 assert_eq!(&Json::parse(&doc[span]).unwrap(), v, "{doc:?}");
             }
+        }
+    }
+
+    /// A pair list `[[a,b],…]` with items drawn to hit every branch of
+    /// the compact scan and its fallback: shortest integers at the edges
+    /// of `u8` and of the fast digit count (a 21-digit one overflows
+    /// `u64`), non-shortest numbers, negatives, and other values.
+    fn random_pairs(rng: &mut crate::Rng) -> String {
+        const ITEMS: [&str; 16] = [
+            "0",
+            "7",
+            "255",
+            "256",
+            "01",
+            "-0",
+            "-1",
+            "1.0",
+            "2e0",
+            "null",
+            "\"x\"",
+            "[]",
+            "999999999999999",
+            "1234567890123456",
+            "123456789012345678901",
+            "12",
+        ];
+        let item = |rng: &mut crate::Rng| *rng.choose(&ITEMS).unwrap();
+        let pairs: Vec<String> = (0..rng.random_range(0usize..6))
+            .map(|_| match rng.random_range(0u32..8) {
+                0 => format!("[{}]", item(rng)),
+                1 => format!("[{},{},{}]", item(rng), item(rng), item(rng)),
+                2 => format!("[ {} , {} ]", item(rng), item(rng)),
+                3 => item(rng).to_string(),
+                _ => format!("[{},{}]", item(rng), item(rng)),
+            })
+            .collect();
+        let sep = if rng.random_bool(0.8) { "," } else { ", " };
+        format!("[{}]", pairs.join(sep))
+    }
+
+    #[test]
+    fn uint_pairs_reads_exactly_as_an_array_of_uint_pairs() {
+        type Got<T> = (Result<Vec<(T, T)>, JsonError>, usize, u64);
+        // reads `text` after descending `depth` arrays, one way or the other
+        fn read<T: TryFrom<u64>>(text: &str, depth: usize, tight: bool) -> Got<T> {
+            fn at<T: TryFrom<u64>>(
+                r: &mut Reader<'_>,
+                depth: usize,
+                tight: bool,
+                out: &mut Vec<(T, T)>,
+            ) -> Result<(), JsonError> {
+                if depth > 0 {
+                    return r.array(|r| at(r, depth - 1, tight, out));
+                }
+                if tight {
+                    return r.uint_pairs(|a, b| {
+                        out.push((a, b));
+                        Ok(())
+                    });
+                }
+                r.array(|r| {
+                    out.push(r.pair(Reader::uint, Reader::uint)?);
+                    Ok(())
+                })
+            }
+            let mut r = Reader::new(text);
+            let mut out = Vec::new();
+            let got = at(&mut r, depth, tight, &mut out).and_then(|()| r.finish());
+            (got.map(|()| out), r.pos(), r.irregular())
+        }
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0004);
+        for n in 0..4_000 {
+            let mut text = random_pairs(&mut rng);
+            if n % 3 == 0 {
+                text = mutate(&mut rng, &text);
+            }
+            assert_eq!(
+                read::<u8>(&text, 0, true),
+                read(&text, 0, false),
+                "{text:?}"
+            );
+            assert_eq!(
+                read::<u64>(&text, 0, true),
+                read(&text, 0, false),
+                "{text:?}"
+            );
+        }
+        // at the depth limit the general path refuses where the scan must
+        // not read
+        for depth in MAX_DEPTH - 2..=MAX_DEPTH + 1 {
+            let text = format!("{}[[1,2]]{}", "[".repeat(depth), "]".repeat(depth));
+            assert_eq!(
+                read::<u8>(&text, depth, true),
+                read(&text, depth, false),
+                "{depth}"
+            );
         }
     }
 

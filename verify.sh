@@ -85,15 +85,16 @@ echo "serve smoke: ok"
 
 # Solve-service smoke: start `iis serve` with a persistent store on an
 # ephemeral port, POST the same task twice, and require the second reply
-# to come from the store ("cached": true) with a byte-identical witness
-# and serve_cache_hits_total = 1; ask eps:1:9 (the same input shape with
-# other labels) twice and eps:1:3 once more, requiring hits with
-# byte-identical witnesses and an unmoved cache_tower_builds_total across
-# the warm asks; probe /healthz and /readyz; ask an
-# inline-task question ({"task": …}, the committed eps:1:3 fixture) twice
-# with the same requirements; accept an async job and POST /shutdown while
-# it may still be running — the drain must finish it (summary says so) and
-# the exit must be clean.
+# to come from the store ("cached": true) with a byte-identical witness;
+# a third ask must repeat the second reply byte for byte from the memo of
+# verified records (serve_cache_hits_total 2, cache_answer_hits_total 1);
+# ask eps:1:9 (the same input shape with other labels) twice and eps:1:3
+# once more, requiring hits with byte-identical witnesses and an unmoved
+# cache_tower_builds_total across the warm asks; probe /healthz and
+# /readyz; ask an inline-task question ({"task": …}, the committed
+# eps:1:3 fixture) twice with the same requirements; accept an async job
+# and POST /shutdown while it may still be running — the drain must
+# finish it (summary says so) and the exit must be clean.
 serve_log=$(mktemp)
 serve_out=$(mktemp)
 store_dir=$(mktemp -d)
@@ -126,10 +127,18 @@ wit1=$(printf '%s' "$first"  | sed 's/.*"witness"://')
 wit2=$(printf '%s' "$second" | sed 's/.*"witness"://')
 [ -n "$wit1" ] && [ "$wit1" = "$wit2" ] \
   || { echo "solve service smoke: witnesses differ"; echo "$wit1"; echo "$wit2"; exit 1; }
+# a third ask is answered from the service's memo of verified records:
+# the reply is byte-identical to the second's, and the memo counts it
+reask=$(post /solve "$body")
+[ "$reask" = "$second" ] \
+  || { echo "solve service smoke: re-ask differs from the second reply"; echo "$second"; echo "$reask"; exit 1; }
 metrics=$(scrape /metrics)
 hits=$(echo "$metrics" | sed -n 's/^serve_cache_hits_total //p')
-[ "$hits" = "1" ] \
-  || { echo "solve service smoke: expected serve_cache_hits_total 1, got '$hits'"; exit 1; }
+[ "$hits" = "2" ] \
+  || { echo "solve service smoke: expected serve_cache_hits_total 2, got '$hits'"; exit 1; }
+answer_hits=$(echo "$metrics" | sed -n 's/^cache_answer_hits_total //p')
+[ "$answer_hits" = "1" ] \
+  || { echo "solve service smoke: expected cache_answer_hits_total 1, got '$answer_hits'"; exit 1; }
 # shape sharing: eps:1:9 has eps:1:3's input shape with other labels, so
 # its cold solve finds the lower levels eps:1:3's solve memoized; the warm
 # asks of both then check their witnesses on memoized skeletons — each

@@ -56,7 +56,9 @@ USAGE:
   iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N]
             [--timeout-secs T] [--store DIR]
                                           decide wait-free solvability
-                                          (timeout ⇒ inconclusive, not unsolvable;
+                                          (--timeout-secs bounds the whole
+                                          sweep; timeout ⇒ inconclusive, not
+                                          unsolvable;
                                           --store answers from / fills a
                                           persistent witness cache)
   iis serve [--addr A] [--store DIR] [--workers N] [--queue N]
@@ -280,8 +282,8 @@ const SOLVE_FLAGS: [&str; 5] = [
 ///
 /// The round sweep is incremental (`SDS^{b+1}` extends `SDS^b`) and
 /// `--jobs N` spreads each round's search over `N` worker threads without
-/// changing any verdict or witness. `--timeout-secs T` bounds each round's
-/// search by wall-clock time; a timed-out round is reported as
+/// changing any verdict or witness. `--timeout-secs T` bounds the whole
+/// sweep by one wall-clock deadline; the round it stops in is reported as
 /// **inconclusive** (like a spent `--budget`), never as unsolvable.
 ///
 /// # Errors

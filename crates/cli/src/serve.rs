@@ -6,7 +6,8 @@
 //! `iis_store::Store`. What lives here is the **service glue**: request
 //! parsing, the job registry, request coalescing, and a bounded pool of
 //! solve workers so concurrent requests make progress without unbounded
-//! thread spawns.
+//! thread spawns. At most `--workers` jobs run at once, whichever thread
+//! runs them.
 //!
 //! Routes:
 //!
@@ -20,14 +21,17 @@
 //!   never changes an answer, only how many threads one question may
 //!   spawn. Answers from the store when the record exists
 //!   (`"cached": true`, counted by `serve.cache_hits`); otherwise runs the
-//!   sweep on the worker pool. With `"wait": false` replies `202 Accepted`
-//!   with a job id instead of blocking. A second request for a key already
-//!   being solved joins the in-flight job (`serve.coalesced`) rather than
-//!   solving twice.
+//!   sweep — on the thread that read the question, when nothing is queued
+//!   and a worker's slot is free (no queue hop, no hand-off), else on the
+//!   worker pool. With `"wait": false` replies `202 Accepted` with a job
+//!   id instead of blocking (such a job always goes to the pool). A second
+//!   request for a key already being solved joins the in-flight job
+//!   (`serve.coalesced`) rather than solving twice.
 //! - `POST /solve` with `{"questions": [q, …]}` — the **batch** form
 //!   (`serve.batch_requests`): every element is a single-question body as
-//!   above. All questions are admitted up front (so the worker pool runs
-//!   them in parallel and duplicate keys coalesce), then answered in
+//!   above. All questions are admitted up front, each queued for the
+//!   worker pool (so the pool runs them in parallel and duplicate keys
+//!   coalesce), then answered in
 //!   order as `{"answers": [{"status": N, "body": {…}}, …]}` where each
 //!   `body` is exactly the single-question response. The envelope is
 //!   `200` even when individual questions fail — per-question statuses
@@ -50,10 +54,11 @@
 //! **Overload and deadlines.** Admission is bounded: at most `--queue N`
 //! jobs wait for a worker; past that, `POST /solve` answers `503` with a
 //! `Retry-After` header (`serve.rejected`). With `--timeout-secs T`, a
-//! waiting `POST /solve` that cannot be answered within `T` seconds gets a
-//! structured `504` (`serve.timeouts`) — the job keeps running and can be
-//! polled at `/jobs/<id>`; a solve the search itself abandons at the
-//! deadline is marked `timed_out`.
+//! job's whole sweep has one deadline, `T` after its admission: the search
+//! abandons the sweep there and the job is marked `timed_out`, answered
+//! with a structured `504` (`serve.timeouts`). A waiter whose job is still
+//! queued or running at its deadline gets the same `504` with the job's
+//! status; the job stays pollable at `/jobs/<id>`.
 //!
 //! **Drain.** `POST /shutdown` stops admission (new solves get `503`),
 //! lets in-flight and queued jobs finish up to `--drain-secs`, fails
@@ -97,13 +102,27 @@ use std::time::{Duration, Instant};
 /// One accepted solve question and its lifecycle.
 struct Job {
     spec: Arc<str>,
-    /// The question's task until a worker takes it to solve; a settled job
-    /// keeps only its record text.
+    /// The question's task until a thread claims it to solve; a settled
+    /// job keeps only its record text.
     task: Option<Arc<KeyedTask>>,
     key: u64,
     max_rounds: usize,
     opts: SolveOptions,
+    /// When the job was admitted: the service deadline counts from here.
+    admitted: Instant,
     status: Status,
+}
+
+/// A job claimed to run: what its solve needs, taken out of the registry.
+struct Claim {
+    id: u64,
+    task: Arc<KeyedTask>,
+    key: u64,
+    max_rounds: usize,
+    opts: SolveOptions,
+    admitted: Instant,
+    /// The asking thread runs the job itself, and holds one of its holds.
+    by_asker: bool,
 }
 
 /// What `GET /jobs` shows of one job, copied out of the registry.
@@ -161,8 +180,8 @@ enum Status {
     /// round's tower is past the cap — so nothing was stored. An answer to
     /// the question (`422`), not a fault of the shard.
     Inconclusive(String),
-    /// The search itself gave up at the per-request deadline
-    /// (`--timeout-secs`) — distinct from `Failed` so waiters can answer
+    /// The search itself gave up at the job's deadline (`--timeout-secs`
+    /// from admission) — distinct from `Failed` so waiters can answer
     /// `504` rather than `500`.
     TimedOut(String),
 }
@@ -204,6 +223,25 @@ struct State {
 }
 
 impl State {
+    /// Marks job `id` running and takes its task out to solve; the job
+    /// counts in `active` until it settles.
+    fn claim(&mut self, id: u64, by_asker: bool) -> Claim {
+        let job = self.jobs.get_mut(&id).expect("a claimed job exists");
+        job.status = Status::Running;
+        let claim = Claim {
+            id,
+            task: job.task.take().expect("an unclaimed job holds its task"),
+            key: job.key,
+            max_rounds: job.max_rounds,
+            opts: job.opts,
+            admitted: job.admitted,
+            by_asker,
+        };
+        self.active += 1;
+        iis_obs::metrics::gauge_set("serve.jobs_active", self.active);
+        claim
+    }
+
     /// Settles job `id` with `status` (its task is dropped, its record
     /// kept) and trims the settled jobs to the cap.
     fn settle(&mut self, id: u64, status: Status) {
@@ -257,14 +295,15 @@ pub(crate) struct SolveService {
     /// Most jobs allowed to *wait* for a worker; past this, `POST /solve`
     /// answers `503` + `Retry-After` instead of queueing unboundedly.
     max_queue: usize,
-    /// Per-request solve deadline: bounds both the search wall-clock and
-    /// how long a `wait: true` request blocks before a `504`.
+    /// Per-job solve deadline, counted from admission: bounds both the
+    /// whole sweep's wall-clock and how long a `wait: true` request blocks
+    /// before a `504`.
     timeout: Option<Duration>,
     /// The store's sticky read-only flag (`None` for the in-memory map,
     /// which cannot degrade) — drives `/readyz`.
     degraded: Option<Arc<AtomicBool>>,
     /// Live solve workers; a panicked worker decrements on unwind, so
-    /// `/readyz` notices a dead pool.
+    /// `/readyz` notices a dead pool. At most this many jobs run at once.
     workers_alive: Arc<AtomicUsize>,
 }
 
@@ -377,6 +416,9 @@ enum Admission {
     Ready(Response),
     /// Queued or coalesced; settle it with [`SolveService::respond`].
     Pending { id: u64, key: u64, coalesced: bool },
+    /// Claimed for the asking thread to run ([`SolveService::run_job`]),
+    /// then settle as `Pending`.
+    Run(Claim),
     /// The queue is full: shed with [`SolveService::queue_full`], unless a
     /// batch waits for its own jobs to make room.
     Full,
@@ -438,31 +480,26 @@ impl SolveService {
         }
     }
 
-    /// The worker-pool loop: pop a queued job, solve it through the store,
-    /// publish the result. Exits once `stop_workers` is raised — the drain
-    /// phase in [`cmd_serve`] empties the queue *before* raising it, so a
-    /// late stop abandons the backlog (which is then failed) rather than
-    /// stretching the drain deadline.
+    /// The worker-pool loop: pop a queued job while fewer jobs run than
+    /// there are live workers, and run it. Exits once `stop_workers` is
+    /// raised — the drain phase in [`cmd_serve`] empties the queue *before*
+    /// raising it, so a late stop abandons the backlog (which is then
+    /// failed) rather than stretching the drain deadline.
     fn worker_loop(&self) {
         let _alive = AliveGuard::enroll(&self.workers_alive);
         loop {
-            let (id, task, key, max_rounds, opts) = {
+            let claim = {
                 let mut st = lock(&self.state);
                 loop {
                     if self.stop_workers.load(Ordering::Acquire) {
                         return;
                     }
-                    if let Some(id) = st.queue.pop_front() {
-                        let info = {
-                            let job = st.jobs.get_mut(&id).expect("queued job exists");
-                            job.status = Status::Running;
-                            let task = job.task.take().expect("a queued job holds its task");
-                            (id, task, job.key, job.max_rounds, job.opts)
-                        };
-                        st.active += 1;
-                        iis_obs::metrics::gauge_set("serve.jobs_active", st.active);
-                        self.changed.notify_all();
-                        break info;
+                    if st.active < self.live_workers() {
+                        if let Some(id) = st.queue.pop_front() {
+                            // the queue shrank: a batch may wait for room
+                            self.changed.notify_all();
+                            break st.claim(id, false);
+                        }
                     }
                     st = self
                         .changed
@@ -470,27 +507,42 @@ impl SolveService {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let started = Instant::now();
-            // a panicking solve fails its job, not the worker: every lock
-            // it may hold recovers from poisoning
-            let solved = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let store = &mut SharedCache(&self.store);
-                answer_keyed(&task, max_rounds, &opts, store, &self.answers)
-            }));
-            let status = match solved {
-                Err(panic) => Status::Failed(format!("solve panicked: {}", panic_message(&*panic))),
-                Ok(Answered::Record { text, hit }) => Status::Done {
+            self.run_job(claim);
+        }
+    }
+
+    /// How many jobs may run at once: the live pool workers.
+    fn live_workers(&self) -> i64 {
+        i64::try_from(self.workers_alive.load(Ordering::Acquire)).unwrap_or(i64::MAX)
+    }
+
+    /// Runs a claimed job — on a pool worker, or on the thread that read
+    /// its question — and settles it: solve through the store, classify
+    /// the outcome, publish it under the state lock. The sweep's deadline
+    /// is the service deadline counted from the job's admission.
+    fn run_job(&self, job: Claim) {
+        let opts = match self.timeout {
+            Some(t) => job.opts.timeout(t.saturating_sub(job.admitted.elapsed())),
+            None => job.opts,
+        };
+        // a panicking solve fails its job, not the thread running it: every
+        // lock it may hold recovers from poisoning, and the job still
+        // settles and gives back its slot
+        let solved = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let store = &mut SharedCache(&self.store);
+            match answer_keyed(&job.task, job.max_rounds, &opts, store, &self.answers) {
+                Answered::Record { text, hit } => Status::Done {
                     result: text,
                     cached: hit,
                 },
                 // an undecided sweep stored nothing; which limit stopped it
-                Ok(Answered::Undecided(report)) => {
+                Answered::Undecided(report) => {
                     let b = report.results().len();
-                    match tower_too_large(task.task().input(), b) {
+                    match tower_too_large(job.task.task().input(), b) {
                         Some(why) => Status::Inconclusive(format!("inconclusive: {why}")),
                         None if self
                             .timeout
-                            .is_some_and(|deadline| started.elapsed() >= deadline) =>
+                            .is_some_and(|deadline| job.admitted.elapsed() >= deadline) =>
                         {
                             // the search abandoned the sweep at the deadline
                             iis_obs::metrics::add("serve.timeouts", 1);
@@ -504,12 +556,20 @@ impl SolveService {
                         )),
                     }
                 }
-            };
-            let mut st = lock(&self.state);
-            st.inflight.remove(&key);
-            st.settle(id, status);
-            st.active -= 1;
-            iis_obs::metrics::gauge_set("serve.jobs_active", st.active);
+            }
+        }));
+        let status = solved.unwrap_or_else(|panic| {
+            Status::Failed(format!("solve panicked: {}", panic_message(&*panic)))
+        });
+        let mut st = lock(&self.state);
+        st.inflight.remove(&job.key);
+        st.settle(job.id, status);
+        st.active -= 1;
+        iis_obs::metrics::gauge_set("serve.jobs_active", st.active);
+        // a job its asker ran wakes only who may wait on it: a request
+        // coalesced onto it, a worker that may now pop, the drain
+        let coalesced = st.holds.get(&job.id).is_some_and(|&n| n > 1);
+        if !job.by_asker || coalesced || !st.queue.is_empty() || st.shutdown {
             self.changed.notify_all();
         }
     }
@@ -593,22 +653,14 @@ impl SolveService {
         )
     }
 
-    /// Resolves one read question, applying the service-wide deadline.
-    fn prepare(&self, question: QuestionText<'_>) -> Result<SolveRequest, Response> {
-        let mut req = solve_request(question).map_err(|e| Response::bad_request(&e))?;
-        if let Some(deadline) = self.timeout {
-            // the search honors the request deadline too, so a worker is
-            // never pinned long past the 504 its waiter already received
-            req.opts = req.opts.timeout(deadline);
-        }
-        Ok(req)
-    }
-
     /// Admits one parsed question: answers immediately from the store,
-    /// joins an in-flight job, or enqueues a new one. Never blocks — the
-    /// batch route admits *everything* before waiting on *anything*, so a
-    /// batch keeps the whole worker pool busy.
-    fn admit(&self, req: &SolveRequest) -> Admission {
+    /// joins an in-flight job, or makes a new one. A new job is claimed for
+    /// the asker to run when it may (`run_here`: a waited single question),
+    /// nothing is queued and a live worker's slot is free; otherwise it is
+    /// enqueued for the pool. Never blocks — the batch route admits
+    /// *everything* before waiting on *anything*, so a batch keeps the
+    /// whole worker pool busy.
+    fn admit(&self, req: &SolveRequest, run_here: bool) -> Admission {
         let key = req.task.key(req.max_rounds);
         // fast path: a record this service verified, or one the store
         // holds that revalidates; the reply carries its stored bytes
@@ -635,7 +687,8 @@ impl SolveService {
                 coalesced: true,
             };
         }
-        if st.queue.len() >= self.max_queue {
+        let run_here = run_here && st.queue.is_empty() && st.active < self.live_workers();
+        if !run_here && st.queue.len() >= self.max_queue {
             return Admission::Full;
         }
         let id = st.next_id;
@@ -648,11 +701,15 @@ impl SolveService {
                 key,
                 max_rounds: req.max_rounds,
                 opts: req.opts,
+                admitted: Instant::now(),
                 status: Status::Queued,
             },
         );
         st.inflight.insert(key, id);
         st.holds.insert(id, 1);
+        if run_here {
+            return Admission::Run(st.claim(id, true));
+        }
         st.queue.push_back(id);
         self.changed.notify_all();
         Admission::Pending {
@@ -685,7 +742,7 @@ impl SolveService {
     /// requests' jobs sheds as for a single question.
     fn admit_in_batch(&self, req: &SolveRequest, mine: &[u64], started: Instant) -> Admission {
         loop {
-            match self.admit(req) {
+            match self.admit(req, false) {
                 Admission::Full if self.wait_for_room(mine, started) => {}
                 other => return other,
             }
@@ -745,15 +802,25 @@ impl SolveService {
             Ok(SolveBody::Batch(questions)) => return self.handle_batch(questions),
             Err(e) => return Response::bad_request(&e),
         };
-        match self.prepare(question) {
-            Err(resp) => resp,
-            Ok(req) => match self.admit(&req) {
-                Admission::Ready(resp) => resp,
-                Admission::Full => self.queue_full(),
-                Admission::Pending { id, key, coalesced } => {
-                    self.respond(req.wait, id, key, coalesced)
-                }
-            },
+        match solve_request(question) {
+            Err(e) => Response::bad_request(&e),
+            Ok(req) => self.solve_one(&req),
+        }
+    }
+
+    /// Answers one question. A waited cold question whose job this thread
+    /// may run ([`SolveService::admit`]) is solved right here: no queue
+    /// hop and no hand-off to a pool worker.
+    fn solve_one(&self, req: &SolveRequest) -> Response {
+        match self.admit(req, req.wait) {
+            Admission::Ready(resp) => resp,
+            Admission::Full => self.queue_full(),
+            Admission::Pending { id, key, coalesced } => self.respond(req.wait, id, key, coalesced),
+            Admission::Run(job) => {
+                let (id, key) = (job.id, job.key);
+                self.run_job(job);
+                self.respond(true, id, key, false)
+            }
         }
     }
 
@@ -776,7 +843,7 @@ impl SolveService {
         let mut mine: Vec<u64> = Vec::new();
         let admitted: Vec<(bool, Admission)> = questions
             .into_iter()
-            .map(|(_, q)| match self.prepare(q) {
+            .map(|(_, q)| match solve_request(q) {
                 Ok(req) => {
                     let admission = self.admit_in_batch(&req, &mine, started);
                     if let Admission::Pending { id, .. } = admission {
@@ -784,7 +851,7 @@ impl SolveService {
                     }
                     (req.wait, admission)
                 }
-                Err(resp) => (true, Admission::Ready(resp)),
+                Err(e) => (true, Admission::Ready(Response::bad_request(&e))),
             })
             .collect();
         let answers: Vec<(u16, String)> = admitted
@@ -796,6 +863,7 @@ impl SolveService {
                     Admission::Pending { id, key, coalesced } => {
                         self.respond(wait, id, key, coalesced)
                     }
+                    Admission::Run(_) => unreachable!("a batch question is never run by its asker"),
                 };
                 (resp.status, answer_body(resp))
             })
@@ -1011,7 +1079,8 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     }
     // Stop the pool (a worker mid-solve finishes its current job), fail
     // whatever is still queued past the deadline so its waiters unblock,
-    // flush the store, and only then tear the transport down.
+    // let a job its asker runs finish as a worker's would, flush the
+    // store, and only then tear the transport down.
     service.stop_workers.store(true, Ordering::Release);
     service.changed.notify_all();
     for t in pool {
@@ -1026,6 +1095,12 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         }
         st.inflight.clear();
         service.changed.notify_all();
+        while st.active > 0 {
+            st = service
+                .changed
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
     lock(&service.store).flush();
     server.shutdown();
@@ -1070,6 +1145,17 @@ mod tests {
     }
 
     fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (String, Json) {
+        let (head, body) = request_text(addr, method, path, body);
+        (head, Json::parse(&body).unwrap_or(Json::Null))
+    }
+
+    /// [`request`] with the reply body as sent.
+    fn request_text(
+        addr: std::net::SocketAddr,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(
             stream,
@@ -1081,8 +1167,7 @@ mod tests {
         let mut text = String::new();
         stream.read_to_string(&mut text).unwrap();
         let (head, body) = text.split_once("\r\n\r\n").unwrap();
-        let json = Json::parse(body).unwrap_or(Json::Null);
-        (head.to_string(), json)
+        (head.to_string(), body.to_string())
     }
 
     fn shutdown(
@@ -1759,6 +1844,7 @@ mod tests {
                         key,
                         max_rounds,
                         opts: SolveOptions::new(),
+                        admitted: Instant::now(),
                         status: Status::Queued,
                     },
                 );
@@ -1779,6 +1865,92 @@ mod tests {
         svc.stop_workers.store(true, Ordering::Release);
         svc.changed.notify_all();
         worker.join().unwrap();
+    }
+
+    /// The asking thread runs a waited cold question when a worker's slot
+    /// is free; a solve that panics there fails its job (`500`), gives back
+    /// its slot and its in-flight key, and the thread answers on.
+    #[test]
+    fn a_panicking_solve_on_the_askers_thread_fails_its_job_not_the_handler() {
+        // one live worker's slot and no worker thread: a job that queued
+        // instead of running here would never be answered
+        let svc = stalled_service(8, Some(Duration::from_secs(30)));
+        let _slot = AliveGuard::enroll(&svc.workers_alive);
+        // past the question reader's width check, as in the pool's test
+        let task = Arc::new(KeyedTask::new(identity_task_of_width(17)));
+        for max_rounds in [0, 1] {
+            let req = SolveRequest {
+                spec: "wide".to_string(),
+                task: Arc::clone(&task),
+                max_rounds,
+                opts: SolveOptions::new(),
+                wait: true,
+            };
+            let reply = svc.solve_one(&req);
+            assert_eq!(reply.status, 500, "b = {max_rounds}: {}", reply.body);
+            assert!(reply.body.contains("solve panicked"), "{}", reply.body);
+            let st = lock(&svc.state);
+            assert_eq!((st.active, st.queue.len()), (0, 0));
+            assert!(!st.inflight.contains_key(&task.key(max_rounds)));
+        }
+        let r = svc.handle_solve(r#"{"spec": "eps:1:3", "max_rounds": 1}"#);
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.body.starts_with(r#"{"cached":false,"#), "{}", r.body);
+    }
+
+    /// With `--workers 1`, a cold question its asker runs takes the one
+    /// solve slot: a second question sent meanwhile queues until it
+    /// settles, so `/jobs` never lists two running jobs, and both answer
+    /// their canonical records.
+    #[test]
+    fn workers_bound_the_solves_askers_run() {
+        let (addr, handle) = start(&["--workers", "1"]);
+        // intern the slow task first, so its ask goes straight to its solve
+        let (head, _) = request(
+            addr,
+            "POST",
+            "/solve",
+            r#"{"spec": "eps:3:9", "max_rounds": 0}"#,
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let statuses = || -> Vec<String> {
+            let (_, list) = request(addr, "GET", "/jobs", "");
+            let jobs = list.get("jobs").and_then(Json::as_array).unwrap();
+            jobs.iter()
+                .filter_map(|job| job.get("status").and_then(Json::as_str))
+                .map(String::from)
+                .collect()
+        };
+        let running = |statuses: &[String]| statuses.iter().filter(|s| *s == "running").count();
+        let ask = |spec: &str| {
+            let body = format!(r#"{{"spec": "{spec}", "max_rounds": 2}}"#);
+            std::thread::spawn(move || request_text(addr, "POST", "/solve", &body))
+        };
+        let slow = ask("eps:3:9");
+        // the second question is sent once the first holds the slot
+        while running(&statuses()) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let fast = ask("eps:1:3");
+        let (mut most_running, mut saw_queued) = (1, false);
+        while !(slow.is_finished() && fast.is_finished()) {
+            let now = statuses();
+            most_running = most_running.max(running(&now));
+            saw_queued |= now.iter().any(|s| s == "queued");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(most_running, 1, "one worker, one running solve");
+        assert!(saw_queued, "the second question waited for the slot");
+        let asks = [("eps:3:9", slow), ("eps:1:3", fast)];
+        for (spec, ask) in asks {
+            let (head, reply) = ask.join().unwrap();
+            assert!(head.starts_with("HTTP/1.1 200"), "{spec}: {head}");
+            let keyed = intern_spec(spec).unwrap();
+            let mut store = HashMap::new();
+            iis_core::cache::solve_up_to_cached(keyed.task(), 2, &SolveOptions::new(), &mut store);
+            assert_eq!(result_of(&reply), store[&keyed.key(2)], "{spec}");
+        }
+        shutdown(addr, handle);
     }
 
     #[test]
@@ -2087,10 +2259,8 @@ mod tests {
         });
         // the first job is admitted and held: its answer not yet given
         let first = questions.next().unwrap();
-        let req = svc
-            .prepare(iis_core::cache::read_question(&first).unwrap())
-            .unwrap();
-        let Admission::Pending { id: held, key, .. } = svc.admit(&req) else {
+        let req = request_of(&first).unwrap();
+        let Admission::Pending { id: held, key, .. } = svc.admit(&req, false) else {
             panic!("{first} was not queued");
         };
         // settle more distinct questions than the cap

@@ -781,8 +781,15 @@ impl BitsetCsp<'_> {
     /// Returns `false` on a domain wipeout. Mirrors the reference engine's
     /// queue discipline exactly (LIFO, in-queue dedup, revisions in
     /// position order), so it reaches the same fixpoint with the same
-    /// counter increments.
-    fn propagate(&self, st: &mut SearchState, seed: Option<usize>) -> bool {
+    /// counter increments. With a `deadline`, the clock is polled on every
+    /// 1024th revision, so a long root propagation stops at the deadline
+    /// too ([`Halt::Timeout`]).
+    fn propagate(
+        &self,
+        st: &mut SearchState,
+        seed: Option<usize>,
+        deadline: Option<std::time::Instant>,
+    ) -> Result<bool, Halt> {
         let nc = self.num_constraints();
         st.queue.clear();
         st.in_queue.iter_mut().for_each(|b| *b = false);
@@ -797,6 +804,11 @@ impl BitsetCsp<'_> {
             let ci = ci as usize;
             st.in_queue[ci] = false;
             st.tally.propagations += 1;
+            if st.tally.propagations.is_multiple_of(1024)
+                && deadline.is_some_and(|d| std::time::Instant::now() >= d)
+            {
+                return Err(Halt::Timeout);
+            }
             for pos in 0..self.support(ci).arity {
                 let v = self.verts(ci)[pos] as usize;
                 let vbase = v * self.words;
@@ -823,7 +835,7 @@ impl BitsetCsp<'_> {
                 }
                 if after == 0 {
                     st.tally.prunes += before as u64;
-                    return false;
+                    return Ok(false);
                 }
                 if after < before {
                     st.tally.prunes += (before - after) as u64;
@@ -836,7 +848,7 @@ impl BitsetCsp<'_> {
                 }
             }
         }
-        true
+        Ok(true)
     }
 
     /// Decodes a fully-singleton state into the assignment vector.
@@ -923,7 +935,7 @@ impl BitsetCsp<'_> {
                 let (vi, val, mark) = (f.vi, st.cands[f.next], f.mark);
                 f.next += 1;
                 self.assign(st, vi, val);
-                if self.propagate(st, Some(vi)) {
+                if self.propagate(st, Some(vi), ctx.deadline)? {
                     break;
                 }
                 st.undo_to(mark);
@@ -971,7 +983,7 @@ impl BitsetCsp<'_> {
                     st.dom.copy_from_slice(&state);
                     st.trail.clear();
                     self.assign(st, vi, val);
-                    if self.propagate(st, Some(vi)) {
+                    if self.propagate(st, Some(vi), ctx.deadline)? {
                         next.push(st.dom.clone());
                     }
                 }
@@ -1076,7 +1088,7 @@ pub(crate) fn search_map(
         return Ok(None);
     };
     let mut st = csp.new_state(root);
-    if !csp.propagate(&mut st, None) {
+    if !csp.propagate(&mut st, None, deadline)? {
         return Ok(None);
     }
     let assignment = if jobs > 1 {
@@ -1288,7 +1300,7 @@ mod tests {
         let tables = TaskTables::default();
         let (csp, root) = compile(&task, &skel, &tables).expect("compiles");
         let mut st = csp.new_state(root);
-        assert!(csp.propagate(&mut st, None));
+        assert_eq!(csp.propagate(&mut st, None, None), Ok(true));
         let snapshot = st.dom.clone();
         // branch on the first undecided variable, then rewind
         let vi = (0..csp.num_vars)
@@ -1299,7 +1311,7 @@ mod tests {
         for &val in &vals {
             let mark = st.trail.len();
             csp.assign(&mut st, vi, val);
-            csp.propagate(&mut st, Some(vi));
+            csp.propagate(&mut st, Some(vi), None).unwrap();
             st.undo_to(mark);
             assert_eq!(st.dom, snapshot, "undo must restore the domain state");
         }

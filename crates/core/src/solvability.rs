@@ -462,20 +462,30 @@ impl SolveOptions {
         self
     }
 
-    /// Gives up after `timeout` of wall-clock time
-    /// ([`BoundedOutcome::TimedOut`]). The search polls the clock in its
-    /// node loop (every 64 budget charges), so the search stops promptly
-    /// even deep inside a subtree. Like the node budget, the timeout applies
-    /// **per round**; a timed-out round is inconclusive, not `Unsolvable`.
+    /// Gives up once `timeout` of wall-clock time has passed since the
+    /// sweep started ([`BoundedOutcome::TimedOut`]): one deadline for the
+    /// whole sweep (a [`Solver`]'s, counted from its creation), or for the
+    /// one round of [`solve_at_opts`]. Unlike the node budget, the timeout
+    /// is **not** per round. The search polls the clock in its node loop
+    /// (every 64 budget charges) and in propagation (every 1024
+    /// revisions), so it stops promptly even deep inside a subtree or a
+    /// long root propagation; a tower build or a compile in progress runs
+    /// to its end. A timed-out round is inconclusive, not `Unsolvable`.
     pub fn timeout(mut self, timeout: std::time::Duration) -> Self {
         self.timeout = Some(timeout);
         self
+    }
+
+    /// The instant a sweep starting now gives up at.
+    fn deadline(&self) -> Option<std::time::Instant> {
+        self.timeout.map(|t| std::time::Instant::now() + t)
     }
 }
 
 /// [`solve_at_bounded`] with full [`SolveOptions`] control (budget,
 /// parallelism, and timeout).
 pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutcome {
+    let deadline = opts.deadline();
     let facets = tower_facets(task.input(), b);
     if facets > TOWER_FACET_CAP {
         return BoundedOutcome::TooLarge { facets };
@@ -485,7 +495,15 @@ pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutco
     for level in 1..=b {
         skel = next_skeleton(&skel, task.input(), shape, level);
     }
-    solve_on(task, &skel, shape, b, opts, &TaskTables::default())
+    solve_on(
+        task,
+        &skel,
+        shape,
+        b,
+        opts,
+        deadline,
+        &TaskTables::default(),
+    )
 }
 
 /// The constraint skeleton of `SDS^0(I) = I`, where `shape` is
@@ -529,14 +547,16 @@ fn next_skeleton(skel: &Skeleton, input: &Complex, shape: u64, level: usize) -> 
 }
 
 /// The shared per-round body: search `skel` (= `SDS^b(I)`, of input shape
-/// `shape`) under `opts`, with instrumentation. A level a witness is found
-/// on is memoized for the witness checks (and searches) to come.
+/// `shape`) under `opts`'s budget and jobs until `deadline`, with
+/// instrumentation. A level a witness is found on is memoized for the
+/// witness checks (and searches) to come.
 fn solve_on(
     task: &Task,
     skel: &Arc<Skeleton>,
     shape: u64,
     b: usize,
     opts: &SolveOptions,
+    deadline: Option<std::time::Instant>,
     tables: &TaskTables,
 ) -> BoundedOutcome {
     let timer = iis_obs::span::span("solve.search_ns");
@@ -547,7 +567,6 @@ fn solve_on(
         iis_obs::profile::register(iis_obs::profile::SpanId::ROOT, &format!("round:{b}"));
     let profile_t0 = profile_now();
     let budget = SharedBudget::new(opts.max_nodes);
-    let deadline = opts.timeout.map(|t| std::time::Instant::now() + t);
     let result =
         crate::csp::search_map(task, skel, &budget, deadline, opts.jobs, tables, round_span);
     if let Some(t0) = profile_t0 {
@@ -610,7 +629,8 @@ fn solve_on(
 /// rebuilding everything from scratch per round the way repeated
 /// [`solve_at`] calls would.
 ///
-/// The node budget in the options applies per round.
+/// The node budget in the options applies per round; the timeout bounds
+/// the whole sweep, counted from the solver's creation.
 ///
 /// Once round 0 is refuted, the next step looks for a Sperner
 /// certificate ([`find_certificate`]) — once, within a fixed work bound.
@@ -635,6 +655,8 @@ fn solve_on(
 pub struct Solver<'t> {
     task: &'t Task,
     opts: SolveOptions,
+    /// The sweep's one deadline (`opts`'s timeout from creation).
+    deadline: Option<std::time::Instant>,
     shape: u64,
     skel: Arc<Skeleton>,
     b: usize,
@@ -660,10 +682,12 @@ impl<'t> Solver<'t> {
     }
 
     fn with_tables(task: &'t Task, opts: SolveOptions, tables: Tables<'t>) -> Self {
+        let deadline = opts.deadline();
         let shape = shape_key(task.input());
         Solver {
             task,
             opts,
+            deadline,
             shape,
             skel: base_skeleton(task.input(), shape),
             b: 0,
@@ -722,7 +746,13 @@ impl<'t> Solver<'t> {
             Tables::Shared(t) => t,
         };
         let outcome = solve_on(
-            self.task, &self.skel, self.shape, self.b, &self.opts, tables,
+            self.task,
+            &self.skel,
+            self.shape,
+            self.b,
+            &self.opts,
+            self.deadline,
+            tables,
         );
         if b == 0 {
             self.zero_refuted = matches!(outcome, BoundedOutcome::Unsolvable);

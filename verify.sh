@@ -92,9 +92,11 @@ echo "serve smoke: ok"
 # once more, requiring hits with byte-identical witnesses and an unmoved
 # cache_tower_builds_total across the warm asks; probe /healthz and
 # /readyz; ask an inline-task question ({"task": …}, the committed
-# eps:1:3 fixture) twice with the same requirements; accept an async job
-# and POST /shutdown while it may still be running — the drain must
-# finish it (summary says so) and the exit must be clean.
+# eps:1:3 fixture) twice with the same requirements; require
+# serve_jobs_active 0 once the asks are answered (a cold ask is solved on
+# the thread that read it, and must give its solve slot back); accept an
+# async job and POST /shutdown while it may still be running — the drain
+# must finish it (summary says so) and the exit must be clean.
 serve_log=$(mktemp)
 serve_out=$(mktemp)
 store_dir=$(mktemp -d)
@@ -213,6 +215,10 @@ result_of() { printf '%s' "$1" | sed 's/.*"result"://'; }
   || { echo "solve service smoke: reordered inline task has another key"; echo "$first"; echo "$third"; exit 1; }
 [ "$(result_of "$third")" = "$(result_of "$first")" ] \
   || { echo "solve service smoke: reordered inline task has another result"; echo "$first"; echo "$third"; exit 1; }
+# every waited cold ask above was solved by the thread that read it, and
+# each gave its solve slot back
+scrape /metrics | grep -qx 'serve_jobs_active 0' \
+  || { echo "solve service smoke: expected serve_jobs_active 0"; scrape /metrics | grep jobs_active; exit 1; }
 # drain path: accept an async job, then shut down while it may be running
 accepted=$(post /solve '{"spec": "trivial:2", "max_rounds": 1, "wait": false}')
 echo "$accepted" | grep -q '"job":' \
@@ -226,7 +232,8 @@ echo "solve service smoke: ok"
 
 # Deep-search smoke: eps:3:3 is solvable at b = 2 on a 15 048-vertex
 # tower, a descent as deep as that tower. The parallel search's helpers
-# and the service's workers run it on spawned threads with default
+# and the service's connection thread that reads the question (it solves
+# a waited cold question itself) run it on spawned threads with default
 # stacks; both must answer, and the service must live on and drain.
 out=$(timeout 30 "$IIS" solve eps:3:3 --max-rounds 2 --jobs 2) \
   || { echo "deep search smoke: solve --jobs 2 failed or ran past 30 s"; echo "$out"; exit 1; }

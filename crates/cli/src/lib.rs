@@ -8,9 +8,9 @@
 
 use iis_adversary::{fuzz, FuzzConfig, Layer};
 use iis_core::bg::BgSimulation;
-use iis_core::certificate::Certificate;
+use iis_core::certificate::{find_certificate, Certificate};
 use iis_core::protocol_complex::{check_lemma_3_2, check_lemma_3_3};
-use iis_core::solvability::{BoundedOutcome, SolveOptions, Solver};
+use iis_core::solvability::{solve_up_to_opts, BoundedOutcome, SolvabilityReport, SolveOptions};
 use iis_core::EmulatorMachine;
 use iis_obs::ToJson as _;
 use iis_sched::{AtomicMachine, IisRunner, IisSchedule};
@@ -56,9 +56,11 @@ USAGE:
   iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N]
             [--timeout-secs T] [--store DIR]
                                           decide wait-free solvability
-                                          (--timeout-secs bounds the whole
-                                          sweep; timeout ⇒ inconclusive, not
-                                          unsolvable;
+                                          (--budget is per round,
+                                          --timeout-secs bounds the whole
+                                          sweep; the sweep stops at its first
+                                          undecided round: inconclusive, not
+                                          unsolvable, and never stored;
                                           --store answers from / fills a
                                           persistent witness cache)
   iis serve [--addr A] [--store DIR] [--workers N] [--queue N]
@@ -282,9 +284,10 @@ const SOLVE_FLAGS: [&str; 5] = [
 ///
 /// The round sweep is incremental (`SDS^{b+1}` extends `SDS^b`) and
 /// `--jobs N` spreads each round's search over `N` worker threads without
-/// changing any verdict or witness. `--timeout-secs T` bounds the whole
-/// sweep by one wall-clock deadline; the round it stops in is reported as
-/// **inconclusive** (like a spent `--budget`), never as unsolvable.
+/// changing any verdict or witness. `--budget` bounds each round,
+/// `--timeout-secs T` the whole sweep; the sweep stops at its first
+/// undecided round and reports it as **inconclusive**, never as
+/// unsolvable. `--store DIR` adds one line, and stores decided sweeps.
 ///
 /// # Errors
 ///
@@ -321,96 +324,84 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
         Some(t) => Some(t.parse().map_err(|_| err("bad --timeout-secs"))?),
         None => None,
     };
-    let mut out = String::new();
-    let _ = writeln!(out, "task: {task}");
     let mut opts = SolveOptions::new().budget(budget).jobs(jobs);
     if let Some(t) = timeout_secs {
         opts = opts.timeout(std::time::Duration::from_secs(t));
     }
-    if let Some(dir) = flag_value(args, "--store")? {
-        // cache-aware path: answer from the persistent store when the
-        // (task, max_rounds) record exists, persist a decided sweep
-        let mut store = iis_store::Store::open(dir)
-            .map_err(|e| err(format!("cannot open store {dir}: {e}")))?;
-        let cached = iis_core::cache::solve_up_to_cached(&task, max_rounds, &opts, &mut store);
-        for &(b, ok) in cached.report.results() {
-            if ok {
-                let m = cached.report.witness().expect("solvable has a witness");
-                let _ = writeln!(
-                    out,
-                    "b = {b}: SOLVABLE — decision map on {} vertices",
-                    m.map().len()
-                );
-            } else {
-                let _ = writeln!(out, "b = {b}: no decision map (exact)");
-            }
+    // with a store, answer from it when the (task, max_rounds) record
+    // exists, and persist a decided sweep
+    let (report, hit, store_line) = match flag_value(args, "--store")? {
+        None => (solve_up_to_opts(&task, max_rounds, &opts), false, None),
+        Some(dir) => {
+            let mut store = iis_store::Store::open(dir)
+                .map_err(|e| err(format!("cannot open store {dir}: {e}")))?;
+            let cached = iis_core::cache::solve_up_to_cached(&task, max_rounds, &opts, &mut store);
+            let part = match (cached.hit, cached.report.stopped()) {
+                (true, _) => "hit",
+                (false, None) => "miss — computed and saved",
+                (false, Some(_)) => "miss — undecided, nothing stored",
+            };
+            let (key, len) = (cached.key, store.len());
+            let line = format!("store: {part} (key {key:016x}, {len} records in {dir})\n");
+            (cached.report, cached.hit, Some(line))
         }
-        if let Some(cert) = cached.report.certificate() {
-            let _ = writeln!(out, "{}", certificate_line(&task, cert));
-        }
-        if cached.report.witness().is_none() {
-            if cached.report.results().len() == max_rounds + 1 {
-                let _ = writeln!(out, "no decision map found up to b = {max_rounds}");
-            } else {
-                let b = cached.report.results().len();
-                let why = iis_core::solvability::tower_too_large(task.input(), b)
-                    .unwrap_or_else(|| "undecided within the budget".to_string());
-                let _ = writeln!(out, "b = {b}: {why} — inconclusive, not stored");
-            }
-        }
-        let _ = writeln!(
-            out,
-            "store: {} (key {:016x}, {} records in {dir})",
-            if cached.hit {
-                "hit"
-            } else {
-                "miss — computed and saved"
-            },
-            cached.key,
-            store.len()
-        );
-        return Ok(out);
-    }
-    let mut solver = Solver::new(&task, opts);
-    for b in 0..=max_rounds {
-        match solver.step() {
-            BoundedOutcome::Solvable(m) => {
-                let _ = writeln!(
-                    out,
-                    "b = {b}: SOLVABLE — decision map on {} vertices",
-                    m.map().len()
-                );
-                return Ok(out);
-            }
-            BoundedOutcome::Unsolvable => {
-                let _ = writeln!(out, "b = {b}: no decision map (exact)");
-            }
-            BoundedOutcome::Exhausted => {
-                let _ = writeln!(out, "b = {b}: undecided within {budget} nodes");
-            }
-            BoundedOutcome::TooLarge { .. } => {
-                let why = iis_core::solvability::tower_too_large(task.input(), b)
-                    .expect("a round past the cap");
-                let _ = writeln!(out, "b = {b}: {why} — inconclusive");
-                return Ok(out);
-            }
-            BoundedOutcome::TimedOut => {
-                let t = timeout_secs.unwrap_or(0);
-                let _ = writeln!(
-                    out,
-                    "b = {b}: TIMED OUT after {t}s — inconclusive (not unsolvable); \
-                     partial stats are in --stats"
-                );
-                let _ = writeln!(out, "stopped at b = {b}: timeout verdicts decide nothing");
-                return Ok(out);
-            }
-        }
-    }
-    if let Some(cert) = solver.certificate() {
-        let _ = writeln!(out, "{}", certificate_line(&task, cert));
-    }
-    let _ = writeln!(out, "no decision map found up to b = {max_rounds}");
+    };
+    let mut out = format!("task: {task}\n");
+    render_report(&mut out, &task, &report, hit, budget, timeout_secs);
+    out.extend(store_line);
     Ok(out)
+}
+
+/// Writes `report`'s verdicts, its Sperner certificate and how the sweep
+/// ended, alike whether it ran here or was `replayed` from a store. A
+/// record does not name its certificate, so a replayed refutation of
+/// rounds `0..=M`, `M ≥ 1`, looks it up with the sweep's own bounded
+/// [`find_certificate`].
+fn render_report(
+    out: &mut String,
+    task: &Task,
+    report: &SolvabilityReport,
+    replayed: bool,
+    budget: u64,
+    timeout_secs: Option<u64>,
+) {
+    for &(b, ok) in report.results() {
+        let _ = match report.witness().filter(|_| ok) {
+            Some(m) => writeln!(
+                out,
+                "b = {b}: SOLVABLE — decision map on {} vertices",
+                m.map().len()
+            ),
+            None => writeln!(out, "b = {b}: no decision map (exact)"),
+        };
+    }
+    let refuted = report.witness().is_none() && report.stopped().is_none();
+    let looked_up = (replayed && refuted && report.results().len() > 1)
+        .then(|| find_certificate(task))
+        .flatten();
+    if let Some(cert) = report.certificate().or(looked_up.as_ref()) {
+        let _ = writeln!(out, "{}", certificate_line(task, cert));
+    }
+    let b = report.results().len();
+    let _ = match report.stopped() {
+        None if refuted => writeln!(out, "no decision map found up to b = {}", b - 1),
+        None => Ok(()),
+        Some(BoundedOutcome::Exhausted) => writeln!(
+            out,
+            "b = {b}: undecided within {budget} nodes — inconclusive (raise --budget)"
+        ),
+        Some(BoundedOutcome::TimedOut) => writeln!(
+            out,
+            "b = {b}: TIMED OUT after {}s — inconclusive (not unsolvable); \
+             partial stats are in --stats",
+            timeout_secs.unwrap_or(0)
+        ),
+        Some(_) => writeln!(
+            out,
+            "b = {b}: {} — inconclusive",
+            report.stop_reason().unwrap_or_default()
+        ),
+    };
 }
 
 /// The line `iis solve` names a refuting certificate with.
@@ -985,6 +976,61 @@ mod tests {
         let warm = cmd_solve(&args).unwrap();
         assert!(warm.contains("store: hit"), "{warm}");
         assert!(cmd_solve(&argv("eps:1:3 --store /dev/null/nope")).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each question, cold, prints the same verdict and reason lines with
+    /// a store and without one; the store holds a record exactly when the
+    /// sweep decided, and a decided one replays warm with the same lines
+    /// (a certified refutation names its certificate again). `no decision
+    /// map found up to b = M` follows only exact rounds `0..=M`.
+    #[test]
+    fn solve_answers_alike_with_and_without_a_store() {
+        let dir = std::env::temp_dir().join(format!("iis_cli_alike_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (i, (question, decided)) in [
+            ("eps:1:3 --max-rounds 2", true),
+            ("consensus:1 --max-rounds 2", true),
+            ("consensus:2 --max-rounds 6", true),
+            ("eps:2:4 --max-rounds 3 --budget 1", false),
+            ("oneshot:1 --timeout-secs 0", false),
+            // too large at b = 2
+            ("eps:4:3 --max-rounds 2", false),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let plain = cmd_solve(&argv(question)).unwrap();
+            let store = dir.join(i.to_string());
+            let mut args = argv(question);
+            args.extend(["--store".to_string(), store.to_str().unwrap().to_string()]);
+            let cold = cmd_solve(&args).unwrap();
+            let (lines, store_line) = cold.trim_end().rsplit_once('\n').unwrap();
+            assert_eq!(format!("{lines}\n"), plain, "{question}");
+            let records = iis_store::Store::open(&store).unwrap().len();
+            assert_eq!(records, usize::from(decided), "{question}: {store_line}");
+            if decided {
+                assert!(store_line.starts_with("store: miss — computed and saved"));
+                let warm = cmd_solve(&args).unwrap();
+                let (warm_lines, warm_store) = warm.trim_end().rsplit_once('\n').unwrap();
+                assert_eq!(warm_lines, lines, "{question}");
+                assert!(warm_store.starts_with("store: hit"), "{warm}");
+            } else {
+                assert!(
+                    store_line.starts_with("store: miss — undecided, nothing stored"),
+                    "{store_line}"
+                );
+                assert!(lines.lines().last().unwrap().contains("— inconclusive"));
+                assert!(!plain.contains("no decision map found"), "{plain}");
+            }
+            if let Some(m) = plain.split("no decision map found up to b = ").nth(1) {
+                let m: usize = m.trim_end().parse().unwrap();
+                for b in 0..=m {
+                    let exact = format!("b = {b}: no decision map (exact)");
+                    assert!(plain.lines().any(|l| l == exact), "{question}: {plain}");
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -87,7 +87,7 @@ use iis_core::cache::{
     QuestionText, SolveBody, SolveCache, MAX_BATCH,
 };
 use iis_core::parallel::panic_message;
-use iis_core::solvability::{tower_too_large, SolveOptions};
+use iis_core::solvability::{BoundedOutcome, SolveOptions};
 use iis_obs::http::{serve_with, Handler, Request, Response};
 use iis_obs::json::ObjectWriter;
 use iis_obs::metrics::StaticCounter;
@@ -535,25 +535,20 @@ impl SolveService {
                     result: text,
                     cached: hit,
                 },
-                // an undecided sweep stored nothing; which limit stopped it
+                // an undecided sweep stored nothing, and names the limit
+                // that stopped it
                 Answered::Undecided(report) => {
-                    let b = report.results().len();
-                    match tower_too_large(job.task.task().input(), b) {
-                        Some(why) => Status::Inconclusive(format!("inconclusive: {why}")),
-                        None if self
-                            .timeout
-                            .is_some_and(|deadline| job.admitted.elapsed() >= deadline) =>
-                        {
-                            // the search abandoned the sweep at the deadline
+                    let why = report.stop_reason().unwrap_or_default();
+                    match report.stopped() {
+                        Some(BoundedOutcome::TimedOut) => {
                             iis_obs::metrics::add("serve.timeouts", 1);
-                            Status::TimedOut(format!(
-                                "deadline exceeded: search stopped at b = {b} after {:?}",
-                                self.timeout.unwrap_or_default()
-                            ))
+                            let deadline = self.timeout.unwrap_or_default();
+                            Status::TimedOut(format!("{why} after {deadline:?}"))
                         }
-                        None => Status::Inconclusive(format!(
-                            "inconclusive: search exhausted at b = {b} (raise \"budget\")"
-                        )),
+                        Some(BoundedOutcome::Exhausted) => {
+                            Status::Inconclusive(format!("inconclusive: {why} (raise \"budget\")"))
+                        }
+                        _ => Status::Inconclusive(format!("inconclusive: {why}")),
                     }
                 }
             }

@@ -155,6 +155,27 @@ fn a_heavy_question_answers_504_within_the_deadline_and_frees_its_slot() {
     shard.stop();
 }
 
+/// A waited question whose node budget runs out answers the question: a
+/// `422` whose body names the round the sweep stopped at, on a shard with
+/// a deadline that did not pass, and no timeout is counted.
+#[test]
+fn an_exhausted_budget_answers_422_and_counts_no_timeout() {
+    let shard = Shard::start(&["--timeout-secs", "60"]);
+    let (status, reply) = shard.solve(r#"{"spec": "eps:2:3", "max_rounds": 2, "budget": 50}"#);
+    let task = iis_tasks::library::parse_spec("eps:2:3").unwrap();
+    let key = iis_core::cache::cache_key(&task, 2);
+    assert_eq!(status, 422, "{reply}");
+    assert_eq!(
+        reply,
+        format!(
+            r#"{{"error":"inconclusive: search exhausted at b = 2 (raise \"budget\")","job":1,"key":"{key:016x}"}}"#
+        )
+    );
+    assert_eq!(shard.metric("serve_timeouts_total"), 0);
+    assert_eq!(shard.metric("serve_jobs_active"), 0);
+    shard.stop();
+}
+
 /// An identical cold question sent while the first one's asker runs its
 /// job joins that job: one sweep, and both replies carry the same record
 /// bytes.

@@ -22,10 +22,11 @@
 //! # What is cacheable
 //!
 //! Only **decided** sweeps are stored: a witness was found, or every round
-//! `0..=max_rounds` was exactly refuted. A sweep cut short by a node budget
-//! or a wall-clock timeout decides nothing (`Exhausted`/`TimedOut` are
-//! inconclusive verdicts) and is never persisted — a cache must not launder
-//! "we gave up" into "unsolvable".
+//! `0..=max_rounds` was exactly refuted. A sweep cut short by a node
+//! budget, a wall-clock timeout or the tower cap decides nothing
+//! (`Exhausted`/`TimedOut`/`TooLarge` are inconclusive verdicts, and the
+//! report names the one that stopped it) and is never persisted — a cache
+//! must not launder "we gave up" into "unsolvable".
 //!
 //! # Integrity
 //!
@@ -1285,12 +1286,6 @@ impl AnswerMemo {
     }
 }
 
-/// `true` iff the sweep reached a verdict that may be persisted: a witness,
-/// or an exact refutation of every round `0..=max_rounds`.
-fn decided(report: &SolvabilityReport, max_rounds: usize) -> bool {
-    report.witness().is_some() || report.results().len() == max_rounds + 1
-}
-
 /// [`crate::solvability::solve_up_to`] through a cache: answer from `cache`
 /// when the `(task, max_rounds)` record exists and validates, otherwise run
 /// the sweep with `opts` and persist the result if it decided.
@@ -1342,8 +1337,9 @@ pub enum Answered {
         /// Whether it came from the store (through the memo).
         hit: bool,
     },
-    /// The sweep stopped undecided (node budget, deadline, or a tower
-    /// past the cap); nothing was stored.
+    /// The sweep stopped undecided; nothing was stored. The report names
+    /// the limit that stopped it ([`SolvabilityReport::stopped`]): the node
+    /// budget, the deadline, or a tower past the cap.
     Undecided(SolvabilityReport),
 }
 
@@ -1444,7 +1440,9 @@ fn sweep(
     static STORE_MISSES: StaticCounter = StaticCounter::new("solve.cache_store_misses");
     STORE_MISSES.incr();
     let report = solve_up_to_with(q.task, max_rounds, opts, q.tables);
-    let record = decided(&report, max_rounds).then(|| report_to_json(&report).to_string());
+    // only a decided sweep (a witness, or every round refuted) is stored
+    let decided = report.stopped().is_none();
+    let record = decided.then(|| report_to_json(&report).to_string());
     if let Some(text) = &record {
         cache.put(key, text);
     }

@@ -76,6 +76,8 @@ pub struct SolvabilityReport {
     results: Vec<(usize, bool)>,
     witness: Option<DecisionMap>,
     certificate: Option<Certificate>,
+    /// What stopped the sweep undecided ([`SolvabilityReport::stopped`]).
+    stopped: Option<BoundedOutcome>,
 }
 
 impl SolvabilityReport {
@@ -91,6 +93,7 @@ impl SolvabilityReport {
             results,
             witness,
             certificate: None,
+            stopped: None,
         }
     }
 
@@ -120,16 +123,36 @@ impl SolvabilityReport {
     pub fn certificate(&self) -> Option<&Certificate> {
         self.certificate.as_ref()
     }
+
+    /// The outcome that stopped the sweep undecided at round
+    /// `results().len()` (`Exhausted`, `TimedOut` or `TooLarge`); `None`
+    /// when it decided: a witness, or every round asked refuted exactly.
+    pub fn stopped(&self) -> Option<&BoundedOutcome> {
+        self.stopped.as_ref()
+    }
+
+    /// Why the sweep stopped undecided, in words naming the round; `None`
+    /// when it decided.
+    pub fn stop_reason(&self) -> Option<String> {
+        let b = self.results.len();
+        Some(match self.stopped.as_ref()? {
+            BoundedOutcome::TimedOut => format!("deadline exceeded: search stopped at b = {b}"),
+            BoundedOutcome::TooLarge { facets } => format!(
+                "SDS^{b}(I) would have {facets} facets, past the cap of {TOWER_FACET_CAP}; nothing was built"
+            ),
+            // `Exhausted`, the one other outcome a sweep stops at
+            _ => format!("search exhausted at b = {b}"),
+        })
+    }
 }
 
 impl fmt::Display for SolvabilityReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.first_solvable() {
-            Some(b) => write!(f, "{}: solvable at b = {b}", self.task_name),
-            None => {
-                let max = self.results.last().map(|(b, _)| *b).unwrap_or(0);
-                write!(f, "{}: no decision map up to b = {max}", self.task_name)
-            }
+        let (name, max) = (&self.task_name, self.results.len().saturating_sub(1));
+        match (self.first_solvable(), self.stop_reason()) {
+            (Some(b), _) => write!(f, "{name}: solvable at b = {b}"),
+            (None, Some(why)) => write!(f, "{name}: undecided — {why}"),
+            (None, None) => write!(f, "{name}: no decision map up to b = {max}"),
         }
     }
 }
@@ -336,18 +359,6 @@ pub fn tower_facets(input: &Complex, b: usize) -> u64 {
     let exponent = u32::try_from(b).unwrap_or(u32::MAX);
     input.facets().fold(0u64, |sum, f| {
         sum.saturating_add(ordered_bell(f.len()).saturating_pow(exponent))
-    })
-}
-
-/// Why round `b` was not searched, when `SDS^b(input)` is past
-/// [`TOWER_FACET_CAP`]: a message naming `b`, the facet count and the
-/// cap; `None` when the tower is within the cap.
-pub fn tower_too_large(input: &Complex, b: usize) -> Option<String> {
-    let facets = tower_facets(input, b);
-    (facets > TOWER_FACET_CAP).then(|| {
-        format!(
-            "SDS^{b}(I) would have {facets} facets, past the cap of {TOWER_FACET_CAP}; nothing was built"
-        )
     })
 }
 
@@ -704,12 +715,6 @@ impl<'t> Solver<'t> {
         self.b
     }
 
-    /// The certificate refuting every round past `b = 0`, once a step
-    /// found one.
-    pub fn certificate(&self) -> Option<&Certificate> {
-        self.certificate.as_ref().and_then(Option::as_ref)
-    }
-
     /// Decides the next round count and returns its outcome. A round
     /// whose tower is past [`TOWER_FACET_CAP`] is
     /// [`BoundedOutcome::TooLarge`] and leaves the solver where it was,
@@ -813,7 +818,8 @@ pub fn solve_up_to(task: &Task, max_rounds: usize) -> SolvabilityReport {
 /// node budget or wall-clock timeout, or its tower is past
 /// [`TOWER_FACET_CAP`], the sweep stops without recording a verdict for
 /// that round (an inconclusive round decides nothing about larger `b`
-/// either).
+/// either); the report names that outcome
+/// ([`SolvabilityReport::stopped`]).
 pub fn solve_up_to_opts(task: &Task, max_rounds: usize, opts: &SolveOptions) -> SolvabilityReport {
     sweep(Solver::new(task, *opts), max_rounds)
 }
@@ -834,7 +840,7 @@ pub(crate) fn solve_up_to_with(
 
 fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
     let mut results = Vec::new();
-    let mut witness = None;
+    let (mut witness, mut stopped) = (None, None);
     for b in 0..=max_rounds {
         match solver.step() {
             BoundedOutcome::Solvable(w) => {
@@ -843,9 +849,10 @@ fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
                 break;
             }
             BoundedOutcome::Unsolvable => results.push((b, false)),
-            BoundedOutcome::Exhausted
-            | BoundedOutcome::TimedOut
-            | BoundedOutcome::TooLarge { .. } => break,
+            undecided => {
+                stopped = Some(undecided);
+                break;
+            }
         }
     }
     SolvabilityReport {
@@ -853,6 +860,7 @@ fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
         results,
         witness,
         certificate: solver.certificate.flatten(),
+        stopped,
     }
 }
 
@@ -1037,6 +1045,35 @@ mod tests {
         assert_eq!(report.first_solvable(), None, "FLP: consensus unsolvable");
         assert_eq!(report.results().len(), 4);
         assert!(report.witness().is_none());
+    }
+
+    #[test]
+    fn an_undecided_sweep_names_what_stopped_it() {
+        let t = one_shot_immediate_snapshot_task(1);
+        let report = solve_up_to_opts(&t, 2, &SolveOptions::new().budget(0));
+        assert!(matches!(report.stopped(), Some(BoundedOutcome::Exhausted)));
+        let b = report.results().len();
+        let name = t.name();
+        assert_eq!(
+            report.to_string(),
+            format!("{name}: undecided — search exhausted at b = {b}")
+        );
+        // eps:5:2 is refuted at b = 0; its tower at b = 1 is past the cap
+        let t = iis_tasks::library::parse_spec("eps:5:2").unwrap();
+        let report = solve_up_to(&t, 1);
+        assert!(matches!(
+            report.stopped(),
+            Some(BoundedOutcome::TooLarge { facets: 299_712 })
+        ));
+        assert_eq!(
+            report.to_string(),
+            "eps-agreement: undecided — SDS^1(I) would have 299712 facets, past the cap \
+             of 100000; nothing was built"
+        );
+        // a decided sweep stopped at nothing
+        let report = solve_up_to(&consensus(1, &[0, 1]), 1);
+        assert!(report.stopped().is_none() && report.stop_reason().is_none());
+        assert_eq!(report.to_string(), "consensus: no decision map up to b = 1");
     }
 
     #[test]

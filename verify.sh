@@ -45,6 +45,23 @@ for q in "kset:3:3 --max-rounds 1" "kset:4:3 --max-rounds 1" "consensus:2 --max-
 done
 echo "certificate smoke: ok"
 
+# Undecided-sweep smoke: a sweep stopped by the deadline or the node budget
+# decides nothing. With a store it says so and stores nothing; without one
+# it ends at its first undecided round and claims no refutation.
+store_dir=$(mktemp -d)
+out=$("$IIS" solve oneshot:1 --timeout-secs 0 --store "$store_dir")
+echo "$out" | grep -q '^b = 1: TIMED OUT' \
+  || { echo "undecided smoke: a zero timeout did not time out"; echo "$out"; exit 1; }
+echo "$out" | grep -q "^store: miss — undecided, nothing stored (key [0-9a-f]*, 0 records in $store_dir)\$" \
+  || { echo "undecided smoke: a timed-out sweep was stored"; echo "$out"; exit 1; }
+out=$("$IIS" solve eps:2:4 --max-rounds 3 --budget 1)
+echo "$out" | tail -1 | grep -q '^b = 2: undecided within 1 nodes' \
+  || { echo "undecided smoke: an exhausted sweep did not end at b = 2"; echo "$out"; exit 1; }
+echo "$out" | grep -q 'no decision map found' \
+  && { echo "undecided smoke: an exhausted sweep claims a refutation"; echo "$out"; exit 1; }
+rm -rf "$store_dir"
+echo "undecided smoke: ok"
+
 # Live-introspection smoke: solve with --serve on an ephemeral port, scrape
 # /metrics and /progress over bash's /dev/tcp while the process runs, then
 # require a clean exit. /metrics must be Prometheus text exposition and

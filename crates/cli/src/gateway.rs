@@ -23,7 +23,7 @@
 //! - `GET /readyz` — `200` while at least one shard is not Down.
 //! - `POST /shutdown` — stop the prober and exit.
 
-use crate::{err, flag_value, CliError};
+use crate::{err, flag_value, only_flags, CliError};
 use iis_cluster::{Gateway, GatewayConfig, HttpTransport, ShardHealth};
 use iis_obs::http::{serve_with, Handler, Request, Response};
 use iis_obs::{Json, ToJson as _};
@@ -78,6 +78,20 @@ fn handle(gateway: &Gateway, req: &Request) -> Option<Response> {
     }
 }
 
+/// How long the gateway waits on a shard by default (`--timeout-secs`)
+/// before it counts the call as the shard's fault and fails over.
+pub(crate) const UPSTREAM_TIMEOUT_SECS: u64 = 10;
+
+/// The flags `iis gateway` takes, each with a value.
+const GATEWAY_FLAGS: [&str; 6] = [
+    "--backends",
+    "--replicas",
+    "--addr",
+    "--workers",
+    "--probe-ms",
+    "--timeout-secs",
+];
+
 /// `iis gateway --backends A,B[,…] [--replicas R] [--addr A] [--workers N]
 /// [--probe-ms MS] [--timeout-secs T]` — see [`crate::USAGE`].
 ///
@@ -88,8 +102,10 @@ fn handle(gateway: &Gateway, req: &Request) -> Option<Response> {
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] on bad arguments or an unbindable address.
+/// Returns a [`CliError`] on bad arguments, naming any flag not listed
+/// above, or an unbindable address.
 pub fn cmd_gateway(args: &[String]) -> Result<String, CliError> {
+    only_flags("gateway", args, &GATEWAY_FLAGS)?;
     let backends: Vec<String> = flag_value(args, "--backends")?
         .ok_or_else(|| err("--backends A,B[,…] is required"))?
         .split(',')
@@ -126,10 +142,10 @@ pub fn cmd_gateway(args: &[String]) -> Result<String, CliError> {
     if probe_ms == 0 {
         return Err(err("bad --probe-ms"));
     }
-    let deadline: u64 = flag_value(args, "--timeout-secs")?
-        .unwrap_or("10")
-        .parse()
-        .map_err(|_| err("bad --timeout-secs"))?;
+    let deadline: u64 = match flag_value(args, "--timeout-secs")? {
+        Some(t) => t.parse().map_err(|_| err("bad --timeout-secs"))?,
+        None => UPSTREAM_TIMEOUT_SECS,
+    };
     // like iis serve: a gateway is always observable
     iis_obs::set_enabled(true);
     let transport = Arc::new(HttpTransport::new(Duration::from_secs(deadline.max(1))));
@@ -390,6 +406,15 @@ mod tests {
         assert!(cmd_gateway(&argv("--backends a:1 --probe-ms 0")).is_err());
         assert!(cmd_gateway(&argv("--backends a:1 --timeout-secs x")).is_err());
         assert!(cmd_gateway(&argv("--backends a:1 --addr 256.0.0.1:99999")).is_err());
+        // a flag the gateway does not take is named, before anything is bound
+        for (args, named) in [
+            ("--backends a:1 --worker 4", "--worker"),
+            ("--backends=a:1 --drain-secs=5", "--drain-secs=5"),
+            ("--backends a:1 --addr 127.0.0.1:0 stray", "stray"),
+        ] {
+            let e = cmd_gateway(&argv(args)).unwrap_err();
+            assert_eq!(e.to_string(), format!("gateway does not take {named}"));
+        }
     }
 
     /// An HTTP transport that keeps every `POST` it carries: the upstream

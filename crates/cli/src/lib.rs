@@ -64,17 +64,19 @@ USAGE:
                                           --store answers from / fills a
                                           persistent witness cache)
   iis serve [--addr A] [--store DIR] [--workers N] [--queue N]
-            [--timeout-secs T] [--drain-secs S]
+            [--timeout-secs T]
                                           HTTP solve service: POST /solve,
                                           GET /jobs[/<id>], GET /healthz,
                                           GET /readyz, POST /shutdown,
                                           plus /metrics /progress /snapshot
                                           (default --addr 127.0.0.1:0; the
                                           bound address goes to stderr;
-                                          --queue bounds admission ⇒ 503,
-                                          --timeout-secs bounds a waited
-                                          solve ⇒ 504, --drain-secs bounds
-                                          the graceful drain on shutdown)
+                                          --queue bounds admission ⇒ 503;
+                                          every job has one deadline, T
+                                          (default 8) seconds after its
+                                          admission ⇒ 504; the shutdown
+                                          drain waits until the last job's
+                                          deadline plus one second)
   iis gateway --backends A,B[,…] [--replicas R] [--addr A] [--workers N]
               [--probe-ms MS] [--timeout-secs T]
                                           front a fleet of iis serve shards:
@@ -83,6 +85,8 @@ USAGE:
                                           batch), failover to replicas,
                                           GET /cluster, aggregated
                                           GET /metrics, POST /shutdown
+                                          (T, default 10, is the wait on a
+                                          shard before failing over)
   iis store repair <DIR>                  re-encode surviving records from
                                           a store's quarantined segments
                                           into a fresh segment and lift the
@@ -168,6 +172,27 @@ pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'
         }
     }
     Ok(None)
+}
+
+/// Refuses the first argument in `args` that is not one of the valued
+/// `flags` (`--flag VALUE` or `--flag=VALUE`), naming it and `cmd`.
+///
+/// # Errors
+///
+/// Returns `<cmd> does not take <arg>` for an argument not in `flags`.
+pub(crate) fn only_flags(cmd: &str, args: &[String], flags: &[&str]) -> Result<(), CliError> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let flag = a.split_once('=').map_or(a.as_str(), |(f, _)| f);
+        if !flags.contains(&flag) {
+            return Err(err(format!("{cmd} does not take {a}")));
+        }
+        // `--flag VALUE`: the value is the next argument
+        if flag == a {
+            rest.next();
+        }
+    }
+    Ok(())
 }
 
 /// `iis sds <n> <b> [--json] [--svg FILE]`
@@ -296,17 +321,7 @@ const SOLVE_FLAGS: [&str; 5] = [
 pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
     iis_core::solvability::register_counters();
     let spec = args.first().ok_or_else(|| err("missing <TASK>"))?;
-    let mut rest = args[1..].iter();
-    while let Some(a) = rest.next() {
-        let flag = a.split_once('=').map_or(a.as_str(), |(f, _)| f);
-        if !SOLVE_FLAGS.contains(&flag) {
-            return Err(err(format!("solve does not take {a}")));
-        }
-        // `--flag VALUE`: the value is the next argument
-        if flag == a {
-            rest.next();
-        }
-    }
+    only_flags("solve", &args[1..], &SOLVE_FLAGS)?;
     let task = parse_task(spec)?;
     let max_rounds: usize = flag_value(args, "--max-rounds")?
         .unwrap_or("2")

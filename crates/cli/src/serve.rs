@@ -53,18 +53,18 @@
 //!
 //! **Overload and deadlines.** Admission is bounded: at most `--queue N`
 //! jobs wait for a worker; past that, `POST /solve` answers `503` with a
-//! `Retry-After` header (`serve.rejected`). With `--timeout-secs T`, a
-//! job's whole sweep has one deadline, `T` after its admission: the search
-//! abandons the sweep there and the job is marked `timed_out`, answered
-//! with a structured `504` (`serve.timeouts`). A waiter whose job is still
-//! queued or running at its deadline gets the same `504` with the job's
-//! status; the job stays pollable at `/jobs/<id>`.
+//! `Retry-After` header (`serve.rejected`). Every job has one deadline,
+//! fixed at its admission `--timeout-secs T` (default 8) later, shared by
+//! a batch's jobs: the sweep abandons the job there, marked `timed_out`
+//! and answered with a structured `504` (`serve.timeouts`). Any request
+//! waiting on a job still queued or running at that deadline gets the
+//! same `504` with the job's status; the job stays pollable.
 //!
 //! **Drain.** `POST /shutdown` stops admission (new solves get `503`),
-//! lets in-flight and queued jobs finish up to `--drain-secs`, fails
-//! whatever is still queued past the deadline, flushes the store, and only
-//! then tears the transport down — so an accepted `wait: true` request is
-//! answered, not reset.
+//! lets in-flight and queued jobs finish until the last job's deadline
+//! plus a second, fails whatever is still queued then, flushes the store,
+//! and only then tears the transport down — so an accepted `wait: true`
+//! request is answered, not reset.
 //!
 //! Identical questions get bit-identical answers: records are canonical
 //! (see `iis_core::cache`), the store is first-write-wins, and cached
@@ -80,7 +80,7 @@
 //! a re-ask of the same spec at the same bound is one lookup, with no
 //! store read and no second check of bytes already checked.
 
-use crate::{err, flag_value, CliError};
+use crate::{err, flag_value, only_flags, CliError};
 use iis_cluster::splice_envelope;
 use iis_core::cache::{
     answer_keyed, intern_spec, read_solve_body, AnswerMemo, Answered, KeyedTask, QuestionTask,
@@ -108,8 +108,9 @@ struct Job {
     key: u64,
     max_rounds: usize,
     opts: SolveOptions,
-    /// When the job was admitted: the service deadline counts from here.
-    admitted: Instant,
+    /// The job's one deadline, fixed at admission: its sweep, every
+    /// request waiting on it and the drain read this instant.
+    deadline: Instant,
     status: Status,
 }
 
@@ -120,7 +121,7 @@ struct Claim {
     key: u64,
     max_rounds: usize,
     opts: SolveOptions,
-    admitted: Instant,
+    deadline: Instant,
     /// The asking thread runs the job itself, and holds one of its holds.
     by_asker: bool,
 }
@@ -180,9 +181,8 @@ enum Status {
     /// round's tower is past the cap — so nothing was stored. An answer to
     /// the question (`422`), not a fault of the shard.
     Inconclusive(String),
-    /// The search itself gave up at the job's deadline (`--timeout-secs`
-    /// from admission) — distinct from `Failed` so waiters can answer
-    /// `504` rather than `500`.
+    /// The sweep gave up at the job's deadline — distinct from `Failed`
+    /// so waiters can answer `504` rather than `500`.
     TimedOut(String),
 }
 
@@ -234,7 +234,7 @@ impl State {
             key: job.key,
             max_rounds: job.max_rounds,
             opts: job.opts,
-            admitted: job.admitted,
+            deadline: job.deadline,
             by_asker,
         };
         self.active += 1;
@@ -295,10 +295,9 @@ pub(crate) struct SolveService {
     /// Most jobs allowed to *wait* for a worker; past this, `POST /solve`
     /// answers `503` + `Retry-After` instead of queueing unboundedly.
     max_queue: usize,
-    /// Per-job solve deadline, counted from admission: bounds both the
-    /// whole sweep's wall-clock and how long a `wait: true` request blocks
-    /// before a `504`.
-    timeout: Option<Duration>,
+    /// How long after its admission a job's deadline falls (a batch's:
+    /// after the batch's).
+    timeout: Duration,
     /// The store's sticky read-only flag (`None` for the in-memory map,
     /// which cannot degrade) — drives `/readyz`.
     degraded: Option<Arc<AtomicBool>>,
@@ -439,7 +438,7 @@ impl SolveService {
     fn new(
         store: Box<dyn SolveCache + Send>,
         max_queue: usize,
-        timeout: Option<Duration>,
+        timeout: Duration,
         degraded: Option<Arc<AtomicBool>>,
     ) -> SolveService {
         // register at zero so the serve counters scrape before first use
@@ -518,13 +517,11 @@ impl SolveService {
 
     /// Runs a claimed job — on a pool worker, or on the thread that read
     /// its question — and settles it: solve through the store, classify
-    /// the outcome, publish it under the state lock. The sweep's deadline
-    /// is the service deadline counted from the job's admission.
+    /// the outcome, publish it under the state lock. The sweep gets the
+    /// time left until the job's deadline.
     fn run_job(&self, job: Claim) {
-        let opts = match self.timeout {
-            Some(t) => job.opts.timeout(t.saturating_sub(job.admitted.elapsed())),
-            None => job.opts,
-        };
+        let left = job.deadline.saturating_duration_since(Instant::now());
+        let opts = job.opts.timeout(left);
         // a panicking solve fails its job, not the thread running it: every
         // lock it may hold recovers from poisoning, and the job still
         // settles and gives back its slot
@@ -542,8 +539,7 @@ impl SolveService {
                     match report.stopped() {
                         Some(BoundedOutcome::TimedOut) => {
                             iis_obs::metrics::add("serve.timeouts", 1);
-                            let deadline = self.timeout.unwrap_or_default();
-                            Status::TimedOut(format!("{why} after {deadline:?}"))
+                            Status::TimedOut(format!("{why} after {:?}", self.timeout))
                         }
                         Some(BoundedOutcome::Exhausted) => {
                             Status::Inconclusive(format!("inconclusive: {why} (raise \"budget\")"))
@@ -569,54 +565,42 @@ impl SolveService {
         }
     }
 
-    /// Blocks until job `id` settles, then renders its response. With a
-    /// service deadline configured, a job that is still queued or running
-    /// when it expires gets a structured `504` — the job itself keeps its
+    /// Blocks until job `id` settles, then renders its response. A job
+    /// still queued or running at its deadline — shared by every request
+    /// waiting on it — gets a structured `504`; the job itself keeps its
     /// worker and stays pollable at `/jobs/<id>`.
     fn wait_for(&self, id: u64, key: u64, coalesced: bool) -> Response {
-        let started = Instant::now();
         let mut st = lock(&self.state);
         loop {
-            match st.jobs.get(&id).map(|j| &j.status) {
-                Some(Status::Done { result, cached }) => {
+            let Some(job) = st.jobs.get(&id) else {
+                return Response::bad_request("job vanished");
+            };
+            match &job.status {
+                Status::Done { result, cached } => {
                     let (result, cached) = (Arc::clone(result), *cached);
                     drop(st);
                     return Response::json(record_reply(coalesced, cached, Some(id), key, &result));
                 }
-                Some(Status::Failed(e)) => return Self::unanswered(500, id, key, e),
-                Some(Status::Inconclusive(e)) => return Self::unanswered(422, id, key, e),
-                Some(Status::TimedOut(e)) => {
+                Status::Failed(e) => return Self::unanswered(500, id, key, e),
+                Status::Inconclusive(e) => return Self::unanswered(422, id, key, e),
+                Status::TimedOut(e) => {
                     return Self::gateway_timeout(id, key, e.clone(), "timed_out");
                 }
-                Some(status) => {
-                    let remaining = match self.timeout {
-                        None => None,
-                        Some(deadline) => match deadline.checked_sub(started.elapsed()) {
-                            Some(rem) if !rem.is_zero() => Some(rem),
-                            _ => {
-                                iis_obs::metrics::add("serve.timeouts", 1);
-                                let detail = format!(
-                                    "deadline exceeded after {:?}; poll /jobs/{id}",
-                                    deadline
-                                );
-                                return Self::gateway_timeout(id, key, detail, status.name());
-                            }
-                        },
+                status => {
+                    let Some(left) = job.deadline.checked_duration_since(Instant::now()) else {
+                        iis_obs::metrics::add("serve.timeouts", 1);
+                        let detail = format!(
+                            "deadline exceeded after {:?}; poll /jobs/{id}",
+                            self.timeout
+                        );
+                        return Self::gateway_timeout(id, key, detail, status.name());
                     };
-                    st = match remaining {
-                        None => self
-                            .changed
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner),
-                        Some(rem) => {
-                            self.changed
-                                .wait_timeout(st, rem)
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .0
-                        }
-                    };
+                    st = self
+                        .changed
+                        .wait_timeout(st, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
-                None => return Response::bad_request("job vanished"),
             }
         }
     }
@@ -648,23 +632,26 @@ impl SolveService {
         )
     }
 
-    /// Admits one parsed question: answers immediately from the store,
-    /// joins an in-flight job, or makes a new one. A new job is claimed for
-    /// the asker to run when it may (`run_here`: a waited single question),
-    /// nothing is queued and a live worker's slot is free; otherwise it is
-    /// enqueued for the pool. Never blocks — the batch route admits
-    /// *everything* before waiting on *anything*, so a batch keeps the
-    /// whole worker pool busy.
-    fn admit(&self, req: &SolveRequest, run_here: bool) -> Admission {
-        let key = req.task.key(req.max_rounds);
-        // fast path: a record this service verified, or one the store
-        // holds that revalidates; the reply carries its stored bytes
+    /// The fast path: a record this service verified, or one the store
+    /// holds that revalidates; the reply carries its stored bytes.
+    fn answer_cached(&self, req: &SolveRequest) -> Option<Response> {
         let store = &mut SharedCache(&self.store);
-        if let Some(text) = self.answers.answer(&req.task, req.max_rounds, store) {
-            static CACHE_HITS: StaticCounter = StaticCounter::new("serve.cache_hits");
-            CACHE_HITS.incr();
-            return Admission::Ready(Response::json(record_reply(false, true, None, key, &text)));
-        }
+        let text = self.answers.answer(&req.task, req.max_rounds, store)?;
+        static CACHE_HITS: StaticCounter = StaticCounter::new("serve.cache_hits");
+        CACHE_HITS.incr();
+        let key = req.task.key(req.max_rounds);
+        Some(Response::json(record_reply(false, true, None, key, &text)))
+    }
+
+    /// Admits one question [`SolveService::answer_cached`] did not answer:
+    /// joins an in-flight job, or makes a new one with `deadline`. A new
+    /// job is claimed for the asker to run when it may (`run_here`: a
+    /// waited single question), nothing is queued and a live worker's slot
+    /// is free; otherwise it is enqueued for the pool. Never blocks — the
+    /// batch route admits *everything* before waiting on *anything*, so a
+    /// batch keeps the whole worker pool busy.
+    fn admit(&self, req: &SolveRequest, run_here: bool, deadline: Instant) -> Admission {
+        let key = req.task.key(req.max_rounds);
         // coalesce onto an in-flight job for the same key, or enqueue
         let mut st = lock(&self.state);
         if st.shutdown {
@@ -696,7 +683,7 @@ impl SolveService {
                 key,
                 max_rounds: req.max_rounds,
                 opts: req.opts,
-                admitted: Instant::now(),
+                deadline,
                 status: Status::Queued,
             },
         );
@@ -730,15 +717,18 @@ impl SolveService {
         .with_header("Retry-After", "1")
     }
 
-    /// Admits one question of a batch. A full queue that holds a job of
-    /// `mine` (the jobs this batch was admitted onto) drains on its own, so
-    /// the batch waits for room, within the service deadline counted from
-    /// `started`, instead of shedding its own tail. A queue full of other
-    /// requests' jobs sheds as for a single question.
-    fn admit_in_batch(&self, req: &SolveRequest, mine: &[u64], started: Instant) -> Admission {
+    /// Answers or admits one question of a batch. A full queue that holds
+    /// a job of `mine` (the jobs this batch was admitted onto) drains on
+    /// its own, so the batch waits for room, until its `deadline`, instead
+    /// of shedding its own tail. A queue full of other requests' jobs
+    /// sheds as for a single question.
+    fn admit_in_batch(&self, req: &SolveRequest, mine: &[u64], deadline: Instant) -> Admission {
         loop {
-            match self.admit(req, false) {
-                Admission::Full if self.wait_for_room(mine, started) => {}
+            if let Some(resp) = self.answer_cached(req) {
+                return Admission::Ready(resp);
+            }
+            match self.admit(req, false, deadline) {
+                Admission::Full if self.wait_for_room(mine, deadline) => {}
                 other => return other,
             }
         }
@@ -746,8 +736,8 @@ impl SolveService {
 
     /// Waits until the queue may have room, if it holds a job of `mine`.
     /// `false` means shed instead: none of `mine` is queued, or the
-    /// deadline passed.
-    fn wait_for_room(&self, mine: &[u64], started: Instant) -> bool {
+    /// batch's `deadline` passed.
+    fn wait_for_room(&self, mine: &[u64], deadline: Instant) -> bool {
         let st = lock(&self.state);
         if st.queue.len() < self.max_queue {
             return true;
@@ -755,13 +745,10 @@ impl SolveService {
         if !st.queue.iter().any(|id| mine.contains(id)) {
             return false;
         }
-        match self.timeout {
-            None => drop(self.changed.wait(st)),
-            Some(deadline) => match deadline.checked_sub(started.elapsed()) {
-                Some(rem) if !rem.is_zero() => drop(self.changed.wait_timeout(st, rem)),
-                _ => return false,
-            },
-        }
+        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+            return false;
+        };
+        drop(self.changed.wait_timeout(st, left));
         true
     }
 
@@ -807,7 +794,10 @@ impl SolveService {
     /// may run ([`SolveService::admit`]) is solved right here: no queue
     /// hop and no hand-off to a pool worker.
     fn solve_one(&self, req: &SolveRequest) -> Response {
-        match self.admit(req, req.wait) {
+        if let Some(resp) = self.answer_cached(req) {
+            return resp;
+        }
+        match self.admit(req, req.wait, Instant::now() + self.timeout) {
             Admission::Ready(resp) => resp,
             Admission::Full => self.queue_full(),
             Admission::Pending { id, key, coalesced } => self.respond(req.wait, id, key, coalesced),
@@ -822,9 +812,9 @@ impl SolveService {
     /// The batch form: admit every question first (pass 1), so the worker
     /// pool solves them in parallel and duplicate keys coalesce, then
     /// settle them in order (pass 2). One answer per question, in the
-    /// question's position; the envelope itself is always `200`. A batch
-    /// larger than the free queue waits for its own jobs to make room
-    /// ([`SolveService::admit_in_batch`]).
+    /// question's position; the envelope itself is always `200`. The
+    /// batch's jobs share one deadline, and a batch larger than the free
+    /// queue waits for them to make room ([`SolveService::admit_in_batch`]).
     fn handle_batch(&self, questions: Vec<(&str, QuestionText<'_>)>) -> Response {
         if questions.len() > MAX_BATCH {
             return Response::bad_request(&format!(
@@ -834,13 +824,13 @@ impl SolveService {
         }
         static BATCH_REQUESTS: StaticCounter = StaticCounter::new("serve.batch_requests");
         BATCH_REQUESTS.incr();
-        let started = Instant::now();
+        let deadline = Instant::now() + self.timeout;
         let mut mine: Vec<u64> = Vec::new();
         let admitted: Vec<(bool, Admission)> = questions
             .into_iter()
             .map(|(_, q)| match solve_request(q) {
                 Ok(req) => {
-                    let admission = self.admit_in_batch(&req, &mine, started);
+                    let admission = self.admit_in_batch(&req, &mine, deadline);
                     if let Admission::Pending { id, .. } = admission {
                         mine.push(id);
                     }
@@ -957,20 +947,38 @@ impl SolveService {
     }
 }
 
+/// A job's deadline by default: with [`OVERRUN_GRACE`], short of the
+/// gateway's default wait on a shard, so a shard answers `504` itself.
+pub(crate) const DEFAULT_TIMEOUT_SECS: u64 = 8;
+
+/// How long past its deadline a job may still be settling; the drain
+/// waits this long past the last job's deadline.
+const OVERRUN_GRACE: Duration = Duration::from_secs(1);
+
+/// The flags `iis serve` takes, each with a value.
+const SERVE_FLAGS: [&str; 5] = [
+    "--addr",
+    "--store",
+    "--workers",
+    "--queue",
+    "--timeout-secs",
+];
+
 /// `iis serve [--addr A] [--store DIR] [--workers N] [--queue N]
-/// [--timeout-secs T] [--drain-secs S]` — see [`crate::USAGE`].
+/// [--timeout-secs T]` — see [`crate::USAGE`].
 ///
 /// Binds `--addr` (default `127.0.0.1:0`; the bound address is printed to
 /// stderr as `serving on http://…`), serves until `POST /shutdown`, then
-/// drains gracefully (admission stops, in-flight and queued jobs get up to
-/// `--drain-secs` to finish, the store is flushed, the transport goes down
-/// last) and reports a one-line summary.
+/// drains gracefully (admission stops, in-flight and queued jobs get until
+/// the last job's deadline plus a second to finish, the store is
+/// flushed, the transport goes down last) and reports a one-line summary.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] on bad arguments, an unbindable address, or an
-/// unopenable store directory.
+/// Returns a [`CliError`] on bad arguments (naming any flag not listed
+/// above), an unbindable address, or an unopenable store directory.
 pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+    only_flags("serve", args, &SERVE_FLAGS)?;
     let addr = flag_value(args, "--addr")?
         .unwrap_or("127.0.0.1:0")
         .to_string();
@@ -988,22 +996,16 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     if max_queue == 0 || max_queue > 4096 {
         return Err(err("need 1 ≤ --queue ≤ 4096"));
     }
-    let timeout: Option<Duration> = match flag_value(args, "--timeout-secs")? {
-        Some(t) => Some(Duration::from_secs(
-            t.parse().map_err(|_| err("bad --timeout-secs"))?,
-        )),
-        None => None,
-    };
-    let drain: Duration = Duration::from_secs(
-        flag_value(args, "--drain-secs")?
-            .unwrap_or("10")
-            .parse()
-            .map_err(|_| err("bad --drain-secs"))?,
-    );
+    let timeout = flag_value(args, "--timeout-secs")?
+        .map_or(Ok(DEFAULT_TIMEOUT_SECS), str::parse)
+        .ok()
+        .filter(|t| (1..=3600).contains(t))
+        .ok_or_else(|| err("need 1 ≤ --timeout-secs ≤ 3600"))?;
     let store_dir = flag_value(args, "--store")?.map(String::from);
     // a service is always observable: /metrics must carry the serve.*
-    // counters without requiring a global --stats/--serve flag
+    // counters and gauge without requiring a global --stats/--serve flag
     iis_obs::set_enabled(true);
+    iis_obs::metrics::gauge_set("serve.jobs_active", 0);
     let mut degraded = None;
     let store: Box<dyn SolveCache + Send> = match &store_dir {
         Some(dir) => {
@@ -1032,6 +1034,7 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     // the first request (library tasks top out at 3 processes; prewarming a
     // few widths beyond that is microseconds).
     iis_topology::template::prewarm(5);
+    let timeout = Duration::from_secs(timeout);
     let service = Arc::new(SolveService::new(store, max_queue, timeout, degraded));
     let mut pool = Vec::new();
     for _ in 0..workers {
@@ -1055,25 +1058,26 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         }
     }
     // Graceful drain. Admission already answers 503 (handle_solve checks
-    // `shutdown`); give in-flight and queued jobs up to the drain deadline
-    // to settle while the transport stays up, so accepted `wait: true`
-    // requests are answered rather than reset.
-    let drain_started = Instant::now();
+    // `shutdown`); give in-flight and queued jobs until the last deadline
+    // (plus grace) to settle while the transport stays up, so accepted
+    // `wait: true` requests are answered rather than reset.
     {
         let mut st = lock(&service.state);
+        let last = st.jobs.values().map(|job| job.deadline).max();
+        let drain_by = last.unwrap_or_else(Instant::now) + OVERRUN_GRACE;
         while !st.queue.is_empty() || st.active > 0 {
-            let Some(remaining) = drain.checked_sub(drain_started.elapsed()) else {
+            let Some(left) = drain_by.checked_duration_since(Instant::now()) else {
                 break;
             };
             st = service
                 .changed
-                .wait_timeout(st, remaining)
+                .wait_timeout(st, left)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
     }
     // Stop the pool (a worker mid-solve finishes its current job), fail
-    // whatever is still queued past the deadline so its waiters unblock,
+    // whatever is still queued past the drain so its waiters unblock,
     // let a job its asker runs finish as a worker's would, flush the
     // store, and only then tear the transport down.
     service.stop_workers.store(true, Ordering::Release);
@@ -1533,7 +1537,7 @@ mod tests {
 
     #[test]
     fn batch_cap_and_empty_batch() {
-        let svc = stalled_service(4096, None);
+        let svc = stalled_service(4096, Duration::from_secs(60));
         let r = svc.handle_solve(r#"{"questions": []}"#);
         assert_eq!(r.status, 200);
         assert_eq!(r.body, "{\"answers\":[]}");
@@ -1579,7 +1583,7 @@ mod tests {
             "the CLI still reads files"
         );
         let body = Json::obj([("spec", Json::Str(spec.clone()))]).to_string();
-        let shard = stalled_service(4, None).handle_solve(&body);
+        let shard = stalled_service(4, Duration::from_secs(60)).handle_solve(&body);
         assert_eq!(shard.status, 400);
         let gateway = iis_cluster::Gateway::new(
             Arc::new(iis_cluster::HttpTransport::new(Duration::from_secs(1))),
@@ -1610,7 +1614,7 @@ mod tests {
                 workers: 1,
             },
         );
-        let shard = stalled_service(4, None);
+        let shard = stalled_service(4, Duration::from_secs(60));
         for (field, bad) in [
             ("max_rounds", "-1"),
             ("max_rounds", "2.5"),
@@ -1669,7 +1673,7 @@ mod tests {
                 workers: 1,
             },
         );
-        let shard = stalled_service(4, None);
+        let shard = stalled_service(4, Duration::from_secs(60));
         let wide = identity_task_of_width(17).to_json().to_string();
         for (body, bound) in [
             (
@@ -1819,7 +1823,7 @@ mod tests {
     fn a_panicking_solve_fails_its_job_and_keeps_the_worker() {
         // a 17-process task reaches the worker only past the question
         // reader; its solve panics at b = 0 and at b = 1
-        let svc = Arc::new(stalled_service(8, Some(Duration::from_secs(30))));
+        let svc = Arc::new(stalled_service(8, Duration::from_secs(30)));
         let worker = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || svc.worker_loop())
@@ -1839,7 +1843,7 @@ mod tests {
                         key,
                         max_rounds,
                         opts: SolveOptions::new(),
-                        admitted: Instant::now(),
+                        deadline: Instant::now() + Duration::from_secs(30),
                         status: Status::Queued,
                     },
                 );
@@ -1869,7 +1873,7 @@ mod tests {
     fn a_panicking_solve_on_the_askers_thread_fails_its_job_not_the_handler() {
         // one live worker's slot and no worker thread: a job that queued
         // instead of running here would never be answered
-        let svc = stalled_service(8, Some(Duration::from_secs(30)));
+        let svc = stalled_service(8, Duration::from_secs(30));
         let _slot = AliveGuard::enroll(&svc.workers_alive);
         // past the question reader's width check, as in the pool's test
         let task = Arc::new(KeyedTask::new(identity_task_of_width(17)));
@@ -1899,7 +1903,8 @@ mod tests {
     /// their canonical records.
     #[test]
     fn workers_bound_the_solves_askers_run() {
-        let (addr, handle) = start(&["--workers", "1"]);
+        // eps:3:9 at b ≤ 2 runs past the default deadline in a debug build
+        let (addr, handle) = start(&["--workers", "1", "--timeout-secs", "60"]);
         // intern the slow task first, so its ask goes straight to its solve
         let (head, _) = request(
             addr,
@@ -1952,7 +1957,7 @@ mod tests {
     fn a_batch_larger_than_the_queue_answers_every_question() {
         // one worker and two queue slots: the batch waits for its own
         // jobs to drain instead of shedding its tail with 503s
-        let svc = Arc::new(stalled_service(2, Some(Duration::from_secs(60))));
+        let svc = Arc::new(stalled_service(2, Duration::from_secs(60)));
         let worker = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || svc.worker_loop())
@@ -1984,11 +1989,86 @@ mod tests {
         assert!(cmd_serve(&["--queue".into(), "nope".into()]).is_err());
         assert!(cmd_serve(&["--timeout-secs".into(), "nope".into()]).is_err());
         assert!(cmd_serve(&["--drain-secs".into(), "nope".into()]).is_err());
+        assert!(cmd_serve(&["--timeout-secs".into(), "0".into()]).is_err());
+        assert!(cmd_serve(&["--timeout-secs".into(), "3601".into()]).is_err());
+        // a flag the service does not take is named, before anything is
+        // bound: the drain has no knob of its own, and a typo is no default
+        for (args, named) in [
+            (&["--drain-secs", "30"][..], "--drain-secs"),
+            (&["--worker", "4"], "--worker"),
+            (&["--addr=127.0.0.1:0", "--timeout=5"], "--timeout=5"),
+            (&["--queue", "8", "stray"], "stray"),
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let e = cmd_serve(&args).unwrap_err();
+            assert_eq!(e.to_string(), format!("serve does not take {named}"));
+        }
+    }
+
+    /// A shard gives up on a job, and answers its own `504`, before the
+    /// gateway in front of it gives up on the shard: the default deadline
+    /// plus the overrun grace is short of the gateway's default wait, so a
+    /// heavy question is never counted as a shard fault and failed over.
+    #[test]
+    fn the_default_deadline_answers_before_the_gateway_gives_up() {
+        let settled_by = Duration::from_secs(DEFAULT_TIMEOUT_SECS) + OVERRUN_GRACE;
+        let gateway_waits = Duration::from_secs(crate::gateway::UPSTREAM_TIMEOUT_SECS);
+        assert!(
+            settled_by < gateway_waits,
+            "{settled_by:?} vs {gateway_waits:?}"
+        );
+    }
+
+    /// A request coalesced onto a job waits until the job's deadline, not
+    /// for a deadline of its own: past it, the answer is an immediate `504`.
+    #[test]
+    fn a_coalesced_waiter_shares_the_jobs_deadline() {
+        let svc = stalled_service(8, Duration::from_millis(200));
+        let r = svc.handle_solve(r#"{"spec": "trivial:1", "wait": false}"#);
+        assert_eq!(r.status, 202, "{}", r.body);
+        std::thread::sleep(Duration::from_millis(250));
+        let start = Instant::now();
+        let r = svc.handle_solve(r#"{"spec": "trivial:1"}"#);
+        let waited = start.elapsed();
+        assert_eq!(r.status, 504, "{}", r.body);
+        assert!(r
+            .body
+            .starts_with(r#"{"error":"deadline exceeded after 200ms; poll /jobs/1","#));
+        assert!(waited < Duration::from_millis(150), "{waited:?}");
+    }
+
+    /// Every job a batch makes has the batch's one deadline, so a batch of
+    /// stalled questions answers all its `504`s within one deadline, not
+    /// one after another.
+    #[test]
+    fn a_batchs_jobs_share_one_deadline() {
+        let svc = stalled_service(8, Duration::from_millis(300));
+        let questions = ["trivial:1", "trivial:2", "eps:1:3"]
+            .map(|spec| format!(r#"{{"spec": "{spec}", "max_rounds": 1}}"#));
+        let start = Instant::now();
+        let reply = svc.handle_solve(&format!(r#"{{"questions": [{}]}}"#, questions.join(",")));
+        let waited = start.elapsed();
+        let v = Json::parse(&reply.body).unwrap();
+        let answers = v.get("answers").and_then(Json::as_array).unwrap();
+        for a in answers {
+            assert_eq!(
+                a.get("status").and_then(Json::as_u64),
+                Some(504),
+                "{}",
+                reply.body
+            );
+        }
+        assert!(waited >= Duration::from_millis(300), "{waited:?}");
+        assert!(waited < Duration::from_millis(600), "{waited:?}");
+        let st = lock(&svc.state);
+        let deadlines: Vec<Instant> = st.jobs.values().map(|job| job.deadline).collect();
+        assert_eq!(deadlines.len(), 3);
+        assert!(deadlines.iter().all(|&d| d == deadlines[0]));
     }
 
     /// A service with no worker pool: jobs queue forever, which makes
     /// admission and deadline behavior deterministic to test.
-    fn stalled_service(max_queue: usize, timeout: Option<Duration>) -> SolveService {
+    fn stalled_service(max_queue: usize, timeout: Duration) -> SolveService {
         SolveService::new(Box::new(HashMap::new()), max_queue, timeout, None)
     }
 
@@ -2009,7 +2089,7 @@ mod tests {
             let key = keyed.key(2);
             records.push((key, store.get(&key).cloned().unwrap()));
         }
-        let svc = SolveService::new(Box::new(store), 8, None, None);
+        let svc = SolveService::new(Box::new(store), 8, Duration::from_secs(60), None);
         for (spec, (key, record)) in specs.iter().zip(&records) {
             let reply = svc.handle_solve(&format!(r#"{{"spec": "{spec}", "max_rounds": 2}}"#));
             assert_eq!(reply.status, 200);
@@ -2051,7 +2131,7 @@ mod tests {
 
     #[test]
     fn settled_jobs_keep_their_bytes_and_drop_their_task() {
-        let svc = Arc::new(stalled_service(8, None));
+        let svc = Arc::new(stalled_service(8, Duration::from_secs(60)));
         let worker = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || svc.worker_loop())
@@ -2094,13 +2174,13 @@ mod tests {
         svc.changed.notify_all();
         worker.join().unwrap();
         // an empty registry lists no jobs
-        let r = stalled_service(8, None).handle_jobs("/jobs");
+        let r = stalled_service(8, Duration::from_secs(60)).handle_jobs("/jobs");
         assert_eq!(r.body, "{\"jobs\":[]}");
     }
 
     #[test]
     fn jobs_listed_outside_the_lock_keep_their_bytes() {
-        let svc = stalled_service(8, None);
+        let svc = stalled_service(8, Duration::from_secs(60));
         for spec in ["eps:1:3", "trivial:1", "oneshot:1"] {
             let body = format!(r#"{{"spec": "{spec}", "max_rounds": 1, "wait": false}}"#);
             assert_eq!(svc.handle_solve(&body).status, 202);
@@ -2173,7 +2253,7 @@ mod tests {
         let svc = Arc::new(SolveService::new(
             Box::new(Store::open(&dir).unwrap()),
             8,
-            None,
+            Duration::from_secs(60),
             None,
         ));
         let worker = {
@@ -2210,13 +2290,13 @@ mod tests {
         let keyed = intern_spec("eps:1:3").unwrap();
         let mut filled = HashMap::new();
         iis_core::cache::solve_up_to_cached(keyed.task(), 2, &SolveOptions::new(), &mut filled);
-        let warm = SolveService::new(Box::new(filled), 8, None, None);
+        let warm = SolveService::new(Box::new(filled), 8, Duration::from_secs(60), None);
         let body = r#"{"spec": "eps:1:3", "max_rounds": 2}"#;
         let hit = warm.handle_solve(body);
         assert_eq!(warm.handle_solve(body).body, hit.body, "a memo hit");
         assert!(hit.body.starts_with(r#"{"cached":true,"#), "{}", hit.body);
         // another service on another store shares nothing with the first
-        let fresh = Arc::new(stalled_service(8, None));
+        let fresh = Arc::new(stalled_service(8, Duration::from_secs(60)));
         let worker = {
             let svc = Arc::clone(&fresh);
             std::thread::spawn(move || svc.worker_loop())
@@ -2244,7 +2324,7 @@ mod tests {
 
     #[test]
     fn settled_jobs_are_capped_oldest_first_and_held_ones_kept() {
-        let svc = Arc::new(stalled_service(8, None));
+        let svc = Arc::new(stalled_service(8, Duration::from_secs(60)));
         let worker = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || svc.worker_loop())
@@ -2255,7 +2335,9 @@ mod tests {
         // the first job is admitted and held: its answer not yet given
         let first = questions.next().unwrap();
         let req = request_of(&first).unwrap();
-        let Admission::Pending { id: held, key, .. } = svc.admit(&req, false) else {
+        let Admission::Pending { id: held, key, .. } =
+            svc.admit(&req, false, Instant::now() + Duration::from_secs(60))
+        else {
             panic!("{first} was not queued");
         };
         // settle more distinct questions than the cap
@@ -2303,7 +2385,7 @@ mod tests {
 
     #[test]
     fn full_queue_answers_503_with_retry_after() {
-        let svc = stalled_service(1, None);
+        let svc = stalled_service(1, Duration::from_secs(60));
         // first job occupies the whole queue (no worker ever pops it)
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "wait": false}"#);
         assert_eq!(r.status, 202);
@@ -2320,7 +2402,7 @@ mod tests {
 
     #[test]
     fn waited_solve_times_out_with_a_structured_504() {
-        let svc = stalled_service(8, Some(Duration::from_millis(80)));
+        let svc = stalled_service(8, Duration::from_millis(80));
         let start = Instant::now();
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "max_rounds": 1}"#);
         assert_eq!(r.status, 504);
@@ -2336,7 +2418,7 @@ mod tests {
 
     #[test]
     fn draining_service_rejects_new_solves() {
-        let svc = stalled_service(8, None);
+        let svc = stalled_service(8, Duration::from_secs(60));
         svc.request_shutdown();
         let r = svc.handle_solve(r#"{"spec": "trivial:1"}"#);
         assert_eq!(r.status, 503);
@@ -2350,7 +2432,7 @@ mod tests {
 
     #[test]
     fn service_routes_reject_wrong_methods_with_allow() {
-        let svc = stalled_service(8, None);
+        let svc = stalled_service(8, Duration::from_secs(60));
         for (method, path, allow) in [
             ("GET", "/solve", "POST"),
             ("GET", "/shutdown", "POST"),

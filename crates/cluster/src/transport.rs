@@ -19,13 +19,6 @@ pub struct TransportResponse {
     pub body: String,
 }
 
-impl TransportResponse {
-    /// Whether the status is in the 2xx range.
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
-}
-
 /// A transport error: the request produced no response at all.
 pub type TransportError = String;
 

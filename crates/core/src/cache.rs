@@ -97,6 +97,7 @@ use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::time::Instant;
 
 /// Version tag mixed into every [`cache_key`]. Bump it whenever the record
 /// encoding or the canonical task serialization changes shape — old store
@@ -799,11 +800,12 @@ pub(crate) fn memoized_skeleton(input: &Complex, shape: u64, b: usize) -> Option
     Some(skel)
 }
 
-/// The constraint skeleton of `tower`, counted in `cache.tower_builds`.
-pub(crate) fn build_skeleton(tower: ArenaSds) -> Arc<Skeleton> {
+/// The constraint skeleton of `tower`, counted in `cache.tower_builds`:
+/// `None` once `deadline` passes ([`Skeleton::until`]).
+pub(crate) fn build_skeleton(tower: ArenaSds, deadline: Option<Instant>) -> Option<Arc<Skeleton>> {
     static TOWER_BUILDS: StaticCounter = StaticCounter::new("cache.tower_builds");
     TOWER_BUILDS.incr();
-    Arc::new(Skeleton::new(tower))
+    Skeleton::until(Arc::new(tower), deadline).map(Arc::new)
 }
 
 /// Memoizes `skel` as the skeleton of `(shape, b)`, evicting the least
@@ -833,7 +835,7 @@ fn witness_skeleton(input: &Complex, shape: u64, b: usize) -> Arc<Skeleton> {
     if let Some(skel) = memoized_skeleton(input, shape, b) {
         return skel;
     }
-    let skel = build_skeleton(arena_sds_tower(input, b));
+    let skel = build_skeleton(arena_sds_tower(input, b), None).expect("no deadline");
     keep_skeleton(shape, b, &skel);
     skel
 }

@@ -53,7 +53,9 @@ use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
 use iis_topology::{Color, Complex, Simplex, SimplicialMap, VertexId};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Per-color output-candidate tables: for each color of the output complex,
 /// its vertices in ascending `VertexId` order. A variable's domain is a
@@ -381,7 +383,13 @@ impl std::fmt::Debug for Skeleton {
 impl Skeleton {
     /// Enumerates `tower`'s simplices once and classifies each.
     pub(crate) fn new(tower: impl Into<Arc<ArenaSds>>) -> Skeleton {
-        let tower = tower.into();
+        Skeleton::until(tower.into(), None).expect("no deadline")
+    }
+
+    /// [`Skeleton::new`] under a deadline, polled once per
+    /// [`SIMPLICES_PER_POLL`] simplices past the first: `None` once it
+    /// has passed.
+    pub(crate) fn until(tower: Arc<ArenaSds>, deadline: Option<Instant>) -> Option<Skeleton> {
         let mut coff = vec![0u32];
         let mut cvar: Vec<u32> = Vec::new();
         let mut class: Vec<u32> = Vec::new();
@@ -391,7 +399,10 @@ impl Skeleton {
         let mut key: Vec<u32> = Vec::new();
         let mut colors: Vec<Color> = Vec::new();
         let c = tower.complex();
-        tower.for_each_simplex(|s, carrier| {
+        let stopped = tower.for_each_simplex(|s, carrier| {
+            if class.len() % SIMPLICES_PER_POLL == SIMPLICES_PER_POLL - 1 && passed(deadline) {
+                return ControlFlow::Break(());
+            }
             colors.clear();
             colors.extend(s.iter().map(|&v| c.color(v)));
             class_key(&mut key, carrier, &colors);
@@ -407,14 +418,15 @@ impl Skeleton {
             cvar.extend_from_slice(s);
             coff.push(cvar.len() as u32);
             class.push(id);
+            ControlFlow::Continue(())
         });
-        Skeleton {
+        stopped.is_continue().then_some(Skeleton {
             tower,
             coff,
             cvar,
             class,
             classes,
-        }
+        })
     }
 
     /// The tower `SDS^b(I)` the constraints live on.
@@ -443,13 +455,24 @@ impl Skeleton {
     }
 
     /// `task`'s compiled table of every class, in class order, resolved
-    /// through `tables` under one lock.
-    pub(crate) fn resolve(&self, task: &Task, tables: &TaskTables) -> Vec<Arc<CompiledTable>> {
+    /// through `tables` under one lock. With a `deadline`, the clock is
+    /// read once per [`CLASSES_PER_POLL`] classes past the first, and a
+    /// passed deadline stops the resolve ([`Halt::Timeout`]).
+    pub(crate) fn resolve(
+        &self,
+        task: &Task,
+        tables: &TaskTables,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<Arc<CompiledTable>>, Halt> {
         let mut cache = tables.lock();
-        self.classes
-            .iter()
-            .map(|(carrier, colors)| cache.table(task, carrier, colors))
-            .collect()
+        let mut resolved = Vec::with_capacity(self.classes.len());
+        for (k, (carrier, colors)) in self.classes.iter().enumerate() {
+            if k % CLASSES_PER_POLL == CLASSES_PER_POLL - 1 && passed(deadline) {
+                return Err(Halt::Timeout);
+            }
+            resolved.push(cache.table(task, carrier, colors));
+        }
+        Ok(resolved)
     }
 
     /// For each vertex, the constraints containing it, in constraint order
@@ -475,6 +498,20 @@ impl Skeleton {
         }
         (off, cont)
     }
+}
+
+/// Simplices [`Skeleton::until`] classifies between two deadline polls:
+/// a few milliseconds of work.
+const SIMPLICES_PER_POLL: usize = 4096;
+
+/// Classes [`Skeleton::resolve`] resolves between two deadline polls: on
+/// a cold task's first round each class compiles its `Δ` table, up to
+/// about half a millisecond.
+const CLASSES_PER_POLL: usize = 64;
+
+/// Whether `deadline` has passed: one clock read, none without a deadline.
+fn passed(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// Why a search stopped before reaching a verdict.
@@ -563,7 +600,7 @@ impl Drop for Tally {
 /// first-solution cell to poll.
 struct SearchCtx<'a> {
     budget: &'a SharedBudget,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
 }
 
@@ -579,10 +616,8 @@ impl SearchCtx<'_> {
                 return Err(Halt::Cancelled);
             }
         }
-        if let Some(deadline) = self.deadline {
-            if tally.spent.is_multiple_of(64) && std::time::Instant::now() >= deadline {
-                return Err(Halt::Timeout);
-            }
+        if tally.spent.is_multiple_of(64) && passed(self.deadline) {
+            return Err(Halt::Timeout);
         }
         if !self.budget.try_charge() {
             return Err(Halt::Budget);
@@ -594,8 +629,8 @@ impl SearchCtx<'_> {
 
 /// `Some(now)` iff span profiling is on — the pattern every sampled phase
 /// uses so that a disabled profiler never reads the clock.
-pub(crate) fn profile_now() -> Option<std::time::Instant> {
-    iis_obs::profile::enabled().then(std::time::Instant::now)
+pub(crate) fn profile_now() -> Option<Instant> {
+    iis_obs::profile::enabled().then(Instant::now)
 }
 
 /// The compiled CSP: a [`Skeleton`]'s constraints over bitword domains,
@@ -640,9 +675,12 @@ pub(crate) struct SearchState {
     dom: Vec<u64>,
     /// `(word index, overwritten value)` pairs; rewound to a mark on undo.
     trail: Vec<(u32, u64)>,
-    /// Last supporting tuple index per `(constraint, pos, value)`, or
-    /// `u32::MAX`. A cache in the AC-3rm style: never trailed, because a
-    /// stale residue only costs a rescan, never a wrong answer.
+    /// One past the last supporting tuple index per `(constraint, pos,
+    /// value)`, or `0`. A cache in the AC-3rm style: never trailed, because
+    /// a stale residue only costs a rescan, never a wrong answer. Zero
+    /// means empty so that a large state is allocated zeroed, not filled:
+    /// its pages are mapped as propagation first touches them, which polls
+    /// the deadline, instead of all up front, which cannot.
     residues: Vec<u32>,
     /// Propagation queue scratch (LIFO, like the reference engine).
     queue: Vec<u32>,
@@ -668,7 +706,7 @@ impl BitsetCsp<'_> {
         SearchState {
             dom,
             trail: Vec::new(),
-            residues: vec![u32::MAX; self.cvar.len() * self.val_stride],
+            residues: vec![0; self.cvar.len() * self.val_stride],
             queue: Vec::new(),
             in_queue: vec![false; self.num_constraints()],
             cands: Vec::new(),
@@ -765,12 +803,12 @@ impl BitsetCsp<'_> {
         let t = self.support(ci);
         let slot = (self.coff[ci] as usize + pos) * self.val_stride + val as usize;
         let r = residues[slot];
-        if r != u32::MAX && self.tuple_alive(dom, ci, r, pos) {
+        if r != 0 && self.tuple_alive(dom, ci, r - 1, pos) {
             return true;
         }
         for &ti in t.supports_of(pos, val) {
             if self.tuple_alive(dom, ci, ti, pos) {
-                residues[slot] = ti;
+                residues[slot] = ti + 1;
                 return true;
             }
         }
@@ -788,7 +826,7 @@ impl BitsetCsp<'_> {
         &self,
         st: &mut SearchState,
         seed: Option<usize>,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<bool, Halt> {
         let nc = self.num_constraints();
         st.queue.clear();
@@ -804,9 +842,7 @@ impl BitsetCsp<'_> {
             let ci = ci as usize;
             st.in_queue[ci] = false;
             st.tally.propagations += 1;
-            if st.tally.propagations.is_multiple_of(1024)
-                && deadline.is_some_and(|d| std::time::Instant::now() >= d)
-            {
+            if st.tally.propagations.is_multiple_of(1024) && passed(deadline) {
                 return Err(Halt::Timeout);
             }
             for pos in 0..self.support(ci).arity {
@@ -1008,20 +1044,22 @@ impl BitsetCsp<'_> {
 /// reference tower's simplex order, so constraint indices (and with them
 /// the propagation order and every counter) match the reference engine's
 /// ([`crate::reference`]). Each class's table is resolved once through
-/// `tables`. `None` means a constraint admits no tuple or a domain starts
-/// empty — provably unsolvable, exactly as in the reference compile.
+/// `tables`, polling `deadline` as [`Skeleton::resolve`] does. `None`
+/// means a constraint admits no tuple or a domain starts empty — provably
+/// unsolvable, exactly as in the reference compile.
 pub(crate) fn compile<'s>(
     task: &Task,
     skel: &'s Skeleton,
     tables: &TaskTables,
-) -> Option<(BitsetCsp<'s>, Vec<u64>)> {
+    deadline: Option<Instant>,
+) -> Result<Option<(BitsetCsp<'s>, Vec<u64>)>, Halt> {
     // registered at compile, so a scrape lists them before any publish
     SOLVE_COUNTERS.iter().for_each(StaticCounter::register);
     let c = skel.tower().complex();
     let nv = c.num_vertices();
-    let class_tables = skel.resolve(task, tables);
+    let class_tables = skel.resolve(task, tables, deadline)?;
     if class_tables.iter().any(|t| t.is_empty()) {
-        return None;
+        return Ok(None);
     }
     let encoder = Arc::clone(tables.lock().encoder(task));
     let class_support: Vec<Arc<SupportTable>> =
@@ -1039,7 +1077,7 @@ pub(crate) fn compile<'s>(
         }
     }
     if (0..nv).any(|vi| dom[vi * words..(vi + 1) * words].iter().all(|&w| w == 0)) {
-        return None;
+        return Ok(None);
     }
     let var_color: Vec<u32> = (0..nv)
         .map(|vi| {
@@ -1065,7 +1103,7 @@ pub(crate) fn compile<'s>(
         var_color,
         encoder,
     };
-    Some((csp, dom))
+    Ok(Some((csp, dom)))
 }
 
 /// The search entry: compile, propagate the root, then run MAC —
@@ -1074,17 +1112,17 @@ pub(crate) fn search_map(
     task: &Task,
     skel: &Skeleton,
     budget: &SharedBudget,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     jobs: usize,
     tables: &TaskTables,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
     let compile_t0 = profile_now();
-    let compiled = compile(task, skel, tables);
+    let compiled = compile(task, skel, tables, deadline);
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
     }
-    let Some((csp, root)) = compiled else {
+    let Some((csp, root)) = compiled? else {
         return Ok(None);
     };
     let mut st = csp.new_state(root);
@@ -1133,7 +1171,7 @@ fn search_parallel(
     csp: &BitsetCsp<'_>,
     st: &mut SearchState,
     budget: &SharedBudget,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     jobs: usize,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<Vec<VertexId>>, Halt> {
@@ -1211,8 +1249,10 @@ mod tests {
         let task = k_set_consensus(2, 2);
         let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
         let tables = TaskTables::default();
-        let (csp, _) = compile(&task, &skel, &tables).expect("compiles");
-        let resolved = skel.resolve(&task, &tables);
+        let (csp, _) = compile(&task, &skel, &tables, None)
+            .unwrap()
+            .expect("compiles");
+        let resolved = skel.resolve(&task, &tables, None).unwrap();
         for (ci, t) in csp.tables.iter().enumerate() {
             let table = &resolved[skel.class(ci)];
             assert_eq!(t.tuples.len(), table.allowed.len());
@@ -1236,7 +1276,7 @@ mod tests {
         let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
         let tables = TaskTables::default();
         let outs = task.output().num_vertices() as u32;
-        for t in skel.resolve(&task, &tables) {
+        for t in skel.resolve(&task, &tables, None).unwrap() {
             assert!(!t.is_empty());
             let sorted: Vec<&[VertexId]> = t.tuples().collect();
             assert!(sorted.windows(2).all(|p| p[0] < p[1]), "sorted, distinct");
@@ -1279,7 +1319,10 @@ mod tests {
         let task = k_set_consensus(2, 2);
         let tower = arena_sds_tower(task.input(), 1);
         let mut walk: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
-        tower.for_each_simplex(|s, carrier| walk.push((s.to_vec(), carrier.to_vec())));
+        let _ = tower.for_each_simplex(|s, carrier| {
+            walk.push((s.to_vec(), carrier.to_vec()));
+            ControlFlow::<()>::Continue(())
+        });
         let skel = Skeleton::new(tower);
         assert_eq!(skel.len(), walk.len());
         for (ci, (s, carrier)) in walk.iter().enumerate() {
@@ -1292,13 +1335,46 @@ mod tests {
         assert!(skel.classes.len() < skel.len(), "classes are shared");
     }
 
+    /// A passed deadline stops a skeleton build at its first poll, and a
+    /// compile at its first, while work too small to reach a poll is done
+    /// exactly as without a deadline.
+    #[test]
+    fn a_passed_deadline_stops_classification_and_compile_at_their_first_poll() {
+        let past = Some(Instant::now());
+        let task = iis_tasks::library::parse_spec("eps:3:3").unwrap();
+        // SDS^0 of eps:3:3's input: 80 simplices, each its own class
+        let small = Arc::new(arena_sds_tower(task.input(), 0));
+        let skel = Skeleton::until(Arc::clone(&small), past).expect("no poll reached");
+        assert_eq!((skel.len(), skel.classes.len()), (80, 80));
+        assert_eq!(
+            compile(&task, &skel, &TaskTables::default(), past).err(),
+            Some(Halt::Timeout)
+        );
+        let untimed = compile(&task, &skel, &TaskTables::default(), None).unwrap();
+        assert!(untimed.is_some());
+        // SDS^1 has more than 4096 simplices
+        let large = Arc::new(small.next());
+        assert!(Skeleton::until(Arc::clone(&large), past).is_none());
+        let later = Some(Instant::now() + std::time::Duration::from_secs(3600));
+        let built = Skeleton::until(Arc::clone(&large), later).unwrap();
+        assert!(built.len() > SIMPLICES_PER_POLL);
+        assert_eq!(built.cvar, Skeleton::new(large).cvar);
+        // eps:1:3's classes are too few to reach a poll
+        let task = iis_tasks::library::parse_spec("eps:1:3").unwrap();
+        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
+        assert!(skel.classes.len() < CLASSES_PER_POLL);
+        assert!(compile(&task, &skel, &TaskTables::default(), past).is_ok());
+    }
+
     /// Trail undo must restore the exact pre-assignment domain words.
     #[test]
     fn trail_undo_restores_domains() {
         let task = k_set_consensus(2, 2);
         let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
         let tables = TaskTables::default();
-        let (csp, root) = compile(&task, &skel, &tables).expect("compiles");
+        let (csp, root) = compile(&task, &skel, &tables, None)
+            .unwrap()
+            .expect("compiles");
         let mut st = csp.new_state(root);
         assert_eq!(csp.propagate(&mut st, None, None), Ok(true));
         let snapshot = st.dom.clone();

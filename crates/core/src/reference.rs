@@ -380,7 +380,7 @@ mod tests {
             for b in 0..=max_b {
                 let skel = Skeleton::new(iis_topology::arena::arena_sds_tower(task.input(), b));
                 let sub = sds_reference_iterated(task.input(), b);
-                let compiled = crate::csp::compile(&task, &skel, &arena_tables);
+                let compiled = crate::csp::compile(&task, &skel, &arena_tables, None).unwrap();
                 let reference = compile_csp(&task, &sub, &mut reference_cache, u64::MAX);
                 let (Some((k, _)), Some((r, _))) = (compiled, reference) else {
                     panic!("{} b={b}: only one side compiled", task.name());
@@ -391,7 +391,7 @@ mod tests {
                     "{} b={b}",
                     task.name()
                 );
-                let arena_allowed = skel.resolve(&task, &arena_tables);
+                let arena_allowed = skel.resolve(&task, &arena_tables, None).unwrap();
                 for (ci, con) in r.constraints.iter().enumerate() {
                     let verts: Vec<u32> = con.verts.iter().map(|v| v.0).collect();
                     assert_eq!(

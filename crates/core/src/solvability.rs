@@ -29,6 +29,7 @@ use iis_topology::{ordered_bell, Complex, Simplex, SimplicialMap, Subdivision, V
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A witness that a task is solvable in `b` IIS rounds: the decision map
 /// `δ : SDS^b(I) → O` together with the label-free arena tower `SDS^b(I)`
@@ -268,7 +269,7 @@ pub(crate) fn check_simplices(
     tables: &TaskTables,
     image: &[VertexId],
 ) -> Result<(), String> {
-    let class_tables = skel.resolve(task, tables);
+    let class_tables = skel.resolve(task, tables, None).expect("no deadline");
     let mut img: Vec<VertexId> = Vec::new();
     for ci in 0..skel.len() {
         let verts = skel.verts(ci);
@@ -477,19 +478,22 @@ impl SolveOptions {
     /// sweep started ([`BoundedOutcome::TimedOut`]): one deadline for the
     /// whole sweep (a [`Solver`]'s, counted from its creation), or for the
     /// one round of [`solve_at_opts`]. Unlike the node budget, the timeout
-    /// is **not** per round. The search polls the clock in its node loop
-    /// (every 64 budget charges) and in propagation (every 1024
-    /// revisions), so it stops promptly even deep inside a subtree or a
-    /// long root propagation; a tower build or a compile in progress runs
-    /// to its end. A timed-out round is inconclusive, not `Unsolvable`.
+    /// is **not** per round. The clock is polled in the search's node
+    /// loop (every 64 budget charges), in propagation (every 1024
+    /// revisions), in a tower build (every 64 facets), in the skeleton's
+    /// classification (every 4096 simplices) and in a compile (every 64
+    /// constraint classes), so a sweep stops promptly wherever its time
+    /// goes; a step too small to reach its first poll finishes as it would
+    /// untimed. A timed-out round is inconclusive, not `Unsolvable`.
     pub fn timeout(mut self, timeout: std::time::Duration) -> Self {
         self.timeout = Some(timeout);
         self
     }
 
-    /// The instant a sweep starting now gives up at.
-    fn deadline(&self) -> Option<std::time::Instant> {
-        self.timeout.map(|t| std::time::Instant::now() + t)
+    /// The instant a sweep starting now gives up at; none past the
+    /// clock's range (`Duration::MAX`).
+    fn deadline(&self) -> Option<Instant> {
+        self.timeout.and_then(|t| Instant::now().checked_add(t))
     }
 }
 
@@ -504,7 +508,10 @@ pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutco
     let shape = shape_key(task.input());
     let mut skel = base_skeleton(task.input(), shape);
     for level in 1..=b {
-        skel = next_skeleton(&skel, task.input(), shape, level);
+        match next_skeleton(&skel, task.input(), shape, level, deadline) {
+            Some(next) => skel = next,
+            None => return BoundedOutcome::TimedOut,
+        }
     }
     solve_on(
         task,
@@ -521,7 +528,8 @@ pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutco
 /// [`shape_key`] of `input`: taken from the process-wide memo
 /// ([`crate::cache`]) when some witness already lives on it, else built.
 fn base_skeleton(input: &Complex, shape: u64) -> Arc<Skeleton> {
-    memoized_skeleton(input, shape, 0).unwrap_or_else(|| build_skeleton(arena_sds_tower(input, 0)))
+    memoized_skeleton(input, shape, 0)
+        .unwrap_or_else(|| build_skeleton(arena_sds_tower(input, 0), None).expect("no deadline"))
 }
 
 /// The skeleton of `SDS^level(I)` from `skel`, that of `SDS^{level-1}(I)`:
@@ -530,18 +538,28 @@ fn base_skeleton(input: &Complex, shape: u64) -> Arc<Skeleton> {
 /// memoizes it then, and only then. A level actually built counts
 /// `sds.builds`, `sds.facets` and `sds.vertices` as the labelled builder
 /// counts its own; an `sds.level` trace event is emitted either way.
-fn next_skeleton(skel: &Skeleton, input: &Complex, shape: u64, level: usize) -> Arc<Skeleton> {
-    let next = memoized_skeleton(input, shape, level).unwrap_or_else(|| {
-        let next = skel.tower().next();
-        let c = next.complex();
-        static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
-        static FACETS: StaticCounter = StaticCounter::new("sds.facets");
-        static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
-        BUILDS.incr();
-        FACETS.add(c.num_facets() as u64);
-        VERTICES.add(c.num_vertices() as u64);
-        build_skeleton(next)
-    });
+/// The build polls `deadline` and is abandoned once it passes (`None`).
+fn next_skeleton(
+    skel: &Skeleton,
+    input: &Complex,
+    shape: u64,
+    level: usize,
+    deadline: Option<Instant>,
+) -> Option<Arc<Skeleton>> {
+    let next = match memoized_skeleton(input, shape, level) {
+        Some(next) => next,
+        None => {
+            let next = skel.tower().next_until(deadline)?;
+            let c = next.complex();
+            static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
+            static FACETS: StaticCounter = StaticCounter::new("sds.facets");
+            static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
+            BUILDS.incr();
+            FACETS.add(c.num_facets() as u64);
+            VERTICES.add(c.num_vertices() as u64);
+            build_skeleton(next, deadline)?
+        }
+    };
     if iis_obs::trace::active() {
         let c = next.tower().complex();
         iis_obs::trace::event(
@@ -554,7 +572,23 @@ fn next_skeleton(skel: &Skeleton, input: &Complex, shape: u64, level: usize) -> 
             ],
         );
     }
-    next
+    Some(next)
+}
+
+/// Traces round `b`'s `solve.round` record: its outcome and one count,
+/// the nodes searched or, for a round past the cap, the tower's facets.
+fn trace_round(task: &Task, b: usize, outcome: &str, count: (&str, u64)) {
+    if iis_obs::trace::active() {
+        iis_obs::trace::event(
+            "solve.round",
+            task.name(),
+            &[
+                ("b", iis_obs::Json::Num(b as f64)),
+                ("outcome", iis_obs::Json::Str(outcome.to_string())),
+                (count.0, iis_obs::Json::Num(count.1 as f64)),
+            ],
+        );
+    }
 }
 
 /// The shared per-round body: search `skel` (= `SDS^b(I)`, of input shape
@@ -567,7 +601,7 @@ fn solve_on(
     shape: u64,
     b: usize,
     opts: &SolveOptions,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     tables: &TaskTables,
 ) -> BoundedOutcome {
     let timer = iis_obs::span::span("solve.search_ns");
@@ -593,31 +627,14 @@ fn solve_on(
         "solve.budget_remaining",
         i64::try_from(budget.remaining()).unwrap_or(i64::MAX),
     );
-    if iis_obs::trace::active() {
-        iis_obs::trace::event(
-            "solve.round",
-            task.name(),
-            &[
-                ("b", iis_obs::Json::Num(b as f64)),
-                (
-                    "outcome",
-                    iis_obs::Json::Str(
-                        match &result {
-                            Ok(Some(_)) => "solvable",
-                            Ok(None) => "unsolvable",
-                            Err(Halt::Timeout) => "timed_out",
-                            Err(_) => "exhausted",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                (
-                    "nodes",
-                    iis_obs::Json::Num(opts.max_nodes.saturating_sub(budget.remaining()) as f64),
-                ),
-            ],
-        );
-    }
+    let outcome = match &result {
+        Ok(Some(_)) => "solvable",
+        Ok(None) => "unsolvable",
+        Err(Halt::Timeout) => "timed_out",
+        Err(_) => "exhausted",
+    };
+    let nodes = opts.max_nodes.saturating_sub(budget.remaining());
+    trace_round(task, b, outcome, ("nodes", nodes));
     drop(timer);
     match result {
         Ok(Some(map)) => {
@@ -667,7 +684,7 @@ pub struct Solver<'t> {
     task: &'t Task,
     opts: SolveOptions,
     /// The sweep's one deadline (`opts`'s timeout from creation).
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     shape: u64,
     skel: Arc<Skeleton>,
     b: usize,
@@ -717,32 +734,29 @@ impl<'t> Solver<'t> {
 
     /// Decides the next round count and returns its outcome. A round
     /// whose tower is past [`TOWER_FACET_CAP`] is
-    /// [`BoundedOutcome::TooLarge`] and leaves the solver where it was,
-    /// unless a certificate refutes it.
+    /// [`BoundedOutcome::TooLarge`], and one whose tower build the
+    /// deadline cut short is [`BoundedOutcome::TimedOut`]; either leaves
+    /// the solver where it was, unless a certificate refutes the round.
     pub fn step(&mut self) -> BoundedOutcome {
         let b = if self.started { self.b + 1 } else { 0 };
         if self.zero_refuted && self.certified() {
             self.b = b;
-            if iis_obs::trace::active() {
-                iis_obs::trace::event(
-                    "solve.round",
-                    self.task.name(),
-                    &[
-                        ("b", iis_obs::Json::Num(b as f64)),
-                        ("outcome", iis_obs::Json::Str("certified".to_string())),
-                        ("nodes", iis_obs::Json::Num(0.0)),
-                    ],
-                );
-            }
+            trace_round(self.task, b, "certified", ("nodes", 0));
             return BoundedOutcome::Unsolvable;
         }
         let facets = tower_facets(self.task.input(), b);
         if facets > TOWER_FACET_CAP {
+            trace_round(self.task, b, "too_large", ("facets", facets));
             return BoundedOutcome::TooLarge { facets };
         }
         if self.started {
-            self.b += 1;
-            self.skel = next_skeleton(&self.skel, self.task.input(), self.shape, self.b);
+            let input = self.task.input();
+            let Some(next) = next_skeleton(&self.skel, input, self.shape, b, self.deadline) else {
+                trace_round(self.task, b, "timed_out", ("nodes", 0));
+                return BoundedOutcome::TimedOut;
+            };
+            self.b = b;
+            self.skel = next;
         } else {
             self.started = true;
         }
@@ -1045,6 +1059,16 @@ mod tests {
         assert_eq!(report.first_solvable(), None, "FLP: consensus unsolvable");
         assert_eq!(report.results().len(), 4);
         assert!(report.witness().is_none());
+    }
+
+    #[test]
+    fn a_timeout_past_the_clocks_range_is_no_deadline() {
+        let t = approximate_agreement(1, 3);
+        let opts = SolveOptions::new().timeout(std::time::Duration::MAX);
+        assert!(matches!(
+            solve_at_opts(&t, 1, &opts),
+            BoundedOutcome::Solvable(_)
+        ));
     }
 
     #[test]

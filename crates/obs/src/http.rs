@@ -685,11 +685,6 @@ impl ClientResponse {
     pub fn body_utf8(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
     }
-
-    /// Whether the status is in the 2xx range.
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
 }
 
 /// A blocking HTTP/1.1 client with a per-host keep-alive connection pool
@@ -726,13 +721,6 @@ impl Client {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Client {
         self.deadline = deadline;
-        self
-    }
-
-    /// Sets the TCP connect timeout (builder style).
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Client {
-        self.connect_timeout = timeout;
         self
     }
 

@@ -31,12 +31,6 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    /// The next 32 uniformly distributed bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform value in `range` (half-open; panics if empty).
     ///
     /// Uses Lemire-style rejection via 128-bit widening so the

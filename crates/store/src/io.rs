@@ -203,11 +203,6 @@ impl MemIo {
             }
         });
     }
-
-    /// Total bytes across all files (test/diagnostic helper).
-    pub fn total_bytes(&self) -> usize {
-        self.with(|st| st.files.values().map(|f| f.data.len()).sum())
-    }
 }
 
 impl Io for MemIo {

@@ -48,7 +48,9 @@
 use crate::template;
 use crate::{Color, Complex, Subdivision};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A chromatic complex as per-vertex colors plus CSR facet storage.
 ///
@@ -225,6 +227,14 @@ impl ArenaSds {
         self.next_with(|_, _| {})
     }
 
+    /// [`ArenaSds::next`] under a deadline, polled once per 64 facets of
+    /// this level: `None` once the deadline has passed. A level of at most
+    /// 64 facets is built whatever the clock says.
+    pub fn next_until(&self, deadline: Option<Instant>) -> Option<ArenaSds> {
+        let _timer = iis_obs::span::span("sds.arena_build_ns");
+        arena_sds_level(self, deadline, |_, _, _| {})
+    }
+
     /// [`ArenaSds::next`], calling `named(name, id)` once per vertex of the
     /// new level as it is made: `name` is `[color, sorted ids of the
     /// level-b vertices in its view…]` and `id` its vertex id. A protocol
@@ -248,7 +258,7 @@ impl ArenaSds {
     /// ```
     pub fn next_with<F: FnMut(&[u32], u32)>(&self, mut named: F) -> ArenaSds {
         let _timer = iis_obs::span::span("sds.arena_build_ns");
-        arena_sds_level(self, |name, _, id| named(name, id))
+        arena_sds_level(self, None, |name, _, id| named(name, id)).expect("no deadline")
     }
 
     /// Visits every distinct simplex of the subdivided complex, as its
@@ -259,15 +269,19 @@ impl ArenaSds {
     /// Each facet's faces are enumerated by bitmask, then sorted and
     /// deduplicated as fixed-width keys: ids shifted up by one and
     /// zero-padded, so a proper prefix sorts first — the lexicographic
-    /// order of [`crate::Simplex`].
-    pub fn for_each_simplex<F: FnMut(&[u32], &[u32])>(&self, mut f: F) {
+    /// order of [`crate::Simplex`]. The walk stops at the first simplex
+    /// `f` breaks at, and returns what it broke with.
+    pub fn for_each_simplex<B, F>(&self, mut f: F) -> ControlFlow<B>
+    where
+        F: FnMut(&[u32], &[u32]) -> ControlFlow<B>,
+    {
         let c = self.complex();
         let width = (0..c.num_facets())
             .map(|i| c.facet(i).len())
             .max()
             .unwrap_or(0);
         if width == 0 {
-            return;
+            return ControlFlow::Continue(());
         }
         assert!(
             width <= template::WIDTH_LIMIT,
@@ -297,8 +311,9 @@ impl ArenaSds {
             }
             carrier.sort_unstable();
             carrier.dedup();
-            f(&verts, &carrier);
+            f(&verts, &carrier)?;
         }
+        ControlFlow::Continue(())
     }
 
     /// Checks that this tower is the reference tower `sub` with its labels
@@ -379,7 +394,7 @@ pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
     let _timer = iis_obs::span::span("sds.arena_build_ns");
     let mut tower = level_zero(Arc::new(ArenaComplex::from_complex(base)));
     for _ in 0..b {
-        tower = arena_sds_level(&tower, |_, _, _| {});
+        tower = arena_sds_level(&tower, None, |_, _, _| {}).expect("no deadline");
     }
     tower
 }
@@ -410,11 +425,14 @@ pub(crate) fn level_zero(base: Arc<ArenaComplex>) -> ArenaSds {
 /// without gaps. Facets are subdivided in lexicographic order — the order
 /// [`crate::sds_reference`] walks the `BTreeSet` — which pins ids to the
 /// reference path's. This is the only code that instantiates a
-/// [`template::SdsTemplate`].
+/// [`template::SdsTemplate`]. With a `deadline`, the clock is read before
+/// every [`FACETS_PER_POLL`]-th facet past the first, and a passed
+/// deadline abandons the level (`None`).
 pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
     prev: &ArenaSds,
+    deadline: Option<Instant>,
     mut named: F,
-) -> ArenaSds {
+) -> Option<ArenaSds> {
     let pc = prev.complex();
     // The templates by width, fetched from the process-wide cache once per
     // level; every later facet of a cached width is one more template hit.
@@ -466,7 +484,10 @@ pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
     // maximal), and no view is shared when there is one facet: only views
     // that may recur are kept
     let kept = |mask: u16, full: u16| mask != full && pc.num_facets() > 1;
-    for &fi in &prev.facet_order {
+    for (i, &fi) in prev.facet_order.iter().enumerate() {
+        if i > 0 && i % FACETS_PER_POLL == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
         let fv = pc.facet(fi as usize);
         let n = fv.len();
         let tpl = templates[n].as_ref().expect("fetched above");
@@ -540,7 +561,7 @@ pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
         v.shrink_to_fit();
     }
     let order = lex_order(&next);
-    ArenaSds {
+    Some(ArenaSds {
         base: Arc::clone(&prev.base),
         complex: Some(next),
         facet_order: order,
@@ -548,8 +569,13 @@ pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
         carrier_verts,
         forget,
         rounds: prev.rounds + 1,
-    }
+    })
 }
+
+/// Facets of a level subdivided between two deadline polls of
+/// [`ArenaSds::next_until`]: about half a millisecond of work for facets
+/// of width 4.
+const FACETS_PER_POLL: usize = 64;
 
 /// The facet indices of `c` in lexicographic order of their vertex lists:
 /// bucketed by first vertex (a counting sort), then each bucket sorted —
@@ -598,6 +624,24 @@ fn set_bits(mask: u16) -> impl Iterator<Item = usize> {
 mod tests {
     use super::*;
     use crate::{sds_reference_iterated as oracle, Color, Label};
+
+    /// A passed deadline abandons a level at its first poll; a level of
+    /// at most 64 facets is built as untimed, and a deadline still ahead
+    /// changes nothing.
+    #[test]
+    fn a_passed_deadline_abandons_a_level_at_its_first_poll() {
+        let past = Some(Instant::now());
+        let s2 = Complex::standard_simplex(2);
+        // SDS^1(s²) has 13 facets: too few to reach a poll
+        let one = arena_sds_tower(&s2, 1);
+        let two = one.next_until(past).expect("13 facets reach no poll");
+        assert!(two.agrees_with(&oracle(&s2, 2)).is_ok());
+        // SDS^2(s²) has 169
+        assert!(two.next_until(past).is_none());
+        let later = Some(Instant::now() + std::time::Duration::from_secs(3600));
+        let three = two.next_until(later).unwrap();
+        assert!(three.agrees_with(&oracle(&s2, 3)).is_ok());
+    }
 
     fn butterfly() -> Complex {
         let mut base = Complex::new();
@@ -697,7 +741,10 @@ mod tests {
                 ));
             });
             let mut got: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
-            arena.for_each_simplex(|s, carrier| got.push((s.to_vec(), carrier.to_vec())));
+            let _ = arena.for_each_simplex(|s, carrier| {
+                got.push((s.to_vec(), carrier.to_vec()));
+                ControlFlow::<()>::Continue(())
+            });
             assert_eq!(got, want);
         }
     }

@@ -163,13 +163,6 @@ impl Complex {
         (0..self.vertices.len() as u32).map(VertexId)
     }
 
-    /// All vertices of the given color.
-    pub fn vertices_of_color(&self, color: Color) -> Vec<VertexId> {
-        self.vertex_ids()
-            .filter(|&v| self.color(v) == color)
-            .collect()
-    }
-
     /// Adds a simplex to the complex, maintaining the facet antichain: the
     /// new simplex is dropped if it is already a face of an existing facet,
     /// and existing facets that are faces of it are removed.
@@ -341,11 +334,6 @@ impl Complex {
             .flat_map(|f| f.iter())
             .map(|v| self.color(v))
             .collect()
-    }
-
-    /// The colors of the vertices of simplex `s`.
-    pub fn simplex_colors(&self, s: &Simplex) -> BTreeSet<Color> {
-        s.iter().map(|v| self.color(v)).collect()
     }
 
     /// All distinct simplices of every dimension (the downward closure of the

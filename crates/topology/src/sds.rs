@@ -257,7 +257,7 @@ pub fn sds_iterated(base: &Complex, b: usize) -> Subdivision {
         // one label per view, shared by the processes that saw it
         let mut view_labels: Vec<Label> = Vec::new();
         let (mut seen, mut buf) = (Vec::new(), Vec::new());
-        let next = arena::arena_sds_level(&tower, |name, view, _| {
+        let next = arena::arena_sds_level(&tower, None, |name, view, _| {
             if view as usize == view_labels.len() {
                 seen.clear();
                 seen.extend(name[1..].iter().map(|&u| match level {
@@ -270,7 +270,8 @@ pub fn sds_iterated(base: &Complex, b: usize) -> Subdivision {
                 view_labels.push(Label::view_of(&mut seen, &mut buf));
             }
             next_vertices.push((Color(name[0]), view_labels[view as usize].clone()));
-        });
+        })
+        .expect("no deadline");
         let c = next.complex();
         BUILDS.incr();
         FACETS.add(c.num_facets() as u64);

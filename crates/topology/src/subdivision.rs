@@ -292,11 +292,6 @@ impl Subdivision {
             vertex_carriers: carriers,
         }
     }
-
-    /// Consumes the subdivision, returning `(base, subdivided, carriers)`.
-    pub fn into_parts(self) -> (Complex, Complex, Vec<Simplex>) {
-        (self.base, self.subdivided, self.vertex_carriers)
-    }
 }
 
 impl fmt::Debug for Subdivision {

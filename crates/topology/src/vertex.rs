@@ -242,11 +242,6 @@ impl Label {
         Some(out)
     }
 
-    /// The size of this label's canonical encoding in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.0.len()
-    }
-
     /// The canonical encoding, for serialization.
     pub(crate) fn bytes(&self) -> &[u8] {
         &self.0

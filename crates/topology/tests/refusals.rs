@@ -45,5 +45,6 @@ fn a_facet_past_the_width_limit_is_refused_by_name() {
 #[should_panic(expected = "template width 17 out of range")]
 fn the_simplex_walk_refuses_a_facet_past_the_width_limit() {
     // at zero rounds the tower is the base, so only the walk can refuse
-    arena_sds_tower(&simplex_of_width(17), 0).for_each_simplex(|_, _| {});
+    let _ = arena_sds_tower(&simplex_of_width(17), 0)
+        .for_each_simplex(|_, _| std::ops::ControlFlow::<()>::Continue(()));
 }

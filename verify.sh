@@ -59,6 +59,20 @@ echo "$out" | tail -1 | grep -q '^b = 2: undecided within 1 nodes' \
   || { echo "undecided smoke: an exhausted sweep did not end at b = 2"; echo "$out"; exit 1; }
 echo "$out" | grep -q 'no decision map found' \
   && { echo "undecided smoke: an exhausted sweep claims a refutation"; echo "$out"; exit 1; }
+# The deadline is polled in a tower build, a skeleton build and a compile
+# too, not only in the search: a round-2 level of 90 000 facets stops
+# within a fraction of a second of it.
+out=$(timeout 3 "$IIS" solve eps:3:244 --max-rounds 2 --timeout-secs 1) \
+  || { echo "undecided smoke: eps:3:244 failed or ran past 3 s"; exit 1; }
+echo "$out" | grep -q '^b = 2: TIMED OUT' \
+  || { echo "undecided smoke: eps:3:244 did not time out at b = 2"; echo "$out"; exit 1; }
+# Every job of iis serve has a deadline, and the drain waits on it: there
+# is no --drain-secs, and a flag the service does not take starts nothing.
+if out=$(timeout 5 "$IIS" serve --addr 127.0.0.1:0 --drain-secs 5 2>&1); then
+  echo "undecided smoke: iis serve --drain-secs exited 0"; exit 1
+fi
+echo "$out" | grep -q 'serve does not take --drain-secs' \
+  || { echo "undecided smoke: iis serve did not refuse --drain-secs"; echo "$out"; exit 1; }
 rm -rf "$store_dir"
 echo "undecided smoke: ok"
 

@@ -90,7 +90,7 @@ use iis_obs::metrics::{Gauge, StaticCounter, StaticHistogram};
 use iis_obs::{Json, ToJson};
 use iis_tasks::library::parse_spec;
 use iis_tasks::Task;
-use iis_topology::arena::{arena_sds_tower, ArenaSds};
+use iis_topology::arena::arena_sds_tower;
 use iis_topology::template::WIDTH_LIMIT;
 use iis_topology::{Complex, Simplex, SimplicialMap, VertexId};
 use std::borrow::{Borrow, Cow};
@@ -786,58 +786,56 @@ fn skeleton_memo() -> &'static Lru<(u64, usize), Arc<Skeleton>> {
     SKELETONS.get_or_init(|| Lru::new(TOWER_CACHE_CAP))
 }
 
-/// The memoized constraint skeleton of `SDS^b(input)`, if any, where
-/// `shape` is [`shape_key`] of `input`. A hit is counted in
-/// `cache.tower_hits`; an entry under the same key but of another shape
-/// (a hash collision) is not a hit.
-pub(crate) fn memoized_skeleton(input: &Complex, shape: u64, b: usize) -> Option<Arc<Skeleton>> {
+/// The constraint skeleton of `SDS^b(input)`, where `shape` is
+/// [`shape_key`] of `input`: the one way `iis-core` looks up or builds a
+/// level.
+///
+/// A memo entry under `(shape, b)` of `input`'s shape is a hit, counted in
+/// `cache.tower_hits`; an entry of another shape (a hash collision) is
+/// not. On a miss the level is built — one subdivision of `below`, the
+/// skeleton of `SDS^{b-1}(input)`, or with no `below` the whole tower from
+/// `input` — and counted in `cache.tower_builds`; the tower builds poll
+/// `deadline`, and so does the skeleton's, giving up (`None`) once it
+/// passes.
+///
+/// Nothing is memoized here: [`keep_skeleton`] is the one insert. The
+/// tower and its skeleton are a pure function of the shape and `b`, and
+/// both are built deterministically, so sharing one instance across tasks
+/// and requests changes no observable byte. The memo holds only levels
+/// some witness lives on: those a stored witness is checked on and those
+/// the solver finds a witness on ([`crate::solvability`]); a refuted or
+/// undecided round's level is dropped with its sweep.
+pub(crate) fn skeleton(
+    input: &Complex,
+    shape: u64,
+    b: usize,
+    below: Option<&Skeleton>,
+    deadline: Option<Instant>,
+) -> Option<Arc<Skeleton>> {
     static TOWER_HITS: StaticCounter = StaticCounter::new("cache.tower_hits");
-    let skel = skeleton_memo().get(&(shape, b))?;
-    if !skel.tower().base().same_shape(input) {
-        return None;
-    }
-    TOWER_HITS.incr();
-    Some(skel)
-}
-
-/// The constraint skeleton of `tower`, counted in `cache.tower_builds`:
-/// `None` once `deadline` passes ([`Skeleton::until`]).
-pub(crate) fn build_skeleton(tower: ArenaSds, deadline: Option<Instant>) -> Option<Arc<Skeleton>> {
     static TOWER_BUILDS: StaticCounter = StaticCounter::new("cache.tower_builds");
+    let memo = skeleton_memo().get(&(shape, b));
+    if let Some(skel) = memo.filter(|s| s.tower().base().same_shape(input)) {
+        TOWER_HITS.incr();
+        return Some(skel);
+    }
+    let tower = match below {
+        Some(below) => below.tower().next_until(deadline)?,
+        None => (0..b).try_fold(arena_sds_tower(input, 0), |t, _| t.next_until(deadline))?,
+    };
+    debug_assert_eq!(tower.rounds(), b);
     TOWER_BUILDS.incr();
     Skeleton::until(Arc::new(tower), deadline).map(Arc::new)
 }
 
 /// Memoizes `skel` as the skeleton of `(shape, b)`, evicting the least
 /// recently used entry at [`TOWER_CACHE_CAP`] (counted in
-/// `cache.tower_evictions`).
+/// `cache.tower_evictions`); an entry already there is kept.
 pub(crate) fn keep_skeleton(shape: u64, b: usize, skel: &Arc<Skeleton>) {
     static TOWER_EVICTIONS: StaticCounter = StaticCounter::new("cache.tower_evictions");
     if skeleton_memo().insert((shape, b), Arc::clone(skel)) {
         TOWER_EVICTIONS.incr();
     }
-}
-
-/// The constraint skeleton of `SDS^b(input)` a stored witness is checked
-/// against, memoized process-wide with LRU eviction under `(shape, b)`,
-/// where `shape` is [`shape_key`] of `input`.
-///
-/// The tower and its skeleton are a pure function of the shape and `b`,
-/// and both are built deterministically, so sharing one instance across
-/// tasks and requests changes no observable byte — it only deletes the
-/// rebuild (and the simplex enumeration) from every later check of a
-/// witness of any task of that shape, and from every search round that
-/// reaches that level. The memo holds only levels some witness lives on:
-/// these, and the levels the solver finds a witness on
-/// ([`crate::solvability`]); a refuted or undecided round's level is
-/// dropped with its sweep.
-fn witness_skeleton(input: &Complex, shape: u64, b: usize) -> Arc<Skeleton> {
-    if let Some(skel) = memoized_skeleton(input, shape, b) {
-        return skel;
-    }
-    let skel = build_skeleton(arena_sds_tower(input, b), None).expect("no deadline");
-    keep_skeleton(shape, b, &skel);
-    skel
 }
 
 /// A key-value cache of serialized solvability records.
@@ -1084,7 +1082,8 @@ fn read_map(
     static REVALIDATE_NS: StaticHistogram = StaticHistogram::new("cache.revalidate_ns");
     let _timer = iis_obs::span::span_on(&REVALIDATE_NS);
     let invalid = |e: String| JsonError::new(format!("stored witness invalid: {e}"));
-    let skel = witness_skeleton(task.input(), shape, b);
+    let skel = skeleton(task.input(), shape, b, None, None).expect("no deadline");
+    keep_skeleton(shape, b, &skel);
     let n = skel.tower().complex().num_vertices();
     let mut image = Vec::with_capacity(n);
     r.uint_pairs(|source: u32, w: u32| {
@@ -1547,8 +1546,13 @@ mod tests {
         c
     }
 
+    /// The skeleton a stored witness on `SDS^b(input)` is checked
+    /// against, taken as `read_map` takes it: looked up or built, then kept.
     fn skeleton_of(input: &Complex, b: usize) -> Arc<Skeleton> {
-        witness_skeleton(input, shape_key(input), b)
+        let shape = shape_key(input);
+        let skel = skeleton(input, shape, b, None, None).expect("no deadline");
+        keep_skeleton(shape, b, &skel);
+        skel
     }
 
     #[test]
@@ -2055,7 +2059,7 @@ mod tests {
     /// `json::Reader`: a hand-written lexer over the canonical bytes, kept
     /// as the oracle of the record differential below.
     mod lexer_oracle {
-        use super::super::{witness_skeleton, TaskTables};
+        use super::super::{keep_skeleton, skeleton, TaskTables};
         use crate::solvability::{check_image, check_simplices};
         use iis_obs::Json;
         use iis_tasks::Task;
@@ -2198,7 +2202,8 @@ mod tests {
                     return Err("witness round disagrees".to_string());
                 }
                 r.lit(",\"map\":[")?;
-                let skel = witness_skeleton(task.input(), shape, b);
+                let skel = skeleton(task.input(), shape, b, None, None).unwrap();
+                keep_skeleton(shape, b, &skel);
                 let n = skel.tower().complex().num_vertices();
                 let mut image = Vec::with_capacity(n);
                 for v in (0..n as u32).map(VertexId) {

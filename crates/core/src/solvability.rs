@@ -18,13 +18,13 @@
 //! kernel in [`crate::csp`]; [`crate::reference`] keeps a second,
 //! sequential engine as its test oracle.
 
-use crate::cache::{build_skeleton, keep_skeleton, memoized_skeleton, shape_key};
+use crate::cache::{keep_skeleton, shape_key, skeleton};
 use crate::certificate::{find_certificate, Certificate};
 use crate::csp::{profile_now, Halt, Skeleton, TaskTables};
 use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
-use iis_topology::arena::{arena_sds_tower, ArenaSds};
+use iis_topology::arena::ArenaSds;
 use iis_topology::{ordered_bell, Complex, Simplex, SimplicialMap, Subdivision, VertexId};
 use std::collections::HashMap;
 use std::fmt;
@@ -505,10 +505,10 @@ pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutco
     if facets > TOWER_FACET_CAP {
         return BoundedOutcome::TooLarge { facets };
     }
-    let shape = shape_key(task.input());
-    let mut skel = base_skeleton(task.input(), shape);
+    let (input, shape) = (task.input(), shape_key(task.input()));
+    let mut skel = skeleton(input, shape, 0, None, None).expect("no deadline");
     for level in 1..=b {
-        match next_skeleton(&skel, task.input(), shape, level, deadline) {
+        match skeleton(input, shape, level, Some(&skel), deadline) {
             Some(next) => skel = next,
             None => return BoundedOutcome::TimedOut,
         }
@@ -522,57 +522,6 @@ pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutco
         deadline,
         &TaskTables::default(),
     )
-}
-
-/// The constraint skeleton of `SDS^0(I) = I`, where `shape` is
-/// [`shape_key`] of `input`: taken from the process-wide memo
-/// ([`crate::cache`]) when some witness already lives on it, else built.
-fn base_skeleton(input: &Complex, shape: u64) -> Arc<Skeleton> {
-    memoized_skeleton(input, shape, 0)
-        .unwrap_or_else(|| build_skeleton(arena_sds_tower(input, 0), None).expect("no deadline"))
-}
-
-/// The skeleton of `SDS^level(I)` from `skel`, that of `SDS^{level-1}(I)`:
-/// the memoized one of `(shape, level)`, or on a miss one subdivision of
-/// `skel`'s tower (Lemma 3.3), not memoized — a witness found on it
-/// memoizes it then, and only then. A level actually built counts
-/// `sds.builds`, `sds.facets` and `sds.vertices` as the labelled builder
-/// counts its own; an `sds.level` trace event is emitted either way.
-/// The build polls `deadline` and is abandoned once it passes (`None`).
-fn next_skeleton(
-    skel: &Skeleton,
-    input: &Complex,
-    shape: u64,
-    level: usize,
-    deadline: Option<Instant>,
-) -> Option<Arc<Skeleton>> {
-    let next = match memoized_skeleton(input, shape, level) {
-        Some(next) => next,
-        None => {
-            let next = skel.tower().next_until(deadline)?;
-            let c = next.complex();
-            static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
-            static FACETS: StaticCounter = StaticCounter::new("sds.facets");
-            static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
-            BUILDS.incr();
-            FACETS.add(c.num_facets() as u64);
-            VERTICES.add(c.num_vertices() as u64);
-            build_skeleton(next, deadline)?
-        }
-    };
-    if iis_obs::trace::active() {
-        let c = next.tower().complex();
-        iis_obs::trace::event(
-            "sds.level",
-            "sds.level",
-            &[
-                ("level", iis_obs::Json::Num(level as f64)),
-                ("facets", iis_obs::Json::Num(c.num_facets() as f64)),
-                ("vertices", iis_obs::Json::Num(c.num_vertices() as f64)),
-            ],
-        );
-    }
-    Some(next)
 }
 
 /// Traces round `b`'s `solve.round` record: its outcome and one count,
@@ -608,9 +557,13 @@ fn solve_on(
     iis_obs::progress::solve_round_started(task.name(), b as u64, opts.max_nodes);
     // the round span is the top of this round's causal profile tree; its
     // sample carries the whole round's node count and wall time
-    let round_span =
-        iis_obs::profile::register(iis_obs::profile::SpanId::ROOT, &format!("round:{b}"));
     let profile_t0 = profile_now();
+    let round_span = match profile_t0 {
+        Some(_) => {
+            iis_obs::profile::register(iis_obs::profile::SpanId::ROOT, &format!("round:{b}"))
+        }
+        None => iis_obs::profile::SpanId::ROOT,
+    };
     let budget = SharedBudget::new(opts.max_nodes);
     let result =
         crate::csp::search_map(task, skel, &budget, deadline, opts.jobs, tables, round_span);
@@ -717,7 +670,7 @@ impl<'t> Solver<'t> {
             opts,
             deadline,
             shape,
-            skel: base_skeleton(task.input(), shape),
+            skel: skeleton(task.input(), shape, 0, None, None).expect("no deadline"),
             b: 0,
             started: false,
             tables,
@@ -751,7 +704,8 @@ impl<'t> Solver<'t> {
         }
         if self.started {
             let input = self.task.input();
-            let Some(next) = next_skeleton(&self.skel, input, self.shape, b, self.deadline) else {
+            let below = Some(&*self.skel);
+            let Some(next) = skeleton(input, self.shape, b, below, self.deadline) else {
                 trace_round(self.task, b, "timed_out", ("nodes", 0));
                 return BoundedOutcome::TimedOut;
             };

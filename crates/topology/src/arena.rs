@@ -47,6 +47,7 @@
 
 use crate::template;
 use crate::{Color, Complex, Subdivision};
+use iis_obs::metrics::{StaticCounter, StaticHistogram};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -210,8 +211,7 @@ impl ArenaSds {
     }
 
     /// `SDS^{b+1}(C)` from this `SDS^b(C)`: one more subdivision level,
-    /// carriers composed to the base (Lemma 3.3), timed into
-    /// `sds.arena_build_ns`.
+    /// carriers composed to the base (Lemma 3.3).
     ///
     /// # Examples
     ///
@@ -231,7 +231,6 @@ impl ArenaSds {
     /// this level: `None` once the deadline has passed. A level of at most
     /// 64 facets is built whatever the clock says.
     pub fn next_until(&self, deadline: Option<Instant>) -> Option<ArenaSds> {
-        let _timer = iis_obs::span::span("sds.arena_build_ns");
         arena_sds_level(self, deadline, |_, _, _| {})
     }
 
@@ -257,7 +256,6 @@ impl ArenaSds {
     /// assert_eq!((one.forget(solo), one.forget(both)), (0, 0));
     /// ```
     pub fn next_with<F: FnMut(&[u32], u32)>(&self, mut named: F) -> ArenaSds {
-        let _timer = iis_obs::span::span("sds.arena_build_ns");
         arena_sds_level(self, None, |name, _, id| named(name, id)).expect("no deadline")
     }
 
@@ -391,12 +389,8 @@ impl ArenaSds {
 /// ```
 pub fn arena_sds_tower(base: &Complex, b: usize) -> ArenaSds {
     assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
-    let _timer = iis_obs::span::span("sds.arena_build_ns");
-    let mut tower = level_zero(Arc::new(ArenaComplex::from_complex(base)));
-    for _ in 0..b {
-        tower = arena_sds_level(&tower, None, |_, _, _| {}).expect("no deadline");
-    }
-    tower
+    let zero = level_zero(Arc::new(ArenaComplex::from_complex(base)));
+    (0..b).fold(zero, |tower, _| tower.next())
 }
 
 /// `SDS^0(C) = C` with identity carriers; [`ArenaComplex::from_complex`]
@@ -428,11 +422,19 @@ pub(crate) fn level_zero(base: Arc<ArenaComplex>) -> ArenaSds {
 /// [`template::SdsTemplate`]. With a `deadline`, the clock is read before
 /// every [`FACETS_PER_POLL`]-th facet past the first, and a passed
 /// deadline abandons the level (`None`).
+///
+/// It is also the one place a level is recorded, whoever asked for it: a
+/// finished level adds one `sds.builds`, its facets and vertices to
+/// `sds.facets` and `sds.vertices`, one `sds.arena_build_ns` sample and,
+/// while tracing, one `sds.level` event. An abandoned level records
+/// nothing.
 pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
     prev: &ArenaSds,
     deadline: Option<Instant>,
     mut named: F,
 ) -> Option<ArenaSds> {
+    static BUILD_NS: StaticHistogram = StaticHistogram::new("sds.arena_build_ns");
+    let timer = iis_obs::span::span_on(&BUILD_NS);
     let pc = prev.complex();
     // The templates by width, fetched from the process-wide cache once per
     // level; every later facet of a cached width is one more template hit.
@@ -486,6 +488,8 @@ pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
     let kept = |mask: u16, full: u16| mask != full && pc.num_facets() > 1;
     for (i, &fi) in prev.facet_order.iter().enumerate() {
         if i > 0 && i % FACETS_PER_POLL == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            // the timer holds no resources: forgetting it drops its sample
+            std::mem::forget(timer);
             return None;
         }
         let fv = pc.facet(fi as usize);
@@ -561,7 +565,7 @@ pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
         v.shrink_to_fit();
     }
     let order = lex_order(&next);
-    Some(ArenaSds {
+    let level = ArenaSds {
         base: Arc::clone(&prev.base),
         complex: Some(next),
         facet_order: order,
@@ -569,7 +573,32 @@ pub(crate) fn arena_sds_level<F: FnMut(&[u32], u32, u32)>(
         carrier_verts,
         forget,
         rounds: prev.rounds + 1,
-    })
+    };
+    record(&level);
+    Some(level)
+}
+
+/// Counts one finished level in `sds.builds`, `sds.facets` and
+/// `sds.vertices`, and traces it as an `sds.level` event.
+fn record(level: &ArenaSds) {
+    static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
+    static FACETS: StaticCounter = StaticCounter::new("sds.facets");
+    static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
+    let c = level.complex();
+    BUILDS.incr();
+    FACETS.add(c.num_facets() as u64);
+    VERTICES.add(c.num_vertices() as u64);
+    if iis_obs::trace::active() {
+        iis_obs::trace::event(
+            "sds.level",
+            "sds.level",
+            &[
+                ("level", iis_obs::Json::Num(level.rounds as f64)),
+                ("facets", iis_obs::Json::Num(c.num_facets() as f64)),
+                ("vertices", iis_obs::Json::Num(c.num_vertices() as f64)),
+            ],
+        );
+    }
 }
 
 /// Facets of a level subdivided between two deadline polls of

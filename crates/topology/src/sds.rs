@@ -15,7 +15,7 @@
 use crate::arena::{self, ArenaComplex};
 use crate::template::WIDTH_LIMIT;
 use crate::{Color, Complex, Label, Simplex, Subdivision, VertexId};
-use iis_obs::metrics::{StaticCounter, StaticHistogram};
+use iis_obs::metrics::StaticHistogram;
 use std::sync::Arc;
 
 /// Enumerates all *ordered set partitions* of `items` — every way to split
@@ -224,6 +224,8 @@ pub fn sds(base: &Complex) -> Subdivision {
 /// pairs. Vertex ids, facets and carriers are the arena's, so the
 /// labelled and label-free towers agree by construction; the
 /// ordered-partition walk [`sds_reference_iterated`] is their oracle.
+/// The whole tower is one `sds.build_ns` sample; the level step records
+/// each level it builds (`sds.builds`, `sds.level`, …).
 ///
 /// `b = 0` yields the identity subdivision.
 ///
@@ -242,9 +244,6 @@ pub fn sds(base: &Complex) -> Subdivision {
 pub fn sds_iterated(base: &Complex, b: usize) -> Subdivision {
     assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
     static BUILD_NS: StaticHistogram = StaticHistogram::new("sds.build_ns");
-    static BUILDS: StaticCounter = StaticCounter::new("sds.builds");
-    static FACETS: StaticCounter = StaticCounter::new("sds.facets");
-    static VERTICES: StaticCounter = StaticCounter::new("sds.vertices");
     if b == 0 {
         return Subdivision::identity(base.clone());
     }
@@ -272,21 +271,6 @@ pub fn sds_iterated(base: &Complex, b: usize) -> Subdivision {
             next_vertices.push((Color(name[0]), view_labels[view as usize].clone()));
         })
         .expect("no deadline");
-        let c = next.complex();
-        BUILDS.incr();
-        FACETS.add(c.num_facets() as u64);
-        VERTICES.add(c.num_vertices() as u64);
-        if iis_obs::trace::active() {
-            iis_obs::trace::event(
-                "sds.level",
-                "sds.level",
-                &[
-                    ("level", iis_obs::Json::Num(level as f64)),
-                    ("facets", iis_obs::Json::Num(c.num_facets() as f64)),
-                    ("vertices", iis_obs::Json::Num(c.num_vertices() as f64)),
-                ],
-            );
-        }
         (tower, vertices) = (next, next_vertices);
     }
     let c = tower.complex();
@@ -307,14 +291,14 @@ pub fn sds_iterated(base: &Complex, b: usize) -> Subdivision {
 ///
 /// Produces a byte-identical result to [`sds`]: same vertex ids in the same
 /// insertion order, same facet set, same carriers (enforced by this module's
-/// tests and the cross-crate differential suites).
+/// tests and the cross-crate differential suites). An oracle, it records
+/// no metric.
 ///
 /// # Panics
 ///
 /// Panics if `C` is not chromatic.
 pub fn sds_reference(base: &Complex) -> Subdivision {
     assert!(base.is_chromatic(), "SDS requires a chromatic base complex");
-    let _timer = iis_obs::span::span("sds.build_ns");
     let mut sub = Complex::new();
     let mut carriers: Vec<Simplex> = Vec::new();
     for f in base.facets() {
@@ -338,9 +322,6 @@ pub fn sds_reference(base: &Complex) -> Subdivision {
             sub.add_facet(facet);
         }
     }
-    iis_obs::metrics::add("sds.builds", 1);
-    iis_obs::metrics::add("sds.facets", sub.num_facets() as u64);
-    iis_obs::metrics::add("sds.vertices", sub.num_vertices() as u64);
     Subdivision::from_parts(base.clone(), sub, carriers)
 }
 

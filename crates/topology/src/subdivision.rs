@@ -243,7 +243,6 @@ impl Subdivision {
     /// Panics if `outer`'s base is not (label-identical to) `self`'s
     /// subdivided complex.
     pub fn compose(&self, outer: &Subdivision) -> Subdivision {
-        let _timer = iis_obs::span::span("sds.compose_ns");
         // When `outer` subdivides `self.subdivided` itself (the reference
         // tower's one-more-level step), `outer.base()` is a clone of
         // `self.subdivided`, so ids line up one-to-one and the per-vertex

@@ -76,6 +76,22 @@ echo "$out" | grep -q 'serve does not take --drain-secs' \
 rm -rf "$store_dir"
 echo "undecided smoke: ok"
 
+# Level-record smoke: a level of the tower is recorded where it is built,
+# whoever builds it. A warm hit's witness check builds SDS^1 and SDS^2 of
+# eps:1:9's input, so it counts two sds.builds and traces two sds.level.
+store_dir=$(mktemp -d)
+"$IIS" solve eps:1:9 --max-rounds 2 --store "$store_dir" >/dev/null
+out=$("$IIS" solve eps:1:9 --max-rounds 2 --store "$store_dir" --stats --trace "$store_dir/trace.jsonl")
+echo "$out" | grep -q '^store: hit' \
+  || { echo "level smoke: the second solve was not a store hit"; echo "$out"; exit 1; }
+echo "$out" | grep -Eq '^sds\.builds +2$' \
+  || { echo "level smoke: the witness check did not count sds.builds 2"; echo "$out"; exit 1; }
+levels=$(grep -c '"kind":"sds.level"' "$store_dir/trace.jsonl" || true)
+[ "$levels" = 2 ] \
+  || { echo "level smoke: $levels sds.level events, not 2"; cat "$store_dir/trace.jsonl"; exit 1; }
+rm -rf "$store_dir"
+echo "level smoke: ok"
+
 # Live-introspection smoke: solve with --serve on an ephemeral port, scrape
 # /metrics and /progress over bash's /dev/tcp while the process runs, then
 # require a clean exit. /metrics must be Prometheus text exposition and

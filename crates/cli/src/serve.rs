@@ -1722,71 +1722,6 @@ mod tests {
         assert!(lock(&shard.state).jobs.is_empty(), "nothing was queued");
     }
 
-    /// `eps:5:2` passes every check of the question reader, but its tower
-    /// at `b = 1` has 64 · 4683 facets — over 600 MB to build — and no
-    /// certificate settles it. The sweep stops before building it: an
-    /// inconclusive `422` naming the round, the facet count and the cap,
-    /// and the shard serves on. `consensus:6`, whose tower at `b = 1` is
-    /// 20 times larger, is certified instead: an exact `200`, fast.
-    #[test]
-    fn a_tower_past_the_cap_answers_422_without_building() {
-        let (addr, handle) = start(&[]);
-        // the task itself is interned first: the bound is on the tower
-        let (head, _) = request(
-            addr,
-            "POST",
-            "/solve",
-            r#"{"spec": "eps:5:2", "max_rounds": 0}"#,
-        );
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let started = std::time::Instant::now();
-        let (head, reply) = request(
-            addr,
-            "POST",
-            "/solve",
-            r#"{"spec": "eps:5:2", "max_rounds": 1}"#,
-        );
-        let elapsed = started.elapsed();
-        assert!(head.starts_with("HTTP/1.1 422"), "{head}");
-        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
-        let error = reply.get("error").and_then(Json::as_str).unwrap();
-        assert_eq!(
-            error,
-            "inconclusive: SDS^1(I) would have 299712 facets, past the cap of 100000; \
-             nothing was built"
-        );
-        let (head, _) = request(addr, "GET", "/readyz", "");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let (head, _) = request(
-            addr,
-            "POST",
-            "/solve",
-            r#"{"spec": "consensus:6", "max_rounds": 0}"#,
-        );
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let started = std::time::Instant::now();
-        let (head, reply) = request(
-            addr,
-            "POST",
-            "/solve",
-            r#"{"spec": "consensus:6", "max_rounds": 1}"#,
-        );
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(started.elapsed() < Duration::from_millis(100));
-        assert_eq!(
-            reply.get("result").unwrap().to_string(),
-            r#"{"results":[[0,false],[1,false]],"task":"consensus","witness":null}"#
-        );
-        let (head, _) = request(
-            addr,
-            "POST",
-            "/solve",
-            r#"{"spec": "eps:1:3", "max_rounds": 1}"#,
-        );
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        shutdown(addr, handle);
-    }
-
     /// A task with a Sperner certificate answers every round exactly —
     /// sweeps the search could not finish in its budget, or whose towers
     /// are past the facet cap — with the all-false record an exact search

@@ -35,7 +35,10 @@
 //! The subdivision the witness lives on is **rebuilt from the task's
 //! input** and the map is re-validated against Proposition 3.1's
 //! conditions, so a corrupted or adversarial store entry is detected and
-//! treated as a miss rather than trusted.
+//! treated as a miss rather than trusted. The rebuild goes through the
+//! one gate to a level a search goes through (`skeleton`), so a witness
+//! claimed on a level past [`TOWER_FACET_CAP`] is refused before anything
+//! is built, and a level is memoized only once a witness on it passed.
 //!
 //! A stored record is read once, in one pass over its bytes
 //! ([`validate_record`]), and only in the canonical encoding its one
@@ -81,9 +84,10 @@
 //! task and bound — so every record a service serves was revalidated in
 //! that process against the asking task, once.
 
-use crate::csp::{Skeleton, TaskTables};
+use crate::csp::{ConstraintCache, Skeleton};
 use crate::solvability::{
-    check_image, check_simplices, solve_up_to_with, DecisionMap, SolvabilityReport, SolveOptions,
+    check_image, check_simplices, stopped_at, tower_facets, BoundedOutcome, DecisionMap,
+    SolvabilityReport, SolveOptions, Solver, TOWER_FACET_CAP,
 };
 use iis_obs::json::{self, kept, JsonError, Token};
 use iis_obs::metrics::{Gauge, StaticCounter, StaticHistogram};
@@ -351,15 +355,18 @@ pub const SPEC_INTERN_CAP: usize = 256;
 /// A task together with the round-independent part of its content
 /// address ([`key_prefix`]), its input's [`shape_key`], and its compiled
 /// `Δ` tables — what a question needs to be keyed and answered, computed
-/// once. The tables are compiled lazily, one per `(carrier, colors)`
-/// class a skeleton asks for, and shared by the task's searches and its
-/// stored-witness checks.
+/// once, and the one value a search ([`Solver`]) or a stored-witness
+/// check takes. The tables are compiled lazily, one per `(carrier,
+/// colors)` class a skeleton asks for, and shared by the task's searches
+/// and its stored-witness checks.
 #[derive(Debug)]
 pub struct KeyedTask {
     task: Task,
     key_prefix: u64,
     shape: u64,
-    tables: TaskTables,
+    /// Filled only with this task's tables, behind a poison-safe lock
+    /// ([`KeyedTask::tables`]).
+    tables: Mutex<ConstraintCache>,
     /// Whether [`intern_spec`] holds this task: only an interned task's
     /// answers are kept in an [`AnswerMemo`].
     interned: bool,
@@ -390,7 +397,7 @@ impl KeyedTask {
             key_prefix,
             shape: shape_key(task.input()),
             task,
-            tables: TaskTables::default(),
+            tables: Mutex::default(),
             interned: false,
         }
     }
@@ -409,6 +416,13 @@ impl KeyedTask {
     /// [`cache_key`] bit for bit.
     pub fn key(&self, max_rounds: usize) -> u64 {
         finish_key(self.key_prefix, max_rounds)
+    }
+
+    /// The task's compiled `Δ` tables, for one compile or one class
+    /// resolve. A panic while the lock is held cannot wedge them: every
+    /// entry is a finished table, so the guard is recovered.
+    pub(crate) fn tables(&self) -> MutexGuard<'_, ConstraintCache> {
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -786,54 +800,75 @@ fn skeleton_memo() -> &'static Lru<(u64, usize), Arc<Skeleton>> {
     SKELETONS.get_or_init(|| Lru::new(TOWER_CACHE_CAP))
 }
 
-/// The constraint skeleton of `SDS^b(input)`, where `shape` is
-/// [`shape_key`] of `input`: the one way `iis-core` looks up or builds a
-/// level.
+/// The constraint skeleton of `SDS^b(I)` for `q`'s input `I`: the one
+/// gate to a level, which alone decides whether a level may be built.
 ///
-/// A memo entry under `(shape, b)` of `input`'s shape is a hit, counted in
-/// `cache.tower_hits`; an entry of another shape (a hash collision) is
-/// not. On a miss the level is built — one subdivision of `below`, the
-/// skeleton of `SDS^{b-1}(input)`, or with no `below` the whole tower from
-/// `input` — and counted in `cache.tower_builds`; the tower builds poll
-/// `deadline`, and so does the skeleton's, giving up (`None`) once it
-/// passes.
+/// - A level past [`TOWER_FACET_CAP`] facets ([`tower_facets`]) is
+///   refused, [`BoundedOutcome::TooLarge`], before any lookup or build.
+/// - A memo entry under `(shape, b)` of `q`'s shape is a hit, counted in
+///   `cache.tower_hits`; an entry of another shape (a hash collision) is
+///   not.
+/// - On a miss the level is climbed to — from `below`, a lower level of
+///   the same input, else from the highest level of the same shape below
+///   `b` the memo holds, else from the input — and counted once in
+///   `cache.tower_builds`. The tower builds and the skeleton's
+///   classification poll `deadline`, giving up
+///   ([`BoundedOutcome::TimedOut`]) once it passes.
 ///
 /// Nothing is memoized here: [`keep_skeleton`] is the one insert. The
 /// tower and its skeleton are a pure function of the shape and `b`, and
 /// both are built deterministically, so sharing one instance across tasks
 /// and requests changes no observable byte. The memo holds only levels
-/// some witness lives on: those a stored witness is checked on and those
-/// the solver finds a witness on ([`crate::solvability`]); a refuted or
-/// undecided round's level is dropped with its sweep.
+/// some witness lives on: those a stored witness passed its check on and
+/// those the solver finds a witness on ([`crate::solvability`]); a
+/// refuted or undecided round's level, and a refused witness's, is
+/// dropped.
 pub(crate) fn skeleton(
-    input: &Complex,
-    shape: u64,
+    q: &KeyedTask,
     b: usize,
     below: Option<&Skeleton>,
     deadline: Option<Instant>,
-) -> Option<Arc<Skeleton>> {
+) -> Result<Arc<Skeleton>, BoundedOutcome> {
     static TOWER_HITS: StaticCounter = StaticCounter::new("cache.tower_hits");
     static TOWER_BUILDS: StaticCounter = StaticCounter::new("cache.tower_builds");
-    let memo = skeleton_memo().get(&(shape, b));
-    if let Some(skel) = memo.filter(|s| s.tower().base().same_shape(input)) {
-        TOWER_HITS.incr();
-        return Some(skel);
+    let input = q.task.input();
+    let facets = tower_facets(input, b);
+    if facets > TOWER_FACET_CAP {
+        return Err(BoundedOutcome::TooLarge { facets });
     }
-    let tower = match below {
-        Some(below) => below.tower().next_until(deadline)?,
-        None => (0..b).try_fold(arena_sds_tower(input, 0), |t, _| t.next_until(deadline))?,
+    let memo = skeleton_memo();
+    let ours = |skel: &Arc<Skeleton>| skel.tower().base().same_shape(input);
+    if let Some(skel) = memo.get(&(q.shape, b)).filter(ours) {
+        TOWER_HITS.incr();
+        return Ok(skel);
+    }
+    let mut tower = match below {
+        Some(below) => Arc::clone(below.tower()),
+        None => (0..b)
+            .rev()
+            .find_map(|level| memo.get(&(q.shape, level)).filter(ours))
+            .map_or_else(
+                || Arc::new(arena_sds_tower(input, 0)),
+                |skel| Arc::clone(skel.tower()),
+            ),
     };
+    while tower.rounds() < b {
+        let next = tower.next_until(deadline);
+        tower = Arc::new(next.ok_or(BoundedOutcome::TimedOut)?);
+    }
     debug_assert_eq!(tower.rounds(), b);
     TOWER_BUILDS.incr();
-    Skeleton::until(Arc::new(tower), deadline).map(Arc::new)
+    let skel = Skeleton::until(tower, deadline).ok_or(BoundedOutcome::TimedOut)?;
+    Ok(Arc::new(skel))
 }
 
-/// Memoizes `skel` as the skeleton of `(shape, b)`, evicting the least
-/// recently used entry at [`TOWER_CACHE_CAP`] (counted in
-/// `cache.tower_evictions`); an entry already there is kept.
-pub(crate) fn keep_skeleton(shape: u64, b: usize, skel: &Arc<Skeleton>) {
+/// Memoizes `skel` as the skeleton of its level of `q`'s input shape,
+/// evicting the least recently used entry at [`TOWER_CACHE_CAP`]
+/// (counted in `cache.tower_evictions`); an entry already there is kept.
+pub(crate) fn keep_skeleton(q: &KeyedTask, skel: &Arc<Skeleton>) {
     static TOWER_EVICTIONS: StaticCounter = StaticCounter::new("cache.tower_evictions");
-    if skeleton_memo().insert((shape, b), Arc::clone(skel)) {
+    let key = (q.shape, skel.tower().rounds());
+    if skeleton_memo().insert(key, Arc::clone(skel)) {
         TOWER_EVICTIONS.incr();
     }
 }
@@ -938,18 +973,17 @@ fn not_canonical(expected: &str) -> JsonError {
 ///   inside a witness) come once each, in that order;
 /// - the verdict vector is `[[0,false],…,[b,true]]` with `b ≤ max_rounds`
 ///   and a witness at `b`, or `max_rounds + 1` false verdicts and none;
+/// - `SDS^b(I)` is at most [`TOWER_FACET_CAP`] facets, or the record is
+///   refused before anything is built;
 /// - the witness map is `[[0,w0],[1,w1],…]`, one pair per vertex of
 ///   `SDS^b(I)` in id order, decoded straight into the dense image table;
 ///   each image passes [`check_image`] as it is read, and the table then
-///   passes [`check_simplices`] on the memoized skeleton under `shape`
-///   (which must be `task`'s input's), with `task`'s `Δ` tables from
-///   `tables`.
+///   passes [`check_simplices`] on the level's skeleton
+///   ([`skeleton`]), with `q`'s own `Δ` tables.
 ///
 /// The witness half is timed into the `cache.revalidate_ns` histogram.
 fn read_record<'a>(
-    task: &Task,
-    shape: u64,
-    tables: &TaskTables,
+    q: &KeyedTask,
     text: &'a str,
     max_rounds: Option<usize>,
 ) -> Result<CheckedRecord<'a>, String> {
@@ -963,7 +997,7 @@ fn read_record<'a>(
                 (1, "results", _) => verdicts = Some(read_verdicts(r, max_rounds)?),
                 (2, "task", _) => name = Some(r.string()?),
                 (3, "witness", Some((rounds, solvable))) => {
-                    witness = Some(read_witness(r, task, shape, tables, rounds, solvable)?);
+                    witness = Some(read_witness(r, q, rounds, solvable)?);
                 }
                 _ => return Err(not_canonical("the members `results`, `task`, `witness`")),
             }
@@ -1033,9 +1067,7 @@ fn read_verdicts(
 /// vector's solvable round, with its map checked.
 fn read_witness(
     r: &mut json::Reader<'_>,
-    task: &Task,
-    shape: u64,
-    tables: &TaskTables,
+    q: &KeyedTask,
     rounds: usize,
     solvable: bool,
 ) -> Result<Option<Witness>, JsonError> {
@@ -1060,7 +1092,7 @@ fn read_witness(
                 }
                 b = Some(round);
             }
-            (2, "map", Some(b)) => checked = Some(read_map(r, task, shape, tables, b)?),
+            (2, "map", Some(b)) => checked = Some(read_map(r, q, b)?),
             _ => return Err(not_canonical("the members `b`, `map`")),
         }
         Ok(())
@@ -1071,19 +1103,21 @@ fn read_witness(
 }
 
 /// The witness map `[[0,w0],[1,w1],…]` on `SDS^b(I)`, decoded into the
-/// dense image table and checked as it is read.
-fn read_map(
-    r: &mut json::Reader<'_>,
-    task: &Task,
-    shape: u64,
-    tables: &TaskTables,
-    b: usize,
-) -> Result<Witness, JsonError> {
+/// dense image table and checked as it is read; the level is memoized
+/// only once the witness passes.
+fn read_map(r: &mut json::Reader<'_>, q: &KeyedTask, b: usize) -> Result<Witness, JsonError> {
     static REVALIDATE_NS: StaticHistogram = StaticHistogram::new("cache.revalidate_ns");
     let _timer = iis_obs::span::span_on(&REVALIDATE_NS);
     let invalid = |e: String| JsonError::new(format!("stored witness invalid: {e}"));
-    let skel = skeleton(task.input(), shape, b, None, None).expect("no deadline");
-    keep_skeleton(shape, b, &skel);
+    let skel = match skeleton(q, b, None, None) {
+        Ok(skel) => skel,
+        Err(stop) => {
+            // the object reader takes a refused member as read only once
+            // its value is consumed
+            r.skip()?;
+            return Err(JsonError::new(stopped_at(b, &stop)));
+        }
+    };
     let n = skel.tower().complex().num_vertices();
     let mut image = Vec::with_capacity(n);
     r.uint_pairs(|source: u32, w: u32| {
@@ -1092,14 +1126,15 @@ fn read_map(
             return Err(not_canonical(&format!("the pair of vertex {v}")));
         }
         let w = VertexId(w);
-        check_image(&skel, task.output(), v, w).map_err(invalid)?;
+        check_image(&skel, q.task.output(), v, w).map_err(invalid)?;
         image.push(w);
         Ok(())
     })?;
     if image.len() < n {
         return Err(invalid(format!("vertex {} unmapped", image.len())));
     }
-    check_simplices(task, &skel, tables, &image).map_err(invalid)?;
+    check_simplices(q, &skel, &image).map_err(invalid)?;
+    keep_skeleton(q, &skel);
     Ok((skel, image))
 }
 
@@ -1109,8 +1144,9 @@ fn read_map(
 /// canonical record is refused.
 ///
 /// The witness's subdivision `SDS^b(I)` is taken from the process-wide
-/// skeleton memo under `task`'s input shape (built on a miss — Lemma 3.3:
-/// `SDS^b(I)` is canonical), and the stored vertex map must pass the same
+/// skeleton memo under `task`'s input shape (built on a miss, unless it
+/// is past [`TOWER_FACET_CAP`] — Lemma 3.3: `SDS^b(I)` is canonical), and
+/// the stored vertex map must pass the same
 /// Proposition 3.1 conditions as the reference
 /// [`validate_decision_map`](crate::solvability::validate_decision_map)
 /// (simpliciality, color preservation, `δ(s) ∈ Δ(carrier(s))` for every
@@ -1127,8 +1163,7 @@ fn read_map(
 /// caller should treat any error as a cache miss.
 pub fn report_from_json(task: &Task, v: &Json) -> Result<SolvabilityReport, String> {
     let text = v.to_string();
-    let tables = TaskTables::default();
-    read_record(task, shape_key(task.input()), &tables, &text, None).map(CheckedRecord::into_report)
+    read_record(&KeyedTask::new(task.clone()), &text, None).map(CheckedRecord::into_report)
 }
 
 /// Checks stored record text as the answer to `(keyed, max_rounds)` — the
@@ -1159,14 +1194,7 @@ pub fn report_from_json(task: &Task, v: &Json) -> Result<SolvabilityReport, Stri
 /// assert!(validate_record(&keyed, 2, &text.replacen(',', ", ", 1)).is_err());
 /// ```
 pub fn validate_record(keyed: &KeyedTask, max_rounds: usize, text: &str) -> Result<(), String> {
-    read_record(
-        &keyed.task,
-        keyed.shape,
-        &keyed.tables,
-        text,
-        Some(max_rounds),
-    )
-    .map(|_| ())
+    read_record(keyed, text, Some(max_rounds)).map(|_| ())
 }
 
 /// A record an [`AnswerMemo`] holds: stored text this process read from
@@ -1318,14 +1346,7 @@ pub fn solve_up_to_cached(
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
-    let tables = TaskTables::default();
-    let question = Sweep {
-        task,
-        key_prefix: key_prefix(task),
-        shape: shape_key(task.input()),
-        tables: &tables,
-    };
-    solve_cached(&question, max_rounds, opts, cache)
+    solve_cached(&KeyedTask::new(task.clone()), max_rounds, opts, cache)
 }
 
 /// What a service's sweep settled on.
@@ -1363,29 +1384,13 @@ pub fn answer_keyed(
         STORE_HITS.incr();
         return Answered::Record { text, hit: true };
     }
-    let question = Sweep {
-        task: &keyed.task,
-        key_prefix: keyed.key_prefix,
-        shape: keyed.shape,
-        tables: &keyed.tables,
-    };
-    match sweep(&question, keyed.key(max_rounds), max_rounds, opts, cache) {
+    match sweep(keyed, keyed.key(max_rounds), max_rounds, opts, cache) {
         (_, Some(text)) => Answered::Record {
             text: text.into(),
             hit: false,
         },
         (report, None) => Answered::Undecided(report),
     }
-}
-
-/// What a cached sweep needs of its task: the task, its key prefix and
-/// input shape, and the `Δ` tables to compile and check against (an
-/// interned task's own, or a bare task's for this one call).
-struct Sweep<'a> {
-    task: &'a Task,
-    key_prefix: u64,
-    shape: u64,
-    tables: &'a TaskTables,
 }
 
 static STORE_HITS: StaticCounter = StaticCounter::new("solve.cache_store_hits");
@@ -1402,14 +1407,14 @@ fn invalid_record(task: &Task, error: String) {
 }
 
 fn solve_cached(
-    q: &Sweep<'_>,
+    q: &KeyedTask,
     max_rounds: usize,
     opts: &SolveOptions,
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
-    let key = finish_key(q.key_prefix, max_rounds);
+    let key = q.key(max_rounds);
     if let Some(text) = cache.get(key) {
-        match read_record(q.task, q.shape, q.tables, &text, Some(max_rounds)) {
+        match read_record(q, &text, Some(max_rounds)) {
             Ok(record) => {
                 STORE_HITS.incr();
                 return CachedSolve {
@@ -1418,7 +1423,7 @@ fn solve_cached(
                     key,
                 };
             }
-            Err(e) => invalid_record(q.task, e),
+            Err(e) => invalid_record(&q.task, e),
         }
     }
     CachedSolve {
@@ -1432,7 +1437,7 @@ fn solve_cached(
 /// `solve.cache_store_misses`), with a decided result persisted under
 /// `key`: the report, and the record text stored when it decided.
 fn sweep(
-    q: &Sweep<'_>,
+    q: &KeyedTask,
     key: u64,
     max_rounds: usize,
     opts: &SolveOptions,
@@ -1440,7 +1445,7 @@ fn sweep(
 ) -> (SolvabilityReport, Option<String>) {
     static STORE_MISSES: StaticCounter = StaticCounter::new("solve.cache_store_misses");
     STORE_MISSES.incr();
-    let report = solve_up_to_with(q.task, max_rounds, opts, q.tables);
+    let report = Solver::new(q, *opts).sweep(max_rounds);
     // only a decided sweep (a witness, or every round refuted) is stored
     let decided = report.stopped().is_none();
     let record = decided.then(|| report_to_json(&report).to_string());
@@ -1546,12 +1551,21 @@ mod tests {
         c
     }
 
-    /// The skeleton a stored witness on `SDS^b(input)` is checked
-    /// against, taken as `read_map` takes it: looked up or built, then kept.
-    fn skeleton_of(input: &Complex, b: usize) -> Arc<Skeleton> {
-        let shape = shape_key(input);
-        let skel = skeleton(input, shape, b, None, None).expect("no deadline");
-        keep_skeleton(shape, b, &skel);
+    /// The identity task on [`isolated_points`]`(k)`, keyed.
+    fn points_task(k: u64) -> KeyedTask {
+        let input = isolated_points(k);
+        let mut b = iis_tasks::TaskBuilder::new("points", input.clone(), input.clone());
+        for v in input.vertex_ids() {
+            b.allow(Simplex::new([v]), Simplex::new([v]));
+        }
+        KeyedTask::new(b.build().unwrap())
+    }
+
+    /// The skeleton a stored witness on `SDS^b(I)` is checked against,
+    /// looked up or built, then kept as a witness that passed keeps it.
+    fn skeleton_of(q: &KeyedTask, b: usize) -> Arc<Skeleton> {
+        let skel = skeleton(q, b, None, None).expect("under the cap, no deadline");
+        keep_skeleton(q, &skel);
         skel
     }
 
@@ -1560,13 +1574,11 @@ mod tests {
         // cycle more distinct (shape, b) keys than the cap: the memo must
         // stay bounded and keep the recently-used entries, evicting only
         // the coldest. b=0 towers are cheap, so the pressure is realistic.
-        let inputs: Vec<Complex> = (1..=TOWER_CACHE_CAP as u64 + 8)
-            .map(isolated_points)
-            .collect();
-        let hot = trivial(1);
-        for input in &inputs {
-            skeleton_of(hot.input(), 0); // keep one entry hot throughout
-            skeleton_of(input, 0);
+        let tasks: Vec<KeyedTask> = (1..=TOWER_CACHE_CAP as u64 + 8).map(points_task).collect();
+        let hot = KeyedTask::new(trivial(1));
+        for q in &tasks {
+            skeleton_of(&hot, 0); // keep one entry hot throughout
+            skeleton_of(q, 0);
         }
         let memo = skeleton_memo();
         assert!(
@@ -1575,7 +1587,7 @@ mod tests {
             memo.len()
         );
         assert!(
-            memo.contains_key(&(shape_key(hot.input()), 0usize)),
+            memo.contains_key(&(hot.shape, 0usize)),
             "the constantly-reused entry must survive eviction pressure"
         );
     }
@@ -1620,13 +1632,14 @@ mod tests {
             .iter()
             .map(|s| parse_spec(s).unwrap())
             .collect();
+        let keyed: Vec<KeyedTask> = tasks.iter().cloned().map(KeyedTask::new).collect();
         for b in 0..=2 {
-            let first = skeleton_of(tasks[0].input(), b);
-            for t in &tasks[1..] {
+            let first = skeleton_of(&keyed[0], b);
+            for q in &keyed[1..] {
                 assert!(
-                    Arc::ptr_eq(&first, &skeleton_of(t.input(), b)),
+                    Arc::ptr_eq(&first, &skeleton_of(q, b)),
                     "{} b={b}",
-                    t.name()
+                    q.task().name()
                 );
             }
         }
@@ -2059,10 +2072,9 @@ mod tests {
     /// `json::Reader`: a hand-written lexer over the canonical bytes, kept
     /// as the oracle of the record differential below.
     mod lexer_oracle {
-        use super::super::{keep_skeleton, skeleton, TaskTables};
+        use super::super::{skeleton, KeyedTask};
         use crate::solvability::{check_image, check_simplices};
         use iis_obs::Json;
-        use iis_tasks::Task;
         use iis_topology::VertexId;
 
         struct Lexer<'a> {
@@ -2156,14 +2168,8 @@ mod tests {
         }
 
         /// Whether the lexer accepts `text` as the answer to
-        /// `(task, max_rounds)`.
-        pub(super) fn accepts(
-            task: &Task,
-            shape: u64,
-            tables: &TaskTables,
-            text: &str,
-            max_rounds: usize,
-        ) -> Result<(), String> {
+        /// `(q, max_rounds)`.
+        pub(super) fn accepts(q: &KeyedTask, text: &str, max_rounds: usize) -> Result<(), String> {
             let mut r = Lexer { text, at: 0 };
             r.lit("{\"results\":[")?;
             let mut rounds = 0;
@@ -2202,8 +2208,7 @@ mod tests {
                     return Err("witness round disagrees".to_string());
                 }
                 r.lit(",\"map\":[")?;
-                let skel = skeleton(task.input(), shape, b, None, None).unwrap();
-                keep_skeleton(shape, b, &skel);
+                let skel = skeleton(q, b, None, None).unwrap();
                 let n = skel.tower().complex().num_vertices();
                 let mut image = Vec::with_capacity(n);
                 for v in (0..n as u32).map(VertexId) {
@@ -2218,11 +2223,11 @@ mod tests {
                     let w = r.uint()?;
                     r.lit("]")?;
                     let w = VertexId(u32::try_from(w).unwrap_or(u32::MAX));
-                    check_image(&skel, task.output(), v, w)?;
+                    check_image(&skel, q.task().output(), v, w)?;
                     image.push(w);
                 }
                 r.lit("]}")?;
-                check_simplices(task, &skel, tables, &image)?;
+                check_simplices(q, &skel, &image)?;
             }
             r.lit("}")?;
             if r.at != text.len() {
@@ -2385,13 +2390,7 @@ mod tests {
             }
             for text in &corpus {
                 for max_rounds in [b, b + 1] {
-                    let lexer = lexer_oracle::accepts(
-                        keyed.task(),
-                        keyed.shape,
-                        &keyed.tables,
-                        text,
-                        max_rounds,
-                    );
+                    let lexer = lexer_oracle::accepts(&keyed, text, max_rounds);
                     let reader = validate_record(&keyed, max_rounds, text);
                     assert_eq!(
                         reader.is_ok(),

@@ -30,8 +30,9 @@
 //!   `(carrier, colors)` class. By Lemma 3.3 it depends only on the
 //!   input's shape and `b`, so `iis_core::cache` memoizes it once per
 //!   `(shape, b)` for every task, search and stored-witness check alike;
-//!   a task contributes only its `Δ` tables (`TaskTables`, one per
-//!   class), resolved once per class instead of once per simplex.
+//!   a task contributes only its `Δ` tables (kept by its
+//!   `iis_core::cache::KeyedTask`, one per class), resolved once per class
+//!   instead of once per simplex.
 //!
 //! **Determinism.** The kernel preserves the MAC search of the reference
 //! engine ([`crate::reference`], a sequential test oracle that clones
@@ -47,6 +48,7 @@
 //! sequential witness at every thread count (DESIGN.md §7) — enforced by
 //! the differential suites in `crates/core/tests/`.
 
+use crate::cache::KeyedTask;
 use crate::parallel::{run_pool, FirstWins, SharedBudget};
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
@@ -54,7 +56,7 @@ use iis_topology::arena::ArenaSds;
 use iis_topology::{Color, Complex, Simplex, SimplicialMap, VertexId};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Per-color output-candidate tables: for each color of the output complex,
@@ -264,8 +266,8 @@ impl SupportTable {
 /// a table depends on. Carriers are simplices of the *base* complex and
 /// tuples are vertices of the output complex, both fixed for the life of a
 /// task, so one cache serves a task's whole round sweep and every check
-/// of its stored witnesses (`solve.constraint_cache_hits`); see
-/// [`TaskTables`].
+/// of its stored witnesses (`solve.constraint_cache_hits`): a
+/// [`KeyedTask`] owns one for life, behind a lock.
 ///
 /// A key is [`class_key`], assembled in a reused buffer, so a hit
 /// allocates nothing and a miss allocates one boxed key.
@@ -287,7 +289,7 @@ fn class_key(key: &mut Vec<u32>, carrier: &[u32], colors: &[Color]) {
 
 impl ConstraintCache {
     /// The per-color candidate tables of `task`'s output complex, built
-    /// once per cache.
+    /// once per cache (a [`KeyedTask`]'s cache only ever sees its task).
     fn encoder(&mut self, task: &Task) -> &Arc<OutputEncoder> {
         self.encoder
             .get_or_insert_with(|| Arc::new(OutputEncoder::new(task.output())))
@@ -316,29 +318,10 @@ impl ConstraintCache {
     }
 }
 
-/// A task's compiled `Δ` tables ([`ConstraintCache`]) behind a
-/// poison-safe lock, filled lazily, one table per `(carrier, colors)`
-/// class: an interned task (`iis_core::cache::KeyedTask`) owns one for
-/// life, shared by its searches and its witness checks; a solver for a
-/// bare task owns one for its sweep. A panic while the lock is held cannot
-/// wedge it: every entry is a finished table, so the guard is recovered.
-#[derive(Default)]
-pub(crate) struct TaskTables {
-    inner: Mutex<ConstraintCache>,
-}
-
-impl TaskTables {
-    /// The cache, for the duration of one compile or one class resolve.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, ConstraintCache> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl std::fmt::Debug for TaskTables {
+impl std::fmt::Debug for ConstraintCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tables = self.lock().tables.len();
-        f.debug_struct("TaskTables")
-            .field("tables", &tables)
+        f.debug_struct("ConstraintCache")
+            .field("tables", &self.tables.len())
             .finish()
     }
 }
@@ -454,23 +437,22 @@ impl Skeleton {
         &self.classes[k].0
     }
 
-    /// `task`'s compiled table of every class, in class order, resolved
-    /// through `tables` under one lock. With a `deadline`, the clock is
+    /// `q`'s compiled table of every class, in class order, resolved
+    /// through its tables under one lock. With a `deadline`, the clock is
     /// read once per [`CLASSES_PER_POLL`] classes past the first, and a
     /// passed deadline stops the resolve ([`Halt::Timeout`]).
     pub(crate) fn resolve(
         &self,
-        task: &Task,
-        tables: &TaskTables,
+        q: &KeyedTask,
         deadline: Option<Instant>,
     ) -> Result<Vec<Arc<CompiledTable>>, Halt> {
-        let mut cache = tables.lock();
+        let mut cache = q.tables();
         let mut resolved = Vec::with_capacity(self.classes.len());
         for (k, (carrier, colors)) in self.classes.iter().enumerate() {
             if k % CLASSES_PER_POLL == CLASSES_PER_POLL - 1 && passed(deadline) {
                 return Err(Halt::Timeout);
             }
-            resolved.push(cache.table(task, carrier, colors));
+            resolved.push(cache.table(q.task(), carrier, colors));
         }
         Ok(resolved)
     }
@@ -1044,24 +1026,23 @@ impl BitsetCsp<'_> {
 /// reference tower's simplex order, so constraint indices (and with them
 /// the propagation order and every counter) match the reference engine's
 /// ([`crate::reference`]). Each class's table is resolved once through
-/// `tables`, polling `deadline` as [`Skeleton::resolve`] does. `None`
+/// `q`'s tables, polling `deadline` as [`Skeleton::resolve`] does. `None`
 /// means a constraint admits no tuple or a domain starts empty — provably
 /// unsolvable, exactly as in the reference compile.
 pub(crate) fn compile<'s>(
-    task: &Task,
+    q: &KeyedTask,
     skel: &'s Skeleton,
-    tables: &TaskTables,
     deadline: Option<Instant>,
 ) -> Result<Option<(BitsetCsp<'s>, Vec<u64>)>, Halt> {
     // registered at compile, so a scrape lists them before any publish
     SOLVE_COUNTERS.iter().for_each(StaticCounter::register);
     let c = skel.tower().complex();
     let nv = c.num_vertices();
-    let class_tables = skel.resolve(task, tables, deadline)?;
+    let class_tables = skel.resolve(q, deadline)?;
     if class_tables.iter().any(|t| t.is_empty()) {
         return Ok(None);
     }
-    let encoder = Arc::clone(tables.lock().encoder(task));
+    let encoder = Arc::clone(q.tables().encoder(q.task()));
     let class_support: Vec<Arc<SupportTable>> =
         class_tables.iter().map(|t| t.support(&encoder)).collect();
     let words = encoder.words;
@@ -1109,16 +1090,15 @@ pub(crate) fn compile<'s>(
 /// The search entry: compile, propagate the root, then run MAC —
 /// sequentially, or split over `jobs` workers.
 pub(crate) fn search_map(
-    task: &Task,
+    q: &KeyedTask,
     skel: &Skeleton,
     budget: &SharedBudget,
     deadline: Option<Instant>,
     jobs: usize,
-    tables: &TaskTables,
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
     let compile_t0 = profile_now();
-    let compiled = compile(task, skel, tables, deadline);
+    let compiled = compile(q, skel, deadline);
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
     }
@@ -1246,13 +1226,10 @@ mod tests {
     /// The support CSR must index exactly the tuples a linear scan finds.
     #[test]
     fn support_lists_match_linear_scan() {
-        let task = k_set_consensus(2, 2);
-        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
-        let tables = TaskTables::default();
-        let (csp, _) = compile(&task, &skel, &tables, None)
-            .unwrap()
-            .expect("compiles");
-        let resolved = skel.resolve(&task, &tables, None).unwrap();
+        let q = KeyedTask::new(k_set_consensus(2, 2));
+        let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
+        let (csp, _) = compile(&q, &skel, None).unwrap().expect("compiles");
+        let resolved = skel.resolve(&q, None).unwrap();
         for (ci, t) in csp.tables.iter().enumerate() {
             let table = &resolved[skel.class(ci)];
             assert_eq!(t.tuples.len(), table.allowed.len());
@@ -1272,11 +1249,10 @@ mod tests {
     /// every allowed tuple and on tuples one value away from one.
     #[test]
     fn contains_matches_a_chunk_scan() {
-        let task = k_set_consensus(2, 2);
-        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
-        let tables = TaskTables::default();
-        let outs = task.output().num_vertices() as u32;
-        for t in skel.resolve(&task, &tables, None).unwrap() {
+        let q = KeyedTask::new(k_set_consensus(2, 2));
+        let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
+        let outs = q.task().output().num_vertices() as u32;
+        for t in skel.resolve(&q, None).unwrap() {
             assert!(!t.is_empty());
             let sorted: Vec<&[VertexId]> = t.tuples().collect();
             assert!(sorted.windows(2).all(|p| p[0] < p[1]), "sorted, distinct");
@@ -1341,16 +1317,14 @@ mod tests {
     #[test]
     fn a_passed_deadline_stops_classification_and_compile_at_their_first_poll() {
         let past = Some(Instant::now());
-        let task = iis_tasks::library::parse_spec("eps:3:3").unwrap();
+        let keyed = |spec| KeyedTask::new(iis_tasks::library::parse_spec(spec).unwrap());
+        let q = keyed("eps:3:3");
         // SDS^0 of eps:3:3's input: 80 simplices, each its own class
-        let small = Arc::new(arena_sds_tower(task.input(), 0));
+        let small = Arc::new(arena_sds_tower(q.task().input(), 0));
         let skel = Skeleton::until(Arc::clone(&small), past).expect("no poll reached");
         assert_eq!((skel.len(), skel.classes.len()), (80, 80));
-        assert_eq!(
-            compile(&task, &skel, &TaskTables::default(), past).err(),
-            Some(Halt::Timeout)
-        );
-        let untimed = compile(&task, &skel, &TaskTables::default(), None).unwrap();
+        assert_eq!(compile(&q, &skel, past).err(), Some(Halt::Timeout));
+        let untimed = compile(&keyed("eps:3:3"), &skel, None).unwrap();
         assert!(untimed.is_some());
         // SDS^1 has more than 4096 simplices
         let large = Arc::new(small.next());
@@ -1360,21 +1334,18 @@ mod tests {
         assert!(built.len() > SIMPLICES_PER_POLL);
         assert_eq!(built.cvar, Skeleton::new(large).cvar);
         // eps:1:3's classes are too few to reach a poll
-        let task = iis_tasks::library::parse_spec("eps:1:3").unwrap();
-        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
+        let q = keyed("eps:1:3");
+        let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
         assert!(skel.classes.len() < CLASSES_PER_POLL);
-        assert!(compile(&task, &skel, &TaskTables::default(), past).is_ok());
+        assert!(compile(&q, &skel, past).is_ok());
     }
 
     /// Trail undo must restore the exact pre-assignment domain words.
     #[test]
     fn trail_undo_restores_domains() {
-        let task = k_set_consensus(2, 2);
-        let skel = Skeleton::new(arena_sds_tower(task.input(), 1));
-        let tables = TaskTables::default();
-        let (csp, root) = compile(&task, &skel, &tables, None)
-            .unwrap()
-            .expect("compiles");
+        let q = KeyedTask::new(k_set_consensus(2, 2));
+        let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
+        let (csp, root) = compile(&q, &skel, None).unwrap().expect("compiles");
         let mut st = csp.new_state(root);
         assert_eq!(csp.propagate(&mut st, None, None), Ok(true));
         let snapshot = st.dom.clone();

@@ -354,7 +354,8 @@ impl Csp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csp::{Skeleton, TaskTables};
+    use crate::cache::KeyedTask;
+    use crate::csp::Skeleton;
     use iis_tasks::library::{
         approximate_agreement, consensus, k_set_consensus, one_shot_immediate_snapshot_task,
         renaming, trivial,
@@ -375,12 +376,12 @@ mod tests {
             (one_shot_immediate_snapshot_task(2), 1),
         ];
         for (task, max_b) in cases {
-            let arena_tables = TaskTables::default();
+            let q = KeyedTask::new(task.clone());
             let mut reference_cache = ConstraintCache::default();
             for b in 0..=max_b {
                 let skel = Skeleton::new(iis_topology::arena::arena_sds_tower(task.input(), b));
                 let sub = sds_reference_iterated(task.input(), b);
-                let compiled = crate::csp::compile(&task, &skel, &arena_tables, None).unwrap();
+                let compiled = crate::csp::compile(&q, &skel, None).unwrap();
                 let reference = compile_csp(&task, &sub, &mut reference_cache, u64::MAX);
                 let (Some((k, _)), Some((r, _))) = (compiled, reference) else {
                     panic!("{} b={b}: only one side compiled", task.name());
@@ -391,7 +392,7 @@ mod tests {
                     "{} b={b}",
                     task.name()
                 );
-                let arena_allowed = skel.resolve(&task, &arena_tables, None).unwrap();
+                let arena_allowed = skel.resolve(&q, None).unwrap();
                 for (ci, con) in r.constraints.iter().enumerate() {
                     let verts: Vec<u32> = con.verts.iter().map(|v| v.0).collect();
                     assert_eq!(

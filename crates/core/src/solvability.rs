@@ -18,9 +18,9 @@
 //! kernel in [`crate::csp`]; [`crate::reference`] keeps a second,
 //! sequential engine as its test oracle.
 
-use crate::cache::{keep_skeleton, shape_key, skeleton};
+use crate::cache::{keep_skeleton, skeleton, KeyedTask};
 use crate::certificate::{find_certificate, Certificate};
-use crate::csp::{profile_now, Halt, Skeleton, TaskTables};
+use crate::csp::{profile_now, Halt, Skeleton};
 use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
@@ -135,15 +135,19 @@ impl SolvabilityReport {
     /// Why the sweep stopped undecided, in words naming the round; `None`
     /// when it decided.
     pub fn stop_reason(&self) -> Option<String> {
-        let b = self.results.len();
-        Some(match self.stopped.as_ref()? {
-            BoundedOutcome::TimedOut => format!("deadline exceeded: search stopped at b = {b}"),
-            BoundedOutcome::TooLarge { facets } => format!(
-                "SDS^{b}(I) would have {facets} facets, past the cap of {TOWER_FACET_CAP}; nothing was built"
-            ),
-            // `Exhausted`, the one other outcome a sweep stops at
-            _ => format!("search exhausted at b = {b}"),
-        })
+        Some(stopped_at(self.results.len(), self.stopped.as_ref()?))
+    }
+}
+
+/// Why round `b` stopped undecided at `stop`, in words naming the round.
+pub(crate) fn stopped_at(b: usize, stop: &BoundedOutcome) -> String {
+    match stop {
+        BoundedOutcome::TimedOut => format!("deadline exceeded: search stopped at b = {b}"),
+        BoundedOutcome::TooLarge { facets } => format!(
+            "SDS^{b}(I) would have {facets} facets, past the cap of {TOWER_FACET_CAP}; nothing was built"
+        ),
+        // `Exhausted`, the one other outcome a sweep stops at
+        _ => format!("search exhausted at b = {b}"),
     }
 }
 
@@ -208,9 +212,8 @@ pub fn validate_decision_map(
 ///
 /// Returns a description of the first violated condition.
 pub(crate) fn check_decision_map(
-    task: &Task,
+    q: &KeyedTask,
     skel: &Skeleton,
-    tables: &TaskTables,
     map: &SimplicialMap,
 ) -> Result<(), String> {
     let c = skel.tower().complex();
@@ -220,10 +223,10 @@ pub(crate) fn check_decision_map(
         let w = map
             .image(vid)
             .ok_or_else(|| format!("vertex {vid} unmapped"))?;
-        check_image(skel, task.output(), vid, w)?;
+        check_image(skel, q.task().output(), vid, w)?;
         image.push(w);
     }
-    check_simplices(task, skel, tables, &image)
+    check_simplices(q, skel, &image)
 }
 
 /// The per-vertex half of Proposition 3.1's check: vertex `v` of `skel`'s
@@ -253,7 +256,7 @@ pub(crate) fn check_image(
 ///
 /// Accept/reject behavior is identical to the reference validator
 /// (DESIGN.md, "Why checking the compiled constraints is Proposition 3.1's
-/// check"): each class's `Δ` table is resolved once through `tables`, and
+/// check"): each class's `Δ` table is resolved once through `q`, and
 /// every simplex `s` of `skel` is one binary search of its image tuple in
 /// its class's table. Simplices are chromatic, so `δ(s) ⊆ sₒ` for some
 /// `sₒ ∈ Δ(carrier(s))` iff `sₒ`'s projection onto `s`'s colors *is*
@@ -264,12 +267,11 @@ pub(crate) fn check_image(
 ///
 /// Names the first failing simplex and its carrier.
 pub(crate) fn check_simplices(
-    task: &Task,
+    q: &KeyedTask,
     skel: &Skeleton,
-    tables: &TaskTables,
     image: &[VertexId],
 ) -> Result<(), String> {
-    let class_tables = skel.resolve(task, tables, None).expect("no deadline");
+    let class_tables = skel.resolve(q, None).expect("no deadline");
     let mut img: Vec<VertexId> = Vec::new();
     for ci in 0..skel.len() {
         let verts = skel.verts(ci);
@@ -501,27 +503,11 @@ impl SolveOptions {
 /// parallelism, and timeout).
 pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutcome {
     let deadline = opts.deadline();
-    let facets = tower_facets(task.input(), b);
-    if facets > TOWER_FACET_CAP {
-        return BoundedOutcome::TooLarge { facets };
+    let q = KeyedTask::new(task.clone());
+    match skeleton(&q, b, None, deadline) {
+        Ok(skel) => solve_on(&q, &skel, opts, deadline),
+        Err(stop) => stop,
     }
-    let (input, shape) = (task.input(), shape_key(task.input()));
-    let mut skel = skeleton(input, shape, 0, None, None).expect("no deadline");
-    for level in 1..=b {
-        match skeleton(input, shape, level, Some(&skel), deadline) {
-            Some(next) => skel = next,
-            None => return BoundedOutcome::TimedOut,
-        }
-    }
-    solve_on(
-        task,
-        &skel,
-        shape,
-        b,
-        opts,
-        deadline,
-        &TaskTables::default(),
-    )
 }
 
 /// Traces round `b`'s `solve.round` record: its outcome and one count,
@@ -540,19 +526,17 @@ fn trace_round(task: &Task, b: usize, outcome: &str, count: (&str, u64)) {
     }
 }
 
-/// The shared per-round body: search `skel` (= `SDS^b(I)`, of input shape
-/// `shape`) under `opts`'s budget and jobs until `deadline`, with
+/// The shared per-round body: search `skel` (= `SDS^b(I)` of `q`'s
+/// input) under `opts`'s budget and jobs until `deadline`, with
 /// instrumentation. A level a witness is found on is memoized for the
 /// witness checks (and searches) to come.
 fn solve_on(
-    task: &Task,
+    q: &KeyedTask,
     skel: &Arc<Skeleton>,
-    shape: u64,
-    b: usize,
     opts: &SolveOptions,
     deadline: Option<Instant>,
-    tables: &TaskTables,
 ) -> BoundedOutcome {
+    let (task, b) = (q.task(), skel.tower().rounds());
     let timer = iis_obs::span::span("solve.search_ns");
     iis_obs::progress::solve_round_started(task.name(), b as u64, opts.max_nodes);
     // the round span is the top of this round's causal profile tree; its
@@ -565,8 +549,7 @@ fn solve_on(
         None => iis_obs::profile::SpanId::ROOT,
     };
     let budget = SharedBudget::new(opts.max_nodes);
-    let result =
-        crate::csp::search_map(task, skel, &budget, deadline, opts.jobs, tables, round_span);
+    let result = crate::csp::search_map(q, skel, &budget, deadline, opts.jobs, round_span);
     if let Some(t0) = profile_t0 {
         iis_obs::profile::sample(
             round_span,
@@ -591,8 +574,8 @@ fn solve_on(
     drop(timer);
     match result {
         Ok(Some(map)) => {
-            debug_assert!(check_decision_map(task, skel, tables, &map).is_ok());
-            keep_skeleton(shape, b, skel);
+            debug_assert!(check_decision_map(q, skel, &map).is_ok());
+            keep_skeleton(q, skel);
             BoundedOutcome::Solvable(Box::new(DecisionMap::new(Arc::clone(skel.tower()), map)))
         }
         Ok(None) => BoundedOutcome::Unsolvable,
@@ -606,9 +589,9 @@ fn solve_on(
 /// process-wide skeleton memo or, on a miss, extending `SDS^b(I)` by a
 /// *single* subdivision (Lemma 3.3 via
 /// [`ArenaSds::next`](iis_topology::arena::ArenaSds::next)) and reusing
-/// compiled constraint tables whose carriers are unchanged — instead of
-/// rebuilding everything from scratch per round the way repeated
-/// [`solve_at`] calls would.
+/// the keyed task's compiled constraint tables — instead of rebuilding
+/// everything from scratch per round the way repeated [`solve_at`] calls
+/// would.
 ///
 /// The node budget in the options applies per round; the timeout bounds
 /// the whole sweep, counted from the solver's creation.
@@ -624,56 +607,41 @@ fn solve_on(
 /// # Examples
 ///
 /// ```
+/// use iis_core::cache::KeyedTask;
 /// use iis_core::solvability::{BoundedOutcome, SolveOptions, Solver};
 /// use iis_tasks::library::approximate_agreement;
 ///
-/// let task = approximate_agreement(1, 3);
+/// let task = KeyedTask::new(approximate_agreement(1, 3));
 /// let mut solver = Solver::new(&task, SolveOptions::new());
 /// assert!(matches!(solver.step(), BoundedOutcome::Unsolvable)); // b = 0
 /// assert!(matches!(solver.step(), BoundedOutcome::Solvable(_))); // b = 1
 /// assert_eq!(solver.round(), 1);
 /// ```
 pub struct Solver<'t> {
-    task: &'t Task,
+    q: &'t KeyedTask,
     opts: SolveOptions,
     /// The sweep's one deadline (`opts`'s timeout from creation).
     deadline: Option<Instant>,
-    shape: u64,
-    skel: Arc<Skeleton>,
-    b: usize,
-    started: bool,
-    tables: Tables<'t>,
+    /// The level of the round last searched, which the next is built on.
+    skel: Option<Arc<Skeleton>>,
+    /// The round the next step decides.
+    next: usize,
     /// Round 0 was refuted, so the next step looks for a certificate.
     zero_refuted: bool,
     /// `Some` once the certificate was looked for: what was found.
     certificate: Option<Option<Certificate>>,
 }
 
-/// The `Δ` tables a [`Solver`] compiles against: its own, or an interned
-/// task's (shared with that task's witness checks).
-enum Tables<'t> {
-    Own(TaskTables),
-    Shared(&'t TaskTables),
-}
-
 impl<'t> Solver<'t> {
-    /// A solver for `task`, positioned before round `b = 0`.
-    pub fn new(task: &'t Task, opts: SolveOptions) -> Self {
-        Solver::with_tables(task, opts, Tables::Own(TaskTables::default()))
-    }
-
-    fn with_tables(task: &'t Task, opts: SolveOptions, tables: Tables<'t>) -> Self {
-        let deadline = opts.deadline();
-        let shape = shape_key(task.input());
+    /// A solver for the keyed task `q`, compiling against its `Δ` tables,
+    /// positioned before round `b = 0`.
+    pub fn new(q: &'t KeyedTask, opts: SolveOptions) -> Self {
         Solver {
-            task,
+            q,
             opts,
-            deadline,
-            shape,
-            skel: skeleton(task.input(), shape, 0, None, None).expect("no deadline"),
-            b: 0,
-            started: false,
-            tables,
+            deadline: opts.deadline(),
+            skel: None,
+            next: 0,
             zero_refuted: false,
             certificate: None,
         }
@@ -682,7 +650,7 @@ impl<'t> Solver<'t> {
     /// The round count the most recent [`step`](Solver::step) decided
     /// (`0` before any step).
     pub fn round(&self) -> usize {
-        self.b
+        self.next.saturating_sub(1)
     }
 
     /// Decides the next round count and returns its outcome. A round
@@ -691,42 +659,26 @@ impl<'t> Solver<'t> {
     /// deadline cut short is [`BoundedOutcome::TimedOut`]; either leaves
     /// the solver where it was, unless a certificate refutes the round.
     pub fn step(&mut self) -> BoundedOutcome {
-        let b = if self.started { self.b + 1 } else { 0 };
+        let (task, b) = (self.q.task(), self.next);
         if self.zero_refuted && self.certified() {
-            self.b = b;
-            trace_round(self.task, b, "certified", ("nodes", 0));
+            self.next += 1;
+            trace_round(task, b, "certified", ("nodes", 0));
             return BoundedOutcome::Unsolvable;
         }
-        let facets = tower_facets(self.task.input(), b);
-        if facets > TOWER_FACET_CAP {
-            trace_round(self.task, b, "too_large", ("facets", facets));
-            return BoundedOutcome::TooLarge { facets };
-        }
-        if self.started {
-            let input = self.task.input();
-            let below = Some(&*self.skel);
-            let Some(next) = skeleton(input, self.shape, b, below, self.deadline) else {
-                trace_round(self.task, b, "timed_out", ("nodes", 0));
-                return BoundedOutcome::TimedOut;
-            };
-            self.b = b;
-            self.skel = next;
-        } else {
-            self.started = true;
-        }
-        let tables = match &self.tables {
-            Tables::Own(t) => t,
-            Tables::Shared(t) => t,
+        let skel = match skeleton(self.q, b, self.skel.as_deref(), self.deadline) {
+            Ok(skel) => skel,
+            Err(stop) => {
+                match stop {
+                    BoundedOutcome::TooLarge { facets } => {
+                        trace_round(task, b, "too_large", ("facets", facets));
+                    }
+                    _ => trace_round(task, b, "timed_out", ("nodes", 0)),
+                }
+                return stop;
+            }
         };
-        let outcome = solve_on(
-            self.task,
-            &self.skel,
-            self.shape,
-            self.b,
-            &self.opts,
-            self.deadline,
-            tables,
-        );
+        let outcome = solve_on(self.q, &skel, &self.opts, self.deadline);
+        (self.skel, self.next) = (Some(skel), b + 1);
         if b == 0 {
             self.zero_refuted = matches!(outcome, BoundedOutcome::Unsolvable);
         }
@@ -737,7 +689,7 @@ impl<'t> Solver<'t> {
     /// call (counting `solve.certified` and tracing a `solve.certificate`
     /// record when found), remembered after.
     fn certified(&mut self) -> bool {
-        let task = self.task;
+        let task = self.q.task();
         self.certificate
             .get_or_insert_with(|| {
                 let found = find_certificate(task);
@@ -758,6 +710,34 @@ impl<'t> Solver<'t> {
                 found
             })
             .is_some()
+    }
+
+    /// Steps through `b = 0..=max_rounds`, stopping at the first solvable
+    /// or undecided round: the sweep [`solve_up_to_opts`] reports.
+    pub(crate) fn sweep(mut self, max_rounds: usize) -> SolvabilityReport {
+        let mut results = Vec::new();
+        let (mut witness, mut stopped) = (None, None);
+        for b in 0..=max_rounds {
+            match self.step() {
+                BoundedOutcome::Solvable(w) => {
+                    results.push((b, true));
+                    witness = Some(*w);
+                    break;
+                }
+                BoundedOutcome::Unsolvable => results.push((b, false)),
+                undecided => {
+                    stopped = Some(undecided);
+                    break;
+                }
+            }
+        }
+        SolvabilityReport {
+            task_name: self.q.task().name().to_string(),
+            results,
+            witness,
+            certificate: self.certificate.flatten(),
+            stopped,
+        }
     }
 }
 
@@ -789,47 +769,7 @@ pub fn solve_up_to(task: &Task, max_rounds: usize) -> SolvabilityReport {
 /// either); the report names that outcome
 /// ([`SolvabilityReport::stopped`]).
 pub fn solve_up_to_opts(task: &Task, max_rounds: usize, opts: &SolveOptions) -> SolvabilityReport {
-    sweep(Solver::new(task, *opts), max_rounds)
-}
-
-/// [`solve_up_to_opts`] compiling against `tables` — an interned task's
-/// own, so its sweeps and its witness checks share one set of `Δ` tables.
-pub(crate) fn solve_up_to_with(
-    task: &Task,
-    max_rounds: usize,
-    opts: &SolveOptions,
-    tables: &TaskTables,
-) -> SolvabilityReport {
-    sweep(
-        Solver::with_tables(task, *opts, Tables::Shared(tables)),
-        max_rounds,
-    )
-}
-
-fn sweep(mut solver: Solver<'_>, max_rounds: usize) -> SolvabilityReport {
-    let mut results = Vec::new();
-    let (mut witness, mut stopped) = (None, None);
-    for b in 0..=max_rounds {
-        match solver.step() {
-            BoundedOutcome::Solvable(w) => {
-                results.push((b, true));
-                witness = Some(*w);
-                break;
-            }
-            BoundedOutcome::Unsolvable => results.push((b, false)),
-            undecided => {
-                stopped = Some(undecided);
-                break;
-            }
-        }
-    }
-    SolvabilityReport {
-        task_name: solver.task.name().to_string(),
-        results,
-        witness,
-        certificate: solver.certificate.flatten(),
-        stopped,
-    }
+    Solver::new(&KeyedTask::new(task.clone()), *opts).sweep(max_rounds)
 }
 
 /// Lifts a decision map one round up: `δ ∘ forget` on `SDS^{b+1}(I)`,
@@ -846,9 +786,8 @@ pub fn lift_decision_map(task: &Task, dm: &DecisionMap) -> DecisionMap {
         (VertexId(v), w.expect("decision map is total"))
     }));
     debug_assert!(check_decision_map(
-        task,
+        &KeyedTask::new(task.clone()),
         &Skeleton::new(Arc::clone(&finer)),
-        &TaskTables::default(),
         &lifted
     )
     .is_ok());

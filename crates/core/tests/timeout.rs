@@ -3,6 +3,7 @@
 //! outcome; a generous deadline changes nothing; one deadline bounds a
 //! whole sweep, not each round.
 
+use iis_core::cache::KeyedTask;
 use iis_core::solvability::{
     solve_at_opts, solve_up_to_opts, BoundedOutcome, SolveOptions, Solver,
 };
@@ -56,7 +57,7 @@ fn one_deadline_bounds_the_whole_sweep() {
     // and 1 are refuted without polling the clock, and round 2, whose
     // search alone takes far less than the timeout, stops at its first
     // poll instead of getting a fresh timeout of its own
-    let task = approximate_agreement(1, 9);
+    let task = KeyedTask::new(approximate_agreement(1, 9));
     let mut solver = Solver::new(
         &task,
         SolveOptions::new().timeout(Duration::from_millis(50)),

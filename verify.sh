@@ -92,6 +92,26 @@ levels=$(grep -c '"kind":"sds.level"' "$store_dir/trace.jsonl" || true)
 rm -rf "$store_dir"
 echo "level smoke: ok"
 
+# Gate smoke: a stored witness reaches its level through the same gate as
+# a search, so a record claiming a witness on a level past the facet cap
+# is refused before anything is built. A 106-byte line claiming an
+# eps:5:2 witness at b = 1 (299 712 facets) costs a clean miss's time:
+# no sds.builds, and the trace names the cap.
+store_dir=$(mktemp -d)
+out=$("$IIS" solve eps:5:2 --max-rounds 1 --store "$store_dir")
+key=$(echo "$out" | sed -n 's/^store: .*(key \([0-9a-f]*\),.*/\1/p')
+[ -n "$key" ] || { echo "gate smoke: no key on the store line"; echo "$out"; exit 1; }
+record='{"results":[[0,false],[1,true]],"task":"eps","witness":{"b":1,"map":[]}}'
+printf '{"key":"%s","value":"%s"}\n' "$key" "${record//\"/\\\"}" >>"$store_dir/seg-00000.jsonl"
+out=$(timeout 3 "$IIS" solve eps:5:2 --max-rounds 1 --store "$store_dir" --stats --trace "$store_dir/trace.jsonl") \
+  || { echo "gate smoke: the planted record's solve failed or ran past 3 s"; exit 1; }
+echo "$out" | grep -q '^sds\.builds ' \
+  && { echo "gate smoke: the planted record built a level"; echo "$out"; exit 1; }
+grep '"kind":"cache.invalid_record"' "$store_dir/trace.jsonl" | grep -q 'past the cap of 100000; nothing was built' \
+  || { echo "gate smoke: the refusal does not name the cap"; cat "$store_dir/trace.jsonl"; exit 1; }
+rm -rf "$store_dir"
+echo "gate smoke: ok"
+
 # Live-introspection smoke: solve with --serve on an ephemeral port, scrape
 # /metrics and /progress over bash's /dev/tcp while the process runs, then
 # require a clean exit. /metrics must be Prometheus text exposition and

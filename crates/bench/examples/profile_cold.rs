@@ -6,10 +6,17 @@
 //! - `read`: reading the question once — body, task decode and key — as
 //!   each hop does it (the gateway and the shard both pay it);
 //! - `search`: the round sweep;
+//! - `distance`: the distance pass alone (part of `search`: its first
+//!   step runs it);
 //! - `cert`: the Sperner certificate search alone (part of `search` once
 //!   round 0 is refuted), and whether it found one (`certified`);
 //! - `encode`: rendering the canonical record;
-//! - `put`: appending the record to a store.
+//! - `put`: appending the record to a store;
+//! - `rounds`: the sweep split by round, each [`Solver::step`] timed on
+//!   its own with a fresh [`KeyedTask`], as `b:decider:µs` — `d` for a
+//!   round the distance pass refuted (round 0's time includes the pass),
+//!   `c` for one the certificate refuted (its first includes the
+//!   certificate search), `s` for one the gate and the search decided.
 //!
 //! Not a calibrated benchmark — a quick probe for attributing the cold
 //! latency budget. Run with
@@ -17,7 +24,8 @@
 
 use iis_core::cache::{read_solve_body, report_to_json, KeyedTask, QuestionTask, SolveBody};
 use iis_core::certificate::find_certificate;
-use iis_core::solvability::{solve_up_to_opts, SolveOptions};
+use iis_core::distance::Distances;
+use iis_core::solvability::{solve_up_to_opts, BoundedOutcome, SolveOptions, Solver};
 use iis_obs::{Json, ToJson};
 use iis_store::Store;
 use iis_tasks::library::parse_spec;
@@ -76,6 +84,50 @@ fn read_hop(body: &str) -> (KeyedTask, usize) {
     (q.task, q.max_rounds)
 }
 
+/// The median time of each round of a sweep of `task` to `max_rounds`,
+/// each [`Solver::step`] timed alone on a fresh [`KeyedTask`], as
+/// `b:decider:µs` entries.
+fn round_split(task: &iis_tasks::Task, max_rounds: usize, opts: &SolveOptions) -> String {
+    let mut times: Vec<Vec<f64>> = Vec::new();
+    let mut deciders: Vec<char> = Vec::new();
+    for _ in 0..REPS {
+        let keyed = KeyedTask::new(task.clone());
+        let mut solver = Solver::new(&keyed, *opts);
+        for b in 0..=max_rounds {
+            let t0 = Instant::now();
+            let outcome = solver.step();
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            if times.len() <= b {
+                times.push(Vec::new());
+                // the deciders' order in `Solver::step`: the certificate
+                // (once round 0 is refuted), the distance pass, the search
+                let refuted = matches!(outcome, BoundedOutcome::Unsolvable);
+                deciders.push(if refuted && b > 0 && find_certificate(task).is_some() {
+                    'c'
+                } else if keyed.distances().refuting(b).is_some() {
+                    'd'
+                } else {
+                    's'
+                });
+            }
+            times[b].push(us);
+            if !matches!(outcome, BoundedOutcome::Unsolvable) {
+                break;
+            }
+        }
+    }
+    let entries: Vec<String> = times
+        .iter_mut()
+        .zip(&deciders)
+        .enumerate()
+        .map(|(b, (us, decider))| {
+            us.sort_by(f64::total_cmp);
+            format!("{b}:{decider}:{:.1}", us[us.len() / 2])
+        })
+        .collect();
+    entries.join(" ")
+}
+
 fn main() {
     iis_topology::template::prewarm(5);
     let dir = std::env::temp_dir().join(format!("iis_profile_cold_{}", std::process::id()));
@@ -83,8 +135,16 @@ fn main() {
     let mut store = Store::open(&dir).expect("open store");
     let opts = SolveOptions::new().budget(1_000_000);
     println!(
-        "{:<16} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "shape", "bytes", "read_us", "search_us", "cert_us", "certified", "encode_us", "put_us"
+        "{:<16} {:>7} {:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>9}  rounds (b:decider:us)",
+        "shape",
+        "bytes",
+        "read_us",
+        "search_us",
+        "distance_us",
+        "cert_us",
+        "certified",
+        "encode_us",
+        "put_us"
     );
     let (mut read_sum, mut search_sum, mut rest_sum) = (0.0, 0.0, 0.0);
     for (n, &(spec, b)) in SHAPES.iter().enumerate() {
@@ -94,6 +154,7 @@ fn main() {
         let read = median_us(|i| read_hop(&bodies[i]));
         let (keyed, max_rounds) = read_hop(&bodies[0]);
         let search = median_us(|_| solve_up_to_opts(keyed.task(), max_rounds, &opts));
+        let distance = median_us(|_| Distances::of(keyed.task()));
         let cert = median_us(|_| find_certificate(keyed.task()));
         let certified = find_certificate(keyed.task()).is_some();
         let report = solve_up_to_opts(keyed.task(), max_rounds, &opts);
@@ -104,12 +165,14 @@ fn main() {
             .map(|body| read_hop(body).0.key(max_rounds))
             .collect();
         let put = median_us(|i| store.put(keys[i], &record).expect("put"));
+        let rounds = round_split(keyed.task(), max_rounds, &opts);
         println!(
-            "{:<16} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>9} {:>9.1} {:>9.1}",
+            "{:<16} {:>7} {:>9.1} {:>9.1} {:>11.1} {:>9.1} {:>9} {:>9.1} {:>9.1}  {rounds}",
             format!("{spec}@{b}"),
             bodies[0].len(),
             read,
             search,
+            distance,
             cert,
             if certified { "yes" } else { "no" },
             encode,

@@ -61,7 +61,7 @@ fn main() {
     });
     let keyed = intern_spec("eps:1:9").expect("spec");
     time("validate_record", n, || {
-        validate_record(&keyed, 2, &text).expect("valid record")
+        validate_record(&keyed, 2, &text, None).expect("valid record")
     });
     // a three-process witness: its map has ~10× the pairs of eps:1:9's
     let wide = intern_spec("eps:2:3").expect("spec");
@@ -69,7 +69,7 @@ fn main() {
     solve_up_to_cached(wide.task(), 2, &SolveOptions::new(), &mut wide_store);
     let wide_text = SolveCache::get(&mut wide_store, wide.key(2)).expect("record present");
     time("validate_eps_2_3", n, || {
-        validate_record(&wide, 2, &wide_text).expect("valid record")
+        validate_record(&wide, 2, &wide_text, None).expect("valid record")
     });
     time("arena_tower", n, || {
         iis_topology::arena::arena_sds_tower(task.input(), 2)

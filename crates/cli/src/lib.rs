@@ -9,6 +9,7 @@
 use iis_adversary::{fuzz, FuzzConfig, Layer};
 use iis_core::bg::BgSimulation;
 use iis_core::certificate::{find_certificate, Certificate};
+use iis_core::distance::Distances;
 use iis_core::protocol_complex::{check_lemma_3_2, check_lemma_3_3};
 use iis_core::solvability::{solve_up_to_opts, BoundedOutcome, SolvabilityReport, SolveOptions};
 use iis_core::EmulatorMachine;
@@ -367,11 +368,12 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Writes `report`'s verdicts, its Sperner certificate and how the sweep
-/// ended, alike whether it ran here or was `replayed` from a store. A
-/// record does not name its certificate, so a replayed refutation of
-/// rounds `0..=M`, `M ≥ 1`, looks it up with the sweep's own bounded
-/// [`find_certificate`].
+/// Writes `report`'s verdicts, its distance refutation, its Sperner
+/// certificate and how the sweep ended, alike whether it ran here or was
+/// `replayed` from a store. A record names neither, so a replayed report
+/// runs the task's distance pass, and a replayed refutation of rounds
+/// `0..=M`, `M ≥ 1`, looks the certificate up with the sweep's own
+/// bounded [`find_certificate`].
 fn render_report(
     out: &mut String,
     task: &Task,
@@ -394,6 +396,13 @@ fn render_report(
     let looked_up = (replayed && refuted && report.results().len() > 1)
         .then(|| find_certificate(task))
         .flatten();
+    // the distance pass refutes round 0 iff the sweep's first step met it
+    let measured = replayed
+        .then(|| Distances::of(task).worst().cloned())
+        .flatten();
+    if let Some(refutation) = report.distance().or(measured.as_ref()) {
+        let _ = writeln!(out, "{}", refutation.describe(task));
+    }
     if let Some(cert) = report.certificate().or(looked_up.as_ref()) {
         let _ = writeln!(out, "{}", certificate_line(task, cert));
     }
@@ -1177,11 +1186,13 @@ mod tests {
 
     #[test]
     fn stats_flag_appends_table() {
-        let out = dispatch(&argv("solve eps:3:9 --max-rounds 1 --stats")).unwrap();
+        let out = dispatch(&argv("solve eps:2:4 --max-rounds 2 --budget 1 --stats")).unwrap();
         assert!(out.contains("stats"), "{out}");
-        // eps:3:9 is refuted at b ≤ 1 by search (no certificate settles
-        // it), and a refuted level is never memoized, so its tower is
-        // built here whatever the other tests of this binary solved
+        // eps:2:4's distances refute b ≤ 1, and b = 2 is searched until
+        // its budget runs out; no test of this binary finds a witness on
+        // that level, and an undecided level is never memoized, so its
+        // tower is built here whatever the other tests solved
+        assert!(out.contains("solve.distance_refuted"), "{out}");
         assert!(out.contains("solve.propagations"), "{out}");
         assert!(out.contains("solve.prunes"), "{out}");
         assert!(out.contains("sds.facets"), "{out}");

@@ -633,10 +633,13 @@ impl SolveService {
     }
 
     /// The fast path: a record this service verified, or one the store
-    /// holds that revalidates; the reply carries its stored bytes.
-    fn answer_cached(&self, req: &SolveRequest) -> Option<Response> {
+    /// holds that revalidates before `deadline` (the question's job's, had
+    /// it missed); the reply carries its stored bytes.
+    fn answer_cached(&self, req: &SolveRequest, deadline: Instant) -> Option<Response> {
         let store = &mut SharedCache(&self.store);
-        let text = self.answers.answer(&req.task, req.max_rounds, store)?;
+        let text = self
+            .answers
+            .answer(&req.task, req.max_rounds, store, Some(deadline))?;
         static CACHE_HITS: StaticCounter = StaticCounter::new("serve.cache_hits");
         CACHE_HITS.incr();
         let key = req.task.key(req.max_rounds);
@@ -724,7 +727,7 @@ impl SolveService {
     /// sheds as for a single question.
     fn admit_in_batch(&self, req: &SolveRequest, mine: &[u64], deadline: Instant) -> Admission {
         loop {
-            if let Some(resp) = self.answer_cached(req) {
+            if let Some(resp) = self.answer_cached(req, deadline) {
                 return Admission::Ready(resp);
             }
             match self.admit(req, false, deadline) {
@@ -794,10 +797,11 @@ impl SolveService {
     /// may run ([`SolveService::admit`]) is solved right here: no queue
     /// hop and no hand-off to a pool worker.
     fn solve_one(&self, req: &SolveRequest) -> Response {
-        if let Some(resp) = self.answer_cached(req) {
+        let deadline = Instant::now() + self.timeout;
+        if let Some(resp) = self.answer_cached(req, deadline) {
             return resp;
         }
-        match self.admit(req, req.wait, Instant::now() + self.timeout) {
+        match self.admit(req, req.wait, deadline) {
             Admission::Ready(resp) => resp,
             Admission::Full => self.queue_full(),
             Admission::Pending { id, key, coalesced } => self.respond(req.wait, id, key, coalesced),
@@ -1271,9 +1275,9 @@ mod tests {
     fn async_jobs_and_coalescing() {
         let (addr, handle) = start(&["--workers", "1"]);
         // park the single worker on a slow-ish solve, then coalesce onto it
-        // (ε-agreement on a grid of 9 among 4 needs two rounds; refuting
-        // one takes a search, since no certificate settles it)
-        let body = r#"{"spec": "eps:3:9", "max_rounds": 1, "wait": false}"#;
+        // (ε-agreement on a grid of 2 among 4: its distances refute b = 0,
+        // and b = 1 takes a search for the witness)
+        let body = r#"{"spec": "eps:3:2", "max_rounds": 1, "wait": false}"#;
         let (head, first) = request(addr, "POST", "/solve", body);
         assert!(head.starts_with("HTTP/1.1 202"), "{head}");
         let id = first.get("job").unwrap().as_f64().unwrap() as u64;
@@ -1292,10 +1296,13 @@ mod tests {
             let (_, job) = request(addr, "GET", &format!("/jobs/{id}"), "");
             match job.get("status").and_then(|s| s.as_str()) {
                 Some("done") => {
-                    // no decision map at b ≤ 1
-                    let results = job.get("result").unwrap().get("results").unwrap();
-                    assert!(matches!(results, Json::Arr(_)));
-                    assert_eq!(job.get("result").unwrap().get("witness"), Some(&Json::Null));
+                    // no decision map at b = 0, one at b = 1
+                    let result = job.get("result").unwrap();
+                    assert_eq!(
+                        result.get("results").unwrap().to_string(),
+                        "[[0,false],[1,true]]"
+                    );
+                    assert!(result.get("witness").is_some_and(|w| *w != Json::Null));
                     done = true;
                     break;
                 }
@@ -1649,11 +1656,16 @@ mod tests {
     }
 
     /// A task whose input is one facet of `n` processes, deciding its own
-    /// inputs: small to send, whatever its width.
+    /// inputs: small to send, whatever its width. `Δ` holds the facet and
+    /// each vertex and edge of it, so its distances refute no round and a
+    /// sweep of it goes on to the tower.
     fn identity_task_of_width(n: usize) -> iis_tasks::Task {
         let simplex = iis_topology::Complex::standard_simplex(n - 1);
         let full = iis_topology::Simplex::new(simplex.vertex_ids());
         let mut b = iis_tasks::TaskBuilder::new("wide", simplex.clone(), simplex);
+        for face in (1..=2).flat_map(|k| full.faces_of_dim(k - 1)) {
+            b.allow(face.clone(), face);
+        }
         b.allow(full.clone(), full);
         b.build().unwrap()
     }
@@ -1838,14 +1850,15 @@ mod tests {
     /// their canonical records.
     #[test]
     fn workers_bound_the_solves_askers_run() {
-        // eps:3:9 at b ≤ 2 runs past the default deadline in a debug build
+        // eps:4:2's search at b = 1 (its distances refute b = 0) runs past
+        // the default deadline in a debug build
         let (addr, handle) = start(&["--workers", "1", "--timeout-secs", "60"]);
         // intern the slow task first, so its ask goes straight to its solve
         let (head, _) = request(
             addr,
             "POST",
             "/solve",
-            r#"{"spec": "eps:3:9", "max_rounds": 0}"#,
+            r#"{"spec": "eps:4:2", "max_rounds": 0}"#,
         );
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         let statuses = || -> Vec<String> {
@@ -1861,7 +1874,7 @@ mod tests {
             let body = format!(r#"{{"spec": "{spec}", "max_rounds": 2}}"#);
             std::thread::spawn(move || request_text(addr, "POST", "/solve", &body))
         };
-        let slow = ask("eps:3:9");
+        let slow = ask("eps:4:2");
         // the second question is sent once the first holds the slot
         while running(&statuses()) == 0 {
             std::thread::sleep(Duration::from_millis(1));
@@ -1876,7 +1889,7 @@ mod tests {
         }
         assert_eq!(most_running, 1, "one worker, one running solve");
         assert!(saw_queued, "the second question waited for the slot");
-        let asks = [("eps:3:9", slow), ("eps:1:3", fast)];
+        let asks = [("eps:4:2", slow), ("eps:1:3", fast)];
         for (spec, ask) in asks {
             let (head, reply) = ask.join().unwrap();
             assert!(head.starts_with("HTTP/1.1 200"), "{spec}: {head}");

@@ -85,6 +85,7 @@
 //! that process against the asking task, once.
 
 use crate::csp::{ConstraintCache, Skeleton};
+use crate::distance::Distances;
 use crate::solvability::{
     check_image, check_simplices, stopped_at, tower_facets, BoundedOutcome, DecisionMap,
     SolvabilityReport, SolveOptions, Solver, TOWER_FACET_CAP,
@@ -353,53 +354,61 @@ const ANSWER_ENTRY_OVERHEAD: usize = 512;
 pub const SPEC_INTERN_CAP: usize = 256;
 
 /// A task together with the round-independent part of its content
-/// address ([`key_prefix`]), its input's [`shape_key`], and its compiled
-/// `Δ` tables — what a question needs to be keyed and answered, computed
-/// once, and the one value a search ([`Solver`]) or a stored-witness
-/// check takes. The tables are compiled lazily, one per `(carrier,
-/// colors)` class a skeleton asks for, and shared by the task's searches
-/// and its stored-witness checks.
+/// address ([`key_prefix`]), its input's [`shape_key`], its compiled `Δ`
+/// tables and its distance pass — what a question needs to be keyed and
+/// answered, computed once, and the one value a search ([`Solver`]) or a
+/// stored-witness check takes. The prefix is rendered on the first
+/// [`KeyedTask::key_prefix`] or [`KeyedTask::key`] call, unless the task
+/// arrived as canonical text; the tables are compiled lazily, one per
+/// `(carrier, colors)` class a skeleton asks for, and shared by the
+/// task's searches and its stored-witness checks; the distance pass runs
+/// on the first sweep step that asks for it.
 #[derive(Debug)]
 pub struct KeyedTask {
     task: Task,
-    key_prefix: u64,
+    key_prefix: OnceLock<u64>,
     shape: u64,
     /// Filled only with this task's tables, behind a poison-safe lock
     /// ([`KeyedTask::tables`]).
     tables: Mutex<ConstraintCache>,
+    distances: OnceLock<Distances>,
     /// Whether [`intern_spec`] holds this task: only an interned task's
     /// answers are kept in an [`AnswerMemo`].
     interned: bool,
 }
 
 impl KeyedTask {
-    /// Keys `task`. The canonical JSON is written once for the prefix and
-    /// dropped, not memoized in the task: an interned task never keeps
-    /// its (up to tens of KB) preimage.
+    /// Keys `task`. The canonical JSON is written once, when the key is
+    /// first asked for, and dropped, not memoized in the task: an
+    /// interned task never keeps its (up to tens of KB) preimage, and a
+    /// task whose key is never read never renders it.
     pub fn new(task: Task) -> KeyedTask {
-        KeyedTask::keyed(task, None)
-    }
-
-    /// Keys `task` by `canonical`, its canonical JSON when the caller
-    /// holds that text already (an inline task that arrived canonical,
-    /// [`Task::read_json`]), else by a rendering written and dropped.
-    fn keyed(task: Task, canonical: Option<&str>) -> KeyedTask {
-        let mut rendered = String::new();
-        if canonical.is_none() || cfg!(debug_assertions) {
-            task.write_canonical(&mut rendered);
-        }
-        debug_assert!(
-            canonical.is_none_or(|text| text == rendered),
-            "a span read as canonical renders the same"
-        );
-        let key_prefix = prefix_of_canonical(canonical.unwrap_or(&rendered));
         KeyedTask {
-            key_prefix,
+            key_prefix: OnceLock::new(),
             shape: shape_key(task.input()),
             task,
             tables: Mutex::default(),
+            distances: OnceLock::new(),
             interned: false,
         }
+    }
+
+    /// Keys `task` by `canonical`, its canonical JSON, which the caller
+    /// holds already (an inline task that arrived canonical,
+    /// [`Task::read_json`]).
+    fn keyed(task: Task, canonical: &str) -> KeyedTask {
+        debug_assert_eq!(
+            canonical,
+            {
+                let mut rendered = String::new();
+                task.write_canonical(&mut rendered);
+                rendered
+            },
+            "a span read as canonical renders the same"
+        );
+        let keyed = KeyedTask::new(task);
+        let _ = keyed.key_prefix.set(prefix_of_canonical(canonical));
+        keyed
     }
 
     /// The task.
@@ -407,15 +416,19 @@ impl KeyedTask {
         &self.task
     }
 
-    /// The task's [`key_prefix`].
+    /// The task's [`key_prefix`], rendered on the first call.
     pub fn key_prefix(&self) -> u64 {
-        self.key_prefix
+        *self.key_prefix.get_or_init(|| {
+            let mut rendered = String::new();
+            self.task.write_canonical(&mut rendered);
+            prefix_of_canonical(&rendered)
+        })
     }
 
     /// The content address of the question `(task, max_rounds)`: equal to
     /// [`cache_key`] bit for bit.
     pub fn key(&self, max_rounds: usize) -> u64 {
-        finish_key(self.key_prefix, max_rounds)
+        finish_key(self.key_prefix(), max_rounds)
     }
 
     /// The task's compiled `Δ` tables, for one compile or one class
@@ -423,6 +436,12 @@ impl KeyedTask {
     /// entry is a finished table, so the guard is recovered.
     pub(crate) fn tables(&self) -> MutexGuard<'_, ConstraintCache> {
         self.tables.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The task's distance pass ([`Distances::of`]), run on the first
+    /// call and kept.
+    pub fn distances(&self) -> &Distances {
+        self.distances.get_or_init(|| Distances::of(&self.task))
     }
 }
 
@@ -666,8 +685,11 @@ fn read_inline_task(r: &mut json::Reader<'_>) -> Result<Result<Box<KeyedTask>, S
             "bad \"task\": an input facet of {width} processes exceeds the limit of {WIDTH_LIMIT}"
         )));
     }
-    let span = canonical.then(|| &r.text()[start..r.pos()]);
-    Ok(Ok(Box::new(KeyedTask::keyed(task, span))))
+    Ok(Ok(Box::new(if canonical {
+        KeyedTask::keyed(task, &r.text()[start..r.pos()])
+    } else {
+        KeyedTask::new(task)
+    })))
 }
 
 /// A `POST /solve` body: one question, or the batch form
@@ -981,11 +1003,15 @@ fn not_canonical(expected: &str) -> JsonError {
 ///   passes [`check_simplices`] on the level's skeleton
 ///   ([`skeleton`]), with `q`'s own `Δ` tables.
 ///
-/// The witness half is timed into the `cache.revalidate_ns` histogram.
+/// The level's build, its classification and the tables' compile poll
+/// `deadline`; a check it cuts short refuses the record, so the caller
+/// takes it as a miss. The witness half is timed into the
+/// `cache.revalidate_ns` histogram.
 fn read_record<'a>(
     q: &KeyedTask,
     text: &'a str,
     max_rounds: Option<usize>,
+    deadline: Option<Instant>,
 ) -> Result<CheckedRecord<'a>, String> {
     let mut r = json::Reader::new(text);
     let mut members = 0;
@@ -997,7 +1023,7 @@ fn read_record<'a>(
                 (1, "results", _) => verdicts = Some(read_verdicts(r, max_rounds)?),
                 (2, "task", _) => name = Some(r.string()?),
                 (3, "witness", Some((rounds, solvable))) => {
-                    witness = Some(read_witness(r, q, rounds, solvable)?);
+                    witness = Some(read_witness(r, q, rounds, solvable, deadline)?);
                 }
                 _ => return Err(not_canonical("the members `results`, `task`, `witness`")),
             }
@@ -1070,6 +1096,7 @@ fn read_witness(
     q: &KeyedTask,
     rounds: usize,
     solvable: bool,
+    deadline: Option<Instant>,
 ) -> Result<Option<Witness>, JsonError> {
     if r.peek()? == Token::Null {
         r.null()?;
@@ -1092,7 +1119,7 @@ fn read_witness(
                 }
                 b = Some(round);
             }
-            (2, "map", Some(b)) => checked = Some(read_map(r, q, b)?),
+            (2, "map", Some(b)) => checked = Some(read_map(r, q, b, deadline)?),
             _ => return Err(not_canonical("the members `b`, `map`")),
         }
         Ok(())
@@ -1103,19 +1130,32 @@ fn read_witness(
 }
 
 /// The witness map `[[0,w0],[1,w1],…]` on `SDS^b(I)`, decoded into the
-/// dense image table and checked as it is read; the level is memoized
-/// only once the witness passes.
-fn read_map(r: &mut json::Reader<'_>, q: &KeyedTask, b: usize) -> Result<Witness, JsonError> {
+/// dense image table and checked as it is read, until `deadline`; the
+/// level is memoized only once the witness passes.
+fn read_map(
+    r: &mut json::Reader<'_>,
+    q: &KeyedTask,
+    b: usize,
+    deadline: Option<Instant>,
+) -> Result<Witness, JsonError> {
     static REVALIDATE_NS: StaticHistogram = StaticHistogram::new("cache.revalidate_ns");
     let _timer = iis_obs::span::span_on(&REVALIDATE_NS);
     let invalid = |e: String| JsonError::new(format!("stored witness invalid: {e}"));
-    let skel = match skeleton(q, b, None, None) {
+    let timed_out = || {
+        JsonError::new(format!(
+            "deadline exceeded: witness check stopped at b = {b}"
+        ))
+    };
+    let skel = match skeleton(q, b, None, deadline) {
         Ok(skel) => skel,
         Err(stop) => {
             // the object reader takes a refused member as read only once
             // its value is consumed
             r.skip()?;
-            return Err(JsonError::new(stopped_at(b, &stop)));
+            return Err(match stop {
+                BoundedOutcome::TimedOut => timed_out(),
+                _ => JsonError::new(stopped_at(b, &stop)),
+            });
         }
     };
     let n = skel.tower().complex().num_vertices();
@@ -1133,7 +1173,8 @@ fn read_map(r: &mut json::Reader<'_>, q: &KeyedTask, b: usize) -> Result<Witness
     if image.len() < n {
         return Err(invalid(format!("vertex {} unmapped", image.len())));
     }
-    check_simplices(q, &skel, &image).map_err(invalid)?;
+    let class_tables = skel.resolve(q, deadline).map_err(|_| timed_out())?;
+    check_simplices(&skel, &class_tables, &image).map_err(invalid)?;
     keep_skeleton(q, &skel);
     Ok((skel, image))
 }
@@ -1163,7 +1204,7 @@ fn read_map(r: &mut json::Reader<'_>, q: &KeyedTask, b: usize) -> Result<Witness
 /// caller should treat any error as a cache miss.
 pub fn report_from_json(task: &Task, v: &Json) -> Result<SolvabilityReport, String> {
     let text = v.to_string();
-    read_record(&KeyedTask::new(task.clone()), &text, None).map(CheckedRecord::into_report)
+    read_record(&KeyedTask::new(task.clone()), &text, None, None).map(CheckedRecord::into_report)
 }
 
 /// Checks stored record text as the answer to `(keyed, max_rounds)` — the
@@ -1173,6 +1214,9 @@ pub fn report_from_json(task: &Task, v: &Json) -> Result<SolvabilityReport, Stri
 /// bytes checked), its verdict vector must answer `max_rounds`, and its
 /// witness must pass [`report_from_json`]'s revalidation, with the keyed
 /// task's own `Δ` tables, compiled on its first check or search and kept.
+/// The check gives up at `deadline` (the asking job's), refusing the
+/// record: a witness on a level that takes seconds to build cannot hold a
+/// job past its deadline.
 ///
 /// # Errors
 ///
@@ -1187,14 +1231,19 @@ pub fn report_from_json(task: &Task, v: &Json) -> Result<SolvabilityReport, Stri
 ///
 /// let keyed = intern_spec("eps:1:3").unwrap();
 /// let text = report_to_json(&solve_up_to(keyed.task(), 2)).to_string();
-/// assert_eq!(validate_record(&keyed, 2, &text), Ok(()));
+/// assert_eq!(validate_record(&keyed, 2, &text, None), Ok(()));
 /// // a stored answer to b ≤ 2 (solvable at b = 1) does not answer b ≤ 0
-/// assert!(validate_record(&keyed, 0, &text).is_err());
+/// assert!(validate_record(&keyed, 0, &text, None).is_err());
 /// // and only the canonical bytes are a record
-/// assert!(validate_record(&keyed, 2, &text.replacen(',', ", ", 1)).is_err());
+/// assert!(validate_record(&keyed, 2, &text.replacen(',', ", ", 1), None).is_err());
 /// ```
-pub fn validate_record(keyed: &KeyedTask, max_rounds: usize, text: &str) -> Result<(), String> {
-    read_record(keyed, text, Some(max_rounds)).map(|_| ())
+pub fn validate_record(
+    keyed: &KeyedTask,
+    max_rounds: usize,
+    text: &str,
+    deadline: Option<Instant>,
+) -> Result<(), String> {
+    read_record(keyed, text, Some(max_rounds), deadline).map(|_| ())
 }
 
 /// A record an [`AnswerMemo`] holds: stored text this process read from
@@ -1270,14 +1319,16 @@ impl AnswerMemo {
 
     /// The verified record answering `(keyed, max_rounds)`: from the memo
     /// when this very task was checked at this bound, else read from
-    /// `cache`, checked with [`validate_record`], and (for an interned
-    /// task) held. `None` when the store holds no record that checks; an
-    /// invalid one is traced as `cache.invalid_record`.
+    /// `cache`, checked with [`validate_record`] until `deadline`, and
+    /// (for an interned task) held. `None` when the store holds no record
+    /// that checks in time; an invalid one is traced as
+    /// `cache.invalid_record`.
     pub fn answer(
         &self,
         keyed: &Arc<KeyedTask>,
         max_rounds: usize,
         cache: &mut dyn SolveCache,
+        deadline: Option<Instant>,
     ) -> Option<Arc<str>> {
         static ANSWER_HITS: StaticCounter = StaticCounter::new("cache.answer_hits");
         static ANSWER_EVICTIONS: StaticCounter = StaticCounter::new("cache.answer_evictions");
@@ -1290,7 +1341,7 @@ impl AnswerMemo {
             }
         }
         let text = cache.get(key)?;
-        if let Err(e) = validate_record(keyed, max_rounds, &text) {
+        if let Err(e) = validate_record(keyed, max_rounds, &text, deadline) {
             invalid_record(&keyed.task, e);
             return None;
         }
@@ -1371,8 +1422,10 @@ pub enum Answered {
 /// the one lookup a service's admission and its workers share — else
 /// the sweep, compiled against the task's own `Δ` tables with no
 /// re-serialization of the task to find its key, whose decided result is
-/// persisted and rendered once. The counters `solve.cache_store_hits` /
-/// `solve.cache_store_misses` account every call.
+/// persisted and rendered once. The check and the sweep share one
+/// deadline, `opts`'s timeout from the call. The counters
+/// `solve.cache_store_hits` / `solve.cache_store_misses` account every
+/// call.
 pub fn answer_keyed(
     keyed: &Arc<KeyedTask>,
     max_rounds: usize,
@@ -1380,11 +1433,12 @@ pub fn answer_keyed(
     cache: &mut dyn SolveCache,
     memo: &AnswerMemo,
 ) -> Answered {
-    if let Some(text) = memo.answer(keyed, max_rounds, cache) {
+    let deadline = opts.deadline();
+    if let Some(text) = memo.answer(keyed, max_rounds, cache, deadline) {
         STORE_HITS.incr();
         return Answered::Record { text, hit: true };
     }
-    match sweep(keyed, keyed.key(max_rounds), max_rounds, opts, cache) {
+    match sweep(keyed, max_rounds, opts, deadline, cache) {
         (_, Some(text)) => Answered::Record {
             text: text.into(),
             hit: false,
@@ -1413,8 +1467,9 @@ fn solve_cached(
     cache: &mut dyn SolveCache,
 ) -> CachedSolve {
     let key = q.key(max_rounds);
+    let deadline = opts.deadline();
     if let Some(text) = cache.get(key) {
-        match read_record(q, &text, Some(max_rounds)) {
+        match read_record(q, &text, Some(max_rounds), deadline) {
             Ok(record) => {
                 STORE_HITS.incr();
                 return CachedSolve {
@@ -1427,30 +1482,31 @@ fn solve_cached(
         }
     }
     CachedSolve {
-        report: sweep(q, key, max_rounds, opts, cache).0,
+        report: sweep(q, max_rounds, opts, deadline, cache).0,
         hit: false,
         key,
     }
 }
 
 /// The sweep of a question the cache did not answer (counted in
-/// `solve.cache_store_misses`), with a decided result persisted under
-/// `key`: the report, and the record text stored when it decided.
+/// `solve.cache_store_misses`), until `deadline`, with a decided result
+/// persisted under the question's key: the report, and the record text
+/// stored when it decided.
 fn sweep(
     q: &KeyedTask,
-    key: u64,
     max_rounds: usize,
     opts: &SolveOptions,
+    deadline: Option<Instant>,
     cache: &mut dyn SolveCache,
 ) -> (SolvabilityReport, Option<String>) {
     static STORE_MISSES: StaticCounter = StaticCounter::new("solve.cache_store_misses");
     STORE_MISSES.incr();
-    let report = Solver::new(q, *opts).sweep(max_rounds);
+    let report = Solver::until(q, *opts, deadline).sweep(max_rounds);
     // only a decided sweep (a witness, or every round refuted) is stored
     let decided = report.stopped().is_none();
     let record = decided.then(|| report_to_json(&report).to_string());
     if let Some(text) = &record {
-        cache.put(key, text);
+        cache.put(q.key(max_rounds), text);
     }
     (report, record)
 }
@@ -1763,40 +1819,46 @@ mod tests {
         let (keyed, mut store, text) = stored("eps:1:3", 2);
         let memo = AnswerMemo::default();
         let empty = || HashMap::<u64, String>::new();
-        assert_eq!(memo.answer(&keyed, 2, &mut store).as_deref(), Some(&*text));
+        assert_eq!(
+            memo.answer(&keyed, 2, &mut store, None).as_deref(),
+            Some(&*text)
+        );
         // a hit needs no store
         assert_eq!(
-            memo.answer(&keyed, 2, &mut empty()).as_deref(),
+            memo.answer(&keyed, 2, &mut empty(), None).as_deref(),
             Some(&*text)
         );
         // another bound of the same task misses, even under a forged key
-        assert_eq!(memo.answer(&keyed, 3, &mut empty()), None);
-        assert_eq!(memo.answer(&keyed, 1, &mut empty()), None);
+        assert_eq!(memo.answer(&keyed, 3, &mut empty(), None), None);
+        assert_eq!(memo.answer(&keyed, 1, &mut empty(), None), None);
         let forged = Verified {
             record: text.as_str().into(),
             max_rounds: 2,
             task: Arc::downgrade(&keyed),
         };
         memo.answers.insert_weighted(keyed.key(3), forged, 1);
-        assert_eq!(memo.answer(&keyed, 3, &mut empty()), None);
+        assert_eq!(memo.answer(&keyed, 3, &mut empty(), None), None);
         // another task whose key collides is not served the record
         let other = Arc::new(KeyedTask {
-            key_prefix: keyed.key_prefix,
+            key_prefix: OnceLock::from(keyed.key_prefix()),
             interned: true,
             ..KeyedTask::new(consensus(1, &[0, 1]))
         });
         assert_eq!(other.key(2), keyed.key(2));
-        assert_eq!(memo.answer(&other, 2, &mut empty()), None);
+        assert_eq!(memo.answer(&other, 2, &mut empty(), None), None);
         // and the record does not check for it: revalidation refuses it
-        assert_eq!(memo.answer(&other, 2, &mut store), None);
+        assert_eq!(memo.answer(&other, 2, &mut store, None), None);
         assert_eq!(
-            memo.answer(&keyed, 2, &mut empty()).as_deref(),
+            memo.answer(&keyed, 2, &mut empty(), None).as_deref(),
             Some(&*text)
         );
         // an inline task (keyed per question) is answered, never held
         let inline = Arc::new(KeyedTask::new(keyed.task().clone()));
-        assert_eq!(memo.answer(&inline, 2, &mut store).as_deref(), Some(&*text));
-        assert_eq!(memo.answer(&inline, 2, &mut empty()), None);
+        assert_eq!(
+            memo.answer(&inline, 2, &mut store, None).as_deref(),
+            Some(&*text)
+        );
+        assert_eq!(memo.answer(&inline, 2, &mut empty(), None), None);
     }
 
     #[test]
@@ -1806,7 +1868,7 @@ mod tests {
         let budget = 3 * (longest + ANSWER_ENTRY_OVERHEAD);
         let memo = AnswerMemo::with_budget(budget, longest);
         for (keyed, store, text) in &records {
-            let answer = memo.answer(keyed, 1, &mut store.clone());
+            let answer = memo.answer(keyed, 1, &mut store.clone(), None);
             assert_eq!(answer.as_deref(), Some(text.as_str()));
             assert!(memo.answers.weight() <= budget);
             assert!(
@@ -1818,7 +1880,10 @@ mod tests {
         // a record past the record cap is answered and never held
         let (big, mut store, text) = stored("eps:1:3", 2);
         assert!(text.len() > longest);
-        assert_eq!(memo.answer(&big, 2, &mut store).as_deref(), Some(&*text));
+        assert_eq!(
+            memo.answer(&big, 2, &mut store, None).as_deref(),
+            Some(&*text)
+        );
         assert!(!memo.answers.contains_key(&big.key(2)));
         assert!(memo.answers.weight() <= budget);
     }
@@ -1850,6 +1915,30 @@ mod tests {
             }
             // a second lookup is the same shared entry
             assert!(Arc::ptr_eq(&keyed, &intern_spec(spec).unwrap()));
+        }
+    }
+
+    #[test]
+    fn keys_built_either_way_equal_cache_key_and_render_only_when_asked() {
+        for spec in SPECS.iter().chain(&["eps:2:2", "eps:3:2", "kset:4:3"]) {
+            let task = parse_spec(spec).unwrap();
+            let fresh = KeyedTask::new(task.clone());
+            assert!(fresh.key_prefix.get().is_none(), "{spec}: rendered unasked");
+            // an inline task read as canonical text is keyed by its span
+            let body = format!(r#"{{"task": {}}}"#, task.canonical_json());
+            let read = read_question(&body)
+                .unwrap()
+                .resolve(|source| match source {
+                    QuestionTask::Inline(keyed) => Ok(keyed),
+                    QuestionTask::Spec(_) => Err("an inline task".to_string()),
+                })
+                .unwrap()
+                .task;
+            assert!(read.key_prefix.get().is_some(), "{spec}: span not kept");
+            for b in 0..=6 {
+                assert_eq!(fresh.key(b), cache_key(&task, b), "{spec} b={b}");
+                assert_eq!(read.key(b), cache_key(&task, b), "{spec} b={b}");
+            }
         }
     }
 
@@ -1892,7 +1981,7 @@ mod tests {
         let warm = solve_up_to_cached(&t, 2, &SolveOptions::new(), &mut cache);
         assert!(warm.hit, "a poisoned memo must not fail revalidation");
         let text = SolveCache::get(&mut cache, keyed.key(2)).unwrap();
-        validate_record(&keyed, 2, &text).unwrap();
+        validate_record(&keyed, 2, &text, None).unwrap();
     }
 
     #[test]
@@ -1900,12 +1989,12 @@ mod tests {
         let t = approximate_agreement(1, 3);
         let keyed = KeyedTask::new(t.clone());
         let good = report_to_json(&solve_up_to_opts(&t, 2, &SolveOptions::new()));
-        assert!(validate_record(&keyed, 2, &good.to_string()).is_ok());
+        assert!(validate_record(&keyed, 2, &good.to_string(), None).is_ok());
         assert!(report_from_json(&t, &good).is_ok());
         let bad = "{\"results\":[[0,true]],\"task\":\"x\",\
                    \"witness\":{\"b\":0,\"map\":[[0,1],[1,0]]}}";
         assert_eq!(
-            validate_record(&keyed, 2, bad).unwrap_err(),
+            validate_record(&keyed, 2, bad, None).unwrap_err(),
             report_from_json(&t, &Json::parse(bad).unwrap()).unwrap_err()
         );
     }
@@ -1949,15 +2038,15 @@ mod tests {
         let (t, keyed, text) = eps_1_3_record();
         // solvable at b = 1 answers every bound from 1 up
         for b in 1..=3 {
-            assert_eq!(validate_record(&keyed, b, &text), Ok(()), "b={b}");
+            assert_eq!(validate_record(&keyed, b, &text, None), Ok(()), "b={b}");
         }
         assert_refused(&t, 0, &text);
         // a refutation answers exactly its own bound
         let c = consensus(1, &[0, 1]);
         let refuted = report_to_json(&solve_up_to_opts(&c, 2, &SolveOptions::new())).to_string();
         let keyed = KeyedTask::new(c.clone());
-        assert_eq!(validate_record(&keyed, 2, &refuted), Ok(()));
-        assert!(validate_record(&keyed, 1, &refuted).is_err());
+        assert_eq!(validate_record(&keyed, 2, &refuted, None), Ok(()));
+        assert!(validate_record(&keyed, 1, &refuted, None).is_err());
         assert_refused(&c, 1, &refuted);
         assert_refused(&c, 3, &refuted);
     }
@@ -2006,7 +2095,7 @@ mod tests {
         };
         for name in ["with \"quotes\" and \\", "tab\tand\u{1}", "ε-agreement"] {
             let rec = named(name);
-            assert_eq!(validate_record(&keyed, 2, &rec), Ok(()), "{rec}");
+            assert_eq!(validate_record(&keyed, 2, &rec, None), Ok(()), "{rec}");
             let back = report_from_json(&t, &Json::parse(&rec).unwrap()).unwrap();
             assert_eq!(back.task_name(), name);
         }
@@ -2018,7 +2107,7 @@ mod tests {
             named("\n").replace("\\n", "\\u000a"),
             named("\t").replace("\\t", "\t"),
         ] {
-            assert!(validate_record(&keyed, 2, &rec).is_err(), "{rec}");
+            assert!(validate_record(&keyed, 2, &rec, None).is_err(), "{rec}");
         }
     }
 
@@ -2227,7 +2316,7 @@ mod tests {
                     image.push(w);
                 }
                 r.lit("]}")?;
-                check_simplices(q, &skel, &image)?;
+                check_simplices(&skel, &skel.resolve(q, None).expect("no deadline"), &image)?;
             }
             r.lit("}")?;
             if r.at != text.len() {
@@ -2391,7 +2480,7 @@ mod tests {
             for text in &corpus {
                 for max_rounds in [b, b + 1] {
                     let lexer = lexer_oracle::accepts(&keyed, text, max_rounds);
-                    let reader = validate_record(&keyed, max_rounds, text);
+                    let reader = validate_record(&keyed, max_rounds, text, None);
                     assert_eq!(
                         reader.is_ok(),
                         lexer.is_ok(),

@@ -14,6 +14,9 @@
 //! - [`certificate`] — Sperner certificates: one labelling of `Δ` that
 //!   refutes a task at every round count, consulted by the round sweep
 //!   once round 0 is refuted;
+//! - [`distance`] — distance refutations: the rounds a task cannot pass
+//!   because two input corners are too far apart in `Δ` (Lemma 3.3 and
+//!   Proposition 3.1), found once per task before any tower is built;
 //! - [`bounded`] — Lemma 3.1: minimal and effective round bounds;
 //! - [`convergence`] — §5: Theorem 5.1 witnesses, chromatic simplex
 //!   agreement protocols, and the direct path-bisection convergence
@@ -52,6 +55,7 @@ pub mod certificate;
 pub mod concurrent;
 pub mod convergence;
 pub mod csp;
+pub mod distance;
 pub mod emulation;
 pub mod parallel;
 pub mod protocol_complex;

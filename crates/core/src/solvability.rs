@@ -20,7 +20,8 @@
 
 use crate::cache::{keep_skeleton, skeleton, KeyedTask};
 use crate::certificate::{find_certificate, Certificate};
-use crate::csp::{profile_now, Halt, Skeleton};
+use crate::csp::{profile_now, CompiledTable, Halt, Skeleton};
+use crate::distance::Refutation;
 use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
@@ -77,6 +78,8 @@ pub struct SolvabilityReport {
     results: Vec<(usize, bool)>,
     witness: Option<DecisionMap>,
     certificate: Option<Certificate>,
+    /// The face whose distances refuted rounds of the sweep, if any did.
+    distance: Option<Box<Refutation>>,
     /// What stopped the sweep undecided ([`SolvabilityReport::stopped`]).
     stopped: Option<BoundedOutcome>,
 }
@@ -94,6 +97,7 @@ impl SolvabilityReport {
             results,
             witness,
             certificate: None,
+            distance: None,
             stopped: None,
         }
     }
@@ -123,6 +127,14 @@ impl SolvabilityReport {
     /// a store carries none: the record bytes do not name it).
     pub fn certificate(&self) -> Option<&Certificate> {
         self.certificate.as_ref()
+    }
+
+    /// The input face whose corners are too far apart in `Δ` for the
+    /// rounds it refuted ([`crate::distance`]), when the sweep that made
+    /// this report refuted any that way (a report read back from a store
+    /// carries none).
+    pub fn distance(&self) -> Option<&Refutation> {
+        self.distance.as_deref()
     }
 
     /// The outcome that stopped the sweep undecided at round
@@ -226,7 +238,8 @@ pub(crate) fn check_decision_map(
         check_image(skel, q.task().output(), vid, w)?;
         image.push(w);
     }
-    check_simplices(q, skel, &image)
+    let class_tables = skel.resolve(q, None).expect("no deadline");
+    check_simplices(skel, &class_tables, &image)
 }
 
 /// The per-vertex half of Proposition 3.1's check: vertex `v` of `skel`'s
@@ -252,13 +265,13 @@ pub(crate) fn check_image(
 
 /// The per-simplex half of Proposition 3.1's check, on a total image
 /// table `image` (vertex `v` of `skel`'s tower ↦ `image[v]`) whose entries
-/// passed [`check_image`].
+/// passed [`check_image`], against `class_tables`, the task's `Δ` table of
+/// each of `skel`'s classes ([`Skeleton::resolve`]).
 ///
 /// Accept/reject behavior is identical to the reference validator
 /// (DESIGN.md, "Why checking the compiled constraints is Proposition 3.1's
-/// check"): each class's `Δ` table is resolved once through `q`, and
-/// every simplex `s` of `skel` is one binary search of its image tuple in
-/// its class's table. Simplices are chromatic, so `δ(s) ⊆ sₒ` for some
+/// check"): every simplex `s` of `skel` is one binary search of its image
+/// tuple in its class's table. Simplices are chromatic, so `δ(s) ⊆ sₒ` for some
 /// `sₒ ∈ Δ(carrier(s))` iff `sₒ`'s projection onto `s`'s colors *is*
 /// `δ(s)` — exactly the tuples the table holds. Simpliciality needs no
 /// separate pass: a task's `Δ` images are simplices of `O`.
@@ -267,11 +280,10 @@ pub(crate) fn check_image(
 ///
 /// Names the first failing simplex and its carrier.
 pub(crate) fn check_simplices(
-    q: &KeyedTask,
     skel: &Skeleton,
+    class_tables: &[Arc<CompiledTable>],
     image: &[VertexId],
 ) -> Result<(), String> {
-    let class_tables = skel.resolve(q, None).expect("no deadline");
     let mut img: Vec<VertexId> = Vec::new();
     for ci in 0..skel.len() {
         let verts = skel.verts(ci);
@@ -494,7 +506,7 @@ impl SolveOptions {
 
     /// The instant a sweep starting now gives up at; none past the
     /// clock's range (`Duration::MAX`).
-    fn deadline(&self) -> Option<Instant> {
+    pub(crate) fn deadline(&self) -> Option<Instant> {
         self.timeout.and_then(|t| Instant::now().checked_add(t))
     }
 }
@@ -604,6 +616,13 @@ fn solve_on(
 /// search gives, by the certificate's soundness (DESIGN.md §17). The
 /// `solve.certified` counter counts the solvers a certificate settled.
 ///
+/// A round the certificate does not settle meets the task's distance pass
+/// next ([`crate::distance`], run once per [`KeyedTask`]): a round whose
+/// corner-to-corner path is too short to join two inputs' decisions is
+/// [`BoundedOutcome::Unsolvable`], again with no tower built and no node
+/// searched (DESIGN.md §18), counted in `solve.distance_refuted`. Only the
+/// rounds left reach the facet cap and the search.
+///
 /// # Examples
 ///
 /// ```
@@ -636,10 +655,17 @@ impl<'t> Solver<'t> {
     /// A solver for the keyed task `q`, compiling against its `Δ` tables,
     /// positioned before round `b = 0`.
     pub fn new(q: &'t KeyedTask, opts: SolveOptions) -> Self {
+        Solver::until(q, opts, opts.deadline())
+    }
+
+    /// A solver whose sweep gives up at `deadline`, set by the caller (a
+    /// stored-witness check before it spent part of the same budget);
+    /// `opts`'s timeout is not read.
+    pub(crate) fn until(q: &'t KeyedTask, opts: SolveOptions, deadline: Option<Instant>) -> Self {
         Solver {
             q,
             opts,
-            deadline: opts.deadline(),
+            deadline,
             skel: None,
             next: 0,
             zero_refuted: false,
@@ -653,16 +679,25 @@ impl<'t> Solver<'t> {
         self.next.saturating_sub(1)
     }
 
-    /// Decides the next round count and returns its outcome. A round
-    /// whose tower is past [`TOWER_FACET_CAP`] is
-    /// [`BoundedOutcome::TooLarge`], and one whose tower build the
-    /// deadline cut short is [`BoundedOutcome::TimedOut`]; either leaves
-    /// the solver where it was, unless a certificate refutes the round.
+    /// Decides the next round count and returns its outcome, asking in
+    /// turn the certificate, the distance pass, the gate to the level
+    /// (`cache::skeleton`) and the search. A round whose tower is past
+    /// [`TOWER_FACET_CAP`] is [`BoundedOutcome::TooLarge`], and one whose
+    /// tower build the deadline cut short is [`BoundedOutcome::TimedOut`];
+    /// either leaves the solver where it was, unless a certificate or the
+    /// distance pass refutes the round.
     pub fn step(&mut self) -> BoundedOutcome {
         let (task, b) = (self.q.task(), self.next);
         if self.zero_refuted && self.certified() {
             self.next += 1;
             trace_round(task, b, "certified", ("nodes", 0));
+            return BoundedOutcome::Unsolvable;
+        }
+        if self.q.distances().refuting(b).is_some() {
+            self.next += 1;
+            self.zero_refuted |= b == 0;
+            DISTANCE_REFUTED.incr();
+            trace_round(task, b, "distance", ("nodes", 0));
             return BoundedOutcome::Unsolvable;
         }
         let skel = match skeleton(self.q, b, self.skel.as_deref(), self.deadline) {
@@ -736,6 +771,8 @@ impl<'t> Solver<'t> {
             results,
             witness,
             certificate: self.certificate.flatten(),
+            // round 0 meets the pass, so it refuted rounds iff it has a face
+            distance: self.q.distances().worst().cloned().map(Box::new),
             stopped,
         }
     }
@@ -744,12 +781,17 @@ impl<'t> Solver<'t> {
 /// Solvers a Sperner certificate settled.
 static CERTIFIED: StaticCounter = StaticCounter::new("solve.certified");
 
-/// Registers the `solve.*` search counters and `solve.certified` at zero,
-/// so a metrics scrape lists them before the first search publishes:
-/// `iis serve` calls it at startup, `iis solve` before its sweep.
+/// Rounds the distance pass refuted.
+static DISTANCE_REFUTED: StaticCounter = StaticCounter::new("solve.distance_refuted");
+
+/// Registers the `solve.*` search counters, `solve.certified` and
+/// `solve.distance_refuted` at zero, so a metrics scrape lists them before
+/// the first search publishes: `iis serve` calls it at startup, `iis
+/// solve` before its sweep.
 pub fn register_counters() {
     crate::csp::register_counters();
     CERTIFIED.register();
+    DISTANCE_REFUTED.register();
 }
 
 /// Sweeps `b = 0..=max_rounds`, recording per-`b` solvability; stops the

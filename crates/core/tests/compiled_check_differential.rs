@@ -105,7 +105,7 @@ fn compiled_check_equals_the_prop_3_1_check() {
             }
             let want = validate_decision_map(&task, &sub, &map).is_ok();
             let rec = record(&task, b, &map);
-            let got = validate_record(&keyed, b, &rec);
+            let got = validate_record(&keyed, b, &rec, None);
             assert_eq!(
                 got.is_ok(),
                 want,
@@ -146,7 +146,7 @@ fn rejections_name_the_simplex_and_its_carrier() {
     let near = map.image(v).unwrap();
     map.insert(v, if far == near { VertexId(0) } else { far });
     assert!(validate_decision_map(&task, &sub, &map).is_err());
-    let err = validate_record(&keyed, b, &record(&task, b, &map)).unwrap_err();
+    let err = validate_record(&keyed, b, &record(&task, b, &map), None).unwrap_err();
     assert!(err.starts_with("stored witness invalid: "), "{err}");
     assert!(
         err.contains("simplex ⟨") && err.contains("(carrier ⟨") && err.contains("∉ Δ(carrier)"),
@@ -201,7 +201,7 @@ fn single_byte_edits_are_accepted_only_when_canonical_and_valid() {
         let b = 2;
         let report = solve_up_to_opts(&task, b, &SolveOptions::new());
         let text = iis_core::cache::report_to_json(&report).to_string();
-        assert_eq!(validate_record(&keyed, b, &text), Ok(()), "{spec}");
+        assert_eq!(validate_record(&keyed, b, &text, None), Ok(()), "{spec}");
         for e in 0..EDITS {
             let mut bytes = text.clone().into_bytes();
             let at = rng.random_range(0..bytes.len());
@@ -219,7 +219,7 @@ fn single_byte_edits_are_accepted_only_when_canonical_and_valid() {
             if edit == text {
                 continue;
             }
-            if validate_record(&keyed, b, &edit).is_ok() {
+            if validate_record(&keyed, b, &edit, None).is_ok() {
                 assert!(tree_decoder_accepts(&task, &edit), "{spec}: {edit}");
                 assert_eq!(
                     Json::parse(&edit).unwrap().to_string(),

@@ -83,21 +83,21 @@ fn each_level_built_is_recorded_once_and_a_memo_hit_not_at_all() {
     };
     // eps:1:9 needs two rounds; nothing in this process built its shape
     let (nine, text) = record("eps:1:9", 2);
-    let check = || validate_record(&nine, 2, &text).unwrap();
+    let check = || validate_record(&nine, 2, &text, None).unwrap();
     assert_eq!(recorded(&check), (2, 0, vec![1, 2]));
     // the witness level is memoized: a second check builds nothing
     assert_eq!(recorded(&check), (0, 1, vec![]));
     // eps:1:3 has the same shape and needs one round: its check builds
     // level 1, which the memo did not hold, and keeps it
     let (three, text3) = record("eps:1:3", 1);
-    let check3 = || validate_record(&three, 1, &text3).unwrap();
+    let check3 = || validate_record(&three, 1, &text3, None).unwrap();
     assert_eq!(recorded(&check3), (1, 0, vec![1]));
-    // a sweep that finds levels 1 and 2 in the memo traces no level (level
-    // 0 is the input itself, never a subdivision), and its record is the
-    // one checked above
+    // a sweep whose distance pass refutes rounds 0 and 1 takes level 2
+    // from the memo and traces no level, and its record is the one
+    // checked above
     let sweep = || {
         let report = solve_up_to(nine.task(), 2);
         assert_eq!(report_to_json(&report).to_string(), text);
     };
-    assert_eq!(recorded(&sweep), (0, 2, vec![]));
+    assert_eq!(recorded(&sweep), (0, 1, vec![]));
 }

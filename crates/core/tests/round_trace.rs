@@ -1,6 +1,8 @@
 //! Every round a sweep reaches leaves one `solve.round` trace record, a
-//! round past the facet cap included: it names the outcome `too_large`
-//! and the tower's facet count in place of a node count.
+//! round the distance pass refutes and a round past the facet cap
+//! included: the first names the outcome `distance` and no node searched,
+//! the second the outcome `too_large` and the tower's facet count in place
+//! of a node count.
 //!
 //! Lives in its own integration-test binary (and as a single test)
 //! because the trace sink is process-global.
@@ -28,8 +30,9 @@ impl Write for Shared {
 
 #[test]
 fn a_capped_round_is_traced_with_its_facet_count() {
-    // eps:5:2 is refuted at b = 0; SDS^1 of its 64 input facets of width
-    // 6 has 64 · 4683 facets, past the cap
+    // eps:5:2 is refuted at b = 0 by its distances (two corners 2 apart,
+    // more than 2^0); SDS^1 of its 64 input facets of width 6 has
+    // 64 · 4683 facets, past the cap
     let task = iis_tasks::library::parse_spec("eps:5:2").unwrap();
     let sink = Shared::default();
     let report = {
@@ -55,7 +58,7 @@ fn a_capped_round_is_traced_with_its_facet_count() {
     assert_eq!(
         seen,
         [
-            [some("0"), some("\"unsolvable\""), some("0"), None],
+            [some("0"), some("\"distance\""), some("0"), None],
             [some("1"), some("\"too_large\""), None, some("299712")],
         ],
         "{text}"

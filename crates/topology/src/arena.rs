@@ -267,8 +267,10 @@ impl ArenaSds {
     /// Each facet's faces are enumerated by bitmask, then sorted and
     /// deduplicated as fixed-width keys: ids shifted up by one and
     /// zero-padded, so a proper prefix sorts first — the lexicographic
-    /// order of [`crate::Simplex`]. The walk stops at the first simplex
-    /// `f` breaks at, and returns what it broke with.
+    /// order of [`crate::Simplex`]. The keys are first counted out by
+    /// their lowest vertex, and each vertex's run is sorted as the walk
+    /// reaches it. The walk stops at the first simplex `f` breaks at, and
+    /// returns what it broke with.
     pub fn for_each_simplex<B, F>(&self, mut f: F) -> ControlFlow<B>
     where
         F: FnMut(&[u32], &[u32]) -> ControlFlow<B>,
@@ -295,21 +297,44 @@ impl ArenaSds {
             }
         }
         let key = |i: u32| &keys[i as usize * width..(i as usize + 1) * width];
-        let mut order: Vec<u32> = (0..(keys.len() / width) as u32).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        order.dedup_by(|a, b| key(*a) == key(*b));
+        // keys by their first id (the lowest vertex, shifted), counted
+        // out into one run per vertex: the runs in order, each sorted, are
+        // the keys sorted, and a run is sorted only when the walk reaches
+        // it, so `f` sees the first simplices, and may stop the walk,
+        // before the bulk of the sort
+        let mut runs = vec![0u32; c.num_vertices() + 2];
+        for k in keys.chunks_exact(width) {
+            runs[k[0] as usize + 1] += 1;
+        }
+        for v in 1..runs.len() {
+            runs[v] += runs[v - 1];
+        }
+        let mut order = vec![0u32; keys.len() / width];
+        let mut cursor = runs.clone();
+        for (i, k) in keys.chunks_exact(width).enumerate() {
+            let at = &mut cursor[k[0] as usize];
+            order[*at as usize] = i as u32;
+            *at += 1;
+        }
         let mut verts: Vec<u32> = Vec::with_capacity(width);
         let mut carrier: Vec<u32> = Vec::new();
-        for i in order {
-            verts.clear();
-            verts.extend(key(i).iter().take_while(|&&v| v != 0).map(|&v| v - 1));
-            carrier.clear();
-            for &v in &verts {
-                carrier.extend_from_slice(self.carrier(v));
+        for run in runs.windows(2) {
+            let run = &mut order[run[0] as usize..run[1] as usize];
+            run.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+            for (j, &i) in run.iter().enumerate() {
+                if j > 0 && key(run[j - 1]) == key(i) {
+                    continue;
+                }
+                verts.clear();
+                verts.extend(key(i).iter().take_while(|&&v| v != 0).map(|&v| v - 1));
+                carrier.clear();
+                for &v in &verts {
+                    carrier.extend_from_slice(self.carrier(v));
+                }
+                carrier.sort_unstable();
+                carrier.dedup();
+                f(&verts, &carrier)?;
             }
-            carrier.sort_unstable();
-            carrier.dedup();
-            f(&verts, &carrier)?;
         }
         ControlFlow::Continue(())
     }

@@ -45,6 +45,23 @@ for q in "kset:3:3 --max-rounds 1" "kset:4:3 --max-rounds 1" "consensus:2 --max-
 done
 echo "certificate smoke: ok"
 
+# Distance smoke: the distance pass refutes every round a question may ask
+# of eps:3:244 (two corners 244 apart, past 2^b for b ≤ 7) and eps:2:1953
+# (b ≤ 10) before any tower is built: each answers exactly for b ≤ 6,
+# within 5 s, and names the face, the two vertices, their distance and
+# the bound.
+for q in "eps:3:244 --max-rounds 6" "eps:2:1953 --max-rounds 6"; do
+  # shellcheck disable=SC2086 # the question is a spec and its flags
+  out=$(timeout 5 "$IIS" solve $q) || { echo "distance smoke: solve $q failed or ran past 5 s"; exit 1; }
+  for b in $(seq 0 6); do
+    echo "$out" | grep -qx "b = $b: no decision map (exact)" \
+      || { echo "distance smoke: solve $q: b = $b is not exact"; echo "$out"; exit 1; }
+  done
+  echo "$out" | grep -q '^Distance refutation (no decision map at b ≤ [0-9]*): τ = {.*}, Δ(.*) and Δ(.*) are [0-9]* apart in H_τ, more than 2^b = [0-9]*$' \
+    || { echo "distance smoke: solve $q names no refuting face"; echo "$out"; exit 1; }
+done
+echo "distance smoke: ok"
+
 # Undecided-sweep smoke: a sweep stopped by the deadline or the node budget
 # decides nothing. With a store it says so and stores nothing; without one
 # it ends at its first undecided round and claims no refutation.
@@ -60,12 +77,14 @@ echo "$out" | tail -1 | grep -q '^b = 2: undecided within 1 nodes' \
 echo "$out" | grep -q 'no decision map found' \
   && { echo "undecided smoke: an exhausted sweep claims a refutation"; echo "$out"; exit 1; }
 # The deadline is polled in a tower build, a skeleton build and a compile
-# too, not only in the search: a round-2 level of 90 000 facets stops
-# within a fraction of a second of it.
-out=$(timeout 3 "$IIS" solve eps:3:244 --max-rounds 2 --timeout-secs 1) \
-  || { echo "undecided smoke: eps:3:244 failed or ran past 3 s"; exit 1; }
+# too, not only in the search: eps:3:3's distances pass round 2, whose
+# level of 90 000 facets takes 1.4–1.7 s to build and search (eps:3:4's,
+# the same level, 1.1–1.4 s: too close to the deadline); the sweep stops
+# within a fraction of a second of the deadline.
+out=$(timeout 3 "$IIS" solve eps:3:3 --max-rounds 2 --timeout-secs 1) \
+  || { echo "undecided smoke: eps:3:3 failed or ran past 3 s"; exit 1; }
 echo "$out" | grep -q '^b = 2: TIMED OUT' \
-  || { echo "undecided smoke: eps:3:244 did not time out at b = 2"; echo "$out"; exit 1; }
+  || { echo "undecided smoke: eps:3:3 did not time out at b = 2"; echo "$out"; exit 1; }
 # Every job of iis serve has a deadline, and the drain waits on it: there
 # is no --drain-secs, and a flag the service does not take starts nothing.
 if out=$(timeout 5 "$IIS" serve --addr 127.0.0.1:0 --drain-secs 5 2>&1); then
@@ -109,6 +128,20 @@ echo "$out" | grep -q '^sds\.builds ' \
   && { echo "gate smoke: the planted record built a level"; echo "$out"; exit 1; }
 grep '"kind":"cache.invalid_record"' "$store_dir/trace.jsonl" | grep -q 'past the cap of 100000; nothing was built' \
   || { echo "gate smoke: the refusal does not name the cap"; cat "$store_dir/trace.jsonl"; exit 1; }
+# A stored-witness check keeps the solve's deadline: a planted line
+# claiming a trivial:6 witness at b = 1 (47 293 facets of width 7, seconds
+# to classify) is refused at the deadline, and the solve after it runs
+# under the same deadline, so the question ends within 2 s.
+key=$("$IIS" solve trivial:6 --max-rounds 1 --store "$store_dir/t6" | sed -n 's/^store: .*(key \([0-9a-f]*\),.*/\1/p')
+[ -n "$key" ] || { echo "gate smoke: no trivial:6 key"; exit 1; }
+mkdir "$store_dir/planted"
+record='{"results":[[0,false],[1,true]],"task":"trivial","witness":{"b":1,"map":[]}}'
+printf '{"key":"%s","value":"%s"}\n' "$key" "${record//\"/\\\"}" >"$store_dir/planted/seg-00000.jsonl"
+timeout 2 "$IIS" solve trivial:6 --max-rounds 1 --store "$store_dir/planted" --timeout-secs 1 \
+  --trace "$store_dir/t6.jsonl" >/dev/null \
+  || { echo "gate smoke: the planted trivial:6 record's solve failed or ran past 2 s"; exit 1; }
+grep '"kind":"cache.invalid_record"' "$store_dir/t6.jsonl" | grep -q 'deadline exceeded: witness check stopped at b = 1' \
+  || { echo "gate smoke: the check was not stopped by the deadline"; cat "$store_dir/t6.jsonl"; exit 1; }
 rm -rf "$store_dir"
 echo "gate smoke: ok"
 
@@ -118,9 +151,9 @@ echo "gate smoke: ok"
 # contain solve_nodes_total; /progress must carry exactly the committed
 # key schema (crates/obs/tests/golden/progress_keys.txt).
 serve_log=$(mktemp)
-# (eps:3:9 is refuted at b <= 2 by search alone, no certificate settles it;
-# about 0.7 s at --jobs 2)
-"$IIS" solve eps:3:9 --max-rounds 2 --jobs 2 --serve 127.0.0.1:0 >/dev/null 2>"$serve_log" &
+# (eps:3:4's distances refute b <= 1, and its search at b = 2 takes about
+# 1.5 s at --jobs 2)
+"$IIS" solve eps:3:4 --max-rounds 2 --jobs 2 --serve 127.0.0.1:0 >/dev/null 2>"$serve_log" &
 serve_pid=$!
 port=""
 for _ in $(seq 1 100); do
@@ -177,6 +210,9 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 [ -n "$port" ] || { echo "solve service smoke: no port announced"; cat "$serve_log"; exit 1; }
+# the distance pass's counter is registered (at zero) before any question
+scrape /metrics | grep -qx 'solve_distance_refuted_total 0' \
+  || { echo "solve service smoke: /metrics lacks solve_distance_refuted_total 0"; exit 1; }
 echo "solve service smoke: POSTing to port $port"
 post() { # post PATH BODY -> body on stdout
   exec 3<>"/dev/tcp/127.0.0.1/$port"

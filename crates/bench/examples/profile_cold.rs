@@ -13,10 +13,11 @@
 //! - `encode`: rendering the canonical record;
 //! - `put`: appending the record to a store;
 //! - `rounds`: the sweep split by round, each [`Solver::step`] timed on
-//!   its own with a fresh [`KeyedTask`], as `b:decider:µs` — `d` for a
-//!   round the distance pass refuted (round 0's time includes the pass),
-//!   `c` for one the certificate refuted (its first includes the
-//!   certificate search), `s` for one the gate and the search decided.
+//!   its own with a fresh [`KeyedTask`], as `b:decider:µs`, the decider
+//!   named by the sweep's report — `d` for a round the distance pass
+//!   refuted (round 0's time includes the pass), `c` for one the
+//!   certificate refuted (its first includes the certificate search), `s`
+//!   for one the search decided.
 //!
 //! Not a calibrated benchmark — a quick probe for attributing the cold
 //! latency budget. Run with
@@ -25,7 +26,7 @@
 use iis_core::cache::{read_solve_body, report_to_json, KeyedTask, QuestionTask, SolveBody};
 use iis_core::certificate::find_certificate;
 use iis_core::distance::Distances;
-use iis_core::solvability::{solve_up_to_opts, BoundedOutcome, SolveOptions, Solver};
+use iis_core::solvability::{solve_up_to_opts, SolveOptions, Solver};
 use iis_obs::{Json, ToJson};
 use iis_store::Store;
 use iis_tasks::library::parse_spec;
@@ -86,43 +87,28 @@ fn read_hop(body: &str) -> (KeyedTask, usize) {
 
 /// The median time of each round of a sweep of `task` to `max_rounds`,
 /// each [`Solver::step`] timed alone on a fresh [`KeyedTask`], as
-/// `b:decider:µs` entries.
+/// `b:decider:µs` entries: the decider's initial, as one sweep's report
+/// names it (`SolvabilityReport::deciders`).
 fn round_split(task: &iis_tasks::Task, max_rounds: usize, opts: &SolveOptions) -> String {
-    let mut times: Vec<Vec<f64>> = Vec::new();
-    let mut deciders: Vec<char> = Vec::new();
+    let report = solve_up_to_opts(task, max_rounds, opts);
+    let mut times: Vec<Vec<f64>> = vec![Vec::new(); report.deciders().len()];
     for _ in 0..REPS {
         let keyed = KeyedTask::new(task.clone());
         let mut solver = Solver::new(&keyed, *opts);
-        for b in 0..=max_rounds {
+        for us in &mut times {
             let t0 = Instant::now();
-            let outcome = solver.step();
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            if times.len() <= b {
-                times.push(Vec::new());
-                // the deciders' order in `Solver::step`: the certificate
-                // (once round 0 is refuted), the distance pass, the search
-                let refuted = matches!(outcome, BoundedOutcome::Unsolvable);
-                deciders.push(if refuted && b > 0 && find_certificate(task).is_some() {
-                    'c'
-                } else if keyed.distances().refuting(b).is_some() {
-                    'd'
-                } else {
-                    's'
-                });
-            }
-            times[b].push(us);
-            if !matches!(outcome, BoundedOutcome::Unsolvable) {
-                break;
-            }
+            let _outcome = solver.step();
+            us.push(t0.elapsed().as_secs_f64() * 1e6);
         }
     }
     let entries: Vec<String> = times
         .iter_mut()
-        .zip(&deciders)
+        .zip(report.deciders())
         .enumerate()
         .map(|(b, (us, decider))| {
             us.sort_by(f64::total_cmp);
-            format!("{b}:{decider}:{:.1}", us[us.len() / 2])
+            let initial = &decider.name()[..1];
+            format!("{b}:{initial}:{:.1}", us[us.len() / 2])
         })
         .collect();
     entries.join(" ")

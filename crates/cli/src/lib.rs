@@ -346,8 +346,8 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
     }
     // with a store, answer from it when the (task, max_rounds) record
     // exists, and persist a decided sweep
-    let (report, hit, store_line) = match flag_value(args, "--store")? {
-        None => (solve_up_to_opts(&task, max_rounds, &opts), false, None),
+    let (report, store_line) = match flag_value(args, "--store")? {
+        None => (solve_up_to_opts(&task, max_rounds, &opts), None),
         Some(dir) => {
             let mut store = iis_store::Store::open(dir)
                 .map_err(|e| err(format!("cannot open store {dir}: {e}")))?;
@@ -359,26 +359,24 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
             };
             let (key, len) = (cached.key, store.len());
             let line = format!("store: {part} (key {key:016x}, {len} records in {dir})\n");
-            (cached.report, cached.hit, Some(line))
+            (cached.report, Some(line))
         }
     };
     let mut out = format!("task: {task}\n");
-    render_report(&mut out, &task, &report, hit, budget, timeout_secs);
+    render_report(&mut out, &task, &report, budget, timeout_secs);
     out.extend(store_line);
     Ok(out)
 }
 
 /// Writes `report`'s verdicts, its distance refutation, its Sperner
 /// certificate and how the sweep ended, alike whether it ran here or was
-/// `replayed` from a store. A record names neither, so a replayed report
-/// runs the task's distance pass, and a replayed refutation of rounds
-/// `0..=M`, `M ≥ 1`, looks the certificate up with the sweep's own
+/// read from a store. Both explanations come from the task: its distance
+/// pass, and, for a refutation of rounds `0..=M`, `M ≥ 1`, the sweep's own
 /// bounded [`find_certificate`].
 fn render_report(
     out: &mut String,
     task: &Task,
     report: &SolvabilityReport,
-    replayed: bool,
     budget: u64,
     timeout_secs: Option<u64>,
 ) {
@@ -393,18 +391,14 @@ fn render_report(
         };
     }
     let refuted = report.witness().is_none() && report.stopped().is_none();
-    let looked_up = (replayed && refuted && report.results().len() > 1)
-        .then(|| find_certificate(task))
-        .flatten();
-    // the distance pass refutes round 0 iff the sweep's first step met it
-    let measured = replayed
-        .then(|| Distances::of(task).worst().cloned())
-        .flatten();
-    if let Some(refutation) = report.distance().or(measured.as_ref()) {
+    // the distance pass meets round 0, so it refuted rounds iff it has a face
+    if let Some(refutation) = Distances::of(task).worst() {
         let _ = writeln!(out, "{}", refutation.describe(task));
     }
-    if let Some(cert) = report.certificate().or(looked_up.as_ref()) {
-        let _ = writeln!(out, "{}", certificate_line(task, cert));
+    if refuted && report.results().len() > 1 {
+        if let Some(cert) = find_certificate(task) {
+            let _ = writeln!(out, "{}", certificate_line(task, &cert));
+        }
     }
     let b = report.results().len();
     let _ = match report.stopped() {
@@ -1020,6 +1014,9 @@ mod tests {
             ("oneshot:1 --timeout-secs 0", false),
             // too large at b = 2
             ("eps:4:3 --max-rounds 2", false),
+            // explained by the certificate alone, and by distances alone
+            ("kset:3:3 --max-rounds 1", true),
+            ("eps:1:64 --max-rounds 3", true),
         ]
         .into_iter()
         .enumerate()

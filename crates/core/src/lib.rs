@@ -12,8 +12,8 @@
 //!   the compiled search kernel [`csp`]; [`reference`](mod@reference) is the kernel's
 //!   sequential test oracle;
 //! - [`certificate`] — Sperner certificates: one labelling of `Δ` that
-//!   refutes a task at every round count, consulted by the round sweep
-//!   once round 0 is refuted;
+//!   refutes a task at every round count, the round sweep's first
+//!   decider from round 1 (a sweep reaches it only past a refuted round 0);
 //! - [`distance`] — distance refutations: the rounds a task cannot pass
 //!   because two input corners are too far apart in `Δ` (Lemma 3.3 and
 //!   Proposition 3.1), found once per task before any tower is built;
@@ -68,6 +68,6 @@ pub use concurrent::run_atomic_concurrent;
 pub use emulation::{run_emulation_concurrent, EmulationStats, EmulatorMachine, Tuple, TupleSet};
 pub use solvability::{
     lift_decision_map, solve_at, solve_at_bounded, solve_at_opts, solve_up_to, solve_up_to_opts,
-    BoundedOutcome, DecisionMap, DecisionProtocol, SolvabilityReport, SolveOptions, Solver,
-    WitnessIndex,
+    BoundedOutcome, Decider, DecisionMap, DecisionProtocol, SolvabilityReport, SolveOptions,
+    Solver, WitnessIndex,
 };

@@ -19,9 +19,8 @@
 //! sequential engine as its test oracle.
 
 use crate::cache::{keep_skeleton, skeleton, KeyedTask};
-use crate::certificate::{find_certificate, Certificate};
+use crate::certificate::find_certificate;
 use crate::csp::{profile_now, CompiledTable, Halt, Skeleton};
-use crate::distance::Refutation;
 use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
@@ -77,9 +76,8 @@ pub struct SolvabilityReport {
     task_name: String,
     results: Vec<(usize, bool)>,
     witness: Option<DecisionMap>,
-    certificate: Option<Certificate>,
-    /// The face whose distances refuted rounds of the sweep, if any did.
-    distance: Option<Box<Refutation>>,
+    /// What decided each verdict of `results`, one for one.
+    deciders: Vec<Decider>,
     /// What stopped the sweep undecided ([`SolvabilityReport::stopped`]).
     stopped: Option<BoundedOutcome>,
 }
@@ -96,8 +94,7 @@ impl SolvabilityReport {
             task_name,
             results,
             witness,
-            certificate: None,
-            distance: None,
+            deciders: Vec::new(),
             stopped: None,
         }
     }
@@ -122,19 +119,10 @@ impl SolvabilityReport {
         self.witness.as_ref()
     }
 
-    /// The Sperner certificate that refuted the rounds past `b = 0`, when
-    /// the sweep that made this report found one (a report read back from
-    /// a store carries none: the record bytes do not name it).
-    pub fn certificate(&self) -> Option<&Certificate> {
-        self.certificate.as_ref()
-    }
-
-    /// The input face whose corners are too far apart in `Δ` for the
-    /// rounds it refuted ([`crate::distance`]), when the sweep that made
-    /// this report refuted any that way (a report read back from a store
-    /// carries none).
-    pub fn distance(&self) -> Option<&Refutation> {
-        self.distance.as_deref()
+    /// What decided each verdict of [`results`](SolvabilityReport::results),
+    /// one for one; none for a report read back from a store.
+    pub fn deciders(&self) -> &[Decider] {
+        &self.deciders
     }
 
     /// The outcome that stopped the sweep undecided at round
@@ -517,40 +505,75 @@ pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutco
     let deadline = opts.deadline();
     let q = KeyedTask::new(task.clone());
     match skeleton(&q, b, None, deadline) {
-        Ok(skel) => solve_on(&q, &skel, opts, deadline),
+        Ok(skel) => solve_on(&q, &skel, opts, deadline).0,
         Err(stop) => stop,
     }
 }
 
-/// Traces round `b`'s `solve.round` record: its outcome and one count,
-/// the nodes searched or, for a round past the cap, the tower's facets.
-fn trace_round(task: &Task, b: usize, outcome: &str, count: (&str, u64)) {
-    if iis_obs::trace::active() {
-        iis_obs::trace::event(
-            "solve.round",
-            task.name(),
-            &[
-                ("b", iis_obs::Json::Num(b as f64)),
-                ("outcome", iis_obs::Json::Str(outcome.to_string())),
-                (count.0, iis_obs::Json::Num(count.1 as f64)),
-            ],
-        );
+/// What decided a round of a sweep: the deciders [`Solver::step`] asks,
+/// in this order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Decider {
+    /// The Sperner certificate ([`find_certificate`], DESIGN.md §17).
+    Certificate,
+    /// The distance pass ([`crate::distance`], DESIGN.md §18).
+    Distance,
+    /// The gate to the level (`cache::skeleton`), which only stops a round.
+    Gate,
+    /// The search on the level.
+    Search,
+}
+
+impl Decider {
+    /// The decider's name: `certificate`, `distance`, `gate` or `search`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Decider::Certificate => "certificate",
+            Decider::Distance => "distance",
+            Decider::Gate => "gate",
+            Decider::Search => "search",
+        }
     }
 }
 
-/// The shared per-round body: search `skel` (= `SDS^b(I)` of `q`'s
-/// input) under `opts`'s budget and jobs until `deadline`, with
-/// instrumentation. A level a witness is found on is memoized for the
-/// witness checks (and searches) to come.
+/// Traces round `b`'s `solve.round` record: the outcome, named for its
+/// decider, and the nodes searched (the tower's facets past the cap).
+fn trace_round(task: &Task, b: usize, decider: Decider, outcome: &BoundedOutcome, nodes: u64) {
+    let name = match (decider, outcome) {
+        (Decider::Certificate, _) => "certified",
+        (Decider::Distance, _) => "distance",
+        (_, BoundedOutcome::Solvable(_)) => "solvable",
+        (_, BoundedOutcome::Unsolvable) => "unsolvable",
+        (_, BoundedOutcome::Exhausted) => "exhausted",
+        (_, BoundedOutcome::TimedOut) => "timed_out",
+        (_, BoundedOutcome::TooLarge { .. }) => "too_large",
+    };
+    let count = match outcome {
+        BoundedOutcome::TooLarge { facets } => ("facets", *facets),
+        _ => ("nodes", nodes),
+    };
+    iis_obs::trace::event(
+        "solve.round",
+        task.name(),
+        &[
+            ("b", iis_obs::Json::Num(b as f64)),
+            ("outcome", iis_obs::Json::Str(name.to_string())),
+            (count.0, iis_obs::Json::Num(count.1 as f64)),
+        ],
+    );
+}
+
+/// Searches `skel` (`SDS^b(I)` of `q`'s input) under `opts`'s budget and
+/// jobs until `deadline`: the outcome and the nodes searched. A level a
+/// witness is found on is memoized for the checks and searches to come.
 fn solve_on(
     q: &KeyedTask,
     skel: &Arc<Skeleton>,
     opts: &SolveOptions,
     deadline: Option<Instant>,
-) -> BoundedOutcome {
-    let (task, b) = (q.task(), skel.tower().rounds());
+) -> (BoundedOutcome, u64) {
+    let b = skel.tower().rounds();
     let timer = iis_obs::span::span("solve.search_ns");
-    iis_obs::progress::solve_round_started(task.name(), b as u64, opts.max_nodes);
     // the round span is the top of this round's causal profile tree; its
     // sample carries the whole round's node count and wall time
     let profile_t0 = profile_now();
@@ -562,29 +585,16 @@ fn solve_on(
     };
     let budget = SharedBudget::new(opts.max_nodes);
     let result = crate::csp::search_map(q, skel, &budget, deadline, opts.jobs, round_span);
+    let nodes = opts.max_nodes.saturating_sub(budget.remaining());
     if let Some(t0) = profile_t0 {
-        iis_obs::profile::sample(
-            round_span,
-            1,
-            opts.max_nodes.saturating_sub(budget.remaining()),
-            t0.elapsed().as_nanos() as u64,
-        );
+        iis_obs::profile::sample(round_span, 1, nodes, t0.elapsed().as_nanos() as u64);
     }
-    iis_obs::progress::solve_round_finished();
     iis_obs::metrics::gauge_set(
         "solve.budget_remaining",
         i64::try_from(budget.remaining()).unwrap_or(i64::MAX),
     );
-    let outcome = match &result {
-        Ok(Some(_)) => "solvable",
-        Ok(None) => "unsolvable",
-        Err(Halt::Timeout) => "timed_out",
-        Err(_) => "exhausted",
-    };
-    let nodes = opts.max_nodes.saturating_sub(budget.remaining());
-    trace_round(task, b, outcome, ("nodes", nodes));
     drop(timer);
-    match result {
+    let outcome = match result {
         Ok(Some(map)) => {
             debug_assert!(check_decision_map(q, skel, &map).is_ok());
             keep_skeleton(q, skel);
@@ -593,7 +603,8 @@ fn solve_on(
         Ok(None) => BoundedOutcome::Unsolvable,
         Err(Halt::Timeout) => BoundedOutcome::TimedOut,
         Err(_) => BoundedOutcome::Exhausted,
-    }
+    };
+    (outcome, nodes)
 }
 
 /// An incremental round-by-round solver: each [`step`](Solver::step)
@@ -608,20 +619,15 @@ fn solve_on(
 /// The node budget in the options applies per round; the timeout bounds
 /// the whole sweep, counted from the solver's creation.
 ///
-/// Once round 0 is refuted, the next step looks for a Sperner
-/// certificate ([`find_certificate`]) — once, within a fixed work bound.
-/// With one, that step and every later one is
-/// [`BoundedOutcome::Unsolvable`] with no tower built and no node searched
-/// (the facet cap never refuses such a round): the verdicts an exact
-/// search gives, by the certificate's soundness (DESIGN.md §17). The
-/// `solve.certified` counter counts the solvers a certificate settled.
-///
-/// A round the certificate does not settle meets the task's distance pass
-/// next ([`crate::distance`], run once per [`KeyedTask`]): a round whose
-/// corner-to-corner path is too short to join two inputs' decisions is
-/// [`BoundedOutcome::Unsolvable`], again with no tower built and no node
-/// searched (DESIGN.md §18), counted in `solve.distance_refuted`. Only the
-/// rounds left reach the facet cap and the search.
+/// A step asks the [`Decider`]s in their order; the first to answer
+/// decides the round. From `b = 1` the Sperner certificate, looked for
+/// once within a fixed work bound, refutes every round as an exact search
+/// would (`solve.certified`); the distance pass, run once per
+/// [`KeyedTask`], refutes each round too short to join two inputs'
+/// decisions (`solve.distance_refuted`). Neither builds a tower. Whoever
+/// decided it, a round is finished in one place: the solver advances
+/// (unless the gate stopped it), names a verdict's decider, counts the
+/// round in `/progress` and traces it as one `solve.round`.
 ///
 /// # Examples
 ///
@@ -645,10 +651,10 @@ pub struct Solver<'t> {
     skel: Option<Arc<Skeleton>>,
     /// The round the next step decides.
     next: usize,
-    /// Round 0 was refuted, so the next step looks for a certificate.
-    zero_refuted: bool,
-    /// `Some` once the certificate was looked for: what was found.
-    certificate: Option<Option<Certificate>>,
+    /// `Some` once the certificate was looked for: whether one was found.
+    certificate: Option<bool>,
+    /// What decided each verdict so far.
+    deciders: Vec<Decider>,
 }
 
 impl<'t> Solver<'t> {
@@ -668,8 +674,8 @@ impl<'t> Solver<'t> {
             deadline,
             skel: None,
             next: 0,
-            zero_refuted: false,
             certificate: None,
+            deciders: Vec::new(),
         }
     }
 
@@ -679,44 +685,40 @@ impl<'t> Solver<'t> {
         self.next.saturating_sub(1)
     }
 
-    /// Decides the next round count and returns its outcome, asking in
-    /// turn the certificate, the distance pass, the gate to the level
-    /// (`cache::skeleton`) and the search. A round whose tower is past
-    /// [`TOWER_FACET_CAP`] is [`BoundedOutcome::TooLarge`], and one whose
-    /// tower build the deadline cut short is [`BoundedOutcome::TimedOut`];
-    /// either leaves the solver where it was, unless a certificate or the
-    /// distance pass refutes the round.
+    /// Decides the next round count and returns its outcome. A gate stop
+    /// ([`BoundedOutcome::TooLarge`], or [`BoundedOutcome::TimedOut`] in a
+    /// tower build) leaves the solver where it was.
     pub fn step(&mut self) -> BoundedOutcome {
         let (task, b) = (self.q.task(), self.next);
-        if self.zero_refuted && self.certified() {
-            self.next += 1;
-            trace_round(task, b, "certified", ("nodes", 0));
-            return BoundedOutcome::Unsolvable;
-        }
-        if self.q.distances().refuting(b).is_some() {
-            self.next += 1;
-            self.zero_refuted |= b == 0;
-            DISTANCE_REFUTED.incr();
-            trace_round(task, b, "distance", ("nodes", 0));
-            return BoundedOutcome::Unsolvable;
-        }
-        let skel = match skeleton(self.q, b, self.skel.as_deref(), self.deadline) {
-            Ok(skel) => skel,
-            Err(stop) => {
-                match stop {
-                    BoundedOutcome::TooLarge { facets } => {
-                        trace_round(task, b, "too_large", ("facets", facets));
-                    }
-                    _ => trace_round(task, b, "timed_out", ("nodes", 0)),
+        iis_obs::progress::solve_round_started(task.name(), b as u64, self.opts.max_nodes);
+        let (decider, outcome, nodes) = if b > 0 && self.certified() {
+            (Decider::Certificate, BoundedOutcome::Unsolvable, 0)
+        } else if self.q.distances().refuting(b).is_some() {
+            (Decider::Distance, BoundedOutcome::Unsolvable, 0)
+        } else {
+            match skeleton(self.q, b, self.skel.as_deref(), self.deadline) {
+                Err(stop) => (Decider::Gate, stop, 0),
+                Ok(skel) => {
+                    let (outcome, nodes) = solve_on(self.q, &skel, &self.opts, self.deadline);
+                    self.skel = Some(skel);
+                    (Decider::Search, outcome, nodes)
                 }
-                return stop;
             }
         };
-        let outcome = solve_on(self.q, &skel, &self.opts, self.deadline);
-        (self.skel, self.next) = (Some(skel), b + 1);
-        if b == 0 {
-            self.zero_refuted = matches!(outcome, BoundedOutcome::Unsolvable);
+        if decider != Decider::Gate {
+            self.next += 1;
         }
+        if matches!(
+            outcome,
+            BoundedOutcome::Solvable(_) | BoundedOutcome::Unsolvable
+        ) {
+            self.deciders.push(decider);
+        }
+        if decider == Decider::Distance {
+            DISTANCE_REFUTED.incr();
+        }
+        iis_obs::progress::solve_round_finished();
+        trace_round(task, b, decider, &outcome, nodes);
         outcome
     }
 
@@ -725,26 +727,24 @@ impl<'t> Solver<'t> {
     /// record when found), remembered after.
     fn certified(&mut self) -> bool {
         let task = self.q.task();
-        self.certificate
-            .get_or_insert_with(|| {
-                let found = find_certificate(task);
-                if let Some(cert) = &found {
-                    CERTIFIED.incr();
-                    if iis_obs::trace::active() {
-                        let (sigma, lambda) = cert.describe(task);
-                        iis_obs::trace::event(
-                            "solve.certificate",
-                            task.name(),
-                            &[
-                                ("sigma", iis_obs::Json::Str(sigma)),
-                                ("lambda", iis_obs::Json::Str(lambda)),
-                            ],
-                        );
-                    }
-                }
-                found
-            })
-            .is_some()
+        *self.certificate.get_or_insert_with(|| {
+            let Some(cert) = find_certificate(task) else {
+                return false;
+            };
+            CERTIFIED.incr();
+            if iis_obs::trace::active() {
+                let (sigma, lambda) = cert.describe(task);
+                iis_obs::trace::event(
+                    "solve.certificate",
+                    task.name(),
+                    &[
+                        ("sigma", iis_obs::Json::Str(sigma)),
+                        ("lambda", iis_obs::Json::Str(lambda)),
+                    ],
+                );
+            }
+            true
+        })
     }
 
     /// Steps through `b = 0..=max_rounds`, stopping at the first solvable
@@ -770,9 +770,7 @@ impl<'t> Solver<'t> {
             task_name: self.q.task().name().to_string(),
             results,
             witness,
-            certificate: self.certificate.flatten(),
-            // round 0 meets the pass, so it refuted rounds iff it has a face
-            distance: self.q.distances().worst().cloned().map(Box::new),
+            deciders: self.deciders,
             stopped,
         }
     }

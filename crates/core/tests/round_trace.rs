@@ -2,10 +2,12 @@
 //! round the distance pass refutes and a round past the facet cap
 //! included: the first names the outcome `distance` and no node searched,
 //! the second the outcome `too_large` and the tower's facet count in place
-//! of a node count.
+//! of a node count. Each record's outcome names what decided the round,
+//! as the report's `deciders()` does, and each is one round done in
+//! `/progress`.
 //!
 //! Lives in its own integration-test binary (and as a single test)
-//! because the trace sink is process-global.
+//! because the trace sink and the progress registry are process-global.
 
 use iis_core::{solve_up_to, BoundedOutcome};
 use iis_obs::Json;
@@ -30,6 +32,7 @@ impl Write for Shared {
 
 #[test]
 fn a_capped_round_is_traced_with_its_facet_count() {
+    iis_obs::progress::reset();
     // eps:5:2 is refuted at b = 0 by its distances (two corners 2 apart,
     // more than 2^0); SDS^1 of its 64 input facets of width 6 has
     // 64 · 4683 facets, past the cap
@@ -63,4 +66,50 @@ fn a_capped_round_is_traced_with_its_facet_count() {
         ],
         "{text}"
     );
+    let mut traced = rounds.len();
+    // one sweep per decider chain: search then certificate, distance then
+    // search, distance then certificate
+    for (spec, max_rounds, outcomes) in [
+        ("kset:2:2", 1, &["unsolvable", "certified"][..]),
+        ("eps:1:9", 3, &["distance", "distance", "solvable"]),
+        (
+            "consensus:1",
+            3,
+            &["distance", "certified", "certified", "certified"],
+        ),
+    ] {
+        let task = iis_tasks::library::parse_spec(spec).unwrap();
+        let sink = Shared::default();
+        let report = {
+            let _guard = iis_obs::trace::guard_writer(Box::new(sink.clone()));
+            solve_up_to(&task, max_rounds)
+        };
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let seen: Vec<String> = text
+            .lines()
+            .map(|line| Json::parse(line).unwrap())
+            .filter(|event| event.get("kind").and_then(Json::as_str) == Some("solve.round"))
+            .map(|event| {
+                event
+                    .get("outcome")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(seen, outcomes, "{spec}: {text}");
+        let named: Vec<&str> = seen
+            .iter()
+            .map(|outcome| match outcome.as_str() {
+                "certified" => "certificate",
+                "distance" => "distance",
+                _ => "search",
+            })
+            .collect();
+        let deciders: Vec<&str> = report.deciders().iter().map(|d| d.name()).collect();
+        assert_eq!(deciders, named, "{spec}");
+        assert_eq!(report.deciders().len(), report.results().len(), "{spec}");
+        traced += seen.len();
+    }
+    assert_eq!(iis_obs::progress::snapshot().rounds_done, traced as u64);
 }

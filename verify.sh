@@ -62,6 +62,26 @@ for q in "eps:3:244 --max-rounds 6" "eps:2:1953 --max-rounds 6"; do
 done
 echo "distance smoke: ok"
 
+# Trace smoke: a sweep writes one solve.round record per round it decides,
+# whichever decider settled it, and the outcome names that decider:
+# kset:2:2 is searched at b = 0 and certified at b = 1; eps:1:9 is refuted
+# by its distances at b ≤ 1 and searched to a witness at b = 2.
+trace_dir=$(mktemp -d)
+for case in "kset:2:2 --max-rounds 1|0:unsolvable 1:certified" \
+            "eps:1:9 --max-rounds 3|0:distance 1:distance 2:solvable"; do
+  q=${case%%|*}
+  want=${case#*|}
+  trace="$trace_dir/${q%% *}.jsonl"
+  # shellcheck disable=SC2086 # the question is a spec and its flags
+  "$IIS" solve $q --trace "$trace" >/dev/null
+  got=$(grep '"kind":"solve.round"' "$trace" \
+    | sed 's/.*"b":\([0-9]*\),"outcome":"\([a-z_]*\)".*/\1:\2/' | tr '\n' ' ')
+  [ "${got% }" = "$want" ] \
+    || { echo "trace smoke: solve $q traced '$got', not '$want'"; cat "$trace"; exit 1; }
+done
+rm -rf "$trace_dir"
+echo "trace smoke: ok"
+
 # Undecided-sweep smoke: a sweep stopped by the deadline or the node budget
 # decides nothing. With a store it says so and stores nothing; without one
 # it ends at its first undecided round and claims no refutation.

@@ -12,12 +12,16 @@
 //!   round 0 is refuted), and whether it found one (`certified`);
 //! - `encode`: rendering the canonical record;
 //! - `put`: appending the record to a store;
+//! - `compile`: the compile alone (the class tables and the kernel's
+//!   arrays) of the last round the sweep searched — its solvable round
+//!   when it has one — read from that round's `compile` profile span over
+//!   sweeps of fresh [`KeyedTask`]s; `-` when no round is searched;
 //! - `rounds`: the sweep split by round, each [`Solver::step`] timed on
 //!   its own with a fresh [`KeyedTask`], as `b:decider:µs`, the decider
 //!   named by the sweep's report — `d` for a round the distance pass
 //!   refuted (round 0's time includes the pass), `c` for one the
-//!   certificate refuted (its first includes the certificate search), `s`
-//!   for one the search decided.
+//!   certificate refuted (its first includes the certificate search; the
+//!   distance pass is asked first), `s` for one the search decided.
 //!
 //! Not a calibrated benchmark — a quick probe for attributing the cold
 //! latency budget. Run with
@@ -114,6 +118,30 @@ fn round_split(task: &iis_tasks::Task, max_rounds: usize, opts: &SolveOptions) -
     entries.join(" ")
 }
 
+/// The median compile time, in microseconds, of the last round a sweep
+/// of `task` to `max_rounds` searches, over sweeps of fresh
+/// [`KeyedTask`]s (each [`solve_up_to_opts`] keys the task anew): the
+/// `round:b;compile` profile span of the largest `b`.
+fn compile_us(task: &iis_tasks::Task, max_rounds: usize, opts: &SolveOptions) -> Option<f64> {
+    let mut us: Vec<f64> = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        iis_obs::profile::reset();
+        iis_obs::profile::set_enabled(true);
+        solve_up_to_opts(task, max_rounds, opts);
+        iis_obs::profile::set_enabled(false);
+        let last = iis_obs::profile::fold()
+            .into_iter()
+            .filter_map(|(path, (ns, _))| {
+                let b = path.strip_prefix("round:")?.strip_suffix(";compile")?;
+                Some((b.parse::<usize>().ok()?, ns))
+            })
+            .max();
+        us.extend(last.map(|(_, ns)| ns as f64 / 1e3));
+    }
+    us.sort_by(f64::total_cmp);
+    (!us.is_empty()).then(|| us[us.len() / 2])
+}
+
 fn main() {
     iis_topology::template::prewarm(5);
     let dir = std::env::temp_dir().join(format!("iis_profile_cold_{}", std::process::id()));
@@ -121,11 +149,12 @@ fn main() {
     let mut store = Store::open(&dir).expect("open store");
     let opts = SolveOptions::new().budget(1_000_000);
     println!(
-        "{:<16} {:>7} {:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>9}  rounds (b:decider:us)",
+        "{:<16} {:>7} {:>9} {:>9} {:>10} {:>11} {:>9} {:>9} {:>9} {:>9}  rounds (b:decider:us)",
         "shape",
         "bytes",
         "read_us",
         "search_us",
+        "compile_us",
         "distance_us",
         "cert_us",
         "certified",
@@ -152,12 +181,15 @@ fn main() {
             .collect();
         let put = median_us(|i| store.put(keys[i], &record).expect("put"));
         let rounds = round_split(keyed.task(), max_rounds, &opts);
+        let compile = compile_us(keyed.task(), max_rounds, &opts)
+            .map_or_else(|| "-".to_string(), |us| format!("{us:.1}"));
         println!(
-            "{:<16} {:>7} {:>9.1} {:>9.1} {:>11.1} {:>9.1} {:>9} {:>9.1} {:>9.1}  {rounds}",
+            "{:<16} {:>7} {:>9.1} {:>9.1} {:>10} {:>11.1} {:>9.1} {:>9} {:>9.1} {:>9.1}  {rounds}",
             format!("{spec}@{b}"),
             bodies[0].len(),
             read,
             search,
+            compile,
             distance,
             cert,
             if certified { "yes" } else { "no" },

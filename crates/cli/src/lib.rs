@@ -1194,7 +1194,9 @@ mod tests {
         assert!(out.contains("solve.prunes"), "{out}");
         assert!(out.contains("sds.facets"), "{out}");
         // a certified refutation says so, in the solve output and the stats
-        let out = dispatch(&argv("solve kset:2:1 --stats")).unwrap();
+        // (kset:2:2's certificate settles b = 1: the distance pass, asked
+        // first, leaves it; it refutes every round of kset:2:1, consensus)
+        let out = dispatch(&argv("solve kset:2:2 --max-rounds 1 --stats")).unwrap();
         assert!(out.contains("Sperner certificate"), "{out}");
         assert!(out.contains("solve.certified"), "{out}");
     }

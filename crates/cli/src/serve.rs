@@ -789,7 +789,12 @@ impl SolveService {
         };
         match solve_request(question) {
             Err(e) => Response::bad_request(&e),
-            Ok(req) => self.solve_one(&req),
+            Ok(req) => {
+                let response = self.solve_one(&req);
+                // a cold question's task is freed once it is answered
+                iis_obs::http::drop_after_reply(req);
+                response
+            }
         }
     }
 

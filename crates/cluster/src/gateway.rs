@@ -225,7 +225,12 @@ fn spec_prefix(spec: &str) -> Result<u64, String> {
 fn question_parts(q: QuestionText<'_>) -> Result<(u64, usize), String> {
     q.resolve(|task| match task {
         QuestionTask::Spec(s) => spec_prefix(&s),
-        QuestionTask::Inline(keyed) => Ok(keyed.key_prefix()),
+        QuestionTask::Inline(keyed) => {
+            let prefix = keyed.key_prefix();
+            // the task is read only to be keyed: freed once answered
+            iis_obs::http::drop_after_reply(keyed);
+            Ok(prefix)
+        }
     })
     .map(|q| (q.task, q.max_rounds))
 }

@@ -1173,8 +1173,8 @@ fn read_map(
     if image.len() < n {
         return Err(invalid(format!("vertex {} unmapped", image.len())));
     }
-    let class_tables = skel.resolve(q, deadline).map_err(|_| timed_out())?;
-    check_simplices(&skel, &class_tables, &image).map_err(invalid)?;
+    let level = skel.resolve(q, deadline).map_err(|_| timed_out())?;
+    check_simplices(&skel, level.classes(), &image).map_err(invalid)?;
     keep_skeleton(q, &skel);
     Ok((skel, image))
 }
@@ -2316,7 +2316,8 @@ mod tests {
                     image.push(w);
                 }
                 r.lit("]}")?;
-                check_simplices(&skel, &skel.resolve(q, None).expect("no deadline"), &image)?;
+                let level = skel.resolve(q, None).expect("no deadline");
+                check_simplices(&skel, level.classes(), &image)?;
             }
             r.lit("}")?;
             if r.at != text.len() {

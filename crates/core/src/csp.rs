@@ -53,7 +53,7 @@ use crate::parallel::{run_pool, FirstWins, SharedBudget};
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
-use iis_topology::{Color, Complex, Simplex, SimplicialMap, VertexId};
+use iis_topology::{Color, Complex, SimplicialMap, VertexId};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
@@ -101,6 +101,24 @@ impl OutputEncoder {
         self.slot[w.index()].1
     }
 
+    /// Writes `colors`' dense indices into `dense`: `false` when a color
+    /// has no output vertex, which then admits no tuple at all.
+    fn dense_colors(&self, colors: &[Color], dense: &mut Vec<u32>) -> bool {
+        dense.clear();
+        for col in colors {
+            match self.colors.binary_search(col) {
+                Ok(ci) => dense.push(ci as u32),
+                Err(_) => return false,
+            }
+        }
+        true
+    }
+
+    /// The bits a bit index takes: enough for every universe, at least 1.
+    fn bit_width(&self) -> usize {
+        (usize::BITS - (self.val_stride() - 1).leading_zeros()).max(1) as usize
+    }
+
     /// Largest universe size across colors (the per-position value stride
     /// of every [`CompiledTable`]).
     fn val_stride(&self) -> usize {
@@ -113,10 +131,11 @@ impl OutputEncoder {
     }
 }
 
-/// One allowed-tuple table compiled to flat arrays, shared (via `Arc`)
-/// between every constraint with the same `(carrier, colors)` key; the
-/// reference engine ([`crate::reference`]) compiles against the same
-/// tables.
+/// One allowed-tuple table compiled to flat arrays: the `Δ` table of one
+/// `(carrier, colors)` class. The kernel compiles one per class of a
+/// level ([`Skeleton::resolve`]); the reference engine
+/// ([`crate::reference`]) compiles the same tables one class at a time
+/// ([`PlainTables`]).
 pub(crate) struct CompiledTable {
     /// The sorted, deduplicated allowed tuples of output vertices, in
     /// variable order, concatenated with stride `arity`. The reference
@@ -126,62 +145,232 @@ pub(crate) struct CompiledTable {
     pub(crate) allowed: Vec<VertexId>,
     /// Number of positions (= the constraint's simplex size).
     arity: usize,
-    /// The kernel's view of the same tuples, built by the first search
-    /// that compiles against this table.
-    support: OnceLock<Arc<SupportTable>>,
 }
 
 /// The distinct `arity`-wide chunks of `raw` in ascending lexicographic
-/// order, concatenated.
-fn sorted_chunks(raw: Vec<VertexId>, arity: usize) -> Vec<VertexId> {
-    let chunk = |i: usize| &raw[i * arity..(i + 1) * arity];
-    let mut order: Vec<usize> = (0..raw.len() / arity).collect();
+/// order, concatenated into a vector of exactly that length; `order` is
+/// scratch.
+fn sorted_chunks(raw: &[VertexId], arity: usize, order: &mut Vec<u32>) -> Vec<VertexId> {
+    let chunk = |i: u32| &raw[i as usize * arity..(i as usize + 1) * arity];
+    order.clear();
+    order.extend(0..(raw.len() / arity) as u32);
     order.sort_unstable_by(|&a, &b| chunk(a).cmp(chunk(b)));
     order.dedup_by(|a, b| chunk(*a) == chunk(*b));
-    order.iter().flat_map(|&i| chunk(i)).copied().collect()
+    let mut out = Vec::with_capacity(order.len() * arity);
+    for &i in order.iter() {
+        out.extend_from_slice(chunk(i));
+    }
+    out
 }
 
-/// A [`CompiledTable`]'s tuples as the compiled kernel reads them: per-color
-/// bit indices plus the per-`(pos, value)` support lists.
+/// A level's tables as the compiled kernel reads them
+/// ([`LevelTables::support`]): every class's tuples as per-color bit
+/// indices plus its per-`(pos, value)` support lists, all in one array,
+/// and per class where its part lies.
+pub(crate) struct LevelSupport {
+    words: Vec<u32>,
+    tables: Vec<SupportTable>,
+}
+
+/// Where one class's table lies in its level's [`LevelSupport`] words:
+/// the tuples as per-color bit indices (stride `arity`) from `at`, the
+/// CSR offsets over `(pos, value)` slots from `off_at`, and the tuple
+/// indices supporting each slot, ascending, from `sup_at`.
 pub(crate) struct SupportTable {
-    /// The tuples as per-color bit indices, stride = `arity`.
-    tuples: Vec<u32>,
+    at: usize,
     /// Number of positions (= the constraint's simplex size).
     arity: usize,
     /// Per-position value range of the support CSR.
     val_stride: usize,
-    /// CSR offsets over `(pos, value)` slots into `supports`.
-    support_off: Vec<u32>,
-    /// Tuple indices supporting each `(pos, value)`, ascending.
-    supports: Vec<u32>,
+    off_at: usize,
+    sup_at: usize,
+}
+
+/// The buffers a task's tables are compiled through, kept across
+/// compiles so a table allocates only what it keeps.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The restricted tuples before sorting.
+    raw: Vec<VertexId>,
+    /// The sort order of `raw`'s chunks.
+    order: Vec<u32>,
+    /// The restricted tuples as packed bit-index keys.
+    keys: Vec<u64>,
+    /// A class's colors as the encoder's dense color indices.
+    colors: Vec<u32>,
+    /// A class's colors' positions in its carrier's [`Rows`].
+    positions: Vec<u32>,
+}
+
+/// A bit index a [`DeltaRows`] row holds for a color its simplex has no
+/// vertex of.
+const NO_BIT: u32 = u32::MAX;
+
+/// `Δ(carrier)` of each carrier of a level as rows, each computed the
+/// first time a resolve meets its carrier: per `Δ` simplex, in `Δ`'s
+/// order, the bit index of its vertex of each of the carrier's colors
+/// (ascending), or [`NO_BIT`]. A `Δ(carrier)` simplex has the carrier's
+/// colors (`TaskBuilder::build` checks it), so a row is as wide as its
+/// carrier and the rows hold no more words than `Δ` holds vertices. Every
+/// class over a carrier reads its tuples from these rows, so `Δ` is
+/// looked up and its simplices scanned once per carrier, not once per
+/// class.
+#[derive(Default)]
+struct DeltaRows {
+    /// Each met carrier's colors, ascending.
+    colors: Vec<Color>,
+    bits: Vec<u32>,
+    /// Per carrier index, once met: its first color, and its bits' span.
+    at: Vec<Option<(usize, std::ops::Range<usize>)>>,
+}
+
+/// One carrier's [`DeltaRows`].
+struct Rows<'a> {
+    /// The carrier's colors, ascending: a row's positions.
+    colors: &'a [Color],
+    /// The rows, `colors.len()` bit indices each.
+    bits: &'a [u32],
+}
+
+impl DeltaRows {
+    /// Forgets every carrier and makes room for `carriers` of them.
+    fn reset(&mut self, carriers: usize) {
+        self.colors.clear();
+        self.bits.clear();
+        self.at.clear();
+        self.at.resize(carriers, None);
+    }
+
+    /// The rows of `carrier`, the carrier of index `at`.
+    fn of(
+        &mut self,
+        task: &Task,
+        enc: &OutputEncoder,
+        carrier: &[VertexId],
+        at: usize,
+    ) -> Rows<'_> {
+        let width = carrier.len();
+        if self.at[at].is_none() {
+            let colors_at = self.colors.len();
+            self.colors
+                .extend(carrier.iter().map(|&v| task.input().color(v)));
+            let colors = &mut self.colors[colors_at..];
+            colors.sort_unstable();
+            let bits_at = self.bits.len();
+            for so in task.delta(carrier) {
+                let row = self.bits.len();
+                self.bits.resize(row + width, NO_BIT);
+                for w in so.iter() {
+                    if let Ok(pos) = colors.binary_search(&task.output().color(w)) {
+                        self.bits[row + pos] = enc.bit_of(w);
+                    }
+                }
+            }
+            self.at[at] = Some((colors_at, bits_at..self.bits.len()));
+        }
+        let (colors_at, bits) = self.at[at].clone().expect("met above");
+        Rows {
+            colors: &self.colors[colors_at..colors_at + width],
+            bits: &self.bits[bits],
+        }
+    }
 }
 
 impl CompiledTable {
     /// The table of a simplex whose carrier has the given sorted base
     /// vertex ids and whose vertices have the given colors: each
     /// `Δ(carrier)` simplex restricted to those colors, in variable order,
-    /// then sorted and deduplicated as arity-wide chunks.
-    fn compile(task: &Task, carrier: &[u32], colors: &[Color]) -> Self {
+    /// then sorted and deduplicated as arity-wide chunks. Output colors are
+    /// read from `enc`'s per-vertex slots.
+    fn compile(
+        task: &Task,
+        enc: &OutputEncoder,
+        carrier: &[VertexId],
+        colors: &[Color],
+        scratch: &mut Scratch,
+    ) -> Self {
         let arity = colors.len();
-        let delta = task.delta(&Simplex::new(carrier.iter().map(|&u| VertexId(u))));
-        let mut raw: Vec<VertexId> = Vec::with_capacity(delta.len() * arity);
-        for so in delta {
-            let start = raw.len();
-            for &col in colors {
-                match so.iter().find(|&w| task.output().color(w) == col) {
-                    Some(w) => raw.push(w),
-                    None => {
-                        raw.truncate(start);
-                        break;
+        let Scratch {
+            raw,
+            order,
+            colors: dense,
+            ..
+        } = scratch;
+        raw.clear();
+        if enc.dense_colors(colors, dense) {
+            for so in task.delta(carrier) {
+                let start = raw.len();
+                for &ci in dense.iter() {
+                    match so.iter().find(|&w| enc.slot[w.index()].0 == ci) {
+                        Some(w) => raw.push(w),
+                        None => {
+                            raw.truncate(start);
+                            break;
+                        }
                     }
                 }
             }
         }
         CompiledTable {
-            allowed: sorted_chunks(raw, arity),
+            allowed: sorted_chunks(raw, arity, order),
             arity,
-            support: OnceLock::new(),
         }
+    }
+
+    /// [`CompiledTable::compile`]'s table, read from the `Δ` rows of the
+    /// carrier ([`DeltaRows`]) and sorted as packed keys: a tuple's bit
+    /// indices, the first position highest, [`OutputEncoder::bit_width`]
+    /// bits each, which must fit a `u64`. Every position holds one color
+    /// and bit order is vertex order within a color, so key order is the
+    /// chunks' order.
+    fn packed(
+        rows: Rows<'_>,
+        enc: &OutputEncoder,
+        colors: &[Color],
+        scratch: &mut Scratch,
+    ) -> Self {
+        let (arity, bits) = (colors.len(), enc.bit_width());
+        debug_assert!(arity * bits <= 64);
+        let Scratch {
+            keys,
+            colors: dense,
+            positions,
+            ..
+        } = scratch;
+        keys.clear();
+        // a color the carrier lacks, or no output vertex has, admits no
+        // tuple
+        positions.clear();
+        positions.extend(
+            colors
+                .iter()
+                .map_while(|c| rows.colors.binary_search(c).ok().map(|p| p as u32)),
+        );
+        if positions.len() == arity && enc.dense_colors(colors, dense) {
+            for row in rows.bits.chunks_exact(rows.colors.len()) {
+                let mut key = 0u64;
+                let mut whole = true;
+                for &p in positions.iter() {
+                    let bit = row[p as usize];
+                    whole &= bit != NO_BIT;
+                    key = key << bits | u64::from(bit);
+                }
+                if whole {
+                    keys.push(key);
+                }
+            }
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        let mask = (1u64 << bits) - 1;
+        let mut allowed = Vec::with_capacity(keys.len() * arity);
+        for &key in keys.iter() {
+            allowed.extend(dense.iter().enumerate().map(|(i, &ci)| {
+                let bit = (key >> ((arity - 1 - i) * bits)) & mask;
+                enc.universes[ci as usize][bit as usize]
+            }));
+        }
+        CompiledTable { allowed, arity }
     }
 
     /// The allowed tuples, one `arity`-wide chunk each, ascending.
@@ -210,81 +399,122 @@ impl CompiledTable {
         }
         false
     }
+}
 
-    /// The kernel's view of this table under `enc` (the task's encoder),
-    /// built on first use and kept.
-    fn support(&self, enc: &OutputEncoder) -> Arc<SupportTable> {
-        let table = self
-            .support
-            .get_or_init(|| Arc::new(SupportTable::new(&self.allowed, self.arity, enc)));
-        Arc::clone(table)
+impl LevelSupport {
+    /// The kernel's view of `classes` under `enc` (the task's encoder),
+    /// every class's part laid out in one array allocated once.
+    fn new(classes: &[CompiledTable], enc: &OutputEncoder) -> LevelSupport {
+        let val_stride = enc.val_stride();
+        let mut len = 0;
+        let tables: Vec<SupportTable> = classes
+            .iter()
+            .map(|t| {
+                let (at, n) = (len, t.allowed.len());
+                let (off_at, sup_at) = (at + n, at + n + t.arity * val_stride + 1);
+                len = sup_at + n;
+                SupportTable {
+                    at,
+                    arity: t.arity,
+                    val_stride,
+                    off_at,
+                    sup_at,
+                }
+            })
+            .collect();
+        let mut words = vec![0u32; len];
+        for (t, s) in classes.iter().zip(&tables) {
+            s.fill(&mut words, &t.allowed, enc);
+        }
+        LevelSupport { words, tables }
     }
 }
 
 impl SupportTable {
-    fn new(allowed: &[VertexId], arity: usize, enc: &OutputEncoder) -> Self {
-        let val_stride = enc.val_stride();
-        let tuples: Vec<u32> = allowed.iter().map(|&w| enc.bit_of(w)).collect();
-        let count = allowed.len() / arity;
-        let slots = arity * val_stride;
-        let mut support_off = vec![0u32; slots + 1];
-        for ti in 0..count {
-            for pos in 0..arity {
-                let val = tuples[ti * arity + pos] as usize;
-                support_off[pos * val_stride + val + 1] += 1;
-            }
+    /// Writes this table's part of `words` for its tuples `allowed`.
+    fn fill(&self, words: &mut [u32], allowed: &[VertexId], enc: &OutputEncoder) {
+        let n = allowed.len();
+        let (tuples, rest) = words[self.at..self.sup_at + n].split_at_mut(n);
+        let (off, supports) = rest.split_at_mut(self.sup_at - self.off_at);
+        for (bit, &w) in tuples.iter_mut().zip(allowed) {
+            *bit = enc.bit_of(w);
         }
-        for i in 0..slots {
-            support_off[i + 1] += support_off[i];
+        let (arity, val_stride) = (self.arity, self.val_stride);
+        let slot = |i: usize| (i % arity) * val_stride + tuples[i] as usize;
+        // each slot's count, summed to its end, then filled back to front
+        // with descending tuple indices: the offsets end at each slot's
+        // start and every list ascends
+        for i in 0..n {
+            off[slot(i)] += 1;
         }
-        let mut cursor = support_off.clone();
-        let mut supports = vec![0u32; tuples.len()];
-        for ti in 0..count {
-            for pos in 0..arity {
-                let s = pos * val_stride + tuples[ti * arity + pos] as usize;
-                supports[cursor[s] as usize] = ti as u32;
-                cursor[s] += 1;
-            }
+        let mut sum = 0;
+        for end in off.iter_mut() {
+            sum += *end;
+            *end = sum;
         }
-        SupportTable {
-            tuples,
-            arity,
-            val_stride,
-            support_off,
-            supports,
+        for i in (0..n).rev() {
+            let end = &mut off[slot(i)];
+            *end -= 1;
+            supports[*end as usize] = (i / arity) as u32;
         }
     }
 
-    /// The tuple indices whose value at `pos` is `val`.
-    fn supports_of(&self, pos: usize, val: u32) -> &[u32] {
-        let s = pos * self.val_stride + val as usize;
-        &self.supports[self.support_off[s] as usize..self.support_off[s + 1] as usize]
+    /// The tuples as per-color bit indices, stride `arity`, in `words`.
+    #[cfg(test)]
+    fn tuples<'w>(&self, words: &'w [u32]) -> &'w [u32] {
+        &words[self.at..self.off_at]
+    }
+
+    /// The tuple indices whose value at `pos` is `val`, in `words`.
+    fn supports_of<'w>(&self, words: &'w [u32], pos: usize, val: u32) -> &'w [u32] {
+        let s = self.off_at + pos * self.val_stride + val as usize;
+        let (lo, hi) = (words[s] as usize, words[s + 1] as usize);
+        &words[self.sup_at + lo..self.sup_at + hi]
     }
 }
 
-/// Memoized compiled tables, keyed by `(carrier, colors)` — the only inputs
-/// a table depends on. Carriers are simplices of the *base* complex and
-/// tuples are vertices of the output complex, both fixed for the life of a
-/// task, so one cache serves a task's whole round sweep and every check
-/// of its stored witnesses (`solve.constraint_cache_hits`): a
-/// [`KeyedTask`] owns one for life, behind a lock.
+/// A task's compiled `Δ` tables for the classes of one level `SDS^b(I)`,
+/// in the skeleton's class order, and the task's output encoder they
+/// were compiled under.
+pub(crate) struct LevelTables {
+    classes: Vec<CompiledTable>,
+    encoder: Arc<OutputEncoder>,
+    /// The kernel's view of the tables, built by the first search that
+    /// compiles against them: a level only checked against keeps only
+    /// the flat tables.
+    support: OnceLock<LevelSupport>,
+}
+
+impl LevelTables {
+    /// The table of every class, in class order.
+    pub(crate) fn classes(&self) -> &[CompiledTable] {
+        &self.classes
+    }
+
+    /// The kernel's view of the tables, built on first use and kept.
+    fn support(&self) -> &LevelSupport {
+        self.support
+            .get_or_init(|| LevelSupport::new(&self.classes, &self.encoder))
+    }
+}
+
+/// A task's compiled tables, one [`LevelTables`] per level resolved: a
+/// [`KeyedTask`] owns one for life, behind a lock, so one cache serves a
+/// task's whole round sweep and every check of its stored witnesses
+/// (`solve.constraint_cache_hits` counts the classes a resolve finds
+/// already compiled).
 ///
-/// A key is [`class_key`], assembled in a reused buffer, so a hit
-/// allocates nothing and a miss allocates one boxed key.
+/// A level is keyed by its round count alone: every skeleton of a task's
+/// level is built from the one input shape, deterministically, so its
+/// classes come in one order. A level is compiled whole, in place: no
+/// per-class key, lookup or handle.
 #[derive(Default)]
 pub(crate) struct ConstraintCache {
-    tables: HashMap<Box<[u32]>, Arc<CompiledTable>>,
-    key: Vec<u32>,
+    /// Per round count `b`: the level's tables once resolved.
+    levels: Vec<Option<Arc<LevelTables>>>,
     encoder: Option<Arc<OutputEncoder>>,
-}
-
-/// Writes the key of a `(carrier, colors)` class into `key`: the flat
-/// word list `[carrier len, carrier ids…, colors…]`.
-fn class_key(key: &mut Vec<u32>, carrier: &[u32], colors: &[Color]) {
-    key.clear();
-    key.push(carrier.len() as u32);
-    key.extend_from_slice(carrier);
-    key.extend(colors.iter().map(|c| c.0));
+    rows: DeltaRows,
+    scratch: Scratch,
 }
 
 impl ConstraintCache {
@@ -293,6 +523,39 @@ impl ConstraintCache {
     fn encoder(&mut self, task: &Task) -> &Arc<OutputEncoder> {
         self.encoder
             .get_or_insert_with(|| Arc::new(OutputEncoder::new(task.output())))
+    }
+}
+
+impl std::fmt::Debug for ConstraintCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ConstraintCache")
+            .field("levels", &self.levels.iter().flatten().count())
+            .finish()
+    }
+}
+
+/// A task's tables compiled one `(carrier, colors)` class at a time and
+/// kept by [`class_key`], each sorted as chunks: how the reference engine
+/// compiles, so its tables check the kernel's packed sort.
+pub(crate) struct PlainTables {
+    tables: HashMap<Box<[u32]>, Arc<CompiledTable>>,
+    encoder: OutputEncoder,
+    key: Vec<u32>,
+    /// The carrier as vertex ids, the `Δ` lookup key.
+    ids: Vec<VertexId>,
+    scratch: Scratch,
+}
+
+impl PlainTables {
+    /// An empty cache for `task`'s tables.
+    pub(crate) fn new(task: &Task) -> PlainTables {
+        PlainTables {
+            tables: HashMap::new(),
+            encoder: OutputEncoder::new(task.output()),
+            key: Vec::new(),
+            ids: Vec::new(),
+            scratch: Scratch::default(),
+        }
     }
 
     /// The compiled table for a simplex whose carrier has the given sorted
@@ -305,25 +568,30 @@ impl ConstraintCache {
     ) -> Arc<CompiledTable> {
         class_key(&mut self.key, carrier, colors);
         if let Some(hit) = self.tables.get(self.key.as_slice()) {
-            static HITS: StaticCounter = StaticCounter::new("solve.constraint_cache_hits");
-            HITS.incr();
-            iis_obs::progress::cache_lookup(true);
             return Arc::clone(hit);
         }
-        iis_obs::progress::cache_lookup(false);
-        let table = Arc::new(CompiledTable::compile(task, carrier, colors));
+        self.ids.clear();
+        self.ids.extend(carrier.iter().map(|&u| VertexId(u)));
+        let table = Arc::new(CompiledTable::compile(
+            task,
+            &self.encoder,
+            &self.ids,
+            colors,
+            &mut self.scratch,
+        ));
         self.tables
             .insert(self.key.as_slice().into(), Arc::clone(&table));
         table
     }
 }
 
-impl std::fmt::Debug for ConstraintCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConstraintCache")
-            .field("tables", &self.tables.len())
-            .finish()
-    }
+/// Writes the key of a `(carrier, colors)` class into `key`: the flat
+/// word list `[carrier len, carrier ids…, colors…]`.
+fn class_key(key: &mut Vec<u32>, carrier: &[u32], colors: &[Color]) {
+    key.clear();
+    key.push(carrier.len() as u32);
+    key.extend_from_slice(carrier);
+    key.extend(colors.iter().map(|c| c.0));
 }
 
 /// The task-independent half of the Proposition 3.1 CSP for one
@@ -347,11 +615,14 @@ pub(crate) struct Skeleton {
     class: Vec<u32>,
     /// Distinct classes, in first-use order.
     classes: Vec<Class>,
+    /// Distinct carriers (sorted base vertex ids), in first-use order.
+    carriers: Vec<Box<[VertexId]>>,
 }
 
-/// A constraint class: its carrier (sorted base vertex ids) and its
-/// vertices' colors in vertex order — the key of its `Δ` table.
-type Class = (Box<[u32]>, Box<[Color]>);
+/// A constraint class: its carrier (an index into the skeleton's
+/// carriers) and its vertices' colors in vertex order — the key of its
+/// `Δ` table.
+type Class = (u32, Box<[Color]>);
 
 impl std::fmt::Debug for Skeleton {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -377,8 +648,11 @@ impl Skeleton {
         let mut cvar: Vec<u32> = Vec::new();
         let mut class: Vec<u32> = Vec::new();
         let mut classes: Vec<Class> = Vec::new();
-        // class ids by `class_key`, looked up through a reused buffer
+        let mut carriers: Vec<Box<[VertexId]>> = Vec::new();
+        // class ids by `class_key`, looked up through a reused buffer, and
+        // carrier ids, looked up once per class
         let mut ids: HashMap<Box<[u32]>, u32> = HashMap::new();
+        let mut carrier_ids: HashMap<Box<[u32]>, u32> = HashMap::new();
         let mut key: Vec<u32> = Vec::new();
         let mut colors: Vec<Color> = Vec::new();
         let c = tower.complex();
@@ -393,7 +667,15 @@ impl Skeleton {
                 Some(&id) => id,
                 None => {
                     let id = classes.len() as u32;
-                    classes.push((carrier.into(), colors.as_slice().into()));
+                    let at = match carrier_ids.get(carrier) {
+                        Some(&at) => at,
+                        None => {
+                            carriers.push(carrier.iter().map(|&u| VertexId(u)).collect());
+                            carrier_ids.insert(carrier.into(), carriers.len() as u32 - 1);
+                            carriers.len() as u32 - 1
+                        }
+                    };
+                    classes.push((at, colors.as_slice().into()));
                     ids.insert(key.as_slice().into(), id);
                     id
                 }
@@ -409,6 +691,7 @@ impl Skeleton {
             cvar,
             class,
             classes,
+            carriers,
         })
     }
 
@@ -433,28 +716,57 @@ impl Skeleton {
     }
 
     /// The carrier (sorted base vertex ids) of class `k`.
-    pub(crate) fn carrier(&self, k: usize) -> &[u32] {
-        &self.classes[k].0
+    pub(crate) fn carrier(&self, k: usize) -> &[VertexId] {
+        &self.carriers[self.classes[k].0 as usize]
     }
 
-    /// `q`'s compiled table of every class, in class order, resolved
-    /// through its tables under one lock. With a `deadline`, the clock is
-    /// read once per [`CLASSES_PER_POLL`] classes past the first, and a
-    /// passed deadline stops the resolve ([`Halt::Timeout`]).
+    /// `q`'s compiled table of every class, in class order: its tables
+    /// of this level when it holds them, else compiled now and kept. With
+    /// a `deadline`, the clock is read once per [`CLASSES_PER_POLL`]
+    /// classes past the first, and a passed deadline stops the compile
+    /// ([`Halt::Timeout`]) and keeps nothing.
     pub(crate) fn resolve(
         &self,
         q: &KeyedTask,
         deadline: Option<Instant>,
-    ) -> Result<Vec<Arc<CompiledTable>>, Halt> {
+    ) -> Result<Arc<LevelTables>, Halt> {
+        static HITS: StaticCounter = StaticCounter::new("solve.constraint_cache_hits");
+        let b = self.tower.rounds();
         let mut cache = q.tables();
-        let mut resolved = Vec::with_capacity(self.classes.len());
-        for (k, (carrier, colors)) in self.classes.iter().enumerate() {
+        let n = self.classes.len() as u64;
+        if let Some(Some(level)) = cache.levels.get(b) {
+            debug_assert_eq!(level.classes.len(), self.classes.len());
+            HITS.add(n);
+            iis_obs::progress::cache_lookups(true, n);
+            return Ok(Arc::clone(level));
+        }
+        let encoder = Arc::clone(cache.encoder(q.task()));
+        let ConstraintCache { rows, scratch, .. } = &mut *cache;
+        rows.reset(self.carriers.len());
+        let mut classes = Vec::with_capacity(self.classes.len());
+        for (k, (at, colors)) in self.classes.iter().enumerate() {
             if k % CLASSES_PER_POLL == CLASSES_PER_POLL - 1 && passed(deadline) {
                 return Err(Halt::Timeout);
             }
-            resolved.push(cache.table(q.task(), carrier, colors));
+            let carrier = &self.carriers[*at as usize];
+            classes.push(if colors.len() * encoder.bit_width() <= 64 {
+                let rows = rows.of(q.task(), &encoder, carrier, *at as usize);
+                CompiledTable::packed(rows, &encoder, colors, scratch)
+            } else {
+                CompiledTable::compile(q.task(), &encoder, carrier, colors, scratch)
+            });
         }
-        Ok(resolved)
+        iis_obs::progress::cache_lookups(false, n);
+        let level = Arc::new(LevelTables {
+            classes,
+            encoder,
+            support: OnceLock::new(),
+        });
+        if cache.levels.len() <= b {
+            cache.levels.resize(b + 1, None);
+        }
+        cache.levels[b] = Some(Arc::clone(&level));
+        Ok(level)
     }
 
     /// For each vertex, the constraints containing it, in constraint order
@@ -625,8 +937,10 @@ pub(crate) struct BitsetCsp<'s> {
     /// directly so the inner loop does not chase the skeleton.
     cvar: &'s [u32],
     coff: &'s [u32],
-    /// Per constraint: the kernel's view of its class's table.
-    tables: Vec<Arc<SupportTable>>,
+    /// The level's tables, every class's part in one array.
+    support_words: &'s [u32],
+    /// Per constraint: where its class's table lies in `support_words`.
+    tables: Vec<&'s SupportTable>,
     /// Per variable: the constraints containing it (CSR via `cont_off`).
     cont_off: Vec<u32>,
     cont: Vec<u32>,
@@ -635,7 +949,7 @@ pub(crate) struct BitsetCsp<'s> {
     val_stride: usize,
     /// Per variable: dense color index into the encoder's universes.
     var_color: Vec<u32>,
-    encoder: Arc<OutputEncoder>,
+    encoder: &'s OutputEncoder,
 }
 
 /// An open node of [`BitsetCsp::backtrack`]'s descent: the variable it
@@ -708,7 +1022,7 @@ impl BitsetCsp<'_> {
 
     /// The kernel's view of constraint `ci`'s table.
     fn support(&self, ci: usize) -> &SupportTable {
-        &self.tables[ci]
+        self.tables[ci]
     }
 
     /// The constraints containing variable `vi`.
@@ -756,13 +1070,13 @@ impl BitsetCsp<'_> {
     /// domains at every position except `skip`.
     fn tuple_alive(&self, dom: &[u64], ci: usize, ti: u32, skip: usize) -> bool {
         let t = self.support(ci);
-        let base = ti as usize * t.arity;
+        let base = t.at + ti as usize * t.arity;
         let verts = self.verts(ci);
         for (j, &vj) in verts.iter().enumerate() {
             if j == skip {
                 continue;
             }
-            let val = t.tuples[base + j] as usize;
+            let val = self.support_words[base + j] as usize;
             if dom[vj as usize * self.words + val / 64] & (1u64 << (val % 64)) == 0 {
                 return false;
             }
@@ -788,7 +1102,7 @@ impl BitsetCsp<'_> {
         if r != 0 && self.tuple_alive(dom, ci, r - 1, pos) {
             return true;
         }
-        for &ti in t.supports_of(pos, val) {
+        for &ti in t.supports_of(self.support_words, pos, val) {
             if self.tuple_alive(dom, ci, ti, pos) {
                 residues[slot] = ti + 1;
                 return true;
@@ -1025,40 +1339,38 @@ impl BitsetCsp<'_> {
 /// constraints: the skeleton's constraints, one per simplex in the
 /// reference tower's simplex order, so constraint indices (and with them
 /// the propagation order and every counter) match the reference engine's
-/// ([`crate::reference`]). Each class's table is resolved once through
-/// `q`'s tables, polling `deadline` as [`Skeleton::resolve`] does. `None`
-/// means a constraint admits no tuple or a domain starts empty — provably
-/// unsolvable, exactly as in the reference compile.
+/// ([`crate::reference`]). Each constraint reads its class's table in
+/// `level` (the task's tables of this level, [`Skeleton::resolve`]).
+/// `None` means a constraint admits no tuple or a domain starts empty —
+/// provably unsolvable, exactly as in the reference compile.
 pub(crate) fn compile<'s>(
-    q: &KeyedTask,
     skel: &'s Skeleton,
-    deadline: Option<Instant>,
-) -> Result<Option<(BitsetCsp<'s>, Vec<u64>)>, Halt> {
+    level: &'s LevelTables,
+) -> Option<(BitsetCsp<'s>, Vec<u64>)> {
     // registered at compile, so a scrape lists them before any publish
     SOLVE_COUNTERS.iter().for_each(StaticCounter::register);
     let c = skel.tower().complex();
     let nv = c.num_vertices();
-    let class_tables = skel.resolve(q, deadline)?;
-    if class_tables.iter().any(|t| t.is_empty()) {
-        return Ok(None);
+    let classes = level.classes();
+    if classes.iter().any(CompiledTable::is_empty) {
+        return None;
     }
-    let encoder = Arc::clone(q.tables().encoder(q.task()));
-    let class_support: Vec<Arc<SupportTable>> =
-        class_tables.iter().map(|t| t.support(&encoder)).collect();
+    let encoder = &*level.encoder;
+    let support = level.support();
     let words = encoder.words;
     let (cont_off, cont) = skel.containing();
     // initial domains from the unary (vertex) constraints
     let mut dom = vec![0u64; nv * words];
     for ci in 0..skel.len() {
         if let &[v] = skel.verts(ci) {
-            for t in class_tables[skel.class(ci)].tuples() {
+            for t in classes[skel.class(ci)].tuples() {
                 let bit = encoder.bit_of(t[0]) as usize;
                 dom[v as usize * words + bit / 64] |= 1u64 << (bit % 64);
             }
         }
     }
     if (0..nv).any(|vi| dom[vi * words..(vi + 1) * words].iter().all(|&w| w == 0)) {
-        return Ok(None);
+        return None;
     }
     let var_color: Vec<u32> = (0..nv)
         .map(|vi| {
@@ -1075,8 +1387,9 @@ pub(crate) fn compile<'s>(
         words,
         cvar: &skel.cvar,
         coff: &skel.coff,
+        support_words: &support.words,
         tables: (0..skel.len())
-            .map(|ci| Arc::clone(&class_support[skel.class(ci)]))
+            .map(|ci| &support.tables[skel.class(ci)])
             .collect(),
         cont_off,
         cont,
@@ -1084,7 +1397,7 @@ pub(crate) fn compile<'s>(
         var_color,
         encoder,
     };
-    Ok(Some((csp, dom)))
+    Some((csp, dom))
 }
 
 /// The search entry: compile, propagate the root, then run MAC —
@@ -1098,11 +1411,12 @@ pub(crate) fn search_map(
     round: iis_obs::profile::SpanId,
 ) -> Result<Option<SimplicialMap>, Halt> {
     let compile_t0 = profile_now();
-    let compiled = compile(q, skel, deadline);
+    let level = skel.resolve(q, deadline)?;
+    let compiled = compile(skel, &level);
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
     }
-    let Some((csp, root)) = compiled? else {
+    let Some((csp, root)) = compiled else {
         return Ok(None);
     };
     let mut st = csp.new_state(root);
@@ -1222,22 +1536,56 @@ mod tests {
     use super::*;
     use iis_tasks::library::k_set_consensus;
     use iis_topology::arena::arena_sds_tower;
+    use iis_topology::Simplex;
+
+    /// Output vertices of colors no `Δ` simplex has change no table and
+    /// widen no `Δ` row: a row is as wide as its carrier.
+    #[test]
+    fn unused_output_colors_widen_no_row() {
+        let base = iis_tasks::library::approximate_agreement(1, 3);
+        let mut output = base.output().clone();
+        for c in 2..2_000 {
+            output.ensure_vertex(Color(c), iis_topology::Label::scalar(7));
+        }
+        let mut b = iis_tasks::TaskBuilder::new("wide", base.input().clone(), output);
+        for (si, outs) in base.delta_entries() {
+            for so in outs {
+                b.allow(si.clone(), so.clone());
+            }
+        }
+        let (plain, wide) = (KeyedTask::new(base), KeyedTask::new(b.build().unwrap()));
+        let skel = Skeleton::new(arena_sds_tower(plain.task().input(), 2));
+        let (want, got) = (
+            skel.resolve(&plain, None).unwrap(),
+            skel.resolve(&wide, None).unwrap(),
+        );
+        for (w, g) in want.classes().iter().zip(got.classes()) {
+            assert_eq!(w.allowed, g.allowed);
+        }
+        let delta_vertices: usize = wide
+            .task()
+            .delta_entries()
+            .flat_map(|(_, outs)| outs.iter().map(Simplex::len))
+            .sum();
+        assert!(wide.tables().rows.bits.len() <= delta_vertices);
+    }
 
     /// The support CSR must index exactly the tuples a linear scan finds.
     #[test]
     fn support_lists_match_linear_scan() {
         let q = KeyedTask::new(k_set_consensus(2, 2));
         let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
-        let (csp, _) = compile(&q, &skel, None).unwrap().expect("compiles");
-        let resolved = skel.resolve(&q, None).unwrap();
-        for (ci, t) in csp.tables.iter().enumerate() {
-            let table = &resolved[skel.class(ci)];
-            assert_eq!(t.tuples.len(), table.allowed.len());
+        let level = skel.resolve(&q, None).unwrap();
+        let (csp, _) = compile(&skel, &level).expect("compiles");
+        for ci in 0..csp.num_constraints() {
+            let (t, words) = (csp.support(ci), csp.support_words);
+            let table = &level.classes()[skel.class(ci)];
+            assert_eq!(t.tuples(words).len(), table.allowed.len());
             for pos in 0..t.arity {
                 for val in 0..t.val_stride as u32 {
-                    let listed: Vec<u32> = t.supports_of(pos, val).to_vec();
+                    let listed: Vec<u32> = t.supports_of(words, pos, val).to_vec();
                     let scanned: Vec<u32> = (0..table.tuples().len() as u32)
-                        .filter(|&ti| t.tuples[ti as usize * t.arity + pos] == val)
+                        .filter(|&ti| t.tuples(words)[ti as usize * t.arity + pos] == val)
                         .collect();
                     assert_eq!(listed, scanned);
                 }
@@ -1252,7 +1600,7 @@ mod tests {
         let q = KeyedTask::new(k_set_consensus(2, 2));
         let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
         let outs = q.task().output().num_vertices() as u32;
-        for t in skel.resolve(&q, None).unwrap() {
+        for t in skel.resolve(&q, None).unwrap().classes() {
             assert!(!t.is_empty());
             let sorted: Vec<&[VertexId]> = t.tuples().collect();
             assert!(sorted.windows(2).all(|p| p[0] < p[1]), "sorted, distinct");
@@ -1283,7 +1631,8 @@ mod tests {
                     raw.chunks_exact(arity).map(<[VertexId]>::to_vec).collect();
                 want.sort();
                 want.dedup();
-                assert_eq!(sorted_chunks(raw, arity), want.concat(), "arity {arity}");
+                let got = sorted_chunks(&raw, arity, &mut Vec::new());
+                assert_eq!(got, want.concat(), "arity {arity}");
             }
         }
     }
@@ -1303,12 +1652,20 @@ mod tests {
         assert_eq!(skel.len(), walk.len());
         for (ci, (s, carrier)) in walk.iter().enumerate() {
             assert_eq!(skel.verts(ci), &s[..]);
-            let (c, colors) = &skel.classes[skel.class(ci)];
-            assert_eq!(&c[..], &carrier[..]);
+            let (_, colors) = &skel.classes[skel.class(ci)];
+            let ids: Vec<VertexId> = carrier.iter().map(|&u| VertexId(u)).collect();
+            assert_eq!(skel.carrier(skel.class(ci)), &ids[..]);
             let want: Vec<Color> = s.iter().map(|&v| skel.tower().complex().color(v)).collect();
             assert_eq!(&colors[..], &want[..]);
         }
         assert!(skel.classes.len() < skel.len(), "classes are shared");
+        assert!(
+            skel.carriers.len() < skel.classes.len(),
+            "carriers are shared"
+        );
+        let distinct: std::collections::BTreeSet<&[VertexId]> =
+            skel.carriers.iter().map(|c| &c[..]).collect();
+        assert_eq!(distinct.len(), skel.carriers.len(), "carriers are distinct");
     }
 
     /// A passed deadline stops a skeleton build at its first poll, and a
@@ -1323,9 +1680,9 @@ mod tests {
         let small = Arc::new(arena_sds_tower(q.task().input(), 0));
         let skel = Skeleton::until(Arc::clone(&small), past).expect("no poll reached");
         assert_eq!((skel.len(), skel.classes.len()), (80, 80));
-        assert_eq!(compile(&q, &skel, past).err(), Some(Halt::Timeout));
-        let untimed = compile(&keyed("eps:3:3"), &skel, None).unwrap();
-        assert!(untimed.is_some());
+        assert_eq!(skel.resolve(&q, past).err(), Some(Halt::Timeout));
+        let level = skel.resolve(&keyed("eps:3:3"), None).unwrap();
+        assert!(compile(&skel, &level).is_some());
         // SDS^1 has more than 4096 simplices
         let large = Arc::new(small.next());
         assert!(Skeleton::until(Arc::clone(&large), past).is_none());
@@ -1337,7 +1694,7 @@ mod tests {
         let q = keyed("eps:1:3");
         let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
         assert!(skel.classes.len() < CLASSES_PER_POLL);
-        assert!(compile(&q, &skel, past).is_ok());
+        assert!(skel.resolve(&q, past).is_ok());
     }
 
     /// Trail undo must restore the exact pre-assignment domain words.
@@ -1345,7 +1702,8 @@ mod tests {
     fn trail_undo_restores_domains() {
         let q = KeyedTask::new(k_set_consensus(2, 2));
         let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
-        let (csp, root) = compile(&q, &skel, None).unwrap().expect("compiles");
+        let level = skel.resolve(&q, None).unwrap();
+        let (csp, root) = compile(&skel, &level).expect("compiles");
         let mut st = csp.new_state(root);
         assert_eq!(csp.propagate(&mut st, None, None), Ok(true));
         let snapshot = st.dom.clone();

@@ -46,7 +46,7 @@
 //! assert!(solve_plain(&eps, 1, u64::MAX).unwrap().is_some());
 //! ```
 
-use crate::csp::{CompiledTable, ConstraintCache, Tally};
+use crate::csp::{CompiledTable, PlainTables, Tally};
 use crate::solvability::validate_decision_map;
 use iis_tasks::Task;
 use iis_topology::{sds_reference_iterated, Color, SimplicialMap, Subdivision, VertexId};
@@ -95,7 +95,7 @@ fn solve(
 ) -> Result<Option<SimplicialMap>, Exhausted> {
     let sub = sds_reference_iterated(task.input(), b);
     let Some((mut csp, mut domains)) =
-        compile_csp(task, &sub, &mut ConstraintCache::default(), max_nodes)
+        compile_csp(task, &sub, &mut PlainTables::new(task), max_nodes)
     else {
         return Ok(None);
     };
@@ -146,7 +146,7 @@ struct Csp {
 fn compile_csp(
     task: &Task,
     sub: &Subdivision,
-    cache: &mut ConstraintCache,
+    cache: &mut PlainTables,
     max_nodes: u64,
 ) -> Option<(Csp, Vec<Vec<VertexId>>)> {
     let c = sub.complex();
@@ -364,7 +364,8 @@ mod tests {
     /// The compiled kernel compiles from the arena tower, the reference
     /// engine from the labelled `Subdivision`: per round, the constraints
     /// must be the same vertex lists in the same order with the same
-    /// allowed tuples.
+    /// allowed tuples — the kernel's sorted as packed keys from each
+    /// carrier's `Δ` rows, the reference's as chunks per simplex.
     #[test]
     fn arena_compile_matches_reference_compile() {
         let cases = [
@@ -373,15 +374,17 @@ mod tests {
             (k_set_consensus(2, 2), 2),
             (renaming(1, 3), 2),
             (approximate_agreement(1, 9), 2),
+            (approximate_agreement(2, 2), 1),
             (one_shot_immediate_snapshot_task(2), 1),
         ];
         for (task, max_b) in cases {
             let q = KeyedTask::new(task.clone());
-            let mut reference_cache = ConstraintCache::default();
+            let mut reference_cache = PlainTables::new(&task);
             for b in 0..=max_b {
                 let skel = Skeleton::new(iis_topology::arena::arena_sds_tower(task.input(), b));
                 let sub = sds_reference_iterated(task.input(), b);
-                let compiled = crate::csp::compile(&q, &skel, None).unwrap();
+                let level = skel.resolve(&q, None).unwrap();
+                let compiled = crate::csp::compile(&skel, &level);
                 let reference = compile_csp(&task, &sub, &mut reference_cache, u64::MAX);
                 let (Some((k, _)), Some((r, _))) = (compiled, reference) else {
                     panic!("{} b={b}: only one side compiled", task.name());
@@ -392,7 +395,6 @@ mod tests {
                     "{} b={b}",
                     task.name()
                 );
-                let arena_allowed = skel.resolve(&q, None).unwrap();
                 for (ci, con) in r.constraints.iter().enumerate() {
                     let verts: Vec<u32> = con.verts.iter().map(|v| v.0).collect();
                     assert_eq!(
@@ -401,7 +403,7 @@ mod tests {
                         "{} b={b} constraint {ci}",
                         task.name()
                     );
-                    assert_eq!(arena_allowed[skel.class(ci)].allowed, con.table.allowed);
+                    assert_eq!(level.classes()[skel.class(ci)].allowed, con.table.allowed);
                 }
             }
         }

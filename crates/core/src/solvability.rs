@@ -226,8 +226,8 @@ pub(crate) fn check_decision_map(
         check_image(skel, q.task().output(), vid, w)?;
         image.push(w);
     }
-    let class_tables = skel.resolve(q, None).expect("no deadline");
-    check_simplices(skel, &class_tables, &image)
+    let level = skel.resolve(q, None).expect("no deadline");
+    check_simplices(skel, level.classes(), &image)
 }
 
 /// The per-vertex half of Proposition 3.1's check: vertex `v` of `skel`'s
@@ -269,7 +269,7 @@ pub(crate) fn check_image(
 /// Names the first failing simplex and its carrier.
 pub(crate) fn check_simplices(
     skel: &Skeleton,
-    class_tables: &[Arc<CompiledTable>],
+    class_tables: &[CompiledTable],
     image: &[VertexId],
 ) -> Result<(), String> {
     let mut img: Vec<VertexId> = Vec::new();
@@ -283,7 +283,7 @@ pub(crate) fn check_simplices(
             return Err(format!(
                 "simplex {} (carrier {}) decides {} ∉ Δ(carrier)",
                 ids(verts),
-                ids(skel.carrier(class)),
+                Simplex::new(skel.carrier(class).iter().copied()),
                 Simplex::new(img.iter().copied())
             ));
         }
@@ -514,10 +514,10 @@ pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutco
 /// in this order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Decider {
-    /// The Sperner certificate ([`find_certificate`], DESIGN.md §17).
-    Certificate,
     /// The distance pass ([`crate::distance`], DESIGN.md §18).
     Distance,
+    /// The Sperner certificate ([`find_certificate`], DESIGN.md §17).
+    Certificate,
     /// The gate to the level (`cache::skeleton`), which only stops a round.
     Gate,
     /// The search on the level.
@@ -691,10 +691,10 @@ impl<'t> Solver<'t> {
     pub fn step(&mut self) -> BoundedOutcome {
         let (task, b) = (self.q.task(), self.next);
         iis_obs::progress::solve_round_started(task.name(), b as u64, self.opts.max_nodes);
-        let (decider, outcome, nodes) = if b > 0 && self.certified() {
-            (Decider::Certificate, BoundedOutcome::Unsolvable, 0)
-        } else if self.q.distances().refuting(b).is_some() {
+        let (decider, outcome, nodes) = if self.q.distances().refuting(b).is_some() {
             (Decider::Distance, BoundedOutcome::Unsolvable, 0)
+        } else if b > 0 && self.certified() {
+            (Decider::Certificate, BoundedOutcome::Unsolvable, 0)
         } else {
             match skeleton(self.q, b, self.skel.as_deref(), self.deadline) {
                 Err(stop) => (Decider::Gate, stop, 0),

@@ -577,3 +577,122 @@ fn question_bodies_read_alike() {
     let prefix = key_prefix(&parse_spec("eps:1:3").unwrap());
     assert_eq!(resolved(inline).unwrap().0, format!("task {prefix:016x}"));
 }
+
+/// The spans of the integers of `text` that are array items, each with
+/// the span of the array holding it.
+fn array_items(text: &str) -> Vec<((usize, usize), (usize, usize))> {
+    let bytes = text.as_bytes();
+    let mut opens: Vec<usize> = Vec::new();
+    let mut items = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'[' => opens.push(i),
+            b']' => {
+                opens.pop();
+            }
+            b'0'..=b'9' if i > 0 && matches!(bytes[i - 1], b'[' | b',') => {
+                let end = (i..bytes.len())
+                    .find(|&j| !bytes[j].is_ascii_digit())
+                    .unwrap_or(bytes.len());
+                let close = (end..bytes.len()).find(|&j| bytes[j] == b']');
+                if let (Some(&open), Some(b']' | b','), Some(close)) =
+                    (opens.last(), bytes.get(end), close)
+                {
+                    items.push(((i, end), (open, close + 1)));
+                }
+                i = end;
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    items
+}
+
+/// `text` with one seeded edit aimed at the compact reading of integer
+/// arrays (simplices and labels): a number written another way (leading
+/// zero, `-0`, `1e0`, `1.0`, 16 digits) or out of its range (an id past
+/// `u32`, a label byte past `u8`), whitespace inside the array, the array
+/// emptied, its ids unsorted or repeated, a face of a facet listed as a
+/// facet too, the text cut, or the array nested to the depth limit.
+fn mutate_compact(rng: &mut Rng, text: &str) -> String {
+    let items = array_items(text);
+    let Some(&((start, end), (open, close))) = rng.choose(&items) else {
+        return text.to_string();
+    };
+    let n = &text[start..end];
+    let array = &text[open..close];
+    let splice =
+        |at: (usize, usize), with: &str| format!("{}{with}{}", &text[..at.0], &text[at.1..]);
+    match rng.random_range(0u32..14) {
+        0 => splice((start, end), &format!("0{n}")),
+        1 => splice((start, end), "-0"),
+        2 => splice((start, end), &format!("{n}e0")),
+        3 => splice((start, end), &format!("{n}.0")),
+        4 => splice((start, end), "1000000000000000"),
+        5 => splice((start, end), "4294967296"),
+        6 => splice((start, end), "256"),
+        7 => splice((start, end), &format!(" {n}\n")),
+        8 => splice((open, close), "[]"),
+        9 => {
+            // the array's items reversed: unsorted ids, a reordered label
+            let mut ids: Vec<&str> = array[1..array.len() - 1].split(',').collect();
+            ids.reverse();
+            splice((open, close), &format!("[{}]", ids.join(",")))
+        }
+        10 => splice((start, end), &format!("{n},{n}")),
+        11 => {
+            // a face of some facet listed among the facets: not an antichain
+            match text.find("\"facets\":[") {
+                Some(at) => {
+                    let at = at + "\"facets\":[".len();
+                    format!("{}[{n}],{}", &text[..at], &text[at..])
+                }
+                None => text.to_string(),
+            }
+        }
+        12 => text[..rng.random_range(0..text.len())].to_string(),
+        _ => {
+            // the depth limit (128 containers) falls inside the array
+            let depth = rng.random_range(118usize..132);
+            splice(
+                (open, close),
+                &format!("{}{array}{}", "[".repeat(depth), "]".repeat(depth)),
+            )
+        }
+    }
+}
+
+#[test]
+fn compact_array_edits_read_alike() {
+    let mut rng = Rng::seed_from_u64(0x5eed_a7a7);
+    let mut texts: Vec<String> = SMALL_SPECS
+        .iter()
+        .chain(&["eps:1:64", "eps:2:2", "kset:3:3"])
+        .map(|s| parse_spec(s).unwrap().canonical_json().to_string())
+        .collect();
+    texts.push(FIXTURE.trim_end().to_string());
+    let (mut decoded, mut total) = (0, 0);
+    for text in &texts {
+        for _ in 0..150 {
+            let mut edited = mutate_compact(&mut rng, text);
+            if rng.random_bool(0.3) {
+                edited = mutate_compact(&mut rng, &edited);
+            }
+            total += 1;
+            if check_task(&edited) {
+                decoded += 1;
+            }
+            if rng.random_bool(0.2) {
+                check_body(&inline_body(&edited, r#", "max_rounds": 1"#));
+            }
+        }
+    }
+    // the edits reach both sides: decodable variants and refusals
+    assert!(
+        decoded > total / 10 && decoded < total * 9 / 10,
+        "{decoded}/{total}"
+    );
+}

@@ -11,8 +11,44 @@
 
 use iis_core::{solve_up_to, BoundedOutcome};
 use iis_obs::Json;
+use iis_tasks::{Task, TaskBuilder};
+use iis_topology::{Complex, Label, Simplex, VertexId};
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// The disjoint union of `parts`: their inputs side by side, their
+/// outputs side by side, each `Δ` on its own part. Every vertex label is
+/// tagged with its part, so no vertex of one part is one of another.
+fn disjoint_union(name: &str, parts: &[Task]) -> Task {
+    let (mut input, mut output) = (Complex::new(), Complex::new());
+    let mut delta = Vec::new();
+    for (tag, part) in parts.iter().enumerate() {
+        let tag = Label::scalar(tag as u64);
+        let copy = |from: &Complex, into: &mut Complex| -> Vec<VertexId> {
+            let ids: Vec<VertexId> = from
+                .vertex_ids()
+                .map(|v| into.ensure_vertex(from.color(v), Label::pair(&tag, from.label(v))))
+                .collect();
+            for f in from.facets() {
+                into.add_facet(f.iter().map(|v| ids[v.index()]));
+            }
+            ids
+        };
+        let ins = copy(part.input(), &mut input);
+        let outs = copy(part.output(), &mut output);
+        for (si, allowed) in part.delta_entries() {
+            let si = Simplex::new(si.iter().map(|v| ins[v.index()]));
+            for so in allowed {
+                delta.push((si.clone(), Simplex::new(so.iter().map(|w| outs[w.index()]))));
+            }
+        }
+    }
+    let mut b = TaskBuilder::new(name, input, output);
+    for (si, so) in delta {
+        b.allow(si, so);
+    }
+    b.build().expect("a disjoint union of tasks is a task")
+}
 
 /// A trace writer whose bytes the test reads back.
 #[derive(Clone, Default)]
@@ -67,18 +103,26 @@ fn a_capped_round_is_traced_with_its_facet_count() {
         "{text}"
     );
     let mut traced = rounds.len();
+    let spec = |spec: &str| iis_tasks::library::parse_spec(spec).unwrap();
+    // The distance pass is asked first. Beside kset:2:2, eps:1:3's input
+    // edge has its corners 3 apart: past 3^0, so the pass refutes b = 0,
+    // and within 3^b from b = 1 on, where kset:2:2's certificate settles
+    // every round. Consensus's corners are not joined in Δ at all: the
+    // pass refutes every round, before any certificate is looked for.
+    let both = disjoint_union("kset:2:2+eps:1:3", &[spec("kset:2:2"), spec("eps:1:3")]);
     // one sweep per decider chain: search then certificate, distance then
-    // search, distance then certificate
-    for (spec, max_rounds, outcomes) in [
-        ("kset:2:2", 1, &["unsolvable", "certified"][..]),
-        ("eps:1:9", 3, &["distance", "distance", "solvable"]),
+    // search, distance then certificate, distance throughout
+    for (task, max_rounds, outcomes) in [
+        (spec("kset:2:2"), 1, &["unsolvable", "certified"][..]),
+        (spec("eps:1:9"), 3, &["distance", "distance", "solvable"]),
+        (both, 2, &["distance", "certified", "certified"]),
         (
-            "consensus:1",
+            spec("consensus:1"),
             3,
-            &["distance", "certified", "certified", "certified"],
+            &["distance", "distance", "distance", "distance"],
         ),
     ] {
-        let task = iis_tasks::library::parse_spec(spec).unwrap();
+        let spec = task.name().to_string();
         let sink = Shared::default();
         let report = {
             let _guard = iis_obs::trace::guard_writer(Box::new(sink.clone()));

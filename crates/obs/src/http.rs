@@ -537,7 +537,50 @@ fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool)
     let _ = stream.flush();
 }
 
+thread_local! {
+    /// What the handlers of this thread's connection asked to keep until
+    /// their reply is written ([`drop_after_reply`]); `None` on a thread
+    /// that is not answering a connection.
+    static AFTER_REPLY: std::cell::RefCell<Option<Vec<Box<dyn std::any::Any>>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// Drops `value` once the reply to the request this thread is answering
+/// has been written, or at once on a thread that answers no request. A
+/// handler hands over what its answer was computed from (a question's
+/// task, say), so freeing it is not on the reply's path.
+pub fn drop_after_reply<T: 'static>(value: T) {
+    let rest = AFTER_REPLY.with(|held| match held.borrow_mut().as_mut() {
+        Some(held) => {
+            held.push(Box::new(value));
+            None
+        }
+        None => Some(value),
+    });
+    drop(rest);
+}
+
+/// Drops what [`drop_after_reply`] held for the reply just written.
+fn drop_held() {
+    let held = AFTER_REPLY.with(|held| held.borrow_mut().as_mut().map(std::mem::take));
+    // dropped outside the borrow: a value's drop may hand over another
+    drop(held);
+}
+
 fn handle_connection(
+    stream: TcpStream,
+    handler: Option<&Handler>,
+    read_deadline: Duration,
+    max_body: usize,
+    stop: &AtomicBool,
+) {
+    AFTER_REPLY.with(|held| *held.borrow_mut() = Some(Vec::new()));
+    answer_connection(stream, handler, read_deadline, max_body, stop);
+    drop_held();
+    AFTER_REPLY.with(|held| *held.borrow_mut() = None);
+}
+
+fn answer_connection(
     mut stream: TcpStream,
     handler: Option<&Handler>,
     read_deadline: Duration,
@@ -562,6 +605,7 @@ fn handle_connection(
         let keep_alive = client_keep_alive && !stop.load(Ordering::Acquire);
         let response = route(&request, handler);
         write_response(&mut stream, &response, keep_alive);
+        drop_held();
         if !keep_alive {
             return;
         }
@@ -829,20 +873,26 @@ impl Client {
         body: Option<&[u8]>,
     ) -> std::io::Result<(ClientResponse, bool)> {
         let start = Instant::now();
-        let mut head =
-            format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: keep-alive\r\n");
-        if let Some(body) = body {
-            head.push_str("Content-Type: application/json\r\n");
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+        // head and body leave in one write: on a `TCP_NODELAY` socket two
+        // writes are two segments, and the server may wake for each
+        let len = body.map_or(0, <[u8]>::len);
+        let mut request = Vec::with_capacity(160 + addr.len() + path.len() + len);
+        let _ = write!(
+            request,
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: keep-alive\r\n"
+        );
+        if body.is_some() {
+            let _ = write!(
+                request,
+                "Content-Type: application/json\r\nContent-Length: {len}\r\n"
+            );
         } else if matches!(method, "POST" | "PUT" | "PATCH") {
-            head.push_str("Content-Length: 0\r\n");
+            request.extend_from_slice(b"Content-Length: 0\r\n");
         }
-        head.push_str("\r\n");
+        request.extend_from_slice(b"\r\n");
+        request.extend_from_slice(body.unwrap_or_default());
         let _ = stream.set_write_timeout(Some(self.deadline));
-        stream.write_all(head.as_bytes())?;
-        if let Some(body) = body {
-            stream.write_all(body)?;
-        }
+        stream.write_all(&request)?;
         stream.flush()?;
         read_client_response(stream, start, self.deadline)
     }
@@ -1375,6 +1425,42 @@ mod tests {
         stream.read_to_string(&mut rest).unwrap();
         assert!(rest.is_empty(), "server must close after Connection: close");
         server.shutdown();
+    }
+
+    #[test]
+    fn values_handed_over_are_dropped_after_their_reply() {
+        use std::sync::atomic::AtomicUsize;
+        /// Counts its drops.
+        struct Held(Arc<AtomicUsize>);
+        impl Drop for Held {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(AtomicUsize::new(0));
+        // off a connection thread, a value is dropped at once
+        drop_after_reply(Held(Arc::clone(&dropped)));
+        assert_eq!(dropped.load(Ordering::SeqCst), 1);
+        let counter = Arc::clone(&dropped);
+        let handler: Arc<Handler> = Arc::new(move |_: &Request| {
+            // what the previous request handed over is gone by now, and
+            // what this one hands over outlives the handler
+            let before = counter.load(Ordering::SeqCst);
+            drop_after_reply(Held(Arc::clone(&counter)));
+            let after = counter.load(Ordering::SeqCst);
+            Some(Response::json(format!("[{before},{after}]")))
+        });
+        let server = serve_with("127.0.0.1:0", handler).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        for want in ["[1,1]", "[2,2]", "[3,3]"] {
+            write!(stream, "GET /held HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+            let (_, body) = read_one_response(&mut stream);
+            assert_eq!(body, want);
+        }
+        drop(stream);
+        server.shutdown();
+        // the last one went with its connection
+        assert_eq!(dropped.load(Ordering::SeqCst), 4);
     }
 
     #[test]

@@ -1087,21 +1087,158 @@ impl<'a> Reader<'a> {
         if self.depth >= MAX_DEPTH || self.byte() != Some(b'[') {
             return None;
         }
-        let (a, at) = self.compact_uint(self.pos + 1, b',')?;
-        let (b, end) = self.compact_uint(at, b']')?;
+        let (a, comma) = self.compact_uint(self.pos + 1)?;
+        if self.bytes[comma] != b',' {
+            return None;
+        }
+        let (b, close) = self.compact_uint(comma + 1)?;
+        if self.bytes[close] != b']' {
+            return None;
+        }
         let pair = (T::try_from(a).ok()?, T::try_from(b).ok()?);
-        self.pos = end;
+        self.pos = close + 1;
         Some(pair)
     }
 
-    /// The shortest integer of at most [`FAST_INT_DIGITS`] digits at
-    /// `at`, if `close` follows it: its value and the offset past `close`.
+    /// Reads an array of unsigned integers exactly as [`Reader::array_or`]
+    /// (refusing with `expected array`) over [`Reader::uint`] reads it —
+    /// the same accepts, refusals, positions and [`Reader::irregular`]
+    /// count — appending the items to `out`.
+    ///
+    /// An array written compactly (`[`, shortest integers in `T`'s range
+    /// separated by `,`, `]`) is read in one tight scan; any other value
+    /// is read from its first byte by the general path, which decides it
+    /// exactly as the composition does.
+    ///
+    /// # Errors
+    ///
+    /// As the composition: the first syntax error, or `expected array`,
+    /// or the first item's refusal, reported once the value has been
+    /// read. `out` then holds the items before the refused one.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_obs::json::Reader;
+    /// let mut ids: Vec<u8> = Vec::new();
+    /// let mut r = Reader::new("[[3,1],[ 2]]");
+    /// r.array(|r| r.uints(&mut ids)).unwrap();
+    /// assert_eq!((ids, r.irregular()), (vec![3, 1, 2], 1));
+    /// ```
+    pub fn uints<T: TryFrom<u64>>(&mut self, out: &mut Vec<T>) -> Result<(), JsonError> {
+        if self.peek()? == Token::Array && self.compact_uints(out) {
+            return Ok(());
+        }
+        self.array_or("expected array", |r| {
+            out.push(r.uint()?);
+            Ok(())
+        })
+    }
+
+    /// Reads a pair `[a, [b, …]]` exactly as [`Reader::pair`] of a
+    /// [`Reader::uint`] and [`Reader::uints`] reads it — the same accepts,
+    /// refusals, positions and [`Reader::irregular`] count — returning `a`
+    /// and appending the `b`s to `out`.
+    ///
+    /// A pair written compactly (`[`, a shortest integer in `T`'s range,
+    /// `,`, a compact array as [`Reader::uints`] takes it, `]`) is read in
+    /// one tight scan; any other value is read from its first byte by the
+    /// general path.
+    ///
+    /// # Errors
+    ///
+    /// As the composition. `out` then holds what the composition left.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use iis_obs::json::Reader;
+    /// let mut label: Vec<u8> = Vec::new();
+    /// let color: u32 = Reader::new("[1,[1,0,7]]").uint_and_uints(&mut label).unwrap();
+    /// assert_eq!((color, label), (1, vec![1, 0, 7]));
+    /// ```
+    pub fn uint_and_uints<T: TryFrom<u64>, U: TryFrom<u64>>(
+        &mut self,
+        out: &mut Vec<U>,
+    ) -> Result<T, JsonError> {
+        if self.peek()? == Token::Array {
+            if let Some(a) = self.compact_uint_and_uints(out) {
+                return Ok(a);
+            }
+        }
+        self.pair(Reader::uint, |r| r.uints(out)).map(|(a, ())| a)
+    }
+
+    /// The compact pair `[a,[b,…]]` at the position, consumed with its
+    /// `b`s appended to `out`, when the general path would read it with no
+    /// refusal and nothing irregular; else `None` with nothing consumed
+    /// and `out` as it was.
+    fn compact_uint_and_uints<T: TryFrom<u64>, U: TryFrom<u64>>(
+        &mut self,
+        out: &mut Vec<U>,
+    ) -> Option<T> {
+        let (start, kept) = (self.pos, out.len());
+        let (a, comma) = self.compact_uint(start + 1)?;
+        let a = T::try_from(a).ok()?;
+        if self.bytes[comma] != b',' || self.bytes.get(comma + 1) != Some(&b'[') {
+            return None;
+        }
+        // the general path reads the inner array one level deeper than
+        // the pair, where the scan checks the depth limit
+        self.pos = comma + 1;
+        self.depth += 1;
+        let inner = self.compact_uints(out);
+        self.depth -= 1;
+        if inner && self.byte() == Some(b']') {
+            self.pos += 1;
+            return Some(a);
+        }
+        out.truncate(kept);
+        self.pos = start;
+        None
+    }
+
+    /// Whether the array at the position is compact: then it is consumed
+    /// and its items appended to `out`, else nothing is consumed and `out`
+    /// is as it was.
     #[inline]
-    fn compact_uint(&self, at: usize, close: u8) -> Option<(u64, usize)> {
+    fn compact_uints<T: TryFrom<u64>>(&mut self, out: &mut Vec<T>) -> bool {
+        // the general path reads the items one level deeper
+        if self.depth >= MAX_DEPTH {
+            return false;
+        }
+        let kept = out.len();
+        let mut at = self.pos + 1;
+        if self.bytes.get(at) == Some(&b']') {
+            self.pos = at + 1;
+            return true;
+        }
+        while let Some((n, end)) = self.compact_uint(at) {
+            let Ok(item) = T::try_from(n) else {
+                break;
+            };
+            out.push(item);
+            match self.bytes[end] {
+                b',' => at = end + 1,
+                b']' => {
+                    self.pos = end + 1;
+                    return true;
+                }
+                _ => break,
+            }
+        }
+        out.truncate(kept);
+        false
+    }
+
+    /// The shortest integer of at most [`FAST_INT_DIGITS`] digits at
+    /// `at`, if a byte follows it: its value and that byte's offset.
+    #[inline]
+    fn compact_uint(&self, at: usize) -> Option<(u64, usize)> {
         let mut n = 0u64;
         for (i, &b) in self.bytes.get(at..)?.iter().enumerate() {
             if !b.is_ascii_digit() {
-                return (i > 0 && b == close).then_some((n, at + i + 1));
+                return (i > 0).then_some((n, at + i));
             }
             // past the fast digits, or a digit after a leading zero
             if i == FAST_INT_DIGITS || (i == 1 && n == 0) {
@@ -1781,6 +1918,198 @@ mod tests {
                 read(&text, depth, false),
                 "{depth}"
             );
+        }
+    }
+
+    /// A seeded array of mostly unsigned integers, compact or not.
+    fn random_uints(rng: &mut crate::Rng) -> String {
+        const ITEMS: [&str; 19] = [
+            "0",
+            "7",
+            "255",
+            "256",
+            "4294967295",
+            "4294967296",
+            "01",
+            "-0",
+            "-1",
+            "1.0",
+            "1e0",
+            "null",
+            "\"x\"",
+            "[]",
+            "[1]",
+            "999999999999999",
+            "1234567890123456",
+            "123456789012345678901",
+            "12",
+        ];
+        let items: Vec<&str> = (0..rng.random_range(0usize..10))
+            .map(|_| {
+                // mostly small compact integers, as a label or a simplex
+                if rng.random_bool(0.6) {
+                    ITEMS[rng.random_range(0usize..3)]
+                } else {
+                    *rng.choose(&ITEMS).unwrap()
+                }
+            })
+            .collect();
+        let sep = if rng.random_bool(0.8) { "," } else { ", " };
+        match rng.random_range(0u32..10) {
+            0 => rng.choose(&ITEMS).unwrap().to_string(),
+            1 => format!("[ {} ]", items.join(sep)),
+            _ => format!("[{}]", items.join(sep)),
+        }
+    }
+
+    #[test]
+    fn uints_reads_exactly_as_array_or_over_uint() {
+        type Got<T> = (Result<Vec<T>, JsonError>, usize, u64);
+        // reads `text` after descending `depth` arrays, one way or the other
+        fn read<T: TryFrom<u64>>(text: &str, depth: usize, tight: bool) -> Got<T> {
+            fn at<T: TryFrom<u64>>(
+                r: &mut Reader<'_>,
+                depth: usize,
+                tight: bool,
+                out: &mut Vec<T>,
+            ) -> Result<(), JsonError> {
+                if depth > 0 {
+                    return r.array(|r| at(r, depth - 1, tight, out));
+                }
+                if tight {
+                    return r.uints(out);
+                }
+                r.array_or("expected array", |r| {
+                    out.push(r.uint()?);
+                    Ok(())
+                })
+            }
+            let mut r = Reader::new(text);
+            let mut out = Vec::new();
+            let got = at(&mut r, depth, tight, &mut out).and_then(|()| r.finish());
+            (got.map(|()| out), r.pos(), r.irregular())
+        }
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0005);
+        for n in 0..4_000 {
+            let mut text = random_uints(&mut rng);
+            if n % 3 == 0 {
+                text = mutate(&mut rng, &text);
+            }
+            assert_eq!(
+                read::<u8>(&text, 0, true),
+                read(&text, 0, false),
+                "{text:?}"
+            );
+            assert_eq!(
+                read::<u32>(&text, 0, true),
+                read(&text, 0, false),
+                "{text:?}"
+            );
+            assert_eq!(
+                read::<u64>(&text, 0, true),
+                read(&text, 0, false),
+                "{text:?}"
+            );
+            // inside an array of them, as a list of simplices is read
+            let list = format!("[{text},{text}]");
+            assert_eq!(
+                read::<u8>(&list, 1, true),
+                read(&list, 1, false),
+                "{list:?}"
+            );
+        }
+        // at the depth limit the general path refuses where the scan must
+        // not read
+        for depth in MAX_DEPTH - 2..=MAX_DEPTH + 1 {
+            for inner in ["[1,2]", "[]"] {
+                let text = format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth));
+                assert_eq!(
+                    read::<u8>(&text, depth, true),
+                    read(&text, depth, false),
+                    "{depth} {inner}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn uint_and_uints_reads_exactly_as_a_pair_of_uint_and_uints() {
+        type Got = (Result<Vec<(u32, Vec<u8>)>, JsonError>, usize, u64);
+        // reads `text` after descending `depth` arrays, one way or the other
+        fn read(text: &str, depth: usize, tight: bool) -> Got {
+            fn at(
+                r: &mut Reader<'_>,
+                depth: usize,
+                tight: bool,
+                out: &mut Vec<(u32, Vec<u8>)>,
+            ) -> Result<(), JsonError> {
+                if depth > 0 {
+                    return r.array(|r| at(r, depth - 1, tight, out));
+                }
+                let mut bytes = Vec::new();
+                let a = if tight {
+                    r.uint_and_uints(&mut bytes)?
+                } else {
+                    let items = |r: &mut Reader<'_>| {
+                        r.array_or("expected array", |r| {
+                            bytes.push(r.uint()?);
+                            Ok(())
+                        })
+                    };
+                    r.pair(Reader::uint, items)?.0
+                };
+                out.push((a, bytes));
+                Ok(())
+            }
+            let mut r = Reader::new(text);
+            let mut out = Vec::new();
+            let got = at(&mut r, depth, tight, &mut out).and_then(|()| r.finish());
+            (got.map(|()| out), r.pos(), r.irregular())
+        }
+        const FIRST: [&str; 10] = [
+            "0",
+            "7",
+            "4294967295",
+            "4294967296",
+            "01",
+            "-0",
+            "1.0",
+            "null",
+            "[]",
+            "\"x\"",
+        ];
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0006);
+        for n in 0..4_000 {
+            let first = if rng.random_bool(0.7) {
+                FIRST[rng.random_range(0usize..3)]
+            } else {
+                *rng.choose(&FIRST).unwrap()
+            };
+            let sep = if rng.random_bool(0.9) { "," } else { ", " };
+            let mut text = match rng.random_range(0u32..10) {
+                0 => format!("[{first}]"),
+                1 => format!("[{first}{sep}{},0]", random_uints(&mut rng)),
+                _ => format!("[{first}{sep}{}]", random_uints(&mut rng)),
+            };
+            if n % 3 == 0 {
+                text = mutate(&mut rng, &text);
+            }
+            assert_eq!(read(&text, 0, true), read(&text, 0, false), "{text:?}");
+            // inside an array of them, as a vertex list is read
+            let list = format!("[{text},{text}]");
+            assert_eq!(read(&list, 1, true), read(&list, 1, false), "{list:?}");
+        }
+        // at the depth limit the general path refuses where the scan must
+        // not read
+        for depth in MAX_DEPTH - 3..=MAX_DEPTH + 1 {
+            for inner in ["[7,[1,2]]", "[7,[]]"] {
+                let text = format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth));
+                assert_eq!(
+                    read(&text, depth, true),
+                    read(&text, depth, false),
+                    "{depth} {inner}"
+                );
+            }
         }
     }
 

@@ -92,11 +92,11 @@ pub fn set_workers(n: u64) {
     WORKERS.store(n, Ordering::Relaxed);
 }
 
-/// One constraint-cache lookup resolved (`hit` iff a compiled table was
+/// `n` constraint-table lookups resolved (`hit` iff compiled tables were
 /// reused).
-pub fn cache_lookup(hit: bool) {
+pub fn cache_lookups(hit: bool, n: u64) {
     let cell = if hit { &CACHE_HITS } else { &CACHE_MISSES };
-    cell.fetch_add(1, Ordering::Relaxed);
+    cell.fetch_add(n, Ordering::Relaxed);
 }
 
 /// A fuzz sweep of `total` cases is starting.
@@ -365,9 +365,8 @@ mod tests {
         subtree_done();
         subtree_done();
         set_workers(4);
-        cache_lookup(true);
-        cache_lookup(true);
-        cache_lookup(false);
+        cache_lookups(true, 2);
+        cache_lookups(false, 1);
         let snap = snapshot();
         assert_eq!(snap.task, "kset:2:2");
         assert_eq!(snap.round, 2);

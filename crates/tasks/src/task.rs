@@ -3,6 +3,8 @@
 
 use iis_obs::json::{kept, member, read_all, JsonError, Reader, Token};
 use iis_topology::{Color, Complex, Label, Simplex};
+use std::borrow::Borrow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -87,8 +89,12 @@ impl Task {
     }
 
     /// The full output tuples allowed for input simplex `si` (empty slice if
-    /// `si` is not a `Δ` key).
-    pub fn delta(&self, si: &Simplex) -> &[Simplex] {
+    /// `si` is not a `Δ` key). `si` may be a [`Simplex`] or its sorted
+    /// vertex ids, `&[VertexId]`.
+    pub fn delta<Q: Ord + ?Sized>(&self, si: &Q) -> &[Simplex]
+    where
+        Simplex: Borrow<Q>,
+    {
         self.delta.get(si).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -268,29 +274,31 @@ impl TaskBuilder {
         }
         let inputs = self.input.facet_index();
         let outputs = self.output.facet_index();
-        // both complexes are chromatic, so a simplex's colors are distinct
-        // and comparing them sorted compares them as sets
-        let (mut in_colors, mut out_colors) = (Vec::new(), Vec::new());
+        let mut in_colors = Vec::new();
         for (si, outs) in &mut self.delta {
             if !inputs.contains_simplex(si) || si.is_empty() {
                 return Err(TaskError::DeltaKeyNotInput(si.clone()));
             }
-            outs.sort();
-            outs.dedup();
+            // as a task lists them, the outputs are sorted and distinct
+            if !outs.windows(2).all(|w| w[0] < w[1]) {
+                outs.sort();
+                outs.dedup();
+            }
             if outs.is_empty() {
                 return Err(TaskError::EmptyDelta(si.clone()));
             }
             in_colors.clear();
             in_colors.extend(si.iter().map(|v| self.input.color(v)));
-            in_colors.sort_unstable();
             for so in outs.iter() {
                 if !outputs.contains_simplex(so) {
                     return Err(TaskError::DeltaValueNotOutput(so.clone()));
                 }
-                out_colors.clear();
-                out_colors.extend(so.iter().map(|w| self.output.color(w)));
-                out_colors.sort_unstable();
-                if in_colors != out_colors {
+                // both complexes are chromatic, so each simplex's colors
+                // are distinct: the sets are equal iff the sizes are and
+                // every output color is an input color
+                let same = so.len() == si.len()
+                    && so.iter().all(|w| in_colors.contains(&self.output.color(w)));
+                if !same {
                     return Err(TaskError::ColorMismatch {
                         input: si.clone(),
                         output: so.clone(),
@@ -371,7 +379,10 @@ impl Task {
         let (delta, delta_canonical) = member(delta, "delta")?;
         let mut b = TaskBuilder::new(name, input, output);
         for (si, outs) in delta {
-            b.delta.entry(si).or_default().extend(outs);
+            match b.delta.entry(si) {
+                Entry::Vacant(slot) => drop(slot.insert(outs)),
+                Entry::Occupied(mut slot) => slot.get_mut().extend(outs),
+            }
         }
         let task = b.build().map_err(|e| JsonError::new(e.to_string()))?;
         let canonical = in_order

@@ -1,46 +1,166 @@
 //! Chromatic simplicial complexes.
 
 use crate::{Color, Label, Simplex, VertexId};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// A vertex → facet incidence index: answers "is `s` a face of some
 /// facet?" by checking only the facets through `s`'s rarest vertex, where
 /// [`Complex::contains_simplex`] scans them all. Built by
-/// [`Complex::facet_index`]; [`Complex::add_facets`] grows one as it
-/// decides which simplices are maximal.
+/// [`Complex::facet_index`]; [`Complex::add_facets`] builds one over the
+/// facets it has kept before each shorter size of candidates.
 pub struct FacetIndex<'a> {
     facets: Vec<&'a Simplex>,
-    /// Per vertex index, the positions in `facets` of the facets through it.
-    through: Vec<Vec<u32>>,
+    /// CSR offsets per vertex index into `through` (length `n + 1`).
+    off: Vec<u32>,
+    /// Per vertex index, the positions in `facets` of the facets through
+    /// it, ascending.
+    through: Vec<u32>,
 }
 
 impl<'a> FacetIndex<'a> {
-    fn with_vertices(n: usize) -> FacetIndex<'a> {
+    /// The index of `facets`, whose vertex ids are below `n`.
+    fn of(facets: Vec<&'a Simplex>, n: usize) -> FacetIndex<'a> {
+        // each vertex's count, summed to its end, then filled back to
+        // front: the offsets end at each vertex's start, every list ascends
+        let mut off = vec![0u32; n + 1];
+        for v in facets.iter().flat_map(|f| f.iter()) {
+            off[v.index()] += 1;
+        }
+        let mut sum = 0;
+        for end in &mut off {
+            sum += *end;
+            *end = sum;
+        }
+        let mut through = vec![0u32; off[n] as usize];
+        for (at, f) in facets.iter().enumerate().rev() {
+            for v in f.iter() {
+                off[v.index()] -= 1;
+                through[off[v.index()] as usize] = at as u32;
+            }
+        }
         FacetIndex {
-            facets: Vec::new(),
-            through: vec![Vec::new(); n],
+            facets,
+            off,
+            through,
         }
     }
 
-    fn push(&mut self, facet: &'a Simplex) {
-        let at = self.facets.len() as u32;
-        for v in facet.iter() {
-            self.through[v.index()].push(at);
+    fn incident(&self, v: VertexId) -> &[u32] {
+        match (self.off.get(v.index()), self.off.get(v.index() + 1)) {
+            (Some(&lo), Some(&hi)) => &self.through[lo as usize..hi as usize],
+            _ => &[],
         }
-        self.facets.push(facet);
     }
 
     /// `true` iff `s` is a face of an indexed facet (the empty simplex
     /// always is) — the same answer as [`Complex::contains_simplex`].
     pub fn contains_simplex(&self, s: &Simplex) -> bool {
-        let incident = |v: VertexId| self.through.get(v.index()).map_or(&[][..], Vec::as_slice);
-        match s.iter().min_by_key(|&v| incident(v).len()) {
+        match s.iter().min_by_key(|&v| self.incident(v).len()) {
             None => true,
-            Some(rarest) => incident(rarest)
+            Some(rarest) => self
+                .incident(rarest)
                 .iter()
                 .any(|&f| s.is_face_of(self.facets[f as usize])),
+        }
+    }
+}
+
+/// The `(color, label) → id` index of a vertex table: open addressing
+/// over vertex ids, each slot holding its vertex's hash beside its id and
+/// compared against the table itself, so a lookup borrows the label, an
+/// insert clones nothing, and growing re-places ids by their kept hashes.
+/// Each label is hashed once (keyed, as `HashMap` hashes it), by its bytes
+/// alone: the vertices of one label, whatever their colors, share a probe
+/// run, so an insert finds a label it can share.
+#[derive(Clone, Default)]
+struct VertexIndex {
+    hasher: RandomState,
+    /// `(id, hash)` per slot, id [`VertexIndex::EMPTY`] for none: empty,
+    /// or a power of two more than twice the vertex count long.
+    slots: Vec<(u32, u32)>,
+}
+
+/// Where a probe of a [`VertexIndex`] ended.
+struct Probe {
+    /// The slot holding the vertex, or the empty one it would take.
+    slot: usize,
+    /// A vertex of the same label and another color, met on the way.
+    same_label: Option<u32>,
+}
+
+impl VertexIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// An index of `vertices`, whose pairs are distinct.
+    fn of(vertices: &[(Color, Label)]) -> VertexIndex {
+        let mut index = VertexIndex::default();
+        index.reserve(vertices.len());
+        for (id, (color, label)) in vertices.iter().enumerate() {
+            let hash = index.hash(label.bytes());
+            let probe = index.find(vertices, hash, *color, label.bytes());
+            index.slots[probe.slot] = (id as u32, hash);
+        }
+        index
+    }
+
+    fn hash(&self, bytes: &[u8]) -> u32 {
+        self.hasher.hash_one(bytes) as u32
+    }
+
+    /// Probes for `(color, bytes)`, whose hash is `hash`. A slot must be
+    /// free.
+    fn find(&self, vertices: &[(Color, Label)], hash: u32, color: Color, bytes: &[u8]) -> Probe {
+        let mask = self.slots.len() - 1;
+        let mut probe = Probe {
+            slot: hash as usize & mask,
+            same_label: None,
+        };
+        loop {
+            let (id, h) = self.slots[probe.slot];
+            if id == Self::EMPTY {
+                return probe;
+            }
+            if h == hash {
+                let (c, l) = &vertices[id as usize];
+                if l.bytes() == bytes {
+                    if *c == color {
+                        return probe;
+                    }
+                    probe.same_label = Some(id);
+                }
+            }
+            probe.slot = (probe.slot + 1) & mask;
+        }
+    }
+
+    /// The id of `(color, label)` among `vertices`.
+    fn get(&self, vertices: &[(Color, Label)], color: Color, label: &Label) -> Option<VertexId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let hash = self.hash(label.bytes());
+        let (id, _) = self.slots[self.find(vertices, hash, color, label.bytes()).slot];
+        (id != Self::EMPTY).then_some(VertexId(id))
+    }
+
+    /// Makes room for `count` vertices, re-placing the indexed ones by
+    /// their kept hashes when the table grows.
+    fn reserve(&mut self, count: usize) {
+        if count * 2 < self.slots.len() {
+            return;
+        }
+        let len = (count * 2 + 1).next_power_of_two().max(8);
+        let old = std::mem::replace(&mut self.slots, vec![(Self::EMPTY, 0); len]);
+        let mask = len - 1;
+        for (id, hash) in old.into_iter().filter(|&(id, _)| id != Self::EMPTY) {
+            let mut at = hash as usize & mask;
+            while self.slots[at].0 != Self::EMPTY {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = (id, hash);
         }
     }
 }
@@ -75,9 +195,7 @@ impl<'a> FacetIndex<'a> {
 #[derive(Clone, Default)]
 pub struct Complex {
     vertices: Vec<(Color, Label)>,
-    /// Two-level index so lookups borrow the label (`&Label`) instead of
-    /// cloning it into a composite key.
-    index: HashMap<Color, HashMap<Label, VertexId>>,
+    index: VertexIndex,
     facets: BTreeSet<Simplex>,
 }
 
@@ -115,16 +233,47 @@ impl Complex {
     /// facet once added via [`Complex::add_facet`]; bare vertices not in any
     /// facet are allowed and simply not part of any simplex.
     pub fn ensure_vertex(&mut self, color: Color, label: Label) -> VertexId {
-        let next = VertexId(self.vertices.len() as u32);
-        // one hash of the label, found or inserted
-        match self.index.entry(color).or_default().entry(label) {
-            Entry::Occupied(known) => *known.get(),
-            Entry::Vacant(slot) => {
-                self.vertices.push((color, slot.key().clone()));
-                slot.insert(next);
-                next
+        match self.probe(color, label.bytes()) {
+            Ok(known) => known,
+            Err((probe, hash)) => self.insert(probe.slot, hash, color, label),
+        }
+    }
+
+    /// [`Complex::ensure_vertex`] of the label whose canonical encoding is
+    /// `bytes`: a new vertex shares the label of a vertex of another color
+    /// when there is one, and allocates it only when there is none.
+    pub(crate) fn ensure_vertex_bytes(&mut self, color: Color, bytes: &[u8]) -> VertexId {
+        match self.probe(color, bytes) {
+            Ok(known) => known,
+            Err((probe, hash)) => {
+                let label = match probe.same_label {
+                    Some(id) => self.vertices[id as usize].1.clone(),
+                    None => Label::from_bytes(bytes),
+                };
+                self.insert(probe.slot, hash, color, label)
             }
         }
+    }
+
+    /// The id of `(color, bytes)`, or, with room made for one more
+    /// vertex, where it would go and its hash: one hash of the label,
+    /// found or inserted.
+    fn probe(&mut self, color: Color, bytes: &[u8]) -> Result<VertexId, (Probe, u32)> {
+        self.index.reserve(self.vertices.len() + 1);
+        let hash = self.index.hash(bytes);
+        let probe = self.index.find(&self.vertices, hash, color, bytes);
+        match self.index.slots[probe.slot] {
+            (VertexIndex::EMPTY, _) => Err((probe, hash)),
+            (known, _) => Ok(VertexId(known)),
+        }
+    }
+
+    /// Adds the vertex `(color, label)` at the index slot its probe found.
+    fn insert(&mut self, slot: usize, hash: u32, color: Color, label: Label) -> VertexId {
+        let id = self.vertices.len() as u32;
+        self.index.slots[slot] = (id, hash);
+        self.vertices.push((color, label));
+        VertexId(id)
     }
 
     /// Looks up a vertex id by `(color, label)` without inserting.
@@ -132,7 +281,7 @@ impl Complex {
     /// The lookup borrows the label: no clone, no composite key — safe to
     /// call on a per-decision hot path.
     pub fn vertex_id(&self, color: Color, label: &Label) -> Option<VertexId> {
-        self.index.get(&color)?.get(label).copied()
+        self.index.get(&self.vertices, color, label)
     }
 
     /// The color of vertex `v`.
@@ -192,9 +341,11 @@ impl Complex {
     /// folding [`Complex::add_facet`] over `simplices` would leave it — the
     /// inclusion-maximal members of the existing facets and the new
     /// (non-empty) simplices — but is computed in bulk: candidates are
-    /// visited largest first, and each is kept unless a kept facet
-    /// contains it, found through a [`FacetIndex`] rather than a scan of
-    /// every facet.
+    /// ordered largest first (a list already in that order, as a pure
+    /// complex's sorted facets are, is not sorted again), the largest are
+    /// all kept, and each shorter one is kept unless a kept facet contains
+    /// it, found through a [`FacetIndex`] rather than a scan of every
+    /// facet.
     ///
     /// # Panics
     ///
@@ -213,21 +364,28 @@ impl Complex {
         candidates.extend(std::mem::take(&mut self.facets));
         // a simplex can only be a face of one at least as large, and an
         // equally large one only if equal — which dedup removes
-        candidates.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-        candidates.dedup();
-        let keep: Vec<bool> = {
-            let mut kept = FacetIndex::with_vertices(n);
-            candidates
-                .iter()
-                .map(|s| {
-                    let maximal = !kept.contains_simplex(s);
-                    if maximal {
-                        kept.push(s);
-                    }
-                    maximal
-                })
-                .collect()
-        };
+        let order = |a: &Simplex, b: &Simplex| b.len().cmp(&a.len()).then_with(|| a.cmp(b));
+        if !candidates.windows(2).all(|w| order(&w[0], &w[1]).is_lt()) {
+            candidates.sort_unstable_by(order);
+            candidates.dedup();
+        }
+        let mut keep = vec![true; candidates.len()];
+        let mut start = 0;
+        while let Some(first) = candidates.get(start) {
+            let end = start + candidates[start..].partition_point(|s| s.len() == first.len());
+            if start > 0 {
+                let kept = candidates[..start]
+                    .iter()
+                    .zip(&keep)
+                    .filter_map(|(s, &maximal)| maximal.then_some(s))
+                    .collect();
+                let index = FacetIndex::of(kept, n);
+                for (s, maximal) in candidates[start..end].iter().zip(&mut keep[start..end]) {
+                    *maximal = !index.contains_simplex(s);
+                }
+            }
+            start = end;
+        }
         self.facets = candidates
             .into_iter()
             .zip(keep)
@@ -238,11 +396,7 @@ impl Complex {
     /// A vertex → facet incidence index over the current facets, for many
     /// [`FacetIndex::contains_simplex`] queries in a row.
     pub fn facet_index(&self) -> FacetIndex<'_> {
-        let mut index = FacetIndex::with_vertices(self.vertices.len());
-        for f in &self.facets {
-            index.push(f);
-        }
-        index
+        FacetIndex::of(self.facets.iter().collect(), self.vertices.len())
     }
 
     /// A complex from its vertex table, in id order, and its facets,
@@ -254,26 +408,11 @@ impl Complex {
         vertices: Vec<(Color, Label)>,
         facets: impl IntoIterator<Item = Simplex>,
     ) -> Complex {
-        // size each color's map up front: growing it would rehash labels
-        // (a complex has few colors, so a scan finds each one's count)
-        let mut sizes: Vec<(Color, usize)> = Vec::new();
-        for (color, _) in &vertices {
-            match sizes.iter_mut().find(|(c, _)| c == color) {
-                Some((_, n)) => *n += 1,
-                None => sizes.push((*color, 1)),
-            }
-        }
-        let mut index: HashMap<Color, HashMap<Label, VertexId>> = sizes
-            .into_iter()
-            .map(|(color, n)| (color, HashMap::with_capacity(n)))
-            .collect();
-        for (i, (color, label)) in vertices.iter().enumerate() {
-            let fresh = index
-                .get_mut(color)
-                .expect("sized above")
-                .insert(label.clone(), VertexId(i as u32));
-            debug_assert!(fresh.is_none(), "duplicate vertex ({color:?}, {label})");
-        }
+        let index = VertexIndex::of(&vertices);
+        debug_assert!(vertices
+            .iter()
+            .enumerate()
+            .all(|(i, (c, l))| index.get(&vertices, *c, l) == Some(VertexId(i as u32))));
         let facets: BTreeSet<Simplex> = facets.into_iter().collect();
         debug_assert!(facets
             .iter()
@@ -706,6 +845,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_label_read_for_many_colors_is_held_once() {
+        let mut c = Complex::new();
+        let mut ids = Vec::new();
+        // labels shared by up to four colors, inserted interleaved so the
+        // index grows through their probe runs
+        for round in 0..4u32 {
+            for value in 0..50u64 {
+                let bytes = Label::scalar(value).bytes().to_vec();
+                ids.push(((round, value), c.ensure_vertex_bytes(Color(round), &bytes)));
+            }
+        }
+        assert_eq!(c.num_vertices(), 200);
+        for &((color, value), id) in &ids {
+            let label = Label::scalar(value);
+            assert_eq!(c.vertex_id(Color(color), &label), Some(id));
+            assert_eq!(
+                c.ensure_vertex(Color(color), label.clone()),
+                id,
+                "found, not added"
+            );
+            assert_eq!(c.ensure_vertex_bytes(Color(color), label.bytes()), id);
+            // one allocation per label, whatever its colors
+            let first = c.vertex_id(Color(0), &label).unwrap();
+            assert_eq!(
+                c.label(id).bytes().as_ptr(),
+                c.label(first).bytes().as_ptr()
+            );
+        }
+        assert_eq!(c.num_vertices(), 200);
+        assert_eq!(c.vertex_id(Color(4), &Label::scalar(0)), None);
+        assert_eq!(c.vertex_id(Color(0), &Label::scalar(50)), None);
+    }
+
+    #[test]
     fn bulk_insertion_equals_folding_add_facet() {
         let mut rng = iis_obs::Rng::seed_from_u64(0xface_0075);
         for case in 0..400 {
@@ -725,9 +898,16 @@ mod tests {
                 folded.add_facet(random_simplex(&mut rng).iter());
             }
             let mut bulk = folded.clone();
-            let batch: Vec<Simplex> = (0..rng.random_range(0usize..30))
+            let mut batch: Vec<Simplex> = (0..rng.random_range(0usize..30))
                 .map(|_| random_simplex(&mut rng))
                 .collect();
+            // every third batch arrives in the order `add_facets` sorts to
+            // (largest first, then increasing), as a read complex's facets do
+            if case % 3 == 0 {
+                batch.retain(|s| !s.is_empty());
+                batch.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+                batch.dedup();
+            }
             for s in &batch {
                 folded.add_facet(s.iter());
             }

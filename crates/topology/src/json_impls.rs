@@ -97,10 +97,7 @@ impl Simplex {
     /// The conversion errors of `Simplex::from_json`, or a syntax error.
     pub fn read_json(r: &mut Reader<'_>) -> Result<(Simplex, bool), JsonError> {
         let mut ids = Vec::new();
-        r.array_or("expected array", |r| {
-            ids.push(VertexId(r.uint()?));
-            Ok(())
-        })?;
+        r.uints(&mut ids)?;
         let sorted = ids.windows(2).all(|w| w[0] < w[1]);
         let simplex = if sorted {
             Simplex::from_sorted(ids)
@@ -226,18 +223,9 @@ fn read_vertices(r: &mut Reader<'_>) -> Result<(Complex, usize), JsonError> {
     let mut listed = 0;
     let mut bytes = Vec::new();
     r.array_or("expected array", |r| {
-        let (color, label) = r.pair(
-            |r| r.uint().map(Color),
-            |r| {
-                bytes.clear();
-                r.array_or("expected array", |r| {
-                    bytes.push(r.uint()?);
-                    Ok(())
-                })?;
-                Ok(Label::from_bytes(&bytes))
-            },
-        )?;
-        c.ensure_vertex(color, label);
+        bytes.clear();
+        let color = r.uint_and_uints(&mut bytes).map(Color)?;
+        c.ensure_vertex_bytes(color, &bytes);
         listed += 1;
         Ok(())
     })?;

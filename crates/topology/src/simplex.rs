@@ -231,6 +231,15 @@ impl Simplex {
     }
 }
 
+/// A simplex is its sorted vertex ids: the derived order, equality and
+/// hash are those of the slice, so a map keyed by simplices is searched
+/// by a borrowed `&[VertexId]` without building a key.
+impl std::borrow::Borrow<[VertexId]> for Simplex {
+    fn borrow(&self) -> &[VertexId] {
+        &self.0
+    }
+}
+
 impl FromIterator<VertexId> for Simplex {
     fn from_iter<I: IntoIterator<Item = VertexId>>(iter: I) -> Self {
         Simplex::new(iter)

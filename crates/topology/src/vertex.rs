@@ -66,6 +66,16 @@ impl VertexId {
     }
 }
 
+/// Any `u32` is a vertex id: what [`iis_obs::json::Reader::uint`] and
+/// [`iis_obs::json::Reader::uints`] read one as.
+impl TryFrom<u64> for VertexId {
+    type Error = std::num::TryFromIntError;
+
+    fn try_from(n: u64) -> Result<Self, Self::Error> {
+        u32::try_from(n).map(VertexId)
+    }
+}
+
 impl fmt::Display for VertexId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "v{}", self.0)

@@ -31,8 +31,14 @@ done
 "$IIS" fuzz --layer store --seed 7 --cases 500 --shrink
 
 # Certified-refutation smoke: each question answers exactly for every
-# round asked, well within 5 s, and names the Sperner certificate that
-# settles it (an input face and a labelling of the output vertices).
+# round asked, well within 5 s, and names its Sperner certificate (an
+# input face and a labelling of the output vertices). The certificate
+# settles the kset questions from b = 1; consensus:2's rounds are all
+# refuted first by the distance pass (its two decisions are not joined in
+# Δ), which it names too.
+out=$(timeout 5 "$IIS" solve consensus:2 --max-rounds 6) || { echo "certificate smoke: solve consensus:2 failed or ran past 5 s"; exit 1; }
+echo "$out" | grep -q '^Distance refutation (no decision map at any b): σ = {.*}, Δ(.*) and Δ(.*) are not joined in Δ(σ)$' \
+  || { echo "certificate smoke: solve consensus:2 names no distance refutation"; echo "$out"; exit 1; }
 for q in "kset:3:3 --max-rounds 1" "kset:4:3 --max-rounds 1" "consensus:2 --max-rounds 6"; do
   # shellcheck disable=SC2086 # the question is a spec and its flags
   out=$(timeout 5 "$IIS" solve $q) || { echo "certificate smoke: solve $q failed or ran past 5 s"; exit 1; }
@@ -65,10 +71,13 @@ echo "distance smoke: ok"
 # Trace smoke: a sweep writes one solve.round record per round it decides,
 # whichever decider settled it, and the outcome names that decider:
 # kset:2:2 is searched at b = 0 and certified at b = 1; eps:1:9 is refuted
-# by its distances at b ≤ 1 and searched to a witness at b = 2.
+# by its distances at b ≤ 1 and searched to a witness at b = 2; the
+# distance pass, asked before the certificate, refutes every round of
+# consensus:2.
 trace_dir=$(mktemp -d)
 for case in "kset:2:2 --max-rounds 1|0:unsolvable 1:certified" \
-            "eps:1:9 --max-rounds 3|0:distance 1:distance 2:solvable"; do
+            "eps:1:9 --max-rounds 3|0:distance 1:distance 2:solvable" \
+            "consensus:2 --max-rounds 2|0:distance 1:distance 2:distance"; do
   q=${case%%|*}
   want=${case#*|}
   trace="$trace_dir/${q%% *}.jsonl"

@@ -3,9 +3,9 @@
 //! replayable JSON reports.
 //!
 //! The driver is strictly sequential and every case is derived from
-//! `(seed, case_index)` alone, so a verdict is independent of `--jobs`,
-//! thread counts, and sweep length — replaying one index reproduces the
-//! identical schedule, fault plan, and verdict.
+//! `(seed, case_index)` alone, so a verdict is independent of the thread
+//! it runs on and of the sweep's length — replaying one index reproduces
+//! the identical schedule, fault plan, and verdict.
 //!
 //! Counters: `fuzz.cases`, `fuzz.crashes_injected`, `fuzz.oracle_failures`
 //! and `fuzz.shrink_steps`.

@@ -54,7 +54,7 @@ USAGE:
   iis sds <n> <b> [--json] [--svg FILE]   build SDS^b(s^n); print stats
   iis homology <n> <b>                    Z2 Betti numbers of SDS^b(s^n)
   iis check-lemmas <n> <b>                verify Lemmas 3.2/3.3 by enumeration
-  iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N]
+  iis solve <TASK> [--max-rounds B] [--budget NODES]
             [--timeout-secs T] [--store DIR]
                                           decide wait-free solvability
                                           (--budget is per round,
@@ -113,7 +113,7 @@ GLOBAL FLAGS (any command):
   --trace FILE       write JSON-lines trace events to FILE (stream ends
                      with a {\"kind\":\"close\"} record, even on panic)
   --profile FILE     write a collapsed-stack span profile to FILE
-                     (round;subtree;phase NS — speedscope/inferno input)
+                     (round;phase NS — speedscope/inferno input)
   --progress         print a live progress line to stderr once per second
   --serve ADDR       serve GET /metrics (Prometheus text), /progress and
                      /snapshot (JSON) on ADDR while the command runs
@@ -297,20 +297,13 @@ pub fn cmd_check_lemmas(args: &[String]) -> Result<String, CliError> {
 }
 
 /// The valued flags `iis solve` takes.
-const SOLVE_FLAGS: [&str; 5] = [
-    "--max-rounds",
-    "--budget",
-    "--jobs",
-    "--timeout-secs",
-    "--store",
-];
+const SOLVE_FLAGS: [&str; 4] = ["--max-rounds", "--budget", "--timeout-secs", "--store"];
 
-/// `iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N]
-/// [--timeout-secs T] [--store DIR]`
+/// `iis solve <TASK> [--max-rounds B] [--budget NODES] [--timeout-secs T]
+/// [--store DIR]`
 ///
-/// The round sweep is incremental (`SDS^{b+1}` extends `SDS^b`) and
-/// `--jobs N` spreads each round's search over `N` worker threads without
-/// changing any verdict or witness. `--budget` bounds each round,
+/// The round sweep is incremental (`SDS^{b+1}` extends `SDS^b`), and each
+/// round's search runs on the calling thread. `--budget` bounds each round,
 /// `--timeout-secs T` the whole sweep; the sweep stops at its first
 /// undecided round and reports it as **inconclusive**, never as
 /// unsolvable. `--store DIR` adds one line, and stores decided sweeps.
@@ -332,15 +325,11 @@ pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
         .unwrap_or("1000000")
         .parse()
         .map_err(|_| err("bad --budget"))?;
-    let jobs: usize = flag_value(args, "--jobs")?
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| err("bad --jobs"))?;
     let timeout_secs: Option<u64> = match flag_value(args, "--timeout-secs")? {
         Some(t) => Some(t.parse().map_err(|_| err("bad --timeout-secs"))?),
         None => None,
     };
-    let mut opts = SolveOptions::new().budget(budget).jobs(jobs);
+    let mut opts = SolveOptions::new().budget(budget);
     if let Some(t) = timeout_secs {
         opts = opts.timeout(std::time::Duration::from_secs(t));
     }
@@ -927,16 +916,12 @@ mod tests {
     }
 
     #[test]
-    fn solve_jobs_flag_does_not_change_output() {
-        let seq = cmd_solve(&argv("consensus:1 --max-rounds 2")).unwrap();
-        for jobs in ["2", "4"] {
-            let par =
-                cmd_solve(&argv(&format!("consensus:1 --max-rounds 2 --jobs {jobs}"))).unwrap();
-            assert_eq!(seq, par, "--jobs {jobs} must not change verdicts");
+    fn solve_refuses_jobs_by_name() {
+        // a round's search runs on the calling thread: there is no --jobs
+        for bad in ["consensus:1 --jobs 2", "consensus:1 --jobs=2"] {
+            let e = cmd_solve(&argv(bad)).unwrap_err();
+            assert!(e.0.contains("solve does not take --jobs"), "{bad}: {e}");
         }
-        let par = cmd_solve(&argv("eps:1:3 --jobs=3")).unwrap();
-        assert!(par.contains("b = 1: SOLVABLE"));
-        assert!(cmd_solve(&argv("consensus:1 --jobs nope")).is_err());
     }
 
     #[test]
@@ -952,7 +937,7 @@ mod tests {
             assert!(e.0.contains(flag), "{bad}: {e}");
         }
         // a flag's value is not mistaken for a flag
-        assert!(cmd_solve(&argv("consensus:1 --max-rounds 1 --jobs 2")).is_ok());
+        assert!(cmd_solve(&argv("consensus:1 --max-rounds 1 --budget 2")).is_ok());
     }
 
     #[test]
@@ -1247,8 +1232,6 @@ mod tests {
         let out = dispatch(&[
             "solve".into(),
             "eps:1:3".into(),
-            "--jobs".into(),
-            "2".into(),
             format!("--profile={}", path.display()),
         ])
         .unwrap();
@@ -1256,11 +1239,16 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let folded = iis_obs::profile::parse_collapsed(&text).unwrap();
         assert!(!folded.is_empty(), "profile must contain samples:\n{text}");
-        // the span tree is at least two levels deep: a round frame with a
-        // search/compile/split phase nested under it
+        // the span tree is a round frame with its compile and search
+        // phases nested under it, and nothing else
         assert!(
-            folded.iter().any(|(stack, _)| stack.len() >= 2),
+            folded.iter().any(|(stack, _)| stack.len() == 2),
             "expected a nested frame in:\n{text}"
+        );
+        assert!(
+            folded.iter().all(|(stack, _)| stack.len() == 1
+                || (stack.len() == 2 && ["compile", "search"].contains(&stack[1].as_str()))),
+            "expected only round → compile | search in:\n{text}"
         );
         assert!(
             folded

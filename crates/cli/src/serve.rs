@@ -12,14 +12,14 @@
 //! Routes:
 //!
 //! - `POST /solve` — body `{"spec": "consensus:2" | "task": {…},
-//!   "max_rounds": B, "budget": N, "jobs": J, "wait": true}` (everything
-//!   but the task optional; a spec is a library spec — `@file` specs are
-//!   for the CLI only). The search is always the compiled kernel's MAC
-//!   search; there is no engine or strategy field (a `"kernel"` member is
-//!   ignored), and the reference engine is a test oracle no request can
-//!   reach. `"jobs"` is clamped to the host's available parallelism: it
-//!   never changes an answer, only how many threads one question may
-//!   spawn. Answers from the store when the record exists
+//!   "max_rounds": B, "budget": N, "wait": true}` (everything but the task
+//!   optional; a spec is a library spec — `@file` specs are for the CLI
+//!   only). The search is always the compiled kernel's MAC search, run
+//!   once per round on the thread that solves the question; there is no
+//!   engine, strategy or thread-count field (a `"kernel"` or `"jobs"`
+//!   member is skipped like any other unknown member), and the reference
+//!   engine is a test oracle no request can reach. Questions run in
+//!   parallel, one per worker. Answers from the store when the record exists
 //!   (`"cached": true`, counted by `serve.cache_hits`); otherwise runs the
 //!   sweep — on the thread that read the question, when nothing is queued
 //!   and a worker's slot is free (no queue hop, no hand-off), else on the
@@ -86,7 +86,6 @@ use iis_core::cache::{
     answer_keyed, intern_spec, read_solve_body, AnswerMemo, Answered, KeyedTask, QuestionTask,
     QuestionText, SolveBody, SolveCache, MAX_BATCH,
 };
-use iis_core::parallel::panic_message;
 use iis_core::solvability::{BoundedOutcome, SolveOptions};
 use iis_obs::http::{serve_with, Handler, Request, Response};
 use iis_obs::json::ObjectWriter;
@@ -96,7 +95,7 @@ use iis_store::Store;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One accepted solve question and its lifecycle.
@@ -371,23 +370,25 @@ fn solve_request(q: QuestionText<'_>) -> Result<SolveRequest, String> {
         }
     })?;
     let (spec, task) = q.task;
-    let jobs = usize::try_from(q.jobs).unwrap_or(usize::MAX);
     Ok(SolveRequest {
         spec,
         task,
         max_rounds: q.max_rounds,
-        opts: SolveOptions::new()
-            .budget(q.budget)
-            .jobs(jobs.min(host_parallelism())),
+        opts: SolveOptions::new().budget(q.budget),
         wait: q.wait,
     })
 }
 
-/// `std::thread::available_parallelism`, read once per process: the most
-/// search threads one question may ask for.
-fn host_parallelism() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+/// The message of a caught panic's payload: the `&str` or `String` that
+/// `panic!` carries, or a placeholder for any other payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "<non-string panic payload>"
+    }
 }
 
 fn key_hex(key: u64) -> Json {
@@ -1221,35 +1222,46 @@ mod tests {
         }
     }
 
-    /// `jobs` far past the core count (here 2^62, four times which
-    /// overflows `usize`) is clamped to the host's parallelism and changes
-    /// no byte of the answer.
+    /// `"jobs"` names nothing the service reads: a body with any `"jobs"`
+    /// value, even one no count could be, reads as the same question and
+    /// answers the same bytes as the body without it.
     #[test]
-    fn huge_jobs_is_clamped_and_answers_the_same_bytes() {
-        let body = r#"{"spec": "eps:1:3", "max_rounds": 1, "jobs": 4611686018427387904}"#;
-        let req = request_of(body).unwrap();
-        let clamped = SolveOptions::new()
-            .budget(1_000_000)
-            .jobs(host_parallelism());
-        assert_eq!(format!("{:?}", req.opts), format!("{clamped:?}"));
+    fn a_jobs_member_answers_the_same_bytes_as_none() {
+        let plain = r#"{"spec": "eps:1:3", "max_rounds": 1}"#;
+        let want = request_of(plain).unwrap();
         let (addr, handle) = start(&[]);
-        let (head, huge) = request(addr, "POST", "/solve", body);
+        let (head, fresh) = request_text(addr, "POST", "/solve", plain);
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let (_, warm) = request_text(addr, "POST", "/solve", plain);
+        let result = |text: &str| {
+            Json::parse(text)
+                .unwrap()
+                .get("result")
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(result(&fresh), result(&warm));
+        assert!(warm.contains(r#""cached":true"#), "{warm}");
+        for jobs in [
+            "-1",
+            "true",
+            "2",
+            "4611686018427387904",
+            "null",
+            r#""many""#,
+        ] {
+            let body = format!(r#"{{"spec": "eps:1:3", "max_rounds": 1, "jobs": {jobs}}}"#);
+            let got = request_of(&body).unwrap();
+            assert_eq!(
+                (got.max_rounds, format!("{:?}", got.opts), got.wait),
+                (want.max_rounds, format!("{:?}", want.opts), want.wait),
+                "{body}"
+            );
+            let (head, reply) = request_text(addr, "POST", "/solve", &body);
+            assert!(head.starts_with("HTTP/1.1 200"), "{body}: {head}");
+            assert_eq!(reply, warm, "{body}");
+        }
         shutdown(addr, handle);
-        let (addr, handle) = start(&[]);
-        let (head, plain) = request(
-            addr,
-            "POST",
-            "/solve",
-            r#"{"spec": "eps:1:3", "max_rounds": 1}"#,
-        );
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        shutdown(addr, handle);
-        assert_eq!(huge.get("cached"), Some(&Json::Bool(false)), "{huge:?}");
-        assert_eq!(
-            huge.get("result").unwrap().to_string(),
-            plain.get("result").unwrap().to_string()
-        );
     }
 
     #[test]
@@ -1633,8 +1645,6 @@ mod tests {
             ("max_rounds", "\"2\""),
             ("budget", "-5"),
             ("budget", "0.5"),
-            ("jobs", "-1"),
-            ("jobs", "true"),
         ] {
             let body = format!(r#"{{"spec": "trivial:1", "{field}": {bad}}}"#);
             let refusal = Json::obj([(

@@ -5,12 +5,11 @@
 //! `δ : SDS^b(I) → O` either exists or it does not, and Lemma 3.3 pins the
 //! protocol complex the search runs on to the iterated standard chromatic
 //! subdivision — a canonical object with a deterministic construction.
-//! Because this repository's search is additionally *thread-count-
-//! independent* (DESIGN.md §7: the parallel split only cancels subtrees
-//! the sequential order would never have preferred), the
+//! Because this repository's search is additionally one deterministic
+//! search per round, run on the thread that asks (DESIGN.md §7), the
 //! entire `(report, witness)` answer is content-addressable: two requests
 //! for the same `(task, max_rounds)` pair must receive bit-identical
-//! answers, no matter who computed them, when, or with how many threads.
+//! answers, no matter who computed them or when.
 //!
 //! This module provides the key derivation ([`cache_key`]), the canonical
 //! record encoding ([`report_to_json`] / [`report_from_json`]), and the
@@ -163,9 +162,9 @@ pub fn finish_key(key_prefix: u64, max_rounds: usize) -> u64 {
 /// The task's JSON form is canonical (BTreeMap-ordered `Δ`, construction-
 /// ordered vertices), so structurally equal tasks collide on purpose — a
 /// task loaded from a file and the same task rebuilt from a library spec
-/// address the same record. Search options (budget, jobs, timeout) are
+/// address the same record. Search options (budget, timeout) are
 /// deliberately **not** part of the key: they never change a decided
-/// verdict or witness, only the time to find it.
+/// verdict or witness, only whether the sweep decides.
 pub fn cache_key(task: &Task, max_rounds: usize) -> u64 {
     finish_key(key_prefix(task), max_rounds)
 }
@@ -500,8 +499,6 @@ pub struct Question<T> {
     pub task: T,
     /// `"max_rounds"` (default 2, at most [`MAX_QUESTION_ROUNDS`]).
     pub max_rounds: usize,
-    /// `"jobs"` (default 1).
-    pub jobs: u64,
     /// `"budget"` (default 1 000 000 nodes).
     pub budget: u64,
     /// `"wait"` (default `true`).
@@ -517,7 +514,7 @@ pub const MAX_QUESTION_ROUNDS: usize = 6;
 type Read<T> = Option<Result<Option<T>, ()>>;
 
 /// One question body `{"spec": … | "task": …, "max_rounds": B, "budget":
-/// N, "jobs": J, "wait": W}` as read from its text, in one pass: each
+/// N, "wait": W}` as read from its text, in one pass: each
 /// member the first time it appears (as [`Json::get`] finds it), checked
 /// and kept with its own refusal; unknown members skipped. An inline task
 /// is decoded and keyed as it is read ([`Task::read_json`]), and when its
@@ -533,7 +530,6 @@ pub struct QuestionText<'a> {
     /// the question is refused whatever the task holds.
     task: Option<Result<Box<KeyedTask>, String>>,
     max_rounds: Read<u64>,
-    jobs: Read<u64>,
     budget: Read<u64>,
     wait: Read<bool>,
 }
@@ -571,7 +567,6 @@ impl<'a> QuestionText<'a> {
                 });
             }
             "max_rounds" if self.max_rounds.is_none() => self.max_rounds = Some(read_count(r)?),
-            "jobs" if self.jobs.is_none() => self.jobs = Some(read_count(r)?),
             "budget" if self.budget.is_none() => self.budget = Some(read_count(r)?),
             "wait" if self.wait.is_none() => {
                 self.wait = Some(match r.peek()? {
@@ -588,7 +583,7 @@ impl<'a> QuestionText<'a> {
     /// Checks the question in the one order of refusals — its task
     /// (none, both forms, a non-string spec, a malformed inline task),
     /// then `task` resolving it (a spec the library does not know), then
-    /// `max_rounds`, `jobs`, `budget`, `wait`, and finally a round bound
+    /// `max_rounds`, `budget`, `wait`, and finally a round bound
     /// past [`MAX_QUESTION_ROUNDS`] — and returns the first refusal.
     ///
     /// # Errors
@@ -599,16 +594,17 @@ impl<'a> QuestionText<'a> {
     ///
     /// ```
     /// use iis_core::cache::{read_question, QuestionTask};
-    /// let q = read_question(r#"{"budget": 5, "jobs": -1, "spec": "eps:1:3"}"#).unwrap();
+    /// let q = read_question(r#"{"budget": -5, "wait": 1, "spec": "eps:1:3"}"#).unwrap();
     /// let spec = |t: QuestionTask<'_>| match t {
     ///     QuestionTask::Spec(s) => Ok(s.into_owned()),
     ///     QuestionTask::Inline(_) => Err("inline".to_string()),
     /// };
-    /// let refusal = Err("\"jobs\" must be a non-negative integer".to_string());
+    /// let refusal = Err("\"budget\" must be a non-negative integer".to_string());
     /// assert_eq!(q.resolve(spec).map(|q| q.task), refusal);
-    /// let q = read_question(r#"{"spec": "eps:1:3", "budget": 5.0}"#).unwrap();
+    /// // a member the reader does not know is skipped
+    /// let q = read_question(r#"{"spec": "eps:1:3", "budget": 5.0, "jobs": -1}"#).unwrap();
     /// let q = q.resolve(spec).unwrap();
-    /// assert_eq!((q.task.as_str(), q.budget, q.max_rounds, q.jobs), ("eps:1:3", 5, 2, 1));
+    /// assert_eq!((q.task.as_str(), q.budget, q.max_rounds, q.wait), ("eps:1:3", 5, 2, true));
     /// ```
     pub fn resolve<T>(
         self,
@@ -629,7 +625,6 @@ impl<'a> QuestionText<'a> {
         };
         let max_rounds = count(self.max_rounds, "max_rounds", 2)?;
         let max_rounds = usize::try_from(max_rounds).unwrap_or(usize::MAX);
-        let jobs = count(self.jobs, "jobs", 1)?;
         let budget = count(self.budget, "budget", 1_000_000)?;
         let wait = match self.wait {
             None | Some(Ok(None)) => true,
@@ -644,7 +639,6 @@ impl<'a> QuestionText<'a> {
         Ok(Question {
             task,
             max_rounds,
-            jobs,
             budget,
             wait,
         })
@@ -1529,26 +1523,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_record_is_bit_identical_across_thread_counts() {
-        // the satellite acceptance: a cache hit replays the exact bytes a
-        // fresh solve at any job count would have produced
+    fn warm_record_is_bit_identical_to_a_fresh_solve() {
+        // a cache hit replays the exact bytes a fresh solve produces
         let t = approximate_agreement(1, 3);
         let mut cold_cache = HashMap::new();
         let cold = solve_up_to_cached(&t, 2, &SolveOptions::new(), &mut cold_cache);
         let cold_bytes = report_to_json(&cold.report).to_string();
-        for jobs in [1usize, 4] {
-            let mut cache = HashMap::new();
-            let fresh = solve_up_to_cached(&t, 2, &SolveOptions::new().jobs(jobs), &mut cache);
-            assert!(!fresh.hit);
-            assert_eq!(
-                report_to_json(&fresh.report).to_string(),
-                cold_bytes,
-                "jobs={jobs} must produce the canonical record"
-            );
-            let warm = solve_up_to_cached(&t, 2, &SolveOptions::new().jobs(jobs), &mut cache);
-            assert!(warm.hit);
-            assert_eq!(report_to_json(&warm.report).to_string(), cold_bytes);
-        }
+        let mut cache = HashMap::new();
+        let fresh = solve_up_to_cached(&t, 2, &SolveOptions::new(), &mut cache);
+        assert!(!fresh.hit);
+        assert_eq!(report_to_json(&fresh.report).to_string(), cold_bytes);
+        let warm = solve_up_to_cached(&t, 2, &SolveOptions::new(), &mut cache);
+        assert!(warm.hit);
+        assert_eq!(report_to_json(&warm.report).to_string(), cold_bytes);
     }
 
     #[test]

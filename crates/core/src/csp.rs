@@ -5,8 +5,8 @@
 //! color-preserving simplicial map `δ : SDS^b(I) → O` with
 //! `δ(s) ∈ Δ(carrier(s))` — a finite CSP. This module compiles that CSP
 //! into flat, cache-friendly arrays and searches it with maintained arc
-//! consistency (MAC), sequentially or split over `jobs` worker threads,
-//! without allocating on the hot path:
+//! consistency (MAC), once, on the thread that asks, without allocating on
+//! the hot path:
 //!
 //! - **Per-color candidate tables** (`OutputEncoder`): the output
 //!   vertices of each color, sorted ascending, give every variable a
@@ -40,16 +40,14 @@
 //! index among smallest domains > 1), value order (ascending `VertexId`,
 //! which equals ascending bit index within a color universe), propagation
 //! queue discipline (LIFO with an in-queue flag, revisions in position
-//! order), and node-charging points (one charge per node `backtrack` enters and
-//! per split expansion). Residues are a pure cache: they change which
-//! support is *found first*, never whether one exists. Sequential
-//! verdicts, witnesses, and `solve.nodes` accounting are therefore
-//! bit-identical to the oracle's, and the parallel search returns the
-//! sequential witness at every thread count (DESIGN.md §7) — enforced by
-//! the differential suites in `crates/core/tests/`.
+//! order), and node-charging points (one charge per node `backtrack`
+//! enters). Residues are a pure cache: they change which support is *found
+//! first*, never whether one exists. Verdicts, witnesses, and `solve.nodes`
+//! accounting are therefore bit-identical to the oracle's — enforced by
+//! the differential suites in `crates/core/tests/`. A round's search is
+//! never split across threads (DESIGN.md §7).
 
 use crate::cache::KeyedTask;
-use crate::parallel::{run_pool, FirstWins, SharedBudget};
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
@@ -811,10 +809,8 @@ fn passed(deadline: Option<Instant>) -> bool {
 /// Why a search stopped before reaching a verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Halt {
-    /// The shared node budget ran out.
+    /// The node budget ran out.
     Budget,
-    /// A lower-indexed subtree already found the winning witness.
-    Cancelled,
     /// The wall-clock deadline passed.
     Timeout,
 }
@@ -833,8 +829,6 @@ pub(crate) fn register_counters() {
         counter.register();
     }
 }
-static SOLVE_SUBTREES: StaticCounter = StaticCounter::new("solve.subtrees");
-static SOLVE_CANCELLED: StaticCounter = StaticCounter::new("solve.cancelled");
 
 /// Nodes between two publishes of a [`Tally`], so `--progress` and
 /// `/progress` stay live within a long search.
@@ -843,13 +837,14 @@ const PUBLISH_EVERY: u64 = 4096;
 /// One search state's counts in plain integers. `nodes`, `propagations`,
 /// `prunes` and `backtracks` are added to the shared `solve.*` counters
 /// (and `nodes` to progress's) every [`PUBLISH_EVERY`] nodes and when the
-/// tally drops, which covers every exit of a search or subtree: a
-/// verdict, each [`Halt`], and unwinding. Each count is published exactly
+/// tally drops, which covers every exit of a search: a verdict, each
+/// [`Halt`], and unwinding. Each count is published exactly
 /// once, so `solve.nodes` equals the budget consumed once a search returns.
 #[derive(Default)]
 pub(crate) struct Tally {
-    /// Every node charged through this state, published or not: what a
-    /// profile sample attributes to the state's span.
+    /// Every node charged through this state, published or not: the
+    /// budget consumed, and what a profile sample attributes to the
+    /// state's span.
     spent: u64,
     nodes: u64,
     pub(crate) propagations: u64,
@@ -886,38 +881,6 @@ impl Tally {
 impl Drop for Tally {
     fn drop(&mut self) {
         self.publish();
-    }
-}
-
-/// Per-worker search context: the shared budget, the optional wall-clock
-/// deadline, plus (in parallel runs) this worker's subtree index and the
-/// first-solution cell to poll.
-struct SearchCtx<'a> {
-    budget: &'a SharedBudget,
-    deadline: Option<Instant>,
-    cancel: Option<(&'a FirstWins<Vec<VertexId>>, usize)>,
-}
-
-impl SearchCtx<'_> {
-    /// Charges one node to `tally`, or reports why the search must stop.
-    /// The tally counts the node iff the budget charge succeeds, so on
-    /// exhaustion `solve.nodes` equals the budget consumed exactly, across
-    /// all workers. The deadline is polled on every 64th charge from the
-    /// first (clock reads are much slower than the budget charge).
-    fn charge(&self, tally: &mut Tally) -> Result<(), Halt> {
-        if let Some((cell, index)) = self.cancel {
-            if cell.should_cancel(index) {
-                return Err(Halt::Cancelled);
-            }
-        }
-        if tally.spent.is_multiple_of(64) && passed(self.deadline) {
-            return Err(Halt::Timeout);
-        }
-        if !self.budget.try_charge() {
-            return Err(Halt::Budget);
-        }
-        tally.node();
-        Ok(())
     }
 }
 
@@ -963,9 +926,10 @@ struct Frame {
     mark: usize,
 }
 
-/// One search worker's mutable state: the domain bitwords, the undo trail,
-/// the residue cache, reusable scratch buffers and the [`Tally`] —
-/// everything the inner loop touches, allocated once per (sub)search.
+/// One search's mutable state: the domain bitwords, the undo trail, the
+/// residue cache, reusable scratch buffers, the node budget and the
+/// [`Tally`] — everything the inner loop touches, allocated once per
+/// search.
 pub(crate) struct SearchState {
     /// `num_vars * words` domain bitwords.
     dom: Vec<u64>,
@@ -983,10 +947,28 @@ pub(crate) struct SearchState {
     in_queue: Vec<bool>,
     /// Stack-disciplined candidate-value scratch for `backtrack`.
     cands: Vec<u32>,
+    /// The most nodes the search may charge.
+    budget: u64,
     tally: Tally,
 }
 
 impl SearchState {
+    /// Charges one node to the tally, or reports why the search must
+    /// stop. The deadline is polled on every 64th charge from the first (a
+    /// clock read costs far more than the budget compare). The tally
+    /// counts the node iff it is charged, so `solve.nodes` equals the
+    /// budget consumed.
+    fn charge(&mut self, deadline: Option<Instant>) -> Result<(), Halt> {
+        if self.tally.spent.is_multiple_of(64) && passed(deadline) {
+            return Err(Halt::Timeout);
+        }
+        if self.tally.spent == self.budget {
+            return Err(Halt::Budget);
+        }
+        self.tally.node();
+        Ok(())
+    }
+
     fn undo_to(&mut self, mark: usize) {
         while self.trail.len() > mark {
             let (idx, old) = self.trail.pop().expect("len checked");
@@ -996,8 +978,9 @@ impl SearchState {
 }
 
 impl BitsetCsp<'_> {
-    /// A fresh search state over the given domain words.
-    fn new_state(&self, dom: Vec<u64>) -> SearchState {
+    /// A fresh search state over the given domain words, allowed
+    /// `budget` nodes.
+    fn new_state(&self, dom: Vec<u64>, budget: u64) -> SearchState {
         debug_assert_eq!(dom.len(), self.num_vars * self.words);
         SearchState {
             dom,
@@ -1006,6 +989,7 @@ impl BitsetCsp<'_> {
             queue: Vec::new(),
             in_queue: vec![false; self.num_constraints()],
             cands: Vec::new(),
+            budget,
             tally: Tally::default(),
         }
     }
@@ -1227,12 +1211,12 @@ impl BitsetCsp<'_> {
     fn backtrack(
         &self,
         st: &mut SearchState,
-        ctx: &SearchCtx<'_>,
+        deadline: Option<Instant>,
     ) -> Result<Option<Vec<VertexId>>, Halt> {
         let mut frames: Vec<Frame> = Vec::new();
         loop {
             // enter a node: charge it, then branch on its variable
-            ctx.charge(&mut st.tally)?;
+            st.charge(deadline)?;
             let Some(vi) = self.pick(&st.dom) else {
                 // all singleton: done
                 return Ok(Some(self.extract(st)));
@@ -1267,68 +1251,10 @@ impl BitsetCsp<'_> {
                 let (vi, val, mark) = (f.vi, st.cands[f.next], f.mark);
                 f.next += 1;
                 self.assign(st, vi, val);
-                if self.propagate(st, Some(vi), ctx.deadline)? {
+                if self.propagate(st, Some(vi), deadline)? {
                     break;
                 }
                 st.undo_to(mark);
-            }
-        }
-    }
-
-    /// Expands the root state `st` breadth-first, in the sequential
-    /// search's branching order, until at least `target` independent
-    /// subtree states exist (or the tree stops branching). The expansion
-    /// performs the same charge-pick-propagate steps the sequential search
-    /// would, in `st` as scratch, so node accounting is unchanged. Subtree
-    /// roots are plain domain-word snapshots: a worker wraps one in a fresh
-    /// [`SearchState`] (empty trail) and searches in place.
-    fn split(
-        &self,
-        st: &mut SearchState,
-        target: usize,
-        ctx: &SearchCtx<'_>,
-    ) -> Result<Vec<Vec<u64>>, Halt> {
-        let mut values: Vec<u32> = Vec::new();
-        let mut frontier = vec![st.dom.clone()];
-        loop {
-            if frontier.len() >= target {
-                return Ok(frontier);
-            }
-            let mut next: Vec<Vec<u64>> = Vec::new();
-            let mut expanded = false;
-            for state in frontier {
-                if expanded && next.len() + 1 >= target {
-                    // enough subtrees; keep the rest unexpanded, in order
-                    next.push(state);
-                    continue;
-                }
-                let Some(vi) = self.pick(&state) else {
-                    next.push(state);
-                    continue;
-                };
-                ctx.charge(&mut st.tally)?;
-                expanded = true;
-                let before = next.len();
-                values.clear();
-                self.push_values(&state, vi, &mut values);
-                for &val in &values {
-                    st.dom.copy_from_slice(&state);
-                    st.trail.clear();
-                    self.assign(st, vi, val);
-                    if self.propagate(st, Some(vi), ctx.deadline)? {
-                        next.push(st.dom.clone());
-                    }
-                }
-                if next.len() == before {
-                    st.tally.backtracks += 1;
-                }
-            }
-            if !expanded {
-                return Ok(next);
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                return Ok(frontier);
             }
         }
     }
@@ -1400,135 +1326,60 @@ pub(crate) fn compile<'s>(
     Some((csp, dom))
 }
 
-/// The search entry: compile, propagate the root, then run MAC —
-/// sequentially, or split over `jobs` workers.
+/// The search entry: compile, propagate the root, then run MAC on the
+/// calling thread, charging at most `max_nodes` nodes until `deadline`.
+/// Returns the outcome and the nodes charged.
 pub(crate) fn search_map(
     q: &KeyedTask,
     skel: &Skeleton,
-    budget: &SharedBudget,
+    max_nodes: u64,
     deadline: Option<Instant>,
-    jobs: usize,
     round: iis_obs::profile::SpanId,
-) -> Result<Option<SimplicialMap>, Halt> {
+) -> (Result<Option<SimplicialMap>, Halt>, u64) {
     let compile_t0 = profile_now();
-    let level = skel.resolve(q, deadline)?;
+    let level = match skel.resolve(q, deadline) {
+        Ok(level) => level,
+        Err(halt) => return (Err(halt), 0),
+    };
     let compiled = compile(skel, &level);
     if let Some(t0) = compile_t0 {
         iis_obs::profile::sample_under(round, "compile", 2, 0, t0.elapsed().as_nanos() as u64);
     }
     let Some((csp, root)) = compiled else {
-        return Ok(None);
+        return (Ok(None), 0);
     };
-    let mut st = csp.new_state(root);
-    if !csp.propagate(&mut st, None, deadline)? {
-        return Ok(None);
-    }
-    let assignment = if jobs > 1 {
-        search_parallel(&csp, &mut st, budget, deadline, jobs, round)?
-    } else {
-        let ctx = SearchCtx {
-            budget,
-            deadline,
-            cancel: None,
-        };
-        let t0 = profile_now();
-        let found = csp.backtrack(&mut st, &ctx);
-        // one sampled `search` leaf under the round, recorded even when the
-        // search halts mid-tree, so truncated rounds still show up in the
-        // flamegraph
-        if let Some(t0) = t0 {
-            iis_obs::profile::sample_under(
-                round,
-                "search",
-                2,
-                st.tally.spent,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        found?
-    };
-    Ok(assignment.map(|a| {
-        SimplicialMap::from_pairs(
-            a.into_iter()
-                .enumerate()
-                .map(|(i, w)| (VertexId(i as u32), w)),
-        )
-    }))
-}
-
-/// Parallel search over subtree snapshots: split the root state `st`
-/// into about `4 × jobs` subtrees in sequential depth-first order, run
-/// them on the work-stealing pool, and let the lowest-indexed witness win;
-/// only higher-indexed subtrees are cancelled, so the outcome is the
-/// sequential one at any thread count (DESIGN.md §7).
-fn search_parallel(
-    csp: &BitsetCsp<'_>,
-    st: &mut SearchState,
-    budget: &SharedBudget,
-    deadline: Option<Instant>,
-    jobs: usize,
-    round: iis_obs::profile::SpanId,
-) -> Result<Option<Vec<VertexId>>, Halt> {
-    let splitter = SearchCtx {
-        budget,
-        deadline,
-        cancel: None,
-    };
-    let split_t0 = profile_now();
-    let subtrees = csp.split(st, jobs.saturating_mul(4), &splitter);
-    if let Some(t0) = split_t0 {
-        iis_obs::profile::sample_under(
-            round,
-            "split",
-            2,
-            st.tally.spent,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    let subtrees = subtrees?;
-    SOLVE_SUBTREES.add(subtrees.len() as u64);
-    iis_obs::progress::set_subtrees(subtrees.len() as u64);
-    let cell: FirstWins<Vec<VertexId>> = FirstWins::new();
-    let verdicts = run_pool(subtrees, jobs, |index, dom| {
-        let ctx = SearchCtx {
-            budget,
-            deadline,
-            cancel: Some((&cell, index)),
-        };
-        let mut st = csp.new_state(dom);
-        let t0 = profile_now();
-        let found = csp.backtrack(&mut st, &ctx);
-        if let Some(t0) = t0 {
-            let subtree = iis_obs::profile::register(round, &format!("subtree:{index}"));
-            iis_obs::profile::sample_under(
-                subtree,
-                "search",
-                3,
-                st.tally.spent,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        iis_obs::progress::subtree_done();
-        match found {
-            Ok(Some(solution)) => {
-                cell.offer(index, solution);
-                Ok(())
+    let mut st = csp.new_state(root, max_nodes);
+    let found = match csp.propagate(&mut st, None, deadline) {
+        Ok(true) => {
+            let t0 = profile_now();
+            let found = csp.backtrack(&mut st, deadline);
+            // one sampled `search` leaf under the round, recorded even when
+            // the search halts mid-tree, so truncated rounds still show up
+            // in the flamegraph
+            if let Some(t0) = t0 {
+                iis_obs::profile::sample_under(
+                    round,
+                    "search",
+                    2,
+                    st.tally.spent,
+                    t0.elapsed().as_nanos() as u64,
+                );
             }
-            Ok(None) => Ok(()),
-            Err(halt) => Err(halt),
+            found
         }
+        Ok(false) => Ok(None),
+        Err(halt) => Err(halt),
+    };
+    let map = found.map(|a| {
+        a.map(|a| {
+            SimplicialMap::from_pairs(
+                a.into_iter()
+                    .enumerate()
+                    .map(|(i, w)| (VertexId(i as u32), w)),
+            )
+        })
     });
-    let cancelled = verdicts
-        .iter()
-        .filter(|v| **v == Err(Halt::Cancelled))
-        .count();
-    SOLVE_CANCELLED.add(cancelled as u64);
-    match cell.take() {
-        Some((_, solution)) => Ok(Some(solution)),
-        None if verdicts.contains(&Err(Halt::Timeout)) => Err(Halt::Timeout),
-        None if verdicts.contains(&Err(Halt::Budget)) => Err(Halt::Budget),
-        None => Ok(None),
-    }
+    (map, st.tally.spent)
 }
 
 #[cfg(test)]
@@ -1704,7 +1555,7 @@ mod tests {
         let skel = Skeleton::new(arena_sds_tower(q.task().input(), 1));
         let level = skel.resolve(&q, None).unwrap();
         let (csp, root) = compile(&skel, &level).expect("compiles");
-        let mut st = csp.new_state(root);
+        let mut st = csp.new_state(root, u64::MAX);
         assert_eq!(csp.propagate(&mut st, None, None), Ok(true));
         let snapshot = st.dom.clone();
         // branch on the first undecided variable, then rewind

@@ -57,7 +57,6 @@ pub mod convergence;
 pub mod csp;
 pub mod distance;
 pub mod emulation;
-pub mod parallel;
 pub mod protocol_complex;
 pub mod protocols;
 pub mod reference;

@@ -21,7 +21,6 @@
 use crate::cache::{keep_skeleton, skeleton, KeyedTask};
 use crate::certificate::find_certificate;
 use crate::csp::{profile_now, CompiledTable, Halt, Skeleton};
-use crate::parallel::SharedBudget;
 use iis_obs::metrics::StaticCounter;
 use iis_tasks::Task;
 use iis_topology::arena::ArenaSds;
@@ -413,35 +412,28 @@ pub fn solve_at_bounded(task: &Task, b: usize, max_nodes: u64) -> BoundedOutcome
     solve_at_opts(task, b, &SolveOptions::new().budget(max_nodes))
 }
 
-/// Configuration of a decision-map search: node budget, degree of
-/// parallelism, and wall-clock timeout.
+/// Configuration of a decision-map search: node budget and wall-clock
+/// timeout. Each round's search runs once, on the thread that asks
+/// (DESIGN.md §7).
 ///
-/// The default is an unbounded sequential MAC search — exactly
-/// [`solve_at`]'s behavior.
+/// The default is an unbounded MAC search — exactly [`solve_at`]'s
+/// behavior.
 ///
 /// # Examples
-///
-/// A parallel search returns the same classification *and the same witness*
-/// as the sequential one (DESIGN.md §7):
 ///
 /// ```
 /// use iis_core::solvability::{solve_at_opts, BoundedOutcome, SolveOptions};
 /// use iis_tasks::library::approximate_agreement;
 ///
 /// let task = approximate_agreement(1, 3);
-/// let seq = solve_at_opts(&task, 1, &SolveOptions::new());
-/// let par = solve_at_opts(&task, 1, &SolveOptions::new().jobs(4));
-/// match (seq, par) {
-///     (BoundedOutcome::Solvable(s), BoundedOutcome::Solvable(p)) => {
-///         assert_eq!(s.map().pairs(), p.map().pairs());
-///     }
-///     _ => panic!("ε-agreement is solvable at b = 1"),
-/// }
+/// let tight = SolveOptions::new().budget(0);
+/// assert!(matches!(solve_at_opts(&task, 1, &tight), BoundedOutcome::Exhausted));
+/// let ample = SolveOptions::new().budget(1_000);
+/// assert!(matches!(solve_at_opts(&task, 1, &ample), BoundedOutcome::Solvable(_)));
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     pub(crate) max_nodes: u64,
-    pub(crate) jobs: usize,
     pub(crate) timeout: Option<std::time::Duration>,
 }
 
@@ -449,14 +441,13 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             max_nodes: u64::MAX,
-            jobs: 1,
             timeout: None,
         }
     }
 }
 
 impl SolveOptions {
-    /// Unbounded, sequential, no timeout.
+    /// Unbounded, no timeout.
     pub fn new() -> Self {
         Self::default()
     }
@@ -468,11 +459,11 @@ impl SolveOptions {
         self
     }
 
-    /// Distributes the search over up to `jobs` worker threads (`0` and `1`
-    /// both mean sequential). Verdicts and witnesses do not depend on this
-    /// value; only wall-clock time does.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
+    /// Does nothing: a round's search runs on the thread that asks
+    /// (DESIGN.md §7). Kept only because the benchmark programs still call
+    /// it; the change that retires the benchmark's `e6_parallel` cases
+    /// removes it.
+    pub fn jobs(self, _: usize) -> Self {
         self
     }
 
@@ -499,8 +490,8 @@ impl SolveOptions {
     }
 }
 
-/// [`solve_at_bounded`] with full [`SolveOptions`] control (budget,
-/// parallelism, and timeout).
+/// [`solve_at_bounded`] with full [`SolveOptions`] control (budget and
+/// timeout).
 pub fn solve_at_opts(task: &Task, b: usize, opts: &SolveOptions) -> BoundedOutcome {
     let deadline = opts.deadline();
     let q = KeyedTask::new(task.clone());
@@ -563,8 +554,8 @@ fn trace_round(task: &Task, b: usize, decider: Decider, outcome: &BoundedOutcome
     );
 }
 
-/// Searches `skel` (`SDS^b(I)` of `q`'s input) under `opts`'s budget and
-/// jobs until `deadline`: the outcome and the nodes searched. A level a
+/// Searches `skel` (`SDS^b(I)` of `q`'s input) under `opts`'s budget
+/// until `deadline`: the outcome and the nodes searched. A level a
 /// witness is found on is memoized for the checks and searches to come.
 fn solve_on(
     q: &KeyedTask,
@@ -583,15 +574,13 @@ fn solve_on(
         }
         None => iis_obs::profile::SpanId::ROOT,
     };
-    let budget = SharedBudget::new(opts.max_nodes);
-    let result = crate::csp::search_map(q, skel, &budget, deadline, opts.jobs, round_span);
-    let nodes = opts.max_nodes.saturating_sub(budget.remaining());
+    let (result, nodes) = crate::csp::search_map(q, skel, opts.max_nodes, deadline, round_span);
     if let Some(t0) = profile_t0 {
         iis_obs::profile::sample(round_span, 1, nodes, t0.elapsed().as_nanos() as u64);
     }
     iis_obs::metrics::gauge_set(
         "solve.budget_remaining",
-        i64::try_from(budget.remaining()).unwrap_or(i64::MAX),
+        i64::try_from(opts.max_nodes - nodes).unwrap_or(i64::MAX),
     );
     drop(timer);
     let outcome = match result {
@@ -602,7 +591,7 @@ fn solve_on(
         }
         Ok(None) => BoundedOutcome::Unsolvable,
         Err(Halt::Timeout) => BoundedOutcome::TimedOut,
-        Err(_) => BoundedOutcome::Exhausted,
+        Err(Halt::Budget) => BoundedOutcome::Exhausted,
     };
     (outcome, nodes)
 }

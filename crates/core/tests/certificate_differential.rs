@@ -10,7 +10,7 @@
 //! - soundness: every certificate found passes the certificate checker,
 //!   and the search finds no witness at any `b ≤ 3` it decides;
 //! - byte identity: every sweep the pure search decides exactly has the
-//!   same record bytes from the solver, at `jobs` 1 and 2;
+//!   same record bytes from the solver;
 //! - the work bound: no certificate search on a library spec takes over
 //!   1 ms (asserted in release builds).
 

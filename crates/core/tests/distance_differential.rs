@@ -8,7 +8,7 @@
 //! - soundness: wherever the bounded search decides a round the pass
 //!   refutes, it finds no witness;
 //! - byte identity: every sweep the pure search decides exactly has the
-//!   same record bytes from the solver, at `jobs` 1 and 2;
+//!   same record bytes from the solver;
 //! - exactness on one-dimensional inputs: on every two-process library
 //!   task the edge test's first passing round is the first round the
 //!   search finds a witness at.

@@ -54,7 +54,7 @@ fn oracle_task(v: &Json) -> Result<Task, JsonError> {
 
 /// A question's reading: its task (`spec …` or `task <key prefix>`) and
 /// options.
-type Reading = Result<(String, usize, u64, u64, bool), String>;
+type Reading = Result<(String, usize, u64, bool), String>;
 
 /// The `&Json` question reader the text reader replaced, with the
 /// shard's order of refusals; a spec is not resolved.
@@ -83,7 +83,6 @@ fn oracle_question(q: &Json) -> Reading {
             .ok_or_else(|| format!("\"{name}\" must be a non-negative integer")),
     };
     let max_rounds = usize::try_from(count("max_rounds", 2)?).unwrap_or(usize::MAX);
-    let jobs = count("jobs", 1)?;
     let budget = count("budget", 1_000_000)?;
     let wait = match q.get("wait") {
         None | Some(Json::Null) => true,
@@ -93,7 +92,7 @@ fn oracle_question(q: &Json) -> Reading {
     if max_rounds > 6 {
         return Err("max_rounds > 6 would build an astronomically large complex".to_string());
     }
-    Ok((task, max_rounds, jobs, budget, wait))
+    Ok((task, max_rounds, budget, wait))
 }
 
 fn resolved(q: QuestionText<'_>) -> Reading {
@@ -103,7 +102,7 @@ fn resolved(q: QuestionText<'_>) -> Reading {
             QuestionTask::Inline(keyed) => format!("task {:016x}", keyed.key_prefix()),
         })
     })
-    .map(|q| (q.task, q.max_rounds, q.jobs, q.budget, q.wait))
+    .map(|q| (q.task, q.max_rounds, q.budget, q.wait))
 }
 
 /// A body's reading: batch or not, and each question's reading.

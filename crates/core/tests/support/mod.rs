@@ -90,20 +90,18 @@ pub fn pure_record(task: &Task, max_rounds: usize, opts: &SolveOptions) -> Optio
     Some(record.to_string())
 }
 
-/// Compares the solver's record with the pure search's at `jobs` 1 and
-/// 2; `true` iff the pure search decided the sweep.
+/// Compares the solver's record with the pure search's; `true` iff the
+/// pure search decided the sweep.
 pub fn assert_same_bytes(task: &Task, max_rounds: usize, what: &str) -> bool {
     let Some(pure) = pure_record(task, max_rounds, &bounded()) else {
         return false;
     };
-    for jobs in [1, 2] {
-        let report = solve_up_to_opts(task, max_rounds, &bounded().jobs(jobs));
-        assert_eq!(
-            report_to_json(&report).to_string(),
-            pure,
-            "{what} up to b = {max_rounds}, jobs {jobs}"
-        );
-    }
+    let report = solve_up_to_opts(task, max_rounds, &bounded());
+    assert_eq!(
+        report_to_json(&report).to_string(),
+        pure,
+        "{what} up to b = {max_rounds}"
+    );
     true
 }
 

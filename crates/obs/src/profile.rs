@@ -2,24 +2,22 @@
 //! CLI's `--profile FILE`).
 //!
 //! A *span* is a named node in a process-global tree: the solver registers
-//! one span per round under the root, one per parallel subtree under its
-//! round, and phase leaves (`compile`, `split`, `search`) under those.
-//! Workers record `(worker, span, depth, nodes, ns)` samples into
-//! lock-free per-worker ring buffers — parallel arrays of `AtomicU64`
-//! slots with one writer per ring, so recording a sample is a handful of
-//! relaxed stores and never takes a lock.
+//! one span per round under the root and its phase leaves (`compile`,
+//! `search`) under it. Every thread records `(span, depth, nodes, ns)`
+//! samples into one lock-free ring buffer — parallel arrays of `AtomicU64`
+//! slots claimed by one atomic increment, so recording a sample is a
+//! handful of relaxed atomic operations and never takes a lock.
 //!
 //! [`fold`] aggregates the samples by root-to-leaf path and
 //! [`to_collapsed`] renders them in collapsed-stack format
-//! (`round:1;subtree:0;search 12345`, weight = nanoseconds), the input
-//! format of `inferno-flamegraph` and speedscope.
+//! (`round:1;search 12345`, weight = nanoseconds), the input format of
+//! `inferno-flamegraph` and speedscope.
 //!
 //! Profiling is observational only: it is gated on its own flag
 //! (independent of [`crate::metrics::enabled`]), and no search decision
 //! ever reads profiling state — verdicts, witnesses, and node accounting
 //! are bit-identical with profiling on or off.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -37,10 +35,7 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Maximum number of per-worker rings; worker ids wrap modulo this.
-pub const MAX_WORKERS: usize = 64;
-
-/// Samples each ring holds before wrapping (oldest overwritten first).
+/// Samples the ring holds before wrapping (oldest overwritten first).
 pub const RING_CAPACITY: usize = 4096;
 
 /// An opaque span identifier; [`SpanId::ROOT`] is every top-level span's
@@ -54,15 +49,15 @@ impl SpanId {
 }
 
 /// The span registry: `spans[id] = (parent id, label)`; index 0 is the
-/// root. Registration is cold-path (per round / per subtree), so a mutex
+/// root. Registration is cold-path (per round and phase), so a mutex
 /// is fine here; the sample hot path never touches it.
 fn spans() -> &'static Mutex<Vec<(u32, String)>> {
     static SPANS: OnceLock<Mutex<Vec<(u32, String)>>> = OnceLock::new();
     SPANS.get_or_init(|| Mutex::new(vec![(0, String::new())]))
 }
 
-/// One per-worker ring: parallel `AtomicU64` arrays with a single writer
-/// (the owning worker). `meta` packs `span << 16 | depth`.
+/// The sample ring: parallel `AtomicU64` arrays, each slot claimed by
+/// one increment of `head`. `meta` packs `span << 16 | depth`.
 struct Ring {
     head: AtomicUsize,
     meta: Vec<AtomicU64>,
@@ -82,26 +77,9 @@ impl Ring {
     }
 }
 
-fn rings() -> &'static Vec<Ring> {
-    static RINGS: OnceLock<Vec<Ring>> = OnceLock::new();
-    RINGS.get_or_init(|| (0..MAX_WORKERS).map(|_| Ring::new()).collect())
-}
-
-thread_local! {
-    /// The stable worker id of this thread (0 for the main thread; the
-    /// work-stealing pool assigns 0..workers to its threads).
-    static WORKER: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Assigns this thread's worker id (called by the pool when a worker
-/// thread starts).
-pub fn set_worker(id: usize) {
-    WORKER.with(|w| w.set(id));
-}
-
-/// This thread's worker id.
-pub fn worker() -> usize {
-    WORKER.with(Cell::get)
+fn ring() -> &'static Ring {
+    static RING: OnceLock<Ring> = OnceLock::new();
+    RING.get_or_init(Ring::new)
 }
 
 /// Registers a span labelled `label` under `parent` and returns its id.
@@ -113,20 +91,20 @@ pub fn register(parent: SpanId, label: &str) -> SpanId {
     }
     let mut g = spans().lock().unwrap_or_else(PoisonError::into_inner);
     // ids are u32 packed into 48 bits of sample meta; the registry is
-    // bounded by rounds × subtrees, far below this
+    // bounded by rounds × phases, far below this
     let id = g.len() as u32;
     g.push((parent.0, label.to_string()));
     SpanId(id)
 }
 
-/// Records one `(worker, span, depth, nodes, ns)` sample into this
-/// thread's ring. No-op while disabled. Wrapped (overwritten) samples are
-/// counted in `profile.wrapped`.
+/// Records one `(span, depth, nodes, ns)` sample into the ring. No-op
+/// while disabled. Wrapped (overwritten) samples are counted in
+/// `profile.wrapped`.
 pub fn sample(span: SpanId, depth: u16, nodes: u64, ns: u64) {
     if !enabled() {
         return;
     }
-    let ring = &rings()[worker() % MAX_WORKERS];
+    let ring = ring();
     let i = ring.head.fetch_add(1, Ordering::Relaxed);
     if i >= RING_CAPACITY {
         crate::metrics::add("profile.wrapped", 1);
@@ -149,15 +127,13 @@ pub fn sample_under(parent: SpanId, label: &str, depth: u16, nodes: u64, ns: u64
     sample(register(parent, label), depth, nodes, ns);
 }
 
-/// Clears every ring and the span registry (back to the lone root).
+/// Clears the ring and the span registry (back to the lone root).
 pub fn reset() {
     let mut g = spans().lock().unwrap_or_else(PoisonError::into_inner);
     g.clear();
     g.push((0, String::new()));
     drop(g);
-    for ring in rings() {
-        ring.head.store(0, Ordering::Relaxed);
-    }
+    ring().head.store(0, Ordering::Relaxed);
 }
 
 /// Folds all recorded samples by root-to-leaf path: `path → (ns, nodes)`,
@@ -166,28 +142,27 @@ pub fn reset() {
 pub fn fold() -> BTreeMap<String, (u64, u64)> {
     let g = spans().lock().unwrap_or_else(PoisonError::into_inner);
     let mut out: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for ring in rings() {
-        let len = ring.head.load(Ordering::Relaxed).min(RING_CAPACITY);
-        for slot in 0..len {
-            let meta = ring.meta[slot].load(Ordering::Relaxed);
-            let span = (meta >> 16) as usize;
-            if span == 0 || span >= g.len() {
-                continue; // root or a sample racing a reset
-            }
-            // walk parent links up to the root to build the path
-            let mut frames: Vec<&str> = Vec::new();
-            let mut cur = span;
-            while cur != 0 {
-                let (parent, ref label) = g[cur];
-                frames.push(label);
-                cur = parent as usize;
-            }
-            frames.reverse();
-            let path = frames.join(";");
-            let e = out.entry(path).or_insert((0, 0));
-            e.0 += ring.ns[slot].load(Ordering::Relaxed);
-            e.1 += ring.nodes[slot].load(Ordering::Relaxed);
+    let ring = ring();
+    let len = ring.head.load(Ordering::Relaxed).min(RING_CAPACITY);
+    for slot in 0..len {
+        let meta = ring.meta[slot].load(Ordering::Relaxed);
+        let span = (meta >> 16) as usize;
+        if span == 0 || span >= g.len() {
+            continue; // root or a sample racing a reset
         }
+        // walk parent links up to the root to build the path
+        let mut frames: Vec<&str> = Vec::new();
+        let mut cur = span;
+        while cur != 0 {
+            let (parent, ref label) = g[cur];
+            frames.push(label);
+            cur = parent as usize;
+        }
+        frames.reverse();
+        let path = frames.join(";");
+        let e = out.entry(path).or_insert((0, 0));
+        e.0 += ring.ns[slot].load(Ordering::Relaxed);
+        e.1 += ring.nodes[slot].load(Ordering::Relaxed);
     }
     out
 }
@@ -240,28 +215,21 @@ mod tests {
         set_enabled(true);
         reset();
         let round = register(SpanId::ROOT, "round:1");
-        let subtree = register(round, "subtree:0");
         sample(round, 1, 10, 1000);
-        sample_under(subtree, "search", 3, 7, 500);
-        sample_under(subtree, "search", 3, 3, 250);
+        sample_under(round, "search", 2, 7, 500);
+        sample_under(round, "search", 2, 3, 250);
         let folded = fold();
         assert_eq!(folded["round:1"], (1000, 10));
-        assert_eq!(folded["round:1;subtree:0;search"], (750, 10));
+        assert_eq!(folded["round:1;search"], (750, 10));
         let text = to_collapsed();
         let rows = parse_collapsed(&text).unwrap();
         assert!(rows
             .iter()
-            .any(|(frames, w)| frames.len() >= 3 && *w == 750));
-        // worker ids are per-thread and stable
-        assert_eq!(worker(), 0);
-        std::thread::spawn(|| {
-            set_worker(3);
-            assert_eq!(worker(), 3);
-            sample(SpanId(1), 1, 1, 1);
-        })
-        .join()
-        .unwrap();
-        // the other worker's ring folds into the same tree
+            .any(|(frames, w)| frames.len() == 2 && *w == 750));
+        // another thread's samples fold into the same tree
+        std::thread::spawn(|| sample(SpanId(1), 1, 1, 1))
+            .join()
+            .unwrap();
         assert_eq!(fold()["round:1"], (1001, 11));
         // disabled: register and sample are no-ops
         set_enabled(false);

@@ -3,10 +3,10 @@
 //!
 //! A single process-global set of atomics tracks per-phase totals: the
 //! solve round in flight, rounds decided, nodes expanded, the node budget
-//! left in the current round, constraint-cache hit rate, parallel subtree
-//! and worker counts, and fuzz cases/failures. Every update records
-//! unconditionally: nothing here runs per search node, since a search
-//! worker adds its node count in batches ([`add_nodes`]).
+//! left in the current round, constraint-cache hit rate, and fuzz
+//! cases/failures. Every update records unconditionally: nothing here runs
+//! per search node, since a search adds its node count in batches
+//! ([`add_nodes`]).
 //!
 //! [`snapshot`] copies the registry and derives a sliding-window
 //! throughput estimate (nodes + fuzz cases per second over the last ten
@@ -28,9 +28,6 @@ static ROUND: AtomicU64 = AtomicU64::new(0);
 static ROUNDS_DONE: AtomicU64 = AtomicU64::new(0);
 static ROUND_BUDGET: AtomicU64 = AtomicU64::new(0);
 static NODES_AT_ROUND_START: AtomicU64 = AtomicU64::new(0);
-static SUBTREES_TOTAL: AtomicU64 = AtomicU64::new(0);
-static SUBTREES_DONE: AtomicU64 = AtomicU64::new(0);
-static WORKERS: AtomicU64 = AtomicU64::new(1);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static FUZZ_TOTAL: AtomicU64 = AtomicU64::new(0);
@@ -56,7 +53,7 @@ pub fn set_task(label: &str) {
     g.push_str(label);
 }
 
-/// A search worker expanded `n` more nodes.
+/// A search expanded `n` more nodes.
 pub fn add_nodes(n: u64) {
     NODES.fetch_add(n, Ordering::Relaxed);
 }
@@ -67,29 +64,11 @@ pub fn solve_round_started(task: &str, b: u64, budget: u64) {
     ROUND.store(b, Ordering::Relaxed);
     ROUND_BUDGET.store(budget, Ordering::Relaxed);
     NODES_AT_ROUND_START.store(NODES.load(Ordering::Relaxed), Ordering::Relaxed);
-    SUBTREES_TOTAL.store(0, Ordering::Relaxed);
-    SUBTREES_DONE.store(0, Ordering::Relaxed);
 }
 
 /// The round in flight reached a verdict.
 pub fn solve_round_finished() {
     ROUNDS_DONE.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The round's search split into `total` parallel subtrees.
-pub fn set_subtrees(total: u64) {
-    SUBTREES_TOTAL.store(total, Ordering::Relaxed);
-    SUBTREES_DONE.store(0, Ordering::Relaxed);
-}
-
-/// One subtree finished (searched to completion or cancelled).
-pub fn subtree_done() {
-    SUBTREES_DONE.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The pool is running `n` worker threads.
-pub fn set_workers(n: u64) {
-    WORKERS.store(n, Ordering::Relaxed);
 }
 
 /// `n` constraint-table lookups resolved (`hit` iff compiled tables were
@@ -125,8 +104,6 @@ pub fn reset() {
         &ROUNDS_DONE,
         &ROUND_BUDGET,
         &NODES_AT_ROUND_START,
-        &SUBTREES_TOTAL,
-        &SUBTREES_DONE,
         &CACHE_HITS,
         &CACHE_MISSES,
         &FUZZ_TOTAL,
@@ -135,7 +112,6 @@ pub fn reset() {
     ] {
         cell.store(0, Ordering::Relaxed);
     }
-    WORKERS.store(1, Ordering::Relaxed);
     set_task("");
     window()
         .lock()
@@ -167,14 +143,8 @@ pub struct ProgressSnapshot {
     pub round: u64,
     /// Rounds decided so far.
     pub rounds_done: u64,
-    /// Parallel subtrees finished in the round in flight.
-    pub subtrees_done: u64,
-    /// Parallel subtrees the round split into (0 when sequential).
-    pub subtrees_total: u64,
     /// The task label.
     pub task: String,
-    /// Worker threads in the pool.
-    pub workers: u64,
 }
 
 impl ToJson for ProgressSnapshot {
@@ -192,10 +162,7 @@ impl ToJson for ProgressSnapshot {
             ("per_sec", Json::Num(self.per_sec)),
             ("round", Json::Num(self.round as f64)),
             ("rounds_done", Json::Num(self.rounds_done as f64)),
-            ("subtrees_done", Json::Num(self.subtrees_done as f64)),
-            ("subtrees_total", Json::Num(self.subtrees_total as f64)),
             ("task", Json::Str(self.task.clone())),
-            ("workers", Json::Num(self.workers as f64)),
         ])
     }
 }
@@ -258,13 +225,10 @@ pub fn snapshot() -> ProgressSnapshot {
         per_sec,
         round: ROUND.load(Ordering::Relaxed),
         rounds_done: ROUNDS_DONE.load(Ordering::Relaxed),
-        subtrees_done: SUBTREES_DONE.load(Ordering::Relaxed),
-        subtrees_total: SUBTREES_TOTAL.load(Ordering::Relaxed),
         task: task_label()
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone(),
-        workers: WORKERS.load(Ordering::Relaxed),
     }
 }
 
@@ -289,12 +253,6 @@ pub fn render_line(snap: &ProgressSnapshot) -> String {
             snap.rounds_done,
             group_digits(snap.nodes)
         ));
-        if snap.subtrees_total > 0 {
-            out.push_str(&format!(
-                " subtrees {}/{} workers {}",
-                snap.subtrees_done, snap.subtrees_total, snap.workers
-            ));
-        }
         out.push_str(&format!(
             " budget_left={}",
             group_digits(snap.budget_remaining)
@@ -361,10 +319,6 @@ mod tests {
         reset();
         solve_round_started("kset:2:2", 2, 1000);
         add_nodes(40);
-        set_subtrees(8);
-        subtree_done();
-        subtree_done();
-        set_workers(4);
         cache_lookups(true, 2);
         cache_lookups(false, 1);
         let snap = snapshot();
@@ -372,8 +326,6 @@ mod tests {
         assert_eq!(snap.round, 2);
         assert_eq!(snap.nodes, 40);
         assert_eq!(snap.budget_remaining, 960);
-        assert_eq!((snap.subtrees_done, snap.subtrees_total), (2, 8));
-        assert_eq!(snap.workers, 4);
         assert!((snap.cache_hit_rate - 2.0 / 3.0).abs() < 1e-9);
         solve_round_finished();
         assert_eq!(snapshot().rounds_done, 1);
@@ -389,7 +341,7 @@ mod tests {
         let line = render_line(&snap);
         assert!(line.contains("kset:2:2"), "{line}");
         assert!(line.contains("b=2"), "{line}");
-        assert!(line.contains("subtrees 2/8"), "{line}");
+        assert!(line.contains("budget_left="), "{line}");
         assert!(line.contains("rate="), "{line}");
 
         // fuzz phase takes over the line and the ETA target

@@ -1146,9 +1146,9 @@ mod tests {
             assert!(!cold.hit);
             cold_bytes = store.get(cold.key).unwrap().expect("record persisted");
         }
-        // a different process lifetime, a different thread count: same bytes
+        // a different process lifetime: same bytes
         let mut store = Store::open(&dir).unwrap();
-        let warm = solve_up_to_cached(&task, 2, &SolveOptions::new().jobs(4), &mut store);
+        let warm = solve_up_to_cached(&task, 2, &SolveOptions::new(), &mut store);
         assert!(warm.hit, "reopened store must hit");
         assert_eq!(
             iis_core::cache::report_to_json(&warm.report).to_string(),

@@ -180,9 +180,10 @@ echo "gate smoke: ok"
 # contain solve_nodes_total; /progress must carry exactly the committed
 # key schema (crates/obs/tests/golden/progress_keys.txt).
 serve_log=$(mktemp)
-# (eps:3:4's distances refute b <= 1, and its search at b = 2 takes about
-# 1.5 s at --jobs 2)
-"$IIS" solve eps:3:4 --max-rounds 2 --jobs 2 --serve 127.0.0.1:0 >/dev/null 2>"$serve_log" &
+# (eps:3:3's distances refute b <= 1, and its round 2 takes 0.98-1.0 s to
+# build and search on a 2-vCPU VM, well past the scrape; eps:3:4's
+# takes 0.76-0.84 s)
+"$IIS" solve eps:3:3 --max-rounds 2 --serve 127.0.0.1:0 >/dev/null 2>"$serve_log" &
 serve_pid=$!
 port=""
 for _ in $(seq 1 100); do
@@ -363,14 +364,16 @@ rm -rf "$serve_log" "$serve_out" "$store_dir"
 echo "solve service smoke: ok"
 
 # Deep-search smoke: eps:3:3 is solvable at b = 2 on a 15 048-vertex
-# tower, a descent as deep as that tower. The parallel search's helpers
-# and the service's connection thread that reads the question (it solves
-# a waited cold question itself) run it on spawned threads with default
-# stacks; both must answer, and the service must live on and drain.
-out=$(timeout 30 "$IIS" solve eps:3:3 --max-rounds 2 --jobs 2) \
-  || { echo "deep search smoke: solve --jobs 2 failed or ran past 30 s"; echo "$out"; exit 1; }
+# tower, a descent as deep as that tower. The search keeps its open nodes
+# on the heap, so it runs on any thread's stack: `iis solve` runs it on
+# the main thread, and the service on the connection thread that reads
+# the question (it solves a waited cold question itself), a spawned
+# thread with a default stack. Both must answer, and the service must
+# live on and drain.
+out=$(timeout 30 "$IIS" solve eps:3:3 --max-rounds 2) \
+  || { echo "deep search smoke: solve failed or ran past 30 s"; echo "$out"; exit 1; }
 echo "$out" | grep -q '^b = 2: SOLVABLE' \
-  || { echo "deep search smoke: solve --jobs 2 did not answer b = 2"; echo "$out"; exit 1; }
+  || { echo "deep search smoke: solve did not answer b = 2"; echo "$out"; exit 1; }
 serve_log=$(mktemp)
 "$IIS" serve --addr 127.0.0.1:0 >/dev/null 2>"$serve_log" &
 serve_pid=$!
